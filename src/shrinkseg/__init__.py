@@ -6,7 +6,14 @@ allowed to carry a nonzero gradient. Stage two clusters the corrected
 component's values and thresholds midway between cluster means.
 """
 
-from .admm import AdmmParams, InnerResult, admm_solve, shrink_group, solve_uv
+from .admm import (
+    AdmmParams,
+    InnerResult,
+    admm_solve,
+    shrink_group,
+    solve_uv,
+    spectral_system,
+)
 from .decompose import (
     DecompositionResult,
     IterationTrace,
@@ -74,4 +81,5 @@ __all__ = [
     "segment",
     "shrink_group",
     "solve_uv",
+    "spectral_system",
 ]

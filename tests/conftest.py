@@ -9,6 +9,13 @@ from shrinkseg import AdmmParams, ModelParams, OuterParams, decompose, generate
 from shrinkseg.imgio import from_log_domain, phantom_spec_from_dict, to_log_domain
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "acceptance.json")
+SRC_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Tests that start `python -m shrinkseg.cli` run it from a temporary
+# directory, where a relative PYTHONPATH entry no longer resolves.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC_PATH, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

@@ -31,6 +31,7 @@ from shrinkseg import (
     segment,
     shrink_group,
     solve_uv,
+    spectral_system,
 )
 from shrinkseg.grid import GradientField, HessianField
 
@@ -95,7 +96,7 @@ def test_criterion_02_spectral_solver_equivalence(announce):
         )
         rho = float(rng.uniform(1e-8, 0.5))
         r = float(rng.uniform(0.5, 20.0))
-        u, v = solve_uv(f, u_k, qbar, mu, symbols, params, rho, r)
+        u, v = solve_uv(spectral_system(f, u_k, symbols, params, rho, r), qbar, mu)
         du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, rho, r)
         scale = max(np.abs(du).max(), np.abs(dv).max())
         worst = max(worst, max(np.abs(u - du).max(), np.abs(v - dv).max()) / scale)

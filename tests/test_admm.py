@@ -14,8 +14,10 @@ from shrinkseg import (
     linearized_energy,
     shrink_group,
     solve_uv,
+    spectral_system,
 )
-from shrinkseg.grid import GradientField, grad, grad_norms
+from shrinkseg.admm import _shrink_field, _shrink_thresholds
+from shrinkseg.grid import GradientField, OperatorSymbols, grad, grad_norms
 from shrinkseg.support import SupportSet
 
 
@@ -58,28 +60,57 @@ class TestAdmmParams:
             AdmmParams(**kw)
 
 
+class TestShrinkField:
+    def test_matches_scalar_shrink_pixelwise(self):
+        rng = np.random.default_rng(5)
+        n, alpha, r = 12, 0.3, 2.0
+        g = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+        zero = rng.random((n, n)) < 0.2
+        g.dx[zero] = 0.0
+        g.dy[zero] = 0.0
+        weights = rng.uniform(0.0, 4.0, (n, n))
+        weights[rng.random((n, n)) < 0.2] = 0.0
+        active = rng.random((n, n)) < 0.7
+        # every mix of zero norm, zero threshold and frozen must occur
+        assert (zero & active & (weights == 0)).any() and (~zero & active & (weights == 0)).any()
+        assert (zero & ~active).any() and (~zero & ~active).any()
+
+        q = _shrink_field(g, _shrink_thresholds(weights, active, alpha, r))
+        for i in range(n):
+            for j in range(n):
+                got = np.array([q.dx[i, j], q.dy[i, j]])
+                if zero[i, j] or not active[i, j]:
+                    assert np.all(got == 0.0), (i, j, got)
+                else:
+                    z = np.array([g.dx[i, j], g.dy[i, j]])
+                    want = shrink_group(z, alpha * weights[i, j] / r)
+                    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
 class TestSolveUV:
     def test_matches_dense_solver(self):
+        # odd n has no Nyquist column, so the half-spectrum path differs
         rng = np.random.default_rng(1)
-        n = 6
-        symbols = compute_symbols(n)
-        for _ in range(5):
-            f = rng.standard_normal((n, n))
-            u_k = rng.standard_normal((n, n))
-            qbar = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-            mu = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-            params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
-            u, v = solve_uv(f, u_k, qbar, mu, symbols, params, 0.3, 4.0)
-            du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, 0.3, 4.0)
-            np.testing.assert_allclose(u, du, atol=1e-10)
-            np.testing.assert_allclose(v, dv, atol=1e-10)
+        for n in (3, 5, 6, 7):
+            symbols = compute_symbols(n)
+            for _ in range(5):
+                f = rng.standard_normal((n, n))
+                u_k = rng.standard_normal((n, n))
+                qbar = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+                mu = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+                params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
+                system = spectral_system(f, u_k, symbols, params, 0.3, 4.0)
+                u, v = solve_uv(system, qbar, mu)
+                du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, 0.3, 4.0)
+                np.testing.assert_allclose(u, du, atol=1e-10)
+                np.testing.assert_allclose(v, dv, atol=1e-10)
 
     def test_constant_input_yields_constant_split(self):
         n = 4
         f = np.full((n, n), 0.8)
         zero = GradientField(np.zeros((n, n)), np.zeros((n, n)))
         params = ModelParams(alpha=0.1, beta=10.0, gamma=0.5)
-        u, v = solve_uv(f, f, zero, zero, compute_symbols(n), params, 0.25, 1.0)
+        u, v = solve_uv(spectral_system(f, f, compute_symbols(n), params, 0.25, 1.0), zero, zero)
         assert np.ptp(u) < 1e-12 and np.ptp(v) < 1e-12
         # stationarity of the constant mode: (1+rho)u + v = (1+rho)f,
         # u + (1+gamma)v = f
@@ -88,9 +119,18 @@ class TestSolveUV:
 
     def test_symbol_size_mismatch_raises(self):
         f = np.zeros((4, 4))
-        zero = GradientField(np.zeros((4, 4)), np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            solve_uv(f, f, zero, zero, compute_symbols(8), ModelParams(alpha=1, beta=1), 0.1, 1.0)
+            spectral_system(f, f, compute_symbols(8), ModelParams(alpha=1, beta=1), 0.1, 1.0)
+
+    def test_asymmetric_symbol_raises(self):
+        n = 6
+        good = compute_symbols(n)
+        dtd = good.dtd.copy()
+        dtd[1, 2] += 1e-3
+        bad = OperatorSymbols(n=n, dtd=dtd, hth=good.hth)
+        f = np.zeros((n, n))
+        with pytest.raises(FloatingPointError, match="Hermitian"):
+            spectral_system(f, f, bad, ModelParams(alpha=1, beta=1), 0.1, 1.0)
 
 
 def _instance(seed, n=6):
