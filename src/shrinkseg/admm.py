@@ -7,7 +7,9 @@ operator symbols are diagonal there, so no warm start is needed.
 Everything that stays fixed during one inner solve (the transformed
 constant right-hand sides and the inverted 2x2 per-frequency systems)
 is built once by spectral_system, on the half spectrum of the real
-FFT; a sweep then costs one rfft2 and two irfft2.
+FFT. v stays in that half spectrum during the loop, and the stopping
+test measures it there by Parseval, so a sweep costs one rfft2 and one
+irfft2; a single irfft2 after the loop returns v to pixels.
 """
 
 from __future__ import annotations
@@ -51,13 +53,17 @@ class AdmmParams:
 
 @dataclass(frozen=True)
 class InnerResult:
-    """Solution pair plus the diagnostics needed by the outer loop."""
+    """Solution pair plus the diagnostics needed by the outer loop.
+
+    primal_residual is max |Du - q| over pixels at the last sweep, with
+    q the shrunk gradient auxiliary.
+    """
 
     u: Array
     v: Array
     iters: int
     constraint_sup: float
-    primal_residuals: tuple[float, ...]
+    primal_residual: float
 
 
 def shrink_group(z, threshold: float) -> np.ndarray:
@@ -83,17 +89,48 @@ def _shrink_thresholds(weights: Array, active: Array, alpha: float, r: float) ->
     return np.where(active, np.maximum(alpha * weights / r, _TINY), np.inf)
 
 
-def _shrink_field(g: GradientField, thresholds: Array) -> GradientField:
-    """Pixelwise group shrinkage of g, one pass with no masked indexing.
+def _shrink_field(g: Array, thresholds: Array) -> Array:
+    """Pixelwise group shrinkage of the stacked field g, in place.
 
-    Scales each pixel by max(|g| - t, 0) / max(|g|, t), which equals
-    max(1 - t/|g|, 0) wherever |g| > 0 and is exactly zero where
-    |g| = 0 or t = +inf. Every threshold must be positive (+inf allowed),
-    as _shrink_thresholds ensures.
+    g has shape (2, n, n). Scales each pixel by
+    max(|g| - t, 0) / max(|g|, t), which equals max(1 - t/|g|, 0)
+    wherever |g| > 0 and is exactly zero where |g| = 0 or t = +inf.
+    Every threshold must be positive (+inf allowed), as
+    _shrink_thresholds ensures.
     """
-    norms = np.sqrt(g.dx * g.dx + g.dy * g.dy)
-    scale = np.maximum(norms - thresholds, 0.0) / np.maximum(norms, thresholds)
-    return GradientField(scale * g.dx, scale * g.dy)
+    squares = g * g
+    norms = np.add(squares[0], squares[1], out=squares[0])
+    np.sqrt(norms, out=norms)
+    denom = np.maximum(norms, thresholds, out=squares[1])
+    np.subtract(norms, thresholds, out=norms)
+    np.maximum(norms, 0.0, out=norms)
+    norms /= denom
+    g *= norms
+    return g
+
+
+def _rfft2(x: Array) -> Array:
+    """np.fft.rfft2(x), bit for bit, without its per-call axis handling."""
+    return np.fft.fft(np.fft.rfft(x, axis=1), axis=0)
+
+
+def _irfft2(x_hat: Array, n: int) -> Array:
+    """np.fft.irfft2(x_hat, s=(n, n)), bit for bit."""
+    return np.fft.irfft(np.fft.ifft(x_hat, axis=0), n=n, axis=1)
+
+
+def _half_spectrum_sq_norm(x_hat: Array, n: int) -> float:
+    """Squared norm of the real n x n grid whose rfft2 is x_hat.
+
+    Parseval over the full spectrum, rebuilt from the half spectrum:
+    every column but the zero one (and the Nyquist one when n is even)
+    stands for itself and its Hermitian mirror.
+    """
+    total = 2.0 * np.vdot(x_hat, x_hat).real
+    total -= np.vdot(x_hat[:, 0], x_hat[:, 0]).real
+    if n % 2 == 0:
+        total -= np.vdot(x_hat[:, -1], x_hat[:, -1]).real
+    return float(total) / (n * n)
 
 
 @dataclass(frozen=True)
@@ -102,16 +139,16 @@ class SpectralSystem:
 
     Each frequency carries the 2x2 system [[a, 1], [1, b]] with
     a = 1 + rho + r dtd and b = 1 + gamma + beta hth; its inverse is
-    [[b, -1], [-1, a]] / det with det = a b - 1. All arrays have shape
-    (n, n // 2 + 1).
+    [[b, -1], [-1, a]] / det with det = a b - 1. u0_hat and v0_hat are
+    the solution for a zero dual pull; solve_uv adds the pull's share
+    through b_det and inv_det. All arrays have shape (n, n // 2 + 1).
     """
 
     n: int
     r: float
-    rhs_hat: Array  # rfft2(f + rho u_k)
-    f_hat: Array  # rfft2(f)
+    u0_hat: Array  # (b rfft2(f + rho u_k) - rfft2(f)) / det
+    v0_hat: Array  # (a rfft2(f) - rfft2(f + rho u_k)) / det
     b_det: Array
-    a_det: Array
     inv_det: Array
 
 
@@ -156,22 +193,23 @@ def spectral_system(
     half = n // 2 + 1
     a = 1.0 + rho + r * symbols.dtd[:, :half]
     b = 1.0 + params.gamma + params.beta * symbols.hth[:, :half]
-    det = a * b - 1.0
+    inv_det = 1.0 / (a * b - 1.0)
+    rhs_hat = _rfft2(f + rho * u_k)
+    f_hat = _rfft2(f)
     return SpectralSystem(
         n=n,
         r=r,
-        rhs_hat=np.fft.rfft2(f + rho * u_k),
-        f_hat=np.fft.rfft2(f),
-        b_det=b / det,
-        a_det=a / det,
-        inv_det=1.0 / det,
+        u0_hat=(b * rhs_hat - f_hat) * inv_det,
+        v0_hat=(a * f_hat - rhs_hat) * inv_det,
+        b_det=b * inv_det,
+        inv_det=inv_det,
     )
 
 
 def solve_uv(
     system: SpectralSystem, qbar: GradientField, mu: GradientField
 ) -> tuple[Array, Array]:
-    """Exact solve of the coupled stationarity system for (u, v).
+    """Exact solve of the coupled stationarity system for (u, v_hat).
 
     Solves
         (1 + rho) u + r D^T D u + v = f + rho u_k - D^T (mu - r qbar)
@@ -179,16 +217,16 @@ def solve_uv(
     one frequency at a time: both operators diagonalize under the DFT,
     leaving a 2x2 system per frequency whose inverse system holds.
     Both right-hand sides are real, so only the rfft2 half spectrum is
-    formed: one forward transform of the dual pull and one inverse
-    transform per unknown. u and v are real by construction.
+    formed: one forward transform of the dual pull P, then
+    u = irfft2(u0_hat - b_det P) and v_hat = v0_hat + inv_det P.
+    u is real; v stays spectral, v_hat being rfft2(v), and
+    irfft2(v_hat, s=(n, n)) gives v.
     """
     r = system.r
     pull = GradientField(mu.dx - r * qbar.dx, mu.dy - r * qbar.dy)
-    rhs = system.rhs_hat - np.fft.rfft2(grad_adjoint(pull))
-    shape = (system.n, system.n)
-    u = np.fft.irfft2(system.b_det * rhs - system.inv_det * system.f_hat, s=shape)
-    v = np.fft.irfft2(system.a_det * system.f_hat - system.inv_det * rhs, s=shape)
-    return u, v
+    p_hat = _rfft2(grad_adjoint(pull))
+    u = _irfft2(system.u0_hat - system.b_det * p_hat, system.n)
+    return u, system.v0_hat + system.inv_det * p_hat
 
 
 def admm_solve(
@@ -217,35 +255,47 @@ def admm_solve(
         raise ValueError("admm_solve inputs must share one grid shape")
 
     r = admm.r
+    n = f.shape[0]
     system = spectral_system(f, u, symbols, params, rho, r)
     thresholds = _shrink_thresholds(weights, support.active, params.alpha, r)
-    mu = GradientField(np.zeros_like(f), np.zeros_like(f))
-    du = grad(u)
-    residuals: list[float] = []
+    # stacked (2, n, n) buffers: gradient of u, shrunk auxiliary q, dual mu
+    du = np.empty((2, n, n))
+    q = np.empty((2, n, n))
+    mu = np.zeros((2, n, n))
+    gap = np.empty((2, n, n))
+    q_field = GradientField(q[0], q[1])
+    mu_field = GradientField(mu[0], mu[1])
+    grad(u, out=du)
+    v_hat = _rfft2(v)
+    u_sq = float(np.vdot(u, u))
+    v_sq = _half_spectrum_sq_norm(v_hat, n)
     iters = 0
 
     for iters in range(1, admm.maxit_in + 1):
-        shifted = GradientField(du.dx + mu.dx / r, du.dy + mu.dy / r)
-        q = _shrink_field(shifted, thresholds)
+        np.divide(mu, r, out=q)
+        q += du
+        _shrink_field(q, thresholds)
 
-        u_new, v_new = solve_uv(system, q, mu)
+        u_new, v_hat_new = solve_uv(system, q_field, mu_field)
 
-        du = grad(u_new)
-        gap_x = du.dx - q.dx
-        gap_y = du.dy - q.dy
-        mu = GradientField(mu.dx + r * gap_x, mu.dy + r * gap_y)
-        residuals.append(math.sqrt(float((gap_x * gap_x + gap_y * gap_y).max())))
+        grad(u_new, out=du)
+        np.subtract(du, q, out=gap)
+        gap *= r
+        mu += gap
 
         step_u = u_new - u
-        step_v = v_new - v
-        change = math.sqrt(float(np.vdot(step_u, step_u)) + float(np.vdot(step_v, step_v)))
-        denom = math.sqrt(float(np.vdot(u, u)) + float(np.vdot(v, v)))
-        u, v = u_new, v_new
-        if change <= admm.tol_in * denom:
+        change = float(np.vdot(step_u, step_u))
+        change += _half_spectrum_sq_norm(v_hat_new - v_hat, n)
+        u, v_hat = u_new, v_hat_new
+        if math.sqrt(change) <= admm.tol_in * math.sqrt(u_sq + v_sq):
             break
+        u_sq = float(np.vdot(u, u))
+        v_sq = _half_spectrum_sq_norm(v_hat, n)
 
-    # du is grad(u) here: the loop carries the gradient of its last iterate
-    norms = grad_norms(du)
+    # du is grad(u) and q the last shrink: the loop ends on a full sweep
+    np.subtract(du, q, out=gap)
+    primal_residual = math.sqrt(float((gap[0] * gap[0] + gap[1] * gap[1]).max()))
+    norms = grad_norms(GradientField(du[0], du[1]))
     frozen = ~support.active
     constraint_sup = float(norms[frozen].max()) if frozen.any() else 0.0
-    return InnerResult(u, v, iters, constraint_sup, tuple(residuals))
+    return InnerResult(u, _irfft2(v_hat, n), iters, constraint_sup, primal_residual)

@@ -28,24 +28,36 @@ def as_grid(a, name: str = "grid") -> Array:
     return g
 
 
-def forward_x(u: Array) -> Array:
+def forward_x(u: Array, out: Array | None = None) -> Array:
     """u[i, j+1] - u[i, j], periodic in j."""
-    return np.roll(u, -1, axis=1) - u
+    out = np.empty_like(u) if out is None else out
+    np.subtract(u[:, 1:], u[:, :-1], out=out[:, :-1])
+    np.subtract(u[:, :1], u[:, -1:], out=out[:, -1:])
+    return out
 
 
 def backward_x(u: Array) -> Array:
     """u[i, j] - u[i, j-1], periodic in j."""
-    return u - np.roll(u, 1, axis=1)
+    out = np.empty_like(u)
+    np.subtract(u[:, 1:], u[:, :-1], out=out[:, 1:])
+    np.subtract(u[:, :1], u[:, -1:], out=out[:, :1])
+    return out
 
 
-def forward_y(u: Array) -> Array:
+def forward_y(u: Array, out: Array | None = None) -> Array:
     """u[i+1, j] - u[i, j], periodic in i."""
-    return np.roll(u, -1, axis=0) - u
+    out = np.empty_like(u) if out is None else out
+    np.subtract(u[1:], u[:-1], out=out[:-1])
+    np.subtract(u[:1], u[-1:], out=out[-1:])
+    return out
 
 
 def backward_y(u: Array) -> Array:
     """u[i, j] - u[i-1, j], periodic in i."""
-    return u - np.roll(u, 1, axis=0)
+    out = np.empty_like(u)
+    np.subtract(u[1:], u[:-1], out=out[1:])
+    np.subtract(u[:1], u[-1:], out=out[:1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,9 +91,14 @@ class HessianField:
         return self.xx.shape[0]
 
 
-def grad(u: Array) -> GradientField:
-    """Forward-difference gradient of a grid."""
-    return GradientField(dx=forward_x(u), dy=forward_y(u))
+def grad(u: Array, out: Array | None = None) -> GradientField:
+    """Forward-difference gradient of a grid.
+
+    Both channels are views of one (2, n, n) array, written into out
+    when it is given.
+    """
+    out = np.empty((2, *u.shape), dtype=u.dtype) if out is None else out
+    return GradientField(dx=forward_x(u, out[0]), dy=forward_y(u, out[1]))
 
 
 def grad_adjoint(p: GradientField) -> Array:

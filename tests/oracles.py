@@ -41,6 +41,21 @@ def dense_backward_y(n):
     return np.kron(d, np.eye(n))
 
 
+def rolled_forward(u, axis):
+    """u[i+1] - u[i] along axis, periodic, built with np.roll."""
+    return np.roll(u, -1, axis=axis) - u
+
+
+def rolled_backward(u, axis):
+    """u[i] - u[i-1] along axis, periodic, built with np.roll."""
+    return u - np.roll(u, 1, axis=axis)
+
+
+def rolled_grad_adjoint(p):
+    """grad_adjoint written with rolled_backward (x runs along axis 1)."""
+    return -rolled_backward(p.dx, 1) - rolled_backward(p.dy, 0)
+
+
 def dense_hessian_channels(n):
     """Matrices for the four second-difference channels, in the order
     xx, xy, yx, yy."""

@@ -96,7 +96,8 @@ def test_criterion_02_spectral_solver_equivalence(announce):
         )
         rho = float(rng.uniform(1e-8, 0.5))
         r = float(rng.uniform(0.5, 20.0))
-        u, v = solve_uv(spectral_system(f, u_k, symbols, params, rho, r), qbar, mu)
+        u, v_hat = solve_uv(spectral_system(f, u_k, symbols, params, rho, r), qbar, mu)
+        v = np.fft.irfft2(v_hat, s=(n, n))
         du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, rho, r)
         scale = max(np.abs(du).max(), np.abs(dv).max())
         worst = max(worst, max(np.abs(u - du).max(), np.abs(v - dv).max()) / scale)

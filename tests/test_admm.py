@@ -16,7 +16,7 @@ from shrinkseg import (
     solve_uv,
     spectral_system,
 )
-from shrinkseg.admm import _shrink_field, _shrink_thresholds
+from shrinkseg.admm import _half_spectrum_sq_norm, _shrink_field, _shrink_thresholds
 from shrinkseg.grid import GradientField, OperatorSymbols, grad, grad_norms
 from shrinkseg.support import SupportSet
 
@@ -64,10 +64,9 @@ class TestShrinkField:
     def test_matches_scalar_shrink_pixelwise(self):
         rng = np.random.default_rng(5)
         n, alpha, r = 12, 0.3, 2.0
-        g = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+        g = rng.standard_normal((2, n, n))
         zero = rng.random((n, n)) < 0.2
-        g.dx[zero] = 0.0
-        g.dy[zero] = 0.0
+        g[:, zero] = 0.0
         weights = rng.uniform(0.0, 4.0, (n, n))
         weights[rng.random((n, n)) < 0.2] = 0.0
         active = rng.random((n, n)) < 0.7
@@ -75,14 +74,14 @@ class TestShrinkField:
         assert (zero & active & (weights == 0)).any() and (~zero & active & (weights == 0)).any()
         assert (zero & ~active).any() and (~zero & ~active).any()
 
-        q = _shrink_field(g, _shrink_thresholds(weights, active, alpha, r))
+        q = _shrink_field(g.copy(), _shrink_thresholds(weights, active, alpha, r))
         for i in range(n):
             for j in range(n):
-                got = np.array([q.dx[i, j], q.dy[i, j]])
+                got = q[:, i, j]
                 if zero[i, j] or not active[i, j]:
                     assert np.all(got == 0.0), (i, j, got)
                 else:
-                    z = np.array([g.dx[i, j], g.dy[i, j]])
+                    z = g[:, i, j]
                     want = shrink_group(z, alpha * weights[i, j] / r)
                     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
@@ -100,7 +99,8 @@ class TestSolveUV:
                 mu = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
                 params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
                 system = spectral_system(f, u_k, symbols, params, 0.3, 4.0)
-                u, v = solve_uv(system, qbar, mu)
+                u, v_hat = solve_uv(system, qbar, mu)
+                v = np.fft.irfft2(v_hat, s=(n, n))
                 du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, 0.3, 4.0)
                 np.testing.assert_allclose(u, du, atol=1e-10)
                 np.testing.assert_allclose(v, dv, atol=1e-10)
@@ -110,7 +110,8 @@ class TestSolveUV:
         f = np.full((n, n), 0.8)
         zero = GradientField(np.zeros((n, n)), np.zeros((n, n)))
         params = ModelParams(alpha=0.1, beta=10.0, gamma=0.5)
-        u, v = solve_uv(spectral_system(f, f, compute_symbols(n), params, 0.25, 1.0), zero, zero)
+        u, v_hat = solve_uv(spectral_system(f, f, compute_symbols(n), params, 0.25, 1.0), zero, zero)
+        v = np.fft.irfft2(v_hat, s=(n, n))
         assert np.ptp(u) < 1e-12 and np.ptp(v) < 1e-12
         # stationarity of the constant mode: (1+rho)u + v = (1+rho)f,
         # u + (1+gamma)v = f
@@ -131,6 +132,16 @@ class TestSolveUV:
         f = np.zeros((n, n))
         with pytest.raises(FloatingPointError, match="Hermitian"):
             spectral_system(f, f, bad, ModelParams(alpha=1, beta=1), 0.1, 1.0)
+
+
+class TestHalfSpectrumNorm:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_real_grid_norm(self, n):
+        # odd n has no Nyquist column; even n must subtract it once
+        x = np.random.default_rng(n).standard_normal((n, n))
+        want = float(np.vdot(x, x))
+        got = _half_spectrum_sq_norm(np.fft.rfft2(x), n)
+        assert abs(got - want) <= 1e-12 * want
 
 
 def _instance(seed, n=6):
@@ -154,7 +165,23 @@ class TestAdmmSolve:
         )
         assert 1 <= result.iters < 5000
         assert result.constraint_sup < 1e-6
-        assert len(result.primal_residuals) == result.iters
+        assert result.primal_residual < 1e-6
+
+    @pytest.mark.parametrize("tol_in, maxit_in", [(1e-10, 5000), (0.0, 3)])
+    def test_returned_pair_satisfies_v_row(self, tol_in, maxit_in):
+        # u + (1 + gamma) v + beta H^T H v = f holds exactly for the (u, v)
+        # of one sweep, so it fails if v comes from another sweep than u
+        f, support, weights = _instance(0)
+        n = f.shape[0]
+        params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
+        result = admm_solve(
+            f, f, np.zeros_like(f), weights, support, params, 0.3,
+            AdmmParams(r=5.0, tol_in=tol_in, maxit_in=maxit_in), compute_symbols(n),
+        )
+        assert tol_in > 0 or result.iters == maxit_in
+        hth_v = (oracles.dense_hth(n) @ result.v.ravel()).reshape(n, n)
+        row = result.u + (1.0 + params.gamma) * result.v + params.beta * hth_v
+        np.testing.assert_allclose(row, f, rtol=0, atol=1e-10)
 
     def test_improves_on_start(self):
         f, support, weights = _instance(1)

@@ -75,6 +75,37 @@ class TestDifferences:
         )
 
 
+class TestRollFreeDifferences:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_bitwise_equal_to_rolled_references(self, n):
+        u = random_grid(np.random.default_rng(10 + n), n)
+        pairs = [
+            (forward_x(u), oracles.rolled_forward(u, 1)),
+            (backward_x(u), oracles.rolled_backward(u, 1)),
+            (forward_y(u), oracles.rolled_forward(u, 0)),
+            (backward_y(u), oracles.rolled_backward(u, 0)),
+        ]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+        g = grad(u)
+        assert g.dx.tobytes() == pairs[0][1].tobytes()
+        assert g.dy.tobytes() == pairs[2][1].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_grad_adjoint_bitwise_unchanged(self, n):
+        rng = np.random.default_rng(20 + n)
+        p = GradientField(random_grid(rng, n), random_grid(rng, n))
+        assert grad_adjoint(p).tobytes() == oracles.rolled_grad_adjoint(p).tobytes()
+
+    def test_grad_writes_into_out(self):
+        u = random_grid(np.random.default_rng(30), 5)
+        out = np.full((2, 5, 5), np.nan)
+        g = grad(u, out=out)
+        assert np.shares_memory(g.dx, out) and np.shares_memory(g.dy, out)
+        assert out[0].tobytes() == oracles.rolled_forward(u, 1).tobytes()
+        assert out[1].tobytes() == oracles.rolled_forward(u, 0).tobytes()
+
+
 class TestDenseEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_first_differences_match_kron_matrices(self, n):
