@@ -40,6 +40,19 @@ def _prepare_prefix(prefix: str) -> str:
     return prefix
 
 
+def _phase_count(text: str) -> int:
+    """argparse type for K: an integer of at least 2 (a usage error otherwise)."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"K must be an integer, got {text!r}"
+        ) from None
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"K must be at least 2, got {k}")
+    return k
+
+
 _FLAG_KEYS = [
     ("alpha", "alpha"),
     ("beta", "beta"),
@@ -70,7 +83,9 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_k: bool) -> None:
     parser.add_argument("--maxit-in", dest="maxit_in", type=int)
     parser.add_argument("--maxit-out", dest="maxit_out", type=int)
     if with_k:
-        parser.add_argument("-K", "--phases", dest="k", type=int, help="phase count")
+        parser.add_argument(
+            "-K", "--phases", dest="k", type=_phase_count, help="phase count"
+        )
     parser.add_argument(
         "--log-domain",
         dest="log_domain",
@@ -205,7 +220,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     truth = imgio.read_labels(args.truth_labels)
-    k = args.k or int(truth.max())
+    k = args.k if args.k is not None else int(truth.max())
     try:
         labels = imgio.read_labels(args.input)
         u = None
@@ -246,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seg = sub.add_parser("segment", help="stage two only, on a corrected image")
     p_seg.add_argument("input_u", help="float CSV or PGM of the corrected image")
-    p_seg.add_argument("k", type=int, help="number of phases")
+    p_seg.add_argument("k", type=_phase_count, help="number of phases")
     p_seg.add_argument("out_prefix")
     p_seg.set_defaults(func=_cmd_segment)
 
@@ -261,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("input", help="label CSV, float CSV, or PGM")
     p_met.add_argument("truth_labels", help="label CSV")
     p_met.add_argument("report_path")
-    p_met.add_argument("-K", "--phases", dest="k", type=int, default=None)
+    p_met.add_argument("-K", "--phases", dest="k", type=_phase_count, default=None)
     p_met.set_defaults(func=_cmd_metrics)
 
     return parser

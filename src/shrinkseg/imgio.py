@@ -121,30 +121,46 @@ def write_float_grid(grid: Array, path) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_float_grid(path) -> Array:
-    rows: list[list[float]] = []
+def _read_csv_rows(path, parse_row, what: str) -> list[list]:
+    """parse_row(cells, lineno) of each nonblank line; one width, at least one row."""
+    rows = []
     with open(path, "r", encoding="ascii") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            parsed = []
-            for colno, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"bad float at row {lineno}, column {colno}: {cell!r}"
-                    ) from None
-            rows.append(parsed)
+            if line:
+                rows.append(parse_row(line.split(","), lineno))
     if not rows:
-        raise ValueError("empty grid file")
+        raise ValueError(f"empty {what} file")
     width = len(rows[0])
     for lineno, row in enumerate(rows, start=1):
         if len(row) != width:
             raise ValueError(f"ragged row {lineno}: {len(row)} cells, want {width}")
-    return as_grid(np.array(rows), "grid")
+    return rows
+
+
+def _parse_floats(cells: list[str], lineno: int) -> list[float]:
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        pass  # name the first bad cell
+    for colno, cell in enumerate(cells, start=1):
+        try:
+            float(cell)
+        except ValueError:
+            raise ValueError(
+                f"bad float at row {lineno}, column {colno}: {cell!r}"
+            ) from None
+
+
+def _parse_labels(cells: list[str], lineno: int) -> list[int]:
+    try:
+        return list(map(int, cells))
+    except ValueError as exc:
+        raise ValueError(f"bad label at row {lineno}: {exc}") from None
+
+
+def read_float_grid(path) -> Array:
+    return as_grid(np.array(_read_csv_rows(path, _parse_floats, "grid")), "grid")
 
 
 def write_labels(labels: Array, path) -> None:
@@ -154,23 +170,7 @@ def write_labels(labels: Array, path) -> None:
 
 
 def read_labels(path) -> Array:
-    rows = []
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([int(c) for c in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"bad label at row {lineno}: {exc}") from None
-    if not rows:
-        raise ValueError("empty label file")
-    width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ValueError(f"ragged row {lineno}: {len(row)} cells, want {width}")
-    return np.array(rows, dtype=np.int64)
+    return np.array(_read_csv_rows(path, _parse_labels, "label"), dtype=np.int64)
 
 
 def label_image(labels: Array, k: int) -> Array:

@@ -1,9 +1,15 @@
 """Stage two: cluster the corrected image values and label phases.
 
 Scalar clustering admits an exact solution: sorted values have an
-optimal partition into contiguous runs, found by dynamic programming.
-Thresholds sit midway between consecutive cluster means and each pixel
-gets the 1-based label of the interval its value falls in.
+optimal partition into contiguous runs, found by dynamic programming
+(the Ckmeans.1d.dp recurrence). Its best split index is monotone in the
+right endpoint, so each layer is filled by divide and conquer, run
+breadth first: all subproblems of one recursion depth are solved in a
+single vectorised round, about log2(m) rounds per layer for m distinct
+values. Only the last layer's final endpoint is ever read back, so that
+layer follows just the right spine of the recursion. Thresholds sit
+midway between consecutive cluster means and each pixel gets the
+1-based label of the interval its value falls in.
 """
 
 from __future__ import annotations
@@ -37,25 +43,48 @@ def _prefix_moments(vals: Array, weights: Array):
     return w, s1, s2
 
 
-def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg):
+def _fill_layer(
+    cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg, spine=False
+):
     """Fill out_cost[lo:hi] given the split argmin lies in [opt_lo, opt_hi).
 
     The optimal split index is nondecreasing in the right endpoint, so
-    divide and conquer keeps the total work near-linear per layer.
+    divide and conquer keeps the total work near-linear per layer. The
+    recursion runs breadth first: every open subproblem of one depth is
+    held in four index arrays and all of their midpoints are solved in
+    one vectorised round, about log2(hi - lo) rounds per layer. Each
+    candidate range is nonempty, which the segment reductions rely on.
+    Ties go to the smallest split, as np.argmin picks them.
+
+    With spine set only the subproblems that reach the last endpoint
+    (hi - 1) are kept; they hand it the same candidate range as the full
+    recursion, so out_cost and out_arg are exact there and only there.
     """
-    if lo >= hi:
-        return
-    mid = (lo + hi) // 2
-    upper = min(opt_hi, mid)
-    a = np.arange(opt_lo, upper)
-    seg_w = w[mid] - w[a]
-    seg_cost = (s2[mid] - s2[a]) - (s1[mid] - s1[a]) ** 2 / seg_w
-    total = cost_prev[a] + seg_cost
-    best = int(np.argmin(total))
-    out_cost[mid] = total[best]
-    out_arg[mid] = opt_lo + best
-    _fill_layer(cost_prev, w, s1, s2, lo, mid, opt_lo, out_arg[mid] + 1, out_cost, out_arg)
-    _fill_layer(cost_prev, w, s1, s2, mid + 1, hi, out_arg[mid], opt_hi, out_cost, out_arg)
+    lo, hi = np.array([lo]), np.array([hi])
+    opt_lo, opt_hi = np.array([opt_lo]), np.array([opt_hi])
+    while lo.size:
+        mid = (lo + hi) // 2
+        # candidate splits [opt_lo, min(opt_hi, mid)) of all subproblems,
+        # flattened into one run of segments
+        counts = np.minimum(opt_hi, mid) - opt_lo
+        starts = np.cumsum(counts) - counts
+        b = np.repeat(mid, counts)
+        a = np.arange(b.size) + np.repeat(opt_lo - starts, counts)
+        seg_w = w[b] - w[a]
+        seg_cost = (s2[b] - s2[a]) - (s1[b] - s1[a]) ** 2 / seg_w
+        total = cost_prev[a] + seg_cost
+        # first minimum of each segment, the one np.argmin would pick
+        best = np.minimum.reduceat(total, starts)
+        hits = np.flatnonzero(total == np.repeat(best, counts))
+        first = hits[np.searchsorted(hits, starts)]
+        arg = a[first]
+        out_cost[mid] = total[first]
+        out_arg[mid] = arg
+        left, right = (lo < mid) & (not spine), mid + 1 < hi
+        lo = np.concatenate([lo[left], mid[right] + 1])
+        hi = np.concatenate([mid[left], hi[right]])
+        opt_lo = np.concatenate([opt_lo[left], arg[right]])
+        opt_hi = np.concatenate([arg[left] + 1, opt_hi[right]])
 
 
 def kmeans_1d(values, k: int) -> np.ndarray:
@@ -68,12 +97,19 @@ def kmeans_1d(values, k: int) -> np.ndarray:
     vals = np.asarray(values, dtype=np.float64).ravel()
     if k < 2:
         raise ValueError(f"need at least 2 clusters, got k={k}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values contain NaN or infinite entries")
     distinct, weights = np.unique(vals, return_counts=True)
     m = distinct.size
     if m < k:
         raise ValueError(f"need at least {k} distinct values for k={k}, got {m}")
 
-    w, s1, s2 = _prefix_moments(distinct, weights.astype(np.float64))
+    with np.errstate(over="ignore"):
+        w, s1, s2 = _prefix_moments(distinct, weights.astype(np.float64))
+        # every squared run sum is at most w[-1] * s2[-1] (Cauchy-Schwarz)
+        overflow = not np.isfinite(w[-1] * s2[-1])
+    if overflow:
+        raise ValueError("values too large: their squared sums overflow float64")
 
     # cost[j][b]: best WCSS of the first b points split into j+1 runs
     ends = np.arange(m + 1)
@@ -87,8 +123,11 @@ def kmeans_1d(values, k: int) -> np.ndarray:
     for j in range(1, k):
         new_cost = np.full(m + 1, np.inf)
         new_arg = np.zeros(m + 1, dtype=np.intp)
-        # runs must be nonempty: endpoint b >= j+1, split a >= j
-        _fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg)
+        # runs must be nonempty: endpoint b >= j+1, split a >= j; the
+        # last layer is read back only at b = m
+        _fill_layer(
+            cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg, spine=j == k - 1
+        )
         cost = new_cost
         splits.append(new_arg)
 

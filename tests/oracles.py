@@ -3,8 +3,9 @@
 Everything here is deliberately built from different primitives than
 the package: dense matrices assembled with kron instead of rolled
 arrays, explicit index loops instead of vectorized stencils, and an
-exhaustive partition search instead of dynamic programming. Slow and
-simple on purpose.
+exhaustive partition search instead of dynamic programming, and a
+depth-first recursion for the k-means layers that the package fills
+breadth first. Slow and simple on purpose.
 """
 
 import itertools
@@ -322,3 +323,69 @@ def wcss(values, means):
     means = np.asarray(means, dtype=np.float64)
     dist = (values[:, None] - means[None, :]) ** 2
     return float(np.sum(dist.min(axis=1)))
+
+
+def _recursive_fill_layer(
+    cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg
+):
+    """Fill out_cost[lo:hi] given the split argmin lies in [opt_lo, opt_hi),
+    one recursive call per endpoint, depth first."""
+    if lo >= hi:
+        return
+    mid = (lo + hi) // 2
+    upper = min(opt_hi, mid)
+    a = np.arange(opt_lo, upper)
+    seg_w = w[mid] - w[a]
+    seg_cost = (s2[mid] - s2[a]) - (s1[mid] - s1[a]) ** 2 / seg_w
+    total = cost_prev[a] + seg_cost
+    best = int(np.argmin(total))
+    out_cost[mid] = total[best]
+    out_arg[mid] = opt_lo + best
+    _recursive_fill_layer(
+        cost_prev, w, s1, s2, lo, mid, opt_lo, out_arg[mid] + 1, out_cost, out_arg
+    )
+    _recursive_fill_layer(
+        cost_prev, w, s1, s2, mid + 1, hi, out_arg[mid], opt_hi, out_cost, out_arg
+    )
+
+
+def recursive_kmeans_1d(values, k):
+    """Exact 1D k-means by the same dynamic program as the package, with
+    every layer filled in full by a depth-first divide and conquer.
+
+    It evaluates the same floating-point expressions in the same order
+    per candidate, so its means are bitwise those of kmeans_1d.
+    """
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    distinct, weights = np.unique(vals, return_counts=True)
+    m = distinct.size
+    weights = weights.astype(np.float64)
+    w = np.concatenate([[0.0], np.cumsum(weights)])
+    s1 = np.concatenate([[0.0], np.cumsum(weights * distinct)])
+    s2 = np.concatenate([[0.0], np.cumsum(weights * distinct * distinct)])
+
+    ends = np.arange(m + 1)
+    cost = (s2[ends] - s2[0]) - np.divide(
+        (s1[ends] - s1[0]) ** 2,
+        w[ends] - w[0],
+        out=np.zeros(m + 1),
+        where=ends > 0,
+    )
+    splits = []
+    for j in range(1, k):
+        new_cost = np.full(m + 1, np.inf)
+        new_arg = np.zeros(m + 1, dtype=np.intp)
+        _recursive_fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg)
+        cost = new_cost
+        splits.append(new_arg)
+
+    bounds = [m]
+    for arg in reversed(splits):
+        bounds.append(int(arg[bounds[-1]]))
+    bounds.append(0)
+    bounds.reverse()
+
+    means = np.empty(k)
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        means[i] = (s1[b] - s1[a]) / (w[b] - w[a])
+    return means

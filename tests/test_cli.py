@@ -142,6 +142,22 @@ class TestExitCodes:
         assert code == 2
         assert "K" in capsys.readouterr().err
 
+    def test_segment_single_phase_is_usage_error(self, tmp_path, capsys):
+        imgio.write_float_grid(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "u.csv")
+        code = main(["segment", str(tmp_path / "u.csv"), "1", str(tmp_path / "x")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_metrics_phase_count_below_two_is_usage_error(self, tmp_path, capsys, k):
+        imgio.write_labels(np.array([[1, 2], [2, 1]]), tmp_path / "t.csv")
+        code = main(["metrics", str(tmp_path / "t.csv"), str(tmp_path / "t.csv"),
+                     str(tmp_path / "r.json"), "-K", k])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 1.0, "beta": 1.0, "zeta": 3}))

@@ -1,10 +1,26 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from shrinkseg.synth import Disk, PhantomSpec, Rect, generate
 from shrinkseg.threshold import SegmentationResult, kmeans_1d, segment
+
+
+def _tied_values(seed, m, normal):
+    """Exactly m distinct values, each repeated one to four times: either
+    ninths of distinct integers (equal gaps, so equal costs) or normals
+    rounded to one decimal."""
+    rng = np.random.default_rng(seed)
+    if normal:
+        pool = np.unique(np.round(rng.standard_normal(20 * m) * m / 20, 1))
+        assume(pool.size >= m)
+        support = rng.choice(pool, m, replace=False)
+    else:
+        support = rng.choice(3 * m, m, replace=False) / 9.0
+    values = np.repeat(support, rng.integers(1, 5, m))
+    return rng.permutation(values)
 
 
 class TestKmeans1d:
@@ -46,6 +62,52 @@ class TestKmeans1d:
         means = kmeans_1d(values, k)
         _, best = oracles.exhaustive_kmeans(values, k)
         assert oracles.wcss(values, means) <= best + 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            kmeans_1d([bad, 0.0, 1.0, 2.0], 2)
+
+    def test_overflowing_squares_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            kmeans_1d([1e200, 0.0, 1.0, 2.0], 2)
+
+
+class TestBreadthFirstMatchesRecursion:
+    """kmeans_1d must return the recursive divide and conquer's means
+    bit for bit, ties included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 6),
+        extra=st.integers(0, 195),
+        normal=st.booleans(),
+    )
+    @example(seed=0, k=2, extra=0, normal=False)
+    @example(seed=1, k=6, extra=0, normal=True)
+    def test_bitwise_equal_on_tied_inputs(self, seed, k, extra, normal):
+        values = _tied_values(seed, k + extra, normal)
+        want = oracles.recursive_kmeans_1d(values, k)
+        assert kmeans_1d(values, k).tobytes() == want.tobytes()
+
+    def test_bitwise_equal_on_noisy_phantom(self):
+        # about n^2 distinct values, as the CLI sees a corrected image
+        spec = PhantomSpec(
+            n=128,
+            phase_values=(0.3, 0.8),
+            shapes=(
+                Disk(row=64, col=43, radius=29, phase=2),
+                Rect(row0=20, col0=88, row1=70, col1=116, phase=2),
+            ),
+            noise_sigma=0.05,
+            seed=11,
+        )
+        f = generate(spec).f
+        assert np.unique(f).size > 16000
+        for k in (2, 3, 4, 5):
+            want = oracles.recursive_kmeans_1d(f, k)
+            assert kmeans_1d(f, k).tobytes() == want.tobytes()
 
 
 class TestSegment:
