@@ -10,7 +10,6 @@ from .admm import (
     AdmmParams,
     InnerResult,
     admm_solve,
-    shrink_group,
     solve_uv,
     spectral_system,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "linearized_energy",
     "project_to_support",
     "segment",
-    "shrink_group",
     "solve_uv",
     "spectral_system",
 ]

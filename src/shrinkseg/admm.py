@@ -2,14 +2,15 @@
 
 Each sweep alternates a closed-form shrinkage on the gradient
 auxiliary, one exact coupled linear solve in Fourier space, and a dual
-ascent step. The linear solve is exact per frequency because both
-operator symbols are diagonal there, so no warm start is needed.
-Everything that stays fixed during one inner solve (the transformed
-constant right-hand sides and the inverted 2x2 per-frequency systems)
-is built once by spectral_system, on the half spectrum of the real
-FFT. v stays in that half spectrum during the loop, and the stopping
-test measures it there by Parseval, so a sweep costs one rfft2 and one
-irfft2; a single irfft2 after the loop returns v to pixels.
+ascent step on the scaled dual lam = mu / r (Boyd et al. 2011, sec.
+3.1.1): q = shrink(Du + lam), w = lam - q, P = rfft2(D^T w),
+u = irfft2(u0_hat - u_pull P), lam = w + Du. The linear solve is exact
+per frequency because both operator symbols are diagonal there, so no
+warm start is needed. Everything fixed during one inner solve is built
+once by spectral_system on the half spectrum of the real FFT. Both
+u_hat and v_hat are affine in P, so the stopping test measures the
+(u, v) update and norm from P alone: a sweep costs one rfft2 and one
+irfft2, and v is formed once, after the loop.
 """
 
 from __future__ import annotations
@@ -66,19 +67,6 @@ class InnerResult:
     primal_residual: float
 
 
-def shrink_group(z, threshold: float) -> np.ndarray:
-    """Minimizer of threshold*|q| + |q - z|^2/2 over 2-vectors q.
-
-    Scales z toward the origin by 1 - threshold/|z|, clamped at zero;
-    the zero vector maps to itself for any threshold.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    norm = float(np.hypot(z[0], z[1]))
-    if norm == 0.0:
-        return np.zeros(2)
-    return max(1.0 - threshold / norm, 0.0) * z
-
-
 def _shrink_thresholds(weights: Array, active: Array, alpha: float, r: float) -> Array:
     """Per-pixel shrink thresholds alpha * weights / r for one inner solve.
 
@@ -119,18 +107,18 @@ def _irfft2(x_hat: Array, n: int) -> Array:
     return np.fft.irfft(np.fft.ifft(x_hat, axis=0), n=n, axis=1)
 
 
-def _half_spectrum_sq_norm(x_hat: Array, n: int) -> float:
-    """Squared norm of the real n x n grid whose rfft2 is x_hat.
+def _half_spectrum_weights(n: int) -> Array:
+    """Parseval weights of the rfft2 half spectrum, one per column.
 
-    Parseval over the full spectrum, rebuilt from the half spectrum:
-    every column but the zero one (and the Nyquist one when n is even)
-    stands for itself and its Hermitian mirror.
+    sum(weights * |rfft2(x)|**2) is the squared norm of the real n x n
+    grid x: every column but the zero one (and the Nyquist one when n
+    is even) stands for itself and its Hermitian mirror.
     """
-    total = 2.0 * np.vdot(x_hat, x_hat).real
-    total -= np.vdot(x_hat[:, 0], x_hat[:, 0]).real
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
     if n % 2 == 0:
-        total -= np.vdot(x_hat[:, -1], x_hat[:, -1]).real
-    return float(total) / (n * n)
+        weights[-1] = 1.0
+    return weights / (n * n)
 
 
 @dataclass(frozen=True)
@@ -139,17 +127,31 @@ class SpectralSystem:
 
     Each frequency carries the 2x2 system [[a, 1], [1, b]] with
     a = 1 + rho + r dtd and b = 1 + gamma + beta hth; its inverse is
-    [[b, -1], [-1, a]] / det with det = a b - 1. u0_hat and v0_hat are
-    the solution for a zero dual pull; solve_uv adds the pull's share
-    through b_det and inv_det. All arrays have shape (n, n // 2 + 1).
+    [[b, -1], [-1, a]] / det with det = a b - 1. For the scaled pull w
+    and P = rfft2(D^T w), u_hat = u0_hat - u_pull P and
+    v_hat = v0_hat + v_pull P, with u_pull = r b / det, v_pull = r / det.
+
+    Stopping test: by Parseval, two sweeps of one solve differ by
+    ||du||^2 + ||dv||^2 = ||step_weight dP||^2, and a sweep's iterate
+    has ||u||^2 + ||v||^2 = norm_floor + ||step_weight P + norm_offset||^2
+    (a rotation per frequency splits (u_hat, v_hat) into a fixed part and
+    a part affine in P, so no terms cancel). u_pull and step_weight are
+    real but held as complex128: numpy multiplies complex by complex
+    faster than it casts a real factor. Arrays are (n, n // 2 + 1).
     """
 
     n: int
-    r: float
     u0_hat: Array  # (b rfft2(f + rho u_k) - rfft2(f)) / det
     v0_hat: Array  # (a rfft2(f) - rfft2(f + rho u_k)) / det
-    b_det: Array
-    inv_det: Array
+    u_pull: Array
+    v_pull: Array
+    step_weight: Array
+    norm_offset: Array
+    norm_floor: float
+
+    def v_hat(self, p_hat: Array) -> Array:
+        """rfft2(v) of the sweep whose transformed pull is p_hat."""
+        return self.v0_hat + self.v_pull * p_hat
 
 
 def _check_hermitian(name: str, symbol: Array) -> None:
@@ -176,8 +178,8 @@ def spectral_system(
     rho: float,
     r: float,
 ) -> SpectralSystem:
-    """Transform the constant right-hand sides and invert the per-frequency
-    2x2 systems once, for every solve_uv call of one inner solve.
+    """Transform the constant right-hand sides, invert the per-frequency
+    2x2 systems and weigh the stopping test once per inner solve.
 
     Raises ValueError when the grids and the symbol table disagree in
     size, and FloatingPointError when a symbol is not Hermitian-symmetric.
@@ -196,37 +198,42 @@ def spectral_system(
     inv_det = 1.0 / (a * b - 1.0)
     rhs_hat = _rfft2(f + rho * u_k)
     f_hat = _rfft2(f)
+    u0_hat = (b * rhs_hat - f_hat) * inv_det
+    v0_hat = (a * f_hat - rhs_hat) * inv_det
+    u_pull = r * (b * inv_det)
+    v_pull = r * inv_det
+    gain = np.hypot(u_pull, v_pull)
+    cos, sin = v_pull / gain, u_pull / gain
+    parseval = np.sqrt(_half_spectrum_weights(n))
+    fixed = parseval * (cos * u0_hat + sin * v0_hat)
     return SpectralSystem(
         n=n,
-        r=r,
-        u0_hat=(b * rhs_hat - f_hat) * inv_det,
-        v0_hat=(a * f_hat - rhs_hat) * inv_det,
-        b_det=b * inv_det,
-        inv_det=inv_det,
+        u0_hat=u0_hat,
+        v0_hat=v0_hat,
+        u_pull=u_pull.astype(np.complex128),
+        v_pull=v_pull,
+        step_weight=(parseval * gain).astype(np.complex128),
+        norm_offset=parseval * (cos * v0_hat - sin * u0_hat),
+        norm_floor=float(np.vdot(fixed, fixed).real),
     )
 
 
 def solve_uv(
-    system: SpectralSystem, qbar: GradientField, mu: GradientField
+    system: SpectralSystem, pull: Array, work: Array | None = None
 ) -> tuple[Array, Array]:
-    """Exact solve of the coupled stationarity system for (u, v_hat).
+    """Exact solve of the coupled stationarity system; returns (u, P).
 
-    Solves
-        (1 + rho) u + r D^T D u + v = f + rho u_k - D^T (mu - r qbar)
+    pull is the stacked (2, n, n) scaled pull w = mu / r - qbar. Solves
+        (1 + rho) u + r D^T D u + v = f + rho u_k - r D^T w
         u + (1 + gamma) v + beta H^T H v = f
     one frequency at a time: both operators diagonalize under the DFT,
-    leaving a 2x2 system per frequency whose inverse system holds.
-    Both right-hand sides are real, so only the rfft2 half spectrum is
-    formed: one forward transform of the dual pull P, then
-    u = irfft2(u0_hat - b_det P) and v_hat = v0_hat + inv_det P.
-    u is real; v stays spectral, v_hat being rfft2(v), and
-    irfft2(v_hat, s=(n, n)) gives v.
+    leaving a 2x2 system per frequency. Both right-hand sides are real,
+    so only the rfft2 half spectrum is formed: P = rfft2(D^T w) and
+    u = irfft2(u0_hat - u_pull P), while v = irfft2(system.v_hat(P)).
+    work, when given, is a (2, n, n) scratch array for D^T w.
     """
-    r = system.r
-    pull = GradientField(mu.dx - r * qbar.dx, mu.dy - r * qbar.dy)
-    p_hat = _rfft2(grad_adjoint(pull))
-    u = _irfft2(system.u0_hat - system.b_det * p_hat, system.n)
-    return u, system.v0_hat + system.inv_det * p_hat
+    p_hat = _rfft2(grad_adjoint(GradientField(pull[0], pull[1]), work))
+    return _irfft2(system.u0_hat - system.u_pull * p_hat, system.n), p_hat
 
 
 def admm_solve(
@@ -248,54 +255,50 @@ def admm_solve(
     stacked (u, v) update is small relative to the previous iterate.
     """
     f = as_grid(f, "f")
-    u = as_grid(u_k, "u_k")
-    v = as_grid(v_k, "v_k")
+    u_k = as_grid(u_k, "u_k")
+    v_k = as_grid(v_k, "v_k")
     weights = np.asarray(weights, dtype=np.float64)
-    if not (f.shape == u.shape == v.shape == weights.shape == support.active.shape):
+    if not (f.shape == u_k.shape == v_k.shape == weights.shape == support.active.shape):
         raise ValueError("admm_solve inputs must share one grid shape")
 
-    r = admm.r
     n = f.shape[0]
-    system = spectral_system(f, u, symbols, params, rho, r)
-    thresholds = _shrink_thresholds(weights, support.active, params.alpha, r)
-    # stacked (2, n, n) buffers: gradient of u, shrunk auxiliary q, dual mu
-    du = np.empty((2, n, n))
-    q = np.empty((2, n, n))
-    mu = np.zeros((2, n, n))
-    gap = np.empty((2, n, n))
-    q_field = GradientField(q[0], q[1])
-    mu_field = GradientField(mu[0], mu[1])
-    grad(u, out=du)
-    v_hat = _rfft2(v)
-    u_sq = float(np.vdot(u, u))
-    v_sq = _half_spectrum_sq_norm(v_hat, n)
+    system = spectral_system(f, u_k, symbols, params, rho, admm.r)
+    thresholds = _shrink_thresholds(weights, support.active, params.alpha, admm.r)
+    # stacked (2, n, n) buffers: gradient of u, shrunk auxiliary q, scratch,
+    # and the scaled dual lam (holding the pull lam - q during the solve)
+    du, q, work = (np.empty((2, n, n)) for _ in range(3))
+    lam = np.zeros((2, n, n))
+    grad(u_k, out=du)
+    prev = None  # step_weight * P of the previous sweep
     iters = 0
 
     for iters in range(1, admm.maxit_in + 1):
-        np.divide(mu, r, out=q)
-        q += du
-        _shrink_field(q, thresholds)
+        _shrink_field(np.add(du, lam, out=q), thresholds)
+        lam -= q
+        u, p_hat = solve_uv(system, lam, work)
+        grad(u, out=du)
+        lam += du
 
-        u_new, v_hat_new = solve_uv(system, q_field, mu_field)
-
-        grad(u_new, out=du)
-        np.subtract(du, q, out=gap)
-        gap *= r
-        mu += gap
-
-        step_u = u_new - u
-        change = float(np.vdot(step_u, step_u))
-        change += _half_spectrum_sq_norm(v_hat_new - v_hat, n)
-        u, v_hat = u_new, v_hat_new
-        if math.sqrt(change) <= admm.tol_in * math.sqrt(u_sq + v_sq):
+        scaled = system.step_weight * p_hat
+        if prev is None:  # (u_k, v_k) has no P form: measure in pixels
+            step_u = u - u_k
+            step_v = _irfft2(system.v_hat(p_hat), n) - v_k
+            change = float(np.vdot(step_u, step_u)) + float(np.vdot(step_v, step_v))
+            size = float(np.vdot(u_k, u_k)) + float(np.vdot(v_k, v_k))
+        else:
+            step = scaled - prev
+            change = np.vdot(step, step).real
+        if math.sqrt(change) <= admm.tol_in * math.sqrt(size):
             break
-        u_sq = float(np.vdot(u, u))
-        v_sq = _half_spectrum_sq_norm(v_hat, n)
+        prev = scaled
+        offset = scaled + system.norm_offset
+        size = system.norm_floor + np.vdot(offset, offset).real
 
     # du is grad(u) and q the last shrink: the loop ends on a full sweep
-    np.subtract(du, q, out=gap)
+    gap = np.subtract(du, q, out=work)
     primal_residual = math.sqrt(float((gap[0] * gap[0] + gap[1] * gap[1]).max()))
     norms = grad_norms(GradientField(du[0], du[1]))
     frozen = ~support.active
     constraint_sup = float(norms[frozen].max()) if frozen.any() else 0.0
-    return InnerResult(u, _irfft2(v_hat, n), iters, constraint_sup, primal_residual)
+    v = _irfft2(system.v_hat(p_hat), n)
+    return InnerResult(u, v, iters, constraint_sup, primal_residual)

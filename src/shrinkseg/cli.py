@@ -226,6 +226,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         u = None
     except ValueError:
         u = _read_grid_auto(args.input)
+        if k < 2:
+            print(f"error: K={k} was taken from the truth file; pass -K >= 2", file=sys.stderr)
+            return 2
         labels = segment(u, k).labels
     if labels.shape != truth.shape:
         raise ValueError("label shapes disagree")

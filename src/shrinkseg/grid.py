@@ -28,12 +28,34 @@ def as_grid(a, name: str = "grid") -> Array:
     return g
 
 
+# per step along x: the columns written, the columns one step ahead of
+# them, the wrap column and the column one step ahead of it (periodic)
+_X_SLICES = {
+    1: (slice(None, -1), slice(1, None), slice(-1, None), slice(None, 1)),
+    -1: (slice(1, None), slice(None, -1), slice(None, 1), slice(-1, None)),
+}
+
+
+def _x_difference(u: Array, out: Array, step: int) -> Array:
+    """out[i, j] = u[i, j+step] - u[i, j], periodic in j, for step = +-1.
+
+    When out is C-contiguous the interior is one subtraction along the
+    flattened rows. That subtraction crosses a row boundary only in the
+    wrap column, which the column subtraction after it overwrites.
+    """
+    into, ahead, wrap, wrap_from = _X_SLICES[step]
+    if out.flags.c_contiguous:
+        flat = u.reshape(-1)
+        np.subtract(flat[ahead], flat[into], out=out.reshape(-1)[into])
+    else:
+        np.subtract(u[:, ahead], u[:, into], out=out[:, into])
+    np.subtract(u[:, wrap_from], u[:, wrap], out=out[:, wrap])
+    return out
+
+
 def forward_x(u: Array, out: Array | None = None) -> Array:
     """u[i, j+1] - u[i, j], periodic in j."""
-    out = np.empty_like(u) if out is None else out
-    np.subtract(u[:, 1:], u[:, :-1], out=out[:, :-1])
-    np.subtract(u[:, :1], u[:, -1:], out=out[:, -1:])
-    return out
+    return _x_difference(u, np.empty_like(u) if out is None else out, 1)
 
 
 def backward_x(u: Array) -> Array:
@@ -101,9 +123,20 @@ def grad(u: Array, out: Array | None = None) -> GradientField:
     return GradientField(dx=forward_x(u, out[0]), dy=forward_y(u, out[1]))
 
 
-def grad_adjoint(p: GradientField) -> Array:
-    """Adjoint of grad: negative backward divergence of a 2-vector field."""
-    return -backward_x(p.dx) - backward_y(p.dy)
+def grad_adjoint(p: GradientField, out: Array | None = None) -> Array:
+    """Adjoint of grad: negative backward divergence of a 2-vector field.
+
+    Each negated backward difference is one subtraction, u[j-1] - u[j].
+    In IEEE arithmetic -(a - b) is b - a and -X - Y is (-X) + (-Y), so
+    this equals -backward_x(p.dx) - backward_y(p.dy) value for value (a
+    zero may come out +0 for -0). out, when given, is a (2, n, n)
+    scratch array, and the result is written into out[0].
+    """
+    out = np.empty((2, *p.dx.shape)) if out is None else out
+    _x_difference(p.dx, out[0], -1)
+    np.subtract(p.dy[:-1], p.dy[1:], out=out[1, 1:])
+    np.subtract(p.dy[-1:], p.dy[:1], out=out[1, :1])
+    return np.add(out[0], out[1], out=out[0])
 
 
 def hessian(v: Array) -> HessianField:

@@ -5,12 +5,17 @@ the package: dense matrices assembled with kron instead of rolled
 arrays, explicit index loops instead of vectorized stencils, and an
 exhaustive partition search instead of dynamic programming, and a
 depth-first recursion for the k-means layers that the package fills
-breadth first. Slow and simple on purpose.
+breadth first. Slow and simple on purpose. It also holds what only
+the tests use: the scalar group shrink and the unscaled reference
+ADMM loop.
 """
 
 import itertools
 
 import numpy as np
+
+from shrinkseg.admm import _shrink_field, _shrink_thresholds
+from shrinkseg.grid import GradientField, grad
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +103,19 @@ def dense_solve_uv(f, u_k, qbar, mu, params, rho, r):
 # Brute-force group shrinkage
 
 
+def shrink_group(z, threshold):
+    """Minimizer of threshold*|q| + |q - z|^2/2 over 2-vectors q.
+
+    Scales z toward the origin by 1 - threshold/|z|, clamped at zero;
+    the zero vector maps to itself for any threshold.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    norm = float(np.hypot(z[0], z[1]))
+    if norm == 0.0:
+        return np.zeros(2)
+    return max(1.0 - threshold / norm, 0.0) * z
+
+
 def brute_shrink(z, threshold, step=1e-4):
     """Grid search of min_q threshold*|q| + 0.5*|q - z|^2 over a disk
     big enough to contain the minimizer (it lies on the segment [0, z])."""
@@ -115,6 +133,68 @@ def shrink_objective(q, z, threshold):
     q = np.asarray(q, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     return float(threshold * np.hypot(q[0], q[1]) + 0.5 * np.sum((q - z) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# Reference ADMM loop: unscaled dual, stopping test on pixels and Parseval
+
+
+def half_spectrum_sq_norm(x_hat, n):
+    """Squared norm of the real n x n grid whose rfft2 is x_hat, by
+    Parseval over the full spectrum rebuilt from the half spectrum."""
+    total = 2.0 * np.vdot(x_hat, x_hat).real
+    total -= np.vdot(x_hat[:, 0], x_hat[:, 0]).real
+    if n % 2 == 0:
+        total -= np.vdot(x_hat[:, -1], x_hat[:, -1]).real
+    return float(total) / (n * n)
+
+
+def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm, symbols):
+    """The splitting iteration with the dual mu carried unscaled.
+
+    Each sweep shrinks Du + mu/r, solves for (u, v_hat) with the pull
+    mu - r q through rolled_grad_adjoint, steps mu by r (Du - q), and measures
+    the (u, v) update from pixel differences of u and the half-spectrum
+    norm of the v_hat difference. Returns (u, v, iters).
+    """
+    n = f.shape[0]
+    r = admm.r
+    half = n // 2 + 1
+    a = 1.0 + rho + r * symbols.dtd[:, :half]
+    b = 1.0 + params.gamma + params.beta * symbols.hth[:, :half]
+    inv_det = 1.0 / (a * b - 1.0)
+    rhs_hat = np.fft.rfft2(f + rho * u_k)
+    f_hat = np.fft.rfft2(f)
+    u0_hat = (b * rhs_hat - f_hat) * inv_det
+    v0_hat = (a * f_hat - rhs_hat) * inv_det
+    b_det = b * inv_det
+
+    thresholds = _shrink_thresholds(weights, support.active, params.alpha, r)
+    du = np.empty((2, n, n))
+    grad(u_k, out=du)
+    mu = np.zeros((2, n, n))
+    u = u_k
+    v_hat = np.fft.rfft2(v_k)
+    u_sq = float(np.vdot(u, u))
+    v_sq = half_spectrum_sq_norm(v_hat, n)
+    iters = 0
+    for iters in range(1, admm.maxit_in + 1):
+        q = _shrink_field(mu / r + du, thresholds)
+        pull = mu - r * q
+        p_hat = np.fft.rfft2(rolled_grad_adjoint(GradientField(pull[0], pull[1])))
+        u_new = np.fft.irfft2(u0_hat - b_det * p_hat, s=(n, n))
+        v_hat_new = v0_hat + inv_det * p_hat
+        grad(u_new, out=du)
+        mu += r * (du - q)
+        step_u = u_new - u
+        change = float(np.vdot(step_u, step_u))
+        change += half_spectrum_sq_norm(v_hat_new - v_hat, n)
+        u, v_hat = u_new, v_hat_new
+        if np.sqrt(change) <= admm.tol_in * np.sqrt(u_sq + v_sq):
+            break
+        u_sq = float(np.vdot(u, u))
+        v_sq = half_spectrum_sq_norm(v_hat, n)
+    return u, np.fft.irfft2(v_hat, s=(n, n)), iters
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import shrink_group
 from shrinkseg import (
     AdmmParams,
     ModelParams,
@@ -12,11 +13,10 @@ from shrinkseg import (
     compute_symbols,
     initial_support,
     linearized_energy,
-    shrink_group,
     solve_uv,
     spectral_system,
 )
-from shrinkseg.admm import _half_spectrum_sq_norm, _shrink_field, _shrink_thresholds
+from shrinkseg.admm import _half_spectrum_weights, _shrink_field, _shrink_thresholds
 from shrinkseg.grid import GradientField, OperatorSymbols, grad, grad_norms
 from shrinkseg.support import SupportSet
 
@@ -99,8 +99,9 @@ class TestSolveUV:
                 mu = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
                 params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
                 system = spectral_system(f, u_k, symbols, params, 0.3, 4.0)
-                u, v_hat = solve_uv(system, qbar, mu)
-                v = np.fft.irfft2(v_hat, s=(n, n))
+                pull = np.stack([mu.dx / 4.0 - qbar.dx, mu.dy / 4.0 - qbar.dy])
+                u, p_hat = solve_uv(system, pull)
+                v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
                 du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, 0.3, 4.0)
                 np.testing.assert_allclose(u, du, atol=1e-10)
                 np.testing.assert_allclose(v, dv, atol=1e-10)
@@ -110,13 +111,32 @@ class TestSolveUV:
         f = np.full((n, n), 0.8)
         zero = GradientField(np.zeros((n, n)), np.zeros((n, n)))
         params = ModelParams(alpha=0.1, beta=10.0, gamma=0.5)
-        u, v_hat = solve_uv(spectral_system(f, f, compute_symbols(n), params, 0.25, 1.0), zero, zero)
-        v = np.fft.irfft2(v_hat, s=(n, n))
+        system = spectral_system(f, f, compute_symbols(n), params, 0.25, 1.0)
+        u, p_hat = solve_uv(system, np.stack([zero.dx, zero.dy]))
+        v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
         assert np.ptp(u) < 1e-12 and np.ptp(v) < 1e-12
         # stationarity of the constant mode: (1+rho)u + v = (1+rho)f,
         # u + (1+gamma)v = f
         np.testing.assert_allclose(1.25 * u + v, 1.25 * f, atol=1e-12)
         np.testing.assert_allclose(u + 1.5 * v, f, atol=1e-12)
+
+    def test_any_scratch_layout(self):
+        # D^T w lands in the scratch array; a layout it cannot flatten
+        # in place must still give the same result
+        n = 6
+        rng = np.random.default_rng(2)
+        params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
+        f, u_k = rng.standard_normal((2, n, n))
+        system = spectral_system(f, u_k, compute_symbols(n), params, 0.3, 4.0)
+        pull = rng.standard_normal((2, n, n))
+        u, p_hat = solve_uv(system, pull)
+        for work in (
+            np.full((2, n, n), np.nan),
+            np.full((2, n, n), np.nan, order="F"),
+            np.full((n, n, 2), np.nan).transpose(2, 0, 1),
+        ):
+            got_u, got_p = solve_uv(system, pull, work)
+            assert got_u.tobytes() == u.tobytes() and got_p.tobytes() == p_hat.tobytes()
 
     def test_symbol_size_mismatch_raises(self):
         f = np.zeros((4, 4))
@@ -140,8 +160,44 @@ class TestHalfSpectrumNorm:
         # odd n has no Nyquist column; even n must subtract it once
         x = np.random.default_rng(n).standard_normal((n, n))
         want = float(np.vdot(x, x))
-        got = _half_spectrum_sq_norm(np.fft.rfft2(x), n)
+        x_hat = np.fft.rfft2(x)
+        got = float(np.vdot(x_hat, _half_spectrum_weights(n) * x_hat).real)
         assert abs(got - want) <= 1e-12 * want
+
+
+class TestStoppingIdentities:
+    """The spectral stopping test against the pixel-domain norms it replaces."""
+
+    @staticmethod
+    def _sweeps(n, seed):
+        rng = np.random.default_rng(seed)
+        params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
+        system = spectral_system(
+            rng.standard_normal((n, n)), rng.standard_normal((n, n)),
+            compute_symbols(n), params, 0.3, 4.0,
+        )
+        sweeps = []
+        for _ in range(2):
+            u, p_hat = solve_uv(system, rng.standard_normal((2, n, n)))
+            sweeps.append((u, np.fft.irfft2(system.v_hat(p_hat), s=(n, n)), p_hat))
+        return system, sweeps
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_weighted_pull_step_is_update_norm(self, n):
+        system, ((u1, v1, p1), (u2, v2, p2)) = self._sweeps(n, 60 + n)
+        want = float(np.vdot(u2 - u1, u2 - u1) + np.vdot(v2 - v1, v2 - v1))
+        step = system.step_weight * (p2 - p1)
+        got = float(np.vdot(step, step).real)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_quadratic_form_is_iterate_norm(self, n):
+        system, sweeps = self._sweeps(n, 70 + n)
+        for u, v, p_hat in sweeps:
+            want = float(np.vdot(u, u) + np.vdot(v, v))
+            offset = system.step_weight * p_hat + system.norm_offset
+            got = system.norm_floor + float(np.vdot(offset, offset).real)
+            assert abs(got - want) <= 1e-12 * want
 
 
 def _instance(seed, n=6):
@@ -217,6 +273,53 @@ class TestAdmmSolve:
         )
         assert result.constraint_sup < 1e-8
         assert np.ptp(result.u) < 1e-6
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 16])
+    @pytest.mark.parametrize("maxit_in", [1, 2, 7])
+    def test_matches_reference_loop(self, n, maxit_in):
+        f, support, weights = _instance(n, n)
+        rng = np.random.default_rng(80 + n)
+        weights[support.active & (rng.random((n, n)) < 0.3)] = 0.0
+        assert (~support.active).any() and (support.active & (weights == 0)).any()
+        v_k = 0.1 * rng.standard_normal((n, n))
+        params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
+        args = (f, f - v_k, v_k, weights, support, params, 0.3,
+                AdmmParams(r=5.0, tol_in=0.0, maxit_in=maxit_in), compute_symbols(n))
+        result = admm_solve(*args)
+        u, v, iters = oracles.reference_admm_solve(*args)
+        assert result.iters == iters == maxit_in
+        np.testing.assert_allclose(result.u, u, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(result.v, v, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [6, 9])
+    @pytest.mark.parametrize("tol_in", [1e-3, 1e-5, 1e-8])
+    def test_stops_with_reference_loop(self, n, tol_in):
+        f, support, weights = _instance(n, n)
+        v_k = 0.1 * np.random.default_rng(90 + n).standard_normal((n, n))
+        args = (f, f - v_k, v_k, weights, support, ModelParams(alpha=0.2, beta=1.0, gamma=0.3),
+                0.3, AdmmParams(r=5.0, tol_in=tol_in, maxit_in=5000), compute_symbols(n))
+        result = admm_solve(*args)
+        u, v, iters = oracles.reference_admm_solve(*args)
+        assert result.iters == iters < 5000
+        np.testing.assert_allclose(result.u, u, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(result.v, v, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("value", [0.0, 0.7])
+    @pytest.mark.parametrize("tol_in", [0.0, 1e-8])
+    def test_flat_images_stop_with_reference_loop(self, value, tol_in):
+        # an exactly zero update or iterate norm must stop both loops at
+        # the same sweep: rounding may not turn 0 <= 0 into a capped run
+        n = 8
+        f = np.full((n, n), value)
+        support = initial_support(f, 0.1)
+        weights = np.zeros((n, n))
+        params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
+        for v_k in (np.zeros((n, n)), np.full((n, n), 0.25)):
+            args = (f, f, v_k, weights, support, params, 0.3,
+                    AdmmParams(r=5.0, tol_in=tol_in, maxit_in=500), compute_symbols(n))
+            result = admm_solve(*args)
+            _, _, iters = oracles.reference_admm_solve(*args)
+            assert result.iters == iters < 500
 
     def test_shape_mismatch_raises(self):
         f = np.zeros((4, 4))

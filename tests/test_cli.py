@@ -158,6 +158,24 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_metrics_single_phase_truth_with_float_input_is_usage_error(self, tmp_path, capsys):
+        imgio.write_float_grid(np.array([[0.1, 0.9], [0.8, 0.2]]), tmp_path / "u.csv")
+        imgio.write_labels(np.ones((2, 2), dtype=int), tmp_path / "t.csv")
+        code = main(["metrics", str(tmp_path / "u.csv"), str(tmp_path / "t.csv"),
+                     str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truth file" in err and "-K" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_metrics_single_phase_truth_with_label_input_succeeds(self, tmp_path):
+        imgio.write_labels(np.ones((2, 2), dtype=int), tmp_path / "t.csv")
+        code = main(["metrics", str(tmp_path / "t.csv"), str(tmp_path / "t.csv"),
+                     str(tmp_path / "r.json")])
+        assert code == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["k"] == 1 and report["phases"][0]["js"] == 1.0
+
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 1.0, "beta": 1.0, "zeta": 3}))

@@ -97,6 +97,32 @@ class TestRollFreeDifferences:
         p = GradientField(random_grid(rng, n), random_grid(rng, n))
         assert grad_adjoint(p).tobytes() == oracles.rolled_grad_adjoint(p).tobytes()
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_grad_adjoint_into_out_bitwise(self, n, order):
+        # a Fortran-order buffer cannot take the flattened-row subtraction
+        rng = np.random.default_rng(40 + n)
+        p = GradientField(random_grid(rng, n), random_grid(rng, n))
+        out = np.full((2, n, n), np.nan, order=order)
+        got = grad_adjoint(p, out=out)
+        assert np.shares_memory(got, out)
+        assert got.tobytes() == oracles.rolled_grad_adjoint(p).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_grad_adjoint_equal_with_tied_neighbours(self, n):
+        # equal neighbours give zero differences, whose sign may differ
+        w = np.random.default_rng(50 + n).integers(-1, 2, (2, n, n)).astype(np.float64)
+        p = GradientField(w[0], w[1])
+        np.testing.assert_array_equal(grad_adjoint(p), oracles.rolled_grad_adjoint(p))
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_forward_x_into_strided_out(self, n):
+        u = random_grid(np.random.default_rng(60 + n), n)
+        for out in (np.full((n, n), np.nan, order="F"), np.full((n, 2 * n), np.nan)[:, ::2]):
+            got = forward_x(u, out)
+            assert got is out
+            assert np.ascontiguousarray(got).tobytes() == oracles.rolled_forward(u, 1).tobytes()
+
     def test_grad_writes_into_out(self):
         u = random_grid(np.random.default_rng(30), 5)
         out = np.full((2, 5, 5), np.nan)
