@@ -23,7 +23,6 @@ from shrinkseg import (
     ModelParams,
     OuterParams,
     admm_solve,
-    compute_symbols,
     generate,
     grad,
     grad_norms,
@@ -43,8 +42,7 @@ def first_solve_args(n, sweeps):
     weights = np.zeros_like(f)
     weights[support.active] = params.potential.deriv(norms[support.active])
     admm = AdmmParams(r=10.0, tol_in=0.0, maxit_in=sweeps)
-    return (f, f, np.zeros_like(f), weights, support, params, outer.rho, admm,
-            compute_symbols(n))
+    return f, f, np.zeros_like(f), weights, support, params, outer.rho, admm
 
 
 def main(argv=None):

@@ -20,17 +20,14 @@ from .decompose import (
     TraceRow,
     decompose,
 )
-from .energy import ModelParams, decomposition_energy, linearized_energy
+from .energy import ModelParams, decomposition_energy
 from .grid import (
     GradientField,
-    HessianField,
     OperatorSymbols,
     compute_symbols,
     grad,
     grad_adjoint,
     grad_norms,
-    hessian,
-    hessian_adjoint,
 )
 from .imgio import RunConfig
 from .metrics import cv, jaccard
@@ -44,7 +41,6 @@ __all__ = [
     "DecompositionResult",
     "Disk",
     "GradientField",
-    "HessianField",
     "InnerResult",
     "IterationTrace",
     "ModelParams",
@@ -70,12 +66,9 @@ __all__ = [
     "grad",
     "grad_adjoint",
     "grad_norms",
-    "hessian",
-    "hessian_adjoint",
     "initial_support",
     "jaccard",
     "kmeans_1d",
-    "linearized_energy",
     "project_to_support",
     "segment",
     "solve_uv",

@@ -24,8 +24,8 @@ from .energy import ModelParams
 from .grid import (
     Array,
     GradientField,
-    OperatorSymbols,
     as_grid,
+    compute_symbols,
     grad,
     grad_adjoint,
     grad_norms,
@@ -107,20 +107,6 @@ def _irfft2(x_hat: Array, n: int) -> Array:
     return np.fft.irfft(np.fft.ifft(x_hat, axis=0), n=n, axis=1)
 
 
-def _half_spectrum_weights(n: int) -> Array:
-    """Parseval weights of the rfft2 half spectrum, one per column.
-
-    sum(weights * |rfft2(x)|**2) is the squared norm of the real n x n
-    grid x: every column but the zero one (and the Nyquist one when n
-    is even) stands for itself and its Hermitian mirror.
-    """
-    weights = np.full(n // 2 + 1, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    return weights / (n * n)
-
-
 @dataclass(frozen=True)
 class SpectralSystem:
     """Constant spectral data of one inner solve, on the rfft2 half spectrum.
@@ -154,26 +140,9 @@ class SpectralSystem:
         return self.v0_hat + self.v_pull * p_hat
 
 
-def _check_hermitian(name: str, symbol: Array) -> None:
-    """Raise unless symbol[k] == symbol[-k mod n] to 1e-9 relative.
-
-    The half-spectrum solve keeps only k2 <= n // 2 and relies on this
-    symmetry to stand for the other half; a symbol without it would
-    give a wrong real (u, v) with no other sign of failure.
-    """
-    mirrored = np.roll(symbol[::-1, ::-1], 1, axis=(0, 1))
-    gap = float(np.abs(symbol - mirrored).max())
-    if not gap <= 1e-9 * float(np.abs(symbol).max()):
-        raise FloatingPointError(
-            f"operator symbol {name} is not Hermitian-symmetric: "
-            f"max |{name}[k] - {name}[-k]| = {gap:.3e}"
-        )
-
-
 def spectral_system(
     f: Array,
     u_k: Array,
-    symbols: OperatorSymbols,
     params: ModelParams,
     rho: float,
     r: float,
@@ -181,20 +150,18 @@ def spectral_system(
     """Transform the constant right-hand sides, invert the per-frequency
     2x2 systems and weigh the stopping test once per inner solve.
 
-    Raises ValueError when the grids and the symbol table disagree in
-    size, and FloatingPointError when a symbol is not Hermitian-symmetric.
+    The operator symbols come from compute_symbols on the grid of f.
+    Raises ValueError when f and u_k differ in size.
     """
     f = as_grid(f, "f")
     u_k = as_grid(u_k, "u_k")
+    if u_k.shape != f.shape:
+        raise ValueError("f and u_k must share one grid size")
     n = f.shape[0]
-    if u_k.shape != f.shape or symbols.n != n:
-        raise ValueError("f, u_k and the symbol table must share one grid size")
-    _check_hermitian("dtd", symbols.dtd)
-    _check_hermitian("hth", symbols.hth)
+    symbols = compute_symbols(n)
 
-    half = n // 2 + 1
-    a = 1.0 + rho + r * symbols.dtd[:, :half]
-    b = 1.0 + params.gamma + params.beta * symbols.hth[:, :half]
+    a = 1.0 + rho + r * symbols.dtd
+    b = 1.0 + params.gamma + params.beta * symbols.hth
     inv_det = 1.0 / (a * b - 1.0)
     rhs_hat = _rfft2(f + rho * u_k)
     f_hat = _rfft2(f)
@@ -204,7 +171,7 @@ def spectral_system(
     v_pull = r * inv_det
     gain = np.hypot(u_pull, v_pull)
     cos, sin = v_pull / gain, u_pull / gain
-    parseval = np.sqrt(_half_spectrum_weights(n))
+    parseval = np.sqrt(symbols.weights)
     fixed = parseval * (cos * u0_hat + sin * v0_hat)
     return SpectralSystem(
         n=n,
@@ -245,7 +212,6 @@ def admm_solve(
     params: ModelParams,
     rho: float,
     admm: AdmmParams,
-    symbols: OperatorSymbols,
 ) -> InnerResult:
     """Run the splitting iteration from (u_k, v_k) with zero duals.
 
@@ -262,7 +228,7 @@ def admm_solve(
         raise ValueError("admm_solve inputs must share one grid shape")
 
     n = f.shape[0]
-    system = spectral_system(f, u_k, symbols, params, rho, admm.r)
+    system = spectral_system(f, u_k, params, rho, admm.r)
     thresholds = _shrink_thresholds(weights, support.active, params.alpha, admm.r)
     # stacked (2, n, n) buffers: gradient of u, shrunk auxiliary q, scratch,
     # and the scaled dual lam (holding the pull lam - q during the solve)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .admm import AdmmParams, admm_solve
 from .energy import ModelParams, decomposition_energy
-from .grid import Array, as_grid, compute_symbols, grad, grad_norms
+from .grid import Array, as_grid, grad, grad_norms
 from .support import (
     SupportSet,
     detect_support,
@@ -134,22 +134,21 @@ def decompose(
     f = as_grid(f, "f")
     outer = outer or OuterParams()
     admm = admm or AdmmParams()
-    symbols = compute_symbols(f.shape[0])
     tau = resolve_tau_supp(f, outer)
 
     u = f.copy()
     v = f.copy()
     support = initial_support(u, tau)
-    mono_tol = 1e-8 * decomposition_energy(f, u, v, params)
+    energy = decomposition_energy(f, u, v, params)
+    mono_tol = 1e-8 * energy
 
     rows: list[TraceRow] = []
     converged = False
     increased = False
     prev_energy = math.inf
 
-    def record(increment: float, inner_iters: int) -> None:
+    def record(energy: float, increment: float, inner_iters: int) -> None:
         nonlocal prev_energy, increased
-        energy = decomposition_energy(f, u, v, params)
         if energy > prev_energy + mono_tol:
             increased = True
             warnings.warn(
@@ -177,22 +176,23 @@ def decompose(
         weights = np.zeros_like(f)
         weights[support.active] = params.potential.deriv(norms[support.active])
 
-        inner = admm_solve(f, u, v, weights, support, params, outer.rho, admm, symbols)
+        inner = admm_solve(f, u, v, weights, support, params, outer.rho, admm)
         # restore exact feasibility: the square-root penalty has
         # unbounded slope at zero, so even tiny leftover gradients on
         # the frozen set would otherwise leak into the energy
         u_next = project_to_support(inner.u, support)
         increment = _stacked_norm(u_next - u, inner.v - v)
         denom = _stacked_norm(u, v)
-        record(increment, inner.iters)
+        record(energy, increment, inner.iters)
 
         u, v = u_next, inner.v
+        energy = decomposition_energy(f, u, v, params)
         support = detect_support(u, support, tau)
         if increment <= outer.tol_out * denom:
             converged = True
             break
 
-    record(0.0, 0)
+    record(energy, 0.0, 0)
     return DecompositionResult(
         u=u,
         v=v,

@@ -1,10 +1,10 @@
-"""Objective functionals for the smooth-plus-piecewise-constant split.
+"""Objective of the smooth-plus-piecewise-constant split.
 
-The full objective couples a quadratic fidelity term with a concave
-penalty on gradient magnitudes of the cartoon part and Tikhonov terms
-on the smooth part. The linearized objective replaces the concave
-penalty by its tangent at the previous iterate, restricted to the
-active support, plus a proximal anchor.
+The objective couples a quadratic fidelity term with a concave penalty
+on gradient magnitudes of the cartoon part and Tikhonov terms on the
+smooth part. The Hessian smoothness term is evaluated by Parseval from
+the symbol of H^T H on the rfft2 half spectrum, the same symbol the
+inner solver inverts.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Array, as_grid, grad, grad_norms, hessian
+from .grid import Array, as_grid, compute_symbols, grad, grad_norms
 from .potential import Potential, PowerPotential
-from .support import SupportSet
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,12 @@ def _check_shapes(*arrays: Array) -> None:
 
 
 def decomposition_energy(f: Array, u: Array, v: Array, params: ModelParams) -> float:
-    """Full objective: fidelity + concave gradient penalty + smoothness.
+    """Objective: fidelity + concave gradient penalty + smoothness.
 
     The gradient penalty sums over every pixel; zero-gradient pixels
-    contribute nothing since the potential vanishes at zero.
+    contribute nothing since the potential vanishes at zero. The
+    smoothness term beta/2 ||Hv||^2 is beta/2 sum(weights * hth *
+    |rfft2(v)|^2) on the half spectrum.
     """
     f = as_grid(f, "f")
     u = as_grid(u, "u")
@@ -59,60 +60,10 @@ def decomposition_energy(f: Array, u: Array, v: Array, params: ModelParams) -> f
     resid = f - u - v
     fidelity = 0.5 * float(np.vdot(resid, resid).real)
     penalty = params.alpha * float(np.sum(params.potential.value(grad_norms(grad(u)))))
-    hv = hessian(v)
-    smooth = 0.5 * params.beta * float(
-        np.vdot(hv.xx, hv.xx).real
-        + np.vdot(hv.xy, hv.xy).real
-        + np.vdot(hv.yx, hv.yx).real
-        + np.vdot(hv.yy, hv.yy).real
-    )
+    symbols = compute_symbols(f.shape[0])
+    v_hat = np.fft.rfft2(v)
+    v_power = v_hat.real**2 + v_hat.imag**2
+    smooth = 0.5 * params.beta * float(np.sum(symbols.weights * symbols.hth * v_power))
     ridge = 0.5 * params.gamma * float(np.vdot(v, v).real)
     return fidelity + penalty + smooth + ridge
 
-
-def linearized_energy(
-    f: Array,
-    u: Array,
-    v: Array,
-    u_prev: Array,
-    weights: Array,
-    support: SupportSet,
-    params: ModelParams,
-    rho: float,
-    feas_tol: float | None = None,
-) -> float:
-    """Inner objective: tangent-weighted gradient norms plus proximal term.
-
-    weights holds the potential derivative at the linearization point;
-    only entries on the active support are read. When feas_tol is given,
-    a gradient above it on the frozen set makes the constrained value
-    infinite and math.inf is returned.
-    """
-    f = as_grid(f, "f")
-    u = as_grid(u, "u")
-    v = as_grid(v, "v")
-    u_prev = as_grid(u_prev, "u_prev")
-    _check_shapes(f, u, v, u_prev, support.active)
-    weights = np.asarray(weights, dtype=np.float64)
-    _check_shapes(f, weights)
-
-    norms = grad_norms(grad(u))
-    if feas_tol is not None:
-        frozen = ~support.active
-        if frozen.any() and float(norms[frozen].max()) > feas_tol:
-            return math.inf
-
-    resid = f - u - v
-    fidelity = 0.5 * float(np.vdot(resid, resid).real)
-    penalty = params.alpha * float(np.sum(weights[support.active] * norms[support.active]))
-    du = u - u_prev
-    prox = 0.5 * rho * float(np.vdot(du, du).real)
-    hv = hessian(v)
-    smooth = 0.5 * params.beta * float(
-        np.vdot(hv.xx, hv.xx).real
-        + np.vdot(hv.xy, hv.xy).real
-        + np.vdot(hv.yx, hv.yx).real
-        + np.vdot(hv.yy, hv.yy).real
-    )
-    ridge = 0.5 * params.gamma * float(np.vdot(v, v).real)
-    return fidelity + penalty + prox + smooth + ridge

@@ -1,10 +1,13 @@
-"""Discrete difference operators on square grids with periodic wrap.
+"""Periodic differences on square grids and the Fourier symbols of
+the model's two normal operators.
 
 Images are n x n float64 arrays. The x direction runs along columns
 (axis 1) and y along rows (axis 0); every difference wraps around the
-boundary, so constants are in the kernel of all operators here and the
-normal operators (divergence-of-gradient, double divergence of the
-Hessian) are diagonalized exactly by the 2D DFT.
+boundary, so constants are in the kernel of every operator here. The
+gradient D is applied in pixels. The second-difference Hessian H is
+used only through the symbol of H^T H: both normal operators are
+diagonalized exactly by the 2D DFT, and their symbols are kept on the
+rfft2 half spectrum together with its Parseval column weights.
 """
 
 from __future__ import annotations
@@ -58,27 +61,11 @@ def forward_x(u: Array, out: Array | None = None) -> Array:
     return _x_difference(u, np.empty_like(u) if out is None else out, 1)
 
 
-def backward_x(u: Array) -> Array:
-    """u[i, j] - u[i, j-1], periodic in j."""
-    out = np.empty_like(u)
-    np.subtract(u[:, 1:], u[:, :-1], out=out[:, 1:])
-    np.subtract(u[:, :1], u[:, -1:], out=out[:, :1])
-    return out
-
-
 def forward_y(u: Array, out: Array | None = None) -> Array:
     """u[i+1, j] - u[i, j], periodic in i."""
     out = np.empty_like(u) if out is None else out
     np.subtract(u[1:], u[:-1], out=out[:-1])
     np.subtract(u[:1], u[-1:], out=out[-1:])
-    return out
-
-
-def backward_y(u: Array) -> Array:
-    """u[i, j] - u[i-1, j], periodic in i."""
-    out = np.empty_like(u)
-    np.subtract(u[1:], u[:-1], out=out[1:])
-    np.subtract(u[:1], u[-1:], out=out[:1])
     return out
 
 
@@ -92,25 +79,6 @@ class GradientField:
     @property
     def n(self) -> int:
         return self.dx.shape[0]
-
-
-@dataclass(frozen=True)
-class HessianField:
-    """Per-pixel 4-vector of composed second differences.
-
-    xy and yx come from distinct compositions (forward-x of forward-y
-    vs forward-y of forward-x). They coincide numerically under the
-    periodic wrap but are kept as separate channels.
-    """
-
-    xx: Array
-    xy: Array
-    yx: Array
-    yy: Array
-
-    @property
-    def n(self) -> int:
-        return self.xx.shape[0]
 
 
 def grad(u: Array, out: Array | None = None) -> GradientField:
@@ -128,37 +96,15 @@ def grad_adjoint(p: GradientField, out: Array | None = None) -> Array:
 
     Each negated backward difference is one subtraction, u[j-1] - u[j].
     In IEEE arithmetic -(a - b) is b - a and -X - Y is (-X) + (-Y), so
-    this equals -backward_x(p.dx) - backward_y(p.dy) value for value (a
-    zero may come out +0 for -0). out, when given, is a (2, n, n)
-    scratch array, and the result is written into out[0].
+    this equals -(dx[i, j] - dx[i, j-1]) - (dy[i, j] - dy[i-1, j]) value
+    for value (a zero may come out +0 for -0). out, when given, is a
+    (2, n, n) scratch array, and the result is written into out[0].
     """
     out = np.empty((2, *p.dx.shape)) if out is None else out
     _x_difference(p.dx, out[0], -1)
     np.subtract(p.dy[:-1], p.dy[1:], out=out[1, 1:])
     np.subtract(p.dy[-1:], p.dy[:1], out=out[1, :1])
     return np.add(out[0], out[1], out=out[0])
-
-
-def hessian(v: Array) -> HessianField:
-    """Second-difference Hessian stack of a grid."""
-    fx = forward_x(v)
-    fy = forward_y(v)
-    return HessianField(
-        xx=backward_x(fx),
-        xy=forward_x(fy),
-        yx=forward_y(fx),
-        yy=backward_y(fy),
-    )
-
-
-def hessian_adjoint(ph: HessianField) -> Array:
-    """Adjoint of hessian, channel by channel."""
-    return (
-        forward_x(backward_x(ph.xx))
-        + backward_y(backward_x(ph.xy))
-        + backward_x(backward_y(ph.yx))
-        + forward_y(backward_y(ph.yy))
-    )
 
 
 def grad_norms(p: GradientField) -> Array:
@@ -168,52 +114,39 @@ def grad_norms(p: GradientField) -> Array:
 
 @dataclass(frozen=True)
 class OperatorSymbols:
-    """2D DFT symbols of the normal operators.
+    """2D DFT symbols of the normal operators on the rfft2 half spectrum.
 
-    dtd diagonalizes grad_adjoint(grad(.)), hth diagonalizes
-    hessian_adjoint(hessian(.)) under numpy's fft2 convention.
-    Both vanish at the zero frequency (constants in the kernel).
+    dtd diagonalizes grad_adjoint(grad(.)) and hth the Hessian normal
+    operator H^T H under numpy's rfft2 convention. H stacks the four
+    composed second differences: backward-x of forward-x, forward-x of
+    forward-y, forward-y of forward-x and backward-y of forward-y; under
+    the periodic wrap H^T H = (D^T D)^2. Both symbols are real,
+    (n, n // 2 + 1), and vanish at the zero frequency (constants are in
+    the kernel). weights holds the Parseval weight of each column:
+    sum(weights * |rfft2(x)|**2) is the squared norm of the real grid x,
+    since every column but the zero one (and the Nyquist one when n is
+    even) stands for itself and its Hermitian mirror.
     """
 
     n: int
     dtd: Array
     hth: Array
+    weights: Array
 
 
-def compute_symbols(n: int, verify: bool = False) -> OperatorSymbols:
+def compute_symbols(n: int) -> OperatorSymbols:
     """Analytic Fourier symbols on an n x n periodic grid.
 
     dtd(k1, k2) = 4 sin^2(pi k1 / n) + 4 sin^2(pi k2 / n) and
-    hth = dtd**2. With verify=True the symbols are cross-checked
-    against the DFT of the operators' impulse responses (max abs
-    deviation 1e-10); intended for test builds.
+    hth = dtd**2, for k2 <= n // 2.
     """
     if n < 2:
         raise ValueError(f"grid side must be >= 2, got {n}")
+    half = n // 2 + 1
     s = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
-    dtd = s[:, None] + s[None, :]
-    hth = dtd**2
-    # contract: clamp any round-off below zero (none arises from sin^2)
-    dtd = np.maximum(dtd, 0.0)
-    hth = np.maximum(hth, 0.0)
-    sym = OperatorSymbols(n=n, dtd=dtd, hth=hth)
-    if verify:
-        _verify_symbols(sym)
-    return sym
-
-
-def _verify_symbols(sym: OperatorSymbols, tol: float = 1e-10) -> None:
-    """Compare analytic symbols to the DFT of impulse responses."""
-    n = sym.n
-    e = np.zeros((n, n))
-    e[0, 0] = 1.0
-    dtd_fft = np.fft.fft2(grad_adjoint(grad(e)))
-    hth_fft = np.fft.fft2(hessian_adjoint(hessian(e)))
-    dev = max(
-        np.abs(dtd_fft - sym.dtd).max(),
-        np.abs(hth_fft - sym.hth).max(),
-    )
-    if dev > tol:
-        raise AssertionError(
-            f"operator symbols disagree with impulse-response DFT by {dev:.3e}"
-        )
+    dtd = s[:, None] + s[None, :half]
+    weights = np.full(half, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return OperatorSymbols(n=n, dtd=dtd, hth=dtd**2, weights=weights / (n * n))

@@ -6,16 +6,18 @@ arrays, explicit index loops instead of vectorized stencils, and an
 exhaustive partition search instead of dynamic programming, and a
 depth-first recursion for the k-means layers that the package fills
 breadth first. Slow and simple on purpose. It also holds what only
-the tests use: the scalar group shrink and the unscaled reference
-ADMM loop.
+the tests use: the scalar group shrink, the unscaled reference ADMM
+loop and the linearized inner objective.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from shrinkseg.admm import _shrink_field, _shrink_thresholds
-from shrinkseg.grid import GradientField, grad
+from shrinkseg.energy import decomposition_energy
+from shrinkseg.grid import GradientField, compute_symbols, grad, grad_norms
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +151,7 @@ def half_spectrum_sq_norm(x_hat, n):
     return float(total) / (n * n)
 
 
-def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm, symbols):
+def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
     """The splitting iteration with the dual mu carried unscaled.
 
     Each sweep shrinks Du + mu/r, solves for (u, v_hat) with the pull
@@ -159,9 +161,9 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm, symbo
     """
     n = f.shape[0]
     r = admm.r
-    half = n // 2 + 1
-    a = 1.0 + rho + r * symbols.dtd[:, :half]
-    b = 1.0 + params.gamma + params.beta * symbols.hth[:, :half]
+    symbols = compute_symbols(n)
+    a = 1.0 + rho + r * symbols.dtd
+    b = 1.0 + params.gamma + params.beta * symbols.hth
     inv_det = 1.0 / (a * b - 1.0)
     rhs_hat = np.fft.rfft2(f + rho * u_k)
     f_hat = np.fft.rfft2(f)
@@ -198,7 +200,31 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm, symbo
 
 
 # ---------------------------------------------------------------------------
-# Loop-based energies and metrics
+# Energies and metrics
+
+
+def linearized_energy(f, u, v, u_prev, weights, support, params, rho, feas_tol=None):
+    """Inner objective: tangent-weighted gradient norms plus proximal term.
+
+    weights holds the potential derivative at the linearization point;
+    only entries on the active support are read. The v terms come from
+    decomposition_energy(v, 0, v), where the fidelity and the gradient
+    penalty vanish. When feas_tol is given, a gradient above it on the
+    frozen set makes the constrained value infinite and math.inf is
+    returned.
+    """
+    norms = grad_norms(grad(u))
+    active = support.active
+    if feas_tol is not None and (~active).any() and norms[~active].max() > feas_tol:
+        return math.inf
+    resid = f - u - v
+    step = u - u_prev
+    return (
+        0.5 * float(np.sum(resid * resid))
+        + params.alpha * float(np.sum(weights[active] * norms[active]))
+        + 0.5 * rho * float(np.sum(step * step))
+        + decomposition_energy(v, np.zeros_like(v), v, params)
+    )
 
 
 def loop_energy(f, u, v, params):

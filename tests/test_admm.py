@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import shrink_group
+from oracles import linearized_energy, shrink_group
 from shrinkseg import (
     AdmmParams,
     ModelParams,
@@ -12,12 +12,11 @@ from shrinkseg import (
     admm_solve,
     compute_symbols,
     initial_support,
-    linearized_energy,
     solve_uv,
     spectral_system,
 )
-from shrinkseg.admm import _half_spectrum_weights, _shrink_field, _shrink_thresholds
-from shrinkseg.grid import GradientField, OperatorSymbols, grad, grad_norms
+from shrinkseg.admm import _shrink_field, _shrink_thresholds
+from shrinkseg.grid import GradientField, grad, grad_norms
 from shrinkseg.support import SupportSet
 
 
@@ -91,14 +90,13 @@ class TestSolveUV:
         # odd n has no Nyquist column, so the half-spectrum path differs
         rng = np.random.default_rng(1)
         for n in (3, 5, 6, 7):
-            symbols = compute_symbols(n)
             for _ in range(5):
                 f = rng.standard_normal((n, n))
                 u_k = rng.standard_normal((n, n))
                 qbar = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
                 mu = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
                 params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
-                system = spectral_system(f, u_k, symbols, params, 0.3, 4.0)
+                system = spectral_system(f, u_k, params, 0.3, 4.0)
                 pull = np.stack([mu.dx / 4.0 - qbar.dx, mu.dy / 4.0 - qbar.dy])
                 u, p_hat = solve_uv(system, pull)
                 v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
@@ -111,7 +109,7 @@ class TestSolveUV:
         f = np.full((n, n), 0.8)
         zero = GradientField(np.zeros((n, n)), np.zeros((n, n)))
         params = ModelParams(alpha=0.1, beta=10.0, gamma=0.5)
-        system = spectral_system(f, f, compute_symbols(n), params, 0.25, 1.0)
+        system = spectral_system(f, f, params, 0.25, 1.0)
         u, p_hat = solve_uv(system, np.stack([zero.dx, zero.dy]))
         v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
         assert np.ptp(u) < 1e-12 and np.ptp(v) < 1e-12
@@ -127,7 +125,7 @@ class TestSolveUV:
         rng = np.random.default_rng(2)
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
         f, u_k = rng.standard_normal((2, n, n))
-        system = spectral_system(f, u_k, compute_symbols(n), params, 0.3, 4.0)
+        system = spectral_system(f, u_k, params, 0.3, 4.0)
         pull = rng.standard_normal((2, n, n))
         u, p_hat = solve_uv(system, pull)
         for work in (
@@ -138,21 +136,6 @@ class TestSolveUV:
             got_u, got_p = solve_uv(system, pull, work)
             assert got_u.tobytes() == u.tobytes() and got_p.tobytes() == p_hat.tobytes()
 
-    def test_symbol_size_mismatch_raises(self):
-        f = np.zeros((4, 4))
-        with pytest.raises(ValueError):
-            spectral_system(f, f, compute_symbols(8), ModelParams(alpha=1, beta=1), 0.1, 1.0)
-
-    def test_asymmetric_symbol_raises(self):
-        n = 6
-        good = compute_symbols(n)
-        dtd = good.dtd.copy()
-        dtd[1, 2] += 1e-3
-        bad = OperatorSymbols(n=n, dtd=dtd, hth=good.hth)
-        f = np.zeros((n, n))
-        with pytest.raises(FloatingPointError, match="Hermitian"):
-            spectral_system(f, f, bad, ModelParams(alpha=1, beta=1), 0.1, 1.0)
-
 
 class TestHalfSpectrumNorm:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -161,7 +144,7 @@ class TestHalfSpectrumNorm:
         x = np.random.default_rng(n).standard_normal((n, n))
         want = float(np.vdot(x, x))
         x_hat = np.fft.rfft2(x)
-        got = float(np.vdot(x_hat, _half_spectrum_weights(n) * x_hat).real)
+        got = float(np.vdot(x_hat, compute_symbols(n).weights * x_hat).real)
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -173,8 +156,7 @@ class TestStoppingIdentities:
         rng = np.random.default_rng(seed)
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
         system = spectral_system(
-            rng.standard_normal((n, n)), rng.standard_normal((n, n)),
-            compute_symbols(n), params, 0.3, 4.0,
+            rng.standard_normal((n, n)), rng.standard_normal((n, n)), params, 0.3, 4.0
         )
         sweeps = []
         for _ in range(2):
@@ -217,7 +199,7 @@ class TestAdmmSolve:
         params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
         result = admm_solve(
             f, f, np.zeros_like(f), weights, support, params, 0.3,
-            AdmmParams(r=5.0, tol_in=1e-10, maxit_in=5000), compute_symbols(f.shape[0]),
+            AdmmParams(r=5.0, tol_in=1e-10, maxit_in=5000),
         )
         assert 1 <= result.iters < 5000
         assert result.constraint_sup < 1e-6
@@ -232,7 +214,7 @@ class TestAdmmSolve:
         params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
         result = admm_solve(
             f, f, np.zeros_like(f), weights, support, params, 0.3,
-            AdmmParams(r=5.0, tol_in=tol_in, maxit_in=maxit_in), compute_symbols(n),
+            AdmmParams(r=5.0, tol_in=tol_in, maxit_in=maxit_in),
         )
         assert tol_in > 0 or result.iters == maxit_in
         hth_v = (oracles.dense_hth(n) @ result.v.ravel()).reshape(n, n)
@@ -246,7 +228,7 @@ class TestAdmmSolve:
         start = linearized_energy(f, f, np.zeros_like(f), f, weights, support, params, rho)
         result = admm_solve(
             f, f, np.zeros_like(f), weights, support, params, rho,
-            AdmmParams(r=5.0, tol_in=1e-10, maxit_in=5000), compute_symbols(f.shape[0]),
+            AdmmParams(r=5.0, tol_in=1e-10, maxit_in=5000),
         )
         end = linearized_energy(f, result.u, result.v, f, weights, support, params, rho)
         assert end < start
@@ -255,7 +237,7 @@ class TestAdmmSolve:
         f, support, weights = _instance(2)
         params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
         args = (f, f, np.zeros_like(f), weights, support, params, 0.3,
-                AdmmParams(r=5.0, tol_in=1e-8, maxit_in=500), compute_symbols(f.shape[0]))
+                AdmmParams(r=5.0, tol_in=1e-8, maxit_in=500))
         a = admm_solve(*args)
         b = admm_solve(*args)
         assert a.u.tobytes() == b.u.tobytes()
@@ -269,7 +251,7 @@ class TestAdmmSolve:
         params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
         result = admm_solve(
             f, f, np.zeros_like(f), weights, support, params, 0.3,
-            AdmmParams(r=5.0, tol_in=1e-12, maxit_in=20000), compute_symbols(f.shape[0]),
+            AdmmParams(r=5.0, tol_in=1e-12, maxit_in=20000),
         )
         assert result.constraint_sup < 1e-8
         assert np.ptp(result.u) < 1e-6
@@ -284,7 +266,7 @@ class TestAdmmSolve:
         v_k = 0.1 * rng.standard_normal((n, n))
         params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
         args = (f, f - v_k, v_k, weights, support, params, 0.3,
-                AdmmParams(r=5.0, tol_in=0.0, maxit_in=maxit_in), compute_symbols(n))
+                AdmmParams(r=5.0, tol_in=0.0, maxit_in=maxit_in))
         result = admm_solve(*args)
         u, v, iters = oracles.reference_admm_solve(*args)
         assert result.iters == iters == maxit_in
@@ -297,7 +279,7 @@ class TestAdmmSolve:
         f, support, weights = _instance(n, n)
         v_k = 0.1 * np.random.default_rng(90 + n).standard_normal((n, n))
         args = (f, f - v_k, v_k, weights, support, ModelParams(alpha=0.2, beta=1.0, gamma=0.3),
-                0.3, AdmmParams(r=5.0, tol_in=tol_in, maxit_in=5000), compute_symbols(n))
+                0.3, AdmmParams(r=5.0, tol_in=tol_in, maxit_in=5000))
         result = admm_solve(*args)
         u, v, iters = oracles.reference_admm_solve(*args)
         assert result.iters == iters < 5000
@@ -316,7 +298,7 @@ class TestAdmmSolve:
         params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
         for v_k in (np.zeros((n, n)), np.full((n, n), 0.25)):
             args = (f, f, v_k, weights, support, params, 0.3,
-                    AdmmParams(r=5.0, tol_in=tol_in, maxit_in=500), compute_symbols(n))
+                    AdmmParams(r=5.0, tol_in=tol_in, maxit_in=500))
             result = admm_solve(*args)
             _, _, iters = oracles.reference_admm_solve(*args)
             assert result.iters == iters < 500
@@ -326,5 +308,5 @@ class TestAdmmSolve:
         with pytest.raises(ValueError):
             admm_solve(
                 f, f, f, np.zeros((5, 5)), SupportSet(active=np.ones((4, 4), dtype=bool)),
-                ModelParams(alpha=1, beta=1), 0.1, AdmmParams(), compute_symbols(4),
+                ModelParams(alpha=1, beta=1), 0.1, AdmmParams(),
             )

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,19 @@ class TestResult:
         result = decompose(f, ModelParams(alpha=0.05, beta=100.0), outer, FAST["admm"])
         assert result.outer_iters <= 2
         assert len(result.trace) <= 3
+
+    def test_energy_evaluated_once_per_row(self, monkeypatch):
+        # E(f, f, f) sets the monotonicity tolerance and is also row 0
+        energies = []
+
+        def counted(*args):
+            energies.append(decomposition_energy(*args))
+            return energies[-1]
+
+        monkeypatch.setattr(importlib.import_module("shrinkseg.decompose"),
+                            "decomposition_energy", counted)
+        result = decompose(small_phantom(), ModelParams(alpha=0.1, beta=100.0), **FAST)
+        assert energies == list(result.trace.column("energy"))
 
     def test_tau_recorded(self):
         f = small_phantom(seed=13)
