@@ -1,0 +1,86 @@
+"""Deterministic work counts of stage one on the pinned fixture phantoms.
+
+Runs every phantom of tests/fixtures/acceptance.json (the n=64 suite and
+the n=128 quality runs) through the acceptance pipeline: log of f / max f,
+decompose at the fixture's solver settings, then segment into K phases.
+Prints one line per phantom (inner sweeps, outer passes, capped inner
+solves, final support size, a digest of the labels and the final energy)
+and the totals. Every number is a count or a float the solver computes,
+so two runs of one tree print the same table, and two trees can be
+compared line by line.
+
+    PYTHONPATH=src python scripts/fixture_work.py [--only NAME]
+        [--seed-offset N]
+
+--seed-offset N shifts every phantom's noise seed by N (0 keeps the
+pinned seeds); --only NAME runs one phantom.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+from shrinkseg import AdmmParams, ModelParams, OuterParams, decompose, generate, segment
+from shrinkseg.imgio import from_log_domain, phantom_spec_from_dict, to_log_domain
+
+FIXTURE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tests", "fixtures", "acceptance.json",
+)
+
+
+def run_entry(entry, solver, seed_offset):
+    spec = dict(entry["spec"], seed=(entry["spec"]["seed"] + seed_offset) % 2**63)
+    phantom = generate(phantom_spec_from_dict(spec))
+    g = to_log_domain(phantom.f / phantom.f.max())
+    outer = OuterParams(
+        tol_out=solver["tol_out"],
+        maxit_out=solver["maxit_out"],
+        tau_supp=solver["tau_supp"],
+    )
+    admm = AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"])
+    model = ModelParams(alpha=entry["alpha"], beta=entry["beta"])
+    result = decompose(g, model, outer, admm)
+    labels = segment(from_log_domain(result.u), entry["k"]).labels
+    return {
+        "sweeps": int(result.trace.column("inner_iters").sum()),
+        "outer": result.outer_iters,
+        "capped": result.capped_solves,
+        "support": result.trace[-1].support_size,
+        "labels": hashlib.sha256(labels.tobytes()).hexdigest()[:12],
+        "energy": result.trace[-1].energy,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", metavar="NAME", help="run this phantom only")
+    parser.add_argument("--seed-offset", type=int, default=0, metavar="N")
+    args = parser.parse_args(argv)
+
+    with open(FIXTURE, encoding="utf-8") as handle:
+        fixture = json.load(handle)
+    entries = fixture["suite"] + fixture["quality"]
+    if args.only:
+        entries = [e for e in entries if e["name"] == args.only]
+        if not entries:
+            parser.error(f"no fixture phantom named {args.only!r}")
+
+    print(f"{'phantom':<28} {'sweeps':>7} {'outer':>5} {'capped':>6} "
+          f"{'support':>7}  {'labels':<12}  energy")
+    totals = dict(sweeps=0, outer=0, capped=0)
+    for entry in entries:
+        row = run_entry(entry, fixture["solver"], args.seed_offset)
+        for key in totals:
+            totals[key] += row[key]
+        print(f"{entry['name']:<28} {row['sweeps']:>7} {row['outer']:>5} "
+              f"{row['capped']:>6} {row['support']:>7}  {row['labels']:<12}  "
+              f"{row['energy']!r}")
+    print(f"{'total':<28} {totals['sweeps']:>7} {totals['outer']:>5} {totals['capped']:>6}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

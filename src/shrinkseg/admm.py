@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +38,13 @@ _TINY = np.finfo(np.float64).tiny
 
 @dataclass(frozen=True)
 class AdmmParams:
-    """Penalty weight and stopping rule of the inner solver."""
+    """Penalty weight and stopping rule of the inner solver.
+
+    tol_in is the relative (u, v) update at which an exact solve stops.
+    decompose may stop earlier outer passes at a looser tolerance, but
+    never below tol_in, and a run only stops on a pass solved at tol_in.
+    maxit_in caps the sweeps of every solve.
+    """
 
     r: float = 10.0
     tol_in: float = 1e-4
@@ -212,13 +219,23 @@ def admm_solve(
     params: ModelParams,
     rho: float,
     admm: AdmmParams,
+    *,
+    tol: float | None = None,
+    accept: Callable[[Array, Array], bool] | None = None,
 ) -> InnerResult:
     """Run the splitting iteration from (u_k, v_k) with zero duals.
 
     weights must hold the potential derivative at u_k on the active
     set; frozen pixels get a hard zero in the auxiliary variable, so
     their gradient is driven to zero by the penalty. Stops when the
-    stacked (u, v) update is small relative to the previous iterate.
+    stacked (u, v) update is at most tol times the previous iterate's
+    norm, or after admm.maxit_in sweeps.
+
+    tol defaults to admm.tol_in, which is also its floor. Above the
+    floor, a sweep that meets tol is a candidate: the solve stops there
+    only if accept(u, v) is True (or accept is None), and otherwise
+    keeps sweeping, with the same duals, at a tolerance ten times
+    tighter, down to admm.tol_in, where no check is made.
     """
     f = as_grid(f, "f")
     u_k = as_grid(u_k, "u_k")
@@ -237,6 +254,8 @@ def admm_solve(
     grad(u_k, out=du)
     prev = None  # step_weight * P of the previous sweep
     iters = 0
+    tol = admm.tol_in if tol is None else max(tol, admm.tol_in)
+    v = None  # the v of an accepted candidate, which is returned as is
 
     for iters in range(1, admm.maxit_in + 1):
         _shrink_field(np.add(du, lam, out=q), thresholds)
@@ -254,8 +273,14 @@ def admm_solve(
         else:
             step = scaled - prev
             change = np.vdot(step, step).real
-        if math.sqrt(change) <= admm.tol_in * math.sqrt(size):
-            break
+        if math.sqrt(change) <= tol * math.sqrt(size):
+            if tol <= admm.tol_in or accept is None:
+                break
+            v = _irfft2(system.v_hat(p_hat), n)
+            if accept(u, v):
+                break
+            v = None
+            tol = max(tol / 10, admm.tol_in)
         prev = scaled
         offset = scaled + system.norm_offset
         size = system.norm_floor + np.vdot(offset, offset).real
@@ -266,5 +291,6 @@ def admm_solve(
     norms = grad_norms(GradientField(du[0], du[1]))
     frozen = ~support.active
     constraint_sup = float(norms[frozen].max()) if frozen.any() else 0.0
-    v = _irfft2(system.v_hat(p_hat), n)
+    if v is None:
+        v = _irfft2(system.v_hat(p_hat), n)
     return InnerResult(u, v, iters, constraint_sup, primal_residual)

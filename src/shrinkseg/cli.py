@@ -168,6 +168,7 @@ def _base_report(config: imgio.RunConfig, result: DecompositionResult) -> dict:
     return {
         "converged": result.converged,
         "outer_iters": result.outer_iters,
+        "capped_solves": result.capped_solves,
         "final_energy": result.trace[-1].energy,
         "log_domain": config.log_domain,
     }

@@ -19,7 +19,6 @@ from .admm import AdmmParams, admm_solve
 from .energy import ModelParams, decomposition_energy
 from .grid import Array, as_grid, grad, grad_norms
 from .support import (
-    SupportSet,
     detect_support,
     initial_support,
     project_to_support,
@@ -99,17 +98,11 @@ class DecompositionResult:
     outer_iters: int
     energy_increased: bool
     tau_supp: float
+    capped_solves: int  # inner solves that stopped at maxit_in
 
 
 def _stacked_norm(a: Array, b: Array) -> float:
     return math.sqrt(float(np.vdot(a, a).real) + float(np.vdot(b, b).real))
-
-
-def _support_stats(u: Array, support: SupportSet) -> tuple[float, float]:
-    """(min active gradient magnitude, max overall gradient magnitude)."""
-    norms = grad_norms(grad(u))
-    min_nz = float(norms[support.active].min()) if support.size else 0.0
-    return min_nz, float(norms.max())
 
 
 def resolve_tau_supp(f: Array, outer: OuterParams) -> float:
@@ -130,6 +123,17 @@ def decompose(
     so a run with T inner solves yields T+1 rows. An energy increase
     beyond 1e-8 times the initial energy is flagged and warned about
     but does not abort the run.
+
+    A pixel freezes once its gradient falls below tau, the resolved
+    tau_supp, so outer pass k solves its inner problem only to
+    tol_k = max(admm.tol_in, tau / ||(u_k, v_k)||). A solve looser than
+    tol_in may stop only where the projected candidate has energy no
+    higher than F(u_k, v_k) (the sufficient-decrease condition H1 of
+    Attouch, Bolte & Svaiter 2013); otherwise it keeps sweeping at a
+    tighter tolerance. Once a pass meets tol_out, every later pass runs
+    at tol_in, so only a pass at tol_in can end the run. When
+    tau / ||(u_k, v_k)|| <= tol_in, as for the default tau_supp on
+    ordinary images, every pass runs at tol_in and no check is made.
     """
     f = as_grid(f, "f")
     outer = outer or OuterParams()
@@ -141,11 +145,15 @@ def decompose(
     support = initial_support(u, tau)
     energy = decomposition_energy(f, u, v, params)
     mono_tol = 1e-8 * energy
+    norms = grad_norms(grad(u))  # of the current iterate, shared by weights and trace
 
     rows: list[TraceRow] = []
     converged = False
     increased = False
+    capped = 0
+    exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
+    candidate = None  # (u, projected u, energy) of the last checked candidate
 
     def record(energy: float, increment: float, inner_iters: int) -> None:
         nonlocal prev_energy, increased
@@ -157,40 +165,56 @@ def decompose(
                 RuntimeWarning,
                 stacklevel=3,
             )
-        min_nz, max_grad = _support_stats(u, support)
         rows.append(
             TraceRow(
                 k=len(rows),
                 energy=energy,
                 increment=increment,
                 support_size=support.size,
-                min_nonzero_grad=min_nz,
+                min_nonzero_grad=float(norms[support.active].min()) if support.size else 0.0,
                 inner_iters=inner_iters,
-                max_grad=max_grad,
+                max_grad=float(norms.max()),
             )
         )
         prev_energy = energy
 
+    def descends(u_c: Array, v_c: Array) -> bool:
+        """H1: may a loose solve stop at the candidate (u_c, v_c)?"""
+        nonlocal candidate
+        u_p = project_to_support(u_c, support)
+        candidate = (u_c, u_p, decomposition_energy(f, u_p, v_c, params))
+        return candidate[2] <= energy
+
     for _ in range(outer.maxit_out):
-        norms = grad_norms(grad(u))
         weights = np.zeros_like(f)
         weights[support.active] = params.potential.deriv(norms[support.active])
+        denom = _stacked_norm(u, v)
+        # accuracy below tau cannot change which pixels freeze next
+        tol = admm.tol_in if exact or denom == 0 else max(admm.tol_in, tau / denom)
 
-        inner = admm_solve(f, u, v, weights, support, params, outer.rho, admm)
+        inner = admm_solve(
+            f, u, v, weights, support, params, outer.rho, admm, tol=tol, accept=descends
+        )
+        capped += int(inner.iters >= admm.maxit_in)
         # restore exact feasibility: the square-root penalty has
         # unbounded slope at zero, so even tiny leftover gradients on
         # the frozen set would otherwise leak into the energy
-        u_next = project_to_support(inner.u, support)
+        if candidate is not None and candidate[0] is inner.u:
+            _, u_next, next_energy = candidate  # projected by descends
+        else:
+            u_next = project_to_support(inner.u, support)
+            next_energy = decomposition_energy(f, u_next, inner.v, params)
         increment = _stacked_norm(u_next - u, inner.v - v)
-        denom = _stacked_norm(u, v)
         record(energy, increment, inner.iters)
 
-        u, v = u_next, inner.v
-        energy = decomposition_energy(f, u, v, params)
+        u, v, energy = u_next, inner.v, next_energy
         support = detect_support(u, support, tau)
+        norms = grad_norms(grad(u))
         if increment <= outer.tol_out * denom:
-            converged = True
-            break
+            if tol <= admm.tol_in:
+                converged = True
+                break
+            exact = True
 
     record(energy, 0.0, 0)
     return DecompositionResult(
@@ -201,4 +225,5 @@ def decompose(
         outer_iters=len(rows) - 1,
         energy_increased=increased,
         tau_supp=tau,
+        capped_solves=capped,
     )

@@ -63,6 +63,9 @@ class TestPipeline:
     def test_run_report(self, workspace):
         report = json.loads((workspace / "out_report.json").read_text())
         assert report["converged"] is True
+        rows = imgio.read_trace(workspace / "out_trace.csv")
+        capped = sum(row.inner_iters == CONFIG["maxit_in"] for row in rows)
+        assert report["capped_solves"] == capped
         assert report["log_domain"] is True
         assert report["k"] == 2
         assert [p["phase"] for p in report["phases"]] == [1, 2]

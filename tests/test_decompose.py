@@ -7,6 +7,7 @@ from shrinkseg import (
     AdmmParams,
     ModelParams,
     OuterParams,
+    admm_solve,
     decompose,
     decomposition_energy,
     generate,
@@ -56,6 +57,12 @@ class TestConstantImage:
         # all gradients start at zero, so nothing is ever active
         assert result.trace.column("support_size").max() == 0
         np.testing.assert_allclose(result.u + result.v, f, atol=1e-6)
+
+    def test_zero_image_has_no_relative_scale(self):
+        # ||(u_k, v_k)|| = 0, so no loose tolerance can be formed
+        result = decompose(np.zeros((8, 8)), ModelParams(alpha=0.1, beta=10.0), **FAST)
+        assert result.converged
+        assert not result.u.any() and not result.v.any()
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +159,114 @@ class TestResult:
         f = small_phantom(seed=13)
         result = decompose(f, ModelParams(alpha=0.1, beta=100.0), **FAST)
         assert result.tau_supp == 1e-3
+
+
+def _record_solves(monkeypatch, reject_first=False):
+    """Wrap decompose's admm_solve; returns the list of its calls.
+
+    Each call is a dict of args, kwargs, result and the number of times
+    the descent check ran. With reject_first, the first check of the run
+    fails without evaluating the energy.
+    """
+    module = importlib.import_module("shrinkseg.decompose")
+    original = module.admm_solve
+    calls = []
+    rejected = []
+
+    def wrapped(*args, **kwargs):
+        call = {"args": args, "kwargs": dict(kwargs), "checks": 0}
+        accept = kwargs["accept"]
+
+        def counted(u, v):
+            call["checks"] += 1
+            if reject_first and not rejected:
+                rejected.append(call)
+                return False
+            return accept(u, v)
+
+        call["result"] = original(*args, **{**kwargs, "accept": counted})
+        calls.append(call)
+        return call["result"]
+
+    monkeypatch.setattr(module, "admm_solve", wrapped)
+    return calls
+
+
+def _stacked_norm(u, v):
+    return float(np.sqrt(np.sum(u * u) + np.sum(v * v)))
+
+
+MODEL = ModelParams(alpha=0.1, beta=100.0)
+
+
+class TestInnerTolerance:
+    def test_passes_resolve_gradients_to_tau(self, monkeypatch):
+        calls = _record_solves(monkeypatch)
+        outer, admm = FAST["outer"], FAST["admm"]
+        result = decompose(small_phantom(), MODEL, **FAST)
+        assert result.converged
+        exact = False  # from the first pass that meets tol_out on
+        for call, row in zip(calls, result.trace):
+            denom = _stacked_norm(call["args"][1], call["args"][2])
+            tol = call["kwargs"]["tol"]
+            if exact:
+                assert tol == admm.tol_in
+            else:
+                assert tol == pytest.approx(max(admm.tol_in, result.tau_supp / denom), rel=1e-12)
+            exact = exact or row.increment <= outer.tol_out * denom
+        assert any(call["kwargs"]["tol"] > admm.tol_in for call in calls)
+        assert calls[-1]["kwargs"]["tol"] == admm.tol_in
+        assert sum(call["checks"] for call in calls) > 0
+
+    def test_default_tau_keeps_every_pass_exact(self, monkeypatch):
+        calls = _record_solves(monkeypatch)
+        admm = FAST["admm"]
+        result = decompose(small_phantom(), MODEL, admm=admm)
+        assert len(calls) == result.outer_iters > 0
+        assert all(call["kwargs"]["tol"] == admm.tol_in for call in calls)
+        assert all(call["checks"] == 0 for call in calls)
+
+    def test_default_tau_matches_the_plain_solve(self, monkeypatch):
+        # tol and accept are inert at tau_supp=None: dropping them
+        # reproduces every output bit
+        f = small_phantom(seed=3)
+        admm = FAST["admm"]
+        traced = decompose(f, MODEL, admm=admm)
+        module = importlib.import_module("shrinkseg.decompose")
+        original = module.admm_solve
+        monkeypatch.setattr(module, "admm_solve", lambda *args, **kwargs: original(*args))
+        plain = decompose(f, MODEL, admm=admm)
+        assert traced.u.tobytes() == plain.u.tobytes()
+        assert traced.v.tobytes() == plain.v.tobytes()
+        assert traced.trace == plain.trace
+
+    def test_failed_descent_check_keeps_sweeping(self, monkeypatch):
+        calls = _record_solves(monkeypatch, reject_first=True)
+        result = decompose(small_phantom(), MODEL, **FAST)
+        first = next(call for call in calls if call["checks"])
+        assert first["checks"] >= 2
+        # the same duals, stopped 10x tighter: the loose stop comes first,
+        # and an uninterrupted solve at the tighter tolerance lands on
+        # the same sweep and the same iterate
+        admm = FAST["admm"]
+        tol = first["kwargs"]["tol"]
+        loose = admm_solve(*first["args"], tol=tol)
+        tight = admm_solve(*first["args"], tol=max(tol / 10, admm.tol_in))
+        assert first["result"].iters > loose.iters
+        assert first["result"].iters == tight.iters
+        assert first["result"].u.tobytes() == tight.u.tobytes()
+        energy = result.trace.column("energy")
+        assert np.all(np.diff(energy) <= 1e-8 * energy[0])
+        assert not result.energy_increased and result.converged
+
+
+class TestCappedSolves:
+    def test_every_capped_solve_counts(self):
+        admm = AdmmParams(r=10.0, tol_in=1e-8, maxit_in=3)
+        result = decompose(small_phantom(), MODEL, FAST["outer"], admm)
+        assert result.outer_iters > 0
+        assert result.capped_solves == result.outer_iters
+        assert np.all(result.trace.column("inner_iters")[:-1] == 3)
+
+    def test_converged_solves_do_not_count(self, run):
+        assert run.capped_solves == 0
