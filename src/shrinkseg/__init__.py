@@ -31,7 +31,7 @@ from .grid import (
 )
 from .imgio import RunConfig
 from .metrics import cv, jaccard
-from .potential import Potential, PowerPotential
+from .potential import PowerPotential
 from .support import SupportSet, detect_support, initial_support, project_to_support
 from .synth import Disk, Phantom, PhantomSpec, Rect, gaussian_field, generate
 from .threshold import SegmentationResult, kmeans_1d, segment
@@ -48,7 +48,6 @@ __all__ = [
     "OuterParams",
     "Phantom",
     "PhantomSpec",
-    "Potential",
     "PowerPotential",
     "Rect",
     "RunConfig",

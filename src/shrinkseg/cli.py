@@ -20,7 +20,7 @@ from . import imgio
 from .decompose import DecompositionResult, decompose
 from .metrics import cv, jaccard
 from .synth import generate
-from .threshold import SegmentationResult, segment
+from .threshold import segment
 
 
 def _read_grid_auto(path) -> np.ndarray:
@@ -51,23 +51,6 @@ def _phase_count(text: str) -> int:
     if k < 2:
         raise argparse.ArgumentTypeError(f"K must be at least 2, got {k}")
     return k
-
-
-_FLAG_KEYS = [
-    ("alpha", "alpha"),
-    ("beta", "beta"),
-    ("gamma", "gamma"),
-    ("rho", "rho"),
-    ("p", "p"),
-    ("r", "r"),
-    ("tol_in", "tol_in"),
-    ("tol_out", "tol_out"),
-    ("maxit_in", "maxit_in"),
-    ("maxit_out", "maxit_out"),
-    ("k", "K"),
-    ("log_domain", "log_domain"),
-    ("seed", "seed"),
-]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, with_k: bool) -> None:
@@ -102,15 +85,9 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_k: bool) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> imgio.RunConfig:
-    payload: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        if not isinstance(loaded, dict):
-            raise ValueError("config must be a JSON object")
-        payload.update(loaded)
-    for attr, key in _FLAG_KEYS:
-        value = getattr(args, attr, None)
+    payload = imgio.read_json_object(args.config, "config") if args.config else {}
+    for key, name in imgio.CONFIG_KEYS.items():
+        value = getattr(args, name, None)
         if value is not None:
             payload[key] = value
     return imgio.config_from_dict(payload)
@@ -127,20 +104,24 @@ def _write_decomposition(
 
 
 def _phase_report(
-    u: np.ndarray, seg: SegmentationResult, truth: np.ndarray
+    labels: np.ndarray, k: int, truth: np.ndarray, u: np.ndarray | None
 ) -> list[dict]:
+    """JS per phase, plus CV of u (null where the truth lacks the phase)."""
     phases = []
-    for phase in range(1, seg.k + 1):
+    for phase in range(1, k + 1):
         truth_mask = truth == phase
         entry: dict = {"phase": phase}
-        entry["js"] = jaccard(seg.labels == phase, truth_mask)
-        entry["cv"] = cv(u, truth_mask) if truth_mask.any() else None
+        entry["js"] = jaccard(labels == phase, truth_mask)
+        if u is not None:
+            entry["cv"] = cv(u, truth_mask) if truth_mask.any() else None
         phases.append(entry)
     return phases
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = imgio.read_phantom_spec(args.spec_json)
+    spec = imgio.phantom_spec_from_dict(
+        imgio.read_json_object(args.spec_json, "phantom spec")
+    )
     phantom = generate(spec)
     prefix = _prepare_prefix(args.out_prefix)
     imgio.write_float_grid(phantom.f, prefix + "f.csv")
@@ -169,6 +150,7 @@ def _base_report(config: imgio.RunConfig, result: DecompositionResult) -> dict:
         "converged": result.converged,
         "outer_iters": result.outer_iters,
         "capped_solves": result.capped_solves,
+        "energy_increased": result.energy_increased,
         "final_energy": result.trace[-1].energy,
         "log_domain": config.log_domain,
     }
@@ -176,9 +158,6 @@ def _base_report(config: imgio.RunConfig, result: DecompositionResult) -> dict:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     config = args.resolved_config
-    if args.print_config:
-        print(json.dumps(imgio.config_to_dict(config), indent=2))
-        return 0
     f = _read_grid_auto(args.input)
     result, u, v = _decompose_pipeline(f, config)
     prefix = _prepare_prefix(args.out_prefix)
@@ -198,9 +177,6 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = args.resolved_config
-    if args.print_config:
-        print(json.dumps(imgio.config_to_dict(config), indent=2))
-        return 0
     f = _read_grid_auto(args.input)
     result, u, v = _decompose_pipeline(f, config)
     seg = segment(u, config.k)
@@ -208,7 +184,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report["k"] = config.k
     if args.truth:
         truth = imgio.read_labels(args.truth)
-        report["phases"] = _phase_report(u, seg, truth)
+        report["phases"] = _phase_report(seg.labels, seg.k, truth, u)
 
     prefix = _prepare_prefix(args.out_prefix)
     imgio.write_image(f, prefix + "f.pgm")
@@ -234,13 +210,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if labels.shape != truth.shape:
         raise ValueError("label shapes disagree")
 
-    report: dict = {"k": k, "phases": []}
-    for phase in range(1, k + 1):
-        entry: dict = {"phase": phase}
-        entry["js"] = jaccard(labels == phase, truth == phase)
-        if u is not None:
-            entry["cv"] = cv(u, truth == phase)
-        report["phases"].append(entry)
+    report = {"k": k, "phases": _phase_report(labels, k, truth, u)}
     imgio.write_report(report, args.report_path)
     return 0
 
@@ -300,6 +270,9 @@ def main(argv=None) -> int:
         except (OSError, ValueError, TypeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        if args.print_config:
+            print(json.dumps(imgio.config_to_dict(args.resolved_config), indent=2))
+            return 0
 
     try:
         return args.func(args)

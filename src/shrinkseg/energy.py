@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Array, as_grid, compute_symbols, grad, grad_norms
-from .potential import Potential, PowerPotential
+from .potential import PowerPotential
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ModelParams:
     alpha: float
     beta: float
     gamma: float = 1e-8
-    potential: Potential = field(default_factory=PowerPotential)
+    potential: PowerPotential = field(default_factory=PowerPotential)
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):

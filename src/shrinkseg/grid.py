@@ -76,10 +76,6 @@ class GradientField:
     dx: Array
     dy: Array
 
-    @property
-    def n(self) -> int:
-        return self.dx.shape[0]
-
 
 def grad(u: Array, out: Array | None = None) -> GradientField:
     """Forward-difference gradient of a grid.
@@ -128,7 +124,6 @@ class OperatorSymbols:
     even) stands for itself and its Hermitian mirror.
     """
 
-    n: int
     dtd: Array
     hth: Array
     weights: Array
@@ -149,4 +144,4 @@ def compute_symbols(n: int) -> OperatorSymbols:
     weights[0] = 1.0
     if n % 2 == 0:
         weights[-1] = 1.0
-    return OperatorSymbols(n=n, dtd=dtd, hth=dtd**2, weights=weights / (n * n))
+    return OperatorSymbols(dtd=dtd, hth=dtd**2, weights=weights / (n * n))

@@ -14,6 +14,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -234,19 +235,20 @@ class RunConfig:
     """Tunable weights plus solver and pipeline settings for one run.
 
     alpha and beta have no defaults on purpose: they are per-image
-    tuning knobs. JSON uses the key "K" for the phase count.
+    tuning knobs. The solver settings default to those of the classes
+    they configure. JSON uses the key "K" for the phase count.
     """
 
     alpha: float
     beta: float
-    gamma: float = 1e-8
-    rho: float = 1e-8
-    p: float = 0.5
-    r: float = 10.0
-    tol_in: float = 1e-4
-    tol_out: float = 1e-4
-    maxit_in: int = 100
-    maxit_out: int = 10
+    gamma: float = ModelParams.gamma
+    rho: float = OuterParams.rho
+    p: float = PowerPotential.p
+    r: float = AdmmParams.r
+    tol_in: float = AdmmParams.tol_in
+    tol_out: float = OuterParams.tol_out
+    maxit_in: int = AdmmParams.maxit_in
+    maxit_out: int = OuterParams.maxit_out
     k: int = 2
     log_domain: bool = False
     seed: int = 0
@@ -268,21 +270,23 @@ class RunConfig:
         return AdmmParams(r=self.r, tol_in=self.tol_in, maxit_in=self.maxit_in)
 
 
-_CONFIG_KEYS = {("K" if f.name == "k" else f.name): f.name for f in fields(RunConfig)}
-_INT_FIELDS = {"maxit_in", "maxit_out", "k", "seed"}
+# JSON key -> RunConfig field; CLI flags store under the field names
+CONFIG_KEYS = {("K" if f.name == "k" else f.name): f.name for f in fields(RunConfig)}
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def config_from_dict(payload: dict) -> RunConfig:
-    unknown = sorted(set(payload) - set(_CONFIG_KEYS))
+    unknown = sorted(set(payload) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     kwargs = {}
     for key, value in payload.items():
-        name = _CONFIG_KEYS[key]
-        if name == "log_domain":
+        name = CONFIG_KEYS[key]
+        kind = _FIELD_TYPES[name]
+        if kind is bool:
             if not isinstance(value, bool):
-                raise ValueError(f"log_domain must be boolean, got {value!r}")
-        elif name in _INT_FIELDS:
+                raise ValueError(f"{key} must be boolean, got {value!r}")
+        elif kind is int:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         else:
@@ -312,16 +316,13 @@ def write_report(payload: dict, path) -> None:
     _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def read_run_config(path) -> RunConfig:
+def read_json_object(path, what: str) -> dict:
+    """Load a JSON file whose top level must be an object."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
-        raise ValueError("config must be a JSON object")
-    return config_from_dict(payload)
-
-
-def write_run_config(config: RunConfig, path) -> None:
-    _atomic_write_text(path, json.dumps(config_to_dict(config), indent=2) + "\n")
+        raise ValueError(f"{what} must be a JSON object")
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +355,6 @@ def phantom_spec_to_dict(spec: PhantomSpec) -> dict:
 
 
 def phantom_spec_from_dict(payload: dict) -> PhantomSpec:
-    if not isinstance(payload, dict):
-        raise ValueError("phantom spec must be a JSON object")
     known = {f.name for f in fields(PhantomSpec)}
     unknown = sorted(set(payload) - known)
     if unknown:
@@ -364,13 +363,3 @@ def phantom_spec_from_dict(payload: dict) -> PhantomSpec:
     kwargs["phase_values"] = tuple(payload.get("phase_values", ()))
     kwargs["shapes"] = tuple(_shape_from_dict(s) for s in payload.get("shapes", []))
     return PhantomSpec(**kwargs)
-
-
-def write_phantom_spec(spec: PhantomSpec, path) -> None:
-    _atomic_write_text(path, json.dumps(phantom_spec_to_dict(spec), indent=2) + "\n")
-
-
-def read_phantom_spec(path) -> PhantomSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return phantom_spec_from_dict(payload)

@@ -6,23 +6,13 @@ unbounded derivative is what drives small gradients exactly to zero
 in the outer loop, so deriv() refuses t <= 0 by contract: the solver
 only ever evaluates it on the active support where magnitudes are
 strictly positive.
-
-Any object with the same value/deriv surface (and the same concavity
-and blow-up behavior) can be substituted for PowerPotential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
-
-
-class Potential(Protocol):
-    def value(self, t): ...
-
-    def deriv(self, t): ...
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -67,6 +69,7 @@ class TestPipeline:
         capped = sum(row.inner_iters == CONFIG["maxit_in"] for row in rows)
         assert report["capped_solves"] == capped
         assert report["log_domain"] is True
+        assert report["energy_increased"] is False
         assert report["k"] == 2
         assert [p["phase"] for p in report["phases"]] == [1, 2]
         assert all(p["js"] >= 0.9 for p in report["phases"])
@@ -103,6 +106,15 @@ class TestPipeline:
         assert report["k"] == 2
         assert all(p["js"] == 1.0 for p in report["phases"])
         assert all("cv" not in p for p in report["phases"])
+
+    def test_metrics_reports_null_cv_for_phase_absent_from_truth(self, workspace):
+        report_path = workspace / "k3.json"
+        assert main(["metrics", str(workspace / "ph_f.csv"),
+                     str(workspace / "ph_truth.csv"), str(report_path), "-K", "3"]) == 0
+        phases = json.loads(report_path.read_text())["phases"]
+        assert [p["phase"] for p in phases] == [1, 2, 3]
+        assert phases[2]["cv"] is None
+        assert all(p["cv"] >= 0.0 for p in phases[:2])
 
     def test_metrics_on_intensities_adds_cv(self, workspace):
         report_path = workspace / "ucv.json"
@@ -210,6 +222,30 @@ class TestPrintConfig:
         assert payload["alpha"] == 0.7  # flag wins over the file
         assert payload["beta"] == 2.0
         assert not list(tmp_path.glob("never*"))
+
+    def test_every_field_is_a_run_flag(self, capsys):
+        """Each RunConfig field is set by its flag and echoed under its JSON key."""
+        argv = ["run", "x.csv", "y", "--print-config"]
+        keys = {name: key for key, name in imgio.CONFIG_KEYS.items()}
+        types = get_type_hints(imgio.RunConfig)
+        want = {}
+        for i, f in enumerate(fields(imgio.RunConfig)):
+            key = keys[f.name]
+            flag = "-K" if key == "K" else "--" + f.name.replace("_", "-")
+            if types[f.name] is bool:
+                argv.append(flag)
+                want[key] = True
+            else:
+                # distinct per field, so a flag stored under the wrong key shows
+                value = i + 2 if types[f.name] is int else (i + 1) / 64
+                argv += [flag, str(value)]
+                want[key] = value
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == want
+        defaults = imgio.config_to_dict(imgio.RunConfig(alpha=1.0, beta=1.0))
+        assert all(payload[key] != defaults[key] for key in want
+                   if key not in ("alpha", "beta"))
 
     def test_seed_flag_round_trips(self, capsys):
         assert main(["decompose", "x.csv", "y", "--alpha", "1", "--beta", "1",

@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinkseg import imgio
+from shrinkseg import AdmmParams, ModelParams, OuterParams, PowerPotential, imgio
 from shrinkseg.decompose import IterationTrace, TraceRow
 from shrinkseg.synth import Disk, PhantomSpec, Rect
 
@@ -182,8 +183,26 @@ class TestRunConfig:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         config = imgio.RunConfig(alpha=0.5, beta=1000.0, tol_in=1e-8, maxit_in=500)
-        imgio.write_run_config(config, path)
-        assert imgio.read_run_config(path) == config
+        path.write_text(json.dumps(imgio.config_to_dict(config)))
+        assert imgio.config_from_dict(imgio.read_json_object(path, "config")) == config
+
+    def test_defaults_agree_with_solver_classes(self):
+        config = imgio.RunConfig(alpha=0.5, beta=2.0)
+        shared = set()
+        for params in (AdmmParams(), OuterParams(), ModelParams(alpha=0.5, beta=2.0),
+                       PowerPotential()):
+            for f in fields(params):
+                if f.name in imgio.CONFIG_KEYS.values():
+                    shared.add(f.name)
+                    assert getattr(config, f.name) == getattr(params, f.name), f.name
+        assert shared == {"alpha", "beta", "gamma", "p", "rho", "r",
+                          "tol_in", "tol_out", "maxit_in", "maxit_out"}
+
+    def test_non_object_json_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            imgio.read_json_object(path, "config")
 
     def test_param_factories_consistent(self):
         config = imgio.RunConfig(alpha=0.5, beta=2.0, gamma=0.1, p=0.4,
@@ -214,8 +233,9 @@ class TestPhantomSpecIO:
             seed=9,
         )
         path = tmp_path / "spec.json"
-        imgio.write_phantom_spec(spec, path)
-        assert imgio.read_phantom_spec(path) == spec
+        path.write_text(json.dumps(imgio.phantom_spec_to_dict(spec)))
+        payload = imgio.read_json_object(path, "phantom spec")
+        assert imgio.phantom_spec_from_dict(payload) == spec
 
     def test_dict_round_trip(self):
         spec = PhantomSpec(n=8, phase_values=(0.3, 0.8),
