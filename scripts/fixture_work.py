@@ -4,10 +4,10 @@ Runs every phantom of tests/fixtures/acceptance.json (the n=64 suite and
 the n=128 quality runs) through the acceptance pipeline: log of f / max f,
 decompose at the fixture's solver settings, then segment into K phases.
 Prints one line per phantom (inner sweeps, outer passes, capped inner
-solves, final support size, a digest of the labels and the final energy)
-and the totals. Every number is a count or a float the solver computes,
-so two runs of one tree print the same table, and two trees can be
-compared line by line.
+solves, final support size, digests of the labels and of the u and v
+bytes, and the final energy) and the totals. Every number is a count or
+a float the solver computes, so two runs of one tree print the same
+table, and two trees can be compared line by line.
 
     PYTHONPATH=src python scripts/fixture_work.py [--only NAME]
         [--seed-offset N]
@@ -31,6 +31,10 @@ FIXTURE = os.path.join(
 )
 
 
+def digest(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()[:12]
+
+
 def run_entry(entry, solver, seed_offset):
     spec = dict(entry["spec"], seed=(entry["spec"]["seed"] + seed_offset) % 2**63)
     phantom = generate(phantom_spec_from_dict(spec))
@@ -49,7 +53,9 @@ def run_entry(entry, solver, seed_offset):
         "outer": result.outer_iters,
         "capped": result.capped_solves,
         "support": result.trace[-1].support_size,
-        "labels": hashlib.sha256(labels.tobytes()).hexdigest()[:12],
+        "labels": digest(labels),
+        "u": digest(result.u),
+        "v": digest(result.v),
         "energy": result.trace[-1].energy,
     }
 
@@ -69,7 +75,7 @@ def main(argv=None):
             parser.error(f"no fixture phantom named {args.only!r}")
 
     print(f"{'phantom':<28} {'sweeps':>7} {'outer':>5} {'capped':>6} "
-          f"{'support':>7}  {'labels':<12}  energy")
+          f"{'support':>7}  {'labels':<12}  {'u':<12}  {'v':<12}  energy")
     totals = dict(sweeps=0, outer=0, capped=0)
     for entry in entries:
         row = run_entry(entry, fixture["solver"], args.seed_offset)
@@ -77,7 +83,7 @@ def main(argv=None):
             totals[key] += row[key]
         print(f"{entry['name']:<28} {row['sweeps']:>7} {row['outer']:>5} "
               f"{row['capped']:>6} {row['support']:>7}  {row['labels']:<12}  "
-              f"{row['energy']!r}")
+              f"{row['u']:<12}  {row['v']:<12}  {row['energy']!r}")
     print(f"{'total':<28} {totals['sweeps']:>7} {totals['outer']:>5} {totals['capped']:>6}")
     return 0
 

@@ -21,14 +21,7 @@ from .decompose import (
     decompose,
 )
 from .energy import ModelParams, decomposition_energy
-from .grid import (
-    GradientField,
-    OperatorSymbols,
-    compute_symbols,
-    grad,
-    grad_adjoint,
-    grad_norms,
-)
+from .grid import OperatorSymbols, compute_symbols, grad, grad_adjoint, grad_norms
 from .imgio import RunConfig
 from .metrics import cv, jaccard
 from .potential import PowerPotential
@@ -40,7 +33,6 @@ __all__ = [
     "AdmmParams",
     "DecompositionResult",
     "Disk",
-    "GradientField",
     "InnerResult",
     "IterationTrace",
     "ModelParams",

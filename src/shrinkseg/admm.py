@@ -22,15 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .energy import ModelParams
-from .grid import (
-    Array,
-    GradientField,
-    as_grid,
-    compute_symbols,
-    grad,
-    grad_adjoint,
-    grad_norms,
-)
+from .grid import Array, as_grid, compute_symbols, grad, grad_adjoint
 from .support import SupportSet
 
 _TINY = np.finfo(np.float64).tiny
@@ -61,17 +53,11 @@ class AdmmParams:
 
 @dataclass(frozen=True)
 class InnerResult:
-    """Solution pair plus the diagnostics needed by the outer loop.
-
-    primal_residual is max |Du - q| over pixels at the last sweep, with
-    q the shrunk gradient auxiliary.
-    """
+    """Solution pair plus the number of sweeps that produced it."""
 
     u: Array
     v: Array
     iters: int
-    constraint_sup: float
-    primal_residual: float
 
 
 def _shrink_thresholds(weights: Array, active: Array, alpha: float, r: float) -> Array:
@@ -204,9 +190,9 @@ def solve_uv(
     leaving a 2x2 system per frequency. Both right-hand sides are real,
     so only the rfft2 half spectrum is formed: P = rfft2(D^T w) and
     u = irfft2(u0_hat - u_pull P), while v = irfft2(system.v_hat(P)).
-    work, when given, is a (2, n, n) scratch array for D^T w.
+    work, when given, is a C-contiguous (2, n, n) scratch array for D^T w.
     """
-    p_hat = _rfft2(grad_adjoint(GradientField(pull[0], pull[1]), work))
+    p_hat = _rfft2(grad_adjoint(pull, work))
     return _irfft2(system.u0_hat - system.u_pull * p_hat, system.n), p_hat
 
 
@@ -285,12 +271,6 @@ def admm_solve(
         offset = scaled + system.norm_offset
         size = system.norm_floor + np.vdot(offset, offset).real
 
-    # du is grad(u) and q the last shrink: the loop ends on a full sweep
-    gap = np.subtract(du, q, out=work)
-    primal_residual = math.sqrt(float((gap[0] * gap[0] + gap[1] * gap[1]).max()))
-    norms = grad_norms(GradientField(du[0], du[1]))
-    frozen = ~support.active
-    constraint_sup = float(norms[frozen].max()) if frozen.any() else 0.0
     if v is None:
         v = _irfft2(system.v_hat(p_hat), n)
-    return InnerResult(u, v, iters, constraint_sup, primal_residual)
+    return InnerResult(u, v, iters)

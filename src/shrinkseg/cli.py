@@ -76,7 +76,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_k: bool) -> None:
         default=None,
         help="decompose the log of the clamped input, exponentiate outputs",
     )
-    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--print-config",
         action="store_true",
@@ -106,12 +105,15 @@ def _write_decomposition(
 def _phase_report(
     labels: np.ndarray, k: int, truth: np.ndarray, u: np.ndarray | None
 ) -> list[dict]:
-    """JS per phase, plus CV of u (null where the truth lacks the phase)."""
+    """JS per phase, plus CV of u (null where the truth lacks the phase).
+
+    JS is null for a phase that neither the labels nor the truth hold.
+    """
     phases = []
     for phase in range(1, k + 1):
-        truth_mask = truth == phase
+        mask, truth_mask = labels == phase, truth == phase
         entry: dict = {"phase": phase}
-        entry["js"] = jaccard(labels == phase, truth_mask)
+        entry["js"] = jaccard(mask, truth_mask) if (mask | truth_mask).any() else None
         if u is not None:
             entry["cv"] = cv(u, truth_mask) if truth_mask.any() else None
         phases.append(entry)

@@ -4,10 +4,12 @@ the model's two normal operators.
 Images are n x n float64 arrays. The x direction runs along columns
 (axis 1) and y along rows (axis 0); every difference wraps around the
 boundary, so constants are in the kernel of every operator here. The
-gradient D is applied in pixels. The second-difference Hessian H is
-used only through the symbol of H^T H: both normal operators are
-diagonalized exactly by the 2D DFT, and their symbols are kept on the
-rfft2 half spectrum together with its Parseval column weights.
+gradient D is applied in pixels, and a gradient field is one stacked
+(2, n, n) array with the x differences in [0] and the y differences in
+[1]. The second-difference Hessian H is used only through the symbol
+of H^T H: both normal operators are diagonalized exactly by the 2D DFT,
+and their symbols are kept on the rfft2 half spectrum together with its
+Parseval column weights.
 """
 
 from __future__ import annotations
@@ -42,70 +44,64 @@ _X_SLICES = {
 def _x_difference(u: Array, out: Array, step: int) -> Array:
     """out[i, j] = u[i, j+step] - u[i, j], periodic in j, for step = +-1.
 
-    When out is C-contiguous the interior is one subtraction along the
+    out must be C-contiguous. The interior is one subtraction along the
     flattened rows. That subtraction crosses a row boundary only in the
     wrap column, which the column subtraction after it overwrites.
     """
     into, ahead, wrap, wrap_from = _X_SLICES[step]
-    if out.flags.c_contiguous:
-        flat = u.reshape(-1)
-        np.subtract(flat[ahead], flat[into], out=out.reshape(-1)[into])
-    else:
-        np.subtract(u[:, ahead], u[:, into], out=out[:, into])
+    flat = u.reshape(-1)
+    np.subtract(flat[ahead], flat[into], out=out.reshape(-1)[into])
     np.subtract(u[:, wrap_from], u[:, wrap], out=out[:, wrap])
     return out
 
 
-def forward_x(u: Array, out: Array | None = None) -> Array:
-    """u[i, j+1] - u[i, j], periodic in j."""
-    return _x_difference(u, np.empty_like(u) if out is None else out, 1)
+def _stack(out: Array | None, like: Array) -> Array:
+    """out, or a new (2, n, n) array shaped and typed after the grid like.
 
-
-def forward_y(u: Array, out: Array | None = None) -> Array:
-    """u[i+1, j] - u[i, j], periodic in i."""
-    out = np.empty_like(u) if out is None else out
-    np.subtract(u[1:], u[:-1], out=out[:-1])
-    np.subtract(u[:1], u[-1:], out=out[-1:])
+    A given out must be C-contiguous: the row-flattened x difference
+    would write into a copy of any other layout.
+    """
+    if out is None:
+        return np.empty((2, *like.shape), dtype=like.dtype)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous (2, n, n) array")
     return out
 
 
-@dataclass(frozen=True)
-class GradientField:
-    """Per-pixel 2-vector (forward-x difference, forward-y difference)."""
+def grad(u: Array, out: Array | None = None) -> Array:
+    """Forward-difference gradient of a grid as one (2, n, n) array.
 
-    dx: Array
-    dy: Array
-
-
-def grad(u: Array, out: Array | None = None) -> GradientField:
-    """Forward-difference gradient of a grid.
-
-    Both channels are views of one (2, n, n) array, written into out
-    when it is given.
+    g[0] = u[i, j+1] - u[i, j] (periodic in j) and
+    g[1] = u[i+1, j] - u[i, j] (periodic in i); written into out, a
+    C-contiguous (2, n, n) array, when it is given.
     """
-    out = np.empty((2, *u.shape), dtype=u.dtype) if out is None else out
-    return GradientField(dx=forward_x(u, out[0]), dy=forward_y(u, out[1]))
+    g = _stack(out, u)
+    _x_difference(u, g[0], 1)
+    np.subtract(u[1:], u[:-1], out=g[1, :-1])
+    np.subtract(u[:1], u[-1:], out=g[1, -1:])
+    return g
 
 
-def grad_adjoint(p: GradientField, out: Array | None = None) -> Array:
-    """Adjoint of grad: negative backward divergence of a 2-vector field.
+def grad_adjoint(p: Array, out: Array | None = None) -> Array:
+    """Adjoint of grad: negative backward divergence of a (2, n, n) field.
 
     Each negated backward difference is one subtraction, u[j-1] - u[j].
     In IEEE arithmetic -(a - b) is b - a and -X - Y is (-X) + (-Y), so
-    this equals -(dx[i, j] - dx[i, j-1]) - (dy[i, j] - dy[i-1, j]) value
-    for value (a zero may come out +0 for -0). out, when given, is a
-    (2, n, n) scratch array, and the result is written into out[0].
+    this equals -(p[0, i, j] - p[0, i, j-1]) - (p[1, i, j] - p[1, i-1, j])
+    value for value (a zero may come out +0 for -0). out, when given, is
+    a C-contiguous (2, n, n) scratch array, and the result is written
+    into out[0].
     """
-    out = np.empty((2, *p.dx.shape)) if out is None else out
-    _x_difference(p.dx, out[0], -1)
-    np.subtract(p.dy[:-1], p.dy[1:], out=out[1, 1:])
-    np.subtract(p.dy[-1:], p.dy[:1], out=out[1, :1])
+    out = _stack(out, p[0])
+    _x_difference(p[0], out[0], -1)
+    np.subtract(p[1, :-1], p[1, 1:], out=out[1, 1:])
+    np.subtract(p[1, -1:], p[1, :1], out=out[1, :1])
     return np.add(out[0], out[1], out=out[0])
 
 
-def grad_norms(p: GradientField) -> Array:
-    """Per-pixel Euclidean norm sqrt(dx**2 + dy**2)."""
-    return np.hypot(p.dx, p.dy)
+def grad_norms(g: Array) -> Array:
+    """Per-pixel Euclidean norm of a (2, n, n) field."""
+    return np.hypot(g[0], g[1])
 
 
 @dataclass(frozen=True)

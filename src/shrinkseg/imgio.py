@@ -251,7 +251,6 @@ class RunConfig:
     maxit_out: int = OuterParams.maxit_out
     k: int = 2
     log_domain: bool = False
-    seed: int = 0
 
     def model_params(self) -> ModelParams:
         return ModelParams(

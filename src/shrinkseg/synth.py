@@ -106,9 +106,6 @@ class Phantom:
     clean_u: Array
     bias_v: Array
 
-    def phase_mask(self, phase: int) -> Array:
-        return self.truth_labels == phase
-
 
 def gaussian_field(n: int, sigma: float, seed: int) -> Array:
     """n x n i.i.d. Gaussian(0, sigma^2) draws, reproducible by seed.

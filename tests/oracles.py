@@ -17,7 +17,7 @@ import numpy as np
 
 from shrinkseg.admm import _shrink_field, _shrink_thresholds
 from shrinkseg.energy import decomposition_energy
-from shrinkseg.grid import GradientField, compute_symbols, grad, grad_norms
+from shrinkseg.grid import compute_symbols, grad, grad_norms
 
 
 # ---------------------------------------------------------------------------
@@ -29,12 +29,12 @@ def shift_matrix(n):
     return np.roll(np.eye(n), -1, axis=0)
 
 
-def dense_forward_x(n):
+def dense_dx(n):
     d = shift_matrix(n) - np.eye(n)
     return np.kron(np.eye(n), d)
 
 
-def dense_forward_y(n):
+def dense_dy(n):
     d = shift_matrix(n) - np.eye(n)
     return np.kron(d, np.eye(n))
 
@@ -60,20 +60,21 @@ def rolled_backward(u, axis):
 
 
 def rolled_grad_adjoint(p):
-    """grad_adjoint written with rolled_backward (x runs along axis 1)."""
-    return -rolled_backward(p.dx, 1) - rolled_backward(p.dy, 0)
+    """grad_adjoint of the (2, n, n) field p written with rolled_backward
+    (x runs along axis 1)."""
+    return -rolled_backward(p[0], 1) - rolled_backward(p[1], 0)
 
 
 def dense_hessian_channels(n):
     """Matrices for the four second-difference channels, in the order
     xx, xy, yx, yy."""
-    fx, fy = dense_forward_x(n), dense_forward_y(n)
+    fx, fy = dense_dx(n), dense_dy(n)
     bx, by = dense_backward_x(n), dense_backward_y(n)
     return (bx @ fx, fx @ fy, fy @ fx, by @ fy)
 
 
 def dense_dtd(n):
-    fx, fy = dense_forward_x(n), dense_forward_y(n)
+    fx, fy = dense_dx(n), dense_dy(n)
     return fx.T @ fx + fy.T @ fy
 
 
@@ -82,7 +83,10 @@ def dense_hth(n):
 
 
 def dense_solve_uv(f, u_k, qbar, mu, params, rho, r):
-    """Assemble the full coupled system and solve it directly."""
+    """Assemble the full coupled system and solve it directly.
+
+    qbar and mu are (2, n, n) fields: the gradient auxiliary and the
+    unscaled dual."""
     n = f.shape[0]
     nn = n * n
     eye = np.eye(nn)
@@ -92,9 +96,9 @@ def dense_solve_uv(f, u_k, qbar, mu, params, rho, r):
     bottom = np.hstack([eye, a22])
     system = np.vstack([top, bottom])
 
-    fx, fy = dense_forward_x(n), dense_forward_y(n)
-    p1 = (mu.dx - r * qbar.dx).ravel()
-    p2 = (mu.dy - r * qbar.dy).ravel()
+    fx, fy = dense_dx(n), dense_dy(n)
+    pull = mu - r * qbar
+    p1, p2 = pull[0].ravel(), pull[1].ravel()
     rhs1 = f.ravel() + rho * u_k.ravel() - (fx.T @ p1 + fy.T @ p2)
     rhs2 = f.ravel()
     sol = np.linalg.solve(system, np.concatenate([rhs1, rhs2]))
@@ -183,7 +187,7 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
     for iters in range(1, admm.maxit_in + 1):
         q = _shrink_field(mu / r + du, thresholds)
         pull = mu - r * q
-        p_hat = np.fft.rfft2(rolled_grad_adjoint(GradientField(pull[0], pull[1])))
+        p_hat = np.fft.rfft2(rolled_grad_adjoint(pull))
         u_new = np.fft.irfft2(u0_hat - b_det * p_hat, s=(n, n))
         v_hat_new = v0_hat + inv_det * p_hat
         grad(u_new, out=du)
@@ -321,7 +325,7 @@ def projected_subgradient_gk(
     basis = tie_components(~support.active)
     counts = basis.sum(axis=0)
 
-    fx, fy = dense_forward_x(n), dense_forward_y(n)
+    fx, fy = dense_dx(n), dense_dy(n)
     dx_basis = fx @ basis
     dy_basis = fy @ basis
     hess_channels = dense_hessian_channels(n)

@@ -16,7 +16,7 @@ from shrinkseg import (
     spectral_system,
 )
 from shrinkseg.admm import _shrink_field, _shrink_thresholds
-from shrinkseg.grid import GradientField, grad, grad_norms
+from shrinkseg.grid import grad, grad_norms
 from shrinkseg.support import SupportSet
 
 
@@ -93,11 +93,11 @@ class TestSolveUV:
             for _ in range(5):
                 f = rng.standard_normal((n, n))
                 u_k = rng.standard_normal((n, n))
-                qbar = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-                mu = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+                qbar = rng.standard_normal((2, n, n))
+                mu = rng.standard_normal((2, n, n))
                 params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
                 system = spectral_system(f, u_k, params, 0.3, 4.0)
-                pull = np.stack([mu.dx / 4.0 - qbar.dx, mu.dy / 4.0 - qbar.dy])
+                pull = mu / 4.0 - qbar
                 u, p_hat = solve_uv(system, pull)
                 v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
                 du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, 0.3, 4.0)
@@ -107,10 +107,9 @@ class TestSolveUV:
     def test_constant_input_yields_constant_split(self):
         n = 4
         f = np.full((n, n), 0.8)
-        zero = GradientField(np.zeros((n, n)), np.zeros((n, n)))
         params = ModelParams(alpha=0.1, beta=10.0, gamma=0.5)
         system = spectral_system(f, f, params, 0.25, 1.0)
-        u, p_hat = solve_uv(system, np.stack([zero.dx, zero.dy]))
+        u, p_hat = solve_uv(system, np.zeros((2, n, n)))
         v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
         assert np.ptp(u) < 1e-12 and np.ptp(v) < 1e-12
         # stationarity of the constant mode: (1+rho)u + v = (1+rho)f,
@@ -120,7 +119,7 @@ class TestSolveUV:
 
     def test_any_scratch_layout(self):
         # D^T w lands in the scratch array; a layout it cannot flatten
-        # in place must still give the same result
+        # in place is rejected, never written wrongly
         n = 6
         rng = np.random.default_rng(2)
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
@@ -128,13 +127,14 @@ class TestSolveUV:
         system = spectral_system(f, u_k, params, 0.3, 4.0)
         pull = rng.standard_normal((2, n, n))
         u, p_hat = solve_uv(system, pull)
+        got_u, got_p = solve_uv(system, pull, np.full((2, n, n), np.nan))
+        assert got_u.tobytes() == u.tobytes() and got_p.tobytes() == p_hat.tobytes()
         for work in (
-            np.full((2, n, n), np.nan),
             np.full((2, n, n), np.nan, order="F"),
             np.full((n, n, 2), np.nan).transpose(2, 0, 1),
         ):
-            got_u, got_p = solve_uv(system, pull, work)
-            assert got_u.tobytes() == u.tobytes() and got_p.tobytes() == p_hat.tobytes()
+            with pytest.raises(ValueError, match="C-contiguous"):
+                solve_uv(system, pull, work)
 
 
 class TestHalfSpectrumNorm:
@@ -202,8 +202,7 @@ class TestAdmmSolve:
             AdmmParams(r=5.0, tol_in=1e-10, maxit_in=5000),
         )
         assert 1 <= result.iters < 5000
-        assert result.constraint_sup < 1e-6
-        assert result.primal_residual < 1e-6
+        assert grad_norms(grad(result.u))[~support.active].max() < 1e-6
 
     @pytest.mark.parametrize("tol_in, maxit_in", [(1e-10, 5000), (0.0, 3)])
     def test_returned_pair_satisfies_v_row(self, tol_in, maxit_in):
@@ -253,7 +252,7 @@ class TestAdmmSolve:
             f, f, np.zeros_like(f), weights, support, params, 0.3,
             AdmmParams(r=5.0, tol_in=1e-12, maxit_in=20000),
         )
-        assert result.constraint_sup < 1e-8
+        assert grad_norms(grad(result.u))[~support.active].max() < 1e-8
         assert np.ptp(result.u) < 1e-6
 
     @pytest.mark.parametrize("n", [5, 6, 8, 16])

@@ -183,6 +183,15 @@ class TestExitCodes:
         assert err.startswith("error:") and "truth file" in err and "-K" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_metrics_null_js_for_phase_in_neither_label_map(self, tmp_path):
+        imgio.write_labels(np.array([[1, 1], [2, 2]]), tmp_path / "a.csv")
+        imgio.write_labels(np.array([[1, 2], [1, 2]]), tmp_path / "b.csv")
+        code = main(["metrics", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                     str(tmp_path / "r.json"), "-K", "3"])
+        assert code == 0
+        phases = json.loads((tmp_path / "r.json").read_text())["phases"]
+        assert [p["js"] for p in phases] == [1 / 3, 1 / 3, None]
+
     def test_metrics_single_phase_truth_with_label_input_succeeds(self, tmp_path):
         imgio.write_labels(np.ones((2, 2), dtype=int), tmp_path / "t.csv")
         code = main(["metrics", str(tmp_path / "t.csv"), str(tmp_path / "t.csv"),
@@ -247,10 +256,12 @@ class TestPrintConfig:
         assert all(payload[key] != defaults[key] for key in want
                    if key not in ("alpha", "beta"))
 
-    def test_seed_flag_round_trips(self, capsys):
-        assert main(["decompose", "x.csv", "y", "--alpha", "1", "--beta", "1",
-                     "--seed", "42", "--print-config"]) == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 42
+    def test_seed_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.0, "beta": 1.0, "seed": 42}))
+        code = main(["decompose", "x.csv", "y", "--config", str(cfg), "--print-config"])
+        assert code == 2
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
 
 
 def test_module_entrypoint_help_exits_zero():

@@ -4,20 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shrinkseg.grid import (
-    GradientField,
-    as_grid,
-    compute_symbols,
-    forward_x,
-    forward_y,
-    grad,
-    grad_adjoint,
-    grad_norms,
-)
+from shrinkseg.grid import as_grid, compute_symbols, grad, grad_adjoint, grad_norms
 
 
 def random_grid(rng, n):
     return rng.standard_normal((n, n))
+
+
+# (2, n, n) arrays of NaN that are not C-contiguous
+NON_C_LAYOUTS = {
+    "fortran": lambda n: np.full((2, n, n), np.nan, order="F"),
+    "strided": lambda n: np.full((2, n, 2 * n), np.nan)[:, :, ::2],
+    "transposed": lambda n: np.full((n, n, 2), np.nan).transpose(2, 0, 1),
+}
 
 
 class TestAsGrid:
@@ -35,18 +34,18 @@ class TestAsGrid:
 
 
 class TestDifferences:
-    def test_forward_x_wraps(self):
+    def test_x_difference_wraps(self):
         u = np.array([[0.0, 1.0, 3.0]] * 3)
-        np.testing.assert_allclose(forward_x(u)[0], [1.0, 2.0, -3.0])
+        np.testing.assert_allclose(grad(u)[0, 0], [1.0, 2.0, -3.0])
 
-    def test_forward_y_is_transpose_of_forward_x(self):
+    def test_y_difference_is_transposed_x_difference(self):
         rng = np.random.default_rng(0)
         u = random_grid(rng, 5)
-        np.testing.assert_allclose(forward_y(u), forward_x(u.T).T)
+        np.testing.assert_allclose(grad(u)[1], grad(u.T)[0].T)
 
     def test_constants_in_kernel(self):
         c = np.full((4, 4), 3.7)
-        assert np.all(forward_x(c) == 0) and np.all(forward_y(c) == 0)
+        assert np.all(grad(c) == 0)
 
     def test_shift_invariance(self):
         # periodic stencils commute with cyclic shifts
@@ -54,7 +53,7 @@ class TestDifferences:
         u = random_grid(rng, 7)
         rolled = np.roll(u, (2, 3), axis=(0, 1))
         np.testing.assert_allclose(
-            grad(rolled).dx, np.roll(grad(u).dx, (2, 3), axis=(0, 1))
+            grad(rolled)[0], np.roll(grad(u)[0], (2, 3), axis=(0, 1))
         )
 
 
@@ -62,29 +61,20 @@ class TestRollFreeDifferences:
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_bitwise_equal_to_rolled_references(self, n):
         u = random_grid(np.random.default_rng(10 + n), n)
-        pairs = [
-            (forward_x(u), oracles.rolled_forward(u, 1)),
-            (forward_y(u), oracles.rolled_forward(u, 0)),
-        ]
-        for got, want in pairs:
-            assert got.tobytes() == want.tobytes()
         g = grad(u)
-        assert g.dx.tobytes() == pairs[0][1].tobytes()
-        assert g.dy.tobytes() == pairs[1][1].tobytes()
+        assert g.shape == (2, n, n)
+        assert g[0].tobytes() == oracles.rolled_forward(u, 1).tobytes()
+        assert g[1].tobytes() == oracles.rolled_forward(u, 0).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_grad_adjoint_bitwise_unchanged(self, n):
-        rng = np.random.default_rng(20 + n)
-        p = GradientField(random_grid(rng, n), random_grid(rng, n))
+        p = np.random.default_rng(20 + n).standard_normal((2, n, n))
         assert grad_adjoint(p).tobytes() == oracles.rolled_grad_adjoint(p).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_grad_adjoint_into_out_bitwise(self, n, order):
-        # a Fortran-order buffer cannot take the flattened-row subtraction
-        rng = np.random.default_rng(40 + n)
-        p = GradientField(random_grid(rng, n), random_grid(rng, n))
-        out = np.full((2, n, n), np.nan, order=order)
+    def test_grad_adjoint_into_out_bitwise(self, n):
+        p = np.random.default_rng(40 + n).standard_normal((2, n, n))
+        out = np.full((2, n, n), np.nan)
         got = grad_adjoint(p, out=out)
         assert np.shares_memory(got, out)
         assert got.tobytes() == oracles.rolled_grad_adjoint(p).tobytes()
@@ -92,23 +82,25 @@ class TestRollFreeDifferences:
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_grad_adjoint_equal_with_tied_neighbours(self, n):
         # equal neighbours give zero differences, whose sign may differ
-        w = np.random.default_rng(50 + n).integers(-1, 2, (2, n, n)).astype(np.float64)
-        p = GradientField(w[0], w[1])
+        p = np.random.default_rng(50 + n).integers(-1, 2, (2, n, n)).astype(np.float64)
         np.testing.assert_array_equal(grad_adjoint(p), oracles.rolled_grad_adjoint(p))
 
     @pytest.mark.parametrize("n", [2, 3, 7])
-    def test_forward_x_into_strided_out(self, n):
-        u = random_grid(np.random.default_rng(60 + n), n)
-        for out in (np.full((n, n), np.nan, order="F"), np.full((n, 2 * n), np.nan)[:, ::2]):
-            got = forward_x(u, out)
-            assert got is out
-            assert np.ascontiguousarray(got).tobytes() == oracles.rolled_forward(u, 1).tobytes()
+    @pytest.mark.parametrize("layout", sorted(NON_C_LAYOUTS))
+    def test_out_must_be_c_contiguous(self, n, layout):
+        # the x difference subtracts along flattened rows, which any
+        # other layout would take into a copy and lose
+        x = np.random.default_rng(60 + n).standard_normal((2, n, n))
+        for call, arg in ((grad, x[0]), (grad_adjoint, x)):
+            out = NON_C_LAYOUTS[layout](n)
+            with pytest.raises(ValueError, match="C-contiguous"):
+                call(arg, out)
+            assert np.isnan(out).all()
 
     def test_grad_writes_into_out(self):
         u = random_grid(np.random.default_rng(30), 5)
         out = np.full((2, 5, 5), np.nan)
-        g = grad(u, out=out)
-        assert np.shares_memory(g.dx, out) and np.shares_memory(g.dy, out)
+        assert grad(u, out=out) is out
         assert out[0].tobytes() == oracles.rolled_forward(u, 1).tobytes()
         assert out[1].tobytes() == oracles.rolled_forward(u, 0).tobytes()
 
@@ -119,8 +111,9 @@ class TestDenseEquivalence:
         rng = np.random.default_rng(n)
         u = random_grid(rng, n)
         flat = u.ravel()
-        np.testing.assert_allclose(oracles.dense_forward_x(n) @ flat, forward_x(u).ravel())
-        np.testing.assert_allclose(oracles.dense_forward_y(n) @ flat, forward_y(u).ravel())
+        g = grad(u)
+        np.testing.assert_allclose(oracles.dense_dx(n) @ flat, g[0].ravel())
+        np.testing.assert_allclose(oracles.dense_dy(n) @ flat, g[1].ravel())
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,9 +121,8 @@ class TestDenseEquivalence:
 def test_gradient_adjoint_identity(n, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((n, n))
-    p = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-    du = grad(u)
-    lhs = np.sum(du.dx * p.dx + du.dy * p.dy)
+    p = rng.standard_normal((2, n, n))
+    lhs = np.sum(grad(u) * p)
     rhs = np.sum(u * grad_adjoint(p))
     assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
@@ -139,7 +131,7 @@ def test_grad_norms_is_euclidean():
     rng = np.random.default_rng(3)
     u = random_grid(rng, 5)
     g = grad(u)
-    np.testing.assert_allclose(grad_norms(g), np.sqrt(g.dx**2 + g.dy**2))
+    np.testing.assert_allclose(grad_norms(g), np.sqrt(g[0] ** 2 + g[1] ** 2))
 
 
 class TestSymbols:

@@ -149,11 +149,6 @@ class TestGenerate:
         b = generate(spec)
         assert a.f.tobytes() == b.f.tobytes()
 
-    def test_phase_mask(self):
-        phantom = generate(base_spec())
-        mask = phantom.phase_mask(2)
-        np.testing.assert_array_equal(mask, phantom.truth_labels == 2)
-
 
 class TestSpecValidation:
     @pytest.mark.parametrize(
