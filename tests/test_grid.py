@@ -34,11 +34,11 @@ class TestAsGrid:
 
 
 class TestDifferences:
-    def test_x_difference_wraps(self):
+    def test_forward_x_wraps(self):
         u = np.array([[0.0, 1.0, 3.0]] * 3)
         np.testing.assert_allclose(grad(u)[0, 0], [1.0, 2.0, -3.0])
 
-    def test_y_difference_is_transposed_x_difference(self):
+    def test_forward_y_is_transpose_of_forward_x(self):
         rng = np.random.default_rng(0)
         u = random_grid(rng, 5)
         np.testing.assert_allclose(grad(u)[1], grad(u.T)[0].T)
@@ -72,8 +72,11 @@ class TestRollFreeDifferences:
         assert grad_adjoint(p).tobytes() == oracles.rolled_grad_adjoint(p).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
-    def test_grad_adjoint_into_out_bitwise(self, n):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_grad_adjoint_into_out_bitwise(self, n, order):
+        # out must be C-contiguous; the field itself may have any layout
         p = np.random.default_rng(40 + n).standard_normal((2, n, n))
+        p = np.asarray(p, order=order)
         out = np.full((2, n, n), np.nan)
         got = grad_adjoint(p, out=out)
         assert np.shares_memory(got, out)
