@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -207,7 +206,6 @@ def admm_solve(
     admm: AdmmParams,
     *,
     tol: float | None = None,
-    accept: Callable[[Array, Array], bool] | None = None,
 ) -> InnerResult:
     """Run the splitting iteration from (u_k, v_k) with zero duals.
 
@@ -215,13 +213,8 @@ def admm_solve(
     set; frozen pixels get a hard zero in the auxiliary variable, so
     their gradient is driven to zero by the penalty. Stops when the
     stacked (u, v) update is at most tol times the previous iterate's
-    norm, or after admm.maxit_in sweeps.
-
-    tol defaults to admm.tol_in, which is also its floor. Above the
-    floor, a sweep that meets tol is a candidate: the solve stops there
-    only if accept(u, v) is True (or accept is None), and otherwise
-    keeps sweeping, with the same duals, at a tolerance ten times
-    tighter, down to admm.tol_in, where no check is made.
+    norm, or after admm.maxit_in sweeps. tol defaults to admm.tol_in,
+    which is also its floor.
     """
     f = as_grid(f, "f")
     u_k = as_grid(u_k, "u_k")
@@ -241,7 +234,6 @@ def admm_solve(
     prev = None  # step_weight * P of the previous sweep
     iters = 0
     tol = admm.tol_in if tol is None else max(tol, admm.tol_in)
-    v = None  # the v of an accepted candidate, which is returned as is
 
     for iters in range(1, admm.maxit_in + 1):
         _shrink_field(np.add(du, lam, out=q), thresholds)
@@ -260,17 +252,9 @@ def admm_solve(
             step = scaled - prev
             change = np.vdot(step, step).real
         if math.sqrt(change) <= tol * math.sqrt(size):
-            if tol <= admm.tol_in or accept is None:
-                break
-            v = _irfft2(system.v_hat(p_hat), n)
-            if accept(u, v):
-                break
-            v = None
-            tol = max(tol / 10, admm.tol_in)
+            break
         prev = scaled
         offset = scaled + system.norm_offset
         size = system.norm_floor + np.vdot(offset, offset).real
 
-    if v is None:
-        v = _irfft2(system.v_hat(p_hat), n)
-    return InnerResult(u, v, iters)
+    return InnerResult(u, _irfft2(system.v_hat(p_hat), n), iters)

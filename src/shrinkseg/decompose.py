@@ -57,8 +57,9 @@ class TraceRow:
 
     energy, support_size, min_nonzero_grad and max_grad describe the
     iterate itself; increment and inner_iters describe the move to the
-    next iterate and are zero on the final row. max_grad is a
-    diagnostic over all pixels and is not serialized.
+    next iterate and are zero on the final row. inner_iters counts the
+    sweeps of both solves when a pass was solved again at tol_in.
+    max_grad is a diagnostic over all pixels and is not serialized.
     """
 
     k: int
@@ -126,14 +127,15 @@ def decompose(
 
     A pixel freezes once its gradient falls below tau, the resolved
     tau_supp, so outer pass k solves its inner problem only to
-    tol_k = max(admm.tol_in, tau / ||(u_k, v_k)||). A solve looser than
-    tol_in may stop only where the projected candidate has energy no
-    higher than F(u_k, v_k) (the sufficient-decrease condition H1 of
-    Attouch, Bolte & Svaiter 2013); otherwise it keeps sweeping at a
-    tighter tolerance. Once a pass meets tol_out, every later pass runs
-    at tol_in, so only a pass at tol_in can end the run. When
-    tau / ||(u_k, v_k)|| <= tol_in, as for the default tau_supp on
-    ordinary images, every pass runs at tol_in and no check is made.
+    tol_k = max(admm.tol_in, tau / ||(u_k, v_k)||). A pass solved looser
+    than tol_in must leave the projected iterate with energy no higher
+    than F(u_k, v_k) (the sufficient-decrease condition H1 of Attouch,
+    Bolte & Svaiter 2013); otherwise the pass is solved again from
+    (u_k, v_k) at tol_in, and that result is kept. Once a pass meets
+    tol_out, every later pass runs at tol_in, so only a pass at tol_in
+    can end the run. When tau / ||(u_k, v_k)|| <= tol_in, as for the
+    default tau_supp on ordinary images, every pass runs at tol_in and
+    H1 is not checked.
     """
     f = as_grid(f, "f")
     outer = outer or OuterParams()
@@ -153,7 +155,6 @@ def decompose(
     capped = 0
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
-    candidate = None  # (u, projected u, energy) of the last checked candidate
 
     def record(energy: float, increment: float, inner_iters: int) -> None:
         nonlocal prev_energy, increased
@@ -178,13 +179,6 @@ def decompose(
         )
         prev_energy = energy
 
-    def descends(u_c: Array, v_c: Array) -> bool:
-        """H1: may a loose solve stop at the candidate (u_c, v_c)?"""
-        nonlocal candidate
-        u_p = project_to_support(u_c, support)
-        candidate = (u_c, u_p, decomposition_energy(f, u_p, v_c, params))
-        return candidate[2] <= energy
-
     for _ in range(outer.maxit_out):
         weights = np.zeros_like(f)
         weights[support.active] = params.potential.deriv(norms[support.active])
@@ -192,20 +186,21 @@ def decompose(
         # accuracy below tau cannot change which pixels freeze next
         tol = admm.tol_in if exact or denom == 0 else max(admm.tol_in, tau / denom)
 
-        inner = admm_solve(
-            f, u, v, weights, support, params, outer.rho, admm, tol=tol, accept=descends
-        )
-        capped += int(inner.iters >= admm.maxit_in)
-        # restore exact feasibility: the square-root penalty has
-        # unbounded slope at zero, so even tiny leftover gradients on
-        # the frozen set would otherwise leak into the energy
-        if candidate is not None and candidate[0] is inner.u:
-            _, u_next, next_energy = candidate  # projected by descends
-        else:
+        inner_iters = 0
+        while True:
+            inner = admm_solve(f, u, v, weights, support, params, outer.rho, admm, tol=tol)
+            inner_iters += inner.iters
+            capped += int(inner.iters >= admm.maxit_in)
+            # restore exact feasibility: the square-root penalty has
+            # unbounded slope at zero, so even tiny leftover gradients on
+            # the frozen set would otherwise leak into the energy
             u_next = project_to_support(inner.u, support)
             next_energy = decomposition_energy(f, u_next, inner.v, params)
+            if tol <= admm.tol_in or next_energy <= energy:
+                break
+            tol = admm.tol_in  # H1 failed: solve the pass again, exactly
         increment = _stacked_norm(u_next - u, inner.v - v)
-        record(energy, increment, inner.iters)
+        record(energy, increment, inner_iters)
 
         u, v, energy = u_next, inner.v, next_energy
         support = detect_support(u, support, tau)

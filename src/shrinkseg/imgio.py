@@ -74,6 +74,8 @@ def _read_pgm_header(data: bytes):
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"unsupported magic {magic!r}, want P2 or P5")
     width, height, maxval = int(token()), int(token()), int(token())
+    if width < 1 or height < 1:
+        raise ValueError(f"PGM width and height must be at least 1, got {width}x{height}")
     if maxval not in (255, 65535):
         raise ValueError(f"unsupported maxval {maxval}")
     pos += 1  # single whitespace byte separates header from raster
@@ -94,11 +96,16 @@ def read_image(path) -> Array:
             raise ValueError("truncated PGM raster")
         samples = np.frombuffer(raster, dtype=dtype).astype(np.float64)
     else:
-        samples = np.array(data[pos:].split()[:count], dtype=np.float64)
-        if samples.size != count:
+        tokens = data[pos:].split()[:count]
+        if len(tokens) != count:
             raise ValueError("truncated PGM raster")
-    if samples.min() < 0 or samples.max() > maxval:
-        raise ValueError("sample outside [0, maxval]")
+        bad = next((t for t in tokens if not t.isdigit()), None)
+        if bad is not None:
+            sample = bad.decode("ascii", "replace")
+            raise ValueError(f"P2 sample {sample!r} is not a nonnegative integer")
+        samples = np.array(tokens, dtype=np.float64)
+        if samples.max() > maxval:  # P5 samples cannot exceed either maxval
+            raise ValueError(f"sample above maxval {maxval}")
     return (samples / maxval).reshape(height, width)
 
 

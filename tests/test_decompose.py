@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -161,32 +162,19 @@ class TestResult:
         assert result.tau_supp == 1e-3
 
 
-def _record_solves(monkeypatch, reject_first=False):
+def _record_solves(monkeypatch):
     """Wrap decompose's admm_solve; returns the list of its calls.
 
-    Each call is a dict of args, kwargs, result and the number of times
-    the descent check ran. With reject_first, the first check of the run
-    fails without evaluating the energy.
+    Each call is a dict of args, kwargs and result.
     """
     module = importlib.import_module("shrinkseg.decompose")
     original = module.admm_solve
     calls = []
-    rejected = []
 
     def wrapped(*args, **kwargs):
-        call = {"args": args, "kwargs": dict(kwargs), "checks": 0}
-        accept = kwargs["accept"]
-
-        def counted(u, v):
-            call["checks"] += 1
-            if reject_first and not rejected:
-                rejected.append(call)
-                return False
-            return accept(u, v)
-
-        call["result"] = original(*args, **{**kwargs, "accept": counted})
-        calls.append(call)
-        return call["result"]
+        result = original(*args, **kwargs)
+        calls.append({"args": args, "kwargs": dict(kwargs), "result": result})
+        return result
 
     monkeypatch.setattr(module, "admm_solve", wrapped)
     return calls
@@ -216,19 +204,23 @@ class TestInnerTolerance:
             exact = exact or row.increment <= outer.tol_out * denom
         assert any(call["kwargs"]["tol"] > admm.tol_in for call in calls)
         assert calls[-1]["kwargs"]["tol"] == admm.tol_in
-        assert sum(call["checks"] for call in calls) > 0
+        # every loose pass met H1, so none was solved twice
+        assert len(calls) == result.outer_iters
+        np.testing.assert_array_equal(
+            result.trace.column("inner_iters")[:-1], [call["result"].iters for call in calls]
+        )
 
     def test_default_tau_keeps_every_pass_exact(self, monkeypatch):
         calls = _record_solves(monkeypatch)
         admm = FAST["admm"]
         result = decompose(small_phantom(), MODEL, admm=admm)
+        # no pass is loose, so none can fail H1 and be solved twice
         assert len(calls) == result.outer_iters > 0
         assert all(call["kwargs"]["tol"] == admm.tol_in for call in calls)
-        assert all(call["checks"] == 0 for call in calls)
 
     def test_default_tau_matches_the_plain_solve(self, monkeypatch):
-        # tol and accept are inert at tau_supp=None: dropping them
-        # reproduces every output bit
+        # tol is inert at tau_supp=None: dropping it reproduces every
+        # output bit
         f = small_phantom(seed=3)
         admm = FAST["admm"]
         traced = decompose(f, MODEL, admm=admm)
@@ -240,24 +232,72 @@ class TestInnerTolerance:
         assert traced.v.tobytes() == plain.v.tobytes()
         assert traced.trace == plain.trace
 
-    def test_failed_descent_check_keeps_sweeping(self, monkeypatch):
-        calls = _record_solves(monkeypatch, reject_first=True)
-        result = decompose(small_phantom(), MODEL, **FAST)
-        first = next(call for call in calls if call["checks"])
-        assert first["checks"] >= 2
-        # the same duals, stopped 10x tighter: the loose stop comes first,
-        # and an uninterrupted solve at the tighter tolerance lands on
-        # the same sweep and the same iterate
+    def test_failed_descent_check_resolves_at_tol_in(self, monkeypatch):
+        calls = _record_solves(monkeypatch)
         admm = FAST["admm"]
-        tol = first["kwargs"]["tol"]
-        loose = admm_solve(*first["args"], tol=tol)
-        tight = admm_solve(*first["args"], tol=max(tol / 10, admm.tol_in))
-        assert first["result"].iters > loose.iters
-        assert first["result"].iters == tight.iters
-        assert first["result"].u.tobytes() == tight.u.tobytes()
+        failed = []
+
+        def energy(*args):
+            # the first candidate of a loose solve fails H1
+            if not failed and calls and calls[-1]["kwargs"]["tol"] > admm.tol_in:
+                failed.append(len(calls) - 1)
+                return math.inf
+            return decomposition_energy(*args)
+
+        monkeypatch.setattr(importlib.import_module("shrinkseg.decompose"),
+                            "decomposition_energy", energy)
+        result = decompose(small_phantom(), MODEL, **FAST)
+        assert failed
+        k = failed[0]  # earlier passes were solved once each
+        loose, redo = calls[k], calls[k + 1]
+        # the same pass from the same (u_k, v_k), solved again at tol_in
+        assert redo["kwargs"]["tol"] == admm.tol_in
+        assert all(a is b for a, b in zip(redo["args"], loose["args"]))
+        exact = admm_solve(*loose["args"], tol=admm.tol_in)
+        assert redo["result"].u.tobytes() == exact.u.tobytes()
+        assert redo["result"].v.tobytes() == exact.v.tobytes()
+        assert redo["result"].iters == exact.iters > loose["result"].iters
+        assert result.trace[k].inner_iters == loose["result"].iters + redo["result"].iters
+        assert result.trace.column("inner_iters").sum() == sum(
+            call["result"].iters for call in calls
+        )
         energy = result.trace.column("energy")
         assert np.all(np.diff(energy) <= 1e-8 * energy[0])
         assert not result.energy_increased and result.converged
+
+    def test_no_layer_call_runs_inside_the_inner_solve(self, monkeypatch):
+        # perfbench sums the admm, support.project and energy spans as
+        # disjoint parts of one operation
+        module = importlib.import_module("shrinkseg.decompose")
+        original = module.admm_solve
+        running = []  # admm_solve calls in progress
+        tols = []
+        nested = []
+
+        def solve(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            running.append(None)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                running.pop()
+
+        def watch(name):
+            fn = getattr(module, name)
+
+            def watched(*args):
+                if running:
+                    nested.append(name)
+                return fn(*args)
+
+            return watched
+
+        monkeypatch.setattr(module, "admm_solve", solve)
+        for name in ("project_to_support", "decomposition_energy"):
+            monkeypatch.setattr(module, name, watch(name))
+        decompose(small_phantom(), MODEL, **FAST)
+        assert max(tols) > FAST["admm"].tol_in  # some pass was checked against H1
+        assert nested == []
 
 
 class TestCappedSolves:

@@ -52,6 +52,20 @@ class TestPGM:
         with pytest.raises(ValueError):
             imgio.read_image(path)
 
+    @pytest.mark.parametrize("sample", ["1.5", "nan", "-1", "1e2", "0x1"])
+    def test_rejects_non_integer_plain_sample(self, tmp_path, sample):
+        path = tmp_path / "f.pgm"
+        path.write_text(f"P2\n2 2\n255\n0 0\n0 {sample}\n")
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            imgio.read_image(path)
+
+    @pytest.mark.parametrize("header", ["P5\n0 0\n255\n", "P2\n0 0\n255\n", "P5\n-1 -1\n255\n"])
+    def test_rejects_empty_raster(self, tmp_path, header):
+        path = tmp_path / "e.pgm"
+        path.write_bytes(header.encode("ascii"))
+        with pytest.raises(ValueError, match="must be at least 1"):
+            imgio.read_image(path)
+
     def test_rejects_unknown_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_text("P7\n2 2\n255\n0 0 0 0\n")
