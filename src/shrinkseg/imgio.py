@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -160,25 +161,41 @@ def _parse_floats(cells: list[str], lineno: int) -> list[float]:
             ) from None
 
 
-def _parse_labels(cells: list[str], lineno: int) -> list[int]:
+def _parse_labels(cells: list[str], lineno: int) -> Array:
     try:
-        return list(map(int, cells))
-    except ValueError as exc:
+        return np.array(list(map(int, cells)), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"bad label at row {lineno}: {exc}") from None
 
 
+def _read_csv(path, dtype, parse_row, what: str) -> Array:
+    """numpy's C reader, or the Python parser wherever loadtxt raises.
+
+    loadtxt rejects underscores, blank-only lines and, with warnings as
+    errors, empty files and numpy < 2's float-valued ints; the Python
+    parser keeps that syntax and names the bad cell or the missing file.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                path, delimiter=",", ndmin=2, dtype=dtype, comments=None, encoding="ascii"
+            )
+    except (OSError, ValueError, Warning):
+        return np.array(_read_csv_rows(path, parse_row, what), dtype=dtype)
+
+
 def read_float_grid(path) -> Array:
-    return as_grid(np.array(_read_csv_rows(path, _parse_floats, "grid")), "grid")
+    return as_grid(_read_csv(path, np.float64, _parse_floats, "grid"), "grid")
 
 
 def write_labels(labels: Array, path) -> None:
-    labels = np.asarray(labels)
-    lines = [",".join(str(int(x)) for x in row) for row in labels.tolist()]
+    lines = [",".join(map(str, row)) for row in np.asarray(labels).tolist()]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_labels(path) -> Array:
-    return np.array(_read_csv_rows(path, _parse_labels, "label"), dtype=np.int64)
+    return _read_csv(path, np.int64, _parse_labels, "label")
 
 
 def label_image(labels: Array, k: int) -> Array:

@@ -3,11 +3,11 @@
 Scalar clustering admits an exact solution: sorted values have an
 optimal partition into contiguous runs, found by dynamic programming
 (the Ckmeans.1d.dp recurrence). Its best split index is monotone in the
-right endpoint, so each layer is filled by divide and conquer, run
-breadth first: all subproblems of one recursion depth are solved in a
-single vectorised round, about log2(m) rounds per layer for m distinct
-values. Only the last layer's final endpoint is ever read back, so that
-layer follows just the right spine of the recursion. Thresholds sit
+right endpoint, so each inner layer is filled by divide and conquer,
+run breadth first: all subproblems of one recursion depth are solved in
+a single vectorised round, about log2(m) rounds per layer for m
+distinct values. Only the last layer's final endpoint is ever read
+back, so that layer is one argmin over every split. Thresholds sit
 midway between consecutive cluster means and each pixel gets the
 1-based label of the interval its value falls in.
 """
@@ -43,22 +43,17 @@ def _prefix_moments(vals: Array, weights: Array):
     return w, s1, s2
 
 
-def _fill_layer(
-    cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg, spine=False
-):
+def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg):
     """Fill out_cost[lo:hi] given the split argmin lies in [opt_lo, opt_hi).
 
-    The optimal split index is nondecreasing in the right endpoint, so
-    divide and conquer keeps the total work near-linear per layer. The
-    recursion runs breadth first: every open subproblem of one depth is
-    held in four index arrays and all of their midpoints are solved in
-    one vectorised round, about log2(hi - lo) rounds per layer. Each
-    candidate range is nonempty, which the segment reductions rely on.
-    Ties go to the smallest split, as np.argmin picks them.
-
-    With spine set only the subproblems that reach the last endpoint
-    (hi - 1) are kept; they hand it the same candidate range as the full
-    recursion, so out_cost and out_arg are exact there and only there.
+    Every layer but the last is filled this way. The optimal split index
+    is nondecreasing in the right endpoint, so divide and conquer keeps
+    the total work near-linear per layer. The recursion runs breadth
+    first: every open subproblem of one depth is held in four index
+    arrays and all of their midpoints are solved in one vectorised
+    round, about log2(hi - lo) rounds per layer. Each candidate range is
+    nonempty, which the segment reductions rely on. Ties go to the
+    smallest split, as np.argmin picks them.
     """
     lo, hi = np.array([lo]), np.array([hi])
     opt_lo, opt_hi = np.array([opt_lo]), np.array([opt_hi])
@@ -67,12 +62,13 @@ def _fill_layer(
         # candidate splits [opt_lo, min(opt_hi, mid)) of all subproblems,
         # flattened into one run of segments
         counts = np.minimum(opt_hi, mid) - opt_lo
-        starts = np.cumsum(counts) - counts
-        b = np.repeat(mid, counts)
-        a = np.arange(b.size) + np.repeat(opt_lo - starts, counts)
-        seg_w = w[b] - w[a]
-        seg_cost = (s2[b] - s2[a]) - (s1[b] - s1[a]) ** 2 / seg_w
-        total = cost_prev[a] + seg_cost
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        a = np.arange(ends[-1]) + np.repeat(opt_lo - starts, counts)
+        # seg_cost(a, b) + cost_prev[a], endpoint moments repeated per candidate
+        seg_w = np.repeat(w[mid], counts) - w[a]
+        seg_s1 = np.repeat(s1[mid], counts) - s1[a]
+        total = (np.repeat(s2[mid], counts) - s2[a]) - seg_s1**2 / seg_w + cost_prev[a]
         # first minimum of each segment, the one np.argmin would pick
         best = np.minimum.reduceat(total, starts)
         hits = np.flatnonzero(total == np.repeat(best, counts))
@@ -80,7 +76,7 @@ def _fill_layer(
         arg = a[first]
         out_cost[mid] = total[first]
         out_arg[mid] = arg
-        left, right = (lo < mid) & (not spine), mid + 1 < hi
+        left, right = lo < mid, mid + 1 < hi
         lo = np.concatenate([lo[left], mid[right] + 1])
         hi = np.concatenate([mid[left], hi[right]])
         opt_lo = np.concatenate([opt_lo[left], arg[right]])
@@ -120,18 +116,18 @@ def kmeans_1d(values, k: int) -> np.ndarray:
         where=ends > 0,
     )
     splits = []
-    for j in range(1, k):
+    for j in range(1, k - 1):
         new_cost = np.full(m + 1, np.inf)
         new_arg = np.zeros(m + 1, dtype=np.intp)
-        # runs must be nonempty: endpoint b >= j+1, split a >= j; the
-        # last layer is read back only at b = m
-        _fill_layer(
-            cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg, spine=j == k - 1
-        )
+        # runs must be nonempty: endpoint b >= j+1, split a >= j
+        _fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg)
         cost = new_cost
         splits.append(new_arg)
 
-    bounds = [m]
+    # the last layer is read only at b = m: one argmin over splits a >= k-1
+    tail = slice(k - 1, m)
+    total = (s2[m] - s2[tail]) - (s1[m] - s1[tail]) ** 2 / (w[m] - w[tail]) + cost[tail]
+    bounds = [m, k - 1 + int(np.argmin(total))]
     for arg in reversed(splits):
         bounds.append(int(arg[bounds[-1]]))
     bounds.append(0)

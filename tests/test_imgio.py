@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -107,6 +108,33 @@ class TestFloatGrid:
         with pytest.raises(ValueError, match="row 2"):
             imgio.read_float_grid(path)
 
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_empty_and_blank_only_files_rejected(self, tmp_path, text):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^empty grid file$"):
+                imgio.read_float_grid(path)
+        assert not caught  # numpy's "no data" warning stays inside the reader
+
+    def test_missing_file_message(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="No such file or directory"):
+            imgio.read_float_grid(tmp_path / "absent.csv")
+
+    def test_ragged_row_message(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("1.0,2.0\n3.0\n")
+        with pytest.raises(ValueError, match="^ragged row 2: 1 cells, want 2$"):
+            imgio.read_float_grid(path)
+
+    def test_python_float_syntax_kept(self, tmp_path):
+        # underscores and a blank-only line: numpy's reader refuses both
+        path = tmp_path / "u.csv"
+        path.write_text("1_0,2\n  \n3,-4.5e1\r\n")
+        back = imgio.read_float_grid(path)
+        assert back.tolist() == [[10.0, 2.0], [3.0, -45.0]]
+
 
 class TestLabels:
     def test_round_trip(self, tmp_path):
@@ -117,10 +145,110 @@ class TestLabels:
         assert back.dtype == np.int64
         np.testing.assert_array_equal(back, labels)
 
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_empty_and_blank_only_files_rejected(self, tmp_path, text):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^empty label file$"):
+                imgio.read_labels(path)
+        assert not caught  # numpy's "no data" warning stays inside the reader
+
+    def test_ragged_row_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("1,2\n3\n")
+        with pytest.raises(ValueError, match="^ragged row 2: 1 cells, want 2$"):
+            imgio.read_labels(path)
+
+    def test_float_cell_is_not_a_label(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("1,2\n1.0,2\n")
+        with pytest.raises(ValueError, match="^bad label at row 2: "):
+            imgio.read_labels(path)
+
+    @pytest.mark.parametrize("cell", ["99999999999999999999", "-9223372036854775809"])
+    def test_label_beyond_int64_rejected(self, tmp_path, cell):
+        path = tmp_path / "big.csv"
+        path.write_text(f"1,2\n{cell},1\n")
+        with pytest.raises(ValueError, match="^bad label at row 2: "):
+            imgio.read_labels(path)
+
+    def test_int64_extremes_read(self, tmp_path):
+        path = tmp_path / "ext.csv"
+        path.write_text("-9223372036854775808, 9223372036854775807\n")
+        assert imgio.read_labels(path).tolist() == [[-(2**63), 2**63 - 1]]
+
     def test_label_image_spreads_levels(self):
         labels = np.array([[1, 2], [3, 3]], dtype=np.int64)
         img = imgio.label_image(labels, 3)
         np.testing.assert_allclose(img, [[1 / 3, 2 / 3], [1.0, 1.0]])
+
+
+# CSV cells, valid and not, in the syntax both readers have to agree on
+_CELL = st.one_of(
+    st.from_regex(r"[ ]?[-+]?[0-9]{1,3}(\.[0-9]{0,2})?(e-?[0-9])?[ ]?", fullmatch=True),
+    st.text(alphabet="0123456789-.e_# ", max_size=5),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0", "1_0", "007", "+3", "1.0"]),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_CELL, min_size=width, max_size=width), max_size=4))
+    lines = []
+    for row in rows:
+        if draw(st.integers(0, 7)) == 0:  # now and then a ragged row
+            row = row[:-1] if len(row) > 1 else row + row
+        lines.append(",".join(row) + draw(st.sampled_from(["", "", "", ","])))
+        lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=1)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(read, path):
+    """(dtype, shape, bytes) of what read returns, or (type, message) it raises."""
+    try:
+        out = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+class TestCsvReadersMatchPythonParser:
+    """numpy's reader must give the pure-Python parser's dtype and bytes,
+    or its exception type and message, on every CSV text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_texts())
+    def test_same_outcome(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "c.csv"
+        path.write_bytes(text.encode("ascii"))
+        pairs = [
+            (
+                lambda p: imgio._read_csv(p, np.float64, imgio._parse_floats, "grid"),
+                lambda p: np.array(
+                    imgio._read_csv_rows(p, imgio._parse_floats, "grid"), dtype=np.float64
+                ),
+            ),
+            (
+                imgio.read_float_grid,
+                lambda p: imgio.as_grid(
+                    np.array(imgio._read_csv_rows(p, imgio._parse_floats, "grid")), "grid"
+                ),
+            ),
+            (
+                imgio.read_labels,
+                lambda p: np.array(
+                    imgio._read_csv_rows(p, imgio._parse_labels, "label"), dtype=np.int64
+                ),
+            ),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fast, pure in pairs:
+                assert _outcome(fast, path) == _outcome(pure, path)
 
 
 class TestTrace:
