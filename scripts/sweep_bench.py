@@ -37,8 +37,8 @@ def first_solve_args(n, sweeps):
     f = to_log_domain(phantom.f / phantom.f.max())
     params = ModelParams(alpha=0.5, beta=1000.0)
     outer = OuterParams(tau_supp=1e-3)
-    support = initial_support(f, outer.tau_supp)
     norms = grad_norms(grad(f))
+    support = initial_support(norms, outer.tau_supp)
     weights = np.zeros_like(f)
     weights[support.active] = params.potential.deriv(norms[support.active])
     admm = AdmmParams(r=10.0, tol_in=0.0, maxit_in=sweeps)

@@ -144,10 +144,10 @@ def decompose(
 
     u = f.copy()
     v = f.copy()
-    support = initial_support(u, tau)
+    norms = grad_norms(grad(u))  # of the current iterate: support, weights and trace
+    support = initial_support(norms, tau)
     energy = decomposition_energy(f, u, v, params)
     mono_tol = 1e-8 * energy
-    norms = grad_norms(grad(u))  # of the current iterate, shared by weights and trace
 
     rows: list[TraceRow] = []
     converged = False
@@ -203,8 +203,8 @@ def decompose(
         record(energy, increment, inner_iters)
 
         u, v, energy = u_next, inner.v, next_energy
-        support = detect_support(u, support, tau)
         norms = grad_norms(grad(u))
+        support = detect_support(norms, support, tau)
         if increment <= outer.tol_out * denom:
             if tol <= admm.tol_in:
                 converged = True

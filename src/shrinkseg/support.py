@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .grid import Array, grad, grad_norms
+# grad is not called here, but perfbench/tracing.py wraps shrinkseg.support.grad
+from .grid import Array, grad  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -38,20 +37,20 @@ class SupportSet:
         return int(self.active.sum())
 
 
-def initial_support(u: Array, tau_supp: float) -> SupportSet:
-    """Pixels whose gradient magnitude exceeds tau_supp."""
-    return SupportSet(grad_norms(grad(u)) > tau_supp)
+def initial_support(norms: Array, tau_supp: float) -> SupportSet:
+    """Pixels whose gradient magnitude, grad_norms(grad(u)), exceeds tau_supp."""
+    return SupportSet(norms > tau_supp)
 
 
-def detect_support(u: Array, prev: SupportSet, tau_supp: float) -> SupportSet:
-    """Shrink prev to the pixels still above tau_supp at u.
+def detect_support(norms: Array, prev: SupportSet, tau_supp: float) -> SupportSet:
+    """Shrink prev to the pixels whose gradient norms are still above tau_supp.
 
     Intersecting with prev keeps the support sequence nested even when
     the inner solver leaves small nonzero gradients behind.
     """
-    if u.shape[0] != prev.n:
+    if norms.shape != prev.active.shape:
         raise ValueError("support and image shapes disagree")
-    return SupportSet(prev.active & (grad_norms(grad(u)) > tau_supp))
+    return SupportSet(prev.active & (norms > tau_supp))
 
 
 def project_to_support(u: Array, support: SupportSet) -> Array:
@@ -68,18 +67,32 @@ def project_to_support(u: Array, support: SupportSet) -> Array:
     if not frozen.any():
         return u.copy()
     n = support.n
-    idx = np.arange(n * n).reshape(n, n)
-    src = idx[frozen]
-    right = np.roll(idx, -1, axis=1)[frozen]
-    down = np.roll(idx, -1, axis=0)[frozen]
-    ties = coo_matrix(
-        (
-            np.ones(2 * src.size, dtype=np.int8),
-            (np.concatenate([src, src]), np.concatenate([right, down])),
-        ),
-        shape=(n * n, n * n),
-    )
-    _, component = connected_components(ties, directed=False)
-    sums = np.bincount(component, weights=u.ravel())
-    counts = np.bincount(component)
-    return (sums / counts)[component].reshape(n, n)
+    # flat ids of each frozen pixel's right and lower neighbors, periodic
+    pix = np.flatnonzero(frozen)
+    right = pix + 1
+    right[pix % n == n - 1] -= n
+    down = (pix + n) % (n * n)
+    # Label the tie components by hook and compress (Shiloach & Vishkin
+    # 1982). a[t], b[t] are the roots of tie t's ends, every pixel being
+    # its own root at first. Each round hooks the larger root of every
+    # split tie onto the smaller one; a write only ever lowers a root, so
+    # no cycle can form. Pointer jumping then sends each pixel straight
+    # to its root, and the ties whose ends now share a root are dropped.
+    label = np.arange(n * n)
+    a, b = np.concatenate([pix, pix]), np.concatenate([right, down])
+    while a.size:
+        label[np.maximum(a, b)] = np.minimum(a, b)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        a, b = label[a], label[b]
+        split = a != b
+        a, b = a[split], b[split]
+    # bincount adds each component in pixel order whatever its label, so
+    # the means do not depend on how components are numbered; only roots
+    # have a nonzero count
+    sums = np.bincount(label, weights=u.ravel())
+    counts = np.bincount(label)
+    return (sums[label] / counts[label]).reshape(n, n)

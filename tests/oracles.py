@@ -5,15 +5,19 @@ the package: dense matrices assembled with kron instead of rolled
 arrays, explicit index loops instead of vectorized stencils, and an
 exhaustive partition search instead of dynamic programming, and a
 depth-first recursion for the k-means layers that the package fills
-breadth first. Slow and simple on purpose. It also holds what only
-the tests use: the scalar group shrink, the unscaled reference ADMM
-loop and the linearized inner objective.
+breadth first, and scipy's connected components for the tie graph
+that the package labels by hook and compress. Slow and simple on
+purpose. It also holds what only the tests use: the scalar group
+shrink, the unscaled reference ADMM loop and the linearized inner
+objective.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from shrinkseg.admm import _shrink_field, _shrink_thresholds
 from shrinkseg.energy import decomposition_energy
@@ -272,6 +276,30 @@ def set_jaccard(s1, s2):
     a = {tuple(p) for p in np.argwhere(s1)}
     b = {tuple(p) for p in np.argwhere(s2)}
     return len(a & b) / len(a | b)
+
+
+def csgraph_project_to_support(u, support):
+    """project_to_support with its components labelled by scipy's
+    connected_components over a sparse tie matrix."""
+    frozen = ~support.active
+    if not frozen.any():
+        return u.copy()
+    n = support.n
+    idx = np.arange(n * n).reshape(n, n)
+    src = idx[frozen]
+    right = np.roll(idx, -1, axis=1)[frozen]
+    down = np.roll(idx, -1, axis=0)[frozen]
+    ties = coo_matrix(
+        (
+            np.ones(2 * src.size, dtype=np.int8),
+            (np.concatenate([src, src]), np.concatenate([right, down])),
+        ),
+        shape=(n * n, n * n),
+    )
+    _, component = connected_components(ties, directed=False)
+    sums = np.bincount(component, weights=u.ravel())
+    counts = np.bincount(component)
+    return (sums / counts)[component].reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,8 @@ def test_criterion_04_inner_solver_optimality(announce):
         f = np.where(rng.random((n, n)) > 0.5, 0.9, 0.1)
         f += 0.02 * rng.standard_normal((n, n))
         u_k = f.copy()
-        support = initial_support(u_k, float(rng.uniform(0.02, 0.3)))
         norms = grad_norms(grad(u_k))
+        support = initial_support(norms, float(rng.uniform(0.02, 0.3)))
         weights = np.zeros_like(f)
         lit = support.active & (norms > 0)
         weights[lit] = potential.deriv(norms[lit])

@@ -185,8 +185,8 @@ class TestStoppingIdentities:
 def _instance(seed, n=6):
     rng = np.random.default_rng(seed)
     f = np.where(rng.random((n, n)) > 0.5, 0.85, 0.15) + 0.02 * rng.standard_normal((n, n))
-    support = initial_support(f, 0.1)
     norms = grad_norms(grad(f))
+    support = initial_support(norms, 0.1)
     weights = np.zeros_like(f)
     on = support.active & (norms > 0)
     weights[on] = PowerPotential().deriv(norms[on])
@@ -292,7 +292,7 @@ class TestAdmmSolve:
         # the same sweep: rounding may not turn 0 <= 0 into a capped run
         n = 8
         f = np.full((n, n), value)
-        support = initial_support(f, 0.1)
+        support = initial_support(grad_norms(grad(f)), 0.1)
         weights = np.zeros((n, n))
         params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
         for v_k in (np.zeros((n, n)), np.full((n, n), 0.25)):

@@ -271,3 +271,17 @@ def test_module_entrypoint_help_exits_zero():
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout and "metrics" in proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # every CLI call pays for what `import shrinkseg.cli` loads
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, shrinkseg, shrinkseg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -67,8 +67,8 @@ class TestLinearizedEnergy:
         rng = np.random.default_rng(seed)
         f = rng.standard_normal((n, n))
         u_k = rng.standard_normal((n, n))
-        support = initial_support(u_k, 0.5)
         norms = grad_norms(grad(u_k))
+        support = initial_support(norms, 0.5)
         weights = np.zeros_like(f)
         on = support.active & (norms > 0)
         weights[on] = PowerPotential().deriv(norms[on])

@@ -17,12 +17,12 @@ def test_initial_support_strict_threshold():
     u = np.array([[0.0, 0.0], [1.0, 1.0]])
     norms = grad_norms(grad(u))
     tau = float(norms.max())
-    s = initial_support(u, tau)
+    s = initial_support(norms, tau)
     assert s.active.sum() == (norms > tau).sum()
 
 
 def test_initial_support_of_constant_is_empty():
-    s = initial_support(np.full((4, 4), 2.0), 1e-12)
+    s = initial_support(grad_norms(grad(np.full((4, 4), 2.0))), 1e-12)
     assert s.size == 0
 
 
@@ -30,8 +30,14 @@ def test_detect_support_never_grows():
     rng = np.random.default_rng(0)
     u = rng.standard_normal((6, 6))
     prev = SupportSet(active=rng.random((6, 6)) > 0.5)
-    nxt = detect_support(u, prev, 0.0)
+    nxt = detect_support(grad_norms(grad(u)), prev, 0.0)
     assert not np.any(nxt.active & ~prev.active)
+
+
+def test_detect_support_rejects_other_shape():
+    prev = SupportSet(active=np.ones((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match="shapes disagree"):
+        detect_support(np.ones((5, 5)), prev, 0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -40,9 +46,19 @@ def test_detect_support_subset_property(seed, tau):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((5, 5))
     prev = SupportSet(active=rng.random((5, 5)) > 0.3)
-    nxt = detect_support(u, prev, tau)
+    nxt = detect_support(grad_norms(grad(u)), prev, tau)
     assert nxt.size <= prev.size
     assert np.all(prev.active[nxt.active])
+
+
+def _snake(n):
+    """Active everywhere except one path that visits every row and wraps
+    from the last row back to the first: it runs once around the torus."""
+    active = np.ones((n, n), dtype=bool)
+    for i in range(n):
+        active[i, i] = False
+        active[i, (i + 1) % n] = False
+    return active
 
 
 class TestProjection:
@@ -95,6 +111,44 @@ class TestProjection:
         counts = basis.sum(axis=0)
         means = (basis.T @ u.ravel()) / counts
         np.testing.assert_allclose(p.ravel(), basis @ means, atol=1e-12)
+
+    # The package labels components by hook and compress; the oracle by
+    # scipy's connected_components. bincount adds each component in pixel
+    # order under either labelling, so the means must agree bit for bit.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        active_frac=st.floats(0.0, 1.0),
+    )
+    def test_bitwise_equal_to_csgraph_oracle(self, n, seed, active_frac):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((n, n))
+        s = SupportSet(active=rng.random((n, n)) < active_frac)
+        assert np.array_equal(project_to_support(u, s), oracles.csgraph_project_to_support(u, s))
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            lambda n: np.zeros((n, n), dtype=bool),
+            lambda n: np.ones((n, n), dtype=bool),
+            _snake,
+        ],
+        ids=["all_frozen", "none_frozen", "torus_snake"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_bitwise_equal_to_csgraph_oracle_on_edge_masks(self, mask, n):
+        u = np.random.default_rng(n).standard_normal((n, n))
+        s = SupportSet(active=mask(n))
+        assert np.array_equal(project_to_support(u, s), oracles.csgraph_project_to_support(u, s))
+
+    def test_torus_snake_is_one_component(self):
+        n = 9
+        frozen = ~_snake(n)
+        u = np.random.default_rng(7).standard_normal((n, n))
+        p = project_to_support(u, SupportSet(active=~frozen))
+        assert np.unique(p[frozen]).size == 1
+        assert np.unique(p).size == oracles.tie_components(frozen).shape[1]
 
 
 def test_support_set_requires_bool():
