@@ -1,11 +1,15 @@
 """Time one ADMM sweep at a fixed sweep count.
 
 Runs admm_solve with tol_in=0, so every solve makes exactly --sweeps
-sweeps, on the first inner solve of the phantom_report phantom (noisy,
+sweeps, on two inner solves of the phantom_report phantom (noisy,
 linearly biased, two phases) at each size, and prints the median
-milliseconds per sweep over --repeats solves. The sweep count is fixed,
-so the per-sweep cost compares across versions of the solver even when
-their stopping tests end a converging solve a few sweeps apart.
+milliseconds per sweep over --repeats solves. Pass 1 is decompose's
+first inner solve, where nearly every pixel is active. Pass 2 is its
+second, on the support left after the first pass solved at the
+acceptance settings, where most pixels are frozen. The sweep count is
+fixed, so the per-sweep cost compares across versions of the solver
+even when their stopping tests end a converging solve a few sweeps
+apart.
 
     PYTHONPATH=src python scripts/sweep_bench.py [--sizes 64 128 256]
         [--sweeps 200] [--repeats 5]
@@ -23,6 +27,8 @@ from shrinkseg import (
     ModelParams,
     OuterParams,
     admm_solve,
+    decompose,
+    detect_support,
     generate,
     grad,
     grad_norms,
@@ -45,6 +51,18 @@ def first_solve_args(n, sweeps):
     return f, f, np.zeros_like(f), weights, support, params, outer.rho, admm
 
 
+def second_solve_args(n, sweeps):
+    """admm_solve arguments of decompose's second outer pass at size n."""
+    f, _, _, _, support, params, rho, admm = first_solve_args(n, sweeps)
+    outer = OuterParams(tau_supp=1e-3, maxit_out=1)
+    first = decompose(f, params, outer, AdmmParams(r=10.0, tol_in=1e-8, maxit_in=500))
+    norms = grad_norms(grad(first.u))
+    support = detect_support(norms, support, outer.tau_supp)
+    weights = np.zeros_like(f)
+    weights[support.active] = params.potential.deriv(norms[support.active])
+    return f, first.u, first.v, weights, support, params, rho, admm
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[64, 128, 256])
@@ -52,18 +70,20 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
-    print(f"{'n':>5} {'ms/sweep':>9} {'min':>8} {'max':>8}  ({args.sweeps} sweeps, "
-          f"{args.repeats} repeats)")
+    print(f"{'n':>5} {'pass':>4} {'active':>7} {'ms/sweep':>9} {'min':>8} {'max':>8}  "
+          f"({args.sweeps} sweeps, {args.repeats} repeats)")
     for n in args.sizes:
-        solve_args = first_solve_args(n, args.sweeps)
-        admm_solve(*solve_args)  # warm the FFT plan cache and allocator
-        per_sweep = []
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            result = admm_solve(*solve_args)
-            per_sweep.append((time.perf_counter() - start) * 1e3 / result.iters)
-        print(f"{n:>5} {statistics.median(per_sweep):9.4f} {min(per_sweep):8.4f} "
-              f"{max(per_sweep):8.4f}")
+        for k, make_args in enumerate((first_solve_args, second_solve_args), 1):
+            solve_args = make_args(n, args.sweeps)
+            active = solve_args[4].size / (n * n)
+            admm_solve(*solve_args)  # warm the FFT plan cache and allocator
+            per_sweep = []
+            for _ in range(args.repeats):
+                start = time.perf_counter()
+                result = admm_solve(*solve_args)
+                per_sweep.append((time.perf_counter() - start) * 1e3 / result.iters)
+            print(f"{n:>5} {k:>4} {active:7.3f} {statistics.median(per_sweep):9.4f} "
+                  f"{min(per_sweep):8.4f} {max(per_sweep):8.4f}")
 
 
 if __name__ == "__main__":

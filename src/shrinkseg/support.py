@@ -67,19 +67,30 @@ def project_to_support(u: Array, support: SupportSet) -> Array:
     if not frozen.any():
         return u.copy()
     n = support.n
-    # flat ids of each frozen pixel's right and lower neighbors, periodic
-    pix = np.flatnonzero(frozen)
-    right = pix + 1
-    right[pix % n == n - 1] -= n
-    down = (pix + n) % (n * n)
+    # A frozen pixel joins the run of frozen pixels to its left, so each
+    # row splits into runs; label every pixel by the flat id of its run's
+    # first pixel (column 0 always starts one), carried rightward by one
+    # maximum.accumulate.
+    label = np.arange(n * n).reshape(n, n)
+    label[:, 1:][frozen[:, :-1]] = 0
+    label = np.maximum.accumulate(label.ravel())
+    # What is left are the wrap ties of column n-1 to column 0 and the
+    # lower ties, periodic. A lower tie is dropped when its left neighbor
+    # and the pixel below that are both frozen: the left neighbor's lower
+    # tie already joins the same two runs.
+    lower = frozen.copy()
+    below = np.concatenate([frozen[1:], frozen[:1]])
+    lower[:, 1:] &= ~(frozen[:, :-1] & below[:, :-1])
+    pix = np.flatnonzero(lower)
+    wrap = np.flatnonzero(frozen[:, -1]) * n
     # Label the tie components by hook and compress (Shiloach & Vishkin
-    # 1982). a[t], b[t] are the roots of tie t's ends, every pixel being
-    # its own root at first. Each round hooks the larger root of every
-    # split tie onto the smaller one; a write only ever lowers a root, so
-    # no cycle can form. Pointer jumping then sends each pixel straight
-    # to its root, and the ties whose ends now share a root are dropped.
-    label = np.arange(n * n)
-    a, b = np.concatenate([pix, pix]), np.concatenate([right, down])
+    # 1982). a[t], b[t] are the roots of tie t's ends. Each round hooks
+    # the larger root of every split tie onto the smaller one; a write
+    # only ever lowers a root, so no cycle can form. Pointer jumping then
+    # sends each pixel straight to its root, and the ties whose ends now
+    # share a root are dropped.
+    a = label[np.concatenate([pix, wrap + n - 1])]
+    b = label[np.concatenate([(pix + n) % (n * n), wrap])]
     while a.size:
         label[np.maximum(a, b)] = np.minimum(a, b)
         while True:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from shrinkseg import (
     solve_uv,
     spectral_system,
 )
+from shrinkseg import admm as admm_module
 from shrinkseg.admm import _shrink_field, _shrink_thresholds
 from shrinkseg.grid import grad, grad_norms
 from shrinkseg.support import SupportSet
@@ -309,3 +312,55 @@ class TestAdmmSolve:
                 f, f, f, np.zeros((5, 5)), SupportSet(active=np.ones((4, 4), dtype=bool)),
                 ModelParams(alpha=1, beta=1), 0.1, AdmmParams(),
             )
+
+
+class TestGatheredShrink:
+    """The active-pixel shrink against the dense one, on both sides of the switch."""
+
+    N = 8
+    BOUNDARY = math.ceil(admm_module._GATHER_BELOW * N * N)  # fewest dense-path actives
+    COUNTS = {"none": 0, "one": 1, "below": BOUNDARY - 1, "above": BOUNDARY,
+              "all": N * N, "zero_weight": 12}
+
+    def _args(self, case, tol_in, maxit_in):
+        n, count = self.N, self.COUNTS[case]
+        rng = np.random.default_rng(count)
+        f = np.where(rng.random((n, n)) > 0.5, 0.85, 0.15) + 0.02 * rng.standard_normal((n, n))
+        active = np.zeros(n * n, dtype=bool)
+        active[rng.choice(n * n, count, replace=False)] = True
+        active = active.reshape(n, n)
+        weights = np.where(active, rng.uniform(0.2, 2.0, (n, n)), 0.0)
+        if case == "zero_weight":  # their thresholds are floored at _TINY
+            rows, cols = np.nonzero(active)
+            weights[rows[::2], cols[::2]] = 0.0
+            assert (active & (weights == 0)).sum() == 6
+        v_k = 0.1 * rng.standard_normal((n, n))
+        return (f, f - v_k, v_k, weights, SupportSet(active=active),
+                ModelParams(alpha=0.2, beta=1.0, gamma=0.3), 0.3,
+                AdmmParams(r=5.0, tol_in=tol_in, maxit_in=maxit_in))
+
+    @pytest.mark.parametrize("case", list(COUNTS))
+    @pytest.mark.parametrize("tol_in, maxit_in", [(0.0, 1), (0.0, 7), (1e-8, 5000)])
+    def test_paths_agree_bytewise(self, monkeypatch, case, tol_in, maxit_in):
+        args = self._args(case, tol_in, maxit_in)
+        results = []
+        for below in (0.0, 2.0):  # never gather, then always gather
+            monkeypatch.setattr(admm_module, "_GATHER_BELOW", below)
+            results.append(admm_solve(*args))
+        dense, gathered = results
+        assert gathered.iters == dense.iters and (tol_in > 0 or dense.iters == maxit_in)
+        assert dense.iters < 5000
+        assert gathered.u.tobytes() == dense.u.tobytes()
+        assert gathered.v.tobytes() == dense.v.tobytes()
+
+    @pytest.mark.parametrize("case, shrunk", [("below", (2, BOUNDARY - 1)), ("above", (2, N, N))])
+    def test_switch_side(self, monkeypatch, case, shrunk):
+        shapes = []
+
+        def spy(g, thresholds, work=None):
+            shapes.append(g.shape)
+            return _shrink_field(g, thresholds, work)
+
+        monkeypatch.setattr(admm_module, "_shrink_field", spy)
+        admm_solve(*self._args(case, 0.0, 2))
+        assert shapes == [shrunk, shrunk]
