@@ -84,7 +84,7 @@ def _shrink_thresholds(weights: Array, active: Array, alpha: float, r: float) ->
 def _shrink_field(g: Array, thresholds: Array, work: Array | None = None) -> Array:
     """Pixelwise group shrinkage of the stacked field g, in place.
 
-    g has shape (2, n, n), or (2, k) for k pixels gathered by admm_solve
+    g has shape (2, n, m), or (2, k) for k pixels gathered by admm_solve
     together with their k thresholds. Scales each pixel by
     max(|g| - t, 0) / max(|g|, t), which equals max(1 - t/|g|, 0)
     wherever |g| > 0 and is exactly zero where |g| = 0 or t = +inf.
@@ -119,10 +119,11 @@ class SpectralSystem:
     (a rotation per frequency splits (u_hat, v_hat) into a fixed part and
     a part affine in P, so no terms cancel). u_pull and step_weight are
     real but held as complex128: numpy multiplies complex by complex
-    faster than it casts a real factor. Arrays are (n, n // 2 + 1).
+    faster than it casts a real factor. Arrays are (n, m // 2 + 1) for
+    an n x m grid.
     """
 
-    n: int
+    shape: tuple[int, int]
     u0_hat: Array  # (b rfft2(f + rho u_k) - rfft2(f)) / det
     v0_hat: Array  # (a rfft2(f) - rfft2(f + rho u_k)) / det
     u_pull: Array
@@ -153,8 +154,7 @@ def spectral_system(
     u_k = as_grid(u_k, "u_k")
     if u_k.shape != f.shape:
         raise ValueError("f and u_k must share one grid size")
-    n = f.shape[0]
-    symbols = compute_symbols(n)
+    symbols = compute_symbols(f.shape)
 
     a = 1.0 + rho + r * symbols.dtd
     b = 1.0 + params.gamma + params.beta * symbols.hth
@@ -170,7 +170,7 @@ def spectral_system(
     parseval = np.sqrt(symbols.weights)
     fixed = parseval * (cos * u0_hat + sin * v0_hat)
     return SpectralSystem(
-        n=n,
+        shape=f.shape,
         u0_hat=u0_hat,
         v0_hat=v0_hat,
         u_pull=u_pull.astype(np.complex128),
@@ -181,10 +181,10 @@ def spectral_system(
     )
 
 
-def _uv_buffers(n: int) -> tuple[Array, Array, Array]:
-    """Empty (spectrum, P, u) buffers of one solve_uv call on an n x n grid."""
-    half = (n, n // 2 + 1)
-    return np.empty(half, np.complex128), np.empty(half, np.complex128), np.empty((n, n))
+def _uv_buffers(shape: tuple[int, int]) -> tuple[Array, Array, Array]:
+    """Empty (spectrum, P, u) buffers of one solve_uv call on an n x m grid."""
+    half = (shape[0], shape[1] // 2 + 1)
+    return np.empty(half, np.complex128), np.empty(half, np.complex128), np.empty(shape)
 
 
 def solve_uv(
@@ -195,26 +195,26 @@ def solve_uv(
 ) -> tuple[Array, Array]:
     """Exact solve of the coupled stationarity system; returns (u, P).
 
-    pull is the stacked (2, n, n) scaled pull w = mu / r - qbar. Solves
+    pull is the stacked (2, n, m) scaled pull w = mu / r - qbar. Solves
         (1 + rho) u + r D^T D u + v = f + rho u_k - r D^T w
         u + (1 + gamma) v + beta H^T H v = f
     one frequency at a time: both operators diagonalize under the DFT,
     leaving a 2x2 system per frequency. Both right-hand sides are real,
     so only the rfft2 half spectrum is formed: P = rfft2(D^T w) and
     u = irfft2(u0_hat - u_pull P), while v = irfft2(system.v_hat(P)).
-    work, when given, is a C-contiguous (2, n, n) scratch array for D^T w.
+    work, when given, is a C-contiguous (2, n, m) scratch array for D^T w.
     out, when given, is the (spectrum, P, u) triple of _uv_buffers that
     the transforms write into, so that admm_solve allocates them once;
     the returned u and P are its last two arrays. The results equal
     np.fft.rfft2 and np.fft.irfft2 bit for bit.
     """
-    spectrum, p_hat, u = _uv_buffers(system.n) if out is None else out
+    spectrum, p_hat, u = _uv_buffers(system.shape) if out is None else out
     np.fft.rfft(grad_adjoint(pull, work), axis=1, out=spectrum)
     np.fft.fft(spectrum, axis=0, out=p_hat)
     np.multiply(system.u_pull, p_hat, out=spectrum)
     np.subtract(system.u0_hat, spectrum, out=spectrum)
     np.fft.ifft(spectrum, axis=0, out=spectrum)
-    return np.fft.irfft(spectrum, n=system.n, axis=1, out=u), p_hat
+    return np.fft.irfft(spectrum, n=system.shape[1], axis=1, out=u), p_hat
 
 
 def admm_solve(
@@ -245,24 +245,24 @@ def admm_solve(
     if not (f.shape == u_k.shape == v_k.shape == weights.shape == support.active.shape):
         raise ValueError("admm_solve inputs must share one grid shape")
 
-    n = f.shape[0]
+    shape = f.shape
     system = spectral_system(f, u_k, params, rho, admm.r)
     thresholds = _shrink_thresholds(weights, support.active, params.alpha, admm.r)
-    # stacked (2, n, n) buffers: gradient of u, scratch, and the scaled
+    # stacked (2, n, m) buffers: gradient of u, scratch, and the scaled
     # dual lam (holding the pull lam - q during the solve)
-    du, work = np.empty((2, n, n)), np.empty((2, n, n))
-    lam = np.zeros((2, n, n))
-    uv_out = _uv_buffers(n)
+    du, work = np.empty((2, *shape)), np.empty((2, *shape))
+    lam = np.zeros((2, *shape))
+    uv_out = _uv_buffers(shape)
     # step_weight * P of this sweep and the last, and the test's scratch
     scaled, prev, step = (np.empty_like(system.u0_hat) for _ in range(3))
     ids = np.flatnonzero(support.active)
-    if ids.size < _GATHER_BELOW * n * n:
+    if ids.size < _GATHER_BELOW * f.size:
         # flat ids of the active pixels in both components of a field
-        ids = np.stack([ids, ids + n * n])
+        ids = np.stack([ids, ids + f.size])
         thresholds = thresholds.ravel()[ids[0]]
         q, lam_at, shrink_work = (np.empty(ids.shape) for _ in range(3))
     else:
-        ids, q, shrink_work = None, np.empty((2, n, n)), work
+        ids, q, shrink_work = None, np.empty((2, *shape)), work
     grad(u_k, out=du)
     tol = admm.tol_in if tol is None else max(tol, admm.tol_in)
 
@@ -284,7 +284,7 @@ def admm_solve(
         np.multiply(system.step_weight, p_hat, out=scaled)
         if iters == 1:  # (u_k, v_k) has no P form: measure in pixels
             step_u = u - u_k
-            step_v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n)) - v_k
+            step_v = np.fft.irfft2(system.v_hat(p_hat), s=shape) - v_k
             change = float(np.vdot(step_u, step_u)) + float(np.vdot(step_v, step_v))
             size = float(np.vdot(u_k, u_k)) + float(np.vdot(v_k, v_k))
         else:
@@ -296,4 +296,4 @@ def admm_solve(
         np.add(prev, system.norm_offset, out=step)
         size = system.norm_floor + np.vdot(step, step).real
 
-    return InnerResult(u, np.fft.irfft2(system.v_hat(p_hat), s=(n, n)), iters)
+    return InnerResult(u, np.fft.irfft2(system.v_hat(p_hat), s=shape), iters)

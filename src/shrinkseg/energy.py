@@ -60,7 +60,7 @@ def decomposition_energy(f: Array, u: Array, v: Array, params: ModelParams) -> f
     resid = f - u - v
     fidelity = 0.5 * float(np.vdot(resid, resid).real)
     penalty = params.alpha * float(np.sum(params.potential.value(grad_norms(grad(u)))))
-    symbols = compute_symbols(f.shape[0])
+    symbols = compute_symbols(f.shape)
     v_hat = np.fft.rfft2(v)
     v_power = v_hat.real**2 + v_hat.imag**2
     smooth = 0.5 * params.beta * float(np.sum(symbols.weights * symbols.hth * v_power))

@@ -1,15 +1,16 @@
-"""Periodic differences on square grids and the Fourier symbols of
+"""Periodic differences on n x m grids and the Fourier symbols of
 the model's two normal operators.
 
-Images are n x n float64 arrays. The x direction runs along columns
-(axis 1) and y along rows (axis 0); every difference wraps around the
-boundary, so constants are in the kernel of every operator here. The
-gradient D is applied in pixels, and a gradient field is one stacked
-(2, n, n) array with the x differences in [0] and the y differences in
-[1]. The second-difference Hessian H is used only through the symbol
-of H^T H: both normal operators are diagonalized exactly by the 2D DFT,
-and their symbols are kept on the rfft2 half spectrum together with its
-Parseval column weights.
+Images are n x m float64 arrays, n rows and m columns, each at least 2
+(n == m is not needed). The x direction runs along columns (axis 1) and
+y along rows (axis 0); every difference wraps around the boundary, so
+constants are in the kernel of every operator here. The gradient D is
+applied in pixels, and a gradient field is one stacked (2, n, m) array
+with the x differences in [0] and the y differences in [1]. The
+second-difference Hessian H is used only through the symbol of H^T H:
+both normal operators are diagonalized exactly by the 2D DFT, and their
+symbols are kept on the rfft2 half spectrum together with its Parseval
+column weights.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ Array = np.ndarray
 
 
 def as_grid(a, name: str = "grid") -> Array:
-    """Validate a square, finite, float64 image grid and return it."""
+    """Validate a 2D, finite, float64 image grid, every side >= 2, and return it."""
     g = np.asarray(a, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"{name} must be a square 2D array, got shape {g.shape}")
-    if g.shape[0] < 2:
-        raise ValueError(f"{name} side length must be >= 2, got {g.shape[0]}")
+    if g.ndim != 2 or min(g.shape) < 2:
+        raise ValueError(f"{name} must be a 2D array with sides >= 2, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError(f"{name} contains NaN or infinite entries")
     return g
@@ -56,7 +55,7 @@ def _x_difference(u: Array, out: Array, step: int) -> Array:
 
 
 def _stack(out: Array | None, like: Array) -> Array:
-    """out, or a new (2, n, n) array shaped and typed after the grid like.
+    """out, or a new (2, n, m) array shaped and typed after the grid like.
 
     A given out must be C-contiguous: the row-flattened x difference
     would write into a copy of any other layout.
@@ -64,16 +63,16 @@ def _stack(out: Array | None, like: Array) -> Array:
     if out is None:
         return np.empty((2, *like.shape), dtype=like.dtype)
     if not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous (2, n, n) array")
+        raise ValueError("out must be a C-contiguous (2, n, m) array")
     return out
 
 
 def grad(u: Array, out: Array | None = None) -> Array:
-    """Forward-difference gradient of a grid as one (2, n, n) array.
+    """Forward-difference gradient of a grid as one (2, n, m) array.
 
     g[0] = u[i, j+1] - u[i, j] (periodic in j) and
     g[1] = u[i+1, j] - u[i, j] (periodic in i); written into out, a
-    C-contiguous (2, n, n) array, when it is given.
+    C-contiguous (2, n, m) array, when it is given.
     """
     g = _stack(out, u)
     _x_difference(u, g[0], 1)
@@ -83,13 +82,13 @@ def grad(u: Array, out: Array | None = None) -> Array:
 
 
 def grad_adjoint(p: Array, out: Array | None = None) -> Array:
-    """Adjoint of grad: negative backward divergence of a (2, n, n) field.
+    """Adjoint of grad: negative backward divergence of a (2, n, m) field.
 
     Each negated backward difference is one subtraction, u[j-1] - u[j].
     In IEEE arithmetic -(a - b) is b - a and -X - Y is (-X) + (-Y), so
     this equals -(p[0, i, j] - p[0, i, j-1]) - (p[1, i, j] - p[1, i-1, j])
     value for value (a zero may come out +0 for -0). out, when given, is
-    a C-contiguous (2, n, n) scratch array, and the result is written
+    a C-contiguous (2, n, m) scratch array, and the result is written
     into out[0].
     """
     out = _stack(out, p[0])
@@ -100,7 +99,7 @@ def grad_adjoint(p: Array, out: Array | None = None) -> Array:
 
 
 def grad_norms(g: Array) -> Array:
-    """Per-pixel Euclidean norm of a (2, n, n) field."""
+    """Per-pixel Euclidean norm of a (2, n, m) field."""
     return np.hypot(g[0], g[1])
 
 
@@ -113,11 +112,11 @@ class OperatorSymbols:
     composed second differences: backward-x of forward-x, forward-x of
     forward-y, forward-y of forward-x and backward-y of forward-y; under
     the periodic wrap H^T H = (D^T D)^2. Both symbols are real,
-    (n, n // 2 + 1), and vanish at the zero frequency (constants are in
-    the kernel). weights holds the Parseval weight of each column:
-    sum(weights * |rfft2(x)|**2) is the squared norm of the real grid x,
-    since every column but the zero one (and the Nyquist one when n is
-    even) stands for itself and its Hermitian mirror.
+    (n, m // 2 + 1) for an n x m grid, and vanish at the zero frequency
+    (constants are in the kernel). weights holds the Parseval weight of
+    each column: sum(weights * |rfft2(x)|**2) is the squared norm of the
+    real grid x, since every column but the zero one (and the Nyquist
+    one when m is even) stands for itself and its Hermitian mirror.
     """
 
     dtd: Array
@@ -125,19 +124,21 @@ class OperatorSymbols:
     weights: Array
 
 
-def compute_symbols(n: int) -> OperatorSymbols:
-    """Analytic Fourier symbols on an n x n periodic grid.
+def compute_symbols(shape: tuple[int, int]) -> OperatorSymbols:
+    """Analytic Fourier symbols on a periodic grid of shape (n, m).
 
-    dtd(k1, k2) = 4 sin^2(pi k1 / n) + 4 sin^2(pi k2 / n) and
-    hth = dtd**2, for k2 <= n // 2.
+    dtd(k1, k2) = 4 sin^2(pi k1 / n) + 4 sin^2(pi k2 / m) and
+    hth = dtd**2, for k2 <= m // 2: a row symbol plus a column symbol.
     """
-    if n < 2:
-        raise ValueError(f"grid side must be >= 2, got {n}")
-    half = n // 2 + 1
-    s = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
-    dtd = s[:, None] + s[None, :half]
+    n, m = shape
+    if min(n, m) < 2:
+        raise ValueError(f"grid sides must be >= 2, got shape {tuple(shape)}")
+    half = m // 2 + 1
+    s_y = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+    s_x = 4.0 * np.sin(np.pi * np.arange(half) / m) ** 2
+    dtd = s_y[:, None] + s_x[None, :]
     weights = np.full(half, 2.0)
     weights[0] = 1.0
-    if n % 2 == 0:
+    if m % 2 == 0:
         weights[-1] = 1.0
-    return OperatorSymbols(dtd=dtd, hth=dtd**2, weights=weights / (n * n))
+    return OperatorSymbols(dtd=dtd, hth=dtd**2, weights=weights / (n * m))

@@ -84,11 +84,9 @@ def _read_pgm_header(data: bytes):
 
 
 def read_image(path) -> Array:
-    """Read a PGM file into an n x n grid of intensities in [0, 1]."""
+    """Read a PGM file into a height x width grid of intensities in [0, 1]."""
     data = Path(path).read_bytes()
     magic, width, height, maxval, pos = _read_pgm_header(data)
-    if width != height:
-        raise ValueError(f"non-square image: {width}x{height}")
     count = width * height
     if magic == b"P5":
         dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
@@ -113,10 +111,10 @@ def read_image(path) -> Array:
 def write_image(grid: Array, path) -> None:
     """Clamp to [0,1], quantize round-half-up to bytes, write binary PGM."""
     grid = as_grid(grid, "grid")
-    n = grid.shape[0]
+    height, width = grid.shape
     clamped = np.clip(grid, 0.0, 1.0)
     quantized = np.floor(clamped * 255.0 + 0.5).astype(np.uint8)
-    header = f"P5\n{n} {n}\n255\n".encode("ascii")
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
     _atomic_write_bytes(path, header + quantized.tobytes())
 
 

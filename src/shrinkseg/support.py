@@ -23,13 +23,9 @@ class SupportSet:
 
     def __post_init__(self):
         a = np.asarray(self.active)
-        if a.dtype != np.bool_ or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("support mask must be a square boolean array")
+        if a.dtype != np.bool_ or a.ndim != 2:
+            raise ValueError("support mask must be a 2D boolean array")
         object.__setattr__(self, "active", a)
-
-    @property
-    def n(self) -> int:
-        return self.active.shape[0]
 
     @property
     def size(self) -> int:
@@ -61,20 +57,20 @@ def project_to_support(u: Array, support: SupportSet) -> Array:
     projection replaces each component by its mean. Pixels touched by
     no tie are returned unchanged.
     """
-    if u.shape[0] != support.n:
+    if u.shape != support.active.shape:
         raise ValueError("support and image shapes disagree")
     frozen = ~support.active
     if not frozen.any():
         return u.copy()
-    n = support.n
+    m = u.shape[1]  # the row stride of the flat ids
     # A frozen pixel joins the run of frozen pixels to its left, so each
     # row splits into runs; label every pixel by the flat id of its run's
     # first pixel (column 0 always starts one), carried rightward by one
     # maximum.accumulate.
-    label = np.arange(n * n).reshape(n, n)
+    label = np.arange(u.size).reshape(u.shape)
     label[:, 1:][frozen[:, :-1]] = 0
     label = np.maximum.accumulate(label.ravel())
-    # What is left are the wrap ties of column n-1 to column 0 and the
+    # What is left are the wrap ties of column m-1 to column 0 and the
     # lower ties, periodic. A lower tie is dropped when its left neighbor
     # and the pixel below that are both frozen: the left neighbor's lower
     # tie already joins the same two runs.
@@ -82,15 +78,15 @@ def project_to_support(u: Array, support: SupportSet) -> Array:
     below = np.concatenate([frozen[1:], frozen[:1]])
     lower[:, 1:] &= ~(frozen[:, :-1] & below[:, :-1])
     pix = np.flatnonzero(lower)
-    wrap = np.flatnonzero(frozen[:, -1]) * n
+    wrap = np.flatnonzero(frozen[:, -1]) * m
     # Label the tie components by hook and compress (Shiloach & Vishkin
     # 1982). a[t], b[t] are the roots of tie t's ends. Each round hooks
     # the larger root of every split tie onto the smaller one; a write
     # only ever lowers a root, so no cycle can form. Pointer jumping then
     # sends each pixel straight to its root, and the ties whose ends now
     # share a root are dropped.
-    a = label[np.concatenate([pix, wrap + n - 1])]
-    b = label[np.concatenate([(pix + n) % (n * n), wrap])]
+    a = label[np.concatenate([pix, wrap + m - 1])]
+    b = label[np.concatenate([(pix + m) % u.size, wrap])]
     while a.size:
         label[np.maximum(a, b)] = np.minimum(a, b)
         while True:
@@ -106,4 +102,4 @@ def project_to_support(u: Array, support: SupportSet) -> Array:
     # have a nonzero count
     sums = np.bincount(label, weights=u.ravel())
     counts = np.bincount(label)
-    return (sums[label] / counts[label]).reshape(n, n)
+    return (sums[label] / counts[label]).reshape(u.shape)

@@ -25,7 +25,17 @@ from shrinkseg.grid import compute_symbols, grad, grad_norms
 
 
 # ---------------------------------------------------------------------------
-# Dense periodic difference operators (row-major flattening)
+# Dense periodic difference operators on n x m grids (row-major
+# flattening: pixel (i, j) is entry i * m + j). Each builder takes the
+# row count n and the column count m, which defaults to n. The 2D
+# operators are Kronecker products of 1D periodic differences: x acts
+# on the column index, y on the row index.
+
+
+# n x m shapes with n != m for the rectangular-grid tests: wide and
+# tall, each with odd and even column counts (the Nyquist column of the
+# half spectrum exists only for even m)
+RECT_SHAPES = [(3, 5), (5, 3), (4, 7), (7, 4), (5, 8), (8, 5), (2, 9), (7, 2)]
 
 
 def shift_matrix(n):
@@ -33,24 +43,32 @@ def shift_matrix(n):
     return np.roll(np.eye(n), -1, axis=0)
 
 
-def dense_dx(n):
-    d = shift_matrix(n) - np.eye(n)
-    return np.kron(np.eye(n), d)
+def forward_1d(n):
+    return shift_matrix(n) - np.eye(n)
 
 
-def dense_dy(n):
-    d = shift_matrix(n) - np.eye(n)
-    return np.kron(d, np.eye(n))
+def backward_1d(n):
+    return np.eye(n) - shift_matrix(n).T
 
 
-def dense_backward_x(n):
-    d = np.eye(n) - shift_matrix(n).T
-    return np.kron(np.eye(n), d)
+def dense_dx(n, m=None):
+    m = n if m is None else m
+    return np.kron(np.eye(n), forward_1d(m))
 
 
-def dense_backward_y(n):
-    d = np.eye(n) - shift_matrix(n).T
-    return np.kron(d, np.eye(n))
+def dense_dy(n, m=None):
+    m = n if m is None else m
+    return np.kron(forward_1d(n), np.eye(m))
+
+
+def dense_backward_x(n, m=None):
+    m = n if m is None else m
+    return np.kron(np.eye(n), backward_1d(m))
+
+
+def dense_backward_y(n, m=None):
+    m = n if m is None else m
+    return np.kron(backward_1d(n), np.eye(m))
 
 
 def rolled_forward(u, axis):
@@ -64,49 +82,49 @@ def rolled_backward(u, axis):
 
 
 def rolled_grad_adjoint(p):
-    """grad_adjoint of the (2, n, n) field p written with rolled_backward
+    """grad_adjoint of the (2, n, m) field p written with rolled_backward
     (x runs along axis 1)."""
     return -rolled_backward(p[0], 1) - rolled_backward(p[1], 0)
 
 
-def dense_hessian_channels(n):
+def dense_hessian_channels(n, m=None):
     """Matrices for the four second-difference channels, in the order
     xx, xy, yx, yy."""
-    fx, fy = dense_dx(n), dense_dy(n)
-    bx, by = dense_backward_x(n), dense_backward_y(n)
+    fx, fy = dense_dx(n, m), dense_dy(n, m)
+    bx, by = dense_backward_x(n, m), dense_backward_y(n, m)
     return (bx @ fx, fx @ fy, fy @ fx, by @ fy)
 
 
-def dense_dtd(n):
-    fx, fy = dense_dx(n), dense_dy(n)
+def dense_dtd(n, m=None):
+    fx, fy = dense_dx(n, m), dense_dy(n, m)
     return fx.T @ fx + fy.T @ fy
 
 
-def dense_hth(n):
-    return sum(c.T @ c for c in dense_hessian_channels(n))
+def dense_hth(n, m=None):
+    return sum(c.T @ c for c in dense_hessian_channels(n, m))
 
 
 def dense_solve_uv(f, u_k, qbar, mu, params, rho, r):
     """Assemble the full coupled system and solve it directly.
 
-    qbar and mu are (2, n, n) fields: the gradient auxiliary and the
+    qbar and mu are (2, n, m) fields: the gradient auxiliary and the
     unscaled dual."""
-    n = f.shape[0]
-    nn = n * n
-    eye = np.eye(nn)
-    a11 = (1.0 + rho) * eye + r * dense_dtd(n)
-    a22 = (1.0 + params.gamma) * eye + params.beta * dense_hth(n)
+    shape = f.shape
+    size = f.size
+    eye = np.eye(size)
+    a11 = (1.0 + rho) * eye + r * dense_dtd(*shape)
+    a22 = (1.0 + params.gamma) * eye + params.beta * dense_hth(*shape)
     top = np.hstack([a11, eye])
     bottom = np.hstack([eye, a22])
     system = np.vstack([top, bottom])
 
-    fx, fy = dense_dx(n), dense_dy(n)
+    fx, fy = dense_dx(*shape), dense_dy(*shape)
     pull = mu - r * qbar
     p1, p2 = pull[0].ravel(), pull[1].ravel()
     rhs1 = f.ravel() + rho * u_k.ravel() - (fx.T @ p1 + fy.T @ p2)
     rhs2 = f.ravel()
     sol = np.linalg.solve(system, np.concatenate([rhs1, rhs2]))
-    return sol[:nn].reshape(n, n), sol[nn:].reshape(n, n)
+    return sol[:size].reshape(shape), sol[size:].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +167,16 @@ def shrink_objective(q, z, threshold):
 # Reference ADMM loop: unscaled dual, stopping test on pixels and Parseval
 
 
-def half_spectrum_sq_norm(x_hat, n):
-    """Squared norm of the real n x n grid whose rfft2 is x_hat, by
-    Parseval over the full spectrum rebuilt from the half spectrum."""
+def half_spectrum_sq_norm(x_hat, shape):
+    """Squared norm of the real grid of shape (n, m) whose rfft2 is
+    x_hat, by Parseval over the full spectrum rebuilt from the half
+    spectrum."""
+    n, m = shape
     total = 2.0 * np.vdot(x_hat, x_hat).real
     total -= np.vdot(x_hat[:, 0], x_hat[:, 0]).real
-    if n % 2 == 0:
+    if m % 2 == 0:
         total -= np.vdot(x_hat[:, -1], x_hat[:, -1]).real
-    return float(total) / (n * n)
+    return float(total) / (n * m)
 
 
 def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
@@ -167,9 +187,9 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
     the (u, v) update from pixel differences of u and the half-spectrum
     norm of the v_hat difference. Returns (u, v, iters).
     """
-    n = f.shape[0]
+    shape = f.shape
     r = admm.r
-    symbols = compute_symbols(n)
+    symbols = compute_symbols(shape)
     a = 1.0 + rho + r * symbols.dtd
     b = 1.0 + params.gamma + params.beta * symbols.hth
     inv_det = 1.0 / (a * b - 1.0)
@@ -180,31 +200,31 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
     b_det = b * inv_det
 
     thresholds = _shrink_thresholds(weights, support.active, params.alpha, r)
-    du = np.empty((2, n, n))
+    du = np.empty((2, *shape))
     grad(u_k, out=du)
-    mu = np.zeros((2, n, n))
+    mu = np.zeros((2, *shape))
     u = u_k
     v_hat = np.fft.rfft2(v_k)
     u_sq = float(np.vdot(u, u))
-    v_sq = half_spectrum_sq_norm(v_hat, n)
+    v_sq = half_spectrum_sq_norm(v_hat, shape)
     iters = 0
     for iters in range(1, admm.maxit_in + 1):
         q = _shrink_field(mu / r + du, thresholds)
         pull = mu - r * q
         p_hat = np.fft.rfft2(rolled_grad_adjoint(pull))
-        u_new = np.fft.irfft2(u0_hat - b_det * p_hat, s=(n, n))
+        u_new = np.fft.irfft2(u0_hat - b_det * p_hat, s=shape)
         v_hat_new = v0_hat + inv_det * p_hat
         grad(u_new, out=du)
         mu += r * (du - q)
         step_u = u_new - u
         change = float(np.vdot(step_u, step_u))
-        change += half_spectrum_sq_norm(v_hat_new - v_hat, n)
+        change += half_spectrum_sq_norm(v_hat_new - v_hat, shape)
         u, v_hat = u_new, v_hat_new
         if np.sqrt(change) <= admm.tol_in * np.sqrt(u_sq + v_sq):
             break
         u_sq = float(np.vdot(u, u))
-        v_sq = half_spectrum_sq_norm(v_hat, n)
-    return u, np.fft.irfft2(v_hat, s=(n, n)), iters
+        v_sq = half_spectrum_sq_norm(v_hat, shape)
+    return u, np.fft.irfft2(v_hat, s=shape), iters
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +257,27 @@ def linearized_energy(f, u, v, u_prev, weights, support, params, rho, feas_tol=N
 
 def loop_energy(f, u, v, params):
     """Decomposition objective computed with explicit index arithmetic."""
-    n = f.shape[0]
+    n, m = f.shape
     total = 0.5 * np.sum((f - u - v) ** 2)
     for i in range(n):
-        for j in range(n):
-            gx = u[i, (j + 1) % n] - u[i, j]
+        for j in range(m):
+            gx = u[i, (j + 1) % m] - u[i, j]
             gy = u[(i + 1) % n, j] - u[i, j]
             norm = np.hypot(gx, gy)
             if norm > 0:
                 total += params.alpha * params.potential.value(norm)
     hess = 0.0
     for i in range(n):
-        for j in range(n):
-            fx = v[i, (j + 1) % n] - v[i, j]
-            fx_prev = v[i, j] - v[i, (j - 1) % n]
+        for j in range(m):
+            fx = v[i, (j + 1) % m] - v[i, j]
+            fx_prev = v[i, j] - v[i, (j - 1) % m]
             fy = v[(i + 1) % n, j] - v[i, j]
             fy_prev = v[i, j] - v[(i - 1) % n, j]
             xx = fx - fx_prev
             yy = fy - fy_prev
-            fy_right = v[(i + 1) % n, (j + 1) % n] - v[i, (j + 1) % n]
+            fy_right = v[(i + 1) % n, (j + 1) % m] - v[i, (j + 1) % m]
             xy = fy_right - fy
-            fx_down = v[(i + 1) % n, (j + 1) % n] - v[(i + 1) % n, j]
+            fx_down = v[(i + 1) % n, (j + 1) % m] - v[(i + 1) % n, j]
             yx = fx_down - fx
             hess += xx * xx + xy * xy + yx * yx + yy * yy
     total += 0.5 * params.beta * hess
@@ -284,8 +304,8 @@ def csgraph_project_to_support(u, support):
     frozen = ~support.active
     if not frozen.any():
         return u.copy()
-    n = support.n
-    idx = np.arange(n * n).reshape(n, n)
+    size = u.size
+    idx = np.arange(size).reshape(u.shape)
     src = idx[frozen]
     right = np.roll(idx, -1, axis=1)[frozen]
     down = np.roll(idx, -1, axis=0)[frozen]
@@ -294,12 +314,12 @@ def csgraph_project_to_support(u, support):
             np.ones(2 * src.size, dtype=np.int8),
             (np.concatenate([src, src]), np.concatenate([right, down])),
         ),
-        shape=(n * n, n * n),
+        shape=(size, size),
     )
     _, component = connected_components(ties, directed=False)
     sums = np.bincount(component, weights=u.ravel())
     counts = np.bincount(component)
-    return (sums / counts)[component].reshape(n, n)
+    return (sums / counts)[component].reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +329,12 @@ def csgraph_project_to_support(u, support):
 def tie_components(frozen):
     """Group pixels into components linked by frozen right/down ties,
     found by breadth-first search over an explicit adjacency list."""
-    n = frozen.shape[0]
-    adjacency = {(i, j): [] for i in range(n) for j in range(n)}
+    n, m = frozen.shape
+    adjacency = {(i, j): [] for i in range(n) for j in range(m)}
     for i in range(n):
-        for j in range(n):
+        for j in range(m):
             if frozen[i, j]:
-                for nb in ((i, (j + 1) % n), ((i + 1) % n, j)):
+                for nb in ((i, (j + 1) % m), ((i + 1) % n, j)):
                     adjacency[(i, j)].append(nb)
                     adjacency[nb].append((i, j))
     comp = {}
@@ -332,9 +352,9 @@ def tie_components(frozen):
                 if nb not in comp:
                     comp[nb] = index
                     queue.append(nb)
-    basis = np.zeros((n * n, len(order)))
+    basis = np.zeros((n * m, len(order)))
     for (i, j), c in comp.items():
-        basis[i * n + j, c] = 1.0
+        basis[i * m + j, c] = 1.0
     return basis
 
 

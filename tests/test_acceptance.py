@@ -59,12 +59,34 @@ def test_criterion_01_operator_adjointness(announce):
     # spectral symbols against the rfft2 of each dense operator's impulse response
     sym_err = 0.0
     for n in (4, 8, 16):
-        symbols = compute_symbols(n)
+        symbols = compute_symbols((n, n))
         for dense, symbol in (
             (oracles.dense_dtd(n), symbols.dtd),
             (oracles.dense_hth(n), symbols.hth),
         ):
             response = np.fft.rfft2(dense[:, 0].reshape(n, n))
+            sym_err = max(sym_err, float(np.abs(response - symbol).max()))
+
+    # n x m grids, drawn after the square ones: adjointness, the Parseval
+    # smoothness term and the symbols against the Kronecker oracles
+    for shape in oracles.RECT_SHAPES:
+        u = rng.standard_normal(shape)
+        p = rng.standard_normal((2, *shape))
+        lhs = float(np.sum(grad(u) * p))
+        rhs = float(np.sum(u * grad_adjoint(p)))
+        tol = 1e-10 * np.linalg.norm(u) * np.linalg.norm(p)
+        worst = max(worst, abs(lhs - rhs) / max(tol, 1e-300))
+        smooth = decomposition_energy(u, np.zeros_like(u), u, params)
+        smooth -= 0.5 * params.gamma * float(np.sum(u * u))
+        dense_channels = oracles.dense_hessian_channels(*shape)
+        dense = 0.5 * sum(float(np.sum((c @ u.ravel()) ** 2)) for c in dense_channels)
+        worst = max(worst, abs(smooth - dense) / (1e-10 * dense))
+        symbols = compute_symbols(shape)
+        for dense, symbol in (
+            (oracles.dense_dtd(*shape), symbols.dtd),
+            (oracles.dense_hth(*shape), symbols.hth),
+        ):
+            response = np.fft.rfft2(dense[:, 0].reshape(shape))
             sym_err = max(sym_err, float(np.abs(response - symbol).max()))
     elapsed = time.perf_counter() - start
 
@@ -97,10 +119,31 @@ def test_criterion_02_spectral_solver_equivalence(announce):
         du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, rho, r)
         scale = max(np.abs(du).max(), np.abs(dv).max())
         worst = max(worst, max(np.abs(u - du).max(), np.abs(v - dv).max()) / scale)
+
+    # n x m grids, drawn after the square instances
+    for shape in oracles.RECT_SHAPES:
+        f = rng.standard_normal(shape)
+        u_k = rng.standard_normal(shape)
+        qbar = rng.standard_normal((2, *shape))
+        mu = rng.standard_normal((2, *shape))
+        params = ModelParams(
+            alpha=0.1,
+            beta=float(rng.uniform(0.5, 200.0)),
+            gamma=float(rng.uniform(1e-8, 0.5)),
+        )
+        rho = float(rng.uniform(1e-8, 0.5))
+        r = float(rng.uniform(0.5, 20.0))
+        system = spectral_system(f, u_k, params, rho, r)
+        u, p_hat = solve_uv(system, mu / r - qbar)
+        v = np.fft.irfft2(system.v_hat(p_hat), s=shape)
+        du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, rho, r)
+        scale = max(np.abs(du).max(), np.abs(dv).max())
+        worst = max(worst, max(np.abs(u - du).max(), np.abs(v - dv).max()) / scale)
     elapsed = time.perf_counter() - start
 
+    count = 20 + len(oracles.RECT_SHAPES)
     ok = worst <= 1e-8 and elapsed < 10.0
-    announce(2, ok, f"max rel err {worst:.2e} over 20 instances, {elapsed:.1f}s")
+    announce(2, ok, f"max rel err {worst:.2e} over {count} instances, {elapsed:.1f}s")
     assert ok
 
 

@@ -147,7 +147,7 @@ class TestHalfSpectrumNorm:
         x = np.random.default_rng(n).standard_normal((n, n))
         want = float(np.vdot(x, x))
         x_hat = np.fft.rfft2(x)
-        got = float(np.vdot(x_hat, compute_symbols(n).weights * x_hat).real)
+        got = float(np.vdot(x_hat, compute_symbols((n, n)).weights * x_hat).real)
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -185,9 +185,11 @@ class TestStoppingIdentities:
             assert abs(got - want) <= 1e-12 * want
 
 
-def _instance(seed, n=6):
+def _instance(seed, n=6, m=None):
+    """An n x m two-level image (m defaults to n), its support and weights."""
+    shape = (n, n if m is None else m)
     rng = np.random.default_rng(seed)
-    f = np.where(rng.random((n, n)) > 0.5, 0.85, 0.15) + 0.02 * rng.standard_normal((n, n))
+    f = np.where(rng.random(shape) > 0.5, 0.85, 0.15) + 0.02 * rng.standard_normal(shape)
     norms = grad_norms(grad(f))
     support = initial_support(norms, 0.1)
     weights = np.zeros_like(f)
@@ -364,3 +366,55 @@ class TestGatheredShrink:
         monkeypatch.setattr(admm_module, "_shrink_field", spy)
         admm_solve(*self._args(case, 0.0, 2))
         assert shapes == [shrunk, shrunk]
+
+
+class TestRectangularGrids:
+    """n x m grids with n != m against the dense solve and the reference loop."""
+
+    @pytest.mark.parametrize("shape", oracles.RECT_SHAPES)
+    def test_solve_uv_matches_dense_solver(self, shape):
+        rng = np.random.default_rng(300 + 10 * shape[0] + shape[1])
+        f, u_k = rng.standard_normal((2, *shape))
+        qbar, mu = rng.standard_normal((2, 2, *shape))
+        params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
+        system = spectral_system(f, u_k, params, 0.3, 4.0)
+        assert system.shape == shape
+        u, p_hat = solve_uv(system, mu / 4.0 - qbar)
+        v = np.fft.irfft2(system.v_hat(p_hat), s=shape)
+        du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, 0.3, 4.0)
+        np.testing.assert_allclose(u, du, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(v, dv, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", oracles.RECT_SHAPES)
+    @pytest.mark.parametrize("tol_in, maxit_in", [(0.0, 7), (1e-8, 5000)])
+    def test_matches_reference_loop(self, shape, tol_in, maxit_in):
+        f, support, weights = _instance(10 * shape[0] + shape[1], *shape)
+        v_k = 0.1 * np.random.default_rng(shape).standard_normal(shape)
+        args = (f, f - v_k, v_k, weights, support, ModelParams(alpha=0.2, beta=1.0, gamma=0.3),
+                0.3, AdmmParams(r=5.0, tol_in=tol_in, maxit_in=maxit_in))
+        result = admm_solve(*args)
+        u, v, iters = oracles.reference_admm_solve(*args)
+        assert result.iters == iters and (tol_in > 0 or iters == maxit_in)
+        assert iters < 5000
+        assert result.u.shape == result.v.shape == shape
+        np.testing.assert_allclose(result.u, u, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(result.v, v, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(6, 10), (9, 4)])
+    def test_gathered_shrink_agrees_bytewise(self, monkeypatch, shape):
+        # the gathered ids of the second field component start at n * m
+        rng = np.random.default_rng(shape)
+        f = rng.standard_normal(shape)
+        active = rng.random(shape) < 0.3
+        weights = np.where(active, rng.uniform(0.2, 2.0, shape), 0.0)
+        args = (f, f, np.zeros(shape), weights, SupportSet(active=active),
+                ModelParams(alpha=0.2, beta=1.0, gamma=0.3), 0.3,
+                AdmmParams(r=5.0, tol_in=1e-8, maxit_in=5000))
+        results = []
+        for below in (0.0, 2.0):  # never gather, then always gather
+            monkeypatch.setattr(admm_module, "_GATHER_BELOW", below)
+            results.append(admm_solve(*args))
+        dense, gathered = results
+        assert gathered.iters == dense.iters < 5000
+        assert gathered.u.tobytes() == dense.u.tobytes()
+        assert gathered.v.tobytes() == dense.v.tobytes()

@@ -128,6 +128,54 @@ class TestPipeline:
         assert got == want
 
 
+RECT = (40, 64)
+
+
+@pytest.fixture(scope="module")
+def rect_workspace(tmp_path_factory):
+    """A 40 x 64 two-phase image with a horizontal bias, as CSV and PGM."""
+    root = tmp_path_factory.mktemp("rect")
+    rows, cols = np.indices(RECT)
+    truth = np.where((rows - 18) ** 2 + (cols - 40) ** 2 < 100, 2, 1)
+    f = np.where(truth == 2, 0.8, 0.3) * (0.8 + 0.4 * cols / (RECT[1] - 1))
+    f += 0.02 * np.random.default_rng(3).standard_normal(RECT)
+    imgio.write_float_grid(f, root / "f.csv")
+    imgio.write_image(f, root / "f.pgm")
+    imgio.write_labels(truth, root / "truth.csv")
+    (root / "cfg.json").write_text(json.dumps(CONFIG))
+    return root
+
+
+class TestRectangularGrid:
+    """Every stage of the CLI on a 40 x 64 grid, read as CSV and as PGM."""
+
+    @pytest.mark.parametrize("ext", ["csv", "pgm"])
+    def test_run_decompose_segment_metrics(self, rect_workspace, ext):
+        root = rect_workspace
+        src = str(root / f"f.{ext}")
+        cfg = ["--config", str(root / "cfg.json")]
+        assert main(["run", src, str(root / f"run_{ext}"), *cfg,
+                     "--truth", str(root / "truth.csv")]) == 0
+        assert main(["decompose", src, str(root / f"dec_{ext}"), *cfg]) == 0
+        u_path = str(root / f"run_{ext}_u.csv")
+        assert main(["segment", u_path, "2", str(root / f"seg_{ext}")]) == 0
+        assert main(["metrics", u_path, str(root / "truth.csv"),
+                     str(root / f"met_{ext}.json")]) == 0
+
+        for stem in ("run", "dec"):
+            for part in ("u", "v"):
+                grid = imgio.read_float_grid(root / f"{stem}_{ext}_{part}.csv")
+                assert grid.shape == RECT
+                assert (root / f"{stem}_{ext}_{part}.pgm").read_bytes().startswith(b"P5\n64 40\n")
+        for stem in ("run", "seg"):
+            assert imgio.read_labels(root / f"{stem}_{ext}_labels.csv").shape == RECT
+            assert imgio.read_image(root / f"{stem}_{ext}_labels.pgm").shape == RECT
+        run_report = json.loads((root / f"run_{ext}_report.json").read_text())
+        assert all(p["js"] >= 0.9 for p in run_report["phases"])
+        metrics = json.loads((root / f"met_{ext}.json").read_text())
+        assert [p["js"] for p in metrics["phases"]] == [p["js"] for p in run_report["phases"]]
+
+
 class TestPrefixes:
     def test_plain_prefix_gets_underscore(self, tmp_path):
         u = np.array([[0.0, 1.0], [1.0, 0.0]])

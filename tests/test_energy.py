@@ -125,3 +125,11 @@ class TestLinearizedEnergy:
             surrogate = linearized_energy(f, u, v, u_k, weights, support, params, rho=1e-8)
             truth = decomposition_energy(f, u, v, params)
             assert truth <= surrogate + offset + 1e-9 * max(1.0, abs(truth))
+
+
+@pytest.mark.parametrize("shape", oracles.RECT_SHAPES)
+def test_energy_matches_loop_oracle_on_rectangular_grids(params, shape):
+    rng = np.random.default_rng(10 * shape[0] + shape[1])
+    f, u, v = rng.standard_normal((3, *shape))
+    lib = decomposition_energy(f, u, v, params)
+    assert math.isclose(lib, oracles.loop_energy(f, u, v, params), rel_tol=1e-12)

@@ -26,11 +26,18 @@ class TestAsGrid:
 
     @pytest.mark.parametrize(
         "bad",
-        [np.zeros(4), np.zeros((2, 3)), np.zeros((1, 1)), [[np.nan, 0], [0, 0]], [[np.inf, 0], [0, 0]]],
+        [
+            np.zeros(4), np.zeros((1, 3)), np.zeros((1, 1)), [[np.nan, 0], [0, 0]],
+            [[np.inf, 0], [0, 0]], np.zeros((3, 1)),
+        ],
     )
     def test_rejects_bad_input(self, bad):
         with pytest.raises(ValueError):
             as_grid(bad)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2, 2), (5, 8)])
+    def test_accepts_every_side_at_least_two(self, shape):
+        assert as_grid(np.zeros(shape)).shape == shape
 
 
 class TestDifferences:
@@ -141,7 +148,7 @@ class TestSymbols:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_symbols_verify(self, n):
         # each symbol is the rfft2 of its dense operator's impulse response
-        symbols = compute_symbols(n)
+        symbols = compute_symbols((n, n))
         assert symbols.dtd.shape == symbols.hth.shape == (n, n // 2 + 1)
         for dense, symbol in (
             (oracles.dense_dtd(n), symbols.dtd),
@@ -154,14 +161,14 @@ class TestSymbols:
     def test_hth_gives_hessian_norm(self, n):
         # Parseval on the half spectrum against the dense second differences
         v = random_grid(np.random.default_rng(90 + n), n)
-        symbols = compute_symbols(n)
+        symbols = compute_symbols((n, n))
         v_hat = np.fft.rfft2(v)
         got = float(np.sum(symbols.weights * symbols.hth * np.abs(v_hat) ** 2))
         want = sum(float(np.sum((c @ v.ravel()) ** 2)) for c in oracles.dense_hessian_channels(n))
         assert abs(got - want) <= 1e-12 * want
 
     def test_symbols_nonnegative_and_zero_at_dc(self):
-        symbols = compute_symbols(8)
+        symbols = compute_symbols((8, 8))
         assert symbols.dtd[0, 0] == 0 and symbols.hth[0, 0] == 0
         assert np.all(symbols.dtd >= 0) and np.all(symbols.hth >= 0)
 
@@ -169,7 +176,73 @@ class TestSymbols:
         # rfft2 of D^T D u equals the symbol times the rfft2 of u
         rng = np.random.default_rng(4)
         u = random_grid(rng, 8)
-        symbols = compute_symbols(8)
+        symbols = compute_symbols((8, 8))
         lhs = np.fft.rfft2(grad_adjoint(grad(u)))
         rhs = symbols.dtd * np.fft.rfft2(u)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+class TestRectangularGrids:
+    """n x m grids with n != m against the Kronecker-product oracles."""
+
+    @pytest.mark.parametrize("shape", oracles.RECT_SHAPES)
+    def test_grad_and_adjoint_match_kron_matrices(self, shape):
+        rng = np.random.default_rng(100 + 10 * shape[0] + shape[1])
+        u = rng.standard_normal(shape)
+        p = rng.standard_normal((2, *shape))
+        dx, dy = oracles.dense_dx(*shape), oracles.dense_dy(*shape)
+        g = grad(u)
+        assert g.shape == (2, *shape)
+        np.testing.assert_allclose(g[0].ravel(), dx @ u.ravel(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g[1].ravel(), dy @ u.ravel(), rtol=0, atol=1e-12)
+        want = dx.T @ p[0].ravel() + dy.T @ p[1].ravel()
+        np.testing.assert_allclose(grad_adjoint(p).ravel(), want, rtol=0, atol=1e-12)
+        assert g[0].tobytes() == oracles.rolled_forward(u, 1).tobytes()
+        assert g[1].tobytes() == oracles.rolled_forward(u, 0).tobytes()
+        assert grad_adjoint(p).tobytes() == oracles.rolled_grad_adjoint(p).tobytes()
+
+    @pytest.mark.parametrize("shape", oracles.RECT_SHAPES)
+    def test_symbols_are_dense_impulse_responses(self, shape):
+        n, m = shape
+        symbols = compute_symbols(shape)
+        assert symbols.dtd.shape == symbols.hth.shape == (n, m // 2 + 1)
+        for dense, symbol in (
+            (oracles.dense_dtd(n, m), symbols.dtd),
+            (oracles.dense_hth(n, m), symbols.hth),
+        ):
+            response = np.fft.rfft2(dense[:, 0].reshape(shape))
+            np.testing.assert_allclose(symbol, response, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", oracles.RECT_SHAPES)
+    def test_parseval_weights_and_hessian_norm(self, shape):
+        # the Nyquist column follows the parity of m, the scale is 1 / (n m)
+        v = np.random.default_rng(200 + 10 * shape[0] + shape[1]).standard_normal(shape)
+        symbols = compute_symbols(shape)
+        v_hat = np.fft.rfft2(v)
+        power = np.abs(v_hat) ** 2
+        want = float(np.vdot(v, v))
+        assert abs(float(np.sum(symbols.weights * power)) - want) <= 1e-12 * want
+        got = float(np.sum(symbols.weights * symbols.hth * power))
+        want = sum(float(np.sum((c @ v.ravel()) ** 2)) for c in oracles.dense_hessian_channels(*shape))
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_square_symbols_bitwise_unchanged(self, n):
+        # the square formula: one symbol over n, its half-spectrum columns
+        # sliced off, weights over n * n
+        half = n // 2 + 1
+        s = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+        dtd = s[:, None] + s[None, :half]
+        weights = np.full(half, 2.0)
+        weights[0] = 1.0
+        if n % 2 == 0:
+            weights[-1] = 1.0
+        symbols = compute_symbols((n, n))
+        assert symbols.dtd.tobytes() == dtd.tobytes()
+        assert symbols.hth.tobytes() == (dtd**2).tobytes()
+        assert symbols.weights.tobytes() == (weights / (n * n)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (1, 1)])
+    def test_symbols_reject_sides_below_two(self, shape):
+        with pytest.raises(ValueError, match="sides must be >= 2"):
+            compute_symbols(shape)

@@ -41,11 +41,23 @@ class TestPGM:
         assert g[0, 0] == 0.0 and g[0, 1] == pytest.approx(32768 / 65535)
         assert g[1, 0] == 1.0
 
-    def test_rejects_non_square(self, tmp_path):
+    def test_reads_plain_raster_three_wide_two_high(self, tmp_path):
+        # the header gives width then height; rows run along the width
         path = tmp_path / "ns.pgm"
-        path.write_text("P2\n3 2\n255\n0 0 0\n0 0 0\n")
-        with pytest.raises(ValueError):
-            imgio.read_image(path)
+        path.write_text("P2\n3 2\n255\n0 51 102\n153 204 255\n")
+        g = imgio.read_image(path)
+        assert g.shape == (2, 3)
+        assert (g * 255).round().astype(int).tolist() == [[0, 51, 102], [153, 204, 255]]
+
+    def test_binary_round_trip_of_three_by_five_grid(self, tmp_path):
+        # a width/height swap would write "3 5" and read back a 5 x 3 grid
+        path = tmp_path / "r.pgm"
+        g = np.arange(15).reshape(3, 5) / 255.0
+        imgio.write_image(g, path)
+        assert path.read_bytes().startswith(b"P5\n5 3\n255\n")
+        back = imgio.read_image(path)
+        assert back.shape == (3, 5)
+        np.testing.assert_allclose(back, g, atol=1e-12)
 
     def test_rejects_sample_above_maxval(self, tmp_path):
         path = tmp_path / "ov.pgm"

@@ -154,3 +154,57 @@ class TestProjection:
 def test_support_set_requires_bool():
     with pytest.raises(ValueError):
         SupportSet(active=np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (5, 4), (5, 5)])
+def test_project_rejects_other_shape(shape):
+    support = SupportSet(active=np.zeros((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match="support and image shapes disagree"):
+        project_to_support(np.zeros(shape), support)
+
+
+def test_support_set_accepts_rectangular_masks_only_in_2d():
+    assert SupportSet(active=np.ones((3, 5), dtype=bool)).size == 15
+    with pytest.raises(ValueError, match="2D boolean"):
+        SupportSet(active=np.ones((2, 3, 5), dtype=bool))
+
+
+class TestRectangularProjection:
+    # rows of m pixels: the lower tie of flat id k is k + m, the wrap tie
+    # of row i joins i * m + m - 1 to i * m
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        m=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        active_frac=st.floats(0.0, 1.0),
+    )
+    def test_bitwise_equal_to_csgraph_oracle(self, n, m, seed, active_frac):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((n, m))
+        s = SupportSet(active=rng.random((n, m)) < active_frac)
+        assert np.array_equal(project_to_support(u, s), oracles.csgraph_project_to_support(u, s))
+
+    @pytest.mark.parametrize("shape", oracles.RECT_SHAPES)
+    def test_component_means_match_bfs_oracle(self, shape):
+        rng = np.random.default_rng(10 * shape[0] + shape[1])
+        u = rng.standard_normal(shape)
+        s = SupportSet(active=rng.random(shape) > 0.5)
+        p = project_to_support(u, s)
+        assert grad_norms(grad(p))[~s.active].max(initial=0.0) == 0.0
+        basis = oracles.tie_components(~s.active)
+        means = (basis.T @ u.ravel()) / basis.sum(axis=0)
+        np.testing.assert_allclose(p.ravel(), basis @ means, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 7), (7, 3)])
+    def test_frozen_last_column_is_one_component(self, shape):
+        # a frozen last column ties every row to itself across the wrap
+        # and, through the lower ties, to the rows below
+        active = np.ones(shape, dtype=bool)
+        active[:, -1] = False
+        u = np.random.default_rng(1).standard_normal(shape)
+        p = project_to_support(u, SupportSet(active=active))
+        frozen_and_right = np.zeros(shape, dtype=bool)
+        frozen_and_right[:, [-1, 0]] = True
+        assert np.unique(p[frozen_and_right]).size == 1
+        assert np.array_equal(p, oracles.csgraph_project_to_support(u, SupportSet(active=active)))
