@@ -4,7 +4,7 @@ Runs every phantom of tests/fixtures/acceptance.json (the n=64 suite and
 the n=128 quality runs) through the acceptance pipeline: log of f / max f,
 decompose at the fixture's solver settings, then segment into K phases.
 Prints one line per phantom (inner sweeps, outer passes, capped inner
-solves, final support size, digests of the labels and of the u and v
+solves, passes solved in reduced form, final support size, digests of the labels and of the u and v
 bytes, and the final energy) and the totals. Every number is a count or
 a float the solver computes, so two runs of one tree print the same
 table, and two trees can be compared line by line.
@@ -52,6 +52,7 @@ def run_entry(entry, solver, seed_offset):
         "sweeps": int(result.trace.column("inner_iters").sum()),
         "outer": result.outer_iters,
         "capped": result.capped_solves,
+        "reduced": result.reduced_solves,
         "support": result.trace[-1].support_size,
         "labels": digest(labels),
         "u": digest(result.u),
@@ -74,17 +75,18 @@ def main(argv=None):
         if not entries:
             parser.error(f"no fixture phantom named {args.only!r}")
 
-    print(f"{'phantom':<28} {'sweeps':>7} {'outer':>5} {'capped':>6} "
+    print(f"{'phantom':<28} {'sweeps':>7} {'outer':>5} {'capped':>6} {'reduced':>7} "
           f"{'support':>7}  {'labels':<12}  {'u':<12}  {'v':<12}  energy")
-    totals = dict(sweeps=0, outer=0, capped=0)
+    totals = dict(sweeps=0, outer=0, capped=0, reduced=0)
     for entry in entries:
         row = run_entry(entry, fixture["solver"], args.seed_offset)
         for key in totals:
             totals[key] += row[key]
         print(f"{entry['name']:<28} {row['sweeps']:>7} {row['outer']:>5} "
-              f"{row['capped']:>6} {row['support']:>7}  {row['labels']:<12}  "
+              f"{row['capped']:>6} {row['reduced']:>7} {row['support']:>7}  {row['labels']:<12}  "
               f"{row['u']:<12}  {row['v']:<12}  {row['energy']!r}")
-    print(f"{'total':<28} {totals['sweeps']:>7} {totals['outer']:>5} {totals['capped']:>6}")
+    print(f"{'total':<28} {totals['sweeps']:>7} {totals['outer']:>5} {totals['capped']:>6} "
+          f"{totals['reduced']:>7}")
     return 0
 
 

@@ -10,6 +10,7 @@ from .admm import (
     AdmmParams,
     InnerResult,
     admm_solve,
+    reduced_solve,
     solve_uv,
     spectral_system,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "jaccard",
     "kmeans_1d",
     "project_to_support",
+    "reduced_solve",
     "segment",
     "solve_uv",
     "spectral_system",

@@ -19,10 +19,18 @@ step writes into them with out=. Frozen pixels have an infinite
 threshold, so their q is 0 and their dual never loses q; when few
 pixels are active, the shrink and the subtraction of q run on the
 active pixels only, gathered by their flat ids.
+
+reduced_solve takes the same inputs and solves the same problem exactly
+when the frozen ties leave few connected components: u is then one
+value per component, v is eliminated per frequency, and a small convex
+problem in the component values is solved by damped Newton. Its result
+is used only with an optimality certificate; otherwise it returns None
+and the pass is left to admm_solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +38,7 @@ import numpy as np
 
 from .energy import ModelParams
 from .grid import Array, as_grid, compute_symbols, grad, grad_adjoint
-from .support import SupportSet
+from .support import SupportSet, tie_labels
 
 _TINY = np.finfo(np.float64).tiny
 # Below this active fraction the shrink gathers the active pixels. The
@@ -297,3 +305,323 @@ def admm_solve(
         size = system.norm_floor + np.vdot(step, step).real
 
     return InnerResult(u, np.fft.irfft2(system.v_hat(p_hat), s=shape), iters)
+
+
+# A pass whose support leaves at most this many tie components is
+# solved in the components' values by reduced_solve; larger ones go to
+# admm_solve. On the n=64 fixtures the sweeps stop falling at 64, and a
+# first attempt at 57 components (building Q, then 27 Newton steps)
+# costs about as much as that pass's ADMM solve.
+_MAX_PIECES = 64
+# Budget of one reduced attempt: Newton steps in all (the fixtures need
+# at most 28), step halvings in one line search, and dual reweightings
+# in the certificate. A Newton step that moves u by at most
+# _NEWTON_TOL * ||u|| ends the iteration.
+_NEWTON_STEPS = 30
+_HALVINGS = 8
+_DUAL_ROUNDS = 4
+_NEWTON_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class _Pieces:
+    """Tie components of one support and the terms that join them.
+
+    u = c[label] for the C component values c. Each term joins the
+    active pixels whose own, right and lower pixels lie in one triple of
+    components, listed in triples; term_of gives the term of each active
+    pixel in term_pixels. Active pixels whose three components coincide
+    carry no jump and belong to no term.
+    """
+
+    label: Array
+    sizes: Array
+    triples: Array
+    term_pixels: Array
+    term_of: Array
+
+
+# Both caches hold the last support mask: outer passes often keep it.
+@functools.lru_cache(maxsize=1)
+def _pieces(active_bytes: bytes, shape: tuple[int, int]) -> _Pieces | None:
+    """The _Pieces of the support mask packed in active_bytes, or None
+    when it leaves more than _MAX_PIECES components."""
+    active = np.frombuffer(active_bytes, dtype=np.bool_).reshape(shape)
+    m = shape[1]
+    roots = tie_labels(~active)
+    heads = np.flatnonzero(roots == np.arange(roots.size))
+    count = heads.size
+    if count > _MAX_PIECES:
+        return None
+    index = np.empty(roots.size, dtype=np.intp)
+    index[heads] = np.arange(count)
+    label = index[roots]
+
+    pixels = np.flatnonzero(active)
+    row, col = np.divmod(pixels, m)
+    own, right = label[pixels], label[row * m + (col + 1) % m]
+    lower = label[(pixels + m) % label.size]
+    jumps = (right != own) | (lower != own)
+    keys = (own[jumps] * count + right[jumps]) * count + lower[jumps]
+    keys, term_of = np.unique(keys, return_inverse=True)
+    return _Pieces(
+        label=label,
+        sizes=np.bincount(label, minlength=count).astype(np.float64),
+        triples=np.stack([keys // (count * count), keys // count % count, keys % count], axis=1),
+        term_pixels=pixels[jumps],
+        term_of=term_of,
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _smooth(active_bytes: bytes, shape: tuple[int, int], gamma: float, beta: float) -> Array:
+    """B^T S B for the _pieces of the mask in active_bytes: B maps the
+    component values to pixels, S is the convolution of symbol
+    (gamma + beta hth) / (1 + gamma + beta hth).
+
+    One component's indicator is transformed at a time: a stack of them
+    and their spectra would raise the peak memory by more than it saves.
+    """
+    label = _pieces(active_bytes, shape).label
+    count = label.max() + 1
+    ridge = gamma + beta * compute_symbols(shape).hth
+    symbol = ridge / (1.0 + ridge)
+    grid = label.reshape(shape)
+    smooth = np.empty((count, count))
+    for piece in range(count):
+        spread = np.fft.irfft2(np.fft.rfft2(grid == piece) * symbol, s=shape)
+        smooth[piece] = np.bincount(label, spread.ravel(), count)
+    return 0.5 * (smooth + smooth.T)
+
+
+def _jumps(triples: Array, c: Array) -> Array:
+    """(T, 2) jump pairs E_t c = (c[right] - c[own], c[lower] - c[own])."""
+    return c[triples[:, 1:]] - c[triples[:, :1]]
+
+
+def _jump_matrix(triples: Array, count: int) -> Array:
+    """Dense (count, 2T) matrix of the maps y_t -> E_t^T y_t, y_t the
+    columns 2t and 2t + 1."""
+    matrix = np.zeros((count, 2 * triples.shape[0]))
+    cols = np.arange(matrix.shape[1])
+    matrix[triples[:, 1:].ravel(), cols] = 1.0
+    matrix[np.repeat(triples[:, 0], 2), cols] -= 1.0
+    return matrix
+
+
+# Rows and columns, within (own, right, lower), of the nine entries of
+# E_t^T M E_t for a symmetric 2 x 2 matrix M
+_BLOCK_ROWS, _BLOCK_COLS = np.divmod(np.arange(9), 3)
+
+
+def _merge(cls: Array, triples: Array, terms: Array) -> Array:
+    """Classes of the components once each listed term's components are
+    joined, numbered from 0 in the order of their smallest component."""
+    cls = cls.copy()
+    for term in terms:
+        ids = cls[triples[term]]
+        cls[np.isin(cls, ids)] = ids.min()
+    return np.unique(cls, return_inverse=True)[1]
+
+
+def _class_means(cls: Array, sizes: Array, c: Array) -> Array:
+    """c with each class's values replaced by their size-weighted mean."""
+    return (np.bincount(cls, sizes * c) / np.bincount(cls, sizes))[cls]
+
+
+def _penalty_grad(triples: Array, w: Array, x: Array, norms: Array, count: int) -> Array:
+    """Gradient of sum_t w_t ||E_t c|| at jumps x (every norm positive)."""
+    y = x * (w / norms)[:, None]
+    return (
+        np.bincount(triples[:, 1], y[:, 0], count)
+        + np.bincount(triples[:, 2], y[:, 1], count)
+        - np.bincount(triples[:, 0], y[:, 0] + y[:, 1], count)
+    )
+
+
+def _certify(quad, linear, triples, w, live, c, step):
+    """c if it minimizes phi (see _newton), else None.
+
+    The last Newton step must cross no live jump's kink, every live jump
+    must be nonzero, and the merged terms must hold dual vectors y_t
+    with sum_t E_t^T y_t = -grad phi_live(c) and ||y_t|| <= w_t. Among the
+    duals, weighted least squares picks one; Lawson's reweighting
+    (toward the least largest ratio ||y_t|| / w_t) gets _DUAL_ROUNDS tries.
+    """
+    moved = _jumps(triples[live], step)
+    x = _jumps(triples, c)
+    norms = np.hypot(x[:, 0], x[:, 1])
+    if not np.all(np.hypot(moved[:, 0], moved[:, 1]) < norms[live]):
+        return None
+    dead = ~live
+    if not dead.any():
+        return c
+    g = quad @ c - linear + _penalty_grad(triples[live], w[live], x[live], norms[live], c.size)
+    matrix = _jump_matrix(triples[dead], c.size)
+    scale = np.ones(np.count_nonzero(dead))
+    for _ in range(_DUAL_ROUNDS):
+        root = np.repeat(w[dead] / np.sqrt(scale), 2)  # y = root * z, least ||z||
+        z = np.linalg.lstsq(matrix * root, -g, rcond=None)[0]
+        ratio = np.hypot(z[0::2], z[1::2]) / np.sqrt(scale)
+        if ratio.max() <= 1.0:
+            return c
+        scale *= np.maximum(ratio, 1e-12)  # root divides by scale
+    return None
+
+
+def _newton(quad, linear, triples, w, sizes, total, c):
+    """Damped Newton on phi(c) = 1/2 c'Qc - b'c + sum_t w_t ||E_t c||.
+
+    Along a constant shift of c, phi is a parabola of curvature only
+    (gamma / (1 + gamma) + rho) * sizes.sum(), which a Newton solve
+    resolves poorly; its minimum is where sizes @ c equals total. So the
+    Newton system stiffens that direction, and the start and every step
+    are shifted there exactly. A term whose jump reaches zero, at an
+    iterate or as the first kink a Newton step crosses (if stopping there
+    lowers phi), has its components merged into one class, and Newton
+    continues over the classes. Returns the minimizer when _certify
+    accepts it, or None once the budget runs out. The Hessian is summed
+    by bincount from each term's 3 x 3 block: a product of the dense
+    (2T, C) jump matrix, at C = 57, ran ten times slower under BLAS
+    threads on a 2-core host.
+    """
+    count = c.size
+    n_pix = sizes.sum()
+    cls = np.arange(count)  # merged class of each component
+    c = c + (total - sizes @ c) / n_pix
+    rows, cols = triples[:, _BLOCK_ROWS], triples[:, _BLOCK_COLS]
+    entries = (rows * count + cols).ravel()
+
+    def change(x, norms, gs, delta):
+        """phi(c + delta) - phi(c) without cancelling large terms."""
+        x_new = x + _jumps(triples, delta)
+        penalty = w @ (np.hypot(x_new[:, 0], x_new[:, 1]) - norms)
+        return gs @ delta + 0.5 * delta @ quad @ delta + penalty
+
+    for _ in range(_NEWTON_STEPS):
+        x = _jumps(triples, c)
+        norms = np.hypot(x[:, 0], x[:, 1])
+        classes = cls[triples]
+        live = (classes[:, 0] != classes[:, 1]) | (classes[:, 0] != classes[:, 2])
+        flat = live & (norms == 0)
+        if flat.any():
+            cls = _merge(cls, triples, np.flatnonzero(flat))
+            c = _class_means(cls, sizes, c)
+            continue
+        xl = np.where(live[:, None], x, 0.0)
+        nl = np.where(live, norms, 1.0)
+        wl = np.where(live, w, 0.0)
+        gs = quad @ c - linear
+        g = gs + _penalty_grad(triples, wl, xl, nl, count)
+        # E_t^T M_t E_t with M_t = w_t / |x_t| (I - x_t x_t' / |x_t|^2),
+        # rows and columns in (own, right, lower) order
+        k = wl / nl**3
+        m11, m12, m22 = k * xl[:, 1] ** 2, -k * xl[:, 0] * xl[:, 1], k * xl[:, 0] ** 2
+        own_own, own_right, own_lower = m11 + 2 * m12 + m22, -m11 - m12, -m12 - m22
+        block = np.stack(
+            [own_own, own_right, own_lower, own_right, m11, m12, own_lower, m12, m22], axis=1
+        )
+        hess = quad + np.bincount(entries, block.ravel(), count * count).reshape(count, count)
+        # Newton over the classes; the outer product of the class sizes
+        # only stiffens the shift direction
+        size = cls.max() + 1
+        class_sizes = np.bincount(cls, sizes, size)
+        pairs = (cls[:, None] * size + cls).ravel()
+        hess = np.bincount(pairs, hess.ravel(), size * size).reshape(size, size)
+        hess += np.outer(class_sizes, class_sizes) / n_pix
+        step = np.linalg.solve(hess, -np.bincount(cls, g, size))[cls]
+        if math.sqrt(sizes @ step**2) <= _NEWTON_TOL * math.sqrt(sizes @ c**2):
+            return _certify(quad, linear, triples, w, live, c + step, step)
+        # the first kink the full step passes through (or close by)
+        d = _jumps(triples, step)
+        reach = -np.einsum("tk,tk->t", x, d) / np.maximum(np.einsum("tk,tk->t", d, d), _TINY)
+        gap = np.hypot(*(x + reach[:, None] * d).T)
+        kinks = live & (reach > 0) & (reach < 1) & (gap <= 1e-2 * norms)
+        t = 1.0
+        if kinks.any():
+            t = reach[kinks].min()
+            joined = _merge(cls, triples, np.flatnonzero(kinks & (reach <= t * (1 + 1e-9))))
+            delta = _class_means(joined, sizes, c + t * step) - c
+            if change(x, norms, gs, delta) < 0:
+                cls, c = joined, c + delta
+                c += (total - sizes @ c) / n_pix
+                continue
+        slope = g @ step
+        for _ in range(_HALVINGS):
+            if change(x, norms, gs, t * step) <= 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            return None
+        c = c + t * step
+        c += (total - sizes @ c) / n_pix
+    return None
+
+
+def reduced_solve(
+    f: Array,
+    u_k: Array,
+    v_k: Array,
+    weights: Array,
+    support: SupportSet,
+    params: ModelParams,
+    rho: float,
+    admm: AdmmParams,
+    *,
+    max_pieces: int = _MAX_PIECES,
+) -> InnerResult | None:
+    """Solve admm_solve's problem exactly in the tie components' values.
+
+    Takes admm_solve's inputs. When the frozen ties of support leave at
+    most max_pieces components (and no more than _MAX_PIECES), every
+    feasible u is c[label] for C component values c, and
+    v = K(f - u) with K = 1 / (1 + gamma + beta hth) per frequency, so
+    the pass problem becomes
+        phi(c) = 1/2 c'Qc - b'c + alpha sum_t W_t ||E_t c||,
+    Q = B'SB + rho diag(sizes), S = 1 - K, b = B'Sf + rho B'u_k, where
+    term t sums the weights W of the active pixels that share one (own,
+    right, lower) component triple and E_t c is that triple's pair of
+    jumps. phi is convex, and _newton minimizes it from the component
+    means of u_k. The result is returned, as an InnerResult with iters =
+    0, only with its optimality certificate, so it is the exact pass
+    minimizer: u is constant on the components and needs no projection.
+    Returns None when the support leaves more components or the attempt
+    does not certify within its budget; the pass is then for admm_solve.
+    v_k and admm are not read.
+    """
+    f = as_grid(f, "f")
+    u_k = as_grid(u_k, "u_k")
+    shape = f.shape
+    if not (u_k.shape == np.shape(weights) == support.active.shape == shape):
+        raise ValueError("reduced_solve inputs must share one grid shape")
+    active = support.active
+    # an active pixel with active left and upper neighbors is tied to
+    # nothing, so it is a component of its own: a lower bound on the
+    # count that spares the labelling
+    alone = active & np.roll(active, 1, axis=0) & np.roll(active, 1, axis=1)
+    if np.count_nonzero(alone) > max_pieces:
+        return None
+    key = active.tobytes()
+    pieces = _pieces(key, shape)
+    if pieces is None or pieces.sizes.size > max_pieces:
+        return None
+    label, sizes = pieces.label, pieces.sizes
+    count = sizes.size
+    b = 1.0 + params.gamma + params.beta * compute_symbols(shape).hth  # K = 1 / b
+    f_hat = np.fft.rfft2(f)
+    smooth_f = np.fft.irfft2(f_hat * (1.0 - 1.0 / b), s=shape)
+    u_sums = np.bincount(label, u_k.ravel(), count)
+    linear = np.bincount(label, smooth_f.ravel(), count) + rho * u_sums
+    quad = _smooth(key, shape, params.gamma, params.beta) + rho * np.diag(sizes)
+    w = params.alpha * np.bincount(
+        pieces.term_of, np.ravel(weights)[pieces.term_pixels], pieces.triples.shape[0]
+    )
+    # the sum of the minimizer's u, from the zero frequency alone
+    s0 = params.gamma / (1.0 + params.gamma)
+    total = (s0 * f.sum() + rho * u_k.sum()) / (s0 + rho)
+    c = _newton(quad, linear, pieces.triples, w, sizes, total, u_sums / sizes)
+    if c is None:
+        return None
+    u = c[label].reshape(shape)
+    v = np.fft.irfft2((f_hat - np.fft.rfft2(u)) / b, s=shape)
+    return InnerResult(u, v, 0)

@@ -152,6 +152,7 @@ def _base_report(config: imgio.RunConfig, result: DecompositionResult) -> dict:
         "converged": result.converged,
         "outer_iters": result.outer_iters,
         "capped_solves": result.capped_solves,
+        "reduced_solves": result.reduced_solves,
         "energy_increased": result.energy_increased,
         "final_energy": result.trace[-1].energy,
         "log_domain": config.log_domain,

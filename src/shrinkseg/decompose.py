@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmParams, admm_solve
+from .admm import AdmmParams, admm_solve, reduced_solve
 from .energy import ModelParams, decomposition_energy
 from .grid import Array, as_grid, grad, grad_norms
 from .support import (
@@ -29,8 +29,9 @@ from .support import (
 class OuterParams:
     """Proximal weight, stopping rule, and support threshold.
 
-    tau_supp = None picks 1e-8 times the largest gradient magnitude of
-    the input, so "zero gradient" is judged relative to image scale.
+    tau_supp = None picks the inner tolerance tol_in times the largest
+    gradient magnitude of the input, so "zero gradient" is judged
+    relative to image scale, at the accuracy the inner solves reach.
     """
 
     rho: float = 1e-8
@@ -58,7 +59,8 @@ class TraceRow:
     energy, support_size, min_nonzero_grad and max_grad describe the
     iterate itself; increment and inner_iters describe the move to the
     next iterate and are zero on the final row. inner_iters counts the
-    sweeps of both solves when a pass was solved again at tol_in.
+    sweeps of both solves when a pass was solved again at tol_in, and is
+    zero for a pass that reduced_solve solved.
     max_grad is a diagnostic over all pixels and is not serialized.
     """
 
@@ -100,16 +102,18 @@ class DecompositionResult:
     energy_increased: bool
     tau_supp: float
     capped_solves: int  # inner solves that stopped at maxit_in
+    reduced_solves: int  # passes solved exactly by reduced_solve
 
 
 def _stacked_norm(a: Array, b: Array) -> float:
     return math.sqrt(float(np.vdot(a, a).real) + float(np.vdot(b, b).real))
 
 
-def resolve_tau_supp(f: Array, outer: OuterParams) -> float:
+def resolve_tau_supp(f: Array, outer: OuterParams, admm: AdmmParams | None = None) -> float:
+    """outer.tau_supp, or (admm or AdmmParams()).tol_in * max |grad f|."""
     if outer.tau_supp is not None:
         return outer.tau_supp
-    return 1e-8 * float(grad_norms(grad(f)).max())
+    return (admm or AdmmParams()).tol_in * float(grad_norms(grad(f)).max())
 
 
 def decompose(
@@ -133,14 +137,21 @@ def decompose(
     Bolte & Svaiter 2013); otherwise the pass is solved again from
     (u_k, v_k) at tol_in, and that result is kept. Once a pass meets
     tol_out, every later pass runs at tol_in, so only a pass at tol_in
-    can end the run. When tau / ||(u_k, v_k)|| <= tol_in, as for the
-    default tau_supp on ordinary images, every pass runs at tol_in and
-    H1 is not checked.
+    that leaves the support as it was can end the run. When
+    tau / ||(u_k, v_k)|| <= tol_in, as for the default tau_supp on
+    ordinary images, every pass runs at tol_in and H1 is not checked.
+
+    From the second pass on, reduced_solve gets each pass first, capped
+    at as many tie components as the last ADMM solve took sweeps. When
+    the support leaves few enough it may return the pass's exact
+    minimizer: that pass counts as solved at tol_in, needs neither H1
+    nor the projection, adds no sweeps to inner_iters and is counted in
+    reduced_solves. Any other pass goes to admm_solve as above.
     """
     f = as_grid(f, "f")
     outer = outer or OuterParams()
     admm = admm or AdmmParams()
-    tau = resolve_tau_supp(f, outer)
+    tau = resolve_tau_supp(f, outer, admm)
 
     u = f.copy()
     v = f.copy()
@@ -153,6 +164,7 @@ def decompose(
     converged = False
     increased = False
     capped = 0
+    reduced = 0
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
 
@@ -187,26 +199,43 @@ def decompose(
         tol = admm.tol_in if exact or denom == 0 else max(admm.tol_in, tau / denom)
 
         inner_iters = 0
-        while True:
-            inner = admm_solve(f, u, v, weights, support, params, outer.rho, admm, tol=tol)
-            inner_iters += inner.iters
-            capped += int(inner.iters >= admm.maxit_in)
-            # restore exact feasibility: the square-root penalty has
-            # unbounded slope at zero, so even tiny leftover gradients on
-            # the frozen set would otherwise leak into the energy
-            u_next = project_to_support(inner.u, support)
+        # the reduced system costs one transform pair per component and
+        # an ADMM sweep one pair: try it when it costs no more sweeps
+        # than the last ADMM solve took (the first pass has none)
+        inner = None
+        if rows:
+            inner = reduced_solve(
+                f, u, v, weights, support, params, outer.rho, admm, max_pieces=sweeps
+            )
+        if inner is not None:  # the exact minimizer, feasible as it is
+            reduced += 1
+            tol = admm.tol_in
+            u_next = inner.u
             next_energy = decomposition_energy(f, u_next, inner.v, params)
-            if tol <= admm.tol_in or next_energy <= energy:
-                break
-            tol = admm.tol_in  # H1 failed: solve the pass again, exactly
+        else:
+            while True:
+                inner = admm_solve(f, u, v, weights, support, params, outer.rho, admm, tol=tol)
+                inner_iters += inner.iters
+                sweeps = inner.iters
+                capped += int(inner.iters >= admm.maxit_in)
+                # restore exact feasibility: the square-root penalty has
+                # unbounded slope at zero, so even tiny leftover gradients
+                # on the frozen set would otherwise leak into the energy
+                u_next = project_to_support(inner.u, support)
+                next_energy = decomposition_energy(f, u_next, inner.v, params)
+                if tol <= admm.tol_in or next_energy <= energy:
+                    break
+                tol = admm.tol_in  # H1 failed: solve the pass again, exactly
         increment = _stacked_norm(u_next - u, inner.v - v)
         record(energy, increment, inner_iters)
 
         u, v, energy = u_next, inner.v, next_energy
         norms = grad_norms(grad(u))
-        support = detect_support(norms, support, tau)
+        shrunk = detect_support(norms, support, tau)
+        settled = shrunk.size == support.size
+        support = shrunk
         if increment <= outer.tol_out * denom:
-            if tol <= admm.tol_in:
+            if tol <= admm.tol_in and settled:
                 converged = True
                 break
             exact = True
@@ -221,4 +250,5 @@ def decompose(
         energy_increased=increased,
         tau_supp=tau,
         capped_solves=capped,
+        reduced_solves=reduced,
     )

@@ -49,25 +49,22 @@ def detect_support(norms: Array, prev: SupportSet, tau_supp: float) -> SupportSe
     return SupportSet(prev.active & (norms > tau_supp))
 
 
-def project_to_support(u: Array, support: SupportSet) -> Array:
-    """Nearest image whose gradient vanishes exactly off the support.
+def tie_labels(frozen: Array) -> Array:
+    """Flat component label of every pixel under the frozen ties.
 
-    A frozen pixel ties itself to its right and lower neighbors; the
-    resulting connected components must be constant, and the euclidean
-    projection replaces each component by its mean. Pixels touched by
-    no tie are returned unchanged.
+    A frozen pixel ties itself to its right and lower neighbors,
+    periodically. Returns a flat integer array over the pixels in row
+    order that holds, for each pixel, the smallest flat id in its
+    component, so a component's root is the one pixel labelled by
+    itself. Pixels touched by no tie are their own roots.
     """
-    if u.shape != support.active.shape:
-        raise ValueError("support and image shapes disagree")
-    frozen = ~support.active
-    if not frozen.any():
-        return u.copy()
-    m = u.shape[1]  # the row stride of the flat ids
+    m = frozen.shape[1]  # the row stride of the flat ids
+    size = frozen.size
     # A frozen pixel joins the run of frozen pixels to its left, so each
     # row splits into runs; label every pixel by the flat id of its run's
     # first pixel (column 0 always starts one), carried rightward by one
     # maximum.accumulate.
-    label = np.arange(u.size).reshape(u.shape)
+    label = np.arange(size).reshape(frozen.shape)
     label[:, 1:][frozen[:, :-1]] = 0
     label = np.maximum.accumulate(label.ravel())
     # What is left are the wrap ties of column m-1 to column 0 and the
@@ -86,7 +83,7 @@ def project_to_support(u: Array, support: SupportSet) -> Array:
     # sends each pixel straight to its root, and the ties whose ends now
     # share a root are dropped.
     a = label[np.concatenate([pix, wrap + m - 1])]
-    b = label[np.concatenate([(pix + m) % u.size, wrap])]
+    b = label[np.concatenate([(pix + m) % size, wrap])]
     while a.size:
         label[np.maximum(a, b)] = np.minimum(a, b)
         while True:
@@ -97,6 +94,22 @@ def project_to_support(u: Array, support: SupportSet) -> Array:
         a, b = label[a], label[b]
         split = a != b
         a, b = a[split], b[split]
+    return label
+
+
+def project_to_support(u: Array, support: SupportSet) -> Array:
+    """Nearest image whose gradient vanishes exactly off the support.
+
+    The tie components of tie_labels must be constant, and the euclidean
+    projection replaces each component by its mean. Pixels touched by
+    no tie are returned unchanged.
+    """
+    if u.shape != support.active.shape:
+        raise ValueError("support and image shapes disagree")
+    frozen = ~support.active
+    if not frozen.any():
+        return u.copy()
+    label = tie_labels(frozen)
     # bincount adds each component in pixel order whatever its label, so
     # the means do not depend on how components are numbered; only roots
     # have a nonzero count

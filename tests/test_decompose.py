@@ -45,8 +45,11 @@ class TestOuterParams:
         f = np.zeros((4, 4))
         f[1, 1] = 1.0
         assert resolve_tau_supp(f, OuterParams(tau_supp=0.25)) == 0.25
-        expected = 1e-8 * float(grad_norms(grad(f)).max())
-        assert resolve_tau_supp(f, OuterParams()) == pytest.approx(expected)
+        # the default scales with the accuracy of the inner solves
+        largest = float(grad_norms(grad(f)).max())
+        assert resolve_tau_supp(f, OuterParams()) == pytest.approx(AdmmParams().tol_in * largest)
+        admm = AdmmParams(tol_in=1e-7)
+        assert resolve_tau_supp(f, OuterParams(), admm) == pytest.approx(1e-7 * largest)
 
 
 class TestConstantImage:
@@ -180,6 +183,25 @@ def _record_solves(monkeypatch):
     return calls
 
 
+def _record_passes(monkeypatch):
+    """Wrap decompose's admm_solve and reduced_solve; returns the list of
+    their calls in order.
+
+    Each call is a dict of the solver's name, args, kwargs and result.
+    """
+    module = importlib.import_module("shrinkseg.decompose")
+    calls = []
+    for name in ("admm_solve", "reduced_solve"):
+
+        def wrapped(*args, _original=getattr(module, name), _name=name, **kwargs):
+            result = _original(*args, **kwargs)
+            calls.append({"name": _name, "args": args, "kwargs": dict(kwargs), "result": result})
+            return result
+
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
 def _stacked_norm(u, v):
     return float(np.sqrt(np.sum(u * u) + np.sum(v * v)))
 
@@ -189,25 +211,34 @@ MODEL = ModelParams(alpha=0.1, beta=100.0)
 
 class TestInnerTolerance:
     def test_passes_resolve_gradients_to_tau(self, monkeypatch):
-        calls = _record_solves(monkeypatch)
+        calls = _record_passes(monkeypatch)
         outer, admm = FAST["outer"], FAST["admm"]
         result = decompose(small_phantom(), MODEL, **FAST)
         assert result.converged
+        # a pass is solved by reduced_solve or, when that declines, by
+        # admm_solve; every loose pass met H1, so none was solved twice
+        passes = [call for call in calls if call["result"] is not None]
+        assert len(passes) == result.outer_iters
+        assert calls[0]["name"] == "admm_solve"  # the first pass is never reduced
+        reduced = [call for call in passes if call["name"] == "reduced_solve"]
+        assert len(reduced) == result.reduced_solves
         exact = False  # from the first pass that meets tol_out on
-        for call, row in zip(calls, result.trace):
+        for call, row in zip(passes, result.trace):
             denom = _stacked_norm(call["args"][1], call["args"][2])
-            tol = call["kwargs"]["tol"]
-            if exact:
-                assert tol == admm.tol_in
-            else:
-                assert tol == pytest.approx(max(admm.tol_in, result.tau_supp / denom), rel=1e-12)
+            if call["name"] == "admm_solve":
+                tol = call["kwargs"]["tol"]
+                if exact:
+                    assert tol == admm.tol_in
+                else:
+                    loose = max(admm.tol_in, result.tau_supp / denom)
+                    assert tol == pytest.approx(loose, rel=1e-12)
             exact = exact or row.increment <= outer.tol_out * denom
-        assert any(call["kwargs"]["tol"] > admm.tol_in for call in calls)
-        assert calls[-1]["kwargs"]["tol"] == admm.tol_in
-        # every loose pass met H1, so none was solved twice
-        assert len(calls) == result.outer_iters
+        solved = [call for call in passes if call["name"] == "admm_solve"]
+        assert any(call["kwargs"]["tol"] > admm.tol_in for call in solved)
+        # the run ends on a pass solved at tol_in, or exactly
+        assert passes[-1]["name"] == "reduced_solve" or passes[-1]["kwargs"]["tol"] == admm.tol_in
         np.testing.assert_array_equal(
-            result.trace.column("inner_iters")[:-1], [call["result"].iters for call in calls]
+            result.trace.column("inner_iters")[:-1], [call["result"].iters for call in passes]
         )
 
     def test_default_tau_keeps_every_pass_exact(self, monkeypatch):
@@ -215,7 +246,8 @@ class TestInnerTolerance:
         admm = FAST["admm"]
         result = decompose(small_phantom(), MODEL, admm=admm)
         # no pass is loose, so none can fail H1 and be solved twice
-        assert len(calls) == result.outer_iters > 0
+        assert len(calls) + result.reduced_solves == result.outer_iters
+        assert len(calls) > 0
         assert all(call["kwargs"]["tol"] == admm.tol_in for call in calls)
 
     def test_default_tau_matches_the_plain_solve(self, monkeypatch):
@@ -305,8 +337,11 @@ class TestCappedSolves:
         admm = AdmmParams(r=10.0, tol_in=1e-8, maxit_in=3)
         result = decompose(small_phantom(), MODEL, FAST["outer"], admm)
         assert result.outer_iters > 0
-        assert result.capped_solves == result.outer_iters
-        assert np.all(result.trace.column("inner_iters")[:-1] == 3)
+        # every pass is an ADMM solve capped at 3 sweeps or a reduced one
+        assert result.capped_solves == result.outer_iters - result.reduced_solves
+        iters = result.trace.column("inner_iters")[:-1]
+        assert np.all((iters == 3) | (iters == 0))
+        assert np.count_nonzero(iters == 0) == result.reduced_solves
 
     def test_converged_solves_do_not_count(self, run):
         assert run.capped_solves == 0
