@@ -10,10 +10,12 @@ a float the solver computes, so two runs of one tree print the same
 table, and two trees can be compared line by line.
 
     PYTHONPATH=src python scripts/fixture_work.py [--only NAME]
-        [--seed-offset N]
+        [--seed-offset N] [--defaults]
 
 --seed-offset N shifts every phantom's noise seed by N (0 keeps the
-pinned seeds); --only NAME runs one phantom.
+pinned seeds); --only NAME runs one phantom; --defaults solves with the
+settings `shrinkseg run` uses with no config (OuterParams() and
+AdmmParams()) instead of the fixture's.
 """
 
 import argparse
@@ -36,15 +38,20 @@ def digest(array):
 
 
 def run_entry(entry, solver, seed_offset):
+    """One phantom's row; solver is the fixture's settings, or None for
+    the CLI defaults."""
     spec = dict(entry["spec"], seed=(entry["spec"]["seed"] + seed_offset) % 2**63)
     phantom = generate(phantom_spec_from_dict(spec))
     g = to_log_domain(phantom.f / phantom.f.max())
-    outer = OuterParams(
-        tol_out=solver["tol_out"],
-        maxit_out=solver["maxit_out"],
-        tau_supp=solver["tau_supp"],
-    )
-    admm = AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"])
+    if solver is None:
+        outer, admm = OuterParams(), AdmmParams()
+    else:
+        outer = OuterParams(
+            tol_out=solver["tol_out"],
+            maxit_out=solver["maxit_out"],
+            tau_supp=solver["tau_supp"],
+        )
+        admm = AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"])
     model = ModelParams(alpha=entry["alpha"], beta=entry["beta"])
     result = decompose(g, model, outer, admm)
     labels = segment(from_log_domain(result.u), entry["k"]).labels
@@ -65,6 +72,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", metavar="NAME", help="run this phantom only")
     parser.add_argument("--seed-offset", type=int, default=0, metavar="N")
+    parser.add_argument("--defaults", action="store_true",
+                        help="solve at the CLI defaults, not the fixture's settings")
     args = parser.parse_args(argv)
 
     with open(FIXTURE, encoding="utf-8") as handle:
@@ -79,7 +88,7 @@ def main(argv=None):
           f"{'support':>7}  {'labels':<12}  {'u':<12}  {'v':<12}  energy")
     totals = dict(sweeps=0, outer=0, capped=0, reduced=0)
     for entry in entries:
-        row = run_entry(entry, fixture["solver"], args.seed_offset)
+        row = run_entry(entry, None if args.defaults else fixture["solver"], args.seed_offset)
         for key in totals:
             totals[key] += row[key]
         print(f"{entry['name']:<28} {row['sweeps']:>7} {row['outer']:>5} "

@@ -25,12 +25,13 @@ when the frozen ties leave few connected components: u is then one
 value per component, v is eliminated per frequency, and a small convex
 problem in the component values is solved by damped Newton. Its result
 is used only with an optimality certificate; otherwise it returns None
-and the pass is left to admm_solve.
+and the pass is left to admm_solve. A ReducedState carries what the
+attempts of one decompose run share, so that the reduced quadratic is
+built from transforms once per run and summed from it after that.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -321,6 +322,9 @@ _NEWTON_STEPS = 30
 _HALVINGS = 8
 _DUAL_ROUNDS = 4
 _NEWTON_TOL = 1e-10
+# Components whose indicators _smooth transforms in one call: 8 cut a
+# first build's time by a quarter on the n=64 fixtures.
+_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -341,13 +345,10 @@ class _Pieces:
     term_of: Array
 
 
-# Both caches hold the last support mask: outer passes often keep it.
-@functools.lru_cache(maxsize=1)
-def _pieces(active_bytes: bytes, shape: tuple[int, int]) -> _Pieces | None:
-    """The _Pieces of the support mask packed in active_bytes, or None
-    when it leaves more than _MAX_PIECES components."""
-    active = np.frombuffer(active_bytes, dtype=np.bool_).reshape(shape)
-    m = shape[1]
+def _pieces(active: Array) -> _Pieces | None:
+    """The _Pieces of the support mask active, or None when it leaves
+    more than _MAX_PIECES components."""
+    m = active.shape[1]
     roots = tie_labels(~active)
     heads = np.flatnonzero(roots == np.arange(roots.size))
     count = heads.size
@@ -373,25 +374,80 @@ def _pieces(active_bytes: bytes, shape: tuple[int, int]) -> _Pieces | None:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _smooth(active_bytes: bytes, shape: tuple[int, int], gamma: float, beta: float) -> Array:
-    """B^T S B for the _pieces of the mask in active_bytes: B maps the
-    component values to pixels, S is the convolution of symbol
+def _smooth(label: Array, shape: tuple[int, int], gamma: float, beta: float) -> Array:
+    """B^T S B for the tie labels label: B maps the component values to
+    pixels, S is the convolution of symbol
     (gamma + beta hth) / (1 + gamma + beta hth).
 
-    One component's indicator is transformed at a time: a stack of them
-    and their spectra would raise the peak memory by more than it saves.
+    The components' indicators are transformed _BATCH at a time (each
+    gets the same bits as in a call of its own): one stack of all of
+    them and their spectra would raise the peak memory by more than it
+    saves.
     """
-    label = _pieces(active_bytes, shape).label
     count = label.max() + 1
     ridge = gamma + beta * compute_symbols(shape).hth
     symbol = ridge / (1.0 + ridge)
     grid = label.reshape(shape)
     smooth = np.empty((count, count))
-    for piece in range(count):
-        spread = np.fft.irfft2(np.fft.rfft2(grid == piece) * symbol, s=shape)
-        smooth[piece] = np.bincount(label, spread.ravel(), count)
+    for start in range(0, count, _BATCH):
+        pieces = np.arange(start, min(start + _BATCH, count))
+        spread = np.fft.irfft2(np.fft.rfft2(grid == pieces[:, None, None]) * symbol, s=shape)
+        for piece, row in zip(pieces, spread):
+            smooth[piece] = np.bincount(label, row.ravel(), count)
     return 0.5 * (smooth + smooth.T)
+
+
+class ReducedState:
+    """What reduced_solve carries from pass to pass of one decompose run.
+
+    f and the model are fixed within a run, so f_hat, the symbol
+    b = 1 + gamma + beta hth and the smoothed f are formed at the first
+    attempt. The last support mask is kept with its _Pieces (None when it
+    left too many components), so a pass that keeps the mask skips the
+    labelling. B^T S B is built from transforms only at the first attempt
+    that gets that far: supports only shrink, so every later partition
+    coarsens the stored one (each old component lies in one new one) and
+    the new matrix is M^T (B^T S B) M for the 0/1 merge matrix M, one
+    bincount. A partition that does not coarsen it is built afresh.
+
+    A state serves one run, and reduced_solve raises ValueError when it
+    is handed another f or params. Two runs of one problem must not share
+    one either: an aggregated matrix can differ from a fresh build in the
+    last bits, so a run's result would depend on the runs before it.
+    """
+
+    def __init__(self):
+        self.problem: tuple[Array, ModelParams] | None = None  # the run's f and params
+        self.spectra: tuple[Array, Array, Array] | None = None  # f_hat, b, smoothed f
+        self.active: Array | None = None
+        self.pieces: _Pieces | None = None
+        self.quad_pieces: _Pieces | None = None  # the pieces that quad_smooth is for
+        self.quad_smooth: Array | None = None
+
+    def pieces_of(self, active: Array) -> _Pieces | None:
+        """The _Pieces of active, relabelled only when the mask changed."""
+        if self.active is None or not np.array_equal(active, self.active):
+            self.active, self.pieces = active.copy(), _pieces(active)
+        return self.pieces
+
+    def smooth(self, pieces: _Pieces, shape: tuple[int, int], params: ModelParams) -> Array:
+        """B^T S B for pieces, aggregated from the stored one when it can be."""
+        if pieces is self.quad_pieces:
+            return self.quad_smooth
+        old, label = self.quad_pieces, pieces.label
+        if old is not None:
+            merge = np.empty(old.sizes.size, dtype=np.intp)  # M as a map
+            merge[old.label] = label
+        if old is None or not np.array_equal(merge[old.label], label):
+            smooth = _smooth(label, shape, params.gamma, params.beta)
+        else:
+            count = pieces.sizes.size
+            pairs = (merge[:, None] * count + merge).ravel()
+            smooth = np.bincount(pairs, self.quad_smooth.ravel(), count * count)
+            smooth = smooth.reshape(count, count)
+            smooth = 0.5 * (smooth + smooth.T)
+        self.quad_pieces, self.quad_smooth = pieces, smooth
+        return smooth
 
 
 def _jumps(triples: Array, c: Array) -> Array:
@@ -416,12 +472,26 @@ _BLOCK_ROWS, _BLOCK_COLS = np.divmod(np.arange(9), 3)
 
 def _merge(cls: Array, triples: Array, terms: Array) -> Array:
     """Classes of the components once each listed term's components are
-    joined, numbered from 0 in the order of their smallest component."""
-    cls = cls.copy()
-    for term in terms:
-        ids = cls[triples[term]]
-        cls[np.isin(cls, ids)] = ids.min()
-    return np.unique(cls, return_inverse=True)[1]
+    joined, numbered from 0 in the order of their smallest component.
+
+    One union-find over the classes, each root the smallest class of its
+    set, so the order of the roots is that of the smallest components.
+    """
+    parent = list(range(int(cls.max()) + 1))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for own, *others in cls[triples[terms]].tolist():
+        for other in others:
+            a, b = find(own), find(other)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    roots = np.array([find(a) for a in range(len(parent))])
+    heads = roots == np.arange(roots.size)
+    return (np.cumsum(heads) - 1)[roots][cls]
 
 
 def _class_means(cls: Array, sizes: Array, c: Array) -> Array:
@@ -522,14 +592,19 @@ def _newton(quad, linear, triples, w, sizes, total, c):
             [own_own, own_right, own_lower, own_right, m11, m12, own_lower, m12, m22], axis=1
         )
         hess = quad + np.bincount(entries, block.ravel(), count * count).reshape(count, count)
-        # Newton over the classes; the outer product of the class sizes
-        # only stiffens the shift direction
+        # Newton over the classes (each component its own class until a
+        # merge); the outer product of the class sizes only stiffens the
+        # shift direction
         size = cls.max() + 1
-        class_sizes = np.bincount(cls, sizes, size)
-        pairs = (cls[:, None] * size + cls).ravel()
-        hess = np.bincount(pairs, hess.ravel(), size * size).reshape(size, size)
-        hess += np.outer(class_sizes, class_sizes) / n_pix
-        step = np.linalg.solve(hess, -np.bincount(cls, g, size))[cls]
+        if size < count:
+            class_sizes = np.bincount(cls, sizes, size)
+            pairs = (cls[:, None] * size + cls).ravel()
+            hess = np.bincount(pairs, hess.ravel(), size * size).reshape(size, size)
+            hess += np.outer(class_sizes, class_sizes) / n_pix
+            step = np.linalg.solve(hess, -np.bincount(cls, g, size))[cls]
+        else:
+            hess += np.outer(sizes, sizes) / n_pix
+            step = np.linalg.solve(hess, -g)
         if math.sqrt(sizes @ step**2) <= _NEWTON_TOL * math.sqrt(sizes @ c**2):
             return _certify(quad, linear, triples, w, live, c + step, step)
         # the first kink the full step passes through (or close by)
@@ -568,15 +643,14 @@ def reduced_solve(
     rho: float,
     admm: AdmmParams,
     *,
-    max_pieces: int = _MAX_PIECES,
+    state: ReducedState | None = None,
 ) -> InnerResult | None:
     """Solve admm_solve's problem exactly in the tie components' values.
 
     Takes admm_solve's inputs. When the frozen ties of support leave at
-    most max_pieces components (and no more than _MAX_PIECES), every
-    feasible u is c[label] for C component values c, and
-    v = K(f - u) with K = 1 / (1 + gamma + beta hth) per frequency, so
-    the pass problem becomes
+    most _MAX_PIECES components, every feasible u is c[label] for C
+    component values c, and v = K(f - u) with K = 1 / (1 + gamma + beta
+    hth) per frequency, so the pass problem becomes
         phi(c) = 1/2 c'Qc - b'c + alpha sum_t W_t ||E_t c||,
     Q = B'SB + rho diag(sizes), S = 1 - K, b = B'Sf + rho B'u_k, where
     term t sums the weights W of the active pixels that share one (own,
@@ -588,31 +662,42 @@ def reduced_solve(
     Returns None when the support leaves more components or the attempt
     does not certify within its budget; the pass is then for admm_solve.
     v_k and admm are not read.
+
+    state carries what the attempts of one decompose run share (see
+    ReducedState): pass the same one for every pass of a run, with the
+    same f and params. Without it everything is built afresh.
     """
     f = as_grid(f, "f")
     u_k = as_grid(u_k, "u_k")
     shape = f.shape
     if not (u_k.shape == np.shape(weights) == support.active.shape == shape):
         raise ValueError("reduced_solve inputs must share one grid shape")
+    state = ReducedState() if state is None else state
     active = support.active
     # an active pixel with active left and upper neighbors is tied to
     # nothing, so it is a component of its own: a lower bound on the
     # count that spares the labelling
     alone = active & np.roll(active, 1, axis=0) & np.roll(active, 1, axis=1)
-    if np.count_nonzero(alone) > max_pieces:
+    if np.count_nonzero(alone) > _MAX_PIECES:
         return None
-    key = active.tobytes()
-    pieces = _pieces(key, shape)
-    if pieces is None or pieces.sizes.size > max_pieces:
+    pieces = state.pieces_of(active)
+    if pieces is None:
         return None
     label, sizes = pieces.label, pieces.sizes
     count = sizes.size
-    b = 1.0 + params.gamma + params.beta * compute_symbols(shape).hth  # K = 1 / b
-    f_hat = np.fft.rfft2(f)
-    smooth_f = np.fft.irfft2(f_hat * (1.0 - 1.0 / b), s=shape)
+    if state.problem is None:
+        state.problem = f, params
+        b = 1.0 + params.gamma + params.beta * compute_symbols(shape).hth  # K = 1 / b
+        f_hat = np.fft.rfft2(f)
+        state.spectra = f_hat, b, np.fft.irfft2(f_hat * (1.0 - 1.0 / b), s=shape)
+    else:
+        run_f, run_params = state.problem
+        if run_params != params or not (run_f is f or np.array_equal(run_f, f)):
+            raise ValueError("a ReducedState serves the passes of one f and one params")
+    f_hat, b, smooth_f = state.spectra
     u_sums = np.bincount(label, u_k.ravel(), count)
     linear = np.bincount(label, smooth_f.ravel(), count) + rho * u_sums
-    quad = _smooth(key, shape, params.gamma, params.beta) + rho * np.diag(sizes)
+    quad = state.smooth(pieces, shape, params) + rho * np.diag(sizes)
     w = params.alpha * np.bincount(
         pieces.term_of, np.ravel(weights)[pieces.term_pixels], pieces.triples.shape[0]
     )

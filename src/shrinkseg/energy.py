@@ -44,22 +44,29 @@ def _check_shapes(*arrays: Array) -> None:
         raise ValueError(f"grid shapes disagree: {sorted(shapes)}")
 
 
-def decomposition_energy(f: Array, u: Array, v: Array, params: ModelParams) -> float:
+def decomposition_energy(
+    f: Array, u: Array, v: Array, params: ModelParams, norms: Array | None = None
+) -> float:
     """Objective: fidelity + concave gradient penalty + smoothness.
 
     The gradient penalty sums over every pixel; zero-gradient pixels
-    contribute nothing since the potential vanishes at zero. The
-    smoothness term beta/2 ||Hv||^2 is beta/2 sum(weights * hth *
-    |rfft2(v)|^2) on the half spectrum.
+    contribute nothing since the potential vanishes at zero. norms, when
+    given, must be grad_norms(grad(u)), which a caller that needs them
+    anyway can pass in. The smoothness term beta/2 ||Hv||^2 is beta/2
+    sum(weights * hth * |rfft2(v)|^2) on the half spectrum.
     """
     f = as_grid(f, "f")
     u = as_grid(u, "u")
     v = as_grid(v, "v")
     _check_shapes(f, u, v)
+    if norms is None:
+        norms = grad_norms(grad(u))
+    elif np.shape(norms) != u.shape:
+        raise ValueError(f"norms must have the grid shape {u.shape}, got {np.shape(norms)}")
 
     resid = f - u - v
     fidelity = 0.5 * float(np.vdot(resid, resid).real)
-    penalty = params.alpha * float(np.sum(params.potential.value(grad_norms(grad(u)))))
+    penalty = params.alpha * float(np.sum(params.potential.value(norms)))
     symbols = compute_symbols(f.shape)
     v_hat = np.fft.rfft2(v)
     v_power = v_hat.real**2 + v_hat.imag**2

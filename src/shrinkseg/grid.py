@@ -15,6 +15,7 @@ column weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,10 +130,17 @@ def compute_symbols(shape: tuple[int, int]) -> OperatorSymbols:
 
     dtd(k1, k2) = 4 sin^2(pi k1 / n) + 4 sin^2(pi k2 / m) and
     hth = dtd**2, for k2 <= m // 2: a row symbol plus a column symbol.
+    The symbols of a shape are built once and shared, so their arrays
+    are read-only.
     """
     n, m = shape
     if min(n, m) < 2:
         raise ValueError(f"grid sides must be >= 2, got shape {tuple(shape)}")
+    return _symbols(int(n), int(m))
+
+
+@functools.lru_cache(maxsize=8)
+def _symbols(n: int, m: int) -> OperatorSymbols:
     half = m // 2 + 1
     s_y = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
     s_x = 4.0 * np.sin(np.pi * np.arange(half) / m) ** 2
@@ -141,4 +149,7 @@ def compute_symbols(shape: tuple[int, int]) -> OperatorSymbols:
     weights[0] = 1.0
     if m % 2 == 0:
         weights[-1] = 1.0
-    return OperatorSymbols(dtd=dtd, hth=dtd**2, weights=weights / (n * m))
+    symbols = OperatorSymbols(dtd=dtd, hth=dtd**2, weights=weights / (n * m))
+    for array in (symbols.dtd, symbols.hth, symbols.weights):
+        array.flags.writeable = False
+    return symbols

@@ -188,8 +188,31 @@ def read_float_grid(path) -> Array:
 
 
 def write_labels(labels: Array, path) -> None:
-    lines = [",".join(map(str, row)) for row in np.asarray(labels).tolist()]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """An integer grid as CSV, one row per line, each label in decimal.
+
+    The file is assembled as one byte buffer: each distinct label is
+    formatted once, and its digits are copied into every cell that holds
+    it, one digit position at a time.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.size == 0 or labels.dtype.kind not in "iu":
+        raise ValueError(
+            f"labels must be a nonempty 2D integer array, got {labels.dtype} {labels.shape}"
+        )
+    values, index = np.unique(labels, return_inverse=True)
+    index = index.ravel()
+    digits = np.array([str(v).encode("ascii") for v in values.tolist()])
+    table = digits.view(np.uint8).reshape(values.size, -1)
+    width = np.char.str_len(digits)[index]
+    ends = np.cumsum(width + 1)  # each cell ends in a ',' or a newline
+    starts = ends - width - 1
+    data = np.empty(ends[-1], dtype=np.uint8)
+    for pos in range(table.shape[1]):
+        cells = np.flatnonzero(width > pos)
+        data[starts[cells] + pos] = table[index[cells], pos]
+    data[ends - 1] = ord(",")
+    data[ends[labels.shape[1] - 1 :: labels.shape[1]] - 1] = ord("\n")
+    _atomic_write_bytes(path, data.tobytes())
 
 
 def read_labels(path) -> Array:

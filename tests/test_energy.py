@@ -51,6 +51,17 @@ class TestDecompositionEnergy:
     def test_shape_mismatch_raises(self, params):
         with pytest.raises(ValueError):
             decomposition_energy(np.zeros((4, 4)), np.zeros((5, 5)), np.zeros((4, 4)), params)
+        with pytest.raises(ValueError, match="norms"):
+            decomposition_energy(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), params,
+                                 np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 9), (2, 7)])
+    def test_given_norms_give_the_same_bits(self, params, shape):
+        rng = np.random.default_rng(1)
+        f, u, v = (rng.standard_normal(shape) for _ in range(3))
+        u[rng.random(shape) < 0.4] = 0.25  # zero gradients too
+        norms = grad_norms(grad(u))
+        assert decomposition_energy(f, u, v, params, norms) == decomposition_energy(f, u, v, params)
 
     def test_gradient_term_uses_potential(self):
         f = np.zeros((4, 4))

@@ -246,3 +246,11 @@ class TestRectangularGrids:
     def test_symbols_reject_sides_below_two(self, shape):
         with pytest.raises(ValueError, match="sides must be >= 2"):
             compute_symbols(shape)
+
+    def test_symbols_are_shared_and_read_only(self):
+        symbols = compute_symbols((6, 9))
+        assert compute_symbols([6, 9]) is symbols
+        assert compute_symbols((9, 6)) is not symbols
+        for array in (symbols.dtd, symbols.hth, symbols.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0

@@ -148,7 +148,42 @@ class TestFloatGrid:
         assert back.tolist() == [[10.0, 2.0], [3.0, -45.0]]
 
 
+def _joined_labels(labels):
+    """The label CSV as str() and join write it, cell by cell."""
+    lines = [",".join(map(str, row)) for row in np.asarray(labels).tolist()]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+_RNG = np.random.default_rng(5)
+LABEL_GRIDS = [
+    _RNG.integers(-5, 6, (7, 9)),
+    _RNG.integers(-(2**62), 2**62, (5, 4)),
+    np.array([[2**62, -(2**62), 0, -1]]),
+    _RNG.integers(0, 3, (1, 9)),
+    _RNG.integers(0, 3, (9, 1)),
+    _RNG.integers(-1000, 1000, (33, 17)).astype(np.int32),
+    _RNG.integers(0, 300, (4, 4)).astype(np.uint16),
+    np.full((3, 3), np.iinfo(np.int64).min),
+]
+
+
 class TestLabels:
+    @pytest.mark.parametrize("labels", LABEL_GRIDS, ids=lambda a: f"{a.dtype}{a.shape}")
+    def test_bytes_match_joined_cells(self, tmp_path, labels):
+        path = tmp_path / "l.csv"
+        imgio.write_labels(labels, path)
+        assert path.read_bytes() == _joined_labels(labels)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.ones((2, 2)), np.ones((2, 2), dtype=bool), np.ones(3, dtype=int),
+         np.zeros((0, 3), dtype=int), np.zeros((3, 0), dtype=int)],
+    )
+    def test_other_grids_rejected(self, tmp_path, labels):
+        with pytest.raises(ValueError, match="nonempty 2D integer array"):
+            imgio.write_labels(labels, tmp_path / "l.csv")
+        assert not (tmp_path / "l.csv").exists()
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "l.csv"
         labels = np.array([[1, 2], [3, 1]], dtype=np.int64)

@@ -12,6 +12,7 @@ from shrinkseg import (
     ModelParams,
     OuterParams,
     admm_solve,
+    compute_symbols,
     decompose,
     generate,
     reduced_solve,
@@ -56,6 +57,18 @@ def _check_against_admm(args):
     return reduced
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name; returns the list its calls append their args to."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 # 12 square and 8 rectangular instances; a random support cuts each
 # into 1-13 components joined by 0-26 terms
 INSTANCES = [(seed, (n, n)) for seed in range(6) for n in (6, 8)] + [
@@ -85,11 +98,11 @@ class TestMatchesAdmm:
         args = _instance(4, (7, 9))
         first = reduced_solve(*args)
         assert first is not None
-        admm_module._pieces.cache_clear()
-        admm_module._smooth.cache_clear()
         second = reduced_solve(*args)
-        third = reduced_solve(*args)  # from the cached pieces
-        for other in (second, third):
+        state = admm_module.ReducedState()
+        third = reduced_solve(*args, state=state)
+        fourth = reduced_solve(*args, state=state)  # from the stored pieces and Q
+        for other in (second, third, fourth):
             assert other.u.tobytes() == first.u.tobytes()
             assert other.v.tobytes() == first.v.tobytes()
 
@@ -98,12 +111,14 @@ class TestMatchesAdmm:
         with pytest.raises(ValueError):
             reduced_solve(f, u_k, v_k, weights[:5], support, params, rho, admm)
 
-    def test_too_many_components_declines(self):
+    def test_too_many_components_declines(self, monkeypatch):
         args = _instance(5, (8, 8))
         count = oracles.tie_components(~args[4].active).shape[1]
         assert count == 13
-        assert reduced_solve(*args, max_pieces=count) is not None
-        assert reduced_solve(*args, max_pieces=count - 1) is None
+        monkeypatch.setattr(admm_module, "_MAX_PIECES", count)
+        assert reduced_solve(*args) is not None
+        monkeypatch.setattr(admm_module, "_MAX_PIECES", count - 1)
+        assert reduced_solve(*args) is None
 
 
 class TestZeroJumps:
@@ -137,15 +152,8 @@ class TestZeroJumps:
     def test_declined_pass_goes_to_admm(self, monkeypatch):
         # with no Newton steps to spend, no pass certifies
         monkeypatch.setattr(admm_module, "_NEWTON_STEPS", 0)
-        module = importlib.import_module("shrinkseg.decompose")
-        original = module.admm_solve
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, "admm_solve", counted)
+        calls = _count_calls(monkeypatch, importlib.import_module("shrinkseg.decompose"),
+                             "admm_solve")
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
                            shapes=(Disk(row=8, col=8, radius=4, phase=2),),
                            noise_sigma=0.02, composition="additive", seed=11)
@@ -172,10 +180,122 @@ class TestTieLabels:
             assert root == np.flatnonzero(label == root).min()
 
 
+def _shrunk(args, seed, keep=0.9):
+    """args with a random part of the active set frozen, weights with it."""
+    f, u_k, v_k, weights, support, params, rho, admm = args
+    active = support.active & (np.random.default_rng(seed).random(f.shape) < keep)
+    return (f, u_k, v_k, np.where(active, weights, 0.0), SupportSet(active=active),
+            params, rho, admm)
+
+
+# random supports that leave 2-21 components, shrunk twice in a row
+NESTED = [(seed, shape) for seed in range(3) for shape in ((8, 8), (6, 9), (2, 9))] + [
+    (3, (8, 8)), (3, (6, 9))]
+
+
+class TestReducedState:
+    @pytest.mark.parametrize("seed, shape", NESTED)
+    def test_aggregated_q_matches_a_fresh_build(self, seed, shape, monkeypatch):
+        builds = _count_calls(monkeypatch, admm_module, "_smooth")
+        state = admm_module.ReducedState()
+        args = _instance(seed, shape, active_frac=0.6)
+        for step in range(3):  # each support nested in the last
+            reduced_solve(*args, state=state)
+            pieces = state.quad_pieces
+            fresh = admm_module._smooth(pieces.label, shape, PARAMS.gamma, PARAMS.beta)
+            error = np.abs(state.quad_smooth - fresh).max()
+            assert error <= 1e-12 * np.abs(fresh).max()
+            assert np.array_equal(state.quad_smooth, state.quad_smooth.T)
+            args = _shrunk(args, 100 + 10 * seed + step)
+        assert len(builds) == 3 + 1  # the checks' three, and one by the state
+
+    @pytest.mark.parametrize("seed, shape", [(5, (8, 8)), (3, (6, 9))])
+    def test_batched_build_matches_one_transform_per_component(self, seed, shape):
+        label = admm_module._pieces(_instance(seed, shape)[4].active).label
+        count = label.max() + 1
+        assert count % admm_module._BATCH != 0
+        ridge = PARAMS.gamma + PARAMS.beta * compute_symbols(shape).hth
+        one = np.empty((count, count))
+        for piece in range(count):
+            indicator = (label == piece).reshape(shape)
+            spread = np.fft.irfft2(np.fft.rfft2(indicator) * (ridge / (1.0 + ridge)), s=shape)
+            one[piece] = np.bincount(label, spread.ravel(), count)
+        built = admm_module._smooth(label, shape, PARAMS.gamma, PARAMS.beta)
+        assert built.tobytes() == (0.5 * (one + one.T)).tobytes()
+
+    def test_partition_that_does_not_coarsen_is_built_afresh(self, monkeypatch):
+        builds = _count_calls(monkeypatch, admm_module, "_smooth")
+        state = admm_module.ReducedState()
+        first = _instance(1, (8, 8))
+        # the same image, with another support's frozen ties
+        other = _instance(2, (8, 8))[4]
+        other = (*first[:3], np.where(other.active, first[3], 0.0), other, *first[5:])
+        reduced_solve(*first, state=state)
+        shared = reduced_solve(*other, state=state)
+        alone = reduced_solve(*other)
+        assert len(builds) == 3
+        assert shared is not None
+        assert shared.u.tobytes() == alone.u.tobytes()
+        assert shared.v.tobytes() == alone.v.tobytes()
+
+    def test_a_state_serves_one_image_and_model(self):
+        state = admm_module.ReducedState()
+        args = _instance(1, (8, 8))
+        reduced_solve(*args, state=state)
+        reduced_solve(args[0].copy(), *args[1:], state=state)  # equal values are fine
+        with pytest.raises(ValueError, match="one f and one params"):
+            reduced_solve(args[0] + 0.01, *args[1:], state=state)
+        with pytest.raises(ValueError, match="one f and one params"):
+            reduced_solve(*args[:5], ModelParams(alpha=0.06, beta=1.0, gamma=0.3), *args[6:],
+                          state=state)
+
+    def test_a_kept_mask_reuses_its_pieces_and_q(self, monkeypatch):
+        builds = _count_calls(monkeypatch, admm_module, "_smooth")
+        labels = _count_calls(monkeypatch, admm_module, "_pieces")
+        state = admm_module.ReducedState()
+        args = _instance(3, (8, 8))
+        for _ in range(3):
+            reduced_solve(*args, state=state)
+        assert len(builds) == len(labels) == 1
+
+    def test_runs_do_not_share_state(self):
+        # an aggregated Q may differ from a fresh one in the last bits,
+        # so a run's result must not depend on the runs before it
+        solver = (OuterParams(tau_supp=1e-3), AdmmParams(tol_in=1e-8, maxit_in=500))
+        runs = []
+        for seed in (11, 12, 11):
+            spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
+                               shapes=(Disk(row=8, col=8, radius=4, phase=2),),
+                               noise_sigma=0.02, composition="additive", seed=seed)
+            runs.append(decompose(generate(spec).f, ModelParams(alpha=0.1, beta=100.0), *solver))
+        assert runs[0].reduced_solves > 1
+        assert runs[2].u.tobytes() == runs[0].u.tobytes()
+        assert runs[2].v.tobytes() == runs[0].v.tobytes()
+
+
+class TestMerge:
+    @staticmethod
+    def _merge_by_isin(cls, triples, terms):
+        cls = cls.copy()
+        for term in terms:
+            ids = cls[triples[term]]
+            cls[np.isin(cls, ids)] = ids.min()
+        return np.unique(cls, return_inverse=True)[1]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_union_find_matches_joining_term_by_term(self, seed):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(2, 40))
+        triples = rng.integers(0, count, size=(int(rng.integers(1, 30)), 3))
+        cls = self._merge_by_isin(np.arange(count), triples, rng.choice(len(triples), 2))
+        terms = rng.choice(len(triples), int(rng.integers(1, len(triples) + 1)))
+        np.testing.assert_array_equal(
+            admm_module._merge(cls, triples, terms), self._merge_by_isin(cls, triples, terms)
+        )
+
+
 class TestDecomposeTries:
-    def test_reduced_passes_cost_no_more_than_the_last_admm_solve(self, monkeypatch):
-        # building the reduced system takes one transform pair per
-        # component, an ADMM sweep one pair
+    def test_every_later_pass_within_the_cap_is_tried(self, monkeypatch):
         module = importlib.import_module("shrinkseg.decompose")
         calls = []
         for name in ("admm_solve", "reduced_solve"):
@@ -186,18 +306,22 @@ class TestDecomposeTries:
                 return result
 
             monkeypatch.setattr(module, name, wrapped)
+        attempts = _count_calls(monkeypatch, admm_module, "_newton")
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
                            shapes=(Disk(row=8, col=8, radius=4, phase=2),),
                            noise_sigma=0.02, composition="additive", seed=11)
         result = decompose(generate(spec).f, ModelParams(alpha=0.1, beta=100.0),
                            OuterParams(tau_supp=1e-3), AdmmParams(tol_in=1e-8, maxit_in=500))
-        assert calls[0][0] == "admm_solve"  # the first pass has no sweeps to compare
         assert result.reduced_solves > 0
-        last = None
-        for name, args, kwargs, out in calls:
-            if name == "admm_solve":
-                last = out.iters
-                continue
-            assert kwargs["max_pieces"] == last
+        # the first pass runs ADMM; every later one is offered to
+        # reduced_solve first, with one state for the run
+        assert calls[0][0] == "admm_solve"
+        tries = [call for call in calls if call[0] == "reduced_solve"]
+        assert len(tries) == result.outer_iters - 1
+        assert len({id(kwargs["state"]) for _, _, kwargs, _ in tries}) == 1
+        within = 0
+        for _, args, _, out in tries:
             count = oracles.tie_components(~args[4].active).shape[1]
-            assert (out is None) or count <= last
+            within += count <= admm_module._MAX_PIECES
+            assert out is None or count <= admm_module._MAX_PIECES
+        assert len(attempts) == within > 0
