@@ -154,6 +154,7 @@ def _base_report(config: imgio.RunConfig, result: DecompositionResult) -> dict:
         "capped_solves": result.capped_solves,
         "reduced_solves": result.reduced_solves,
         "energy_increased": result.energy_increased,
+        "energy_rises": result.energy_rises,
         "final_energy": result.trace[-1].energy,
         "log_domain": config.log_domain,
     }

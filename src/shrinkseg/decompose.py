@@ -100,6 +100,7 @@ class DecompositionResult:
     converged: bool
     outer_iters: int
     energy_increased: bool
+    energy_rises: int  # outer steps whose energy rose (see decompose)
     tau_supp: float
     capped_solves: int  # inner solves that stopped at maxit_in
     reduced_solves: int  # passes solved exactly by reduced_solve
@@ -125,9 +126,11 @@ def decompose(
     """Split f into a piecewise-constant part u and a smooth part v.
 
     Appends one trace row per outer iterate, including the final one,
-    so a run with T inner solves yields T+1 rows. An energy increase
-    beyond 1e-8 times the initial energy is flagged and warned about
-    but does not abort the run.
+    so a run with T inner solves yields T+1 rows. A step whose energy
+    rises by more than 1e-8 times the energy it leaves is counted in
+    energy_rises, flagged and warned about, but does not abort the run.
+    A run warns once, with the counts, when any inner solve stopped at
+    maxit_in and when it ends unconverged.
 
     A pixel freezes once its gradient falls below tau, the resolved
     tau_supp, so outer pass k solves its inner problem only to
@@ -158,11 +161,10 @@ def decompose(
     norms = grad_norms(grad(u))  # of the current iterate: support, weights and trace
     support = initial_support(norms, tau)
     energy = decomposition_energy(f, u, v, params, norms)
-    mono_tol = 1e-8 * energy
 
     rows: list[TraceRow] = []
     converged = False
-    increased = False
+    rises = 0
     capped = 0
     reduced = 0
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
@@ -170,9 +172,9 @@ def decompose(
     state = ReducedState()  # shared by this run's reduced attempts only
 
     def record(energy: float, increment: float, inner_iters: int) -> None:
-        nonlocal prev_energy, increased
-        if energy > prev_energy + mono_tol:
-            increased = True
+        nonlocal prev_energy, rises
+        if energy > prev_energy + 1e-8 * abs(prev_energy):
+            rises += 1
             warnings.warn(
                 f"energy increased at outer iteration {len(rows)}: "
                 f"{prev_energy:.6e} -> {energy:.6e}",
@@ -239,13 +241,27 @@ def decompose(
             exact = True
 
     record(energy, 0.0, 0)
+    if capped:
+        warnings.warn(
+            f"{capped} inner solves stopped at maxit_in={admm.maxit_in}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if not converged:
+        warnings.warn(
+            f"decompose stopped unconverged after {len(rows) - 1} outer iterations "
+            f"(maxit_out={outer.maxit_out})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return DecompositionResult(
         u=u,
         v=v,
         trace=IterationTrace(tuple(rows)),
         converged=converged,
         outer_iters=len(rows) - 1,
-        energy_increased=increased,
+        energy_increased=rises > 0,
+        energy_rises=rises,
         tau_supp=tau,
         capped_solves=capped,
         reduced_solves=reduced,

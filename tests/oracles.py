@@ -19,6 +19,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from shrinkseg import admm as admm_module
 from shrinkseg.admm import _shrink_field, _shrink_thresholds
 from shrinkseg.energy import decomposition_energy
 from shrinkseg.grid import compute_symbols, grad, grad_norms
@@ -179,13 +180,45 @@ def half_spectrum_sq_norm(x_hat, shape):
     return float(total) / (n * m)
 
 
+def reference_anderson(history, x, pull):
+    """The pull after one block of Anderson mixing, and whether it moved.
+
+    history lists the (residual, G(x)) pairs, as flat arrays, of the
+    blocks since the last restart; the block that started at x ends at
+    pull. The history restarts when the residual grows or the least
+    squares system of the last two differences is near singular;
+    otherwise the pull becomes G(x) - dG gamma for gamma = argmin
+    ||f - dF gamma||. Mixing is linear, so the pull may carry any scale.
+    """
+    g = pull.ravel().copy()
+    f = g - x
+    if history and f @ f > history[-1][0] @ history[-1][0]:
+        history.clear()
+    history.append((f, g))
+    if len(history) < 3:
+        return pull, False
+    del history[:-3]
+    (f2, g2), (f1, g1), _ = history
+    df = np.column_stack([f - f1, f1 - f2])
+    gram = df.T @ df
+    if np.linalg.det(gram) <= admm_module._SINGULAR * gram[0, 0] * gram[1, 1]:
+        del history[:-1]
+        return pull, False
+    gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+    mixed = g - np.column_stack([g - g1, g1 - g2]) @ gamma
+    return mixed.reshape(pull.shape), True
+
+
 def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
     """The splitting iteration with the dual mu carried unscaled.
 
     Each sweep shrinks Du + mu/r, solves for (u, v_hat) with the pull
-    mu - r q through rolled_grad_adjoint, steps mu by r (Du - q), and measures
-    the (u, v) update from pixel differences of u and the half-spectrum
-    norm of the v_hat difference. Returns (u, v, iters).
+    mu - r q through rolled_grad_adjoint, sets mu to the pull plus r Du,
+    and measures the (u, v) update from pixel differences of u and the
+    half-spectrum norm of the v_hat difference. Every
+    admm_module._MIX_EVERY sweeps the pull is mixed by
+    reference_anderson, and a sweep that mixed never stops the loop.
+    Returns (u, v, iters).
     """
     shape = f.shape
     r = admm.r
@@ -208,19 +241,26 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
     u_sq = float(np.vdot(u, u))
     v_sq = half_spectrum_sq_norm(v_hat, shape)
     iters = 0
+    history = []
     for iters in range(1, admm.maxit_in + 1):
         q = _shrink_field(mu / r + du, thresholds)
         pull = mu - r * q
+        mixed = False
+        if iters == 1:
+            start = pull.ravel().copy()
+        elif iters % admm_module._MIX_EVERY == 1:
+            pull, mixed = reference_anderson(history, start, pull)
+            start = pull.ravel().copy()
         p_hat = np.fft.rfft2(rolled_grad_adjoint(pull))
         u_new = np.fft.irfft2(u0_hat - b_det * p_hat, s=shape)
         v_hat_new = v0_hat + inv_det * p_hat
         grad(u_new, out=du)
-        mu += r * (du - q)
+        mu = pull + r * du
         step_u = u_new - u
         change = float(np.vdot(step_u, step_u))
         change += half_spectrum_sq_norm(v_hat_new - v_hat, shape)
         u, v_hat = u_new, v_hat_new
-        if np.sqrt(change) <= admm.tol_in * np.sqrt(u_sq + v_sq):
+        if not mixed and np.sqrt(change) <= admm.tol_in * np.sqrt(u_sq + v_sq):
             break
         u_sq = float(np.vdot(u, u))
         v_sq = half_spectrum_sq_norm(v_hat, shape)

@@ -18,7 +18,7 @@ from shrinkseg import (
     spectral_system,
 )
 from shrinkseg import admm as admm_module
-from shrinkseg.admm import _shrink_field, _shrink_thresholds
+from shrinkseg.admm import _Mixer, _shrink_field, _shrink_thresholds
 from shrinkseg.grid import grad, grad_norms
 from shrinkseg.support import SupportSet
 
@@ -418,3 +418,114 @@ class TestRectangularGrids:
         assert gathered.iters == dense.iters < 5000
         assert gathered.u.tobytes() == dense.u.tobytes()
         assert gathered.v.tobytes() == dense.v.tobytes()
+
+
+class TestAndersonMixing:
+    """The periodic mixing of the pull, alone and inside admm_solve."""
+
+    @staticmethod
+    def _feed(mixer, pulls):
+        """Start at pulls[0], end a block at each later pull; the flags."""
+        mixer.start(pulls[0])
+        work = np.empty_like(pulls[0])
+        return [mixer.end_block(w, work) for w in pulls[1:]]
+
+    def test_affine_map_mixes_to_its_fixed_point(self):
+        # on a 1 x 1 grid the pull has two entries, so two differences of
+        # an affine contraction's residuals span the plane: the mix lands
+        # on the fixed point
+        rng = np.random.default_rng(0)
+        a = np.array([[0.6, 0.3], [-0.2, 0.7]])
+        b = rng.standard_normal(2)
+        fixed = np.linalg.solve(np.eye(2) - a, b)
+        mixer = _Mixer((1, 1))
+        w = rng.standard_normal((2, 1, 1))
+        mixer.start(w)
+        work = np.empty_like(w)
+        flags = []
+        for _ in range(3):
+            w = (a @ w.ravel() + b).reshape(2, 1, 1)
+            flags.append(mixer.end_block(w, work))
+        assert flags == [False, False, True]
+        np.testing.assert_allclose(w.ravel(), fixed, rtol=0, atol=1e-12)
+
+    def test_zero_residuals_never_mix(self):
+        # a pull that does not move leaves zero differences: the system is
+        # singular, the history restarts, and nothing divides by zero. (A
+        # flat image's solve stops by its second sweep, before any block
+        # ends: test_flat_images_stop_with_reference_loop.)
+        w = np.full((2, 3, 4), 0.5)
+        with np.errstate(all="raise"):
+            flags = self._feed(_Mixer((3, 4)), [w.copy() for _ in range(6)])
+        assert flags == [False] * 5
+
+    def test_growing_residual_restarts_history(self):
+        rng = np.random.default_rng(1)
+        steps = [1.0, 0.5, 2.0, 1.0, 0.5, 0.25]  # the third block's residual grows
+        pulls = [np.zeros((2, 3, 3))]
+        for size in steps:
+            step = rng.standard_normal((2, 3, 3))
+            pulls.append(pulls[-1] + size * step / np.linalg.norm(step))
+        flags = self._feed(_Mixer((3, 3)), pulls)
+        # two blocks of history again before the next mix
+        assert flags == [False, False, False, False, True, True]
+
+    def test_forced_safeguard_falls_back_to_plain_sweeps(self, monkeypatch):
+        # every 2x2 system counts as near singular: the history drops at
+        # each block and the solve runs the plain sweeps bit for bit
+        f, support, weights = _instance(9)
+        args = (f, f, np.zeros_like(f), weights, support, ModelParams(alpha=0.2, beta=1.0, gamma=0.3),
+                0.3, AdmmParams(r=5.0, tol_in=1e-8, maxit_in=5000))
+        monkeypatch.setattr(admm_module, "_SINGULAR", 2.0)
+        guarded = admm_solve(*args)
+        monkeypatch.setattr(admm_module, "_MIX_EVERY", 10**9)
+        plain = admm_solve(*args)
+        monkeypatch.undo()
+        assert guarded.iters == plain.iters > admm_solve(*args).iters
+        assert guarded.u.tobytes() == plain.u.tobytes()
+        assert guarded.v.tobytes() == plain.v.tobytes()
+
+    @pytest.mark.parametrize("period, n, tol_in", [(2, 5, 1e-2), (4, 8, 1e-3)])
+    def test_never_stops_on_a_mixed_sweep(self, monkeypatch, period, n, tol_in):
+        # at these loose tolerances a mixed sweep moves (u, v) by less than
+        # tol: a solve that stopped there would end sweeps before the
+        # reference loop
+        monkeypatch.setattr(admm_module, "_MIX_EVERY", period)
+        f, support, weights = _instance(n, n)
+        v_k = 0.1 * np.random.default_rng(90 + n).standard_normal((n, n))
+        args = (f, f - v_k, v_k, weights, support, ModelParams(alpha=0.2, beta=1.0, gamma=0.3),
+                0.3, AdmmParams(r=5.0, tol_in=tol_in, maxit_in=5000))
+        result = admm_solve(*args)
+        u, v, iters = oracles.reference_admm_solve(*args)
+        assert result.iters == iters > 2 * period
+        np.testing.assert_allclose(result.u, u, rtol=0, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(4, 10), m=st.integers(4, 10), seed=st.integers(0, 2**32 - 1),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_mixed_and_plain_solves_agree(self, n, m, seed, fraction):
+        rng = np.random.default_rng(seed)
+        f = np.where(rng.random((n, m)) > 0.5, 0.85, 0.15) + 0.02 * rng.standard_normal((n, m))
+        active = rng.random((n, m)) < fraction
+        # decompose's weights: the potential's slope at the gradient norms
+        slope = PowerPotential().deriv(np.maximum(grad_norms(grad(f)), 1e-3))
+        weights = np.where(active, slope, 0.0)
+        tol = 1e-10
+        args = (f, f, np.zeros((n, m)), weights, SupportSet(active=active),
+                ModelParams(alpha=0.2, beta=1.0, gamma=0.3), 0.3,
+                AdmmParams(r=5.0, tol_in=tol, maxit_in=20000))
+        mixed = admm_solve(*args)
+        period = admm_module._MIX_EVERY
+        admm_module._MIX_EVERY = 10**9
+        try:
+            plain = admm_solve(*args)
+        finally:
+            admm_module._MIX_EVERY = period
+        assert mixed.iters < 20000 and plain.iters < 20000
+        size = math.sqrt(float(np.vdot(plain.u, plain.u) + np.vdot(plain.v, plain.v)))
+        gap = math.hypot(np.linalg.norm(mixed.u - plain.u), np.linalg.norm(mixed.v - plain.v))
+        # a linearly converging solve that stops at a step of tol after k
+        # sweeps lies about k tol / ln(1 / tol) from its limit
+        assert gap <= max(mixed.iters, plain.iters) * tol * size

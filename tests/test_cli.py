@@ -70,6 +70,7 @@ class TestPipeline:
         assert report["capped_solves"] == capped
         assert report["log_domain"] is True
         assert report["energy_increased"] is False
+        assert report["energy_rises"] == 0
         assert report["k"] == 2
         assert [p["phase"] for p in report["phases"]] == [1, 2]
         assert all(p["js"] >= 0.9 for p in report["phases"])

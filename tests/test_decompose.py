@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,3 +346,48 @@ class TestCappedSolves:
 
     def test_converged_solves_do_not_count(self, run):
         assert run.capped_solves == 0
+
+
+class TestRunWarnings:
+    """Energy rises, capped solves and unconverged runs are counted and warned about."""
+
+    def test_converged_run_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = decompose(small_phantom(), MODEL, **FAST)
+        assert result.converged and result.capped_solves == 0 and result.energy_rises == 0
+
+    def test_capped_and_unconverged_runs_warn_once_each(self):
+        admm = AdmmParams(r=10.0, tol_in=1e-8, maxit_in=3)
+        outer = OuterParams(tau_supp=1e-3, maxit_out=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = decompose(small_phantom(), MODEL, outer, admm)
+        assert not result.converged and result.capped_solves > 0
+        found = [w for w in caught if "energy increased" not in str(w.message)]
+        assert [str(w.message) for w in found] == [
+            f"{result.capped_solves} inner solves stopped at maxit_in=3",
+            "decompose stopped unconverged after 2 outer iterations (maxit_out=2)",
+        ]
+        assert all(w.category is RuntimeWarning and w.filename == __file__ for w in found)
+
+    def test_rises_are_judged_against_the_energy_they_leave(self, monkeypatch):
+        # the rise to 1 + 5e-8 is far below 1e-8 E(f, f, f) = 1e-6, the
+        # tolerance of old, but 5e-8 of the energy it leaves, so it counts;
+        # the next rise, 5e-9 of it, does not
+        module = importlib.import_module("shrinkseg.decompose")
+        script = [100.0, 1.0, 1.0 + 5e-8, 1.0 + 5.5e-8]
+        calls = []
+
+        def energy(*args):
+            calls.append(None)
+            return script[min(len(calls), len(script)) - 1]
+
+        monkeypatch.setattr(module, "decomposition_energy", energy)
+        admm = AdmmParams(r=10.0, tol_in=1e-8, maxit_in=500)
+        with pytest.warns(RuntimeWarning, match="energy increased") as caught:
+            result = decompose(small_phantom(), MODEL, OuterParams(), admm)
+        energies = list(result.trace.column("energy"))
+        assert energies[:4] == script and len(energies) > 4
+        assert result.energy_rises == 1 and result.energy_increased
+        assert sum("energy increased" in str(w.message) for w in caught) == 1

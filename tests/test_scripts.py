@@ -13,6 +13,7 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
     "argv",
     [
         ["sweep_bench.py", "--sizes", "16", "--sweeps", "3", "--repeats", "1"],
+        ["sweep_bench.py", "--sizes", "16", "--repeats", "1", "--to-tol", "1e-6"],
         ["phantom_report.py", "--n", "32"],
         ["fixture_work.py", "--only", "two_phase_s0_b0"],
         ["fixture_work.py", "--only", "two_phase_s0_b0", "--defaults"],
