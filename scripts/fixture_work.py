@@ -3,9 +3,10 @@
 Runs every phantom of tests/fixtures/acceptance.json (the n=64 suite and
 the n=128 quality runs) through the acceptance pipeline: log of f / max f,
 decompose at the fixture's solver settings, then segment into K phases.
-Prints one line per phantom (inner sweeps, outer passes, capped inner
-solves, passes solved in reduced form, final support size, digests of the labels and of the u and v
-bytes, and the final energy) and the totals. Every number is a count or
+Prints one line per phantom (inner sweeps, those of the first outer
+pass, outer passes, capped inner solves, passes solved in reduced form,
+final support size, digests of the labels and of the u and v bytes, and
+the final energy) and the totals. Every number is a count or
 a float the solver computes, so two runs of one tree print the same
 table, and two trees can be compared line by line.
 
@@ -57,6 +58,7 @@ def run_entry(entry, solver, seed_offset):
     labels = segment(from_log_domain(result.u), entry["k"]).labels
     return {
         "sweeps": int(result.trace.column("inner_iters").sum()),
+        "first": result.trace[0].inner_iters,
         "outer": result.outer_iters,
         "capped": result.capped_solves,
         "reduced": result.reduced_solves,
@@ -84,18 +86,18 @@ def main(argv=None):
         if not entries:
             parser.error(f"no fixture phantom named {args.only!r}")
 
-    print(f"{'phantom':<28} {'sweeps':>7} {'outer':>5} {'capped':>6} {'reduced':>7} "
+    print(f"{'phantom':<28} {'sweeps':>7} {'first':>5} {'outer':>5} {'capped':>6} {'reduced':>7} "
           f"{'support':>7}  {'labels':<12}  {'u':<12}  {'v':<12}  energy")
-    totals = dict(sweeps=0, outer=0, capped=0, reduced=0)
+    totals = dict(sweeps=0, first=0, outer=0, capped=0, reduced=0)
     for entry in entries:
         row = run_entry(entry, None if args.defaults else fixture["solver"], args.seed_offset)
         for key in totals:
             totals[key] += row[key]
-        print(f"{entry['name']:<28} {row['sweeps']:>7} {row['outer']:>5} "
+        print(f"{entry['name']:<28} {row['sweeps']:>7} {row['first']:>5} {row['outer']:>5} "
               f"{row['capped']:>6} {row['reduced']:>7} {row['support']:>7}  {row['labels']:<12}  "
               f"{row['u']:<12}  {row['v']:<12}  {row['energy']!r}")
-    print(f"{'total':<28} {totals['sweeps']:>7} {totals['outer']:>5} {totals['capped']:>6} "
-          f"{totals['reduced']:>7}")
+    print(f"{'total':<28} {totals['sweeps']:>7} {totals['first']:>5} {totals['outer']:>5} "
+          f"{totals['capped']:>6} {totals['reduced']:>7}")
     return 0
 
 

@@ -10,7 +10,11 @@ warm start is needed. Everything fixed during one inner solve is built
 once by spectral_system on the half spectrum of the real FFT. Both
 u_hat and v_hat are affine in P, so the stopping test measures the
 (u, v) update and norm from P alone: a sweep costs one rfft2 and one
-irfft2, and v is formed once, after the loop.
+irfft2, and v is formed once, after the loop. A loose solve (tol above
+tol_in, as decompose asks for early outer passes) also stops on a
+relative error: once the update is at most _RELATIVE_STOP times the
+distance from the pass start (u_k, v_k), which the same rotation gives
+in P, at one add and one dot product per sweep.
 
 Every _MIX_EVERY-th sweep, the scaled pull w = lam - q is replaced by
 the type-II Anderson extrapolation of the block map "_MIX_EVERY
@@ -64,6 +68,9 @@ _MIX_EVERY = 8
 # A 2x2 Anderson system whose determinant is at most this fraction of
 # the product of its diagonal is near singular.
 _SINGULAR = 1e-10
+# A loose solve (see admm_solve) stops once its (u, v) update is at
+# most this fraction of the distance it has moved from the pass start.
+_RELATIVE_STOP = 3e-4
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,9 @@ class AdmmParams:
     tol_in is the relative (u, v) update at which an exact solve stops.
     decompose may stop earlier outer passes at a looser tolerance, but
     never below tol_in, and a run only stops on a pass solved at tol_in.
-    maxit_in caps the sweeps of every solve.
+    Such a loose pass also stops once its update is small against the
+    distance the pass has moved (see admm_solve); a solve at tol_in
+    never does. maxit_in caps the sweeps of every solve.
     """
 
     r: float = 10.0
@@ -222,10 +231,14 @@ class SpectralSystem:
     ||du||^2 + ||dv||^2 = ||step_weight dP||^2, and a sweep's iterate
     has ||u||^2 + ||v||^2 = norm_floor + ||step_weight P + norm_offset||^2
     (a rotation per frequency splits (u_hat, v_hat) into a fixed part and
-    a part affine in P, so no terms cancel). u_pull and step_weight are
-    real but held as complex128: numpy multiplies complex by complex
-    faster than it casts a real factor. Arrays are (n, m // 2 + 1) for
-    an n x m grid.
+    a part affine in P, so no terms cancel). When spectral_system is
+    given the pass start v_k, the same rotation of (u - u_k, v - v_k)
+    gives the iterate's distance from the start (u_k, v_k):
+    ||u - u_k||^2 + ||v - v_k||^2 = move_floor
+    + ||step_weight P + move_offset||^2; without v_k, move_offset is None.
+    u_pull and step_weight are real but held as complex128: numpy
+    multiplies complex by complex faster than it casts a real factor.
+    Arrays are (n, m // 2 + 1) for an n x m grid.
     """
 
     shape: tuple[int, int]
@@ -236,6 +249,8 @@ class SpectralSystem:
     step_weight: Array
     norm_offset: Array
     norm_floor: float
+    move_offset: Array | None = None
+    move_floor: float = 0.0
 
     def v_hat(self, p_hat: Array) -> Array:
         """rfft2(v) of the sweep whose transformed pull is p_hat."""
@@ -248,17 +263,21 @@ def spectral_system(
     params: ModelParams,
     rho: float,
     r: float,
+    *,
+    v_k: Array | None = None,
 ) -> SpectralSystem:
     """Transform the constant right-hand sides, invert the per-frequency
     2x2 systems and weigh the stopping test once per inner solve.
 
     The operator symbols come from compute_symbols on the grid of f.
-    Raises ValueError when f and u_k differ in size.
+    v_k, when given, is the pass start's v: the system then also carries
+    the distance form from (u_k, v_k) (move_offset, move_floor). Raises
+    ValueError when f, u_k and v_k differ in size.
     """
     f = as_grid(f, "f")
     u_k = as_grid(u_k, "u_k")
-    if u_k.shape != f.shape:
-        raise ValueError("f and u_k must share one grid size")
+    if u_k.shape != f.shape or (v_k is not None and np.shape(v_k) != f.shape):
+        raise ValueError("f, u_k and v_k must share one grid size")
     symbols = compute_symbols(f.shape)
 
     a = 1.0 + rho + r * symbols.dtd
@@ -273,7 +292,17 @@ def spectral_system(
     gain = np.hypot(u_pull, v_pull)
     cos, sin = v_pull / gain, u_pull / gain
     parseval = np.sqrt(symbols.weights)
-    fixed = parseval * (cos * u0_hat + sin * v0_hat)
+
+    def rotate(u_hat, v_hat):
+        """The fixed part's squared norm and the part that moves with P."""
+        fixed = parseval * (cos * u_hat + sin * v_hat)
+        return float(np.vdot(fixed, fixed).real), parseval * (cos * v_hat - sin * u_hat)
+
+    norm_floor, norm_offset = rotate(u0_hat, v0_hat)
+    move_floor, move_offset = 0.0, None
+    if v_k is not None:
+        start_u, start_v = np.fft.rfft2(u_k), np.fft.rfft2(as_grid(v_k, "v_k"))
+        move_floor, move_offset = rotate(u0_hat - start_u, v0_hat - start_v)
     scale = 1.0 / f.size  # the inverse transform's factor
     return SpectralSystem(
         shape=f.shape,
@@ -282,8 +311,10 @@ def spectral_system(
         u_pull=(u_pull * scale).astype(np.complex128),
         v_pull=v_pull,
         step_weight=(parseval * gain).astype(np.complex128),
-        norm_offset=parseval * (cos * v0_hat - sin * u0_hat),
-        norm_floor=float(np.vdot(fixed, fixed).real),
+        norm_offset=norm_offset,
+        norm_floor=norm_floor,
+        move_offset=move_offset,
+        move_floor=move_floor,
     )
 
 
@@ -345,8 +376,13 @@ def admm_solve(
     their gradient is driven to zero by the penalty. Stops when the
     stacked (u, v) update is at most tol times the previous iterate's
     norm, or after admm.maxit_in sweeps. tol defaults to admm.tol_in,
-    which is also its floor. Every _MIX_EVERY-th sweep mixes the pull
-    (see _Mixer), and a sweep that mixed never stops the solve.
+    which is also its floor. A loose solve, asked for tol > admm.tol_in,
+    also stops once the update is at most _RELATIVE_STOP times the
+    iterate's distance from (u_k, v_k): a relative error in the form of
+    condition H2 of Attouch, Bolte & Svaiter 2013, so a pass that moves
+    far is solved coarsely and one that barely moves tightly. Every
+    _MIX_EVERY-th sweep mixes the pull (see _Mixer), and a sweep that
+    mixed never stops the solve.
     """
     f = as_grid(f, "f")
     u_k = as_grid(u_k, "u_k")
@@ -356,7 +392,8 @@ def admm_solve(
         raise ValueError("admm_solve inputs must share one grid shape")
 
     shape = f.shape
-    system = spectral_system(f, u_k, params, rho, admm.r)
+    loose = tol is not None and tol > admm.tol_in
+    system = spectral_system(f, u_k, params, rho, admm.r, v_k=v_k if loose else None)
     thresholds = _shrink_thresholds(weights, support.active, params.alpha, admm.r)
     # stacked (2, n, m) buffers: gradient of u, scratch, and the scaled
     # dual lam (holding the pull lam - q during the solve)
@@ -403,12 +440,20 @@ def admm_solve(
             step_v = np.fft.irfft2(system.v_hat(p_hat), s=shape) - v_k
             change = float(np.vdot(step_u, step_u)) + float(np.vdot(step_v, step_v))
             size = float(np.vdot(u_k, u_k)) + float(np.vdot(v_k, v_k))
+            move = change
         else:
             np.subtract(scaled, prev, out=step)
             change = np.vdot(step, step).real
         # a mixed pull moves (u, v) by more than a sweep: never stop there
-        if not mixed and math.sqrt(change) <= tol * math.sqrt(size):
-            break
+        if not mixed:
+            if math.sqrt(change) <= tol * math.sqrt(size):
+                break
+            if loose:
+                if iters > 1:
+                    np.add(scaled, system.move_offset, out=step)
+                    move = system.move_floor + np.vdot(step, step).real
+                if math.sqrt(change) <= _RELATIVE_STOP * math.sqrt(move):
+                    break
         scaled, prev = prev, scaled
         np.add(prev, system.norm_offset, out=step)
         size = system.norm_floor + np.vdot(step, step).real

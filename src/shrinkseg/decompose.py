@@ -4,7 +4,10 @@ Starting from (u, v) = (f, f), each outer pass reweights the gradient
 penalty at the current iterate, solves the resulting convex problem on
 the active support, then drops pixels whose gradient fell below the
 support threshold. Supports only ever shrink, which is what makes the
-loop terminate with a stable zero set.
+loop terminate with a stable zero set. Early passes are solved
+inexactly, to a relative error against the step they take (H2 of
+Attouch, Bolte & Svaiter 2013), and solved again exactly when they do
+not descend (H1).
 """
 
 from __future__ import annotations
@@ -143,6 +146,11 @@ def decompose(
     that leaves the support as it was can end the run. When
     tau / ||(u_k, v_k)|| <= tol_in, as for the default tau_supp on
     ordinary images, every pass runs at tol_in and H1 is not checked.
+    A loose pass also stops once its (u, v) update is a small fraction
+    of its distance from (u_k, v_k) (admm_solve's relative stop, the
+    relative-error condition H2 of the same paper): a first pass that
+    moves far ends coarse, while the small steps of late passes are
+    still solved tightly.
 
     From the second pass on, reduced_solve gets each pass first, with
     one ReducedState for the whole run. When the support leaves few

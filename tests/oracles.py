@@ -209,7 +209,7 @@ def reference_anderson(history, x, pull):
     return mixed.reshape(pull.shape), True
 
 
-def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
+def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm, tol=None):
     """The splitting iteration with the dual mu carried unscaled.
 
     Each sweep shrinks Du + mu/r, solves for (u, v_hat) with the pull
@@ -218,6 +218,9 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
     half-spectrum norm of the v_hat difference. Every
     admm_module._MIX_EVERY sweeps the pull is mixed by
     reference_anderson, and a sweep that mixed never stops the loop.
+    tol is admm_solve's: a loose loop (tol > admm.tol_in) also stops
+    once the update is at most admm_module._RELATIVE_STOP times the
+    distance of (u, v) from (u_k, v_k), measured in pixels.
     Returns (u, v, iters).
     """
     shape = f.shape
@@ -242,6 +245,8 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
     v_sq = half_spectrum_sq_norm(v_hat, shape)
     iters = 0
     history = []
+    loose = tol is not None and tol > admm.tol_in
+    tol = admm.tol_in if tol is None else max(tol, admm.tol_in)
     for iters in range(1, admm.maxit_in + 1):
         q = _shrink_field(mu / r + du, thresholds)
         pull = mu - r * q
@@ -260,8 +265,13 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm):
         change = float(np.vdot(step_u, step_u))
         change += half_spectrum_sq_norm(v_hat_new - v_hat, shape)
         u, v_hat = u_new, v_hat_new
-        if not mixed and np.sqrt(change) <= admm.tol_in * np.sqrt(u_sq + v_sq):
+        if not mixed and np.sqrt(change) <= tol * np.sqrt(u_sq + v_sq):
             break
+        if not mixed and loose:
+            move_v = np.fft.irfft2(v_hat, s=shape) - v_k
+            move = float(np.vdot(u - u_k, u - u_k)) + float(np.vdot(move_v, move_v))
+            if np.sqrt(change) <= admm_module._RELATIVE_STOP * np.sqrt(move):
+                break
         u_sq = float(np.vdot(u, u))
         v_sq = half_spectrum_sq_norm(v_hat, shape)
     return u, np.fft.irfft2(v_hat, s=shape), iters

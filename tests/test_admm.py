@@ -156,20 +156,21 @@ class TestStoppingIdentities:
 
     @staticmethod
     def _sweeps(n, seed):
+        """A system with the distance form from (u_k, v_k), that start,
+        and two sweeps from random pulls."""
         rng = np.random.default_rng(seed)
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
-        system = spectral_system(
-            rng.standard_normal((n, n)), rng.standard_normal((n, n)), params, 0.3, 4.0
-        )
+        f, u_k, v_k = rng.standard_normal((3, n, n))
+        system = spectral_system(f, u_k, params, 0.3, 4.0, v_k=v_k)
         sweeps = []
         for _ in range(2):
             u, p_hat = solve_uv(system, rng.standard_normal((2, n, n)))
             sweeps.append((u, np.fft.irfft2(system.v_hat(p_hat), s=(n, n)), p_hat))
-        return system, sweeps
+        return system, (u_k, v_k), sweeps
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_weighted_pull_step_is_update_norm(self, n):
-        system, ((u1, v1, p1), (u2, v2, p2)) = self._sweeps(n, 60 + n)
+        system, _, ((u1, v1, p1), (u2, v2, p2)) = self._sweeps(n, 60 + n)
         want = float(np.vdot(u2 - u1, u2 - u1) + np.vdot(v2 - v1, v2 - v1))
         step = system.step_weight * (p2 - p1)
         got = float(np.vdot(step, step).real)
@@ -177,12 +178,34 @@ class TestStoppingIdentities:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_quadratic_form_is_iterate_norm(self, n):
-        system, sweeps = self._sweeps(n, 70 + n)
+        system, _, sweeps = self._sweeps(n, 70 + n)
         for u, v, p_hat in sweeps:
             want = float(np.vdot(u, u) + np.vdot(v, v))
             offset = system.step_weight * p_hat + system.norm_offset
             got = system.norm_floor + float(np.vdot(offset, offset).real)
             assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_distance_form_is_move_from_start(self, n):
+        system, (u_k, v_k), sweeps = self._sweeps(n, 75 + n)
+        for u, v, p_hat in sweeps:
+            want = float(np.vdot(u - u_k, u - u_k) + np.vdot(v - v_k, v - v_k))
+            offset = system.step_weight * p_hat + system.move_offset
+            got = system.move_floor + float(np.vdot(offset, offset).real)
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_start_leaves_the_other_fields_alone(self):
+        rng = np.random.default_rng(5)
+        f, u_k, v_k = rng.standard_normal((3, 6, 7))
+        params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
+        plain = spectral_system(f, u_k, params, 0.3, 4.0)
+        system = spectral_system(f, u_k, params, 0.3, 4.0, v_k=v_k)
+        assert plain.move_offset is None and system.move_offset is not None
+        for name in ("u0_hat", "v0_hat", "u_pull", "v_pull", "step_weight", "norm_offset"):
+            assert getattr(system, name).tobytes() == getattr(plain, name).tobytes()
+        assert system.norm_floor == plain.norm_floor
+        with pytest.raises(ValueError):
+            spectral_system(f, u_k, params, 0.3, 4.0, v_k=v_k[:, :6])
 
 
 def _instance(seed, n=6, m=None):
@@ -529,3 +552,77 @@ class TestAndersonMixing:
         # a linearly converging solve that stops at a step of tol after k
         # sweeps lies about k tol / ln(1 / tol) from its limit
         assert gap <= max(mixed.iters, plain.iters) * tol * size
+
+
+class TestRelativeStop:
+    """The loose solve's stop on the update relative to the distance moved."""
+
+    @staticmethod
+    def _args(shape, tol_in=1e-10):
+        f, support, weights = _instance(10 * shape[0] + shape[1], *shape)
+        v_k = 0.1 * np.random.default_rng(shape).standard_normal(shape)
+        return (f, f - v_k, v_k, weights, support, ModelParams(alpha=0.2, beta=1.0, gamma=0.3),
+                0.3, AdmmParams(r=5.0, tol_in=tol_in, maxit_in=5000))
+
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 9), *oracles.RECT_SHAPES])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    def test_stops_with_reference_loop(self, shape, tol):
+        args = self._args(shape)
+        result = admm_solve(*args, tol=tol)
+        u, v, iters = oracles.reference_admm_solve(*args, tol=tol)
+        assert result.iters == iters < 5000
+        np.testing.assert_allclose(result.u, u, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(result.v, v, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 9), (4, 7), (8, 5)])
+    def test_relative_stop_ends_loose_solves_early(self, shape):
+        # at tol = 1e-6 the update test alone runs on: the relative stop
+        # is what ends these solves, in the package and the reference
+        args = self._args(shape)
+        exact = admm_solve(*args[:-1], AdmmParams(r=5.0, tol_in=1e-6, maxit_in=5000))
+        loose = admm_solve(*args, tol=1e-6)
+        assert loose.iters < exact.iters
+        assert oracles.reference_admm_solve(*args, tol=1e-6)[2] == loose.iters
+
+    @pytest.mark.parametrize("tol", [None, 1e-8, 5e-9])
+    def test_exact_solves_ignore_the_relative_stop(self, monkeypatch, tol):
+        # tol <= tol_in: a relative stop of 1 (which would end any loose
+        # solve at its first sweep) changes no byte
+        args = self._args((8, 8), tol_in=1e-8)
+        want = admm_solve(*args, tol=tol)
+        monkeypatch.setattr(admm_module, "_RELATIVE_STOP", 1.0)
+        got = admm_solve(*args, tol=tol)
+        assert got.iters == want.iters > 1
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
+        assert admm_solve(*args, tol=1e-6).iters == 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 10), m=st.integers(3, 10), seed=st.integers(0, 2**32 - 1),
+        fraction=st.floats(0.0, 1.0), tol=st.sampled_from([1e-3, 1e-5, 1e-7]),
+    )
+    def test_stops_no_later_than_without_it(self, n, m, seed, fraction, tol):
+        rng = np.random.default_rng(seed)
+        f = np.where(rng.random((n, m)) > 0.5, 0.85, 0.15) + 0.02 * rng.standard_normal((n, m))
+        active = rng.random((n, m)) < fraction
+        slope = PowerPotential().deriv(np.maximum(grad_norms(grad(f)), 1e-3))
+        weights = np.where(active, slope, 0.0)
+        v_k = 0.1 * rng.standard_normal((n, m))
+        args = (f, f - v_k, v_k, weights, SupportSet(active=active),
+                ModelParams(alpha=0.2, beta=1.0, gamma=0.3), 0.3)
+        loose = admm_solve(*args, AdmmParams(r=5.0, tol_in=1e-10, maxit_in=2000), tol=tol)
+        relative = admm_module._RELATIVE_STOP
+        admm_module._RELATIVE_STOP = 0.0
+        try:
+            plain = admm_solve(*args, AdmmParams(r=5.0, tol_in=1e-10, maxit_in=2000), tol=tol)
+            # the plain solve's iterate at the sweep the loose one stopped
+            cut = admm_solve(
+                *args, AdmmParams(r=5.0, tol_in=1e-10, maxit_in=loose.iters), tol=tol
+            )
+        finally:
+            admm_module._RELATIVE_STOP = relative
+        assert loose.iters <= plain.iters
+        assert cut.iters == loose.iters
+        assert cut.u.tobytes() == loose.u.tobytes()
+        assert cut.v.tobytes() == loose.v.tobytes()

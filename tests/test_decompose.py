@@ -265,6 +265,22 @@ class TestInnerTolerance:
         assert traced.v.tobytes() == plain.v.tobytes()
         assert traced.trace == plain.trace
 
+    def test_exact_passes_ignore_the_relative_stop(self, monkeypatch):
+        # every pass at the default tau_supp runs at tol_in, which the
+        # loose solves' relative stop never touches: a relative stop of 1
+        # changes no output bit there, and does change loose runs
+        f = small_phantom(seed=3)
+        admm = FAST["admm"]
+        want, loose = decompose(f, MODEL, admm=admm), decompose(f, MODEL, **FAST)
+        monkeypatch.setattr(importlib.import_module("shrinkseg.admm"), "_RELATIVE_STOP", 1.0)
+        got = decompose(f, MODEL, admm=admm)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
+        assert got.trace == want.trace
+        with warnings.catch_warnings():  # one-sweep loose passes may not converge
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert decompose(f, MODEL, **FAST).trace != loose.trace
+
     def test_failed_descent_check_resolves_at_tol_in(self, monkeypatch):
         calls = _record_solves(monkeypatch)
         admm = FAST["admm"]

@@ -26,3 +26,18 @@ def test_script_exits_zero(argv):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fixture_work_prints_first_pass_sweeps():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "fixture_work.py"), "--only", "two_phase_s0_b0"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row, total = proc.stdout.splitlines()
+    assert header.split()[:3] == ["phantom", "sweeps", "first"]
+    assert row.split()[0] == "two_phase_s0_b0"
+    sweeps, first = map(int, row.split()[1:3])
+    # the first pass always runs admm_solve, and later passes may add sweeps
+    assert 0 < first <= sweeps
+    assert total.split()[1:3] == row.split()[1:3]
