@@ -10,11 +10,12 @@ warm start is needed. Everything fixed during one inner solve is built
 once by spectral_system on the half spectrum of the real FFT. Both
 u_hat and v_hat are affine in P, so the stopping test measures the
 (u, v) update and norm from P alone: a sweep costs one rfft2 and one
-irfft2, and v is formed once, after the loop. A loose solve (tol above
-tol_in, as decompose asks for early outer passes) also stops on a
-relative error: once the update is at most _RELATIVE_STOP times the
-distance from the pass start (u_k, v_k), which the same rotation gives
-in P, at one add and one dot product per sweep.
+irfft2, and v is formed once, after the loop. The same rotation gives
+the distance from the pass start (u_k, v_k) in P, which is the first
+sweep's update. A loose solve (tol above tol_in, as decompose asks for
+early outer passes) also stops on a relative error: once the update is
+at most _RELATIVE_STOP times that distance, at one add and one dot
+product per sweep.
 
 Every _MIX_EVERY-th sweep, the scaled pull w = lam - q is replaced by
 the type-II Anderson extrapolation of the block map "_MIX_EVERY
@@ -26,22 +27,23 @@ of one update at a fraction of a sweep; the history restarts whenever
 a block's residual grows, and a solve never stops on a mixed sweep.
 The mixing history is five (2, n, m) arrays per solve.
 
-Sweeps after the first, which measures its update in pixels, allocate
-nothing: admm_solve makes every array a sweep writes (the FFT spectra,
-u, the stopping-test spectra, shrink scratch, the mixing history) once
-per solve, and each step writes into them with out=. Frozen pixels
-have an infinite threshold, so their q is 0 and their dual never loses
-q; when few pixels are active, the shrink and the subtraction of q run
-on the active pixels only, gathered by their flat ids.
+No sweep allocates: admm_solve makes every array a sweep writes (the
+FFT spectra, u, the stopping-test spectra, shrink scratch, the mixing
+history) once per solve, and each step writes into them with out=.
+Frozen pixels have an infinite threshold, so their q is 0 and their
+dual never loses q; when few pixels are active, the shrink and the
+subtraction of q run on the active pixels only, gathered by their flat
+ids.
 
-reduced_solve takes the same inputs and solves the same problem exactly
-when the frozen ties leave few connected components: u is then one
-value per component, v is eliminated per frequency, and a small convex
-problem in the component values is solved by damped Newton. Its result
-is used only with an optimality certificate; otherwise it returns None
-and the pass is left to admm_solve. A ReducedState carries what the
-attempts of one decompose run share, so that the reduced quadratic is
-built from transforms once per run and summed from it after that.
+reduced_solve solves the same problem exactly when the frozen ties
+leave few connected components: u is then one value per component, v
+is eliminated per frequency, and a small convex problem in the
+component values is solved by damped Newton. Its result is used only
+with an optimality certificate; otherwise it returns None and the pass
+is left to admm_solve. A ReducedState, made once per decompose run from
+its f and model, holds what the attempts of that run share, so that the
+reduced quadratic is built from transforms once per run and summed from
+it after that.
 """
 
 from __future__ import annotations
@@ -231,12 +233,11 @@ class SpectralSystem:
     ||du||^2 + ||dv||^2 = ||step_weight dP||^2, and a sweep's iterate
     has ||u||^2 + ||v||^2 = norm_floor + ||step_weight P + norm_offset||^2
     (a rotation per frequency splits (u_hat, v_hat) into a fixed part and
-    a part affine in P, so no terms cancel). When spectral_system is
-    given the pass start v_k, the same rotation of (u - u_k, v - v_k)
-    gives the iterate's distance from the start (u_k, v_k):
+    a part affine in P, so no terms cancel). The same rotation of
+    (u - u_k, v - v_k) gives the iterate's distance from the pass start:
     ||u - u_k||^2 + ||v - v_k||^2 = move_floor
-    + ||step_weight P + move_offset||^2; without v_k, move_offset is None.
-    u_pull and step_weight are real but held as complex128: numpy
+    + ||step_weight P + move_offset||^2, which is also the first sweep's
+    update. u_pull and step_weight are real but held as complex128: numpy
     multiplies complex by complex faster than it casts a real factor.
     Arrays are (n, m // 2 + 1) for an n x m grid.
     """
@@ -249,8 +250,8 @@ class SpectralSystem:
     step_weight: Array
     norm_offset: Array
     norm_floor: float
-    move_offset: Array | None = None
-    move_floor: float = 0.0
+    move_offset: Array
+    move_floor: float
 
     def v_hat(self, p_hat: Array) -> Array:
         """rfft2(v) of the sweep whose transformed pull is p_hat."""
@@ -258,25 +259,19 @@ class SpectralSystem:
 
 
 def spectral_system(
-    f: Array,
-    u_k: Array,
-    params: ModelParams,
-    rho: float,
-    r: float,
-    *,
-    v_k: Array | None = None,
+    f: Array, u_k: Array, v_k: Array, params: ModelParams, rho: float, r: float
 ) -> SpectralSystem:
     """Transform the constant right-hand sides, invert the per-frequency
     2x2 systems and weigh the stopping test once per inner solve.
 
     The operator symbols come from compute_symbols on the grid of f.
-    v_k, when given, is the pass start's v: the system then also carries
-    the distance form from (u_k, v_k) (move_offset, move_floor). Raises
-    ValueError when f, u_k and v_k differ in size.
+    (u_k, v_k) is the pass start that the distance form measures from.
+    Raises ValueError when f, u_k and v_k differ in size.
     """
     f = as_grid(f, "f")
     u_k = as_grid(u_k, "u_k")
-    if u_k.shape != f.shape or (v_k is not None and np.shape(v_k) != f.shape):
+    v_k = as_grid(v_k, "v_k")
+    if not (f.shape == u_k.shape == v_k.shape):
         raise ValueError("f, u_k and v_k must share one grid size")
     symbols = compute_symbols(f.shape)
 
@@ -299,10 +294,7 @@ def spectral_system(
         return float(np.vdot(fixed, fixed).real), parseval * (cos * v_hat - sin * u_hat)
 
     norm_floor, norm_offset = rotate(u0_hat, v0_hat)
-    move_floor, move_offset = 0.0, None
-    if v_k is not None:
-        start_u, start_v = np.fft.rfft2(u_k), np.fft.rfft2(as_grid(v_k, "v_k"))
-        move_floor, move_offset = rotate(u0_hat - start_u, v0_hat - start_v)
+    move_floor, move_offset = rotate(u0_hat - np.fft.rfft2(u_k), v0_hat - np.fft.rfft2(v_k))
     scale = 1.0 / f.size  # the inverse transform's factor
     return SpectralSystem(
         shape=f.shape,
@@ -375,8 +367,9 @@ def admm_solve(
     set; frozen pixels get a hard zero in the auxiliary variable, so
     their gradient is driven to zero by the penalty. Stops when the
     stacked (u, v) update is at most tol times the previous iterate's
-    norm, or after admm.maxit_in sweeps. tol defaults to admm.tol_in,
-    which is also its floor. A loose solve, asked for tol > admm.tol_in,
+    norm (the first sweep's update is its distance from (u_k, v_k)), or
+    after admm.maxit_in sweeps. tol defaults to admm.tol_in, which is
+    also its floor. A loose solve, asked for tol > admm.tol_in,
     also stops once the update is at most _RELATIVE_STOP times the
     iterate's distance from (u_k, v_k): a relative error in the form of
     condition H2 of Attouch, Bolte & Svaiter 2013, so a pass that moves
@@ -393,7 +386,7 @@ def admm_solve(
 
     shape = f.shape
     loose = tol is not None and tol > admm.tol_in
-    system = spectral_system(f, u_k, params, rho, admm.r, v_k=v_k if loose else None)
+    system = spectral_system(f, u_k, v_k, params, rho, admm.r)
     thresholds = _shrink_thresholds(weights, support.active, params.alpha, admm.r)
     # stacked (2, n, m) buffers: gradient of u, scratch, and the scaled
     # dual lam (holding the pull lam - q during the solve)
@@ -412,6 +405,7 @@ def admm_solve(
         ids, q, shrink_work = None, np.empty((2, *shape)), work
     grad(u_k, out=du)
     tol = admm.tol_in if tol is None else max(tol, admm.tol_in)
+    size = float(np.vdot(u_k, u_k)) + float(np.vdot(v_k, v_k))
     mixer = _Mixer(shape)
 
     for iters in range(1, admm.maxit_in + 1):
@@ -435,12 +429,11 @@ def admm_solve(
         lam += du
 
         np.multiply(system.step_weight, p_hat, out=scaled)
-        if iters == 1:  # (u_k, v_k) has no P form: measure in pixels
-            step_u = u - u_k
-            step_v = np.fft.irfft2(system.v_hat(p_hat), s=shape) - v_k
-            change = float(np.vdot(step_u, step_u)) + float(np.vdot(step_v, step_v))
-            size = float(np.vdot(u_k, u_k)) + float(np.vdot(v_k, v_k))
-            move = change
+        if iters == 1 or loose:  # the distance from (u_k, v_k)
+            np.add(scaled, system.move_offset, out=step)
+            move = system.move_floor + np.vdot(step, step).real
+        if iters == 1:  # the first update is that distance
+            change = move
         else:
             np.subtract(scaled, prev, out=step)
             change = np.vdot(step, step).real
@@ -448,12 +441,8 @@ def admm_solve(
         if not mixed:
             if math.sqrt(change) <= tol * math.sqrt(size):
                 break
-            if loose:
-                if iters > 1:
-                    np.add(scaled, system.move_offset, out=step)
-                    move = system.move_floor + np.vdot(step, step).real
-                if math.sqrt(change) <= _RELATIVE_STOP * math.sqrt(move):
-                    break
+            if loose and math.sqrt(change) <= _RELATIVE_STOP * math.sqrt(move):
+                break
         scaled, prev = prev, scaled
         np.add(prev, system.norm_offset, out=step)
         size = system.norm_floor + np.vdot(step, step).real
@@ -553,25 +542,28 @@ def _smooth(label: Array, shape: tuple[int, int], gamma: float, beta: float) -> 
 class ReducedState:
     """What reduced_solve carries from pass to pass of one decompose run.
 
-    f and the model are fixed within a run, so f_hat, the symbol
-    b = 1 + gamma + beta hth and the smoothed f are formed at the first
-    attempt. The last support mask is kept with its _Pieces (None when it
-    left too many components), so a pass that keeps the mask skips the
-    labelling. B^T S B is built from transforms only at the first attempt
-    that gets that far: supports only shrink, so every later partition
-    coarsens the stored one (each old component lies in one new one) and
-    the new matrix is M^T (B^T S B) M for the 0/1 merge matrix M, one
-    bincount. A partition that does not coarsen it is built afresh.
+    f and the model are fixed within a run, so the constructor validates
+    f and forms f_hat, the symbol b = 1 + gamma + beta hth and the
+    smoothed f once. The last support mask is kept with its _Pieces (None
+    when it left too many components), so a pass that keeps the mask
+    skips the labelling. B^T S B is built from transforms only at the
+    first attempt that gets that far: supports only shrink, so every
+    later partition coarsens the stored one (each old component lies in
+    one new one) and the new matrix is M^T (B^T S B) M for the 0/1 merge
+    matrix M, one bincount. A partition that does not coarsen it is built
+    afresh.
 
-    A state serves one run, and reduced_solve raises ValueError when it
-    is handed another f or params. Two runs of one problem must not share
-    one either: an aggregated matrix can differ from a fresh build in the
-    last bits, so a run's result would depend on the runs before it.
+    Two runs of one problem must not share a state: an aggregated matrix
+    can differ from a fresh build in the last bits, so a run's result
+    would depend on the runs before it.
     """
 
-    def __init__(self):
-        self.problem: tuple[Array, ModelParams] | None = None  # the run's f and params
-        self.spectra: tuple[Array, Array, Array] | None = None  # f_hat, b, smoothed f
+    def __init__(self, f: Array, params: ModelParams):
+        self.f = as_grid(f, "f")
+        self.params = params
+        self.b = 1.0 + params.gamma + params.beta * compute_symbols(self.f.shape).hth  # K = 1 / b
+        self.f_hat = np.fft.rfft2(self.f)
+        self.smooth_f = np.fft.irfft2(self.f_hat * (1.0 - 1.0 / self.b), s=self.f.shape)
         self.active: Array | None = None
         self.pieces: _Pieces | None = None
         self.quad_pieces: _Pieces | None = None  # the pieces that quad_smooth is for
@@ -583,7 +575,7 @@ class ReducedState:
             self.active, self.pieces = active.copy(), _pieces(active)
         return self.pieces
 
-    def smooth(self, pieces: _Pieces, shape: tuple[int, int], params: ModelParams) -> Array:
+    def smooth(self, pieces: _Pieces) -> Array:
         """B^T S B for pieces, aggregated from the stored one when it can be."""
         if pieces is self.quad_pieces:
             return self.quad_smooth
@@ -592,7 +584,7 @@ class ReducedState:
             merge = np.empty(old.sizes.size, dtype=np.intp)  # M as a map
             merge[old.label] = label
         if old is None or not np.array_equal(merge[old.label], label):
-            smooth = _smooth(label, shape, params.gamma, params.beta)
+            smooth = _smooth(label, self.f.shape, self.params.gamma, self.params.beta)
         else:
             count = pieces.sizes.size
             pairs = (merge[:, None] * count + merge).ravel()
@@ -787,20 +779,12 @@ def _newton(quad, linear, triples, w, sizes, total, c):
 
 
 def reduced_solve(
-    f: Array,
-    u_k: Array,
-    v_k: Array,
-    weights: Array,
-    support: SupportSet,
-    params: ModelParams,
-    rho: float,
-    admm: AdmmParams,
-    *,
-    state: ReducedState | None = None,
+    u_k: Array, weights: Array, support: SupportSet, rho: float, state: ReducedState
 ) -> InnerResult | None:
     """Solve admm_solve's problem exactly in the tie components' values.
 
-    Takes admm_solve's inputs. When the frozen ties of support leave at
+    state holds the run's f and model (see ReducedState): pass the same
+    one for every pass of a run. When the frozen ties of support leave at
     most _MAX_PIECES components, every feasible u is c[label] for C
     component values c, and v = K(f - u) with K = 1 / (1 + gamma + beta
     hth) per frequency, so the pass problem becomes
@@ -814,18 +798,11 @@ def reduced_solve(
     minimizer: u is constant on the components and needs no projection.
     Returns None when the support leaves more components or the attempt
     does not certify within its budget; the pass is then for admm_solve.
-    v_k and admm are not read.
-
-    state carries what the attempts of one decompose run share (see
-    ReducedState): pass the same one for every pass of a run, with the
-    same f and params. Without it everything is built afresh.
     """
-    f = as_grid(f, "f")
     u_k = as_grid(u_k, "u_k")
-    shape = f.shape
+    shape, params = state.f.shape, state.params
     if not (u_k.shape == np.shape(weights) == support.active.shape == shape):
         raise ValueError("reduced_solve inputs must share one grid shape")
-    state = ReducedState() if state is None else state
     active = support.active
     # an active pixel with active left and upper neighbors is tied to
     # nothing, so it is a component of its own: a lower bound on the
@@ -838,28 +815,18 @@ def reduced_solve(
         return None
     label, sizes = pieces.label, pieces.sizes
     count = sizes.size
-    if state.problem is None:
-        state.problem = f, params
-        b = 1.0 + params.gamma + params.beta * compute_symbols(shape).hth  # K = 1 / b
-        f_hat = np.fft.rfft2(f)
-        state.spectra = f_hat, b, np.fft.irfft2(f_hat * (1.0 - 1.0 / b), s=shape)
-    else:
-        run_f, run_params = state.problem
-        if run_params != params or not (run_f is f or np.array_equal(run_f, f)):
-            raise ValueError("a ReducedState serves the passes of one f and one params")
-    f_hat, b, smooth_f = state.spectra
     u_sums = np.bincount(label, u_k.ravel(), count)
-    linear = np.bincount(label, smooth_f.ravel(), count) + rho * u_sums
-    quad = state.smooth(pieces, shape, params) + rho * np.diag(sizes)
+    linear = np.bincount(label, state.smooth_f.ravel(), count) + rho * u_sums
+    quad = state.smooth(pieces) + rho * np.diag(sizes)
     w = params.alpha * np.bincount(
         pieces.term_of, np.ravel(weights)[pieces.term_pixels], pieces.triples.shape[0]
     )
     # the sum of the minimizer's u, from the zero frequency alone
     s0 = params.gamma / (1.0 + params.gamma)
-    total = (s0 * f.sum() + rho * u_k.sum()) / (s0 + rho)
+    total = (s0 * state.f.sum() + rho * u_k.sum()) / (s0 + rho)
     c = _newton(quad, linear, pieces.triples, w, sizes, total, u_sums / sizes)
     if c is None:
         return None
     u = c[label].reshape(shape)
-    v = np.fft.irfft2((f_hat - np.fft.rfft2(u)) / b, s=shape)
+    v = np.fft.irfft2((state.f_hat - np.fft.rfft2(u)) / state.b, s=shape)
     return InnerResult(u, v, 0)

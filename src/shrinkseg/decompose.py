@@ -76,21 +76,11 @@ class TraceRow:
     max_grad: float
 
 
-@dataclass(frozen=True)
-class IterationTrace:
-    rows: tuple[TraceRow, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
+class IterationTrace(tuple):
+    """The TraceRows of one run, in order."""
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(row, name) for row in self.rows])
+        return np.array([getattr(row, name) for row in self])
 
 
 @dataclass(frozen=True)
@@ -130,7 +120,8 @@ def decompose(
 
     Appends one trace row per outer iterate, including the final one,
     so a run with T inner solves yields T+1 rows. A step whose energy
-    rises by more than 1e-8 times the energy it leaves is counted in
+    rises by more than 1e-8 times the energy it leaves, and by more than
+    machine epsilon times the starting energy F(f, f), is counted in
     energy_rises, flagged and warned about, but does not abort the run.
     A run warns once, with the counts, when any inner solve stopped at
     maxit_in and when it ends unconverged.
@@ -169,6 +160,8 @@ def decompose(
     norms = grad_norms(grad(u))  # of the current iterate: support, weights and trace
     support = initial_support(norms, tau)
     energy = decomposition_energy(f, u, v, params, norms)
+    # a rise below eps * F(f, f) is rounding, even from an energy of 0
+    noise = np.finfo(np.float64).eps * energy
 
     rows: list[TraceRow] = []
     converged = False
@@ -177,11 +170,11 @@ def decompose(
     reduced = 0
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
-    state = ReducedState()  # shared by this run's reduced attempts only
+    state = ReducedState(f, params)  # shared by this run's reduced attempts only
 
     def record(energy: float, increment: float, inner_iters: int) -> None:
         nonlocal prev_energy, rises
-        if energy > prev_energy + 1e-8 * abs(prev_energy):
+        if energy > prev_energy + max(1e-8 * abs(prev_energy), noise):
             rises += 1
             warnings.warn(
                 f"energy increased at outer iteration {len(rows)}: "
@@ -214,7 +207,7 @@ def decompose(
         # expects an admm span from every op, noise-free ones included
         inner = None
         if rows:
-            inner = reduced_solve(f, u, v, weights, support, params, outer.rho, admm, state=state)
+            inner = reduced_solve(u, weights, support, outer.rho, state)
         if inner is not None:  # the exact minimizer, feasible as it is
             reduced += 1
             tol = admm.tol_in
@@ -265,7 +258,7 @@ def decompose(
     return DecompositionResult(
         u=u,
         v=v,
-        trace=IterationTrace(tuple(rows)),
+        trace=IterationTrace(rows),
         converged=converged,
         outer_iters=len(rows) - 1,
         energy_increased=rises > 0,

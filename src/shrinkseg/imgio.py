@@ -170,8 +170,8 @@ def _read_csv(path, dtype, parse_row, what: str) -> Array:
     """numpy's C reader, or the Python parser wherever loadtxt raises.
 
     loadtxt rejects underscores, blank-only lines and, with warnings as
-    errors, empty files and numpy < 2's float-valued ints; the Python
-    parser keeps that syntax and names the bad cell or the missing file.
+    errors, empty files; the Python parser keeps that syntax and names
+    the bad cell or the missing file.
     """
     try:
         with warnings.catch_warnings():
@@ -254,7 +254,7 @@ def read_trace(path) -> IterationTrace:
                 max_grad=math.nan,
             )
         )
-    return IterationTrace(tuple(rows))
+    return IterationTrace(rows)
 
 
 # ---------------------------------------------------------------------------

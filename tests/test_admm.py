@@ -99,7 +99,7 @@ class TestSolveUV:
                 qbar = rng.standard_normal((2, n, n))
                 mu = rng.standard_normal((2, n, n))
                 params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
-                system = spectral_system(f, u_k, params, 0.3, 4.0)
+                system = spectral_system(f, u_k, np.zeros_like(f), params, 0.3, 4.0)
                 pull = mu / 4.0 - qbar
                 u, p_hat = solve_uv(system, pull)
                 v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
@@ -111,7 +111,7 @@ class TestSolveUV:
         n = 4
         f = np.full((n, n), 0.8)
         params = ModelParams(alpha=0.1, beta=10.0, gamma=0.5)
-        system = spectral_system(f, f, params, 0.25, 1.0)
+        system = spectral_system(f, f, np.zeros_like(f), params, 0.25, 1.0)
         u, p_hat = solve_uv(system, np.zeros((2, n, n)))
         v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
         assert np.ptp(u) < 1e-12 and np.ptp(v) < 1e-12
@@ -127,7 +127,7 @@ class TestSolveUV:
         rng = np.random.default_rng(2)
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
         f, u_k = rng.standard_normal((2, n, n))
-        system = spectral_system(f, u_k, params, 0.3, 4.0)
+        system = spectral_system(f, u_k, np.zeros_like(f), params, 0.3, 4.0)
         pull = rng.standard_normal((2, n, n))
         u, p_hat = solve_uv(system, pull)
         got_u, got_p = solve_uv(system, pull, np.full((2, n, n), np.nan))
@@ -155,22 +155,22 @@ class TestStoppingIdentities:
     """The spectral stopping test against the pixel-domain norms it replaces."""
 
     @staticmethod
-    def _sweeps(n, seed):
+    def _sweeps(shape, seed):
         """A system with the distance form from (u_k, v_k), that start,
         and two sweeps from random pulls."""
         rng = np.random.default_rng(seed)
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
-        f, u_k, v_k = rng.standard_normal((3, n, n))
-        system = spectral_system(f, u_k, params, 0.3, 4.0, v_k=v_k)
+        f, u_k, v_k = rng.standard_normal((3, *shape))
+        system = spectral_system(f, u_k, v_k, params, 0.3, 4.0)
         sweeps = []
         for _ in range(2):
-            u, p_hat = solve_uv(system, rng.standard_normal((2, n, n)))
-            sweeps.append((u, np.fft.irfft2(system.v_hat(p_hat), s=(n, n)), p_hat))
+            u, p_hat = solve_uv(system, rng.standard_normal((2, *shape)))
+            sweeps.append((u, np.fft.irfft2(system.v_hat(p_hat), s=shape), p_hat))
         return system, (u_k, v_k), sweeps
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_weighted_pull_step_is_update_norm(self, n):
-        system, _, ((u1, v1, p1), (u2, v2, p2)) = self._sweeps(n, 60 + n)
+        system, _, ((u1, v1, p1), (u2, v2, p2)) = self._sweeps((n, n), 60 + n)
         want = float(np.vdot(u2 - u1, u2 - u1) + np.vdot(v2 - v1, v2 - v1))
         step = system.step_weight * (p2 - p1)
         got = float(np.vdot(step, step).real)
@@ -178,34 +178,62 @@ class TestStoppingIdentities:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_quadratic_form_is_iterate_norm(self, n):
-        system, _, sweeps = self._sweeps(n, 70 + n)
+        system, _, sweeps = self._sweeps((n, n), 70 + n)
         for u, v, p_hat in sweeps:
             want = float(np.vdot(u, u) + np.vdot(v, v))
             offset = system.step_weight * p_hat + system.norm_offset
             got = system.norm_floor + float(np.vdot(offset, offset).real)
             assert abs(got - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-    def test_distance_form_is_move_from_start(self, n):
-        system, (u_k, v_k), sweeps = self._sweeps(n, 75 + n)
+    @pytest.mark.parametrize(
+        "shape",
+        [pytest.param((n, n), id=str(n)) for n in range(3, 9)]
+        + [pytest.param(shape, id="x".join(map(str, shape))) for shape in oracles.RECT_SHAPES],
+    )
+    def test_distance_form_is_move_from_start(self, shape):
+        seed = 75 + shape[0] + 10 * (shape[1] - shape[0])
+        system, (u_k, v_k), sweeps = self._sweeps(shape, seed)
         for u, v, p_hat in sweeps:
             want = float(np.vdot(u - u_k, u - u_k) + np.vdot(v - v_k, v - v_k))
             offset = system.step_weight * p_hat + system.move_offset
             got = system.move_floor + float(np.vdot(offset, offset).real)
             assert abs(got - want) <= 1e-12 * want
 
+        # admm_solve takes this distance as its first sweep's update: the
+        # first sweep, formed here in pixels, stops a solve at tol_in and
+        # a loose one exactly when its relative update meets tol
+        f, support, weights = _instance(seed, *shape)
+        v_k = 0.1 * np.random.default_rng(seed).standard_normal(shape)
+        u_k = f - v_k
+        params, rho, r = ModelParams(alpha=0.2, beta=1.0, gamma=0.3), 0.3, 5.0
+        thresholds = _shrink_thresholds(weights, support.active, params.alpha, r)
+        pull = -_shrink_field(grad(u_k), thresholds)
+        system = spectral_system(f, u_k, v_k, params, rho, r)
+        u, p_hat = solve_uv(system, pull)
+        v = np.fft.irfft2(system.v_hat(p_hat), s=shape)
+        update = math.sqrt(float(np.vdot(u - u_k, u - u_k) + np.vdot(v - v_k, v - v_k)))
+        ratio = update / math.sqrt(float(np.vdot(u_k, u_k) + np.vdot(v_k, v_k)))
+        args = (f, u_k, v_k, weights, support, params, rho)
+        for tol, iters in ((ratio * (1 + 1e-9), 1), (ratio * (1 - 1e-9), 2)):
+            exact = admm_solve(*args, AdmmParams(r=r, tol_in=tol, maxit_in=2))
+            loose = admm_solve(*args, AdmmParams(r=r, tol_in=tol / 10, maxit_in=2), tol=tol)
+            assert exact.iters == loose.iters == iters
+            if iters == 1:
+                np.testing.assert_allclose(exact.u, u, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(exact.v, v, rtol=0, atol=1e-12)
+
     def test_start_leaves_the_other_fields_alone(self):
         rng = np.random.default_rng(5)
         f, u_k, v_k = rng.standard_normal((3, 6, 7))
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
-        plain = spectral_system(f, u_k, params, 0.3, 4.0)
-        system = spectral_system(f, u_k, params, 0.3, 4.0, v_k=v_k)
-        assert plain.move_offset is None and system.move_offset is not None
+        zero = spectral_system(f, u_k, np.zeros_like(v_k), params, 0.3, 4.0)
+        system = spectral_system(f, u_k, v_k, params, 0.3, 4.0)
         for name in ("u0_hat", "v0_hat", "u_pull", "v_pull", "step_weight", "norm_offset"):
-            assert getattr(system, name).tobytes() == getattr(plain, name).tobytes()
-        assert system.norm_floor == plain.norm_floor
+            assert getattr(system, name).tobytes() == getattr(zero, name).tobytes()
+        assert system.norm_floor == zero.norm_floor
+        assert system.move_offset.tobytes() != zero.move_offset.tobytes()
         with pytest.raises(ValueError):
-            spectral_system(f, u_k, params, 0.3, 4.0, v_k=v_k[:, :6])
+            spectral_system(f, u_k, v_k[:, :6], params, 0.3, 4.0)
 
 
 def _instance(seed, n=6, m=None):
@@ -400,7 +428,7 @@ class TestRectangularGrids:
         f, u_k = rng.standard_normal((2, *shape))
         qbar, mu = rng.standard_normal((2, 2, *shape))
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
-        system = spectral_system(f, u_k, params, 0.3, 4.0)
+        system = spectral_system(f, u_k, np.zeros_like(f), params, 0.3, 4.0)
         assert system.shape == shape
         u, p_hat = solve_uv(system, mu / 4.0 - qbar)
         v = np.fft.irfft2(system.v_hat(p_hat), s=shape)

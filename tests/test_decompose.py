@@ -224,8 +224,14 @@ class TestInnerTolerance:
         reduced = [call for call in passes if call["name"] == "reduced_solve"]
         assert len(reduced) == result.reduced_solves
         exact = False  # from the first pass that meets tol_out on
+        v_k = None  # the pass start's v: reduced_solve is not handed it
         for call, row in zip(passes, result.trace):
-            denom = _stacked_norm(call["args"][1], call["args"][2])
+            if call["name"] == "admm_solve":
+                u_k, v_k = call["args"][1:3]
+            else:
+                u_k = call["args"][0]
+            denom = _stacked_norm(u_k, v_k)
+            v_k = call["result"].v
             if call["name"] == "admm_solve":
                 tol = call["kwargs"]["tol"]
                 if exact:
@@ -407,3 +413,13 @@ class TestRunWarnings:
         assert energies[:4] == script and len(energies) > 4
         assert result.energy_rises == 1 and result.energy_increased
         assert sum("energy increased" in str(w.message) for w in caught) == 1
+
+    def test_a_rounding_rise_from_zero_energy_does_not_count(self):
+        # a flat image reaches energy 0, then a rise to about 1e-39: no
+        # relative tolerance of 0 absorbs it, but eps * E(f, f, f) does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = decompose(np.full((8, 8), 0.5), ModelParams(alpha=0.1, beta=10.0))
+        energies = result.trace.column("energy")
+        assert 0.0 in energies[1:-1] and energies[-1] > 0.0
+        assert result.energy_rises == 0 and not result.energy_increased

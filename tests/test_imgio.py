@@ -307,7 +307,7 @@ class TestTrace:
                      min_nonzero_grad=0.02, inner_iters=0, max_grad=1.5),
         )
         path = tmp_path / "t.csv"
-        imgio.write_trace(IterationTrace(rows=rows), path)
+        imgio.write_trace(IterationTrace(rows), path)
         text = path.read_text()
         assert text.splitlines()[0] == imgio.TRACE_HEADER
         back = imgio.read_trace(path)

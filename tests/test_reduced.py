@@ -36,6 +36,15 @@ def _instance(seed, shape, active_frac=0.5):
     return (f, f - v_k, v_k, weights, SupportSet(active=active), PARAMS, RHO, EXACT)
 
 
+def _reduced(args, state=None):
+    """reduced_solve on admm_solve's args, with a state of its own
+    unless one is given."""
+    f, u_k, _, weights, support, params, rho, _ = args
+    if state is None:
+        state = admm_module.ReducedState(f, params)
+    return reduced_solve(u_k, weights, support, rho, state)
+
+
 def _pass_energy(args, u, v):
     f, u_k, _, weights, support, params, rho, _ = args
     return linearized_energy(f, u, v, u_k, weights, support, params, rho)
@@ -44,7 +53,7 @@ def _pass_energy(args, u, v):
 def _check_against_admm(args):
     """reduced_solve's result, asserted to match admm_solve at tol_in =
     1e-12 when it is certified; None when it declines."""
-    reduced = reduced_solve(*args)
+    reduced = _reduced(args)
     if reduced is None:
         return None
     assert reduced.iters == 0
@@ -84,7 +93,7 @@ class TestMatchesAdmm:
     def test_most_instances_certify(self):
         # a wrong merge makes the certificate fail, and the pass then
         # goes to admm_solve; these instances all certify
-        assert all(reduced_solve(*_instance(*case)) is not None for case in INSTANCES)
+        assert all(_reduced(_instance(*case)) is not None for case in INSTANCES)
 
     def test_u_is_constant_on_the_tie_components(self):
         args = _instance(3, (8, 8))
@@ -96,29 +105,32 @@ class TestMatchesAdmm:
 
     def test_reruns_are_bitwise_equal(self):
         args = _instance(4, (7, 9))
-        first = reduced_solve(*args)
+        first = _reduced(args)
         assert first is not None
-        second = reduced_solve(*args)
-        state = admm_module.ReducedState()
-        third = reduced_solve(*args, state=state)
-        fourth = reduced_solve(*args, state=state)  # from the stored pieces and Q
+        second = _reduced(args)
+        state = admm_module.ReducedState(args[0], PARAMS)
+        third = _reduced(args, state)
+        fourth = _reduced(args, state)  # from the stored pieces and Q
         for other in (second, third, fourth):
             assert other.u.tobytes() == first.u.tobytes()
             assert other.v.tobytes() == first.v.tobytes()
 
     def test_shape_mismatch_raises(self):
-        f, u_k, v_k, weights, support, params, rho, admm = _instance(0, (6, 6))
+        f, u_k, _, weights, support, params, rho, _ = _instance(0, (6, 6))
+        state = admm_module.ReducedState(f, params)
         with pytest.raises(ValueError):
-            reduced_solve(f, u_k, v_k, weights[:5], support, params, rho, admm)
+            reduced_solve(u_k, weights[:5], support, rho, state)
+        with pytest.raises(ValueError):  # a state for another grid
+            reduced_solve(u_k, weights, support, rho, admm_module.ReducedState(f[:5], params))
 
     def test_too_many_components_declines(self, monkeypatch):
         args = _instance(5, (8, 8))
         count = oracles.tie_components(~args[4].active).shape[1]
         assert count == 13
         monkeypatch.setattr(admm_module, "_MAX_PIECES", count)
-        assert reduced_solve(*args) is not None
+        assert _reduced(args) is not None
         monkeypatch.setattr(admm_module, "_MAX_PIECES", count - 1)
-        assert reduced_solve(*args) is None
+        assert _reduced(args) is None
 
 
 class TestZeroJumps:
@@ -197,10 +209,10 @@ class TestReducedState:
     @pytest.mark.parametrize("seed, shape", NESTED)
     def test_aggregated_q_matches_a_fresh_build(self, seed, shape, monkeypatch):
         builds = _count_calls(monkeypatch, admm_module, "_smooth")
-        state = admm_module.ReducedState()
         args = _instance(seed, shape, active_frac=0.6)
+        state = admm_module.ReducedState(args[0], PARAMS)
         for step in range(3):  # each support nested in the last
-            reduced_solve(*args, state=state)
+            _reduced(args, state)
             pieces = state.quad_pieces
             fresh = admm_module._smooth(pieces.label, shape, PARAMS.gamma, PARAMS.beta)
             error = np.abs(state.quad_smooth - fresh).max()
@@ -225,37 +237,26 @@ class TestReducedState:
 
     def test_partition_that_does_not_coarsen_is_built_afresh(self, monkeypatch):
         builds = _count_calls(monkeypatch, admm_module, "_smooth")
-        state = admm_module.ReducedState()
         first = _instance(1, (8, 8))
+        state = admm_module.ReducedState(first[0], PARAMS)
         # the same image, with another support's frozen ties
         other = _instance(2, (8, 8))[4]
         other = (*first[:3], np.where(other.active, first[3], 0.0), other, *first[5:])
-        reduced_solve(*first, state=state)
-        shared = reduced_solve(*other, state=state)
-        alone = reduced_solve(*other)
+        _reduced(first, state)
+        shared = _reduced(other, state)
+        alone = _reduced(other)
         assert len(builds) == 3
         assert shared is not None
         assert shared.u.tobytes() == alone.u.tobytes()
         assert shared.v.tobytes() == alone.v.tobytes()
 
-    def test_a_state_serves_one_image_and_model(self):
-        state = admm_module.ReducedState()
-        args = _instance(1, (8, 8))
-        reduced_solve(*args, state=state)
-        reduced_solve(args[0].copy(), *args[1:], state=state)  # equal values are fine
-        with pytest.raises(ValueError, match="one f and one params"):
-            reduced_solve(args[0] + 0.01, *args[1:], state=state)
-        with pytest.raises(ValueError, match="one f and one params"):
-            reduced_solve(*args[:5], ModelParams(alpha=0.06, beta=1.0, gamma=0.3), *args[6:],
-                          state=state)
-
     def test_a_kept_mask_reuses_its_pieces_and_q(self, monkeypatch):
         builds = _count_calls(monkeypatch, admm_module, "_smooth")
         labels = _count_calls(monkeypatch, admm_module, "_pieces")
-        state = admm_module.ReducedState()
         args = _instance(3, (8, 8))
+        state = admm_module.ReducedState(args[0], PARAMS)
         for _ in range(3):
-            reduced_solve(*args, state=state)
+            _reduced(args, state)
         assert len(builds) == len(labels) == 1
 
     def test_runs_do_not_share_state(self):
@@ -318,10 +319,10 @@ class TestDecomposeTries:
         assert calls[0][0] == "admm_solve"
         tries = [call for call in calls if call[0] == "reduced_solve"]
         assert len(tries) == result.outer_iters - 1
-        assert len({id(kwargs["state"]) for _, _, kwargs, _ in tries}) == 1
+        assert len({id(args[4]) for _, args, _, _ in tries}) == 1
         within = 0
         for _, args, _, out in tries:
-            count = oracles.tie_components(~args[4].active).shape[1]
+            count = oracles.tie_components(~args[2].active).shape[1]
             within += count <= admm_module._MAX_PIECES
             assert out is None or count <= admm_module._MAX_PIECES
         assert len(attempts) == within > 0

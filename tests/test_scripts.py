@@ -41,3 +41,12 @@ def test_fixture_work_prints_first_pass_sweeps():
     # the first pass always runs admm_solve, and later passes may add sweeps
     assert 0 < first <= sweeps
     assert total.split()[1:3] == row.split()[1:3]
+
+
+def test_fixture_work_reruns_print_the_same_table():
+    # every column is a count, a digest or a solver float, so a rerun of
+    # one tree must match byte for byte
+    argv = [sys.executable, os.path.join(SCRIPTS, "fixture_work.py"), "--only", "two_phase_s0_b0"]
+    first, second = (subprocess.run(argv, capture_output=True, text=True) for _ in range(2))
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    assert first.stdout == second.stdout
