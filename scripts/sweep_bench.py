@@ -57,7 +57,7 @@ def first_solve_args(n, sweeps):
     norms = grad_norms(grad(f))
     support = initial_support(norms, outer.tau_supp)
     weights = np.zeros_like(f)
-    weights[support.active] = params.potential.deriv(norms[support.active])
+    weights[support.active] = params.slope(norms[support.active])
     admm = AdmmParams(r=10.0, tol_in=0.0, maxit_in=sweeps)
     return f, f, np.zeros_like(f), weights, support, params, outer.rho, admm
 
@@ -72,7 +72,7 @@ def second_solve_args(n, sweeps):
     norms = grad_norms(grad(first.u))
     support = detect_support(norms, support, outer.tau_supp)
     weights = np.zeros_like(f)
-    weights[support.active] = params.potential.deriv(norms[support.active])
+    weights[support.active] = params.slope(norms[support.active])
     return f, first.u, first.v, weights, support, params, rho, admm
 
 

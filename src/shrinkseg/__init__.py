@@ -25,7 +25,6 @@ from .energy import ModelParams, decomposition_energy
 from .grid import OperatorSymbols, compute_symbols, grad, grad_adjoint, grad_norms
 from .imgio import RunConfig
 from .metrics import cv, jaccard
-from .potential import PowerPotential
 from .support import SupportSet, detect_support, initial_support, project_to_support
 from .synth import Disk, Phantom, PhantomSpec, Rect, gaussian_field, generate
 from .threshold import SegmentationResult, kmeans_1d, segment
@@ -41,7 +40,6 @@ __all__ = [
     "OuterParams",
     "Phantom",
     "PhantomSpec",
-    "PowerPotential",
     "Rect",
     "RunConfig",
     "SegmentationResult",

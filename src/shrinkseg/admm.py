@@ -377,16 +377,15 @@ def admm_solve(
     _MIX_EVERY-th sweep mixes the pull (see _Mixer), and a sweep that
     mixed never stops the solve.
     """
-    f = as_grid(f, "f")
-    u_k = as_grid(u_k, "u_k")
-    v_k = as_grid(v_k, "v_k")
+    system = spectral_system(f, u_k, v_k, params, rho, admm.r)  # checks f, u_k, v_k
+    shape = system.shape
+    u_k = np.asarray(u_k, dtype=np.float64)
+    v_k = np.asarray(v_k, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if not (f.shape == u_k.shape == v_k.shape == weights.shape == support.active.shape):
+    if not (weights.shape == support.active.shape == shape):
         raise ValueError("admm_solve inputs must share one grid shape")
 
-    shape = f.shape
     loose = tol is not None and tol > admm.tol_in
-    system = spectral_system(f, u_k, v_k, params, rho, admm.r)
     thresholds = _shrink_thresholds(weights, support.active, params.alpha, admm.r)
     # stacked (2, n, m) buffers: gradient of u, scratch, and the scaled
     # dual lam (holding the pull lam - q during the solve)
@@ -396,9 +395,9 @@ def admm_solve(
     # step_weight * P of this sweep and the last, and the test's scratch
     scaled, prev, step = (np.empty_like(system.u0_hat) for _ in range(3))
     ids = np.flatnonzero(support.active)
-    if ids.size < _GATHER_BELOW * f.size:
+    if ids.size < _GATHER_BELOW * u_k.size:
         # flat ids of the active pixels in both components of a field
-        ids = np.stack([ids, ids + f.size])
+        ids = np.stack([ids, ids + u_k.size])
         thresholds = thresholds.ravel()[ids[0]]
         q, lam_at, shrink_work = (np.empty(ids.shape) for _ in range(3))
     else:

@@ -197,7 +197,7 @@ def decompose(
 
     for _ in range(outer.maxit_out):
         weights = np.zeros_like(f)
-        weights[support.active] = params.potential.deriv(norms[support.active])
+        weights[support.active] = params.slope(norms[support.active])
         denom = _stacked_norm(u, v)
         # accuracy below tau cannot change which pixels freeze next
         tol = admm.tol_in if exact or denom == 0 else max(admm.tol_in, tau / denom)

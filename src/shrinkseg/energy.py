@@ -1,21 +1,23 @@
 """Objective of the smooth-plus-piecewise-constant split.
 
-The objective couples a quadratic fidelity term with a concave penalty
-on gradient magnitudes of the cartoon part and Tikhonov terms on the
-smooth part. The Hessian smoothness term is evaluated by Parseval from
-the symbol of H^T H on the rfft2 half spectrum, the same symbol the
-inner solver inverts.
+The objective couples a quadratic fidelity term with the concave
+potential phi(t) = t**p, 0 < p < 1, of the cartoon part's gradient
+magnitudes and Tikhonov terms on the smooth part. phi is continuous,
+coercive and vanishes at 0; its slope is unbounded at 0+, which is
+what drives small gradients exactly to zero in the outer loop. The
+Hessian smoothness term is evaluated by Parseval from the symbol of
+H^T H on the rfft2 half spectrum, the same symbol the inner solver
+inverts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Array, as_grid, compute_symbols, grad, grad_norms
-from .potential import PowerPotential
 
 
 @dataclass(frozen=True)
@@ -23,19 +25,40 @@ class ModelParams:
     """Weights of the decomposition objective.
 
     alpha scales the concave gradient penalty, beta the Hessian
-    smoothness term, gamma the plain quadratic on the smooth part.
+    smoothness term, gamma the plain quadratic on the smooth part, and
+    p is the exponent of the potential phi(t) = t**p.
     """
 
     alpha: float
     beta: float
     gamma: float = 1e-8
-    potential: PowerPotential = field(default_factory=PowerPotential)
+    p: float = 0.5
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be positive, got {val!r}")
+        if not 0.0 < self.p < 1.0:
+            raise ValueError(f"exponent must satisfy 0 < p < 1, got {self.p}")
+
+    def potential(self, t):
+        """phi(t) = t**p for t >= 0; exactly 0 at t = 0. Scalars or arrays."""
+        t = np.asarray(t, dtype=np.float64)
+        if np.any(t < 0):
+            raise ValueError("potential is only defined for t >= 0")
+        out = np.power(t, self.p)
+        return out if out.ndim else float(out)
+
+    def slope(self, t):
+        """phi'(t) = p * t**(p-1) for t > 0 strictly; rejects t <= 0, as
+        the solver reads it only on the active support, where gradient
+        magnitudes are strictly positive."""
+        t = np.asarray(t, dtype=np.float64)
+        if np.any(t <= 0):
+            raise ValueError("potential derivative requires t > 0")
+        out = self.p * np.power(t, self.p - 1.0)
+        return out if out.ndim else float(out)
 
 
 def _check_shapes(*arrays: Array) -> None:
@@ -66,7 +89,7 @@ def decomposition_energy(
 
     resid = f - u - v
     fidelity = 0.5 * float(np.vdot(resid, resid).real)
-    penalty = params.alpha * float(np.sum(params.potential.value(norms)))
+    penalty = params.alpha * float(np.sum(params.potential(norms)))
     symbols = compute_symbols(f.shape)
     v_hat = np.fft.rfft2(v)
     v_power = v_hat.real**2 + v_hat.imag**2

@@ -23,7 +23,6 @@ from .admm import AdmmParams
 from .decompose import IterationTrace, OuterParams, TraceRow
 from .energy import ModelParams
 from .grid import Array, as_grid
-from .potential import PowerPotential
 from .synth import EPS_POS, Disk, PhantomSpec, Rect
 
 TRACE_HEADER = "k,F,increment,support_size,min_nonzero_grad,inner_iters"
@@ -77,8 +76,8 @@ def _read_pgm_header(data: bytes):
     width, height, maxval = int(token()), int(token()), int(token())
     if width < 1 or height < 1:
         raise ValueError(f"PGM width and height must be at least 1, got {width}x{height}")
-    if maxval not in (255, 65535):
-        raise ValueError(f"unsupported maxval {maxval}")
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"PGM maxval must lie in 1..65535, got {maxval}")
     pos += 1  # single whitespace byte separates header from raster
     return magic, width, height, maxval, pos
 
@@ -89,7 +88,7 @@ def read_image(path) -> Array:
     magic, width, height, maxval, pos = _read_pgm_header(data)
     count = width * height
     if magic == b"P5":
-        dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
+        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         raster = data[pos : pos + count * dtype.itemsize]
         if len(raster) != count * dtype.itemsize:
             raise ValueError("truncated PGM raster")
@@ -103,8 +102,8 @@ def read_image(path) -> Array:
             sample = bad.decode("ascii", "replace")
             raise ValueError(f"P2 sample {sample!r} is not a nonnegative integer")
         samples = np.array(tokens, dtype=np.float64)
-        if samples.max() > maxval:  # P5 samples cannot exceed either maxval
-            raise ValueError(f"sample above maxval {maxval}")
+    if samples.max() > maxval:
+        raise ValueError(f"sample above maxval {maxval}")
     return (samples / maxval).reshape(height, width)
 
 
@@ -288,7 +287,7 @@ class RunConfig:
     beta: float
     gamma: float = ModelParams.gamma
     rho: float = OuterParams.rho
-    p: float = PowerPotential.p
+    p: float = ModelParams.p
     r: float = AdmmParams.r
     tol_in: float = AdmmParams.tol_in
     tol_out: float = OuterParams.tol_out
@@ -298,12 +297,7 @@ class RunConfig:
     log_domain: bool = False
 
     def model_params(self) -> ModelParams:
-        return ModelParams(
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            potential=PowerPotential(self.p),
-        )
+        return ModelParams(alpha=self.alpha, beta=self.beta, gamma=self.gamma, p=self.p)
 
     def outer_params(self) -> OuterParams:
         return OuterParams(

@@ -92,10 +92,6 @@ class PhantomSpec:
         if self.bias_amplitude < 0 or self.noise_sigma < 0:
             raise ValueError("bias_amplitude and noise_sigma must be nonnegative")
 
-    @property
-    def k(self) -> int:
-        return len(self.phase_values)
-
 
 @dataclass(frozen=True)
 class Phantom:

@@ -315,7 +315,7 @@ def loop_energy(f, u, v, params):
             gy = u[(i + 1) % n, j] - u[i, j]
             norm = np.hypot(gx, gy)
             if norm > 0:
-                total += params.alpha * params.potential.value(norm)
+                total += params.alpha * params.potential(norm)
     hess = 0.0
     for i in range(n):
         for j in range(m):

@@ -16,7 +16,6 @@ from oracles import linearized_energy, shrink_group
 from shrinkseg import (
     AdmmParams,
     ModelParams,
-    PowerPotential,
     admm_solve,
     compute_symbols,
     cv,
@@ -170,7 +169,6 @@ def test_criterion_03_shrinkage_brute_force(announce):
 def test_criterion_04_inner_solver_optimality(announce):
     rng = np.random.default_rng(4)
     n = 4
-    potential = PowerPotential()
     worst = 0.0
     for _ in range(10):
         f = np.where(rng.random((n, n)) > 0.5, 0.9, 0.1)
@@ -178,14 +176,14 @@ def test_criterion_04_inner_solver_optimality(announce):
         u_k = f.copy()
         norms = grad_norms(grad(u_k))
         support = initial_support(norms, float(rng.uniform(0.02, 0.3)))
-        weights = np.zeros_like(f)
-        lit = support.active & (norms > 0)
-        weights[lit] = potential.deriv(norms[lit])
         params = ModelParams(
             alpha=float(rng.uniform(0.1, 0.3)),
             beta=float(rng.uniform(0.5, 2.0)),
             gamma=float(rng.uniform(0.3, 0.6)),
         )
+        weights = np.zeros_like(f)
+        lit = support.active & (norms > 0)
+        weights[lit] = params.slope(norms[lit])
         rho = float(rng.uniform(0.3, 0.6))
         inner = admm_solve(
             f, u_k, np.zeros_like(f), weights, support, params, rho,

@@ -10,7 +10,6 @@ from oracles import linearized_energy, shrink_group
 from shrinkseg import (
     AdmmParams,
     ModelParams,
-    PowerPotential,
     admm_solve,
     compute_symbols,
     initial_support,
@@ -245,7 +244,7 @@ def _instance(seed, n=6, m=None):
     support = initial_support(norms, 0.1)
     weights = np.zeros_like(f)
     on = support.active & (norms > 0)
-    weights[on] = PowerPotential().deriv(norms[on])
+    weights[on] = ModelParams(alpha=1.0, beta=1.0).slope(norms[on])
     return f, support, weights
 
 
@@ -363,6 +362,11 @@ class TestAdmmSolve:
         with pytest.raises(ValueError):
             admm_solve(
                 f, f, f, np.zeros((5, 5)), SupportSet(active=np.ones((4, 4), dtype=bool)),
+                ModelParams(alpha=1, beta=1), 0.1, AdmmParams(),
+            )
+        with pytest.raises(ValueError, match="u_k and v_k"):
+            admm_solve(
+                f, np.zeros((5, 5)), f, f, SupportSet(active=np.ones((4, 4), dtype=bool)),
                 ModelParams(alpha=1, beta=1), 0.1, AdmmParams(),
             )
 
@@ -561,11 +565,11 @@ class TestAndersonMixing:
         f = np.where(rng.random((n, m)) > 0.5, 0.85, 0.15) + 0.02 * rng.standard_normal((n, m))
         active = rng.random((n, m)) < fraction
         # decompose's weights: the potential's slope at the gradient norms
-        slope = PowerPotential().deriv(np.maximum(grad_norms(grad(f)), 1e-3))
+        params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
+        slope = params.slope(np.maximum(grad_norms(grad(f)), 1e-3))
         weights = np.where(active, slope, 0.0)
         tol = 1e-10
-        args = (f, f, np.zeros((n, m)), weights, SupportSet(active=active),
-                ModelParams(alpha=0.2, beta=1.0, gamma=0.3), 0.3,
+        args = (f, f, np.zeros((n, m)), weights, SupportSet(active=active), params, 0.3,
                 AdmmParams(r=5.0, tol_in=tol, maxit_in=20000))
         mixed = admm_solve(*args)
         period = admm_module._MIX_EVERY
@@ -634,11 +638,11 @@ class TestRelativeStop:
         rng = np.random.default_rng(seed)
         f = np.where(rng.random((n, m)) > 0.5, 0.85, 0.15) + 0.02 * rng.standard_normal((n, m))
         active = rng.random((n, m)) < fraction
-        slope = PowerPotential().deriv(np.maximum(grad_norms(grad(f)), 1e-3))
+        params = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
+        slope = params.slope(np.maximum(grad_norms(grad(f)), 1e-3))
         weights = np.where(active, slope, 0.0)
         v_k = 0.1 * rng.standard_normal((n, m))
-        args = (f, f - v_k, v_k, weights, SupportSet(active=active),
-                ModelParams(alpha=0.2, beta=1.0, gamma=0.3), 0.3)
+        args = (f, f - v_k, v_k, weights, SupportSet(active=active), params, 0.3)
         loose = admm_solve(*args, AdmmParams(r=5.0, tol_in=1e-10, maxit_in=2000), tol=tol)
         relative = admm_module._RELATIVE_STOP
         admm_module._RELATIVE_STOP = 0.0

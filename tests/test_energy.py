@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from oracles import linearized_energy
-from shrinkseg import ModelParams, PowerPotential, decomposition_energy
+from shrinkseg import ModelParams, decomposition_energy
 from shrinkseg.grid import grad, grad_norms
 from shrinkseg.support import SupportSet, initial_support, project_to_support
 
@@ -19,7 +19,7 @@ class TestModelParams:
     def test_defaults(self):
         p = ModelParams(alpha=1.0, beta=10.0)
         assert p.gamma == 1e-8
-        assert p.potential.p == 0.5
+        assert p.p == 0.5
 
     @pytest.mark.parametrize("kw", [dict(alpha=0.0), dict(beta=-1.0), dict(gamma=0.0)])
     def test_rejects_nonpositive(self, kw):
@@ -68,8 +68,8 @@ class TestDecompositionEnergy:
         u = np.zeros((4, 4))
         u[1, 1] = 1.0
         v = np.zeros((4, 4))
-        a = decomposition_energy(f, u, v, ModelParams(alpha=1.0, beta=1.0, potential=PowerPotential(p=0.5)))
-        b = decomposition_energy(f, u, v, ModelParams(alpha=1.0, beta=1.0, potential=PowerPotential(p=0.25)))
+        a = decomposition_energy(f, u, v, ModelParams(alpha=1.0, beta=1.0, p=0.5))
+        b = decomposition_energy(f, u, v, ModelParams(alpha=1.0, beta=1.0, p=0.25))
         assert a != b
 
 
@@ -82,7 +82,7 @@ class TestLinearizedEnergy:
         support = initial_support(norms, 0.5)
         weights = np.zeros_like(f)
         on = support.active & (norms > 0)
-        weights[on] = PowerPotential().deriv(norms[on])
+        weights[on] = ModelParams(alpha=1.0, beta=1.0).slope(norms[on])
         return f, u_k, support, weights
 
     def test_manual_recompute(self, params):
@@ -124,9 +124,8 @@ class TestLinearizedEnergy:
         f, u_k, support, weights = self._setup(seed=4)
         u_k = project_to_support(u_k, support)
         norms_k = grad_norms(grad(u_k))
-        pot = params.potential
         offset = params.alpha * float(
-            np.sum(pot.value(norms_k[support.active]))
+            np.sum(params.potential(norms_k[support.active]))
             - np.sum(weights[support.active] * norms_k[support.active])
         )
         rng = np.random.default_rng(5)

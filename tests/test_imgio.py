@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinkseg import AdmmParams, ModelParams, OuterParams, PowerPotential, imgio
+from shrinkseg import AdmmParams, ModelParams, OuterParams, imgio
 from shrinkseg.decompose import IterationTrace, TraceRow
 from shrinkseg.synth import Disk, PhantomSpec, Rect
 
@@ -63,6 +63,32 @@ class TestPGM:
         path = tmp_path / "ov.pgm"
         path.write_text("P2\n2 2\n255\n0 0\n0 300\n")
         with pytest.raises(ValueError):
+            imgio.read_image(path)
+
+    @pytest.mark.parametrize("magic, maxval", [("P5", 15), ("P5", 1023), ("P2", 1023)])
+    def test_reads_samples_over_any_maxval(self, tmp_path, magic, maxval):
+        # P5 takes one byte per sample up to maxval 255, two big-endian bytes above
+        samples = np.array([0, 1, maxval // 2, maxval])
+        if magic == "P5":
+            raster = samples.astype(">u2" if maxval > 255 else "u1").tobytes()
+        else:
+            raster = " ".join(map(str, samples)).encode("ascii")
+        path = tmp_path / "mx.pgm"
+        path.write_bytes(f"{magic}\n2 2\n{maxval}\n".encode("ascii") + raster)
+        assert imgio.read_image(path).tolist() == (samples / maxval).reshape(2, 2).tolist()
+
+    @pytest.mark.parametrize("data", [b"P5\n2 1\n15\n\x00\x10", b"P5\n1 1\n1023\n\x04\x00"])
+    def test_rejects_binary_sample_above_maxval(self, tmp_path, data):
+        path = tmp_path / "ov5.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="above maxval"):
+            imgio.read_image(path)
+
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_rejects_maxval_outside_range(self, tmp_path, maxval):
+        path = tmp_path / "mv.pgm"
+        path.write_text(f"P2\n1 1\n{maxval}\n0\n")
+        with pytest.raises(ValueError, match="maxval"):
             imgio.read_image(path)
 
     @pytest.mark.parametrize("sample", ["1.5", "nan", "-1", "1e2", "0x1"])
@@ -378,8 +404,7 @@ class TestRunConfig:
     def test_defaults_agree_with_solver_classes(self):
         config = imgio.RunConfig(alpha=0.5, beta=2.0)
         shared = set()
-        for params in (AdmmParams(), OuterParams(), ModelParams(alpha=0.5, beta=2.0),
-                       PowerPotential()):
+        for params in (AdmmParams(), OuterParams(), ModelParams(alpha=0.5, beta=2.0)):
             for f in fields(params):
                 if f.name in imgio.CONFIG_KEYS.values():
                     shared.add(f.name)
@@ -399,7 +424,7 @@ class TestRunConfig:
                                  tol_out=1e-5, maxit_out=20)
         model = config.model_params()
         assert model.alpha == 0.5 and model.beta == 2.0 and model.gamma == 0.1
-        assert model.potential.p == 0.4
+        assert model.p == 0.4
         outer = config.outer_params()
         assert outer.rho == 0.2 and outer.tol_out == 1e-5 and outer.maxit_out == 20
         admm = config.admm_params()
