@@ -5,8 +5,11 @@ the n=128 quality runs) through the acceptance pipeline: log of f / max f,
 decompose at the fixture's solver settings, then segment into K phases.
 Prints one line per phantom (inner sweeps, those of the first outer
 pass, outer passes, capped inner solves, passes solved in reduced form,
-final support size, digests of the labels and of the u and v bytes, and
-the final energy) and the totals. Every number is a count or
+energy rises, whether the run converged, final support size, digests of
+the labels and of the u and v bytes, and the final energy) and the
+totals, where the converged column counts the converged runs. Rises and
+convergence are read from the DecompositionResult, not from warnings,
+which Python shows once per code location. Every number is a count or
 a float the solver computes, so two runs of one tree print the same
 table, and two trees can be compared line by line.
 
@@ -62,6 +65,8 @@ def run_entry(entry, solver, seed_offset):
         "outer": result.outer_iters,
         "capped": result.capped_solves,
         "reduced": result.reduced_solves,
+        "rises": result.energy_rises,
+        "converged": int(result.converged),
         "support": result.trace[-1].support_size,
         "labels": digest(labels),
         "u": digest(result.u),
@@ -87,17 +92,20 @@ def main(argv=None):
             parser.error(f"no fixture phantom named {args.only!r}")
 
     print(f"{'phantom':<28} {'sweeps':>7} {'first':>5} {'outer':>5} {'capped':>6} {'reduced':>7} "
-          f"{'support':>7}  {'labels':<12}  {'u':<12}  {'v':<12}  energy")
-    totals = dict(sweeps=0, first=0, outer=0, capped=0, reduced=0)
+          f"{'rises':>5} {'converged':>9} {'support':>7}  {'labels':<12}  {'u':<12}  {'v':<12}  "
+          f"energy")
+    totals = dict(sweeps=0, first=0, outer=0, capped=0, reduced=0, rises=0, converged=0)
     for entry in entries:
         row = run_entry(entry, None if args.defaults else fixture["solver"], args.seed_offset)
         for key in totals:
             totals[key] += row[key]
         print(f"{entry['name']:<28} {row['sweeps']:>7} {row['first']:>5} {row['outer']:>5} "
-              f"{row['capped']:>6} {row['reduced']:>7} {row['support']:>7}  {row['labels']:<12}  "
-              f"{row['u']:<12}  {row['v']:<12}  {row['energy']!r}")
+              f"{row['capped']:>6} {row['reduced']:>7} {row['rises']:>5} {row['converged']:>9} "
+              f"{row['support']:>7}  {row['labels']:<12}  {row['u']:<12}  {row['v']:<12}  "
+              f"{row['energy']!r}")
     print(f"{'total':<28} {totals['sweeps']:>7} {totals['first']:>5} {totals['outer']:>5} "
-          f"{totals['capped']:>6} {totals['reduced']:>7}")
+          f"{totals['capped']:>6} {totals['reduced']:>7} {totals['rises']:>5} "
+          f"{totals['converged']:>6}/{len(entries)}")
     return 0
 
 

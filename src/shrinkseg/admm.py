@@ -3,12 +3,13 @@
 Each sweep alternates a closed-form shrinkage on the gradient
 auxiliary, one exact coupled linear solve in Fourier space, and a dual
 ascent step on the scaled dual lam = mu / r (Boyd et al. 2011, sec.
-3.1.1): q = shrink(Du + lam), w = lam - q, P = rfft2(D^T w),
-u = irfft2(u0_hat - u_pull P), lam = w + Du. The linear solve is exact
-per frequency because both operator symbols are diagonal there, so no
-warm start is needed. Everything fixed during one inner solve is built
-once by spectral_system on the half spectrum of the real FFT. Both
-u_hat and v_hat are affine in P, so the stopping test measures the
+3.1.1): q = shrink(Du + lam), w = lam - q, P = rfft2(D^T w), u =
+irfft2(u0_hat - u_pull P), lam = w + Du. The linear solve is exact per
+frequency because both operator symbols are diagonal there, so it needs
+no iteration of its own; only the dual can start warm, from the lam a
+previous solve ended with. Everything fixed during one inner solve is
+built once by spectral_system on the half spectrum of the real FFT.
+Both u_hat and v_hat are affine in P, so the stopping test measures the
 (u, v) update and norm from P alone: a sweep costs one rfft2 and one
 irfft2, and v is formed once, after the loop. The same rotation gives
 the distance from the pass start (u_k, v_k) in P, which is the first
@@ -102,11 +103,16 @@ class AdmmParams:
 
 @dataclass(frozen=True)
 class InnerResult:
-    """Solution pair plus the number of sweeps that produced it."""
+    """Solution pair plus the number of sweeps that produced it.
+
+    lam is the scaled dual that admm_solve ended with, the warm start of
+    a later solve; reduced_solve has none and leaves it None.
+    """
 
     u: Array
     v: Array
     iters: int
+    lam: Array | None = None
 
 
 def _shrink_thresholds(weights: Array, active: Array, alpha: float, r: float) -> Array:
@@ -360,8 +366,9 @@ def admm_solve(
     admm: AdmmParams,
     *,
     tol: float | None = None,
+    lam0: Array | None = None,
 ) -> InnerResult:
-    """Run the splitting iteration from (u_k, v_k) with zero duals.
+    """Run the splitting iteration from (u_k, v_k) and the scaled dual lam0.
 
     weights must hold the potential derivative at u_k on the active
     set; frozen pixels get a hard zero in the auxiliary variable, so
@@ -376,6 +383,11 @@ def admm_solve(
     far is solved coarsely and one that barely moves tightly. Every
     _MIX_EVERY-th sweep mixes the pull (see _Mixer), and a sweep that
     mixed never stops the solve.
+
+    lam0, a (2, n, m) array, is copied and never written; None starts
+    from zero duals. decompose passes the lam of the previous solve, since
+    successive outer passes solve nearly the same problem. The result
+    carries the final scaled dual as lam.
     """
     system = spectral_system(f, u_k, v_k, params, rho, admm.r)  # checks f, u_k, v_k
     shape = system.shape
@@ -384,13 +396,15 @@ def admm_solve(
     weights = np.asarray(weights, dtype=np.float64)
     if not (weights.shape == support.active.shape == shape):
         raise ValueError("admm_solve inputs must share one grid shape")
+    if lam0 is not None and np.shape(lam0) != (2, *shape):
+        raise ValueError(f"lam0 must have shape {(2, *shape)}, got {np.shape(lam0)}")
 
     loose = tol is not None and tol > admm.tol_in
     thresholds = _shrink_thresholds(weights, support.active, params.alpha, admm.r)
     # stacked (2, n, m) buffers: gradient of u, scratch, and the scaled
     # dual lam (holding the pull lam - q during the solve)
     du, work = np.empty((2, *shape)), np.empty((2, *shape))
-    lam = np.zeros((2, *shape))
+    lam = np.zeros((2, *shape)) if lam0 is None else np.array(lam0, dtype=np.float64)
     uv_out = _uv_buffers(shape)
     # step_weight * P of this sweep and the last, and the test's scratch
     scaled, prev, step = (np.empty_like(system.u0_hat) for _ in range(3))
@@ -446,7 +460,7 @@ def admm_solve(
         np.add(prev, system.norm_offset, out=step)
         size = system.norm_floor + np.vdot(step, step).real
 
-    return InnerResult(u, np.fft.irfft2(system.v_hat(p_hat), s=shape), iters)
+    return InnerResult(u, np.fft.irfft2(system.v_hat(p_hat), s=shape), iters, lam)
 
 
 # A pass whose support leaves at most this many tie components is
@@ -455,13 +469,17 @@ def admm_solve(
 # first attempt at 57 components (building Q, then 27 Newton steps)
 # costs about as much as that pass's ADMM solve.
 _MAX_PIECES = 64
-# Budget of one reduced attempt: Newton steps in all (the fixtures need
-# at most 28), step halvings in one line search, and dual reweightings
-# in the certificate. A Newton step that moves u by at most
-# _NEWTON_TOL * ||u|| ends the iteration.
+# Budget of one reduced attempt: Newton steps in all (the fixtures'
+# certified attempts take at most 14 at the acceptance settings and 29
+# at the CLI defaults), step halvings in one line search, and dual
+# reweightings in the certificate. A Newton step that moves u by at most
+# _NEWTON_TOL * ||u|| ends the iteration. Merging every crossed kink
+# leaves certificates just above their bound at 4 reweightings: with
+# cold duals the fixture attempts that declined ended at largest dual
+# ratios of 1.004 and 1.03, and at 8 the first of them certifies.
 _NEWTON_STEPS = 30
 _HALVINGS = 8
-_DUAL_ROUNDS = 4
+_DUAL_ROUNDS = 8
 _NEWTON_TOL = 1e-10
 # Components whose indicators _smooth transforms in one call: 8 cut a
 # first build's time by a quarter on the n=64 fixtures.
@@ -683,6 +701,25 @@ def _certify(quad, linear, triples, w, live, c, step):
     return None
 
 
+def _kink_tries(reach, kinks):
+    """Where a Newton step merges, and which terms it tries to merge there.
+
+    reach is each term's step fraction at its kink, and kinks marks the
+    terms whose kinks the step passes through. Returns the first kink's
+    fraction t and the term masks to try in turn: every kink, then, when
+    that does not lower phi and they differ, only the first ones (those
+    within rounding of t). Merging every kink at once saves the steps of
+    merging them one by one. The fallback is needed where merging every
+    kink raises phi at each step: without it, such an attempt falls to
+    the line search at every step and runs out of steps.
+    """
+    t = reach[kinks].min()
+    first = kinks & (reach <= t * (1 + 1e-9))
+    if np.count_nonzero(first) == np.count_nonzero(kinks):
+        return t, (first,)
+    return t, (kinks, first)
+
+
 def _newton(quad, linear, triples, w, sizes, total, c):
     """Damped Newton on phi(c) = 1/2 c'Qc - b'c + sum_t w_t ||E_t c||.
 
@@ -690,21 +727,27 @@ def _newton(quad, linear, triples, w, sizes, total, c):
     (gamma / (1 + gamma) + rho) * sizes.sum(), which a Newton solve
     resolves poorly; its minimum is where sizes @ c equals total. So the
     Newton system stiffens that direction, and the start and every step
-    are shifted there exactly. A term whose jump reaches zero, at an
-    iterate or as the first kink a Newton step crosses (if stopping there
-    lowers phi), has its components merged into one class, and Newton
-    continues over the classes. Returns the minimizer when _certify
-    accepts it, or None once the budget runs out. The Hessian is summed
-    by bincount from each term's 3 x 3 block: a product of the dense
-    (2T, C) jump matrix, at C = 57, ran ten times slower under BLAS
-    threads on a 2-core host.
+    are shifted there exactly. A term whose jump reaches zero has its
+    components merged into one class, and Newton continues over the
+    classes: at an iterate, or at the kinks a Newton step crosses. There,
+    merging every kink the full step crosses is tried first, and merging
+    only the first kinks when that does not lower phi. Returns the
+    minimizer when _certify accepts it, or None once the budget runs
+    out. The Hessian is summed by bincount from each term's 3 x 3 block:
+    a product of the dense (2T, C) jump matrix, at C = 57, ran ten times
+    slower under BLAS threads on a 2-core host.
     """
     count = c.size
     n_pix = sizes.sum()
     cls = np.arange(count)  # merged class of each component
+    size = count  # classes; below count once a merge has joined two
+    live = np.ones(triples.shape[0], dtype=bool)  # terms whose classes differ
+    stiff = np.outer(sizes, sizes) / n_pix  # the shift stiffening
+    pairs = None  # component pairs to class pairs, once a merge happened
     c = c + (total - sizes @ c) / n_pix
     rows, cols = triples[:, _BLOCK_ROWS], triples[:, _BLOCK_COLS]
     entries = (rows * count + cols).ravel()
+    block = np.empty((triples.shape[0], 9))
 
     def change(x, norms, gs, delta):
         """phi(c + delta) - phi(c) without cancelling large terms."""
@@ -712,59 +755,76 @@ def _newton(quad, linear, triples, w, sizes, total, c):
         penalty = w @ (np.hypot(x_new[:, 0], x_new[:, 1]) - norms)
         return gs @ delta + 0.5 * delta @ quad @ delta + penalty
 
+    def merge(joined):
+        """Make joined the classes, with their live terms and stiffening."""
+        nonlocal cls, size, live, stiff, pairs
+        cls, size = joined, joined.max() + 1
+        classes = cls[triples]
+        live = (classes[:, 0] != classes[:, 1]) | (classes[:, 0] != classes[:, 2])
+        class_sizes = np.bincount(cls, sizes, size)
+        stiff = np.outer(class_sizes, class_sizes) / n_pix
+        pairs = (cls[:, None] * size + cls).ravel()
+
     for _ in range(_NEWTON_STEPS):
         x = _jumps(triples, c)
         norms = np.hypot(x[:, 0], x[:, 1])
-        classes = cls[triples]
-        live = (classes[:, 0] != classes[:, 1]) | (classes[:, 0] != classes[:, 2])
         flat = live & (norms == 0)
         if flat.any():
-            cls = _merge(cls, triples, np.flatnonzero(flat))
+            merge(_merge(cls, triples, np.flatnonzero(flat)))
             c = _class_means(cls, sizes, c)
             continue
-        xl = np.where(live[:, None], x, 0.0)
-        nl = np.where(live, norms, 1.0)
-        wl = np.where(live, w, 0.0)
+        if size < count:  # merged terms carry no jump, gradient or curvature
+            xl = np.where(live[:, None], x, 0.0)
+            nl = np.where(live, norms, 1.0)
+            wl = np.where(live, w, 0.0)
+        else:
+            xl, nl, wl = x, norms, w
         gs = quad @ c - linear
         g = gs + _penalty_grad(triples, wl, xl, nl, count)
         # E_t^T M_t E_t with M_t = w_t / |x_t| (I - x_t x_t' / |x_t|^2),
         # rows and columns in (own, right, lower) order
         k = wl / nl**3
         m11, m12, m22 = k * xl[:, 1] ** 2, -k * xl[:, 0] * xl[:, 1], k * xl[:, 0] ** 2
-        own_own, own_right, own_lower = m11 + 2 * m12 + m22, -m11 - m12, -m12 - m22
-        block = np.stack(
-            [own_own, own_right, own_lower, own_right, m11, m12, own_lower, m12, m22], axis=1
-        )
+        block[:, 0] = m11 + 2 * m12 + m22
+        block[:, 1] = block[:, 3] = -m11 - m12
+        block[:, 2] = block[:, 6] = -m12 - m22
+        block[:, 4], block[:, 5], block[:, 7], block[:, 8] = m11, m12, m12, m22
         hess = quad + np.bincount(entries, block.ravel(), count * count).reshape(count, count)
-        # Newton over the classes (each component its own class until a
-        # merge); the outer product of the class sizes only stiffens the
-        # shift direction
-        size = cls.max() + 1
+        # Newton over the classes; the outer product of the class sizes
+        # only stiffens the shift direction
         if size < count:
-            class_sizes = np.bincount(cls, sizes, size)
-            pairs = (cls[:, None] * size + cls).ravel()
             hess = np.bincount(pairs, hess.ravel(), size * size).reshape(size, size)
-            hess += np.outer(class_sizes, class_sizes) / n_pix
+            hess += stiff
             step = np.linalg.solve(hess, -np.bincount(cls, g, size))[cls]
         else:
-            hess += np.outer(sizes, sizes) / n_pix
+            hess += stiff
             step = np.linalg.solve(hess, -g)
         if math.sqrt(sizes @ step**2) <= _NEWTON_TOL * math.sqrt(sizes @ c**2):
             return _certify(quad, linear, triples, w, live, c + step, step)
-        # the first kink the full step passes through (or close by)
         d = _jumps(triples, step)
-        reach = -np.einsum("tk,tk->t", x, d) / np.maximum(np.einsum("tk,tk->t", d, d), _TINY)
-        gap = np.hypot(*(x + reach[:, None] * d).T)
-        kinks = live & (reach > 0) & (reach < 1) & (gap <= 1e-2 * norms)
+        dd = np.einsum("tk,tk->t", d, d)
         t = 1.0
-        if kinks.any():
-            t = reach[kinks].min()
-            joined = _merge(cls, triples, np.flatnonzero(kinks & (reach <= t * (1 + 1e-9))))
-            delta = _class_means(joined, sizes, c + t * step) - c
-            if change(x, norms, gs, delta) < 0:
-                cls, c = joined, c + delta
-                c += (total - sizes @ c) / n_pix
-                continue
+        # a jump the step moves by at most 0.9 of its norm stays at least
+        # 0.1 of it away from zero: no kink within the step
+        if not np.all(dd <= 0.81 * norms**2):
+            # the kinks the full step passes through (or close by)
+            reach = -np.einsum("tk,tk->t", x, d) / np.maximum(dd, _TINY)
+            gap = np.hypot(*(x + reach[:, None] * d).T)
+            kinks = live & (reach > 0) & (reach < 1) & (gap <= 1e-2 * norms)
+            if kinks.any():
+                t, tries = _kink_tries(reach, kinks)
+                for terms in tries:
+                    joined = _merge(cls, triples, np.flatnonzero(terms))
+                    delta = _class_means(joined, sizes, c + t * step) - c
+                    if change(x, norms, gs, delta) < 0:
+                        break
+                else:
+                    joined = None
+                if joined is not None:
+                    merge(joined)
+                    c = c + delta
+                    c += (total - sizes @ c) / n_pix
+                    continue
         slope = g @ step
         for _ in range(_HALVINGS):
             if change(x, norms, gs, t * step) <= 1e-4 * t * slope:

@@ -39,7 +39,7 @@ class OuterParams:
 
     rho: float = 1e-8
     tol_out: float = 1e-4
-    maxit_out: int = 10
+    maxit_out: int = 40
     tau_supp: float | None = None
 
     def __post_init__(self):
@@ -148,7 +148,10 @@ def decompose(
     enough tie components it may return the pass's exact minimizer: that
     pass counts as solved at tol_in, needs neither H1 nor the
     projection, adds no sweeps to inner_iters and is counted in
-    reduced_solves. Any other pass goes to admm_solve as above.
+    reduced_solves. Any other pass goes to admm_solve as above, starting
+    from the scaled dual that the run's last admm_solve ended with (zero
+    duals on the first pass): successive passes solve nearly the same
+    problem, so a warm dual saves sweeps.
     """
     f = as_grid(f, "f")
     outer = outer or OuterParams()
@@ -171,6 +174,7 @@ def decompose(
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
     state = ReducedState(f, params)  # shared by this run's reduced attempts only
+    lam = None  # the scaled dual of the last admm_solve, the next one's start
 
     def record(energy: float, increment: float, inner_iters: int) -> None:
         nonlocal prev_energy, rises
@@ -215,8 +219,10 @@ def decompose(
             next_norms = grad_norms(grad(u_next))
             next_energy = decomposition_energy(f, u_next, inner.v, params, next_norms)
         else:
-            while True:
-                inner = admm_solve(f, u, v, weights, support, params, outer.rho, admm, tol=tol)
+            while True:  # an H1 re-solve starts from the same dual
+                inner = admm_solve(
+                    f, u, v, weights, support, params, outer.rho, admm, tol=tol, lam0=lam
+                )
                 inner_iters += inner.iters
                 capped += int(inner.iters >= admm.maxit_in)
                 # restore exact feasibility: the square-root penalty has
@@ -228,6 +234,7 @@ def decompose(
                 if tol <= admm.tol_in or next_energy <= energy:
                     break
                 tol = admm.tol_in  # H1 failed: solve the pass again, exactly
+            lam = inner.lam
         increment = _stacked_norm(u_next - u, inner.v - v)
         record(energy, increment, inner_iters)
 

@@ -209,7 +209,7 @@ def reference_anderson(history, x, pull):
     return mixed.reshape(pull.shape), True
 
 
-def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm, tol=None):
+def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm, tol=None, lam0=None):
     """The splitting iteration with the dual mu carried unscaled.
 
     Each sweep shrinks Du + mu/r, solves for (u, v_hat) with the pull
@@ -220,8 +220,9 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm, tol=N
     reference_anderson, and a sweep that mixed never stops the loop.
     tol is admm_solve's: a loose loop (tol > admm.tol_in) also stops
     once the update is at most admm_module._RELATIVE_STOP times the
-    distance of (u, v) from (u_k, v_k), measured in pixels.
-    Returns (u, v, iters).
+    distance of (u, v) from (u_k, v_k), measured in pixels. lam0 is
+    admm_solve's scaled start dual, so mu starts at r lam0 (zero when
+    None). Returns (u, v, iters).
     """
     shape = f.shape
     r = admm.r
@@ -238,7 +239,7 @@ def reference_admm_solve(f, u_k, v_k, weights, support, params, rho, admm, tol=N
     thresholds = _shrink_thresholds(weights, support.active, params.alpha, r)
     du = np.empty((2, *shape))
     grad(u_k, out=du)
-    mu = np.zeros((2, *shape))
+    mu = np.zeros((2, *shape)) if lam0 is None else r * np.asarray(lam0, dtype=np.float64)
     u = u_k
     v_hat = np.fft.rfft2(v_k)
     u_sq = float(np.vdot(u, u))

@@ -371,6 +371,58 @@ class TestAdmmSolve:
             )
 
 
+class TestWarmDuals:
+    """admm_solve started from a given scaled dual lam0."""
+
+    PARAMS = ModelParams(alpha=0.2, beta=1.0, gamma=0.3)
+
+    def _args(self, seed, n, tol_in=1e-10, maxit_in=5000):
+        f, support, weights = _instance(seed, n)
+        return (f, f, np.zeros_like(f), weights, support, self.PARAMS, 0.3,
+                AdmmParams(r=5.0, tol_in=tol_in, maxit_in=maxit_in))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("maxit_in", [1, 2, 12])
+    def test_matches_reference_loop(self, n, maxit_in):
+        # 12 sweeps include one mixed sweep
+        args = self._args(n, n, tol_in=0.0, maxit_in=maxit_in)
+        lam0 = 0.5 * np.random.default_rng(n).standard_normal((2, n, n))
+        result = admm_solve(*args, lam0=lam0)
+        u, v, iters = oracles.reference_admm_solve(*args, lam0=lam0)
+        assert result.iters == iters == maxit_in
+        np.testing.assert_allclose(result.u, u, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(result.v, v, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reaches_the_cold_objective(self, seed):
+        # criterion 4's gap: the dual start changes the path, not the minimizer
+        args = self._args(seed, 6)
+        f, u_k, _, weights, support, params, rho, admm = args
+        cold = admm_solve(*args)
+        lam0 = np.random.default_rng(seed).standard_normal((2, 6, 6))
+        warm = admm_solve(*args, lam0=lam0)
+        assert cold.iters < admm.maxit_in and warm.iters < admm.maxit_in
+        g_cold = linearized_energy(f, cold.u, cold.v, u_k, weights, support, params, rho)
+        g_warm = linearized_energy(f, warm.u, warm.v, u_k, weights, support, params, rho)
+        assert abs(g_warm - g_cold) <= 1e-5 * abs(g_cold)
+
+    def test_zero_dual_is_the_cold_start_and_lam0_is_not_written(self):
+        args = self._args(2, 7, tol_in=1e-8, maxit_in=500)
+        cold = admm_solve(*args)
+        zeros = np.zeros((2, 7, 7))
+        warm = admm_solve(*args, lam0=zeros)
+        assert warm.u.tobytes() == cold.u.tobytes()
+        assert warm.v.tobytes() == cold.v.tobytes()
+        assert warm.lam.tobytes() == cold.lam.tobytes()
+        assert not zeros.any()
+        assert cold.lam.shape == (2, 7, 7)
+
+    def test_wrong_shape_raises(self):
+        args = self._args(0, 6)
+        with pytest.raises(ValueError, match="lam0"):
+            admm_solve(*args, lam0=np.zeros((6, 6)))
+
+
 class TestGatheredShrink:
     """The active-pixel shrink against the dense one, on both sides of the switch."""
 

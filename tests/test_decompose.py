@@ -16,6 +16,7 @@ from shrinkseg import (
 )
 from shrinkseg.decompose import resolve_tau_supp
 from shrinkseg.grid import grad, grad_norms
+from shrinkseg.imgio import phantom_spec_from_dict, to_log_domain
 from shrinkseg.synth import Disk, PhantomSpec
 
 FAST = dict(outer=OuterParams(tau_supp=1e-3), admm=AdmmParams(r=10.0, tol_in=1e-8, maxit_in=500))
@@ -308,7 +309,8 @@ class TestInnerTolerance:
         # the same pass from the same (u_k, v_k), solved again at tol_in
         assert redo["kwargs"]["tol"] == admm.tol_in
         assert all(a is b for a, b in zip(redo["args"], loose["args"]))
-        exact = admm_solve(*loose["args"], tol=admm.tol_in)
+        assert redo["kwargs"]["lam0"] is loose["kwargs"]["lam0"]
+        exact = admm_solve(*loose["args"], **dict(loose["kwargs"], tol=admm.tol_in))
         assert redo["result"].u.tobytes() == exact.u.tobytes()
         assert redo["result"].v.tobytes() == exact.v.tobytes()
         assert redo["result"].iters == exact.iters > loose["result"].iters
@@ -319,6 +321,37 @@ class TestInnerTolerance:
         energy = result.trace.column("energy")
         assert np.all(np.diff(energy) <= 1e-8 * energy[0])
         assert not result.energy_increased and result.converged
+
+    def test_each_solve_starts_from_the_last_dual(self, monkeypatch):
+        # with every reduced attempt declined, all passes run admm_solve;
+        # the second loose pass, the first with a warm dual, fails H1
+        module = importlib.import_module("shrinkseg.decompose")
+        monkeypatch.setattr(module, "reduced_solve", lambda *args: None)
+        calls = _record_solves(monkeypatch)
+        admm = FAST["admm"]
+        failed = []
+
+        def energy(*args):
+            loose = [call for call in calls if call["kwargs"]["tol"] > admm.tol_in]
+            if not failed and len(loose) == 2 and loose[-1] is calls[-1]:
+                failed.append(len(calls) - 1)
+                return math.inf
+            return decomposition_energy(*args)
+
+        monkeypatch.setattr(module, "decomposition_energy", energy)
+        result = decompose(small_phantom(), MODEL, **FAST)
+        assert result.converged and failed
+        k = failed[0]
+        loose, redo = calls[k], calls[k + 1]
+        assert loose["kwargs"]["lam0"] is not None
+        assert redo["kwargs"]["lam0"] is loose["kwargs"]["lam0"]
+        exact = admm_solve(*loose["args"], **dict(loose["kwargs"], tol=admm.tol_in))
+        assert redo["result"].u.tobytes() == exact.u.tobytes()
+        # every other solve starts from the dual its predecessor ended with
+        assert calls[0]["kwargs"]["lam0"] is None
+        for before, call in zip(calls, calls[1:]):
+            if call is not redo:
+                assert call["kwargs"]["lam0"] is before["result"].lam
 
     def test_no_layer_call_runs_inside_the_inner_solve(self, monkeypatch):
         # perfbench sums the admm, support.project and energy spans as
@@ -423,3 +456,23 @@ class TestRunWarnings:
         energies = result.trace.column("energy")
         assert 0.0 in energies[1:-1] and energies[-1] > 0.0
         assert result.energy_rises == 0 and not result.energy_increased
+
+
+class TestCliDefaults:
+    def test_fixture_phantoms_converge_without_rises(self, acceptance_fixtures):
+        # every fixture phantom at the settings `shrinkseg run` uses with
+        # no config (pinned noise seeds): a run that stops at maxit_out or
+        # raises the energy at these settings is a regression
+        entries = acceptance_fixtures["suite"] + acceptance_fixtures["quality"]
+        assert len(entries) == 14
+        failures = []
+        for entry in entries:
+            phantom = generate(phantom_spec_from_dict(entry["spec"]))
+            g = to_log_domain(phantom.f / phantom.f.max())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                result = decompose(g, ModelParams(alpha=entry["alpha"], beta=entry["beta"]),
+                                   OuterParams(), AdmmParams())
+            if not result.converged or result.energy_rises:
+                failures.append((entry["name"], result.converged, result.energy_rises))
+        assert not failures

@@ -371,7 +371,7 @@ class TestRunConfig:
         assert config.p == 0.5
         assert config.r == 10.0
         assert config.tol_in == 1e-4 and config.tol_out == 1e-4
-        assert config.maxit_in == 100 and config.maxit_out == 10
+        assert config.maxit_in == 100 and config.maxit_out == 40
         assert config.k == 2 and config.log_domain is False
 
     def test_dict_round_trip_uses_capital_k(self):

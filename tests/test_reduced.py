@@ -18,6 +18,7 @@ from shrinkseg import (
     reduced_solve,
 )
 from shrinkseg import admm as admm_module
+from shrinkseg.imgio import phantom_spec_from_dict, to_log_domain
 from shrinkseg.support import SupportSet, tie_labels
 from shrinkseg.synth import Disk, PhantomSpec
 
@@ -174,6 +175,101 @@ class TestZeroJumps:
         assert result.reduced_solves == 0
         assert len(calls) == result.outer_iters > 1
         assert np.all(result.trace.column("inner_iters")[:-1] > 0)
+
+
+def _fixture_attempt(fixtures, name, count):
+    """admm_solve's args (v_k = f - u_k, solved at EXACT) for the first
+    reduced attempt at count tie components in the acceptance run of the
+    fixture phantom name."""
+    entry = next(e for e in fixtures["suite"] if e["name"] == name)
+    solver = fixtures["solver"]
+    phantom = generate(phantom_spec_from_dict(entry["spec"]))
+    f = to_log_domain(phantom.f / phantom.f.max())
+    params = ModelParams(alpha=entry["alpha"], beta=entry["beta"])
+    module = importlib.import_module("shrinkseg.decompose")
+    original, found = module.reduced_solve, []
+
+    def spy(u_k, weights, support, rho, state):
+        pieces = state.pieces_of(support.active)
+        if not found and pieces is not None and pieces.sizes.size == count:
+            found.append((f, u_k, f - u_k, weights, support, params, rho, EXACT))
+        return original(u_k, weights, support, rho, state)
+
+    module.reduced_solve = spy
+    try:
+        decompose(
+            f, params,
+            OuterParams(tol_out=solver["tol_out"], maxit_out=solver["maxit_out"],
+                        tau_supp=solver["tau_supp"]),
+            AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"]),
+        )
+    finally:
+        module.reduced_solve = original
+    assert found, f"no attempt at {count} components"
+    return found[0]
+
+
+def _first_kinks_only(monkeypatch):
+    """Make _newton merge only the first kinks a step crosses."""
+    original = admm_module._kink_tries
+
+    def first_only(reach, kinks):
+        t, tries = original(reach, kinks)
+        return t, tries[-1:]
+
+    monkeypatch.setattr(admm_module, "_kink_tries", first_only)
+
+
+class TestKinkMerges:
+    """A Newton step merges every kink it crosses, or else the first ones."""
+
+    def test_tries_every_kink_then_the_first(self):
+        reach = np.array([0.5, 0.2, 0.2 * (1 + 1e-12), 0.9, 1.5])
+        kinks = np.array([True, True, True, False, True])
+        t, tries = admm_module._kink_tries(reach, kinks)
+        assert t == 0.2
+        assert [mask.tolist() for mask in tries] == [
+            kinks.tolist(), [False, True, True, False, False]
+        ]
+        t, tries = admm_module._kink_tries(reach, kinks & (reach < 0.3))
+        assert t == 0.2 and len(tries) == 1
+
+    def test_certifies_where_one_kink_per_step_runs_out(self, acceptance_fixtures, monkeypatch):
+        # pass 2 of two_phase_s0.05_b0 at the acceptance settings: 48
+        # components, which one merge per step cannot join within
+        # _NEWTON_STEPS
+        args = _fixture_attempt(acceptance_fixtures, "two_phase_s0.05_b0", 48)
+        assert _check_against_admm(args) is not None
+        _first_kinks_only(monkeypatch)
+        certify = _count_calls(monkeypatch, admm_module, "_certify")
+        assert _reduced(args) is None
+        assert not certify  # the budget ran out before any certificate
+
+    def test_rejected_every_kink_merge_falls_back_to_the_first(
+        self, acceptance_fixtures, monkeypatch
+    ):
+        # a 14-component attempt of two_phase_s0.02_b0 whose every-kink
+        # merges all raise phi
+        args = _fixture_attempt(acceptance_fixtures, "two_phase_s0.02_b0", 14)
+        offered, fallbacks = [], []  # each kink step's masks; first-kink merges tried
+        tries, merge = admm_module._kink_tries, admm_module._merge
+
+        def counted_tries(reach, kinks):
+            t, masks = tries(reach, kinks)
+            offered.append(masks)
+            return t, masks
+
+        def counted_merge(cls, triples, terms):
+            masks = offered[-1] if offered else ()
+            if len(masks) == 2 and np.array_equal(terms, np.flatnonzero(masks[1])):
+                fallbacks.append(terms)
+            return merge(cls, triples, terms)
+
+        monkeypatch.setattr(admm_module, "_kink_tries", counted_tries)
+        monkeypatch.setattr(admm_module, "_merge", counted_merge)
+        assert _check_against_admm(args) is not None
+        # the first kinks are tried only after the every-kink merge was rejected
+        assert fallbacks
 
 
 class TestTieLabels:
