@@ -6,14 +6,7 @@ allowed to carry a nonzero gradient. Stage two clusters the corrected
 component's values and thresholds midway between cluster means.
 """
 
-from .admm import (
-    AdmmParams,
-    InnerResult,
-    admm_solve,
-    reduced_solve,
-    solve_uv,
-    spectral_system,
-)
+from .admm import AdmmParams, InnerResult, admm_solve, reduced_solve, solve_uv
 from .decompose import (
     DecompositionResult,
     IterationTrace,
@@ -63,5 +56,4 @@ __all__ = [
     "reduced_solve",
     "segment",
     "solve_uv",
-    "spectral_system",
 ]

@@ -7,8 +7,9 @@ ascent step on the scaled dual lam = mu / r (Boyd et al. 2011, sec.
 irfft2(u0_hat - u_pull P), lam = w + Du. The linear solve is exact per
 frequency because both operator symbols are diagonal there, so it needs
 no iteration of its own; only the dual can start warm, from the lam a
-previous solve ended with. Everything fixed during one inner solve is
-built once by spectral_system on the half spectrum of the real FFT.
+previous solve ended with. A RunState, made once per decompose run,
+holds on the half spectrum of the real FFT what its f, model, rho and r
+fix, and its start sets what the pass start (u_k, v_k) adds.
 Both u_hat and v_hat are affine in P, so the stopping test measures the
 (u, v) update and norm from P alone: a sweep costs one rfft2 and one
 irfft2, and v is formed once, after the loop. The same rotation gives
@@ -41,10 +42,9 @@ leave few connected components: u is then one value per component, v
 is eliminated per frequency, and a small convex problem in the
 component values is solved by damped Newton. Its result is used only
 with an optimality certificate; otherwise it returns None and the pass
-is left to admm_solve. A ReducedState, made once per decompose run from
-its f and model, holds what the attempts of that run share, so that the
-reduced quadratic is built from transforms once per run and summed from
-it after that.
+is left to admm_solve. It reads the same RunState, which also keeps
+what the attempts of a run share, so that the reduced quadratic is
+built from transforms once per run and summed from it after that.
 """
 
 from __future__ import annotations
@@ -113,6 +113,14 @@ class InnerResult:
     v: Array
     iters: int
     lam: Array | None = None
+
+
+def _checked_weights(weights: Array) -> Array:
+    """weights as float64; raises ValueError unless all are finite and >= 0."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if not (weights.min() >= 0.0 and weights.max() < math.inf):
+        raise ValueError("weights must be finite and nonnegative")
+    return weights
 
 
 def _shrink_thresholds(weights: Array, active: Array, alpha: float, r: float) -> Array:
@@ -220,12 +228,14 @@ class _Mixer:
         return mixed
 
 
-@dataclass(frozen=True)
-class SpectralSystem:
-    """Constant spectral data of one inner solve, on the rfft2 half spectrum.
+class RunState:
+    """What both inner solvers keep fixed over the passes of one decompose run.
 
-    Each frequency carries the 2x2 system [[a, 1], [1, b]] with
-    a = 1 + rho + r dtd and b = 1 + gamma + beta hth; its inverse is
+    f, the model, rho and r do not change within a run, so the
+    constructor validates f and builds what depends on them alone, on
+    the rfft2 half spectrum; start(u_k, v_k) sets what depends on the
+    pass start. Each frequency carries the 2x2 system [[a, 1], [1, b]]
+    with a = 1 + rho + r dtd and b = 1 + gamma + beta hth; its inverse is
     [[b, -1], [-1, a]] / det with det = a b - 1. For the scaled pull w
     and P = rfft2(D^T w), u_hat = n m (u0_hat - u_pull P) and
     v_hat = v0_hat + v_pull P, with u_pull = r b / (n m det) and
@@ -238,82 +248,100 @@ class SpectralSystem:
     Stopping test: by Parseval, two sweeps of one solve differ by
     ||du||^2 + ||dv||^2 = ||step_weight dP||^2, and a sweep's iterate
     has ||u||^2 + ||v||^2 = norm_floor + ||step_weight P + norm_offset||^2
-    (a rotation per frequency splits (u_hat, v_hat) into a fixed part and
-    a part affine in P, so no terms cancel). The same rotation of
-    (u - u_k, v - v_k) gives the iterate's distance from the pass start:
-    ||u - u_k||^2 + ||v - v_k||^2 = move_floor
+    (a rotation per frequency, by cos and sin, splits (u_hat, v_hat) into
+    a fixed part and a part affine in P, so no terms cancel). The same
+    rotation of (u - u_k, v - v_k) gives the iterate's distance from the
+    pass start: ||u - u_k||^2 + ||v - v_k||^2 = move_floor
     + ||step_weight P + move_offset||^2, which is also the first sweep's
     update. u_pull and step_weight are real but held as complex128: numpy
     multiplies complex by complex faster than it casts a real factor.
-    Arrays are (n, m // 2 + 1) for an n x m grid.
+
+    reduced_solve reads f_hat, b and the smoothed f, and keeps the last
+    support mask with its _Pieces (None when it left too many
+    components), so a pass that keeps the mask skips the labelling.
+    B^T S B is built from transforms only at the first attempt that gets
+    that far: supports only shrink, so every later partition coarsens the
+    stored one (each old component lies in one new one) and the new
+    matrix is M^T (B^T S B) M for the 0/1 merge matrix M, one bincount. A
+    partition that does not coarsen it is built afresh.
+
+    Two runs of one problem must not share a state: an aggregated matrix
+    can differ from a fresh build in the last bits, so a run's result
+    would depend on the runs before it.
     """
 
-    shape: tuple[int, int]
-    u0_hat: Array  # (b rfft2(f + rho u_k) - rfft2(f)) / (n m det)
-    v0_hat: Array  # (a rfft2(f) - rfft2(f + rho u_k)) / det
-    u_pull: Array
-    v_pull: Array
-    step_weight: Array
-    norm_offset: Array
-    norm_floor: float
-    move_offset: Array
-    move_floor: float
+    def __init__(self, f: Array, params: ModelParams, rho: float, r: float):
+        self.f = as_grid(f, "f")
+        self.shape = self.f.shape
+        self.params, self.rho, self.r = params, rho, r
+        symbols = compute_symbols(self.shape)
+        self.a = 1.0 + rho + r * symbols.dtd
+        self.b = 1.0 + params.gamma + params.beta * symbols.hth  # K = 1 / b
+        self.inv_det = 1.0 / (self.a * self.b - 1.0)
+        self.f_hat = np.fft.rfft2(self.f)
+        self.smooth_f = np.fft.irfft2(self.f_hat * (1.0 - 1.0 / self.b), s=self.shape)
+        u_pull = r * (self.b * self.inv_det)
+        self.v_pull = r * self.inv_det
+        gain = np.hypot(u_pull, self.v_pull)
+        self.cos, self.sin = self.v_pull / gain, u_pull / gain
+        self.parseval = np.sqrt(symbols.weights)
+        self.u_pull = (u_pull * (1.0 / self.f.size)).astype(np.complex128)
+        self.step_weight = (self.parseval * gain).astype(np.complex128)
+        # the last mask with its _Pieces, and the _Pieces that quad_smooth is for
+        self.active = self.pieces = self.quad_pieces = self.quad_smooth = None
+
+    def start(self, u_k: Array, v_k: Array) -> RunState:
+        """Set u0_hat, v0_hat and the stopping test's floors and offsets
+        for the pass start (u_k, v_k); returns the state. Raises
+        ValueError unless u_k and v_k are finite grids of f's shape."""
+        u_k = as_grid(u_k, "u_k")
+        v_k = as_grid(v_k, "v_k")
+        if not (self.shape == u_k.shape == v_k.shape):
+            raise ValueError("f, u_k and v_k must share one grid size")
+        rhs_hat = np.fft.rfft2(self.f + self.rho * u_k)
+        u0_hat = (self.b * rhs_hat - self.f_hat) * self.inv_det
+        self.v0_hat = (self.a * self.f_hat - rhs_hat) * self.inv_det
+        self.norm_floor, self.norm_offset = self._rotate(u0_hat, self.v0_hat)
+        self.move_floor, self.move_offset = self._rotate(
+            u0_hat - np.fft.rfft2(u_k), self.v0_hat - np.fft.rfft2(v_k)
+        )
+        self.u0_hat = u0_hat * (1.0 / self.f.size)  # the inverse transform's factor
+        return self
+
+    def _rotate(self, u_hat: Array, v_hat: Array) -> tuple[float, Array]:
+        """The fixed part's squared norm and the part that moves with P."""
+        fixed = self.parseval * (self.cos * u_hat + self.sin * v_hat)
+        moving = self.parseval * (self.cos * v_hat - self.sin * u_hat)
+        return float(np.vdot(fixed, fixed).real), moving
 
     def v_hat(self, p_hat: Array) -> Array:
         """rfft2(v) of the sweep whose transformed pull is p_hat."""
         return self.v0_hat + self.v_pull * p_hat
 
+    def pieces_of(self, active: Array) -> _Pieces | None:
+        """The _Pieces of active, relabelled only when the mask changed."""
+        if self.active is None or not np.array_equal(active, self.active):
+            self.active, self.pieces = active.copy(), _pieces(active)
+        return self.pieces
 
-def spectral_system(
-    f: Array, u_k: Array, v_k: Array, params: ModelParams, rho: float, r: float
-) -> SpectralSystem:
-    """Transform the constant right-hand sides, invert the per-frequency
-    2x2 systems and weigh the stopping test once per inner solve.
-
-    The operator symbols come from compute_symbols on the grid of f.
-    (u_k, v_k) is the pass start that the distance form measures from.
-    Raises ValueError when f, u_k and v_k differ in size.
-    """
-    f = as_grid(f, "f")
-    u_k = as_grid(u_k, "u_k")
-    v_k = as_grid(v_k, "v_k")
-    if not (f.shape == u_k.shape == v_k.shape):
-        raise ValueError("f, u_k and v_k must share one grid size")
-    symbols = compute_symbols(f.shape)
-
-    a = 1.0 + rho + r * symbols.dtd
-    b = 1.0 + params.gamma + params.beta * symbols.hth
-    inv_det = 1.0 / (a * b - 1.0)
-    rhs_hat = np.fft.rfft2(f + rho * u_k)
-    f_hat = np.fft.rfft2(f)
-    u0_hat = (b * rhs_hat - f_hat) * inv_det
-    v0_hat = (a * f_hat - rhs_hat) * inv_det
-    u_pull = r * (b * inv_det)
-    v_pull = r * inv_det
-    gain = np.hypot(u_pull, v_pull)
-    cos, sin = v_pull / gain, u_pull / gain
-    parseval = np.sqrt(symbols.weights)
-
-    def rotate(u_hat, v_hat):
-        """The fixed part's squared norm and the part that moves with P."""
-        fixed = parseval * (cos * u_hat + sin * v_hat)
-        return float(np.vdot(fixed, fixed).real), parseval * (cos * v_hat - sin * u_hat)
-
-    norm_floor, norm_offset = rotate(u0_hat, v0_hat)
-    move_floor, move_offset = rotate(u0_hat - np.fft.rfft2(u_k), v0_hat - np.fft.rfft2(v_k))
-    scale = 1.0 / f.size  # the inverse transform's factor
-    return SpectralSystem(
-        shape=f.shape,
-        u0_hat=u0_hat * scale,
-        v0_hat=v0_hat,
-        u_pull=(u_pull * scale).astype(np.complex128),
-        v_pull=v_pull,
-        step_weight=(parseval * gain).astype(np.complex128),
-        norm_offset=norm_offset,
-        norm_floor=norm_floor,
-        move_offset=move_offset,
-        move_floor=move_floor,
-    )
+    def smooth(self, pieces: _Pieces) -> Array:
+        """B^T S B for pieces, aggregated from the stored one when it can be."""
+        if pieces is self.quad_pieces:
+            return self.quad_smooth
+        old, label = self.quad_pieces, pieces.label
+        if old is not None:
+            merge = np.empty(old.sizes.size, dtype=np.intp)  # M as a map
+            merge[old.label] = label
+        if old is None or not np.array_equal(merge[old.label], label):
+            smooth = _smooth(label, self.shape, self.params.gamma, self.params.beta)
+        else:
+            count = pieces.sizes.size
+            pairs = (merge[:, None] * count + merge).ravel()
+            smooth = np.bincount(pairs, self.quad_smooth.ravel(), count * count)
+            smooth = smooth.reshape(count, count)
+            smooth = 0.5 * (smooth + smooth.T)
+        self.quad_pieces, self.quad_smooth = pieces, smooth
+        return smooth
 
 
 def _uv_buffers(shape: tuple[int, int]) -> tuple[Array, Array, Array]:
@@ -323,7 +351,7 @@ def _uv_buffers(shape: tuple[int, int]) -> tuple[Array, Array, Array]:
 
 
 def solve_uv(
-    system: SpectralSystem,
+    state: RunState,
     pull: Array,
     work: Array | None = None,
     out: tuple[Array, Array, Array] | None = None,
@@ -336,7 +364,8 @@ def solve_uv(
     one frequency at a time: both operators diagonalize under the DFT,
     leaving a 2x2 system per frequency. Both right-hand sides are real,
     so only the rfft2 half spectrum is formed: P = rfft2(D^T w) and
-    u = irfft2(u0_hat - u_pull P), while v = irfft2(system.v_hat(P)).
+    u = irfft2(u0_hat - u_pull P), while v = irfft2(state.v_hat(P)), with
+    the fields of state at its last start.
     work, when given, is a C-contiguous (2, n, m) scratch array for D^T w.
     out, when given, is the (spectrum, P, u) triple of _uv_buffers that
     the transforms write into, so that admm_solve allocates them once;
@@ -346,13 +375,13 @@ def solve_uv(
     inverse runs with norm="forward" on spectra that already carry its
     1 / (n m).
     """
-    spectrum, p_hat, u = _uv_buffers(system.shape) if out is None else out
+    spectrum, p_hat, u = _uv_buffers(state.shape) if out is None else out
     np.fft.rfft(grad_adjoint(pull, work), axis=1, out=spectrum)
     np.fft.fft(spectrum, axis=0, out=p_hat)
-    np.multiply(system.u_pull, p_hat, out=spectrum)
-    np.subtract(system.u0_hat, spectrum, out=spectrum)
+    np.multiply(state.u_pull, p_hat, out=spectrum)
+    np.subtract(state.u0_hat, spectrum, out=spectrum)
     np.fft.ifft(spectrum, axis=0, norm="forward", out=spectrum)
-    return np.fft.irfft(spectrum, n=system.shape[1], axis=1, norm="forward", out=u), p_hat
+    return np.fft.irfft(spectrum, n=state.shape[1], axis=1, norm="forward", out=u), p_hat
 
 
 def admm_solve(
@@ -367,6 +396,7 @@ def admm_solve(
     *,
     tol: float | None = None,
     lam0: Array | None = None,
+    state: RunState | None = None,
 ) -> InnerResult:
     """Run the splitting iteration from (u_k, v_k) and the scaled dual lam0.
 
@@ -388,12 +418,23 @@ def admm_solve(
     from zero duals. decompose passes the lam of the previous solve, since
     successive outer passes solve nearly the same problem. The result
     carries the final scaled dual as lam.
+
+    state, the RunState of f, params, rho and admm.r, is built here when
+    None; decompose passes one for its whole run. Raises ValueError for
+    a state of another f, model, rho or r, for weights that are not all
+    finite and nonnegative, and for a non-finite lam0.
     """
-    system = spectral_system(f, u_k, v_k, params, rho, admm.r)  # checks f, u_k, v_k
-    shape = system.shape
+    if state is None:
+        state = RunState(f, params, rho, admm.r)
+    elif (state.params, state.rho, state.r) != (params, rho, admm.r) or not np.array_equal(
+        state.f, f
+    ):
+        raise ValueError("state was built for another f, model, rho or r")
+    state.start(u_k, v_k)  # checks u_k and v_k
+    shape = state.shape
     u_k = np.asarray(u_k, dtype=np.float64)
     v_k = np.asarray(v_k, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _checked_weights(weights)
     if not (weights.shape == support.active.shape == shape):
         raise ValueError("admm_solve inputs must share one grid shape")
     if lam0 is not None and np.shape(lam0) != (2, *shape):
@@ -405,9 +446,11 @@ def admm_solve(
     # dual lam (holding the pull lam - q during the solve)
     du, work = np.empty((2, *shape)), np.empty((2, *shape))
     lam = np.zeros((2, *shape)) if lam0 is None else np.array(lam0, dtype=np.float64)
+    if not np.isfinite(lam).all():
+        raise ValueError("lam0 contains NaN or infinite entries")
     uv_out = _uv_buffers(shape)
     # step_weight * P of this sweep and the last, and the test's scratch
-    scaled, prev, step = (np.empty_like(system.u0_hat) for _ in range(3))
+    scaled, prev, step = (np.empty_like(state.u0_hat) for _ in range(3))
     ids = np.flatnonzero(support.active)
     if ids.size < _GATHER_BELOW * u_k.size:
         # flat ids of the active pixels in both components of a field
@@ -437,14 +480,14 @@ def admm_solve(
             mixer.start(lam)
         elif iters % _MIX_EVERY == 1:
             mixed = mixer.end_block(lam, work)
-        u, p_hat = solve_uv(system, lam, work, uv_out)
+        u, p_hat = solve_uv(state, lam, work, uv_out)
         grad(u, out=du)
         lam += du
 
-        np.multiply(system.step_weight, p_hat, out=scaled)
+        np.multiply(state.step_weight, p_hat, out=scaled)
         if iters == 1 or loose:  # the distance from (u_k, v_k)
-            np.add(scaled, system.move_offset, out=step)
-            move = system.move_floor + np.vdot(step, step).real
+            np.add(scaled, state.move_offset, out=step)
+            move = state.move_floor + np.vdot(step, step).real
         if iters == 1:  # the first update is that distance
             change = move
         else:
@@ -457,10 +500,10 @@ def admm_solve(
             if loose and math.sqrt(change) <= _RELATIVE_STOP * math.sqrt(move):
                 break
         scaled, prev = prev, scaled
-        np.add(prev, system.norm_offset, out=step)
-        size = system.norm_floor + np.vdot(step, step).real
+        np.add(prev, state.norm_offset, out=step)
+        size = state.norm_floor + np.vdot(step, step).real
 
-    return InnerResult(u, np.fft.irfft2(system.v_hat(p_hat), s=shape), iters, lam)
+    return InnerResult(u, np.fft.irfft2(state.v_hat(p_hat), s=shape), iters, lam)
 
 
 # A pass whose support leaves at most this many tie components is
@@ -554,62 +597,6 @@ def _smooth(label: Array, shape: tuple[int, int], gamma: float, beta: float) -> 
         for piece, row in zip(pieces, spread):
             smooth[piece] = np.bincount(label, row.ravel(), count)
     return 0.5 * (smooth + smooth.T)
-
-
-class ReducedState:
-    """What reduced_solve carries from pass to pass of one decompose run.
-
-    f and the model are fixed within a run, so the constructor validates
-    f and forms f_hat, the symbol b = 1 + gamma + beta hth and the
-    smoothed f once. The last support mask is kept with its _Pieces (None
-    when it left too many components), so a pass that keeps the mask
-    skips the labelling. B^T S B is built from transforms only at the
-    first attempt that gets that far: supports only shrink, so every
-    later partition coarsens the stored one (each old component lies in
-    one new one) and the new matrix is M^T (B^T S B) M for the 0/1 merge
-    matrix M, one bincount. A partition that does not coarsen it is built
-    afresh.
-
-    Two runs of one problem must not share a state: an aggregated matrix
-    can differ from a fresh build in the last bits, so a run's result
-    would depend on the runs before it.
-    """
-
-    def __init__(self, f: Array, params: ModelParams):
-        self.f = as_grid(f, "f")
-        self.params = params
-        self.b = 1.0 + params.gamma + params.beta * compute_symbols(self.f.shape).hth  # K = 1 / b
-        self.f_hat = np.fft.rfft2(self.f)
-        self.smooth_f = np.fft.irfft2(self.f_hat * (1.0 - 1.0 / self.b), s=self.f.shape)
-        self.active: Array | None = None
-        self.pieces: _Pieces | None = None
-        self.quad_pieces: _Pieces | None = None  # the pieces that quad_smooth is for
-        self.quad_smooth: Array | None = None
-
-    def pieces_of(self, active: Array) -> _Pieces | None:
-        """The _Pieces of active, relabelled only when the mask changed."""
-        if self.active is None or not np.array_equal(active, self.active):
-            self.active, self.pieces = active.copy(), _pieces(active)
-        return self.pieces
-
-    def smooth(self, pieces: _Pieces) -> Array:
-        """B^T S B for pieces, aggregated from the stored one when it can be."""
-        if pieces is self.quad_pieces:
-            return self.quad_smooth
-        old, label = self.quad_pieces, pieces.label
-        if old is not None:
-            merge = np.empty(old.sizes.size, dtype=np.intp)  # M as a map
-            merge[old.label] = label
-        if old is None or not np.array_equal(merge[old.label], label):
-            smooth = _smooth(label, self.f.shape, self.params.gamma, self.params.beta)
-        else:
-            count = pieces.sizes.size
-            pairs = (merge[:, None] * count + merge).ravel()
-            smooth = np.bincount(pairs, self.quad_smooth.ravel(), count * count)
-            smooth = smooth.reshape(count, count)
-            smooth = 0.5 * (smooth + smooth.T)
-        self.quad_pieces, self.quad_smooth = pieces, smooth
-        return smooth
 
 
 def _jumps(triples: Array, c: Array) -> Array:
@@ -838,11 +825,11 @@ def _newton(quad, linear, triples, w, sizes, total, c):
 
 
 def reduced_solve(
-    u_k: Array, weights: Array, support: SupportSet, rho: float, state: ReducedState
+    u_k: Array, weights: Array, support: SupportSet, state: RunState
 ) -> InnerResult | None:
     """Solve admm_solve's problem exactly in the tie components' values.
 
-    state holds the run's f and model (see ReducedState): pass the same
+    state holds the run's f, model and rho (see RunState): pass the same
     one for every pass of a run. When the frozen ties of support leave at
     most _MAX_PIECES components, every feasible u is c[label] for C
     component values c, and v = K(f - u) with K = 1 / (1 + gamma + beta
@@ -859,8 +846,9 @@ def reduced_solve(
     does not certify within its budget; the pass is then for admm_solve.
     """
     u_k = as_grid(u_k, "u_k")
-    shape, params = state.f.shape, state.params
-    if not (u_k.shape == np.shape(weights) == support.active.shape == shape):
+    weights = _checked_weights(weights)
+    shape, params, rho = state.shape, state.params, state.rho
+    if not (u_k.shape == weights.shape == support.active.shape == shape):
         raise ValueError("reduced_solve inputs must share one grid shape")
     active = support.active
     # an active pixel with active left and upper neighbors is tied to
@@ -878,7 +866,7 @@ def reduced_solve(
     linear = np.bincount(label, state.smooth_f.ravel(), count) + rho * u_sums
     quad = state.smooth(pieces) + rho * np.diag(sizes)
     w = params.alpha * np.bincount(
-        pieces.term_of, np.ravel(weights)[pieces.term_pixels], pieces.triples.shape[0]
+        pieces.term_of, weights.ravel()[pieces.term_pixels], pieces.triples.shape[0]
     )
     # the sum of the minimizer's u, from the zero frequency alone
     s0 = params.gamma / (1.0 + params.gamma)

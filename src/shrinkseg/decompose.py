@@ -18,14 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmParams, ReducedState, admm_solve, reduced_solve
+from .admm import AdmmParams, RunState, admm_solve, reduced_solve
 from .energy import ModelParams, decomposition_energy
 from .grid import Array, as_grid, grad, grad_norms
-from .support import (
-    detect_support,
-    initial_support,
-    project_to_support,
-)
+from .support import detect_support, initial_support, project_to_support
 
 
 @dataclass(frozen=True)
@@ -143,11 +139,11 @@ def decompose(
     moves far ends coarse, while the small steps of late passes are
     still solved tightly.
 
-    From the second pass on, reduced_solve gets each pass first, with
-    one ReducedState for the whole run. When the support leaves few
-    enough tie components it may return the pass's exact minimizer: that
-    pass counts as solved at tol_in, needs neither H1 nor the
-    projection, adds no sweeps to inner_iters and is counted in
+    Both solvers read one RunState, made once for the run. From the
+    second pass on, reduced_solve gets each pass first. When the support
+    leaves few enough tie components it may return the pass's exact
+    minimizer: that pass counts as solved at tol_in, needs neither H1
+    nor the projection, adds no sweeps to inner_iters and is counted in
     reduced_solves. Any other pass goes to admm_solve as above, starting
     from the scaled dual that the run's last admm_solve ended with (zero
     duals on the first pass): successive passes solve nearly the same
@@ -173,7 +169,7 @@ def decompose(
     reduced = 0
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
-    state = ReducedState(f, params)  # shared by this run's reduced attempts only
+    state = RunState(f, params, outer.rho, admm.r)  # shared by this run's solves only
     lam = None  # the scaled dual of the last admm_solve, the next one's start
 
     def record(energy: float, increment: float, inner_iters: int) -> None:
@@ -211,7 +207,7 @@ def decompose(
         # expects an admm span from every op, noise-free ones included
         inner = None
         if rows:
-            inner = reduced_solve(u, weights, support, outer.rho, state)
+            inner = reduced_solve(u, weights, support, state)
         if inner is not None:  # the exact minimizer, feasible as it is
             reduced += 1
             tol = admm.tol_in
@@ -221,7 +217,8 @@ def decompose(
         else:
             while True:  # an H1 re-solve starts from the same dual
                 inner = admm_solve(
-                    f, u, v, weights, support, params, outer.rho, admm, tol=tol, lam0=lam
+                    f, u, v, weights, support, params, outer.rho, admm,
+                    tol=tol, lam0=lam, state=state,
                 )
                 inner_iters += inner.iters
                 capped += int(inner.iters >= admm.maxit_in)

@@ -128,6 +128,52 @@ def dense_solve_uv(f, u_k, qbar, mu, params, rho, r):
     return sol[:size].reshape(shape), sol[size:].reshape(shape)
 
 
+def spectral_system(f, u_k, v_k, params, rho, r):
+    """The spectral data of one inner solve, built from scratch.
+
+    The package's RunState builds the same fields, split into those of
+    the run and those of the pass start (u_k, v_k); this one pass does
+    all of them in the package's own expressions, so the two must agree
+    bit for bit. Returns a dict by RunState's field names.
+    """
+    symbols = compute_symbols(f.shape)
+    a = 1.0 + rho + r * symbols.dtd
+    b = 1.0 + params.gamma + params.beta * symbols.hth
+    inv_det = 1.0 / (a * b - 1.0)
+    rhs_hat = np.fft.rfft2(f + rho * u_k)
+    f_hat = np.fft.rfft2(f)
+    u0_hat = (b * rhs_hat - f_hat) * inv_det
+    v0_hat = (a * f_hat - rhs_hat) * inv_det
+    u_pull = r * (b * inv_det)
+    v_pull = r * inv_det
+    gain = np.hypot(u_pull, v_pull)
+    cos, sin = v_pull / gain, u_pull / gain
+    parseval = np.sqrt(symbols.weights)
+
+    def rotate(u_hat, v_hat):
+        fixed = parseval * (cos * u_hat + sin * v_hat)
+        return float(np.vdot(fixed, fixed).real), parseval * (cos * v_hat - sin * u_hat)
+
+    norm_floor, norm_offset = rotate(u0_hat, v0_hat)
+    move_floor, move_offset = rotate(u0_hat - np.fft.rfft2(u_k), v0_hat - np.fft.rfft2(v_k))
+    scale = 1.0 / f.size
+    return dict(
+        shape=f.shape,
+        b=b,
+        f_hat=f_hat,
+        smooth_f=np.fft.irfft2(f_hat * (1.0 - 1.0 / b), s=f.shape),
+        u0_hat=u0_hat * scale,
+        v0_hat=v0_hat,
+        u_pull=(u_pull * scale).astype(np.complex128),
+        v_pull=v_pull,
+        step_weight=(parseval * gain).astype(np.complex128),
+        norm_offset=norm_offset,
+        norm_floor=norm_floor,
+        move_offset=move_offset,
+        move_floor=move_floor,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Brute-force group shrinkage
 

@@ -28,8 +28,8 @@ from shrinkseg import (
     kmeans_1d,
     segment,
     solve_uv,
-    spectral_system,
 )
+from shrinkseg.admm import RunState
 
 
 def test_criterion_01_operator_adjointness(announce):
@@ -111,7 +111,7 @@ def test_criterion_02_spectral_solver_equivalence(announce):
         )
         rho = float(rng.uniform(1e-8, 0.5))
         r = float(rng.uniform(0.5, 20.0))
-        system = spectral_system(f, u_k, np.zeros_like(f), params, rho, r)
+        system = RunState(f, params, rho, r).start(u_k, np.zeros_like(f))
         pull = mu / r - qbar
         u, p_hat = solve_uv(system, pull)
         v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
@@ -132,7 +132,7 @@ def test_criterion_02_spectral_solver_equivalence(announce):
         )
         rho = float(rng.uniform(1e-8, 0.5))
         r = float(rng.uniform(0.5, 20.0))
-        system = spectral_system(f, u_k, np.zeros_like(f), params, rho, r)
+        system = RunState(f, params, rho, r).start(u_k, np.zeros_like(f))
         u, p_hat = solve_uv(system, mu / r - qbar)
         v = np.fft.irfft2(system.v_hat(p_hat), s=shape)
         du, dv = oracles.dense_solve_uv(f, u_k, qbar, mu, params, rho, r)

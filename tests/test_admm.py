@@ -13,11 +13,11 @@ from shrinkseg import (
     admm_solve,
     compute_symbols,
     initial_support,
+    reduced_solve,
     solve_uv,
-    spectral_system,
 )
 from shrinkseg import admm as admm_module
-from shrinkseg.admm import _Mixer, _shrink_field, _shrink_thresholds
+from shrinkseg.admm import RunState, _Mixer, _shrink_field, _shrink_thresholds
 from shrinkseg.grid import grad, grad_norms
 from shrinkseg.support import SupportSet
 
@@ -98,7 +98,7 @@ class TestSolveUV:
                 qbar = rng.standard_normal((2, n, n))
                 mu = rng.standard_normal((2, n, n))
                 params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
-                system = spectral_system(f, u_k, np.zeros_like(f), params, 0.3, 4.0)
+                system = RunState(f, params, 0.3, 4.0).start(u_k, np.zeros_like(f))
                 pull = mu / 4.0 - qbar
                 u, p_hat = solve_uv(system, pull)
                 v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
@@ -110,7 +110,7 @@ class TestSolveUV:
         n = 4
         f = np.full((n, n), 0.8)
         params = ModelParams(alpha=0.1, beta=10.0, gamma=0.5)
-        system = spectral_system(f, f, np.zeros_like(f), params, 0.25, 1.0)
+        system = RunState(f, params, 0.25, 1.0).start(f, np.zeros_like(f))
         u, p_hat = solve_uv(system, np.zeros((2, n, n)))
         v = np.fft.irfft2(system.v_hat(p_hat), s=(n, n))
         assert np.ptp(u) < 1e-12 and np.ptp(v) < 1e-12
@@ -126,7 +126,7 @@ class TestSolveUV:
         rng = np.random.default_rng(2)
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
         f, u_k = rng.standard_normal((2, n, n))
-        system = spectral_system(f, u_k, np.zeros_like(f), params, 0.3, 4.0)
+        system = RunState(f, params, 0.3, 4.0).start(u_k, np.zeros_like(f))
         pull = rng.standard_normal((2, n, n))
         u, p_hat = solve_uv(system, pull)
         got_u, got_p = solve_uv(system, pull, np.full((2, n, n), np.nan))
@@ -160,7 +160,7 @@ class TestStoppingIdentities:
         rng = np.random.default_rng(seed)
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
         f, u_k, v_k = rng.standard_normal((3, *shape))
-        system = spectral_system(f, u_k, v_k, params, 0.3, 4.0)
+        system = RunState(f, params, 0.3, 4.0).start(u_k, v_k)
         sweeps = []
         for _ in range(2):
             u, p_hat = solve_uv(system, rng.standard_normal((2, *shape)))
@@ -207,7 +207,7 @@ class TestStoppingIdentities:
         params, rho, r = ModelParams(alpha=0.2, beta=1.0, gamma=0.3), 0.3, 5.0
         thresholds = _shrink_thresholds(weights, support.active, params.alpha, r)
         pull = -_shrink_field(grad(u_k), thresholds)
-        system = spectral_system(f, u_k, v_k, params, rho, r)
+        system = RunState(f, params, rho, r).start(u_k, v_k)
         u, p_hat = solve_uv(system, pull)
         v = np.fft.irfft2(system.v_hat(p_hat), s=shape)
         update = math.sqrt(float(np.vdot(u - u_k, u - u_k) + np.vdot(v - v_k, v - v_k)))
@@ -225,14 +225,96 @@ class TestStoppingIdentities:
         rng = np.random.default_rng(5)
         f, u_k, v_k = rng.standard_normal((3, 6, 7))
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
-        zero = spectral_system(f, u_k, np.zeros_like(v_k), params, 0.3, 4.0)
-        system = spectral_system(f, u_k, v_k, params, 0.3, 4.0)
+        zero = RunState(f, params, 0.3, 4.0).start(u_k, np.zeros_like(v_k))
+        system = RunState(f, params, 0.3, 4.0).start(u_k, v_k)
         for name in ("u0_hat", "v0_hat", "u_pull", "v_pull", "step_weight", "norm_offset"):
             assert getattr(system, name).tobytes() == getattr(zero, name).tobytes()
         assert system.norm_floor == zero.norm_floor
         assert system.move_offset.tobytes() != zero.move_offset.tobytes()
         with pytest.raises(ValueError):
-            spectral_system(f, u_k, v_k[:, :6], params, 0.3, 4.0)
+            system.start(u_k, v_k[:, :6])
+
+
+class TestRunState:
+    """The run state against a one-pass build, and its use by admm_solve."""
+
+    SETTINGS = [
+        (ModelParams(alpha=0.1, beta=3.0, gamma=0.2), 0.3, 4.0),
+        (ModelParams(alpha=0.05, beta=100.0), 1e-8, 10.0),
+    ]
+
+    @pytest.mark.parametrize("shape", [(6, 9), (5, 7), (8, 8)])
+    @pytest.mark.parametrize("setting", [0, 1])
+    def test_start_matches_the_reference_bitwise(self, shape, setting):
+        # 6 x 9 and 5 x 7 hold n m that are not powers of two, where
+        # u_pull / (n m) and u_pull * (1 / (n m)) differ in the last bits
+        params, rho, r = self.SETTINGS[setting]
+        rng = np.random.default_rng(shape)
+        f, u_k, v_k = rng.standard_normal((3, *shape))
+        state = RunState(f, params, rho, r)
+        state.start(*rng.standard_normal((2, *shape)))  # an earlier pass start
+        assert state.start(u_k, v_k) is state
+        for name, want in oracles.spectral_system(f, u_k, v_k, params, rho, r).items():
+            got = getattr(state, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            else:
+                assert got == want, name
+
+    @pytest.mark.parametrize("tol", [None, 1e-4])
+    def test_a_given_state_solves_as_a_built_one(self, tol):
+        f, support, weights = _instance(4, 6, 9)
+        v_k = 0.1 * np.random.default_rng(4).standard_normal(f.shape)
+        params, rho, r = self.SETTINGS[0]
+        args = (f, f - v_k, v_k, weights, support, params, rho,
+                AdmmParams(r=r, tol_in=1e-8, maxit_in=500))
+        state = RunState(f, params, rho, r).start(f, np.zeros_like(f))  # another pass start
+        want = admm_solve(*args, tol=tol)
+        got = admm_solve(*args, tol=tol, state=state)
+        assert got.iters == want.iters < 500
+        for name in ("u", "v", "lam"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("change", ["params", "rho", "r", "shape", "f"])
+    def test_a_state_for_another_problem_raises(self, change):
+        f, support, weights = _instance(4, 6)
+        params, rho, r = self.SETTINGS[0]
+        state = RunState(
+            {"shape": f[:, :5], "f": f + 1.0}.get(change, f),
+            ModelParams(alpha=0.1, beta=3.0, gamma=0.3) if change == "params" else params,
+            0.31 if change == "rho" else rho,
+            4.5 if change == "r" else r,
+        )
+        with pytest.raises(ValueError, match="state"):
+            admm_solve(f, f, np.zeros_like(f), weights, support, params, rho,
+                       AdmmParams(r=r), state=state)
+
+
+class TestNonFiniteInputs:
+    """A non-finite dual start or weight is rejected before any sweep."""
+
+    @staticmethod
+    def _args():
+        f, support, weights = _instance(0, 8)
+        return (f, f, np.zeros_like(f), weights, support,
+                ModelParams(alpha=0.2, beta=1.0, gamma=0.3), 0.3, AdmmParams(r=5.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lam0_raises(self, bad):
+        lam0 = np.zeros((2, 8, 8))
+        lam0[1, 3, 4] = bad
+        with pytest.raises(ValueError, match="lam0"):
+            admm_solve(*self._args(), lam0=lam0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_weights_raise(self, bad):
+        f, u_k, v_k, weights, support, params, rho, admm = self._args()
+        weights = weights.copy()
+        weights[np.unravel_index(np.flatnonzero(support.active)[0], f.shape)] = bad
+        with pytest.raises(ValueError, match="weights"):
+            admm_solve(f, u_k, v_k, weights, support, params, rho, admm)
+        with pytest.raises(ValueError, match="weights"):
+            reduced_solve(u_k, weights, support, RunState(f, params, rho, admm.r))
 
 
 def _instance(seed, n=6, m=None):
@@ -484,7 +566,7 @@ class TestRectangularGrids:
         f, u_k = rng.standard_normal((2, *shape))
         qbar, mu = rng.standard_normal((2, 2, *shape))
         params = ModelParams(alpha=0.1, beta=3.0, gamma=0.2)
-        system = spectral_system(f, u_k, np.zeros_like(f), params, 0.3, 4.0)
+        system = RunState(f, params, 0.3, 4.0).start(u_k, np.zeros_like(f))
         assert system.shape == shape
         u, p_hat = solve_uv(system, mu / 4.0 - qbar)
         v = np.fft.irfft2(system.v_hat(p_hat), s=shape)

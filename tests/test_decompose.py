@@ -403,6 +403,26 @@ class TestCappedSolves:
         assert run.capped_solves == 0
 
 
+class TestRunState:
+    def test_a_run_builds_one_state_for_both_solvers(self, monkeypatch):
+        module = importlib.import_module("shrinkseg.admm")
+        built, init = [], module.RunState.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(module.RunState, "__init__", counted)
+        calls = _record_passes(monkeypatch)
+        result = decompose(small_phantom(sigma=0.1), ModelParams(alpha=0.05, beta=100.0), **FAST)
+        solves = [call for call in calls if call["name"] == "admm_solve"]
+        tries = [call for call in calls if call["name"] == "reduced_solve"]
+        assert len(solves) >= 3 and result.reduced_solves > 0
+        assert len(built) == 1
+        states = [call["kwargs"]["state"] for call in solves] + [call["args"][3] for call in tries]
+        assert all(state is built[0] for state in states)
+
+
 class TestRunWarnings:
     """Energy rises, capped solves and unconverged runs are counted and warned about."""
 

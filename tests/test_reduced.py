@@ -40,10 +40,10 @@ def _instance(seed, shape, active_frac=0.5):
 def _reduced(args, state=None):
     """reduced_solve on admm_solve's args, with a state of its own
     unless one is given."""
-    f, u_k, _, weights, support, params, rho, _ = args
+    f, u_k, _, weights, support, params, rho, admm = args
     if state is None:
-        state = admm_module.ReducedState(f, params)
-    return reduced_solve(u_k, weights, support, rho, state)
+        state = admm_module.RunState(f, params, rho, admm.r)
+    return reduced_solve(u_k, weights, support, state)
 
 
 def _pass_energy(args, u, v):
@@ -109,7 +109,7 @@ class TestMatchesAdmm:
         first = _reduced(args)
         assert first is not None
         second = _reduced(args)
-        state = admm_module.ReducedState(args[0], PARAMS)
+        state = admm_module.RunState(args[0], PARAMS, RHO, EXACT.r)
         third = _reduced(args, state)
         fourth = _reduced(args, state)  # from the stored pieces and Q
         for other in (second, third, fourth):
@@ -117,12 +117,12 @@ class TestMatchesAdmm:
             assert other.v.tobytes() == first.v.tobytes()
 
     def test_shape_mismatch_raises(self):
-        f, u_k, _, weights, support, params, rho, _ = _instance(0, (6, 6))
-        state = admm_module.ReducedState(f, params)
+        f, u_k, _, weights, support, params, rho, admm = _instance(0, (6, 6))
+        state = admm_module.RunState(f, params, rho, admm.r)
         with pytest.raises(ValueError):
-            reduced_solve(u_k, weights[:5], support, rho, state)
+            reduced_solve(u_k, weights[:5], support, state)
         with pytest.raises(ValueError):  # a state for another grid
-            reduced_solve(u_k, weights, support, rho, admm_module.ReducedState(f[:5], params))
+            reduced_solve(u_k, weights, support, admm_module.RunState(f[:5], params, rho, admm.r))
 
     def test_too_many_components_declines(self, monkeypatch):
         args = _instance(5, (8, 8))
@@ -189,11 +189,11 @@ def _fixture_attempt(fixtures, name, count):
     module = importlib.import_module("shrinkseg.decompose")
     original, found = module.reduced_solve, []
 
-    def spy(u_k, weights, support, rho, state):
+    def spy(u_k, weights, support, state):
         pieces = state.pieces_of(support.active)
         if not found and pieces is not None and pieces.sizes.size == count:
-            found.append((f, u_k, f - u_k, weights, support, params, rho, EXACT))
-        return original(u_k, weights, support, rho, state)
+            found.append((f, u_k, f - u_k, weights, support, params, state.rho, EXACT))
+        return original(u_k, weights, support, state)
 
     module.reduced_solve = spy
     try:
@@ -306,7 +306,7 @@ class TestReducedState:
     def test_aggregated_q_matches_a_fresh_build(self, seed, shape, monkeypatch):
         builds = _count_calls(monkeypatch, admm_module, "_smooth")
         args = _instance(seed, shape, active_frac=0.6)
-        state = admm_module.ReducedState(args[0], PARAMS)
+        state = admm_module.RunState(args[0], PARAMS, RHO, EXACT.r)
         for step in range(3):  # each support nested in the last
             _reduced(args, state)
             pieces = state.quad_pieces
@@ -334,7 +334,7 @@ class TestReducedState:
     def test_partition_that_does_not_coarsen_is_built_afresh(self, monkeypatch):
         builds = _count_calls(monkeypatch, admm_module, "_smooth")
         first = _instance(1, (8, 8))
-        state = admm_module.ReducedState(first[0], PARAMS)
+        state = admm_module.RunState(first[0], PARAMS, RHO, EXACT.r)
         # the same image, with another support's frozen ties
         other = _instance(2, (8, 8))[4]
         other = (*first[:3], np.where(other.active, first[3], 0.0), other, *first[5:])
@@ -350,7 +350,7 @@ class TestReducedState:
         builds = _count_calls(monkeypatch, admm_module, "_smooth")
         labels = _count_calls(monkeypatch, admm_module, "_pieces")
         args = _instance(3, (8, 8))
-        state = admm_module.ReducedState(args[0], PARAMS)
+        state = admm_module.RunState(args[0], PARAMS, RHO, EXACT.r)
         for _ in range(3):
             _reduced(args, state)
         assert len(builds) == len(labels) == 1
@@ -415,7 +415,7 @@ class TestDecomposeTries:
         assert calls[0][0] == "admm_solve"
         tries = [call for call in calls if call[0] == "reduced_solve"]
         assert len(tries) == result.outer_iters - 1
-        assert len({id(args[4]) for _, args, _, _ in tries}) == 1
+        assert len({id(args[3]) for _, args, _, _ in tries}) == 1
         within = 0
         for _, args, _, out in tries:
             count = oracles.tie_components(~args[2].active).shape[1]
