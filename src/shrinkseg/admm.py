@@ -56,7 +56,7 @@ import numpy as np
 
 from .energy import ModelParams
 from .grid import Array, as_grid, compute_symbols, grad, grad_adjoint
-from .support import SupportSet, tie_labels
+from .support import SupportSet, hook
 
 _TINY = np.finfo(np.float64).tiny
 # Below this active fraction the shrink gathers the active pixels. The
@@ -257,8 +257,8 @@ class RunState:
     multiplies complex by complex faster than it casts a real factor.
 
     reduced_solve reads f_hat, b and the smoothed f, and keeps the last
-    support mask with its _Pieces (None when it left too many
-    components), so a pass that keeps the mask skips the labelling.
+    support with its _Pieces (None when it left too many components), so
+    a pass that keeps the support builds no new _Pieces.
     B^T S B is built from transforms only at the first attempt that gets
     that far: supports only shrink, so every later partition coarsens the
     stored one (each old component lies in one new one) and the new
@@ -287,8 +287,8 @@ class RunState:
         self.parseval = np.sqrt(symbols.weights)
         self.u_pull = (u_pull * (1.0 / self.f.size)).astype(np.complex128)
         self.step_weight = (self.parseval * gain).astype(np.complex128)
-        # the last mask with its _Pieces, and the _Pieces that quad_smooth is for
-        self.active = self.pieces = self.quad_pieces = self.quad_smooth = None
+        # the last support with its _Pieces, and the _Pieces that quad_smooth is for
+        self.support = self.pieces = self.quad_pieces = self.quad_smooth = None
 
     def start(self, u_k: Array, v_k: Array) -> RunState:
         """Set u0_hat, v0_hat and the stopping test's floors and offsets
@@ -318,10 +318,10 @@ class RunState:
         """rfft2(v) of the sweep whose transformed pull is p_hat."""
         return self.v0_hat + self.v_pull * p_hat
 
-    def pieces_of(self, active: Array) -> _Pieces | None:
-        """The _Pieces of active, relabelled only when the mask changed."""
-        if self.active is None or not np.array_equal(active, self.active):
-            self.active, self.pieces = active.copy(), _pieces(active)
+    def pieces_of(self, support: SupportSet) -> _Pieces | None:
+        """The _Pieces of support, built again only for another support."""
+        if support is not self.support:
+            self.support, self.pieces = support, _pieces(support)
         return self.pieces
 
     def smooth(self, pieces: _Pieces) -> Array:
@@ -547,18 +547,16 @@ class _Pieces:
     term_of: Array
 
 
-def _pieces(active: Array) -> _Pieces | None:
-    """The _Pieces of the support mask active, or None when it leaves
-    more than _MAX_PIECES components."""
+def _pieces(support: SupportSet) -> _Pieces | None:
+    """The _Pieces of support, or None when it leaves more than
+    _MAX_PIECES components."""
+    active, roots = support.active, support.labels
     m = active.shape[1]
-    roots = tie_labels(~active)
-    heads = np.flatnonzero(roots == np.arange(roots.size))
-    count = heads.size
+    heads = roots == np.arange(roots.size)
+    count = np.count_nonzero(heads)
     if count > _MAX_PIECES:
         return None
-    index = np.empty(roots.size, dtype=np.intp)
-    index[heads] = np.arange(count)
-    label = index[roots]
+    label = (np.cumsum(heads) - 1)[roots]  # the roots numbered 0, 1, ... in order
 
     pixels = np.flatnonzero(active)
     row, col = np.divmod(pixels, m)
@@ -623,22 +621,12 @@ def _merge(cls: Array, triples: Array, terms: Array) -> Array:
     """Classes of the components once each listed term's components are
     joined, numbered from 0 in the order of their smallest component.
 
-    One union-find over the classes, each root the smallest class of its
-    set, so the order of the roots is that of the smallest components.
+    hook joins each term's own class to its right and lower ones, and
+    roots each set at its smallest class, so the order of the roots is
+    that of the smallest components.
     """
-    parent = list(range(int(cls.max()) + 1))
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    for own, *others in cls[triples[terms]].tolist():
-        for other in others:
-            a, b = find(own), find(other)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    roots = np.array([find(a) for a in range(len(parent))])
+    ends = cls[triples[terms]]
+    roots = hook(np.arange(cls.max() + 1), np.repeat(ends[:, 0], 2), ends[:, 1:].ravel())
     heads = roots == np.arange(roots.size)
     return (np.cumsum(heads) - 1)[roots][cls]
 
@@ -850,14 +838,7 @@ def reduced_solve(
     shape, params, rho = state.shape, state.params, state.rho
     if not (u_k.shape == weights.shape == support.active.shape == shape):
         raise ValueError("reduced_solve inputs must share one grid shape")
-    active = support.active
-    # an active pixel with active left and upper neighbors is tied to
-    # nothing, so it is a component of its own: a lower bound on the
-    # count that spares the labelling
-    alone = active & np.roll(active, 1, axis=0) & np.roll(active, 1, axis=1)
-    if np.count_nonzero(alone) > _MAX_PIECES:
-        return None
-    pieces = state.pieces_of(active)
+    pieces = state.pieces_of(support)
     if pieces is None:
         return None
     label, sizes = pieces.label, pieces.sizes

@@ -237,7 +237,7 @@ def decompose(
 
         u, v, energy, norms = u_next, inner.v, next_energy, next_norms
         shrunk = detect_support(norms, support, tau)
-        settled = shrunk.size == support.size
+        settled = shrunk is support
         support = shrunk
         if increment <= outer.tol_out * denom:
             if tol <= admm.tol_in and settled:

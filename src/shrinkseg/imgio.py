@@ -9,7 +9,6 @@ crashed run never leaves a truncated artifact behind.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import warnings
@@ -20,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .admm import AdmmParams
-from .decompose import IterationTrace, OuterParams, TraceRow
+from .decompose import IterationTrace, OuterParams
 from .energy import ModelParams
 from .grid import Array, as_grid
 from .synth import EPS_POS, Disk, PhantomSpec, Rect
@@ -231,29 +230,6 @@ def write_trace(trace: IterationTrace, path) -> None:
             f"{row.support_size},{row.min_nonzero_grad!r},{row.inner_iters}"
         )
     _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_trace(path) -> IterationTrace:
-    """Parse a trace CSV; max_grad is not serialized and reads as nan."""
-    with open(path, "r", encoding="ascii") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"bad trace header, want {TRACE_HEADER!r}")
-    rows = []
-    for line in lines[1:]:
-        k, energy, increment, support_size, min_nz, inner = line.split(",")
-        rows.append(
-            TraceRow(
-                k=int(k),
-                energy=float(energy),
-                increment=float(increment),
-                support_size=int(support_size),
-                min_nonzero_grad=float(min_nz),
-                inner_iters=int(inner),
-                max_grad=math.nan,
-            )
-        )
-    return IterationTrace(rows)
 
 
 # ---------------------------------------------------------------------------

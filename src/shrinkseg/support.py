@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,20 +18,30 @@ class SupportSet:
     active[i, j] is True where the gradient is treated as nonzero. The
     outer loop only ever removes pixels, never re-adds them; use
     detect_support to update so the nesting is enforced by construction.
+    active is a read-only copy of the mask given, so the cached size and
+    labels cannot go stale when the caller writes into its own array.
     """
 
     active: Array
 
     def __post_init__(self):
-        a = np.asarray(self.active)
+        a = np.array(self.active)
         if a.dtype != np.bool_ or a.ndim != 2:
             raise ValueError("support mask must be a 2D boolean array")
+        a.flags.writeable = False
         object.__setattr__(self, "active", a)
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Number of active pixels."""
         return int(self.active.sum())
+
+    @cached_property
+    def labels(self) -> Array:
+        """tie_labels of the frozen pixels, computed once per support."""
+        labels = tie_labels(~self.active)
+        labels.flags.writeable = False
+        return labels
 
 
 def initial_support(norms: Array, tau_supp: float) -> SupportSet:
@@ -42,11 +53,13 @@ def detect_support(norms: Array, prev: SupportSet, tau_supp: float) -> SupportSe
     """Shrink prev to the pixels whose gradient norms are still above tau_supp.
 
     Intersecting with prev keeps the support sequence nested even when
-    the inner solver leaves small nonzero gradients behind.
+    the inner solver leaves small nonzero gradients behind. Returns prev
+    itself, with its cached labels, when no pixel leaves it.
     """
     if norms.shape != prev.active.shape:
         raise ValueError("support and image shapes disagree")
-    return SupportSet(prev.active & (norms > tau_supp))
+    active = prev.active & (norms > tau_supp)
+    return prev if np.count_nonzero(active) == prev.size else SupportSet(active)
 
 
 def tie_labels(frozen: Array) -> Array:
@@ -76,14 +89,23 @@ def tie_labels(frozen: Array) -> Array:
     lower[:, 1:] &= ~(frozen[:, :-1] & below[:, :-1])
     pix = np.flatnonzero(lower)
     wrap = np.flatnonzero(frozen[:, -1]) * m
-    # Label the tie components by hook and compress (Shiloach & Vishkin
-    # 1982). a[t], b[t] are the roots of tie t's ends. Each round hooks
-    # the larger root of every split tie onto the smaller one; a write
-    # only ever lowers a root, so no cycle can form. Pointer jumping then
-    # sends each pixel straight to its root, and the ties whose ends now
-    # share a root are dropped.
+    # each tie joins the roots of its ends' runs
     a = label[np.concatenate([pix, wrap + m - 1])]
     b = label[np.concatenate([(pix + m) % size, wrap])]
+    return hook(label, a, b)
+
+
+def hook(label: Array, a: Array, b: Array) -> Array:
+    """label once the sets of a[t] and b[t] are joined for every t.
+
+    label[x] is the root of x, the smallest id of its set, and a, b hold
+    roots. Hook and compress (Shiloach & Vishkin 1982): each round hooks
+    the larger root of every split pair onto the smaller one; a write
+    only ever lowers a root, so no cycle can form. Pointer jumping then
+    sends each id straight to its root, and the pairs whose ends now
+    share a root are dropped. The returned roots are again the smallest
+    ids of their sets.
+    """
     while a.size:
         label[np.maximum(a, b)] = np.minimum(a, b)
         while True:
@@ -100,16 +122,15 @@ def tie_labels(frozen: Array) -> Array:
 def project_to_support(u: Array, support: SupportSet) -> Array:
     """Nearest image whose gradient vanishes exactly off the support.
 
-    The tie components of tie_labels must be constant, and the euclidean
-    projection replaces each component by its mean. Pixels touched by
-    no tie are returned unchanged.
+    The tie components of support.labels must be constant, and the
+    euclidean projection replaces each component by its mean. Pixels
+    touched by no tie are returned unchanged.
     """
     if u.shape != support.active.shape:
         raise ValueError("support and image shapes disagree")
-    frozen = ~support.active
-    if not frozen.any():
+    if support.active.all():
         return u.copy()
-    label = tie_labels(frozen)
+    label = support.labels
     # bincount adds each component in pixel order whatever its label, so
     # the means do not depend on how components are numbered; only roots
     # have a nonzero count

@@ -8,8 +8,8 @@ depth-first recursion for the k-means layers that the package fills
 breadth first, and scipy's connected components for the tie graph
 that the package labels by hook and compress. Slow and simple on
 purpose. It also holds what only the tests use: the scalar group
-shrink, the unscaled reference ADMM loop and the linearized inner
-objective.
+shrink, the unscaled reference ADMM loop, the linearized inner
+objective and the trace CSV reader.
 """
 
 import itertools
@@ -21,8 +21,10 @@ from scipy.sparse.csgraph import connected_components
 
 from shrinkseg import admm as admm_module
 from shrinkseg.admm import _shrink_field, _shrink_thresholds
+from shrinkseg.decompose import IterationTrace, TraceRow
 from shrinkseg.energy import decomposition_energy
 from shrinkseg.grid import compute_symbols, grad, grad_norms
+from shrinkseg.imgio import TRACE_HEADER
 
 
 # ---------------------------------------------------------------------------
@@ -644,3 +646,30 @@ def recursive_kmeans_1d(values, k):
     for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         means[i] = (s1[b] - s1[a]) / (w[b] - w[a])
     return means
+
+
+# ---------------------------------------------------------------------------
+# Trace CSV reader (the package only writes traces)
+
+
+def read_trace(path):
+    """Parse a trace CSV; max_grad is not serialized and reads as nan."""
+    with open(path, "r", encoding="ascii") as handle:
+        lines = [line.strip() for line in handle if line.strip()]
+    if not lines or lines[0] != TRACE_HEADER:
+        raise ValueError(f"bad trace header, want {TRACE_HEADER!r}")
+    rows = []
+    for line in lines[1:]:
+        k, energy, increment, support_size, min_nz, inner = line.split(",")
+        rows.append(
+            TraceRow(
+                k=int(k),
+                energy=float(energy),
+                increment=float(increment),
+                support_size=int(support_size),
+                min_nonzero_grad=float(min_nz),
+                inner_iters=int(inner),
+                max_grad=math.nan,
+            )
+        )
+    return IterationTrace(rows)

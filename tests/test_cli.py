@@ -7,6 +7,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+import oracles
 from shrinkseg import imgio
 from shrinkseg.cli import main
 
@@ -65,7 +66,7 @@ class TestPipeline:
     def test_run_report(self, workspace):
         report = json.loads((workspace / "out_report.json").read_text())
         assert report["converged"] is True
-        rows = imgio.read_trace(workspace / "out_trace.csv")
+        rows = oracles.read_trace(workspace / "out_trace.csv")
         capped = sum(row.inner_iters == CONFIG["maxit_in"] for row in rows)
         assert report["capped_solves"] == capped
         assert report["log_domain"] is True
@@ -95,7 +96,7 @@ class TestPipeline:
             (workspace / "out_u.csv").read_bytes()
 
     def test_trace_is_readable_and_monotone(self, workspace):
-        rows = imgio.read_trace(workspace / "out_trace.csv")
+        rows = oracles.read_trace(workspace / "out_trace.csv")
         energies = [row.energy for row in rows]
         assert energies == sorted(energies, reverse=True)
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -421,6 +422,33 @@ class TestRunState:
         assert len(built) == 1
         states = [call["kwargs"]["state"] for call in solves] + [call["args"][3] for call in tries]
         assert all(state is built[0] for state in states)
+
+    @pytest.mark.parametrize("name", ["two_phase_s0_b0", "two_phase_s0.05_b0.4"])
+    def test_each_frozen_mask_is_labelled_once(self, name, monkeypatch, acceptance_fixtures):
+        # the projection and the reduced attempts of a pass read one
+        # labelling, and a support no pixel leaves keeps its labels
+        original, masks = importlib.import_module("shrinkseg.support").tie_labels, []
+
+        def counted(frozen):
+            masks.append(frozen.tobytes())
+            return original(frozen)
+
+        # every module that bound the name, so a reference held elsewhere counts too
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("shrinkseg.") and getattr(module, "tie_labels", None) is original:
+                monkeypatch.setattr(module, "tie_labels", counted)
+        entry = next(e for e in acceptance_fixtures["suite"] if e["name"] == name)
+        solver = acceptance_fixtures["solver"]
+        phantom = generate(phantom_spec_from_dict(entry["spec"]))
+        result = decompose(
+            to_log_domain(phantom.f / phantom.f.max()),
+            ModelParams(alpha=entry["alpha"], beta=entry["beta"]),
+            OuterParams(tol_out=solver["tol_out"], maxit_out=solver["maxit_out"],
+                        tau_supp=solver["tau_supp"]),
+            AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"]),
+        )
+        assert result.converged and masks
+        assert len(masks) == len(set(masks))
 
 
 class TestRunWarnings:

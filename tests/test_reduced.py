@@ -190,7 +190,7 @@ def _fixture_attempt(fixtures, name, count):
     original, found = module.reduced_solve, []
 
     def spy(u_k, weights, support, state):
-        pieces = state.pieces_of(support.active)
+        pieces = state.pieces_of(support)
         if not found and pieces is not None and pieces.sizes.size == count:
             found.append((f, u_k, f - u_k, weights, support, params, state.rho, EXACT))
         return original(u_k, weights, support, state)
@@ -319,7 +319,7 @@ class TestReducedState:
 
     @pytest.mark.parametrize("seed, shape", [(5, (8, 8)), (3, (6, 9))])
     def test_batched_build_matches_one_transform_per_component(self, seed, shape):
-        label = admm_module._pieces(_instance(seed, shape)[4].active).label
+        label = admm_module._pieces(_instance(seed, shape)[4]).label
         count = label.max() + 1
         assert count % admm_module._BATCH != 0
         ridge = PARAMS.gamma + PARAMS.beta * compute_symbols(shape).hth

@@ -34,6 +34,32 @@ def test_detect_support_never_grows():
     assert not np.any(nxt.active & ~prev.active)
 
 
+def test_detect_support_returns_prev_unless_a_pixel_leaves():
+    rng = np.random.default_rng(3)
+    prev = SupportSet(active=rng.random((6, 6)) > 0.4)
+    norms = np.where(prev.active, 2.0, 0.5)
+    assert detect_support(norms, prev, 1.0) is prev
+    i, j = np.argwhere(prev.active)[0]
+    norms[i, j] = 0.5
+    nxt = detect_support(norms, prev, 1.0)
+    assert nxt is not prev and isinstance(nxt, SupportSet)
+    assert nxt.size == prev.size - 1
+
+
+def test_support_set_holds_a_read_only_copy_of_its_mask():
+    rng = np.random.default_rng(4)
+    mask = rng.random((7, 7)) > 0.5
+    u = rng.standard_normal((7, 7))
+    s = SupportSet(active=mask)
+    before = project_to_support(u, s)
+    with pytest.raises(ValueError):
+        s.active[0, 0] = not s.active[0, 0]
+    kept = mask.copy()
+    mask[:] = ~mask  # the caller's array, not the support's
+    assert np.array_equal(s.active, kept)
+    assert np.array_equal(project_to_support(u, s), before)
+
+
 def test_detect_support_rejects_other_shape():
     prev = SupportSet(active=np.ones((4, 4), dtype=bool))
     with pytest.raises(ValueError, match="shapes disagree"):
