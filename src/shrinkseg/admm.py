@@ -16,8 +16,13 @@ irfft2, and v is formed once, after the loop. The same rotation gives
 the distance from the pass start (u_k, v_k) in P, which is the first
 sweep's update. A loose solve (tol above tol_in, as decompose asks for
 early outer passes) also stops on a relative error: once the update is
-at most _RELATIVE_STOP times that distance, at one add and one dot
-product per sweep.
+at most _RELATIVE_STOP times that distance. Every sweep measures its
+update, at one subtraction and one dot product. The norm and the
+distance are evaluated lazily: by the triangle inequality each is at
+most its last exact value plus the updates since, and the exact value
+(one add and one dot product) is formed only when that bound would
+pass the test, so every stop is the one an exact test at every sweep
+takes.
 
 Every _MIX_EVERY-th sweep, the scaled pull w = lam - q is replaced by
 the type-II Anderson extrapolation of the block map "_MIX_EVERY
@@ -44,7 +49,10 @@ component values is solved by damped Newton. Its result is used only
 with an optimality certificate; otherwise it returns None and the pass
 is left to admm_solve. It reads the same RunState, which also keeps
 what the attempts of a run share, so that the reduced quadratic is
-built from transforms once per run and summed from it after that.
+built once per run and summed from it after that. A build transforms
+the indicators of the components of two or more pixels only; the
+entries of single pixels are read from those rows and from the kernel
+of the smoothing operator, one transform in all.
 """
 
 from __future__ import annotations
@@ -74,6 +82,10 @@ _SINGULAR = 1e-10
 # A loose solve (see admm_solve) stops once its (u, v) update is at
 # most this fraction of the distance it has moved from the pass start.
 _RELATIVE_STOP = 3e-4
+# admm_solve evaluates an exact norm or distance only where its upper
+# bound, times this factor, would pass the stopping test; the factor
+# covers the bound's rounding, so every stop is the exact test's.
+_BOUND_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,8 @@ class AdmmParams:
             raise ValueError(f"r must be positive, got {self.r!r}")
         if not (math.isfinite(self.tol_in) and self.tol_in >= 0):
             raise ValueError(f"tol_in must be nonnegative, got {self.tol_in!r}")
+        if isinstance(self.maxit_in, bool) or not isinstance(self.maxit_in, (int, np.integer)):
+            raise ValueError(f"maxit_in must be an integer, got {self.maxit_in!r}")
         if self.maxit_in < 1:
             raise ValueError(f"maxit_in must be at least 1, got {self.maxit_in!r}")
 
@@ -106,13 +120,16 @@ class InnerResult:
     """Solution pair plus the number of sweeps that produced it.
 
     lam is the scaled dual that admm_solve ended with, the warm start of
-    a later solve; reduced_solve has none and leaves it None.
+    a later solve; reduced_solve has none and leaves it None. v_hat is
+    the rfft2 half spectrum that both solvers form v from, which
+    decomposition_energy can take in place of its own transform.
     """
 
     u: Array
     v: Array
     iters: int
     lam: Array | None = None
+    v_hat: Array | None = None
 
 
 def _checked_weights(weights: Array) -> Array:
@@ -253,17 +270,21 @@ class RunState:
     rotation of (u - u_k, v - v_k) gives the iterate's distance from the
     pass start: ||u - u_k||^2 + ||v - v_k||^2 = move_floor
     + ||step_weight P + move_offset||^2, which is also the first sweep's
-    update. u_pull and step_weight are real but held as complex128: numpy
-    multiplies complex by complex faster than it casts a real factor.
+    update. admm_solve evaluates the norm and the distance only where
+    their triangle-inequality bounds would stop the solve. u_pull and
+    step_weight are real but held as complex128: numpy multiplies
+    complex by complex faster than it casts a real factor.
 
     reduced_solve reads f_hat, b and the smoothed f, and keeps the last
     support with its _Pieces (None when it left too many components), so
     a pass that keeps the support builds no new _Pieces.
-    B^T S B is built from transforms only at the first attempt that gets
-    that far: supports only shrink, so every later partition coarsens the
-    stored one (each old component lies in one new one) and the new
-    matrix is M^T (B^T S B) M for the 0/1 merge matrix M, one bincount. A
-    partition that does not coarsen it is built afresh.
+    B^T S B is built (_smooth: one transform per component of two or
+    more pixels, and the kernel of S for the single pixels) only at the
+    first attempt that gets that far: supports only shrink, so every
+    later partition coarsens the stored one (each old component lies in
+    one new one) and the new matrix is M^T (B^T S B) M for the 0/1 merge
+    matrix M, one bincount. A partition that does not coarsen it is
+    built afresh.
 
     Two runs of one problem must not share a state: an aggregated matrix
     can differ from a fresh build in the last bits, so a run's result
@@ -461,7 +482,10 @@ def admm_solve(
         ids, q, shrink_work = None, np.empty((2, *shape)), work
     grad(u_k, out=du)
     tol = admm.tol_in if tol is None else max(tol, admm.tol_in)
-    size = float(np.vdot(u_k, u_k)) + float(np.vdot(v_k, v_k))
+    # bounds on the root norm of the last iterate and the root distance
+    # of this one from (u_k, v_k), exact at the start
+    root_size = math.sqrt(float(np.vdot(u_k, u_k)) + float(np.vdot(v_k, v_k)))
+    root_move = 0.0
     mixer = _Mixer(shape)
 
     for iters in range(1, admm.maxit_in + 1):
@@ -485,25 +509,33 @@ def admm_solve(
         lam += du
 
         np.multiply(state.step_weight, p_hat, out=scaled)
-        if iters == 1 or loose:  # the distance from (u_k, v_k)
+        if iters == 1:  # the first update is the distance from (u_k, v_k)
             np.add(scaled, state.move_offset, out=step)
-            move = state.move_floor + np.vdot(step, step).real
-        if iters == 1:  # the first update is that distance
-            change = move
+            change = state.move_floor + np.vdot(step, step).real
         else:
             np.subtract(scaled, prev, out=step)
             change = np.vdot(step, step).real
+        root_change = math.sqrt(change)
+        root_move += root_change  # exact on the first sweep
         # a mixed pull moves (u, v) by more than a sweep: never stop there
         if not mixed:
-            if math.sqrt(change) <= tol * math.sqrt(size):
-                break
-            if loose and math.sqrt(change) <= _RELATIVE_STOP * math.sqrt(move):
-                break
+            if root_change <= tol * root_size * _BOUND_SLACK:
+                if iters > 1:
+                    np.add(prev, state.norm_offset, out=step)
+                    root_size = math.sqrt(state.norm_floor + np.vdot(step, step).real)
+                if root_change <= tol * root_size:
+                    break
+            if loose and root_change <= _RELATIVE_STOP * root_move * _BOUND_SLACK:
+                if iters > 1:
+                    np.add(scaled, state.move_offset, out=step)
+                    root_move = math.sqrt(state.move_floor + np.vdot(step, step).real)
+                if root_change <= _RELATIVE_STOP * root_move:
+                    break
+        root_size += root_change
         scaled, prev = prev, scaled
-        np.add(prev, state.norm_offset, out=step)
-        size = state.norm_floor + np.vdot(step, step).real
 
-    return InnerResult(u, np.fft.irfft2(state.v_hat(p_hat), s=shape), iters, lam)
+    v_hat = state.v_hat(p_hat)
+    return InnerResult(u, np.fft.irfft2(v_hat, s=shape), iters, lam, v_hat)
 
 
 # A pass whose support leaves at most this many tie components is
@@ -579,21 +611,36 @@ def _smooth(label: Array, shape: tuple[int, int], gamma: float, beta: float) -> 
     pixels, S is the convolution of symbol
     (gamma + beta hth) / (1 + gamma + beta hth).
 
-    The components' indicators are transformed _BATCH at a time (each
+    The row of a component of two or more pixels sums S applied to its
+    indicator. Those indicators are transformed _BATCH at a time (each
     gets the same bits as in a call of its own): one stack of all of
     them and their spectra would raise the peak memory by more than it
-    saves.
+    saves. A single pixel needs no transform of its own. S is symmetric,
+    so its entries against the larger components are theirs against it,
+    and its entry against a single pixel is the kernel
+    s = irfft2(symbol) at the periodic offset of the two pixels.
     """
     count = label.max() + 1
     ridge = gamma + beta * compute_symbols(shape).hth
     symbol = ridge / (1.0 + ridge)
     grid = label.reshape(shape)
+    sizes = np.bincount(label, minlength=count)
+    multi, single = np.flatnonzero(sizes > 1), np.flatnonzero(sizes == 1)
     smooth = np.empty((count, count))
-    for start in range(0, count, _BATCH):
-        pieces = np.arange(start, min(start + _BATCH, count))
+    for start in range(0, multi.size, _BATCH):
+        pieces = multi[start : start + _BATCH]
         spread = np.fft.irfft2(np.fft.rfft2(grid == pieces[:, None, None]) * symbol, s=shape)
         for piece, row in zip(pieces, spread):
             smooth[piece] = np.bincount(label, row.ravel(), count)
+    if single.size:
+        smooth[np.ix_(single, multi)] = smooth[np.ix_(multi, single)].T
+        pixel = np.empty(count, dtype=np.intp)
+        pixel[label] = np.arange(label.size)  # the one pixel of each single
+        row, col = np.divmod(pixel[single], shape[1])
+        kernel = np.fft.irfft2(symbol, s=shape)
+        smooth[np.ix_(single, single)] = kernel[
+            (row[:, None] - row) % shape[0], (col[:, None] - col) % shape[1]
+        ]
     return 0.5 * (smooth + smooth.T)
 
 
@@ -856,5 +903,5 @@ def reduced_solve(
     if c is None:
         return None
     u = c[label].reshape(shape)
-    v = np.fft.irfft2((state.f_hat - np.fft.rfft2(u)) / state.b, s=shape)
-    return InnerResult(u, v, 0)
+    v_hat = (state.f_hat - np.fft.rfft2(u)) / state.b
+    return InnerResult(u, np.fft.irfft2(v_hat, s=shape), 0, v_hat=v_hat)

@@ -43,6 +43,8 @@ class OuterParams:
             raise ValueError(f"rho must be positive, got {self.rho!r}")
         if not (math.isfinite(self.tol_out) and self.tol_out > 0):
             raise ValueError(f"tol_out must be positive, got {self.tol_out!r}")
+        if isinstance(self.maxit_out, bool) or not isinstance(self.maxit_out, (int, np.integer)):
+            raise ValueError(f"maxit_out must be an integer, got {self.maxit_out!r}")
         if self.maxit_out < 1:
             raise ValueError(f"maxit_out must be at least 1, got {self.maxit_out!r}")
         if self.tau_supp is not None and not (
@@ -213,7 +215,7 @@ def decompose(
             tol = admm.tol_in
             u_next = inner.u
             next_norms = grad_norms(grad(u_next))
-            next_energy = decomposition_energy(f, u_next, inner.v, params, next_norms)
+            next_energy = decomposition_energy(f, u_next, inner.v, params, next_norms, inner.v_hat)
         else:
             while True:  # an H1 re-solve starts from the same dual
                 inner = admm_solve(
@@ -227,7 +229,9 @@ def decompose(
                 # on the frozen set would otherwise leak into the energy
                 u_next = project_to_support(inner.u, support)
                 next_norms = grad_norms(grad(u_next))
-                next_energy = decomposition_energy(f, u_next, inner.v, params, next_norms)
+                next_energy = decomposition_energy(
+                    f, u_next, inner.v, params, next_norms, inner.v_hat
+                )
                 if tol <= admm.tol_in or next_energy <= energy:
                     break
                 tol = admm.tol_in  # H1 failed: solve the pass again, exactly

@@ -68,7 +68,8 @@ def _check_shapes(*arrays: Array) -> None:
 
 
 def decomposition_energy(
-    f: Array, u: Array, v: Array, params: ModelParams, norms: Array | None = None
+    f: Array, u: Array, v: Array, params: ModelParams, norms: Array | None = None,
+    v_hat: Array | None = None,
 ) -> float:
     """Objective: fidelity + concave gradient penalty + smoothness.
 
@@ -76,7 +77,9 @@ def decomposition_energy(
     contribute nothing since the potential vanishes at zero. norms, when
     given, must be grad_norms(grad(u)), which a caller that needs them
     anyway can pass in. The smoothness term beta/2 ||Hv||^2 is beta/2
-    sum(weights * hth * |rfft2(v)|^2) on the half spectrum.
+    sum(weights * hth * |rfft2(v)|^2) on the half spectrum; v_hat, when
+    given, is used as rfft2(v), as a solver that formed v from it can
+    pass in.
     """
     f = as_grid(f, "f")
     u = as_grid(u, "u")
@@ -86,12 +89,15 @@ def decomposition_energy(
         norms = grad_norms(grad(u))
     elif np.shape(norms) != u.shape:
         raise ValueError(f"norms must have the grid shape {u.shape}, got {np.shape(norms)}")
+    if v_hat is None:
+        v_hat = np.fft.rfft2(v)
+    elif np.shape(v_hat) != (u.shape[0], u.shape[1] // 2 + 1):
+        raise ValueError(f"v_hat must be the rfft2 shape of {u.shape}, got {np.shape(v_hat)}")
 
     resid = f - u - v
     fidelity = 0.5 * float(np.vdot(resid, resid).real)
     penalty = params.alpha * float(np.sum(params.potential(norms)))
     symbols = compute_symbols(f.shape)
-    v_hat = np.fft.rfft2(v)
     v_power = v_hat.real**2 + v_hat.imag**2
     smooth = 0.5 * params.beta * float(np.sum(symbols.weights * symbols.hth * v_power))
     ridge = 0.5 * params.gamma * float(np.vdot(v, v).real)

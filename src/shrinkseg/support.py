@@ -11,7 +11,7 @@ import numpy as np
 from .grid import Array, grad  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportSet:
     """Partition of pixels into active (nonzero gradient) and frozen sets.
 
@@ -20,6 +20,7 @@ class SupportSet:
     detect_support to update so the nesting is enforced by construction.
     active is a read-only copy of the mask given, so the cached size and
     labels cannot go stale when the caller writes into its own array.
+    Supports compare and hash by identity, as the caches keyed on them do.
     """
 
     active: Array
@@ -38,7 +39,8 @@ class SupportSet:
 
     @cached_property
     def labels(self) -> Array:
-        """tie_labels of the frozen pixels, computed once per support."""
+        """tie_labels of the frozen pixels, computed once per support
+        (or grown from its parent's by detect_support)."""
         labels = tie_labels(~self.active)
         labels.flags.writeable = False
         return labels
@@ -54,12 +56,29 @@ def detect_support(norms: Array, prev: SupportSet, tau_supp: float) -> SupportSe
 
     Intersecting with prev keeps the support sequence nested even when
     the inner solver leaves small nonzero gradients behind. Returns prev
-    itself, with its cached labels, when no pixel leaves it.
+    itself, with its cached labels, when no pixel leaves it. When prev's
+    labels are computed, the new support's are grown from them: frozen
+    sets only grow, so hooking the newly frozen pixels' ties onto prev's
+    roots gives tie_labels of the new frozen set, bit for bit, since
+    both root each component at its smallest flat id. The new support
+    holds no reference to prev.
     """
     if norms.shape != prev.active.shape:
         raise ValueError("support and image shapes disagree")
     active = prev.active & (norms > tau_supp)
-    return prev if np.count_nonzero(active) == prev.size else SupportSet(active)
+    if np.count_nonzero(active) == prev.size:
+        return prev
+    shrunk = SupportSet(active)
+    if "labels" in vars(prev):  # computed by the cached property
+        m = active.shape[1]
+        pix = np.flatnonzero(prev.active & ~active)
+        right = pix - pix % m + (pix + 1) % m
+        label = np.array(prev.labels)
+        labels = hook(label, label[np.concatenate([pix, pix])],
+                      label[np.concatenate([right, (pix + m) % active.size])])
+        labels.flags.writeable = False
+        vars(shrunk)["labels"] = labels
+    return shrunk
 
 
 def tie_labels(frozen: Array) -> Array:

@@ -421,6 +421,19 @@ def csgraph_project_to_support(u, support):
     return (sums / counts)[component].reshape(u.shape)
 
 
+def smooth_per_component(label, shape, gamma, beta):
+    """admm._smooth's B^T S B with one transform per tie component, of
+    its indicator, single pixels included."""
+    count = label.max() + 1
+    ridge = gamma + beta * compute_symbols(shape).hth
+    one = np.empty((count, count))
+    for piece in range(count):
+        indicator = (label == piece).reshape(shape)
+        spread = np.fft.irfft2(np.fft.rfft2(indicator) * (ridge / (1.0 + ridge)), s=shape)
+        one[piece] = np.bincount(label, spread.ravel(), count)
+    return 0.5 * (one + one.T)
+
+
 # ---------------------------------------------------------------------------
 # Constrained inner problem by projected subgradient descent
 

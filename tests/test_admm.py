@@ -60,6 +60,14 @@ class TestAdmmParams:
         with pytest.raises(ValueError):
             AdmmParams(**kw)
 
+    @pytest.mark.parametrize("cap", [3.5, 3.0, True, "3", None])
+    def test_non_integer_cap_raises(self, cap):
+        with pytest.raises(ValueError, match="maxit_in must be an integer"):
+            AdmmParams(maxit_in=cap)
+
+    def test_numpy_integer_cap_is_accepted(self):
+        assert AdmmParams(maxit_in=np.int64(3)).maxit_in == 3
+
 
 class TestShrinkField:
     def test_matches_scalar_shrink_pixelwise(self):
@@ -792,3 +800,47 @@ class TestRelativeStop:
         assert cut.iters == loose.iters
         assert cut.u.tobytes() == loose.u.tobytes()
         assert cut.v.tobytes() == loose.v.tobytes()
+
+
+class TestLazyStop:
+    """The stopping test's bounds against exact values at every sweep."""
+
+    # (shape, active fraction, tol_in, tol, sweeps): tol above tol_in is
+    # loose; fewer than 0.25 active gathers; "long" solves mix
+    CASES = [
+        ((8, 8), 0.9, 1e-10, None, "long"),
+        ((8, 8), 0.1, 1e-10, None, "long"),
+        ((6, 9), 0.9, 1e-10, 1e-5, "long"),
+        ((9, 6), 0.1, 1e-10, 1e-6, "long"),
+        ((8, 8), 0.9, 1e-2, None, "short"),
+        ((6, 9), 0.1, 1e-3, None, "short"),
+        ((8, 8), 0.9, 1e-10, 1e-2, "short"),
+        ((9, 6), 0.1, 1e-10, 1e-2, "short"),
+    ]
+
+    @pytest.mark.parametrize("shape, fraction, tol_in, tol, sweeps", CASES)
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_exact_values_at_every_sweep_change_nothing(
+        self, monkeypatch, shape, fraction, tol_in, tol, sweeps, warm
+    ):
+        rng = np.random.default_rng(shape[0] * 10 + int(fraction * 10))
+        f = np.where(rng.random(shape) > 0.5, 0.85, 0.15) + 0.02 * rng.standard_normal(shape)
+        active = rng.random(shape) < fraction
+        weights = np.where(active, rng.uniform(0.2, 2.0, shape), 0.0)
+        v_k = 0.1 * rng.standard_normal(shape)
+        args = (f, f - v_k, v_k, weights, SupportSet(active=active),
+                ModelParams(alpha=0.2, beta=1.0, gamma=0.3), 0.3,
+                AdmmParams(r=5.0, tol_in=tol_in, maxit_in=5000))
+        lam0 = 0.1 * rng.standard_normal((2, *shape)) if warm else None
+        lazy = admm_solve(*args, tol=tol, lam0=lam0)
+        # an infinite slack makes every test a candidate: each sweep that
+        # may stop evaluates the exact norm and, if loose, the distance
+        monkeypatch.setattr(admm_module, "_BOUND_SLACK", math.inf)
+        exact = admm_solve(*args, tol=tol, lam0=lam0)
+        assert lazy.iters == exact.iters
+        if sweeps == "short":
+            assert lazy.iters < 25
+        else:
+            assert 2 * admm_module._MIX_EVERY < lazy.iters < 5000
+        for name in ("u", "v", "lam", "v_hat"):
+            assert getattr(lazy, name).tobytes() == getattr(exact, name).tobytes()

@@ -44,6 +44,18 @@ class TestOuterParams:
         with pytest.raises(ValueError):
             OuterParams(**kw)
 
+    @pytest.mark.parametrize("cap", [2.5, 2.0, False, "2", None])
+    def test_non_integer_cap_raises(self, cap):
+        with pytest.raises(ValueError, match="maxit_out must be an integer"):
+            OuterParams(maxit_out=cap)
+
+    def test_numpy_integer_cap_runs(self):
+        outer = OuterParams(tau_supp=1e-3, maxit_out=np.int32(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = decompose(np.eye(4), MODEL, outer, AdmmParams(maxit_in=np.int64(3)))
+        assert result.outer_iters <= 2
+
     def test_tau_resolution(self):
         f = np.zeros((4, 4))
         f[1, 1] = 1.0

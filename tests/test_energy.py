@@ -54,6 +54,9 @@ class TestDecompositionEnergy:
         with pytest.raises(ValueError, match="norms"):
             decomposition_energy(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), params,
                                  np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="v_hat"):
+            decomposition_energy(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), params,
+                                 v_hat=np.zeros((4, 4), dtype=complex))
 
     @pytest.mark.parametrize("shape", [(5, 5), (6, 9), (2, 7)])
     def test_given_norms_give_the_same_bits(self, params, shape):
@@ -62,6 +65,13 @@ class TestDecompositionEnergy:
         u[rng.random(shape) < 0.4] = 0.25  # zero gradients too
         norms = grad_norms(grad(u))
         assert decomposition_energy(f, u, v, params, norms) == decomposition_energy(f, u, v, params)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 9), (2, 7), (8, 4)])
+    def test_given_v_hat_gives_the_same_bits(self, params, shape):
+        rng = np.random.default_rng(2)
+        f, u, v = (rng.standard_normal(shape) for _ in range(3))
+        given = decomposition_energy(f, u, v, params, v_hat=np.fft.rfft2(v))
+        assert given == decomposition_energy(f, u, v, params)
 
     def test_gradient_term_uses_potential(self):
         f = np.zeros((4, 4))

@@ -12,7 +12,6 @@ from shrinkseg import (
     ModelParams,
     OuterParams,
     admm_solve,
-    compute_symbols,
     decompose,
     generate,
     reduced_solve,
@@ -59,6 +58,8 @@ def _check_against_admm(args):
         return None
     assert reduced.iters == 0
     exact = admm_solve(*args)
+    for result in (reduced, exact):  # v is formed from the v_hat handed on
+        assert np.fft.irfft2(result.v_hat, s=result.v.shape).tobytes() == result.v.tobytes()
     assert exact.iters < EXACT.maxit_in
     np.testing.assert_allclose(reduced.u, exact.u, rtol=0, atol=1e-7)
     np.testing.assert_allclose(reduced.v, exact.v, rtol=0, atol=1e-7)
@@ -320,16 +321,43 @@ class TestReducedState:
     @pytest.mark.parametrize("seed, shape", [(5, (8, 8)), (3, (6, 9))])
     def test_batched_build_matches_one_transform_per_component(self, seed, shape):
         label = admm_module._pieces(_instance(seed, shape)[4]).label
-        count = label.max() + 1
-        assert count % admm_module._BATCH != 0
-        ridge = PARAMS.gamma + PARAMS.beta * compute_symbols(shape).hth
-        one = np.empty((count, count))
-        for piece in range(count):
-            indicator = (label == piece).reshape(shape)
-            spread = np.fft.irfft2(np.fft.rfft2(indicator) * (ridge / (1.0 + ridge)), s=shape)
-            one[piece] = np.bincount(label, spread.ravel(), count)
+        multi = np.flatnonzero(np.bincount(label) > 1)
+        assert multi.size % admm_module._BATCH != 0
+        one = oracles.smooth_per_component(label, shape, PARAMS.gamma, PARAMS.beta)
         built = admm_module._smooth(label, shape, PARAMS.gamma, PARAMS.beta)
-        assert built.tobytes() == (0.5 * (one + one.T)).tobytes()
+        # single pixels' entries are kernel lookups, not transforms
+        block = np.ix_(multi, multi)
+        assert built[block].tobytes() == one[block].tobytes()
+
+    @pytest.mark.parametrize(
+        "shape, singles, multis",
+        [((8, 8), 5, 6), ((6, 9), 13, 4), ((5, 7), 35, 0), ((6, 9), 0, 11), ((7, 7), 3, 9),
+         ((2, 9), 7, 3)],
+    )
+    def test_single_pixel_lookups_match_one_transform_per_component(
+        self, shape, singles, multis
+    ):
+        # a random partition, numbered in random order: singles pixels
+        # alone, the others spread over multis components of 2+ pixels
+        rng = np.random.default_rng(singles * 100 + multis)
+        pixels = rng.permutation(shape[0] * shape[1])
+        label = np.empty(pixels.size, dtype=np.intp)
+        label[pixels[:singles]] = np.arange(singles)
+        rest = pixels[singles:]
+        if multis:
+            owner = np.concatenate(
+                [np.repeat(np.arange(multis), 2), rng.integers(0, multis, rest.size - 2 * multis)]
+            )
+            label[rest] = singles + owner
+        label = rng.permutation(singles + multis)[label]
+        one = oracles.smooth_per_component(label, shape, PARAMS.gamma, PARAMS.beta)
+        built = admm_module._smooth(label, shape, PARAMS.gamma, PARAMS.beta)
+        assert np.array_equal(built, built.T)
+        assert np.abs(built - one).max() <= 1e-14 * np.abs(one).max()
+        multi = np.flatnonzero(np.bincount(label) > 1)
+        assert multi.size == multis
+        block = np.ix_(multi, multi)
+        assert built[block].tobytes() == one[block].tobytes()
 
     def test_partition_that_does_not_coarsen_is_built_afresh(self, monkeypatch):
         builds = _count_calls(monkeypatch, admm_module, "_smooth")

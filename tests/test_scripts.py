@@ -50,3 +50,19 @@ def test_fixture_work_reruns_print_the_same_table():
     first, second = (subprocess.run(argv, capture_output=True, text=True) for _ in range(2))
     assert first.returncode == second.returncode == 0, first.stderr + second.stderr
     assert first.stdout == second.stdout
+
+
+def test_ab_suite_times_the_tree_against_itself():
+    root = os.path.dirname(SCRIPTS)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "ab_suite.py"), "--parent", root,
+         "--rounds", "1", "--only", "two_phase_s0_b0"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row, geomean, work = proc.stdout.splitlines()
+    assert header.split()[:3] == ["phantom", "parent_ms", "tree_ms"]
+    assert row.split()[0] == "two_phase_s0_b0" and row.split()[-1] in ("0/1", "1/1")
+    assert geomean.startswith("geomean ratio ")
+    # one tree against itself: the same work and the same bits
+    assert work == "work differs on 0 of 1 phantoms; largest relative energy difference 0.0e+00"

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from shrinkseg.support import (
     detect_support,
     initial_support,
     project_to_support,
+    tie_labels,
 )
 
 
@@ -75,6 +79,54 @@ def test_detect_support_subset_property(seed, tau):
     nxt = detect_support(grad_norms(grad(u)), prev, tau)
     assert nxt.size <= prev.size
     assert np.all(prev.active[nxt.active])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 3), (7, 4), (8, 8), (13, 11), (11, 13)])
+@pytest.mark.parametrize("seed", range(3))
+def test_grown_labels_equal_tie_labels_along_a_chain(shape, seed):
+    rng = np.random.default_rng(seed)
+    active = rng.random(shape) < 0.9
+    active[-1, :] = active[:, -1] = False  # the wrap ties of both axes join in
+    support = SupportSet(active=active)
+    support.labels  # computed, so every later support grows its own
+    for step in range(6):
+        shrunk = detect_support(rng.random(shape), support, 0.25 + 0.1 * step)
+        if shrunk is support:
+            continue
+        grown = vars(shrunk)["labels"]  # there before any use
+        fresh = tie_labels(~shrunk.active)
+        assert grown.dtype == fresh.dtype and grown.tobytes() == fresh.tobytes()
+        assert not grown.flags.writeable
+        support = shrunk
+
+
+def test_labels_not_yet_computed_are_not_grown():
+    rng = np.random.default_rng(5)
+    prev = SupportSet(active=rng.random((6, 6)) < 0.8)
+    shrunk = detect_support(rng.random((6, 6)), prev, 0.5)
+    assert "labels" not in vars(shrunk)
+    assert shrunk.labels.tobytes() == tie_labels(~shrunk.active).tobytes()
+
+
+def test_a_shrunk_support_keeps_no_reference_to_its_parent():
+    rng = np.random.default_rng(6)
+    prev = SupportSet(active=rng.random((6, 6)) < 0.8)
+    prev.labels
+    shrunk = detect_support(rng.random((6, 6)), prev, 0.5)
+    assert "labels" in vars(shrunk)
+    parent = weakref.ref(prev)
+    del prev
+    gc.collect()
+    assert parent() is None
+
+
+def test_supports_compare_and_hash_by_identity():
+    mask = np.eye(3, dtype=bool)
+    one, other = SupportSet(active=mask), SupportSet(active=mask)
+    assert one == one and one != other
+    assert hash(one) == hash(one)
+    table = {one: "one", other: "other"}
+    assert table[one] == "one" and table[other] == "other"
 
 
 def _snake(n):
