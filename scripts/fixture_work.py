@@ -28,8 +28,9 @@ import json
 import os
 import sys
 
-from shrinkseg import AdmmParams, ModelParams, OuterParams, decompose, generate, segment
-from shrinkseg.imgio import from_log_domain, phantom_spec_from_dict, to_log_domain
+import shrinkseg
+from shrinkseg import decompose, segment
+from shrinkseg.imgio import from_log_domain
 
 FIXTURE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -41,22 +42,36 @@ def digest(array):
     return hashlib.sha256(array.tobytes()).hexdigest()[:12]
 
 
-def run_entry(entry, solver, seed_offset):
-    """One phantom's row; solver is the fixture's settings, or None for
-    the CLI defaults."""
-    spec = dict(entry["spec"], seed=(entry["spec"]["seed"] + seed_offset) % 2**63)
-    phantom = generate(phantom_spec_from_dict(spec))
-    g = to_log_domain(phantom.f / phantom.f.max())
+def make_phantom(pkg, spec, seed_offset):
+    """The phantom of a spec dict, built by the package pkg, with its
+    noise seed shifted by seed_offset (0 keeps the pinned seed)."""
+    spec = dict(spec, seed=(spec["seed"] + seed_offset) % 2**63)
+    return pkg.generate(pkg.imgio.phantom_spec_from_dict(spec))
+
+
+def fixture_problem(pkg, entry, solver, seed_offset):
+    """pkg's (g, ModelParams, OuterParams, AdmmParams) for a fixture
+    entry: g is the log of its phantom over the phantom's maximum, and
+    solver the fixture's settings, or None for the CLI defaults."""
+    phantom = make_phantom(pkg, entry["spec"], seed_offset)
+    g = pkg.imgio.to_log_domain(phantom.f / phantom.f.max())
     if solver is None:
-        outer, admm = OuterParams(), AdmmParams()
+        outer, admm = pkg.OuterParams(), pkg.AdmmParams()
     else:
-        outer = OuterParams(
+        outer = pkg.OuterParams(
             tol_out=solver["tol_out"],
             maxit_out=solver["maxit_out"],
             tau_supp=solver["tau_supp"],
         )
-        admm = AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"])
-    model = ModelParams(alpha=entry["alpha"], beta=entry["beta"])
+        admm = pkg.AdmmParams(r=solver["r"], tol_in=solver["tol_in"],
+                              maxit_in=solver["maxit_in"])
+    return g, pkg.ModelParams(alpha=entry["alpha"], beta=entry["beta"]), outer, admm
+
+
+def run_entry(entry, solver, seed_offset):
+    """One phantom's row; solver is the fixture's settings, or None for
+    the CLI defaults."""
+    g, model, outer, admm = fixture_problem(shrinkseg, entry, solver, seed_offset)
     result = decompose(g, model, outer, admm)
     labels = segment(from_log_domain(result.u), entry["k"]).labels
     return {

@@ -12,9 +12,9 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -289,28 +289,45 @@ CONFIG_KEYS = {("K" if f.name == "k" else f.name): f.name for f in fields(RunCon
 _FIELD_TYPES = get_type_hints(RunConfig)
 
 
-def config_from_dict(payload: dict) -> RunConfig:
-    unknown = sorted(set(payload) - set(CONFIG_KEYS))
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits an annotated field type: an int fits a
+    float, a bool fits only a bool, a list fits a tuple (of the tuple's
+    item type, if it names one)."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is tuple or get_origin(kind) is tuple:
+        items = get_args(kind)[:1]
+        return isinstance(value, list) and all(_fits(v, t) for v in value for t in items)
+    return isinstance(value, kind)
+
+
+_KIND_NAMES = {bool: "boolean", int: "an integer", float: "a number", str: "a string",
+               tuple: "a list", tuple[float, ...]: "a list of numbers"}
+
+
+def _check_values(payload: dict, types: dict, required, what: str) -> None:
+    """Raise ValueError naming the key for a key outside types, a value
+    that does not fit its type, or a required key that is missing."""
+    unknown = sorted(set(payload) - set(types))
     if unknown:
-        raise ValueError(f"unknown config keys: {unknown}")
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    for key, value in payload.items():
+        if not _fits(value, types[key]):
+            raise ValueError(f"{key} must be {_KIND_NAMES[types[key]]}, got {value!r}")
+    missing = sorted(set(required) - set(payload))
+    if missing:
+        raise ValueError(f"missing required {what} keys: {missing}")
+
+
+def config_from_dict(payload: dict) -> RunConfig:
+    _check_values(payload, {key: _FIELD_TYPES[name] for key, name in CONFIG_KEYS.items()},
+                  ("alpha", "beta"), "config")
     kwargs = {}
     for key, value in payload.items():
         name = CONFIG_KEYS[key]
-        kind = _FIELD_TYPES[name]
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ValueError(f"{key} must be boolean, got {value!r}")
-        elif kind is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{key} must be a number, got {value!r}")
-            value = float(value)
-        kwargs[name] = value
-    missing = {"alpha", "beta"} - set(kwargs)
-    if missing:
-        raise ValueError(f"missing required config keys: {sorted(missing)}")
+        kwargs[name] = float(value) if _FIELD_TYPES[name] is float else value
     config = RunConfig(**kwargs)
     config.model_params()
     config.outer_params()
@@ -351,14 +368,22 @@ def _shape_to_dict(shape) -> dict:
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def _shape_from_dict(payload: dict):
+def _checked(cls, payload: dict, what: str) -> dict:
+    """payload, once its keys and value types match the fields of cls."""
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    _check_values(payload, get_type_hints(cls), required, what)
+    return payload
+
+
+def _shape_from_dict(payload):
+    if not isinstance(payload, dict):
+        raise ValueError(f"shapes must hold JSON objects, got {payload!r}")
     kind = payload.get("type")
+    cls = {"disk": Disk, "rect": Rect}.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown shape type {kind!r}")
     rest = {key: value for key, value in payload.items() if key != "type"}
-    if kind == "disk":
-        return Disk(**rest)
-    if kind == "rect":
-        return Rect(**rest)
-    raise ValueError(f"unknown shape type {kind!r}")
+    return cls(**_checked(cls, rest, kind))
 
 
 def phantom_spec_to_dict(spec: PhantomSpec) -> dict:
@@ -369,11 +394,7 @@ def phantom_spec_to_dict(spec: PhantomSpec) -> dict:
 
 
 def phantom_spec_from_dict(payload: dict) -> PhantomSpec:
-    known = {f.name for f in fields(PhantomSpec)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ValueError(f"unknown phantom spec keys: {unknown}")
-    kwargs = dict(payload)
-    kwargs["phase_values"] = tuple(payload.get("phase_values", ()))
+    kwargs = dict(_checked(PhantomSpec, payload, "phantom spec"))
+    kwargs["phase_values"] = tuple(payload["phase_values"])
     kwargs["shapes"] = tuple(_shape_from_dict(s) for s in payload.get("shapes", []))
     return PhantomSpec(**kwargs)

@@ -268,6 +268,30 @@ class TestExitCodes:
         assert main(["synth", str(spec), str(tmp_path / "p")]) == 1
         assert "blur" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"shapes": [1]}, "shapes"),
+            ({"phase_values": [0.5, 0.9],
+              "shapes": [{"type": "disk", "row": 4, "col": 4, "radius": 2, "phase": 2,
+                          "colour": "red"}]}, "colour"),
+            ({"n": "8"}, "n must be an integer"),
+            ({"n": 8.5}, "n must be an integer"),
+            ({"phase_values": 0.5}, "phase_values must be a list of numbers"),
+            ({"shapes": [{"type": "rect", "row0": 1, "col0": 1, "row1": 3, "phase": 1}]},
+             "missing required rect keys: ['col1']"),
+            ({"shapes": [{"type": ["disk"]}]}, "unknown shape type"),
+        ],
+        ids=["shape_not_object", "disk_extra_key", "n_string", "n_float", "phase_values_scalar",
+             "rect_missing_key", "shape_type_not_string"],
+    )
+    def test_malformed_synth_spec_is_runtime_error(self, tmp_path, capsys, change, key):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 8, "phase_values": [0.5], **change}))
+        assert main(["synth", str(spec), str(tmp_path / "p")]) == 1
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("p*"))
+
 
 class TestPrintConfig:
     def test_echoes_resolved_config_without_writing(self, tmp_path, capsys):

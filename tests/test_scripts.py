@@ -1,23 +1,30 @@
 """Smoke runs of the scripts under scripts/, which no other test imports."""
 
+import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+import shrinkseg
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+ROOT = os.path.dirname(SCRIPTS)
+# ab_suite.py with this tree as its own parent, one round
+AB_SUITE = ["ab_suite.py", "--parent", ROOT, "--rounds", "1", "--only"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep_bench.py", "--sizes", "16", "--sweeps", "3", "--repeats", "1"],
-        ["sweep_bench.py", "--sizes", "16", "--repeats", "1", "--to-tol", "1e-6"],
+        [*AB_SUITE, "two_phase_s0_b0", "phantom64"],
+        [*AB_SUITE, "sweeps64_pass1", "sweeps64_pass2"],
         ["phantom_report.py", "--n", "32"],
         ["fixture_work.py", "--only", "two_phase_s0_b0"],
         ["fixture_work.py", "--only", "two_phase_s0_b0", "--defaults"],
-        ["stage2_bench.py", "--n", "16", "--repeats", "1"],
+        [*AB_SUITE, "stage2_read_float", "stage2_kmeans_k3"],
     ],
 )
 def test_script_exits_zero(argv):
@@ -26,6 +33,13 @@ def test_script_exits_zero(argv):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    if argv[0] == "ab_suite.py":
+        # every target printed, and one tree against itself does the same work
+        names = argv[argv.index("--only") + 1:]
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines[1:-2]] == names
+        assert lines[-1] == (f"work differs on 0 of {len(names)} targets; "
+                             "largest relative energy difference 0.0e+00")
 
 
 def test_fixture_work_prints_first_pass_sweeps():
@@ -53,16 +67,43 @@ def test_fixture_work_reruns_print_the_same_table():
 
 
 def test_ab_suite_times_the_tree_against_itself():
-    root = os.path.dirname(SCRIPTS)
     proc = subprocess.run(
-        [sys.executable, os.path.join(SCRIPTS, "ab_suite.py"), "--parent", root,
+        [sys.executable, os.path.join(SCRIPTS, "ab_suite.py"), "--parent", ROOT,
          "--rounds", "1", "--only", "two_phase_s0_b0"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     header, row, geomean, work = proc.stdout.splitlines()
-    assert header.split()[:3] == ["phantom", "parent_ms", "tree_ms"]
+    assert header.split()[:3] == ["target", "parent_ms", "tree_ms"]
     assert row.split()[0] == "two_phase_s0_b0" and row.split()[-1] in ("0/1", "1/1")
     assert geomean.startswith("geomean ratio ")
     # one tree against itself: the same work and the same bits
-    assert work == "work differs on 0 of 1 phantoms; largest relative energy difference 0.0e+00"
+    assert work == "work differs on 0 of 1 targets; largest relative energy difference 0.0e+00"
+
+
+def test_ab_suite_rejects_an_unknown_target():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "ab_suite.py"), "--parent", ROOT,
+         "--only", "phantom64", "phantom65"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "phantom65" in proc.stderr
+    for name in ("two_phase_s0_b0", "phantom512_defaults", "sweeps128_pass2",
+                 "stage2_write_labels", "stage2_kmeans_k5"):
+        assert name in proc.stderr
+
+
+def test_ab_suite_sweep_targets_make_the_fixed_sweep_count(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(SCRIPTS)
+    import ab_suite
+
+    with open(ab_suite.FIXTURE, encoding="utf-8") as handle:
+        table = ab_suite.targets(json.load(handle), seed=0)
+    with ab_suite.parent_package(ROOT, str(tmp_path)) as parent, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # every solve stops at its cap
+        for pkg in (parent, shrinkseg):
+            for name in ("sweeps64_pass1", "sweeps64_pass2"):
+                run, work = table[name](pkg, str(tmp_path))
+                assert work(run())[0]["sweeps"] == ab_suite.SWEEPS == 200
+    assert ab_suite.ALIAS not in sys.modules
