@@ -5,8 +5,9 @@ under the package name shrinkseg_parent (its imports are relative, so
 the copy stands alone) and imports it beside this tree's shrinkseg.
 Each tree builds every chosen target's operation from its own package,
 untimed. One untimed run of each tree then fills their caches and gives
-the outputs that are compared, and each round runs every operation on
-both trees, the tree that goes first alternating from round to round.
+the outputs that are compared; tracemalloc traces it for its peak. Each
+round runs every operation on both trees, the tree that goes first
+alternating from round to round.
 
 Targets (--only names one or more; the default is the 12 suite64 ones):
 
@@ -34,8 +35,9 @@ Targets (--only names one or more; the default is the 12 suite64 ones):
 --seed N shifts every target's noise seed by N, as perfbench shifts them.
 
 Prints, per target, the median ms of each tree over the rounds, their
-ratio (this tree over the parent) and the rounds this tree won, then
-the geometric mean of the ratios. Then it names every target whose work
+ratio (this tree over the parent), the traced peak MB of each tree's
+untimed run and their ratio, and the rounds this tree won, then the
+geometric mean of the time ratios. Then it names every target whose work
 differs between the trees (a pipeline's sweeps, outer passes, reduced
 passes, final support and labels; a sweep solve's sweeps and u and v
 bytes; the values stage two read, wrote or clustered), with the largest
@@ -62,6 +64,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -197,6 +200,18 @@ def timed(run):
     return time.perf_counter() - start
 
 
+def traced(run, work):
+    """Call run once under tracemalloc: the work of its output and the
+    peak bytes traced during the call."""
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return work(out), peak
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, metavar="PATH",
@@ -224,7 +239,7 @@ def main(argv=None):
           warnings.catch_warnings()):
         warnings.simplefilter("ignore", RuntimeWarning)
         ops = [(table[name](parent, scratch), table[name](shrinkseg, scratch)) for name in names]
-        outputs = [(old_work(old()), new_work(new())) for (old, old_work), (new, new_work) in ops]
+        outputs = [(traced(*old), traced(*new)) for old, new in ops]
         times = [([], []) for _ in ops]
         for round_ in range(args.rounds):
             for ((old, _), (new, _)), (old_s, new_s) in zip(ops, times):
@@ -235,20 +250,22 @@ def main(argv=None):
                     old_s.append(timed(old))
                     new_s.append(timed(new))
 
-    print(f"{'target':<28} {'parent_ms':>9} {'tree_ms':>9} {'ratio':>6} {'wins':>7}")
+    print(f"{'target':<28} {'parent_ms':>9} {'tree_ms':>9} {'ratio':>6} "
+          f"{'parent_mb':>9} {'tree_mb':>9} {'mem':>6} {'wins':>7}")
     ratios = []
-    for name, (old_s, new_s) in zip(names, times):
+    for name, (old_s, new_s), ((_, old_b), (_, new_b)) in zip(names, times, outputs):
         old_ms, new_ms = 1e3 * statistics.median(old_s), 1e3 * statistics.median(new_s)
         ratios.append(new_ms / old_ms)
         wins = sum(new < old for old, new in zip(old_s, new_s))
         print(f"{name:<28} {old_ms:>9.2f} {new_ms:>9.2f} {ratios[-1]:>6.3f} "
+              f"{old_b / 1e6:>9.2f} {new_b / 1e6:>9.2f} {new_b / old_b:>6.3f} "
               f"{wins:>3}/{args.rounds:<3}")
     geomean = math.exp(sum(map(math.log, ratios)) / len(ratios))
     print(f"geomean ratio {geomean:.3f} over {len(names)} targets, "
           f"{args.rounds} rounds, seed {args.seed}")
 
     differ = 0
-    for name, ((old, _), (new, _)) in zip(names, outputs):
+    for name, (((old, _), _), ((new, _), _)) in zip(names, outputs):
         keys = [key for key in old if old[key] != new[key]]
         if keys:
             differ += 1
@@ -256,7 +273,8 @@ def main(argv=None):
                               for key in keys)
             print(f"differs: {name}: {shown}")
     gap = max((abs(new_e - old_e) / abs(old_e)
-               for (_, old_e), (_, new_e) in outputs if old_e is not None), default=0.0)
+               for ((_, old_e), _), ((_, new_e), _) in outputs if old_e is not None),
+              default=0.0)
     print(f"work differs on {differ} of {len(names)} targets; "
           f"largest relative energy difference {gap:.1e}")
     return 0

@@ -4,8 +4,9 @@ Everything here is deliberately built from different primitives than
 the package: dense matrices assembled with kron instead of rolled
 arrays, explicit index loops instead of vectorized stencils, and an
 exhaustive partition search instead of dynamic programming, and a
-depth-first recursion for the k-means layers that the package fills
-breadth first, and scipy's connected components for the tie graph
+depth-first recursion and a single-pass breadth-first fill for the
+k-means layers that the package fills breadth first in bounded blocks,
+and scipy's connected components for the tie graph
 that the package labels by hook and compress. Slow and simple on
 purpose. It also holds what only the tests use: the scalar group
 shrink, the unscaled reference ADMM loop, the linearized inner
@@ -617,6 +618,35 @@ def _recursive_fill_layer(
     _recursive_fill_layer(
         cost_prev, w, s1, s2, mid + 1, hi, out_arg[mid], opt_hi, out_cost, out_arg
     )
+
+
+def unblocked_fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg):
+    """Fill out_cost[lo:hi] breadth first as the package does, but with
+    every round's candidate splits evaluated in one pass, however many
+    there are, and every open subproblem kept in one list."""
+    lo, hi = np.array([lo]), np.array([hi])
+    opt_lo, opt_hi = np.array([opt_lo]), np.array([opt_hi])
+    while lo.size:
+        mid = (lo + hi) // 2
+        counts = np.minimum(opt_hi, mid) - opt_lo
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        a = np.arange(ends[-1]) + np.repeat(opt_lo - starts, counts)
+        seg_w = np.repeat(w[mid], counts) - w[a]
+        seg_s1 = np.repeat(s1[mid], counts) - s1[a]
+        total = (np.repeat(s2[mid], counts) - s2[a]) - seg_s1**2 / seg_w + cost_prev[a]
+        # first minimum of each segment, the one np.argmin would pick
+        best = np.minimum.reduceat(total, starts)
+        hits = np.flatnonzero(total == np.repeat(best, counts))
+        first = hits[np.searchsorted(hits, starts)]
+        arg = a[first]
+        out_cost[mid] = total[first]
+        out_arg[mid] = arg
+        left, right = lo < mid, mid + 1 < hi
+        lo = np.concatenate([lo[left], mid[right] + 1])
+        hi = np.concatenate([mid[left], hi[right]])
+        opt_lo = np.concatenate([opt_lo[left], arg[right]])
+        opt_hi = np.concatenate([arg[left] + 1, opt_hi[right]])
 
 
 def recursive_kmeans_1d(values, k):

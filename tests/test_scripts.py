@@ -34,10 +34,16 @@ def test_script_exits_zero(argv):
     )
     assert proc.returncode == 0, proc.stderr
     if argv[0] == "ab_suite.py":
-        # every target printed, and one tree against itself does the same work
+        # every target printed with both trees' times and traced peaks,
+        # and one tree against itself does the same work
         names = argv[argv.index("--only") + 1:]
         lines = proc.stdout.splitlines()
+        assert lines[0].split() == ["target", "parent_ms", "tree_ms", "ratio",
+                                    "parent_mb", "tree_mb", "mem", "wins"]
         assert [line.split()[0] for line in lines[1:-2]] == names
+        for line in lines[1:-2]:
+            parent_mb, tree_mb, mem = map(float, line.split()[4:7])
+            assert parent_mb > 0 and tree_mb > 0 and mem > 0
         assert lines[-1] == (f"work differs on 0 of {len(names)} targets; "
                              "largest relative energy difference 0.0e+00")
 
@@ -74,7 +80,8 @@ def test_ab_suite_times_the_tree_against_itself():
     )
     assert proc.returncode == 0, proc.stderr
     header, row, geomean, work = proc.stdout.splitlines()
-    assert header.split()[:3] == ["target", "parent_ms", "tree_ms"]
+    assert header.split()[:7] == ["target", "parent_ms", "tree_ms", "ratio",
+                                  "parent_mb", "tree_mb", "mem"]
     assert row.split()[0] == "two_phase_s0_b0" and row.split()[-1] in ("0/1", "1/1")
     assert geomean.startswith("geomean ratio ")
     # one tree against itself: the same work and the same bits

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from shrinkseg import threshold
 from shrinkseg.synth import Disk, PhantomSpec, Rect, generate
 from shrinkseg.threshold import SegmentationResult, kmeans_1d, segment
 
@@ -11,11 +14,12 @@ from shrinkseg.threshold import SegmentationResult, kmeans_1d, segment
 def _tied_values(seed, m, normal):
     """Exactly m distinct values, each repeated one to four times: either
     ninths of distinct integers (equal gaps, so equal costs) or normals
-    rounded to one decimal."""
+    rounded to one decimal. None if the normals give too few."""
     rng = np.random.default_rng(seed)
     if normal:
         pool = np.unique(np.round(rng.standard_normal(20 * m) * m / 20, 1))
-        assume(pool.size >= m)
+        if pool.size < m:
+            return None
         support = rng.choice(pool, m, replace=False)
     else:
         support = rng.choice(3 * m, m, replace=False) / 9.0
@@ -88,6 +92,7 @@ class TestBreadthFirstMatchesRecursion:
     @example(seed=1, k=6, extra=0, normal=True)
     def test_bitwise_equal_on_tied_inputs(self, seed, k, extra, normal):
         values = _tied_values(seed, k + extra, normal)
+        assume(values is not None)
         want = oracles.recursive_kmeans_1d(values, k)
         assert kmeans_1d(values, k).tobytes() == want.tobytes()
 
@@ -108,6 +113,59 @@ class TestBreadthFirstMatchesRecursion:
         for k in (2, 3, 4, 5):
             want = oracles.recursive_kmeans_1d(f, k)
             assert kmeans_1d(f, k).tobytes() == want.tobytes()
+
+
+class TestBlockedLayers:
+    """Each round runs over blocks of at most threshold._BLOCK candidate
+    splits, and past _BLOCK open subproblems finishes half of them depth
+    first. Neither may change a bit of any layer or of the means."""
+
+    @pytest.mark.parametrize("block", [2, 5, 16, 64])
+    @pytest.mark.parametrize("normal", [False, True])
+    def test_layers_bitwise_equal_to_unblocked(self, monkeypatch, block, normal):
+        rounds = []
+        first_minima = threshold._first_minima
+
+        def spy(cost_prev, w, s1, s2, mid, opt_lo, opt_hi):
+            rounds.append(int((np.minimum(opt_hi, mid) - opt_lo).sum()))
+            return first_minima(cost_prev, w, s1, s2, mid, opt_lo, opt_hi)
+
+        monkeypatch.setattr(threshold, "_BLOCK", block)
+        monkeypatch.setattr(threshold, "_first_minima", spy)
+        k = 5
+        # layer 1's first round has (m + 1) // 2 candidates: below the
+        # block, exactly one block, and several blocks
+        for seed, m in enumerate((max(k, block // 2), max(k, 2 * block - 1), 7 * block + 3)):
+            values = _tied_values(seed, m, normal)
+            w, s1, s2 = threshold._prefix_moments(*np.unique(values, return_counts=True))
+            assert w.size == m + 1
+            cost = s2 - np.divide(s1**2, w, out=np.zeros(m + 1), where=w > 0)
+            for j in range(1, k - 1):
+                got_cost, want_cost = np.full(m + 1, np.inf), np.full(m + 1, np.inf)
+                got_arg, want_arg = np.zeros(m + 1, np.intp), np.zeros(m + 1, np.intp)
+                threshold._fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, got_cost, got_arg)
+                oracles.unblocked_fill_layer(
+                    cost, w, s1, s2, j + 1, m + 1, j, m, want_cost, want_arg
+                )
+                assert got_cost.tobytes() == want_cost.tobytes()
+                assert got_arg.tobytes() == want_arg.tobytes()
+                cost = want_cost
+            want = oracles.recursive_kmeans_1d(values, k)
+            assert kmeans_1d(values, k).tobytes() == want.tobytes()
+        assert min(rounds) < block and block in rounds and max(rounds) > 3 * block
+
+    def test_traced_peak_bounded_per_distinct_value(self):
+        # 2^17 distinct values at K = 5: the prefix, cost and split arrays
+        # take 64 bytes per value, and np.unique and the round temporaries,
+        # bounded by the block, must fit in the rest
+        values = np.random.default_rng(0).permutation(2**17) / 7.0
+        tracemalloc.start()
+        try:
+            kmeans_1d(values, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * values.size
 
 
 class TestSegment:
@@ -152,6 +210,13 @@ class TestSegment:
         u = np.array([[0.1, 0.5], [0.5, 0.9]])
         labels = segment(u, 3).labels
         assert sorted(np.unique(labels)) == [1, 2, 3]
+
+    def test_labels_are_int64(self):
+        u = np.round(np.random.default_rng(3).random((8, 8)), 1)
+        result = segment(u, 3)
+        want = 1 + np.searchsorted(np.asarray(result.thresholds), u, side="left")
+        assert result.labels.dtype == np.int64
+        assert result.labels.tobytes() == want.astype(np.int64).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
