@@ -31,6 +31,11 @@ Targets (--only names one or more; the default is the 12 suite64 ones):
                         commands (read_float_grid, read_labels,
                         write_labels, kmeans_1d at K) on the n=256
                         cli_stage2 phantom of perfbench/workloads.json
+  stage2_segment_k2, stage2_segment_k3, stage2_segment_k5, stage2_metrics
+                        the cli_stage2 operations themselves: cli.main
+                        runs `segment` at K or `metrics` in-process on
+                        that phantom's u and truth CSVs, as perfbench
+                        runs them
 
 --seed N shifts every target's noise seed by N, as perfbench shifts them.
 
@@ -40,8 +45,9 @@ untimed run and their ratio, and the rounds this tree won, then the
 geometric mean of the time ratios. Then it names every target whose work
 differs between the trees (a pipeline's sweeps, outer passes, reduced
 passes, final support and labels; a sweep solve's sweeps and u and v
-bytes; the values stage two read, wrote or clustered), with the largest
-relative difference of the pipelines' final energies.
+bytes; the values stage two read, wrote or clustered; a command's exit
+code and the bytes of every file it wrote), with the largest relative
+difference of the pipelines' final energies.
 
     PYTHONPATH=src python scripts/ab_suite.py --parent PATH [--seed N]
         [--rounds R] [--only NAME [NAME ...]]
@@ -82,6 +88,7 @@ SIZES = (64, 128, 256, 512)
 SWEEPS = 200  # per sweep-target solve
 STAGE2_LAYERS = ("read_float", "read_labels", "write_labels",
                  "kmeans_k2", "kmeans_k3", "kmeans_k5")
+STAGE2_COMMANDS = ("segment_k2", "segment_k3", "segment_k5", "metrics")
 
 
 @contextlib.contextmanager
@@ -173,6 +180,30 @@ def stage2(layer, spec, seed):
     return build
 
 
+def stage2_command(command, spec, seed):
+    """One cli_stage2 operation, cli.main in-process, on the phantom of
+    spec: its u and truth CSVs and the command's outputs live in a
+    directory of their own."""
+    def build(pkg, scratch):
+        phantom = make_phantom(pkg, spec, seed)
+        work = Path(tempfile.mkdtemp(dir=scratch))
+        u_csv, truth_csv = str(work / "u.csv"), str(work / "truth.csv")
+        pkg.imgio.write_float_grid(phantom.f, u_csv)
+        pkg.imgio.write_labels(phantom.truth_labels, truth_csv)
+        if command == "metrics":
+            outputs = ["metrics.json"]
+            argv = ["metrics", u_csv, truth_csv, str(work / outputs[0])]
+        else:
+            outputs = ["seg_labels.csv", "seg_labels.pgm"]
+            argv = ["segment", u_csv, command.removeprefix("segment_k"), str(work / "seg_")]
+
+        def written(code):
+            return {"exit": code, **{name: (work / name).read_bytes() for name in outputs}}, None
+
+        return partial(importlib.import_module(pkg.__name__ + ".cli").main, argv), written
+    return build
+
+
 def targets(fixture, seed):
     """Every target's name and build: build(pkg, scratch) makes the
     operation run by the package pkg, writing any files under scratch,
@@ -191,6 +222,8 @@ def targets(fixture, seed):
         stage2_spec = json.load(handle)["workloads"]["cli_stage2"]["spec"]
     for layer in STAGE2_LAYERS:
         table[f"stage2_{layer}"] = stage2(layer, stage2_spec, seed)
+    for command in STAGE2_COMMANDS:
+        table[f"stage2_{command}"] = stage2_command(command, stage2_spec, seed)
     return table
 
 

@@ -110,8 +110,10 @@ def write_image(grid: Array, path) -> None:
     """Clamp to [0,1], quantize round-half-up to bytes, write binary PGM."""
     grid = as_grid(grid, "grid")
     height, width = grid.shape
-    clamped = np.clip(grid, 0.0, 1.0)
-    quantized = np.floor(clamped * 255.0 + 0.5).astype(np.uint8)
+    scaled = np.clip(grid, 0.0, 1.0)
+    scaled *= 255.0  # in place: the same operations, one temporary
+    scaled += 0.5
+    quantized = np.floor(scaled, out=scaled).astype(np.uint8)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     _atomic_write_bytes(path, header + quantized.tobytes())
 
@@ -188,28 +190,43 @@ def read_float_grid(path) -> Array:
 def write_labels(labels: Array, path) -> None:
     """An integer grid as CSV, one row per line, each label in decimal.
 
-    The file is assembled as one byte buffer: each distinct label is
-    formatted once, and its digits are copied into every cell that holds
-    it, one digit position at a time.
+    The file is assembled as one byte buffer by integer arithmetic on
+    the cells' magnitudes: each cell's digit count comes from comparisons
+    with powers of ten, and its digits are written back to front, one
+    digit position for all cells at a time.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2 or labels.size == 0 or labels.dtype.kind not in "iu":
         raise ValueError(
             f"labels must be a nonempty 2D integer array, got {labels.dtype} {labels.shape}"
         )
-    values, index = np.unique(labels, return_inverse=True)
-    index = index.ravel()
-    digits = np.array([str(v).encode("ascii") for v in values.tolist()])
-    table = digits.view(np.uint8).reshape(values.size, -1)
-    width = np.char.str_len(digits)[index]
-    ends = np.cumsum(width + 1)  # each cell ends in a ',' or a newline
-    starts = ends - width - 1
-    data = np.empty(ends[-1], dtype=np.uint8)
-    for pos in range(table.shape[1]):
-        cells = np.flatnonzero(width > pos)
-        data[starts[cells] + pos] = table[index[cells], pos]
-    data[ends - 1] = ord(",")
+    flat = labels.ravel()
+    neg = flat < 0
+    # |x| in the smallest unsigned type of b bits that holds every |x|: a
+    # negative x wraps to 2**b - |x|, and negating that modulo 2**b gives
+    # |x|, even at the dtype's minimum
+    top = max(int(flat.max()), -int(flat.min()))
+    rest = flat.astype(np.min_scalar_type(top))
+    np.negative(rest, out=rest, where=neg)
+    width = neg + 2  # sign, first digit and the ',' or newline that ends each cell
+    power = 10
+    while power <= top:
+        width += rest >= power
+        power *= 10
+    ends = np.cumsum(width)
+    data = np.full(ends[-1], ord(","), dtype=np.uint8)
     data[ends[labels.shape[1] - 1 :: labels.shape[1]] - 1] = ord("\n")
+    data[ends[neg] - width[neg]] = ord("-")
+    at = np.subtract(ends, 2, out=ends)  # each cell's last digit
+    for pos in range(len(str(top))):
+        if pos:  # the cells with more than pos digits, one digit to the left
+            more = rest > 0
+            if not more.all():
+                at, rest = at[more], rest[more]
+            at -= 1
+        quot = rest // 10  # numpy divides by a scalar in SIMD, but not its remainder
+        data[at] = rest - 10 * quot + ord("0")
+        rest = quot
     _atomic_write_bytes(path, data.tobytes())
 
 

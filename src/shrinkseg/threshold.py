@@ -6,11 +6,13 @@ optimal partition into contiguous runs, found by dynamic programming
 right endpoint, so each inner layer is filled by divide and conquer,
 run breadth first: all subproblems of one recursion depth are solved in
 one vectorised round over blocks of at most _BLOCK candidate splits,
-about log2(m) rounds per layer for m distinct values. Only the last
-layer's final endpoint is ever read back, so that layer is one such
-round over every split. Thresholds sit
-midway between consecutive cluster means and each pixel gets the
-1-based label of the interval its value falls in.
+about log2(m) rounds per layer for m distinct values. Once every open
+endpoint against its subproblem's whole split range fits one block,
+one last round finishes the layer, so few-valued images take one
+round per layer. Only the last layer's final endpoint is ever read
+back, so that layer is one such round over every split. Thresholds sit
+midway between consecutive cluster means and each pixel's label is 1
+plus the number of thresholds below its value.
 """
 
 from __future__ import annotations
@@ -96,6 +98,11 @@ def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg)
     arrays and their midpoints solved in one round of _first_minima,
     about log2(hi - lo) rounds per layer. Past _BLOCK subproblems the
     first half is finished depth first, so these arrays stay bounded.
+    Once the endpoints times the split ranges of the open subproblems
+    fit one block, every open endpoint takes its first minimum over its
+    subproblem's whole range in one round. The narrower ranges of the
+    divide and conquer hold the same first minimum, since it is
+    nondecreasing in the endpoint.
     """
     lo, hi, opt_lo, opt_hi = np.atleast_1d(lo, hi, opt_lo, opt_hi)
     while lo.size:
@@ -104,6 +111,15 @@ def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg)
             _fill_layer(cost_prev, w, s1, s2, lo[:h], hi[:h], opt_lo[:h], opt_hi[:h],
                         out_cost, out_arg)
             lo, hi, opt_lo, opt_hi = lo[h:], hi[h:], opt_lo[h:], opt_hi[h:]
+        if (hi - lo) @ (opt_hi - opt_lo) <= _BLOCK:
+            # every endpoint against its subproblem's whole split range fits
+            # one block: finish them all in this round
+            counts = hi - lo
+            mid = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+            out_cost[mid], out_arg[mid] = _first_minima(
+                cost_prev, w, s1, s2, mid, np.repeat(opt_lo, counts), np.repeat(opt_hi, counts)
+            )
+            return
         mid = (lo + hi) // 2
         out_cost[mid], arg = _first_minima(cost_prev, w, s1, s2, mid, opt_lo, opt_hi)
         out_arg[mid] = arg
@@ -174,10 +190,14 @@ def segment(u: Array, k: int) -> SegmentationResult:
     u = as_grid(u, "u")
     means = kmeans_1d(u.ravel(), k)
     thresholds = (means[:-1] + means[1:]) / 2.0
-    labels = 1 + np.searchsorted(thresholds, u, side="left")
+    # 1 + the count of thresholds below each value: the interval
+    # searchsorted(side="left") finds, without a search per pixel
+    labels = np.ones(u.shape, dtype=np.int64)
+    for t in thresholds:
+        labels += u > t
     return SegmentationResult(
         k=k,
         cluster_means=tuple(float(m) for m in means),
         thresholds=tuple(float(t) for t in thresholds),
-        labels=labels.astype(np.int64, copy=False),
+        labels=labels,
     )

@@ -7,7 +7,10 @@ exhaustive partition search instead of dynamic programming, and a
 depth-first recursion and a single-pass breadth-first fill for the
 k-means layers that the package fills breadth first in bounded blocks,
 and scipy's connected components for the tie graph
-that the package labels by hook and compress. Slow and simple on
+that the package labels by hook and compress, a dense least squares for
+the reduced certificate's duals that the package solves through a
+Laplacian, and str() per distinct label for the label CSV that the
+package formats by digit arithmetic. Slow and simple on
 purpose. It also holds what only the tests use: the scalar group
 shrink, the unscaled reference ADMM loop, the linearized inner
 objective and the trace CSV reader.
@@ -689,6 +692,69 @@ def recursive_kmeans_1d(values, k):
     for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         means[i] = (s1[b] - s1[a]) / (w[b] - w[a])
     return means
+
+
+# ---------------------------------------------------------------------------
+# Reduced-pass certificate by dense least squares
+
+
+def lstsq_certify(quad, linear, triples, w, live, c, step):
+    """Whether c certifies as the minimizer of the reduced pass problem,
+    decided as admm._certify decides it, but with each round's duals the
+    minimum-norm least squares of the dense (C, 2T) map y -> sum_t
+    E_t^T y_t over the merged terms (np.linalg.lstsq), and without the
+    balance check."""
+    jumps = admm_module._jumps
+    moved = jumps(triples[live], step)
+    x = jumps(triples, c)
+    norms = np.hypot(x[:, 0], x[:, 1])
+    if not np.all(np.hypot(moved[:, 0], moved[:, 1]) < norms[live]):
+        return False
+    dead = ~live
+    if not dead.any():
+        return True
+    g = quad @ c - linear + admm_module._penalty_grad(
+        triples[live], w[live], x[live], norms[live], c.size
+    )
+    merged = triples[dead]
+    matrix = np.zeros((c.size, 2 * merged.shape[0]))
+    cols = np.arange(matrix.shape[1])
+    matrix[merged[:, 1:].ravel(), cols] = 1.0
+    matrix[np.repeat(merged[:, 0], 2), cols] -= 1.0
+    scale = np.ones(merged.shape[0])
+    for _ in range(admm_module._DUAL_ROUNDS):
+        root = np.repeat(w[dead] / np.sqrt(scale), 2)  # y = root * z, least ||z||
+        z = np.linalg.lstsq(matrix * root, -g, rcond=None)[0]
+        ratio = np.hypot(z[0::2], z[1::2]) / np.sqrt(scale)
+        if ratio.max() <= 1.0:
+            return True
+        scale *= np.maximum(ratio, 1e-12)
+    return False
+
+
+# ---------------------------------------------------------------------------
+# Label CSV bytes from a table of formatted labels
+
+
+def digit_table_labels(labels):
+    """The bytes imgio.write_labels writes: each distinct label is
+    formatted once by str(), and its digits are copied into every cell
+    that holds it, one digit position at a time."""
+    labels = np.asarray(labels)
+    values, index = np.unique(labels, return_inverse=True)
+    index = index.ravel()
+    digits = np.array([str(v).encode("ascii") for v in values.tolist()])
+    table = digits.view(np.uint8).reshape(values.size, -1)
+    width = np.char.str_len(digits)[index]
+    ends = np.cumsum(width + 1)  # each cell ends in a ',' or a newline
+    starts = ends - width - 1
+    data = np.empty(ends[-1], dtype=np.uint8)
+    for pos in range(table.shape[1]):
+        cells = np.flatnonzero(width > pos)
+        data[starts[cells] + pos] = table[index[cells], pos]
+    data[ends - 1] = ord(",")
+    data[ends[labels.shape[1] - 1 :: labels.shape[1]] - 1] = ord("\n")
+    return data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -194,12 +194,45 @@ LABEL_GRIDS = [
 ]
 
 
+def _edge_grids(dtype):
+    """Grids of one integer dtype: its minimum and its maximum alone (1x1),
+    one row and one column of every digit-count edge in its range
+    (10^p - 1, 10^p, and the negatives of those and of 10^p + 1) with both
+    extremes, and a random grid across the whole range."""
+    info = np.iinfo(dtype)
+    edges = {info.min, info.max, 0}
+    for p in range(20):
+        for value in (10**p - 1, 10**p, -(10**p - 1), -(10**p), -(10**p) - 1):
+            if info.min <= value <= info.max:
+                edges.add(value)
+    row = np.array(sorted(edges), dtype=dtype)
+    rng = np.random.default_rng(info.bits)
+    spread = rng.integers(info.min, info.max, (6, 5), dtype=dtype, endpoint=True)
+    return {"min": row[:1, None], "max": row[-1:, None], "row": row[None, :],
+            "column": row[::-1, None], "random": spread}
+
+
+EDGE_GRIDS = [
+    pytest.param(grid, id=f"{np.dtype(dtype).name}-{kind}")
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+    for kind, grid in _edge_grids(dtype).items()
+]
+
+
 class TestLabels:
     @pytest.mark.parametrize("labels", LABEL_GRIDS, ids=lambda a: f"{a.dtype}{a.shape}")
     def test_bytes_match_joined_cells(self, tmp_path, labels):
         path = tmp_path / "l.csv"
         imgio.write_labels(labels, path)
         assert path.read_bytes() == _joined_labels(labels)
+
+    @pytest.mark.parametrize("labels", EDGE_GRIDS)
+    def test_bytes_match_digit_table_at_dtype_edges(self, tmp_path, labels):
+        # digit arithmetic must not overflow at iinfo.min, whose magnitude
+        # the signed dtype cannot hold
+        path = tmp_path / "l.csv"
+        imgio.write_labels(labels, path)
+        assert path.read_bytes() == oracles.digit_table_labels(labels) == _joined_labels(labels)
 
     @pytest.mark.parametrize(
         "labels",

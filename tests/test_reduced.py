@@ -450,3 +450,64 @@ class TestDecomposeTries:
             within += count <= admm_module._MAX_PIECES
             assert out is None or count <= admm_module._MAX_PIECES
         assert len(attempts) == within > 0
+
+
+def _certify_calls(fixtures, name, defaults):
+    """The args of every _certify call with merged terms in the run of
+    the fixture phantom name, at the acceptance settings or the CLI
+    defaults."""
+    entry = next(e for e in fixtures["suite"] if e["name"] == name)
+    solver = fixtures["solver"]
+    phantom = generate(phantom_spec_from_dict(entry["spec"]))
+    f = to_log_domain(phantom.f / phantom.f.max())
+    if defaults:
+        outer, inner = OuterParams(), AdmmParams()
+    else:
+        outer = OuterParams(tol_out=solver["tol_out"], maxit_out=solver["maxit_out"],
+                            tau_supp=solver["tau_supp"])
+        inner = AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"])
+    original, calls = admm_module._certify, []
+
+    def spy(*args):
+        if not args[5].all():
+            calls.append(args)
+        return original(*args)
+
+    admm_module._certify = spy
+    try:
+        decompose(f, ModelParams(alpha=entry["alpha"], beta=entry["beta"]), outer, inner)
+    finally:
+        admm_module._certify = original
+    return calls
+
+
+class TestCertificate:
+    """The merged terms' duals come from a C x C Laplacian solve, not a
+    dense least squares, and must balance the live gradient."""
+
+    def test_decisions_match_dense_least_squares(self, acceptance_fixtures):
+        # two_phase_s0.05_b0 merges terms at both settings, and at the
+        # CLI defaults one certificate's duals stay above their bounds
+        decisions = []
+        for defaults in (False, True):
+            for args in _certify_calls(acceptance_fixtures, "two_phase_s0.05_b0", defaults):
+                quad, linear, triples, w, cls, live, c, step = args
+                mine = admm_module._certify(*args) is not None
+                assert mine == oracles.lstsq_certify(quad, linear, triples, w, live, c, step)
+                decisions.append(mine)
+        assert len(decisions) == 6 and 0 < sum(decisions) < 6
+
+    def test_unbalanced_duals_decline(self, acceptance_fixtures):
+        # b shifted by delta on one merged class: a constant on the class
+        # leaves every y_t as it was, but no dual can balance it
+        args = _certify_calls(acceptance_fixtures, "two_phase_s0.05_b0", False)[0]
+        quad, linear, triples, w, cls, live, c, step = args
+        assert admm_module._certify(*args) is c
+        merged = np.bincount(cls)
+        on = (cls == merged.argmax()).astype(float)
+        assert merged.max() > 1
+        for ratio, certified in ((1e-10, True), (1e-6, False)):
+            delta = ratio * np.linalg.norm(linear) / np.sqrt(merged.max())
+            shifted = (quad, linear + delta * on, triples, w, cls, live, c, step)
+            assert (admm_module._certify(*shifted) is c) == certified
+            assert oracles.lstsq_certify(*shifted[:4], *shifted[5:])

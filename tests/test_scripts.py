@@ -25,6 +25,8 @@ AB_SUITE = ["ab_suite.py", "--parent", ROOT, "--rounds", "1", "--only"]
         ["fixture_work.py", "--only", "two_phase_s0_b0"],
         ["fixture_work.py", "--only", "two_phase_s0_b0", "--defaults"],
         [*AB_SUITE, "stage2_read_float", "stage2_kmeans_k3"],
+        [*AB_SUITE, "stage2_segment_k2", "stage2_segment_k3", "stage2_segment_k5",
+         "stage2_metrics"],
     ],
 )
 def test_script_exits_zero(argv):
@@ -97,7 +99,8 @@ def test_ab_suite_rejects_an_unknown_target():
     assert proc.returncode == 2
     assert "phantom65" in proc.stderr
     for name in ("two_phase_s0_b0", "phantom512_defaults", "sweeps128_pass2",
-                 "stage2_write_labels", "stage2_kmeans_k5"):
+                 "stage2_write_labels", "stage2_kmeans_k5", "stage2_segment_k5",
+                 "stage2_metrics"):
         assert name in proc.stderr
 
 
@@ -114,3 +117,24 @@ def test_ab_suite_sweep_targets_make_the_fixed_sweep_count(tmp_path, monkeypatch
                 run, work = table[name](pkg, str(tmp_path))
                 assert work(run())[0]["sweeps"] == ab_suite.SWEEPS == 200
     assert ab_suite.ALIAS not in sys.modules
+
+
+def test_ab_suite_stage2_commands_compare_the_written_files(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(SCRIPTS)
+    import ab_suite
+
+    with open(ab_suite.FIXTURE, encoding="utf-8") as handle:
+        table = ab_suite.targets(json.load(handle), seed=0)
+    outputs = {"stage2_segment_k3": ["seg_labels.csv", "seg_labels.pgm"],
+               "stage2_metrics": ["metrics.json"]}
+    compared = {}
+    for name, files in outputs.items():
+        run, work = table[name](shrinkseg, str(tmp_path))
+        compared[name], energy = work(run())
+        assert energy is None
+        assert sorted(compared[name]) == sorted(["exit", *files])
+        assert compared[name]["exit"] == 0
+    # the segment command's labels at K=3, and the metrics of both phases
+    cells = compared["stage2_segment_k3"]["seg_labels.csv"].replace(b"\n", b",").split(b",")
+    assert set(cells[:-1]) == {b"1", b"2", b"3"} and cells[-1] == b""
+    assert len(json.loads(compared["stage2_metrics"]["metrics.json"])["phases"]) == 2

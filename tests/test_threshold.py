@@ -123,11 +123,15 @@ class TestBlockedLayers:
     @pytest.mark.parametrize("block", [2, 5, 16, 64])
     @pytest.mark.parametrize("normal", [False, True])
     def test_layers_bitwise_equal_to_unblocked(self, monkeypatch, block, normal):
-        rounds = []
+        rounds, cut = [], []
         first_minima = threshold._first_minima
 
         def spy(cost_prev, w, s1, s2, mid, opt_lo, opt_hi):
-            rounds.append(int((np.minimum(opt_hi, mid) - opt_lo).sum()))
+            ends = np.cumsum(np.minimum(opt_hi, mid) - opt_lo)
+            rounds.append(int(ends[-1]))
+            # segments that a block boundary cuts, whose minima are joined
+            bounds = np.arange(block, ends[-1], block)
+            cut.append(np.count_nonzero(np.isin(bounds, ends, invert=True)))
             return first_minima(cost_prev, w, s1, s2, mid, opt_lo, opt_hi)
 
         monkeypatch.setattr(threshold, "_BLOCK", block)
@@ -153,6 +157,7 @@ class TestBlockedLayers:
             want = oracles.recursive_kmeans_1d(values, k)
             assert kmeans_1d(values, k).tobytes() == want.tobytes()
         assert min(rounds) < block and block in rounds and max(rounds) > 3 * block
+        assert sum(cut) > 0
 
     def test_traced_peak_bounded_per_distinct_value(self):
         # 2^17 distinct values at K = 5: the prefix, cost and split arrays
@@ -166,6 +171,65 @@ class TestBlockedLayers:
         finally:
             tracemalloc.stop()
         assert peak < 128 * values.size
+
+
+class TestOneRoundLayers:
+    """A layer, or the open subproblems of a round, whose endpoints times
+    split range fit one block are finished in one _first_minima round.
+    That must not change a bit of any layer or of the means."""
+
+    @staticmethod
+    def _layers(monkeypatch, values, k):
+        """Each layer's rounds in _fill_layer, with its cost and split
+        arrays asserted bitwise equal to the unblocked fill's."""
+        calls = []
+        first_minima = threshold._first_minima
+
+        def spy(*args):
+            calls.append(args[4].size)
+            return first_minima(*args)
+
+        monkeypatch.setattr(threshold, "_first_minima", spy)
+        w, s1, s2 = threshold._prefix_moments(*np.unique(values, return_counts=True))
+        m = w.size - 1
+        cost = s2 - np.divide(s1**2, w, out=np.zeros(m + 1), where=w > 0)
+        rounds = []
+        for j in range(1, k - 1):
+            got_cost, want_cost = np.full(m + 1, np.inf), np.full(m + 1, np.inf)
+            got_arg, want_arg = np.zeros(m + 1, np.intp), np.zeros(m + 1, np.intp)
+            calls.clear()
+            threshold._fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, got_cost, got_arg)
+            rounds.append(list(calls))
+            oracles.unblocked_fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, want_cost, want_arg)
+            assert got_cost.tobytes() == want_cost.tobytes()
+            assert got_arg.tobytes() == want_arg.tobytes()
+            cost = want_cost
+        return m, rounds
+
+    @pytest.mark.parametrize("m", [5, 11, 25, 64, 128])
+    @pytest.mark.parametrize("normal", [False, True])
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_small_layers_take_one_round(self, monkeypatch, m, normal, k):
+        values = _tied_values(m * k, max(m, k), normal)
+        m, rounds = self._layers(monkeypatch, values, k)
+        # layer j: m - j endpoints against m - j splits, at most 127^2 < _BLOCK
+        assert rounds == [[m - j] for j in range(1, k - 1)]
+        assert kmeans_1d(values, k).tobytes() == oracles.recursive_kmeans_1d(values, k).tobytes()
+
+    @pytest.mark.parametrize("block", [1024, 4096])
+    @pytest.mark.parametrize("normal", [False, True])
+    def test_subproblems_finish_in_one_round(self, monkeypatch, block, normal):
+        # the first rounds exceed the block; the last one finishes every
+        # open subproblem, so each endpoint is solved once, in fewer
+        # rounds than the divide and conquer's 7 at m = 128
+        monkeypatch.setattr(threshold, "_BLOCK", block)
+        for seed in range(3):
+            values = _tied_values(seed, 128, normal)
+            m, rounds = self._layers(monkeypatch, values, 5)
+            for j, layer in enumerate(rounds, start=1):
+                assert sum(layer) == m - j
+                assert 1 < len(layer) < (m - j).bit_length()
+            assert kmeans_1d(values, 5).tobytes() == oracles.recursive_kmeans_1d(values, 5).tobytes()
 
 
 class TestSegment:
@@ -210,6 +274,27 @@ class TestSegment:
         u = np.array([[0.1, 0.5], [0.5, 0.9]])
         labels = segment(u, 3).labels
         assert sorted(np.unique(labels)) == [1, 2, 3]
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_labels_match_searchsorted_at_thresholds(self, monkeypatch, k):
+        # values at each threshold and one ulp to either side, under
+        # means chosen so that the thresholds are known
+        rng = np.random.default_rng(k)
+        means = np.sort(rng.choice(1000, k, replace=False) / 7.0)
+        monkeypatch.setattr(threshold, "kmeans_1d", lambda values, k: means)
+        thresholds = (means[:-1] + means[1:]) / 2.0
+        u = np.concatenate([
+            thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf),
+            means, rng.uniform(means[0] - 1, means[-1] + 1, 43),
+        ])
+        u = rng.permutation(u).reshape(2, -1)
+        result = segment(u, k)
+        assert result.thresholds == tuple(thresholds)
+        want = 1 + np.searchsorted(thresholds, u, side="left")
+        assert result.labels.dtype == np.int64
+        assert result.labels.tobytes() == want.astype(np.int64).tobytes()
+        # a value at a threshold takes the label below it
+        assert set(result.labels[np.isin(u, thresholds)].tolist()) <= set(range(1, k))
 
     def test_labels_are_int64(self):
         u = np.round(np.random.default_rng(3).random((8, 8)), 1)
