@@ -12,11 +12,13 @@ alternating from round to round.
 Targets (--only names one or more; the default is the 12 suite64 ones):
 
   two_phase_s0_b0, ...  a suite64 phantom of tests/fixtures/acceptance.json
-                        through log-domain decompose, exponentiate and
-                        segment at the fixture's solver settings (the
-                        acceptance settings), as perfbench runs it
-  phantom{n}            the same on the scripts/phantom_report.py phantom,
-                        n = 64, 128, 256 or 512
+                        through fixture_work.pipeline (log-domain
+                        decompose, exponentiate and segment) at the
+                        fixture's solver settings (the acceptance
+                        settings), as perfbench runs it
+  phantom{n}            the same on the scripts/phantom_report.py phantom
+                        (calibrate_fixtures.two_phase_spec), n = 64, 128,
+                        256 or 512
   phantom{n}_defaults   the same at the settings `shrinkseg run` uses
                         with no config
   sweeps{n}_pass1       one admm_solve of exactly 200 sweeps (tol_in=0) on
@@ -43,8 +45,10 @@ Prints, per target, the median ms of each tree over the rounds, their
 ratio (this tree over the parent), the traced peak MB of each tree's
 untimed run and their ratio, and the rounds this tree won, then the
 geometric mean of the time ratios. Then it names every target whose work
-differs between the trees (a pipeline's sweeps, outer passes, reduced
-passes, final support and labels; a sweep solve's sweeps and u and v
+differs between the trees (a pipeline's fixture_work.work row but its
+energy: sweeps, first-pass sweeps, outer passes, capped solves, reduced
+passes, energy rises, convergence, final support and the digests of
+labels, u and v; a sweep solve's sweeps and u and v
 bytes; the values stage two read, wrote or clustered; a command's exit
 code and the bytes of every file it wrote), with the largest relative
 difference of the pipelines' final energies.
@@ -79,8 +83,8 @@ from pathlib import Path
 import numpy as np
 
 import shrinkseg
-from fixture_work import FIXTURE, fixture_problem, make_phantom
-from phantom_report import build_spec
+from calibrate_fixtures import two_phase_spec
+from fixture_work import fixture_problem, load_fixture, make_phantom, pipeline, work
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALIAS = "shrinkseg_parent"
@@ -107,29 +111,16 @@ def parent_package(parent_root, scratch):
 
 
 def pipeline_work(out):
-    """What the trees must agree on, and the final energy."""
-    result, labels = out
-    return {
-        "sweeps": int(result.trace.column("inner_iters").sum()),
-        "passes": result.outer_iters,
-        "reduced": result.reduced_solves,
-        "support": result.trace[-1].support_size,
-        "labels": labels.tobytes(),
-    }, result.trace[-1].energy
+    """What the trees must agree on, the row of fixture_work.work but
+    its energy, and that final energy."""
+    row = work(*out)
+    energy = row.pop("energy")
+    return row, energy
 
 
-def pipeline(entry, solver, seed):
-    """A suite64 operation on a fixture entry: log-domain decompose,
-    exponentiate, segment."""
-    def build(pkg, scratch):
-        g, model, outer, admm = fixture_problem(pkg, entry, solver, seed)
-
-        def run():
-            result = pkg.decompose(g, model, outer, admm)
-            return result, pkg.segment(pkg.imgio.from_log_domain(result.u), entry["k"]).labels
-
-        return run, pipeline_work
-    return build
+def acceptance(entry, solver, seed):
+    """A pipeline target: fixture_work.pipeline on a fixture entry."""
+    return lambda pkg, scratch: (pipeline(pkg, entry, solver, seed), pipeline_work)
 
 
 def sweep_work(out):
@@ -210,12 +201,12 @@ def targets(fixture, seed):
     and returns it with work, which maps its output to what the trees
     must agree on and the final energy (None if it has none)."""
     solver = fixture["solver"]
-    table = {entry["name"]: pipeline(entry, solver, seed) for entry in fixture["suite"]}
+    table = {entry["name"]: acceptance(entry, solver, seed) for entry in fixture["suite"]}
     for n in SIZES:
-        spec = shrinkseg.imgio.phantom_spec_to_dict(build_spec(n, sigma=0.05, bias_amp=0.4, seed=7))
+        spec = shrinkseg.imgio.phantom_spec_to_dict(two_phase_spec(n, 0.05, 0.4, "linear_ramp", 7))
         entry = {"spec": spec, "alpha": 0.5, "beta": 1000.0, "k": 2}
-        table[f"phantom{n}"] = pipeline(entry, solver, seed)
-        table[f"phantom{n}_defaults"] = pipeline(entry, None, seed)
+        table[f"phantom{n}"] = acceptance(entry, solver, seed)
+        table[f"phantom{n}_defaults"] = acceptance(entry, None, seed)
         table[f"sweeps{n}_pass1"] = sweep_solve(entry, solver, seed, second=False)
         table[f"sweeps{n}_pass2"] = sweep_solve(entry, solver, seed, second=True)
     with open(os.path.join(ROOT, "perfbench", "workloads.json"), encoding="utf-8") as handle:
@@ -259,8 +250,7 @@ def main(argv=None):
     if not os.path.isfile(os.path.join(args.parent, "src", "shrinkseg", "__init__.py")):
         parser.error(f"no src/shrinkseg package under {args.parent!r}")
 
-    with open(FIXTURE, encoding="utf-8") as handle:
-        fixture = json.load(handle)
+    fixture = load_fixture()
     table = targets(fixture, args.seed)
     names = args.only or [entry["name"] for entry in fixture["suite"]]
     unknown = [name for name in names if name not in table]

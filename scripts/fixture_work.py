@@ -11,7 +11,10 @@ totals, where the converged column counts the converged runs. Rises and
 convergence are read from the DecompositionResult, not from warnings,
 which Python shows once per code location. Every number is a count or
 a float the solver computes, so two runs of one tree print the same
-table, and two trees can be compared line by line.
+table, and two trees can be compared line by line. pipeline and work
+are the one build of that pipeline and of its row: scripts/ab_suite.py
+times and compares them, and phantom_report.py and calibrate_fixtures.py
+run pipeline.
 
     PYTHONPATH=src python scripts/fixture_work.py [--only NAME]
         [--seed-offset N] [--defaults]
@@ -29,13 +32,16 @@ import os
 import sys
 
 import shrinkseg
-from shrinkseg import decompose, segment
-from shrinkseg.imgio import from_log_domain
 
 FIXTURE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "tests", "fixtures", "acceptance.json",
 )
+
+
+def load_fixture():
+    with open(FIXTURE, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def digest(array):
@@ -58,22 +64,29 @@ def fixture_problem(pkg, entry, solver, seed_offset):
     if solver is None:
         outer, admm = pkg.OuterParams(), pkg.AdmmParams()
     else:
-        outer = pkg.OuterParams(
-            tol_out=solver["tol_out"],
-            maxit_out=solver["maxit_out"],
-            tau_supp=solver["tau_supp"],
-        )
+        outer = pkg.OuterParams(tol_out=solver["tol_out"], maxit_out=solver["maxit_out"],
+                                tau_supp=solver["tau_supp"])
         admm = pkg.AdmmParams(r=solver["r"], tol_in=solver["tol_in"],
                               maxit_in=solver["maxit_in"])
     return g, pkg.ModelParams(alpha=entry["alpha"], beta=entry["beta"]), outer, admm
 
 
-def run_entry(entry, solver, seed_offset):
-    """One phantom's row; solver is the fixture's settings, or None for
-    the CLI defaults."""
-    g, model, outer, admm = fixture_problem(shrinkseg, entry, solver, seed_offset)
-    result = decompose(g, model, outer, admm)
-    labels = segment(from_log_domain(result.u), entry["k"]).labels
+def pipeline(pkg, entry, solver, seed_offset):
+    """The acceptance pipeline of the package pkg on a fixture entry, as
+    a call: it decomposes the entry's g at solver (fixture_problem's,
+    built once, here), exponentiates u, segments it into the entry's K
+    phases and returns (result, labels)."""
+    g, model, outer, admm = fixture_problem(pkg, entry, solver, seed_offset)
+
+    def run():
+        result = pkg.decompose(g, model, outer, admm)
+        return result, pkg.segment(pkg.imgio.from_log_domain(result.u), entry["k"]).labels
+
+    return run
+
+
+def work(result, labels):
+    """One phantom's row, from the output of a pipeline call."""
     return {
         "sweeps": int(result.trace.column("inner_iters").sum()),
         "first": result.trace[0].inner_iters,
@@ -98,8 +111,7 @@ def main(argv=None):
                         help="solve at the CLI defaults, not the fixture's settings")
     args = parser.parse_args(argv)
 
-    with open(FIXTURE, encoding="utf-8") as handle:
-        fixture = json.load(handle)
+    fixture = load_fixture()
     entries = fixture["suite"] + fixture["quality"]
     if args.only:
         entries = [e for e in entries if e["name"] == args.only]
@@ -110,8 +122,9 @@ def main(argv=None):
           f"{'rises':>5} {'converged':>9} {'support':>7}  {'labels':<12}  {'u':<12}  {'v':<12}  "
           f"energy")
     totals = dict(sweeps=0, first=0, outer=0, capped=0, reduced=0, rises=0, converged=0)
+    solver = None if args.defaults else fixture["solver"]
     for entry in entries:
-        row = run_entry(entry, None if args.defaults else fixture["solver"], args.seed_offset)
+        row = work(*pipeline(shrinkseg, entry, solver, args.seed_offset)())
         for key in totals:
             totals[key] += row[key]
         print(f"{entry['name']:<28} {row['sweeps']:>7} {row['first']:>5} {row['outer']:>5} "

@@ -1,8 +1,10 @@
 """Desk-scale demo: synthesize a biased phantom, correct and segment it.
 
-Prints the outer-iteration trace and a per-phase quality table
-(Jaccard overlap with the ground truth, coefficient of variation of
-the corrected image over each true region).
+Runs the acceptance pipeline of fixture_work.py, at the solver settings
+of tests/fixtures/acceptance.json, on the two-phase phantom of
+calibrate_fixtures.py. Prints the outer-iteration trace and a per-phase
+quality table (Jaccard overlap with the ground truth, coefficient of
+variation of the corrected image over each true region).
 """
 
 import argparse
@@ -11,40 +13,11 @@ import time
 
 import numpy as np
 
-from shrinkseg import (
-    AdmmParams,
-    ModelParams,
-    OuterParams,
-    cv,
-    decompose,
-    generate,
-    jaccard,
-    segment,
-)
-from shrinkseg.imgio import from_log_domain, to_log_domain
-from shrinkseg.synth import Disk, PhantomSpec, Rect
-
-
-def build_spec(n, sigma, bias_amp, seed):
-    return PhantomSpec(
-        n=n,
-        phase_values=(0.3, 0.8),
-        shapes=(
-            Disk(row=n // 2, col=int(0.34 * n), radius=int(0.23 * n), phase=2),
-            Rect(
-                row0=int(0.16 * n),
-                col0=int(0.69 * n),
-                row1=int(0.55 * n),
-                col1=int(0.91 * n),
-                phase=2,
-            ),
-        ),
-        bias_amplitude=bias_amp,
-        bias_kind="linear_ramp" if bias_amp else "none",
-        noise_sigma=sigma,
-        composition="multiplicative",
-        seed=seed,
-    )
+import shrinkseg
+from calibrate_fixtures import two_phase_spec
+from fixture_work import load_fixture, pipeline
+from shrinkseg import cv, generate, jaccard
+from shrinkseg.imgio import from_log_domain, phantom_spec_to_dict
 
 
 def main(argv=None):
@@ -57,20 +30,17 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
-    spec = build_spec(args.n, args.sigma, args.bias, args.seed)
-    phantom = generate(spec)
+    kind = "linear_ramp" if args.bias else "none"
+    spec = two_phase_spec(args.n, args.sigma, args.bias, kind, args.seed)
     k = len(spec.phase_values)
-
-    # multiplicative bias turns additive after the log transform
-    g = to_log_domain(phantom.f / phantom.f.max())
-    outer = OuterParams(maxit_out=40, tau_supp=1e-3)
-    admm = AdmmParams(r=10.0, tol_in=1e-8, maxit_in=500)
+    entry = {"spec": phantom_spec_to_dict(spec), "alpha": args.alpha, "beta": args.beta, "k": k}
+    run = pipeline(shrinkseg, entry, load_fixture()["solver"], 0)
 
     start = time.perf_counter()
-    result = decompose(g, ModelParams(alpha=args.alpha, beta=args.beta), outer, admm)
+    result, labels = run()
     elapsed = time.perf_counter() - start
     u = from_log_domain(result.u)
-    seg = segment(u, k)
+    truth = generate(spec).truth_labels
 
     print(f"n={args.n} sigma={args.sigma} bias={args.bias} "
           f"alpha={args.alpha} beta={args.beta}")
@@ -84,8 +54,8 @@ def main(argv=None):
 
     print("\nphase  value  jaccard  cv")
     for phase in range(1, k + 1):
-        region = phantom.truth_labels == phase
-        js = jaccard(seg.labels == phase, region)
+        region = truth == phase
+        js = jaccard(labels == phase, region)
         spread = cv(u, region)
         print(f"{phase:5d}  {spec.phase_values[phase - 1]:.2f}   {js:.4f}   {spread:.4f}")
     return 0

@@ -356,10 +356,7 @@ class RunState:
         if old is None or not np.array_equal(merge[old.label], label):
             smooth = _smooth(label, self.shape, self.params.gamma, self.params.beta)
         else:
-            count = pieces.sizes.size
-            pairs = (merge[:, None] * count + merge).ravel()
-            smooth = np.bincount(pairs, self.quad_smooth.ravel(), count * count)
-            smooth = smooth.reshape(count, count)
+            smooth = _coarsen(self.quad_smooth, merge, pieces.sizes.size)
             smooth = 0.5 * (smooth + smooth.T)
         self.quad_pieces, self.quad_smooth = pieces, smooth
         return smooth
@@ -648,6 +645,13 @@ def _smooth(label: Array, shape: tuple[int, int], gamma: float, beta: float) -> 
     return 0.5 * (smooth + smooth.T)
 
 
+def _coarsen(matrix: Array, cls: Array, size: int) -> Array:
+    """M^T matrix M for the 0/1 matrix M that sends each index to its
+    class in cls (size classes), summed by one bincount."""
+    pairs = (cls[:, None] * size + cls).ravel()
+    return np.bincount(pairs, matrix.ravel(), size * size).reshape(size, size)
+
+
 def _jumps(triples: Array, c: Array) -> Array:
     """(T, 2) jump pairs E_t c = (c[right] - c[own], c[lower] - c[own])."""
     return c[triples[:, 1:]] - c[triples[:, :1]]
@@ -780,11 +784,6 @@ def _newton(quad, linear, triples, w, sizes, total, c):
     """
     count = c.size
     n_pix = sizes.sum()
-    cls = np.arange(count)  # merged class of each component
-    size = count  # classes; below count once a merge has joined two
-    live = np.ones(triples.shape[0], dtype=bool)  # terms whose classes differ
-    stiff = np.outer(sizes, sizes) / n_pix  # the shift stiffening
-    pairs = None  # component pairs to class pairs, once a merge happened
     c = c + (total - sizes @ c) / n_pix
     rows, cols = triples[:, _BLOCK_ROWS], triples[:, _BLOCK_COLS]
     entries = (rows * count + cols).ravel()
@@ -797,15 +796,17 @@ def _newton(quad, linear, triples, w, sizes, total, c):
         return gs @ delta + 0.5 * delta @ quad @ delta + penalty
 
     def merge(joined):
-        """Make joined the classes, with their live terms and stiffening."""
-        nonlocal cls, size, live, stiff, pairs
+        """Make joined the classes, with their live terms (those whose
+        classes differ) and the shift stiffening."""
+        nonlocal cls, size, live, stiff
         cls, size = joined, joined.max() + 1
         classes = cls[triples]
         live = (classes[:, 0] != classes[:, 1]) | (classes[:, 0] != classes[:, 2])
         class_sizes = np.bincount(cls, sizes, size)
         stiff = np.outer(class_sizes, class_sizes) / n_pix
-        pairs = (cls[:, None] * size + cls).ravel()
 
+    cls = size = live = stiff = None  # set by merge
+    merge(np.arange(count))  # every component a class of its own
     for _ in range(_NEWTON_STEPS):
         x = _jumps(triples, c)
         norms = np.hypot(x[:, 0], x[:, 1])
@@ -814,12 +815,10 @@ def _newton(quad, linear, triples, w, sizes, total, c):
             merge(_merge(cls, triples, np.flatnonzero(flat)))
             c = _class_means(cls, sizes, c)
             continue
-        if size < count:  # merged terms carry no jump, gradient or curvature
-            xl = np.where(live[:, None], x, 0.0)
-            nl = np.where(live, norms, 1.0)
-            wl = np.where(live, w, 0.0)
-        else:
-            xl, nl, wl = x, norms, w
+        # merged terms carry no jump, gradient or curvature
+        xl = np.where(live[:, None], x, 0.0)
+        nl = np.where(live, norms, 1.0)
+        wl = np.where(live, w, 0.0)
         gs = quad @ c - linear
         g = gs + _penalty_grad(triples, wl, xl, nl, count)
         # E_t^T M_t E_t with M_t = w_t / |x_t| (I - x_t x_t' / |x_t|^2),
@@ -833,13 +832,8 @@ def _newton(quad, linear, triples, w, sizes, total, c):
         hess = quad + np.bincount(entries, block.ravel(), count * count).reshape(count, count)
         # Newton over the classes; the outer product of the class sizes
         # only stiffens the shift direction
-        if size < count:
-            hess = np.bincount(pairs, hess.ravel(), size * size).reshape(size, size)
-            hess += stiff
-            step = np.linalg.solve(hess, -np.bincount(cls, g, size))[cls]
-        else:
-            hess += stiff
-            step = np.linalg.solve(hess, -g)
+        hess = _coarsen(hess, cls, size) + stiff
+        step = np.linalg.solve(hess, -np.bincount(cls, g, size))[cls]
         if math.sqrt(sizes @ step**2) <= _NEWTON_TOL * math.sqrt(sizes @ c**2):
             return _certify(quad, linear, triples, w, cls, live, c + step, step)
         d = _jumps(triples, step)

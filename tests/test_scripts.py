@@ -108,8 +108,7 @@ def test_ab_suite_sweep_targets_make_the_fixed_sweep_count(tmp_path, monkeypatch
     monkeypatch.syspath_prepend(SCRIPTS)
     import ab_suite
 
-    with open(ab_suite.FIXTURE, encoding="utf-8") as handle:
-        table = ab_suite.targets(json.load(handle), seed=0)
+    table = ab_suite.targets(ab_suite.load_fixture(), seed=0)
     with ab_suite.parent_package(ROOT, str(tmp_path)) as parent, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # every solve stops at its cap
         for pkg in (parent, shrinkseg):
@@ -123,8 +122,7 @@ def test_ab_suite_stage2_commands_compare_the_written_files(tmp_path, monkeypatc
     monkeypatch.syspath_prepend(SCRIPTS)
     import ab_suite
 
-    with open(ab_suite.FIXTURE, encoding="utf-8") as handle:
-        table = ab_suite.targets(json.load(handle), seed=0)
+    table = ab_suite.targets(ab_suite.load_fixture(), seed=0)
     outputs = {"stage2_segment_k3": ["seg_labels.csv", "seg_labels.pgm"],
                "stage2_metrics": ["metrics.json"]}
     compared = {}
@@ -138,3 +136,39 @@ def test_ab_suite_stage2_commands_compare_the_written_files(tmp_path, monkeypatc
     cells = compared["stage2_segment_k3"]["seg_labels.csv"].replace(b"\n", b",").split(b",")
     assert set(cells[:-1]) == {b"1", b"2", b"3"} and cells[-1] == b""
     assert len(json.loads(compared["stage2_metrics"]["metrics.json"])["phases"]) == 2
+
+
+def test_ab_suite_pipeline_targets_compare_the_fixture_work_row(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(SCRIPTS)
+    import ab_suite
+    import fixture_work
+
+    fixture = fixture_work.load_fixture()
+    table = ab_suite.targets(fixture, seed=0)
+    entry = fixture["suite"][0]
+    run, work = table[entry["name"]](shrinkseg, str(tmp_path))
+    compared, energy = work(run())
+    row = fixture_work.work(*fixture_work.pipeline(shrinkseg, entry, fixture["solver"], 0)())
+    assert energy == row.pop("energy")
+    assert compared == row
+    assert {"first", "capped", "rises", "converged", "u", "v"} <= set(compared)
+
+
+def test_calibration_reproduces_the_fixture_but_its_gap_floors(tmp_path):
+    # the gap floors follow the solver's last bits; every other field is
+    # fixed by the pilot geometry and the solver settings
+    out = tmp_path / "acceptance.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "calibrate_fixtures.py"), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    def without_floors(fixture):
+        for entry in fixture["suite"] + fixture["quality"]:
+            assert entry.pop("gap_floor") > 0
+        return fixture
+
+    with open(os.path.join(ROOT, "tests", "fixtures", "acceptance.json"), encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    assert without_floors(json.loads(out.read_text())) == without_floors(pinned)
