@@ -4,10 +4,13 @@ Copies the parent checkout's src/shrinkseg into a temporary directory
 under the package name shrinkseg_parent (its imports are relative, so
 the copy stands alone) and imports it beside this tree's shrinkseg.
 Each tree builds every chosen target's operation from its own package,
-untimed. One untimed run of each tree then fills their caches and gives
-the outputs that are compared; tracemalloc traces it for its peak. Each
-round runs every operation on both trees, the tree that goes first
-alternating from round to round.
+untimed, and runs each once, untimed and untraced: that run fills the
+tree's caches and the process's one-time allocations, which the trees
+share and which would otherwise land in whichever tree's trace came
+first. One more untimed run of each tree gives the outputs that are
+compared; tracemalloc traces it for its peak. Each round runs every
+operation on both trees, the tree that goes first alternating from
+round to round.
 
 Targets (--only names one or more; the default is the 12 suite64 ones):
 
@@ -262,6 +265,9 @@ def main(argv=None):
           warnings.catch_warnings()):
         warnings.simplefilter("ignore", RuntimeWarning)
         ops = [(table[name](parent, scratch), table[name](shrinkseg, scratch)) for name in names]
+        for pair in ops:
+            for run, _ in pair:
+                run()
         outputs = [(traced(*old), traced(*new)) for old, new in ops]
         times = [([], []) for _ in ops]
         for round_ in range(args.rounds):

@@ -182,12 +182,14 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = args.resolved_config
     f = _read_grid_auto(args.input)
+    truth = imgio.read_labels(args.truth) if args.truth else None
+    if truth is not None and truth.shape != f.shape:
+        raise ValueError("label shapes disagree")
     result, u, v = _decompose_pipeline(f, config)
     seg = segment(u, config.k)
     report = _base_report(config, result)
     report["k"] = config.k
-    if args.truth:
-        truth = imgio.read_labels(args.truth)
+    if truth is not None:
         report["phases"] = _phase_report(seg.labels, seg.k, truth, u)
 
     prefix = _prepare_prefix(args.out_prefix)
@@ -203,16 +205,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     truth = imgio.read_labels(args.truth_labels)
     k = args.k if args.k is not None else int(truth.max())
     try:
-        labels = imgio.read_labels(args.input)
-        u = None
+        labels, u = imgio.read_labels(args.input), None
     except ValueError:
-        u = _read_grid_auto(args.input)
+        labels, u = None, _read_grid_auto(args.input)
         if k < 2:
             print(f"error: K={k} was taken from the truth file; pass -K >= 2", file=sys.stderr)
             return 2
-        labels = segment(u, k).labels
-    if labels.shape != truth.shape:
+    if (u if labels is None else labels).shape != truth.shape:
         raise ValueError("label shapes disagree")
+    if labels is None:
+        labels = segment(u, k).labels
 
     report = {"k": k, "phases": _phase_report(labels, k, truth, u)}
     imgio.write_report(report, args.report_path)

@@ -89,12 +89,18 @@ class DecompositionResult:
     v: Array
     trace: IterationTrace
     converged: bool
-    outer_iters: int
-    energy_increased: bool
     energy_rises: int  # outer steps whose energy rose (see decompose)
     tau_supp: float
     capped_solves: int  # inner solves that stopped at maxit_in
     reduced_solves: int  # passes solved exactly by reduced_solve
+
+    @property
+    def outer_iters(self) -> int:
+        return len(self.trace) - 1
+
+    @property
+    def energy_increased(self) -> bool:
+        return self.energy_rises > 0
 
 
 def _stacked_norm(a: Array, b: Array) -> float:
@@ -268,8 +274,6 @@ def decompose(
         v=v,
         trace=IterationTrace(rows),
         converged=converged,
-        outer_iters=len(rows) - 1,
-        energy_increased=rises > 0,
         energy_rises=rises,
         tau_supp=tau,
         capped_solves=capped,

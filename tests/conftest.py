@@ -1,14 +1,13 @@
-import json
 import os
 import time
 
 import numpy as np
 import pytest
 
-from shrinkseg import AdmmParams, ModelParams, OuterParams, decompose, generate
-from shrinkseg.imgio import from_log_domain, phantom_spec_from_dict, to_log_domain
+import shrinkseg
+from fixture_work import fixture_problem, load_fixture, make_phantom
+from shrinkseg.imgio import from_log_domain
 
-FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "acceptance.json")
 SRC_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Tests that start `python -m shrinkseg.cli` run it from a temporary
@@ -20,26 +19,18 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture(scope="session")
 def acceptance_fixtures():
-    with open(FIXTURE_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    return load_fixture()
 
 
 def _run_entry(entry, solver):
-    spec = phantom_spec_from_dict(entry["spec"])
-    phantom = generate(spec)
-    g = to_log_domain(phantom.f / phantom.f.max())
-    outer = OuterParams(
-        tol_out=solver["tol_out"],
-        maxit_out=solver["maxit_out"],
-        tau_supp=solver["tau_supp"],
-    )
-    admm = AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"])
+    """decompose on fixture_work's problem for the entry, at solver."""
+    problem = fixture_problem(shrinkseg, entry, solver, 0)
     start = time.perf_counter()
-    result = decompose(g, ModelParams(alpha=entry["alpha"], beta=entry["beta"]), outer, admm)
+    result = shrinkseg.decompose(*problem)
     elapsed = time.perf_counter() - start
     return {
         "entry": entry,
-        "phantom": phantom,
+        "phantom": make_phantom(shrinkseg, entry["spec"], 0),
         "result": result,
         "u": from_log_domain(result.u),
         "elapsed": elapsed,

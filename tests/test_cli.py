@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from shrinkseg import imgio
+from shrinkseg import cli, imgio
 from shrinkseg.cli import main
 
 SPEC = {
@@ -232,6 +232,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "truth file" in err and "-K" in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "metrics"])
+    def test_truth_of_another_shape_fails_before_either_stage(self, tmp_path, capsys,
+                                                              monkeypatch, command):
+        # a 16x16 truth for a 32x32 image stops the command before
+        # decompose or segment runs, and nothing is written
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} ran a stage on a truth of another shape")
+
+        monkeypatch.setattr(cli, "decompose", never)
+        monkeypatch.setattr(cli, "segment", never)
+        f, truth = str(tmp_path / "f.csv"), str(tmp_path / "t.csv")
+        imgio.write_float_grid(np.random.default_rng(0).random((32, 32)), f)
+        imgio.write_labels(np.ones((16, 16), dtype=int), truth)
+        argv = {"run": ["run", f, str(tmp_path / "out" / "x"), "--alpha", "0.5",
+                        "--beta", "1000", "--truth", truth],
+                "metrics": ["metrics", f, truth, str(tmp_path / "out" / "r.json"), "-K", "2"]}
+        assert main(argv[command]) == 1
+        assert capsys.readouterr().err == "error: label shapes disagree\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["f.csv", "t.csv"]
 
     def test_metrics_null_js_for_phase_in_neither_label_map(self, tmp_path):
         imgio.write_labels(np.array([[1, 1], [2, 2]]), tmp_path / "a.csv")

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+import shrinkseg
+from fixture_work import fixture_problem
 from shrinkseg import (
     AdmmParams,
     ModelParams,
@@ -17,7 +19,6 @@ from shrinkseg import (
 )
 from shrinkseg.decompose import resolve_tau_supp
 from shrinkseg.grid import grad, grad_norms
-from shrinkseg.imgio import phantom_spec_from_dict, to_log_domain
 from shrinkseg.synth import Disk, PhantomSpec
 
 FAST = dict(outer=OuterParams(tau_supp=1e-3), admm=AdmmParams(r=10.0, tol_in=1e-8, maxit_in=500))
@@ -450,15 +451,7 @@ class TestRunState:
             if module_name.startswith("shrinkseg.") and getattr(module, "tie_labels", None) is original:
                 monkeypatch.setattr(module, "tie_labels", counted)
         entry = next(e for e in acceptance_fixtures["suite"] if e["name"] == name)
-        solver = acceptance_fixtures["solver"]
-        phantom = generate(phantom_spec_from_dict(entry["spec"]))
-        result = decompose(
-            to_log_domain(phantom.f / phantom.f.max()),
-            ModelParams(alpha=entry["alpha"], beta=entry["beta"]),
-            OuterParams(tol_out=solver["tol_out"], maxit_out=solver["maxit_out"],
-                        tau_supp=solver["tau_supp"]),
-            AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"]),
-        )
+        result = decompose(*fixture_problem(shrinkseg, entry, acceptance_fixtures["solver"], 0))
         assert result.converged and masks
         assert len(masks) == len(set(masks))
 
@@ -527,12 +520,9 @@ class TestCliDefaults:
         assert len(entries) == 14
         failures = []
         for entry in entries:
-            phantom = generate(phantom_spec_from_dict(entry["spec"]))
-            g = to_log_domain(phantom.f / phantom.f.max())
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                result = decompose(g, ModelParams(alpha=entry["alpha"], beta=entry["beta"]),
-                                   OuterParams(), AdmmParams())
+                result = decompose(*fixture_problem(shrinkseg, entry, None, 0))
             if not result.converged or result.energy_rises:
                 failures.append((entry["name"], result.converged, result.energy_rises))
         assert not failures

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
+import shrinkseg
+from fixture_work import fixture_problem
 from oracles import linearized_energy
 from shrinkseg import (
     AdmmParams,
@@ -17,7 +19,6 @@ from shrinkseg import (
     reduced_solve,
 )
 from shrinkseg import admm as admm_module
-from shrinkseg.imgio import phantom_spec_from_dict, to_log_domain
 from shrinkseg.support import SupportSet, tie_labels
 from shrinkseg.synth import Disk, PhantomSpec
 
@@ -183,10 +184,7 @@ def _fixture_attempt(fixtures, name, count):
     reduced attempt at count tie components in the acceptance run of the
     fixture phantom name."""
     entry = next(e for e in fixtures["suite"] if e["name"] == name)
-    solver = fixtures["solver"]
-    phantom = generate(phantom_spec_from_dict(entry["spec"]))
-    f = to_log_domain(phantom.f / phantom.f.max())
-    params = ModelParams(alpha=entry["alpha"], beta=entry["beta"])
+    f, params, outer, inner = fixture_problem(shrinkseg, entry, fixtures["solver"], 0)
     module = importlib.import_module("shrinkseg.decompose")
     original, found = module.reduced_solve, []
 
@@ -198,12 +196,7 @@ def _fixture_attempt(fixtures, name, count):
 
     module.reduced_solve = spy
     try:
-        decompose(
-            f, params,
-            OuterParams(tol_out=solver["tol_out"], maxit_out=solver["maxit_out"],
-                        tau_supp=solver["tau_supp"]),
-            AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"]),
-        )
+        decompose(f, params, outer, inner)
     finally:
         module.reduced_solve = original
     assert found, f"no attempt at {count} components"
@@ -457,15 +450,7 @@ def _certify_calls(fixtures, name, defaults):
     the fixture phantom name, at the acceptance settings or the CLI
     defaults."""
     entry = next(e for e in fixtures["suite"] if e["name"] == name)
-    solver = fixtures["solver"]
-    phantom = generate(phantom_spec_from_dict(entry["spec"]))
-    f = to_log_domain(phantom.f / phantom.f.max())
-    if defaults:
-        outer, inner = OuterParams(), AdmmParams()
-    else:
-        outer = OuterParams(tol_out=solver["tol_out"], maxit_out=solver["maxit_out"],
-                            tau_supp=solver["tau_supp"])
-        inner = AdmmParams(r=solver["r"], tol_in=solver["tol_in"], maxit_in=solver["maxit_in"])
+    problem = fixture_problem(shrinkseg, entry, None if defaults else fixtures["solver"], 0)
     original, calls = admm_module._certify, []
 
     def spy(*args):
@@ -475,7 +460,7 @@ def _certify_calls(fixtures, name, defaults):
 
     admm_module._certify = spy
     try:
-        decompose(f, ModelParams(alpha=entry["alpha"], beta=entry["beta"]), outer, inner)
+        decompose(*problem)
     finally:
         admm_module._certify = original
     return calls

@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts under scripts/, which no other test imports."""
+"""Smoke runs of the scripts under scripts/, and of the operations
+ab_suite.py builds from fixture_work.py."""
 
 import json
 import os
@@ -8,6 +9,8 @@ import warnings
 
 import pytest
 
+import ab_suite
+import fixture_work
 import shrinkseg
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -90,6 +93,23 @@ def test_ab_suite_times_the_tree_against_itself():
     assert work == "work differs on 0 of 1 targets; largest relative energy difference 0.0e+00"
 
 
+@pytest.mark.parametrize("names", [
+    ["two_phase_s0_b0", "two_phase_s0_b0.2", "stage2_kmeans_k3"],
+    ["stage2_kmeans_k3", "two_phase_s0_b0", "two_phase_s0_b0.2"],
+])
+def test_ab_suite_peaks_of_the_tree_against_itself_agree(names):
+    # the process's one-time allocations land in no target's trace, be
+    # it the first or the first of its kind
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "ab_suite.py"), "--parent", ROOT,
+         "--rounds", "1", "--only", *names],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    mems = [float(line.split()[6]) for line in proc.stdout.splitlines()[1:len(names) + 1]]
+    assert len(mems) == len(names) and all(0.99 <= mem <= 1.01 for mem in mems), proc.stdout
+
+
 def test_ab_suite_rejects_an_unknown_target():
     proc = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, "ab_suite.py"), "--parent", ROOT,
@@ -104,10 +124,7 @@ def test_ab_suite_rejects_an_unknown_target():
         assert name in proc.stderr
 
 
-def test_ab_suite_sweep_targets_make_the_fixed_sweep_count(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(SCRIPTS)
-    import ab_suite
-
+def test_ab_suite_sweep_targets_make_the_fixed_sweep_count(tmp_path):
     table = ab_suite.targets(ab_suite.load_fixture(), seed=0)
     with ab_suite.parent_package(ROOT, str(tmp_path)) as parent, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # every solve stops at its cap
@@ -118,10 +135,7 @@ def test_ab_suite_sweep_targets_make_the_fixed_sweep_count(tmp_path, monkeypatch
     assert ab_suite.ALIAS not in sys.modules
 
 
-def test_ab_suite_stage2_commands_compare_the_written_files(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(SCRIPTS)
-    import ab_suite
-
+def test_ab_suite_stage2_commands_compare_the_written_files(tmp_path):
     table = ab_suite.targets(ab_suite.load_fixture(), seed=0)
     outputs = {"stage2_segment_k3": ["seg_labels.csv", "seg_labels.pgm"],
                "stage2_metrics": ["metrics.json"]}
@@ -138,11 +152,7 @@ def test_ab_suite_stage2_commands_compare_the_written_files(tmp_path, monkeypatc
     assert len(json.loads(compared["stage2_metrics"]["metrics.json"])["phases"]) == 2
 
 
-def test_ab_suite_pipeline_targets_compare_the_fixture_work_row(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(SCRIPTS)
-    import ab_suite
-    import fixture_work
-
+def test_ab_suite_pipeline_targets_compare_the_fixture_work_row(tmp_path):
     fixture = fixture_work.load_fixture()
     table = ab_suite.targets(fixture, seed=0)
     entry = fixture["suite"][0]
