@@ -295,7 +295,8 @@ def main(argv=None):
 
     differ = 0
     for name, (((old, _), _), ((new, _), _)) in zip(names, outputs):
-        keys = [key for key in old if old[key] != new[key]]
+        # a count that the parent's package does not keep (None) is not compared
+        keys = [key for key in old if old[key] is not None and old[key] != new[key]]
         if keys:
             differ += 1
             shown = ", ".join(key if isinstance(old[key], bytes) else f"{key} {old[key]} -> {new[key]}"

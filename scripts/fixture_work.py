@@ -5,8 +5,9 @@ the n=128 quality runs) through the acceptance pipeline: log of f / max f,
 decompose at the fixture's solver settings, then segment into K phases.
 Prints one line per phantom (inner sweeps, those of the first outer
 pass, outer passes, capped inner solves, passes solved in reduced form,
-energy rises, whether the run converged, final support size, digests of
-the labels and of the u and v bytes, and the final energy) and the
+reduced attempts within the cap that declined, energy rises, whether the
+run converged, final support size, digests of the labels and of the u
+and v bytes, and the final energy) and the
 totals, where the converged column counts the converged runs. Rises and
 convergence are read from the DecompositionResult, not from warnings,
 which Python shows once per code location. Every number is a count or
@@ -93,6 +94,8 @@ def work(result, labels):
         "outer": result.outer_iters,
         "capped": result.capped_solves,
         "reduced": result.reduced_solves,
+        # None for a package that does not count them
+        "declined": getattr(result, "reduced_declines", None),
         "rises": result.energy_rises,
         "converged": int(result.converged),
         "support": result.trace[-1].support_size,
@@ -119,20 +122,23 @@ def main(argv=None):
             parser.error(f"no fixture phantom named {args.only!r}")
 
     print(f"{'phantom':<28} {'sweeps':>7} {'first':>5} {'outer':>5} {'capped':>6} {'reduced':>7} "
-          f"{'rises':>5} {'converged':>9} {'support':>7}  {'labels':<12}  {'u':<12}  {'v':<12}  "
-          f"energy")
-    totals = dict(sweeps=0, first=0, outer=0, capped=0, reduced=0, rises=0, converged=0)
+          f"{'declined':>8} {'rises':>5} {'converged':>9} {'support':>7}  {'labels':<12}  "
+          f"{'u':<12}  {'v':<12}  energy")
+    totals = dict(sweeps=0, first=0, outer=0, capped=0, reduced=0, declined=0, rises=0,
+                  converged=0)
     solver = None if args.defaults else fixture["solver"]
     for entry in entries:
         row = work(*pipeline(shrinkseg, entry, solver, args.seed_offset)())
         for key in totals:
             totals[key] += row[key]
         print(f"{entry['name']:<28} {row['sweeps']:>7} {row['first']:>5} {row['outer']:>5} "
-              f"{row['capped']:>6} {row['reduced']:>7} {row['rises']:>5} {row['converged']:>9} "
+              f"{row['capped']:>6} {row['reduced']:>7} {row['declined']:>8} {row['rises']:>5} "
+              f"{row['converged']:>9} "
               f"{row['support']:>7}  {row['labels']:<12}  {row['u']:<12}  {row['v']:<12}  "
               f"{row['energy']!r}")
     print(f"{'total':<28} {totals['sweeps']:>7} {totals['first']:>5} {totals['outer']:>5} "
-          f"{totals['capped']:>6} {totals['reduced']:>7} {totals['rises']:>5} "
+          f"{totals['capped']:>6} {totals['reduced']:>7} {totals['declined']:>8} "
+          f"{totals['rises']:>5} "
           f"{totals['converged']:>6}/{len(entries)}")
     return 0
 

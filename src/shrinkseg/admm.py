@@ -45,9 +45,11 @@ ids.
 reduced_solve solves the same problem exactly when the frozen ties
 leave few connected components: u is then one value per component, v
 is eliminated per frequency, and a small convex problem in the
-component values is solved by damped Newton. Its result is used only
-with an optimality certificate; otherwise it returns None and the pass
-is left to admm_solve. It reads the same RunState, which also keeps
+component values is solved by damped Newton over classes of
+components. Newton starts from every component alone, or from the
+classes that FISTA on the problem's dual finds (_merges). Its result
+is used only with an optimality certificate; otherwise it returns None
+and the pass is left to admm_solve. It reads the same RunState, which also keeps
 what the attempts of a run share, so that the reduced quadratic is
 built once per run and summed from it after that. A build transforms
 the indicators of the components of two or more pixels only; the
@@ -537,19 +539,26 @@ def admm_solve(
 
 # A pass whose support leaves at most this many tie components is
 # solved in the components' values by reduced_solve; larger ones go to
-# admm_solve. On the n=64 fixtures the sweeps stop falling at 64, and a
-# first attempt at 57 components (building Q, then 27 Newton steps)
-# costs about as much as that pass's ADMM solve.
-_MAX_PIECES = 64
-# Budget of one reduced attempt: Newton steps in all (the fixtures'
-# certified attempts take at most 14 at the acceptance settings and 29
-# at the CLI defaults), step halvings in one line search, and dual
+# admm_solve. At seed 0 of the n=64 fixtures, passes on supports of
+# 65-128 components ran 66-82 ADMM sweeps each (12-15 ms); the passes
+# of 140 and 230 components ran 120 and stay with admm_solve.
+_MAX_PIECES = 128
+# Up to this many components, reduced_solve first runs _newton from
+# every component in a class of its own, as it certifies most such
+# attempts at once; above it, and after that first try declines, the
+# dual iteration of _merges hands _newton its start classes.
+_NEWTON_FIRST = 64
+# Budget of one Newton run: Newton steps in all (the fixtures' certified
+# first tries take at most 14 at the acceptance settings and 29 at the
+# CLI defaults; from the start classes of _merges, 8 certify as many as
+# 16 and cost less where they fail), step halvings in one line search, and dual
 # reweightings in the certificate. A Newton step that moves u by at most
 # _NEWTON_TOL * ||u|| ends the iteration. Merging every crossed kink
 # leaves certificates just above their bound at 4 reweightings: with
 # cold duals the fixture attempts that declined ended at largest dual
 # ratios of 1.004 and 1.03, and at 8 the first of them certifies.
 _NEWTON_STEPS = 30
+_MERGED_STEPS = 8
 _HALVINGS = 8
 _DUAL_ROUNDS = 8
 _NEWTON_TOL = 1e-10
@@ -560,6 +569,23 @@ _BALANCE = 1e-8
 # Components whose indicators _smooth transforms in one call: 8 cut a
 # first build's time by a quarter on the n=64 fixtures.
 _BATCH = 8
+# OpenBLAS factors a matrix of this many rows or more on all its threads,
+# and on a 2-core host such a call stalled for about 100 ms in 9 of 400
+# solves at 100 rows; _solve and _inverse stay below it.
+_SOLVE_ROWS = 100
+# _merges runs FISTA on the dual and hands out its start classes after
+# each of these iteration counts; a term joins its components there
+# once its dual is below (1 - _INTERIOR) of its bound. Of 73 attempts
+# captured from fixture runs at offsets 0, 4, 11, 13, 39 and 303 (both
+# settings) that were over 64 components or declined, most certify from
+# the first or second checkpoint; two need the fifth, and one, whose
+# certificate fails even at the exact minimizer's classes, none.
+_CHECKPOINTS = (15, 30, 60, 120, 240)
+_INTERIOR = 0.1
+# Power iterations for the Lipschitz constant of the dual gradient, and
+# the margin the FISTA step keeps below its inverse.
+_POWER_STEPS = 10
+_POWER_MARGIN = 1.1
 
 
 @dataclass(frozen=True)
@@ -652,6 +678,35 @@ def _coarsen(matrix: Array, cls: Array, size: int) -> Array:
     return np.bincount(pairs, matrix.ravel(), size * size).reshape(size, size)
 
 
+def _inverse(matrix: Array) -> Array:
+    """The inverse of the symmetric positive definite matrix, from blocks
+    of at most _SOLVE_ROWS // 2 rows above that: its leading half's
+    inverse, and that of the half's Schur complement."""
+    n = matrix.shape[0]
+    if n <= _SOLVE_ROWS // 2:
+        return np.linalg.inv(matrix)
+    h = n // 2
+    lead = _inverse(matrix[:h, :h])
+    across = lead @ matrix[:h, h:]
+    tail = _inverse(matrix[h:, h:] - matrix[h:, :h] @ across)
+    corner = -(across @ tail)
+    return np.block([[lead - corner @ across.T, corner], [corner.T, tail]])
+
+
+def _solve(matrix: Array, b: Array) -> Array:
+    """matrix^-1 b for a symmetric positive definite matrix, on one BLAS
+    thread: at _SOLVE_ROWS rows or more, by block elimination of its
+    leading half, whose Schur complement is positive definite too."""
+    n = b.size
+    if n < _SOLVE_ROWS:
+        return np.linalg.solve(matrix, b)
+    h = n // 2
+    lead = np.linalg.solve(matrix[:h, :h], np.column_stack([matrix[:h, h:], b[:h]]))
+    tail = _solve(matrix[h:, h:] - matrix[h:, :h] @ lead[:, :-1],
+                  b[h:] - matrix[h:, :h] @ lead[:, -1])
+    return np.concatenate([lead[:, -1] - lead[:, :-1] @ tail, tail])
+
+
 def _jumps(triples: Array, c: Array) -> Array:
     """(T, 2) jump pairs E_t c = (c[right] - c[own], c[lower] - c[own])."""
     return c[triples[:, 1:]] - c[triples[:, :1]]
@@ -675,11 +730,6 @@ def _merge(cls: Array, triples: Array, terms: Array) -> Array:
     roots = hook(np.arange(cls.max() + 1), np.repeat(ends[:, 0], 2), ends[:, 1:].ravel())
     heads = roots == np.arange(roots.size)
     return (np.cumsum(heads) - 1)[roots][cls]
-
-
-def _class_means(cls: Array, sizes: Array, c: Array) -> Array:
-    """c with each class's values replaced by their size-weighted mean."""
-    return (np.bincount(cls, sizes * c) / np.bincount(cls, sizes))[cls]
 
 
 def _penalty_grad(triples: Array, w: Array, x: Array, norms: Array, count: int) -> Array:
@@ -710,8 +760,8 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
     with L z = -g in least squares. L vanishes exactly on the functions
     constant on each class cls, so L plus the projection onto them is
     invertible and gives the same y. A dense least squares
-    of the (C, 2T) map stalled under BLAS threads on a 2-core host, where
-    a C x C solve stays on one thread.
+    of the (C, 2T) map stalled under BLAS threads on a 2-core host; the
+    C x C solve stays on one thread through _solve.
     """
     moved = _jumps(triples[live], step)
     x = _jumps(triples, c)
@@ -722,7 +772,9 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
     if not dead.any():
         return c
     count = c.size
-    g = quad @ c - linear + _penalty_grad(triples[live], w[live], x[live], norms[live], count)
+    g = np.einsum("ij,j->i", quad, c) - linear + _penalty_grad(
+        triples[live], w[live], x[live], norms[live], count
+    )
     merged, w_dead = triples[dead], w[dead]
     entries = (merged[:, _BLOCK_ROWS] * count + merged[:, _BLOCK_COLS]).ravel()
     same = cls[:, None] == cls
@@ -732,7 +784,7 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
         a = w_dead**2 / scale
         lap = np.bincount(entries, np.outer(a, _GRAM).ravel(), count * count)
         try:
-            z = np.linalg.solve(lap.reshape(count, count) + a.mean() * projection, -g)
+            z = _solve(lap.reshape(count, count) + a.mean() * projection, -g)
         except np.linalg.LinAlgError:  # reweighted past float64's range
             return None
         y = a[:, None] * _jumps(merged, z)
@@ -765,78 +817,82 @@ def _kink_tries(reach, kinks):
     return t, (kinks, first)
 
 
-def _newton(quad, linear, triples, w, sizes, total, c):
+def _newton(quad, linear, triples, w, sizes, total, c, cls, steps):
     """Damped Newton on phi(c) = 1/2 c'Qc - b'c + sum_t w_t ||E_t c||.
 
-    Along a constant shift of c, phi is a parabola of curvature only
-    (gamma / (1 + gamma) + rho) * sizes.sum(), which a Newton solve
-    resolves poorly; its minimum is where sizes @ c equals total. So the
-    Newton system stiffens that direction, and the start and every step
-    are shifted there exactly. A term whose jump reaches zero has its
-    components merged into one class, and Newton continues over the
-    classes: at an iterate, or at the kinks a Newton step crosses. There,
-    merging every kink the full step crosses is tried first, and merging
-    only the first kinks when that does not lower phi. Returns the
-    minimizer when _certify accepts it, or None once the budget runs
-    out. The Hessian is summed by bincount from each term's 3 x 3 block:
-    a product of the dense (2T, C) jump matrix, at C = 57, ran ten times
-    slower under BLAS threads on a 2-core host.
+    The iterate is one value per class of the components, from the
+    classes cls (numbered from 0 in the order of their smallest
+    component) and the class means of c. Along a constant shift of c,
+    phi is a parabola of curvature only (gamma / (1 + gamma) + rho) *
+    sizes.sum(), which a Newton solve resolves poorly; its minimum is
+    where sizes @ c equals total. So the Newton system stiffens that
+    direction, and the start and every step are shifted there exactly. A
+    term whose jump reaches zero has its classes merged, and Newton
+    continues over the coarser classes: at an iterate, or at the kinks a
+    Newton step crosses. There, merging every kink the full step crosses
+    is tried first, and merging only the first kinks when that does not
+    lower phi. Returns the minimizer when _certify accepts it, or None
+    once the budget of steps Newton steps runs out. Q and b are summed over the classes at
+    each merge, and the Hessian's penalty part at each step, by
+    bincount from each live term's 3 x 3 block over its classes.
     """
-    count = c.size
     n_pix = sizes.sum()
-    c = c + (total - sizes @ c) / n_pix
-    rows, cols = triples[:, _BLOCK_ROWS], triples[:, _BLOCK_COLS]
-    entries = (rows * count + cols).ravel()
-    block = np.empty((triples.shape[0], 9))
+    count = c.size
+
+    def merge(joined, values):
+        """Make the classes' classes joined (numbered as _merge numbers
+        them), with values their new values; sets what the classes fix."""
+        nonlocal cls, size, v, class_sizes, qc, bc, stiff, live, ends, lw, entries
+        cls, size = joined[cls], joined.max() + 1
+        class_sizes = np.bincount(cls, sizes, size)
+        v = values + (total - class_sizes @ values) / n_pix
+        qc = quad if size == count else _coarsen(quad, cls, size)
+        bc = np.bincount(cls, linear, size)
+        stiff = np.outer(class_sizes, class_sizes) / n_pix
+        classes = cls[triples]
+        live = (classes[:, 0] != classes[:, 1]) | (classes[:, 0] != classes[:, 2])
+        ends, lw = classes[live], w[live]
+        entries = (ends[:, _BLOCK_ROWS] * size + ends[:, _BLOCK_COLS]).ravel()
 
     def change(x, norms, gs, delta):
         """phi(c + delta) - phi(c) without cancelling large terms."""
-        x_new = x + _jumps(triples, delta)
-        penalty = w @ (np.hypot(x_new[:, 0], x_new[:, 1]) - norms)
-        return gs @ delta + 0.5 * delta @ quad @ delta + penalty
+        x_new = x + _jumps(ends, delta)
+        penalty = lw @ (np.hypot(x_new[:, 0], x_new[:, 1]) - norms)
+        return gs @ delta + 0.5 * delta @ np.einsum("ij,j->i", qc, delta) + penalty
 
-    def merge(joined):
-        """Make joined the classes, with their live terms (those whose
-        classes differ) and the shift stiffening."""
-        nonlocal cls, size, live, stiff
-        cls, size = joined, joined.max() + 1
-        classes = cls[triples]
-        live = (classes[:, 0] != classes[:, 1]) | (classes[:, 0] != classes[:, 2])
-        class_sizes = np.bincount(cls, sizes, size)
-        stiff = np.outer(class_sizes, class_sizes) / n_pix
+    def coarser(joined, values):
+        """The size-weighted means of values over the classes joined."""
+        return np.bincount(joined, class_sizes * values) / np.bincount(joined, class_sizes)
 
-    cls = size = live = stiff = None  # set by merge
-    merge(np.arange(count))  # every component a class of its own
-    for _ in range(_NEWTON_STEPS):
-        x = _jumps(triples, c)
+    size = v = class_sizes = qc = bc = stiff = live = ends = lw = entries = None  # set by merge
+    start = cls
+    cls = np.arange(count)
+    merge(start, np.bincount(start, sizes * c) / np.bincount(start, sizes))
+    for _ in range(steps):
+        x = _jumps(ends, v)
         norms = np.hypot(x[:, 0], x[:, 1])
-        flat = live & (norms == 0)
+        flat = norms == 0
         if flat.any():
-            merge(_merge(cls, triples, np.flatnonzero(flat)))
-            c = _class_means(cls, sizes, c)
+            joined = _merge(np.arange(size), ends, np.flatnonzero(flat))
+            merge(joined, coarser(joined, v))
             continue
-        # merged terms carry no jump, gradient or curvature
-        xl = np.where(live[:, None], x, 0.0)
-        nl = np.where(live, norms, 1.0)
-        wl = np.where(live, w, 0.0)
-        gs = quad @ c - linear
-        g = gs + _penalty_grad(triples, wl, xl, nl, count)
+        gs = np.einsum("ij,j->i", qc, v) - bc
+        g = gs + _penalty_grad(ends, lw, x, norms, size)
         # E_t^T M_t E_t with M_t = w_t / |x_t| (I - x_t x_t' / |x_t|^2),
         # rows and columns in (own, right, lower) order
-        k = wl / nl**3
-        m11, m12, m22 = k * xl[:, 1] ** 2, -k * xl[:, 0] * xl[:, 1], k * xl[:, 0] ** 2
+        k = lw / norms**3
+        m11, m12, m22 = k * x[:, 1] ** 2, -k * x[:, 0] * x[:, 1], k * x[:, 0] ** 2
+        block = np.empty((lw.size, 9))
         block[:, 0] = m11 + 2 * m12 + m22
         block[:, 1] = block[:, 3] = -m11 - m12
         block[:, 2] = block[:, 6] = -m12 - m22
         block[:, 4], block[:, 5], block[:, 7], block[:, 8] = m11, m12, m12, m22
-        hess = quad + np.bincount(entries, block.ravel(), count * count).reshape(count, count)
-        # Newton over the classes; the outer product of the class sizes
-        # only stiffens the shift direction
-        hess = _coarsen(hess, cls, size) + stiff
-        step = np.linalg.solve(hess, -np.bincount(cls, g, size))[cls]
-        if math.sqrt(sizes @ step**2) <= _NEWTON_TOL * math.sqrt(sizes @ c**2):
-            return _certify(quad, linear, triples, w, cls, live, c + step, step)
-        d = _jumps(triples, step)
+        # the outer product of the class sizes only stiffens the shift
+        hess = qc + np.bincount(entries, block.ravel(), size * size).reshape(size, size) + stiff
+        step = _solve(hess, -g)
+        if math.sqrt(class_sizes @ step**2) <= _NEWTON_TOL * math.sqrt(class_sizes @ v**2):
+            return _certify(quad, linear, triples, w, cls, live, (v + step)[cls], step[cls])
+        d = _jumps(ends, step)
         dd = np.einsum("tk,tk->t", d, d)
         t = 1.0
         # a jump the step moves by at most 0.9 of its norm stays at least
@@ -845,20 +901,18 @@ def _newton(quad, linear, triples, w, sizes, total, c):
             # the kinks the full step passes through (or close by)
             reach = -np.einsum("tk,tk->t", x, d) / np.maximum(dd, _TINY)
             gap = np.hypot(*(x + reach[:, None] * d).T)
-            kinks = live & (reach > 0) & (reach < 1) & (gap <= 1e-2 * norms)
+            kinks = (reach > 0) & (reach < 1) & (gap <= 1e-2 * norms)
             if kinks.any():
                 t, tries = _kink_tries(reach, kinks)
                 for terms in tries:
-                    joined = _merge(cls, triples, np.flatnonzero(terms))
-                    delta = _class_means(joined, sizes, c + t * step) - c
-                    if change(x, norms, gs, delta) < 0:
+                    joined = _merge(np.arange(size), ends, np.flatnonzero(terms))
+                    means = coarser(joined, v + t * step)
+                    if change(x, norms, gs, means[joined] - v) < 0:
+                        merge(joined, means)
                         break
                 else:
                     joined = None
                 if joined is not None:
-                    merge(joined)
-                    c = c + delta
-                    c += (total - sizes @ c) / n_pix
                     continue
         slope = g @ step
         for _ in range(_HALVINGS):
@@ -867,9 +921,60 @@ def _newton(quad, linear, triples, w, sizes, total, c):
             t *= 0.5
         else:
             return None
-        c = c + t * step
-        c += (total - sizes @ c) / n_pix
+        v = v + t * step
+        v += (total - class_sizes @ v) / n_pix
     return None
+
+
+def _merges(quad, linear, triples, w, sizes, total, c):
+    """Start classes and values for _newton, from the dual of phi.
+
+    phi's minimizer is c(y) = Q~^-1 (b~ - sum_t E_t^T y_t) at the duals y
+    that minimize 1/2 (b~ - E^T y)' Q~^-1 (b~ - E^T y) over the balls
+    ||y_t|| <= w_t (Chambolle's dual projection, J. Math. Imaging Vis.
+    20, 2004), where Q~ and b~ add the shift stiffening of _newton, which
+    leaves the minimizer as it is. FISTA (Beck & Teboulle, SIAM J.
+    Imaging Sci. 2(1), 2009) runs on these duals from y_t = w_t E_t c /
+    ||E_t c|| at the start c, with a step below the inverse of the
+    Lipschitz constant that _POWER_STEPS power iterations estimate. A
+    dual strictly inside its ball means a zero jump at the minimizer, so
+    after each of _CHECKPOINTS iterations this yields the classes that
+    join the terms whose duals lie within (1 - _INTERIOR) of their
+    bound, with c(y). The choice needs no merge decisions, and _newton
+    adds the zero jumps it missed. Q~ is inverted once, by _inverse.
+    """
+    count, n_pix = sizes.size, sizes.sum()
+    inverse = _inverse(quad + np.outer(sizes, sizes) / n_pix)
+    linear = linear + sizes * (total / n_pix)
+    owns, ends = triples[:, 0], triples[:, 1:].T  # E_t c = c[ends] - c[owns]
+    flat_ends, both = ends.ravel(), np.concatenate([owns, owns])
+
+    def primal(y):
+        """c(y) for the (2, T) duals y."""
+        spread = np.bincount(flat_ends, y.ravel(), count) - np.bincount(both, y.ravel(), count)
+        return np.einsum("ij,j->i", inverse, linear - spread)
+
+    def jumps(c):
+        return c[ends] - c[owns]
+
+    x = jumps(c - c.mean())
+    for _ in range(_POWER_STEPS):
+        lipschitz = math.sqrt(np.vdot(x, x))
+        x = jumps(np.einsum("ij,j->i", inverse, np.bincount(flat_ends, x.ravel(), count)
+                            - np.bincount(both, x.ravel(), count)) / lipschitz)
+    step = 1.0 / (_POWER_MARGIN * math.sqrt(np.vdot(x, x)))
+    x = jumps(c)
+    y = x * (w / np.maximum(np.hypot(x[0], x[1]), _TINY))
+    ahead, t = y, 1.0
+    for k in range(1, _CHECKPOINTS[-1] + 1):
+        nxt = ahead + step * jumps(primal(ahead))
+        nxt *= w / np.maximum(np.hypot(nxt[0], nxt[1]), w)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        ahead = nxt + ((t - 1.0) / t_next) * (nxt - y)
+        y, t = nxt, t_next
+        if k in _CHECKPOINTS:
+            inside = np.hypot(y[0], y[1]) < (1.0 - _INTERIOR) * w
+            yield _merge(np.arange(count), triples, np.flatnonzero(inside)), primal(y)
 
 
 def reduced_solve(
@@ -886,12 +991,15 @@ def reduced_solve(
     Q = B'SB + rho diag(sizes), S = 1 - K, b = B'Sf + rho B'u_k, where
     term t sums the weights W of the active pixels that share one (own,
     right, lower) component triple and E_t c is that triple's pair of
-    jumps. phi is convex, and _newton minimizes it from the component
-    means of u_k. The result is returned, as an InnerResult with iters =
-    0, only with its optimality certificate, so it is the exact pass
-    minimizer: u is constant on the components and needs no projection.
-    Returns None when the support leaves more components or the attempt
-    does not certify within its budget; the pass is then for admm_solve.
+    jumps. phi is convex. Up to _NEWTON_FIRST components, _newton
+    minimizes it from the component means of u_k, each component a
+    class of its own; above that, or when that first try declines, from
+    the start classes and points of _merges, until one certifies. The
+    result is returned, as an InnerResult with iters = 0, only with its
+    optimality certificate, so it is the exact pass minimizer: u is
+    constant on the components and needs no projection. Returns None
+    when the support leaves more than _MAX_PIECES components or no
+    start certifies within its budget; the pass is then for admm_solve.
     """
     u_k = as_grid(u_k, "u_k")
     weights = _checked_weights(weights)
@@ -912,7 +1020,18 @@ def reduced_solve(
     # the sum of the minimizer's u, from the zero frequency alone
     s0 = params.gamma / (1.0 + params.gamma)
     total = (s0 * state.f.sum() + rho * u_k.sum()) / (s0 + rho)
-    c = _newton(quad, linear, pieces.triples, w, sizes, total, u_sums / sizes)
+    problem = (quad, linear, pieces.triples, w, sizes, total)
+    c = None
+    if count <= _NEWTON_FIRST:
+        c = _newton(*problem, u_sums / sizes, np.arange(count), _NEWTON_STEPS)
+    if c is None:
+        tried = None
+        for cls, start in _merges(*problem, u_sums / sizes):
+            if tried is None or not np.array_equal(cls, tried):  # a new start
+                c = _newton(*problem, start, cls, _MERGED_STEPS)
+                if c is not None:
+                    break
+            tried = cls
     if c is None:
         return None
     u = c[label].reshape(shape)

@@ -93,6 +93,7 @@ class DecompositionResult:
     tau_supp: float
     capped_solves: int  # inner solves that stopped at maxit_in
     reduced_solves: int  # passes solved exactly by reduced_solve
+    reduced_declines: int = 0  # reduced_solve attempts within its cap that returned None
 
     @property
     def outer_iters(self) -> int:
@@ -152,7 +153,9 @@ def decompose(
     leaves few enough tie components it may return the pass's exact
     minimizer: that pass counts as solved at tol_in, needs neither H1
     nor the projection, adds no sweeps to inner_iters and is counted in
-    reduced_solves. Any other pass goes to admm_solve as above, starting
+    reduced_solves; an attempt within its cap that returns None is
+    counted in reduced_declines. Any other pass goes to admm_solve as
+    above, starting
     from the scaled dual that the run's last admm_solve ended with (zero
     duals on the first pass): successive passes solve nearly the same
     problem, so a warm dual saves sweeps.
@@ -174,7 +177,7 @@ def decompose(
     converged = False
     rises = 0
     capped = 0
-    reduced = 0
+    reduced = declines = 0
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
     state = RunState(f, params, outer.rho, admm.r)  # shared by this run's solves only
@@ -216,6 +219,8 @@ def decompose(
         inner = None
         if rows:
             inner = reduced_solve(u, weights, support, state)
+            # pieces_of is None only for a support over the cap
+            declines += inner is None and state.pieces_of(support) is not None
         if inner is not None:  # the exact minimizer, feasible as it is
             reduced += 1
             tol = admm.tol_in
@@ -278,4 +283,5 @@ def decompose(
         tau_supp=tau,
         capped_solves=capped,
         reduced_solves=reduced,
+        reduced_declines=declines,
     )
