@@ -49,12 +49,12 @@ component values is solved by damped Newton over classes of
 components. Newton starts from every component alone, or from the
 classes that FISTA on the problem's dual finds (_merges). Its result
 is used only with an optimality certificate; otherwise it returns None
-and the pass is left to admm_solve. It reads the same RunState, which also keeps
-what the attempts of a run share, so that the reduced quadratic is
-built once per run and summed from it after that. A build transforms
-the indicators of the components of two or more pixels only; the
-entries of single pixels are read from those rows and from the kernel
-of the smoothing operator, one transform in all.
+and the pass is left to admm_solve. It reads the same RunState, which
+also keeps what the attempts of a run share, so that the reduced
+quadratic is built once per run and summed from it after that. A build
+transforms the indicators of the components of two or more pixels
+only; the entries of single pixels are read from those rows and from
+the kernel of the smoothing operator, one transform in all.
 """
 
 from __future__ import annotations
@@ -548,17 +548,19 @@ _MAX_PIECES = 128
 # attempts at once; above it, and after that first try declines, the
 # dual iteration of _merges hands _newton its start classes.
 _NEWTON_FIRST = 64
-# Budget of one Newton run: Newton steps in all (the fixtures' certified
-# first tries take at most 14 at the acceptance settings and 29 at the
-# CLI defaults; from the start classes of _merges, 8 certify as many as
-# 16 and cost less where they fail), step halvings in one line search, and dual
-# reweightings in the certificate. A Newton step that moves u by at most
-# _NEWTON_TOL * ||u|| ends the iteration. Merging every crossed kink
-# leaves certificates just above their bound at 4 reweightings: with
-# cold duals the fixture attempts that declined ended at largest dual
-# ratios of 1.004 and 1.03, and at 8 the first of them certifies.
+# Budget of one Newton run: Newton steps in all, for a first try
+# (_NEWTON_STEPS: the fixtures' certified first tries took at most 14
+# at the acceptance settings and 29 at the CLI defaults) and for a run
+# from the start classes of _merges (_MERGED_STEPS: one merge or step
+# each, and a failed run costs them all); step halvings in one line
+# search; and dual reweightings in the certificate. A Newton step that
+# moves u by at most _NEWTON_TOL * ||u|| ends the iteration. Merging
+# every crossed kink leaves certificates just above their bound at 4
+# reweightings: with cold duals the fixture attempts that declined ended
+# at largest dual ratios of 1.004 and 1.03, and at 8 the first of them
+# certifies.
 _NEWTON_STEPS = 30
-_MERGED_STEPS = 8
+_MERGED_STEPS = 12
 _HALVINGS = 8
 _DUAL_ROUNDS = 8
 _NEWTON_TOL = 1e-10
@@ -577,10 +579,12 @@ _SOLVE_ROWS = 100
 # each of these iteration counts; a term joins its components there
 # once its dual is below (1 - _INTERIOR) of its bound. Of 73 attempts
 # captured from fixture runs at offsets 0, 4, 11, 13, 39 and 303 (both
-# settings) that were over 64 components or declined, most certify from
-# the first or second checkpoint; two need the fifth, and one, whose
-# certificate fails even at the exact minimizer's classes, none.
-_CHECKPOINTS = (15, 30, 60, 120, 240)
+# settings) that were over 64 components or declined at a cap of 64,
+# 13 certify at the first try, 47 from the first checkpoint, 12 from a
+# later one, and one, whose certificate fails even at the exact
+# minimizer's classes, from none. A first checkpoint at 15 iterations
+# certified fewer there and cost more Newton runs than it saved.
+_CHECKPOINTS = (30, 60, 120, 240)
 _INTERIOR = 0.1
 # Power iterations for the Lipschitz constant of the dual gradient, and
 # the margin the FISTA step keeps below its inverse.
@@ -716,6 +720,8 @@ def _jumps(triples: Array, c: Array) -> Array:
 # E_t^T M E_t for a symmetric 2 x 2 matrix M, and those of E_t^T E_t
 _BLOCK_ROWS, _BLOCK_COLS = np.divmod(np.arange(9), 3)
 _GRAM = np.array([2.0, -1.0, -1.0, -1.0, 1.0, 0.0, -1.0, 0.0, 1.0])
+# x @ _PERP = E_t^T x^perp for a jump pair x, x^perp = (x_1, -x_0)
+_PERP = np.array([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 
 def _merge(cls: Array, triples: Array, terms: Array) -> Array:
@@ -752,14 +758,17 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
     diag(sizes), c is then within that residual over rho * sizes.min()
     of the exact minimizer. Among the duals, weighted least squares
     picks one; Lawson's reweighting (toward the least largest ratio
-    ||y_t|| / w_t) gets _DUAL_ROUNDS tries.
+    ||y_t|| / w_t) gets _DUAL_ROUNDS tries, and stops early once a round
+    does not lower the largest ratio.
 
     The least squares, sum_t ||y_t||^2 / a_t least with a_t = w_t^2 /
     scale_t, is solved through the C x C weighted Laplacian L = sum_t
     a_t E_t^T E_t of the merged terms, summed by bincount: y_t = a_t E_t z
     with L z = -g in least squares. L vanishes exactly on the functions
     constant on each class cls, so L plus the projection onto them is
-    invertible and gives the same y. A dense least squares
+    invertible and gives the same y. L and the projection are zero and
+    the identity outside the classes the merged terms join, so the solve
+    runs on those components only. A dense least squares
     of the (C, 2T) map stalled under BLAS threads on a 2-core host; the
     C x C solve stays on one thread through _solve.
     """
@@ -776,24 +785,31 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
         triples[live], w[live], x[live], norms[live], count
     )
     merged, w_dead = triples[dead], w[dead]
-    entries = (merged[:, _BLOCK_ROWS] * count + merged[:, _BLOCK_COLS]).ravel()
-    same = cls[:, None] == cls
+    inside = np.unique(merged)
+    local = np.empty(count, dtype=np.intp)
+    local[inside] = np.arange(inside.size)
+    ends, size = local[merged], inside.size
+    entries = (ends[:, _BLOCK_ROWS] * size + ends[:, _BLOCK_COLS]).ravel()
+    same = cls[inside, None] == cls[inside]
     projection = same / same.sum(axis=1)  # onto L's null space
-    scale = np.ones(w_dead.size)
+    scale, worst = np.ones(w_dead.size), math.inf
     for _ in range(_DUAL_ROUNDS):
         a = w_dead**2 / scale
-        lap = np.bincount(entries, np.outer(a, _GRAM).ravel(), count * count)
+        lap = np.bincount(entries, np.outer(a, _GRAM).ravel(), size * size)
         try:
-            z = _solve(lap.reshape(count, count) + a.mean() * projection, -g)
+            z = _solve(lap.reshape(size, size) + a.mean() * projection, -g[inside])
         except np.linalg.LinAlgError:  # reweighted past float64's range
             return None
-        y = a[:, None] * _jumps(merged, z)
+        y = a[:, None] * _jumps(ends, z)
         ratio = np.hypot(y[:, 0], y[:, 1]) / w_dead
         if ratio.max() <= 1.0:
             ones = np.ones(w_dead.size)
             residual = g + _penalty_grad(merged, ones, y, ones, count)
             balanced = np.linalg.norm(residual) <= _BALANCE * np.linalg.norm(linear)
             return c if balanced else None
+        if ratio.max() >= worst:  # the reweighting has stalled
+            return None
+        worst = ratio.max()
         scale *= np.maximum(ratio, 1e-12)
     return None
 
@@ -802,19 +818,29 @@ def _kink_tries(reach, kinks):
     """Where a Newton step merges, and which terms it tries to merge there.
 
     reach is each term's step fraction at its kink, and kinks marks the
-    terms whose kinks the step passes through. Returns the first kink's
-    fraction t and the term masks to try in turn: every kink, then, when
-    that does not lower phi and they differ, only the first ones (those
-    within rounding of t). Merging every kink at once saves the steps of
-    merging them one by one. The fallback is needed where merging every
-    kink raises phi at each step: without it, such an attempt falls to
-    the line search at every step and runs out of steps.
+    terms whose kinks the step passes through. Returns the (t, terms)
+    pairs to try in turn, each a step fraction and a term mask: every
+    kink at the first kink's fraction, then, when that does not lower phi,
+    the first half of the kinks in the order the step reaches them (at
+    the fraction of the last of them), then the first quarter, and so on
+    down to the first ones (those within rounding of the first fraction).
+    Merging every kink at once saves the steps of merging them one by
+    one. The fallbacks are needed where merging every kink raises phi at
+    each step: without them, such an attempt falls to the line search at
+    every step and runs out of steps, and with the first kinks alone it
+    merges one kink per step.
     """
-    t = reach[kinks].min()
+    ordered = np.sort(reach[kinks])
+    t = ordered[0]
     first = kinks & (reach <= t * (1 + 1e-9))
-    if np.count_nonzero(first) == np.count_nonzero(kinks):
-        return t, (first,)
-    return t, (kinks, first)
+    tries = [(t, kinks)]
+    count = ordered.size // 2
+    while count > np.count_nonzero(first):
+        tries.append((ordered[count - 1], kinks & (reach <= ordered[count - 1] * (1 + 1e-9))))
+        count //= 2
+    if np.count_nonzero(first) < ordered.size:
+        tries.append((t, first))
+    return tries
 
 
 def _newton(quad, linear, triples, w, sizes, total, c, cls, steps):
@@ -830,28 +856,30 @@ def _newton(quad, linear, triples, w, sizes, total, c, cls, steps):
     term whose jump reaches zero has its classes merged, and Newton
     continues over the coarser classes: at an iterate, or at the kinks a
     Newton step crosses. There, merging every kink the full step crosses
-    is tried first, and merging only the first kinks when that does not
-    lower phi. Returns the minimizer when _certify accepts it, or None
-    once the budget of steps Newton steps runs out. Q and b are summed over the classes at
-    each merge, and the Hessian's penalty part at each step, by
-    bincount from each live term's 3 x 3 block over its classes.
+    is tried first, and fewer of the first kinks when that does not lower
+    phi (see _kink_tries). Returns the minimizer when _certify accepts
+    it, or None once the budget of steps Newton steps runs out. Q and b are summed
+    over the classes at each merge, from their last sums, and the
+    Hessian's penalty part at each step, by bincount from each live
+    term's 3 x 3 block over its classes.
     """
     n_pix = sizes.sum()
-    count = c.size
 
     def merge(joined, values):
-        """Make the classes' classes joined (numbered as _merge numbers
-        them), with values their new values; sets what the classes fix."""
-        nonlocal cls, size, v, class_sizes, qc, bc, stiff, live, ends, lw, entries
-        cls, size = joined[cls], joined.max() + 1
-        class_sizes = np.bincount(cls, sizes, size)
+        """Join the classes as joined numbers them (as _merge does), at
+        the values of the new classes; Q, b, the class sizes and the live
+        terms (those whose classes differ) are summed from the last ones."""
+        nonlocal cls, size, v, class_sizes, qc, bc, stiff, kept, ends, lw, entries
+        if joined.max() + 1 < size:
+            cls, size = joined[cls], joined.max() + 1
+            qc = _coarsen(qc, joined, size)
+            bc = np.bincount(joined, bc, size)
+            class_sizes = np.bincount(joined, class_sizes, size)
+            ends = joined[ends]
+            keep = (ends[:, 0] != ends[:, 1]) | (ends[:, 0] != ends[:, 2])
+            kept, ends, lw = kept[keep], ends[keep], lw[keep]
         v = values + (total - class_sizes @ values) / n_pix
-        qc = quad if size == count else _coarsen(quad, cls, size)
-        bc = np.bincount(cls, linear, size)
         stiff = np.outer(class_sizes, class_sizes) / n_pix
-        classes = cls[triples]
-        live = (classes[:, 0] != classes[:, 1]) | (classes[:, 0] != classes[:, 2])
-        ends, lw = classes[live], w[live]
         entries = (ends[:, _BLOCK_ROWS] * size + ends[:, _BLOCK_COLS]).ravel()
 
     def change(x, norms, gs, delta):
@@ -864,9 +892,10 @@ def _newton(quad, linear, triples, w, sizes, total, c, cls, steps):
         """The size-weighted means of values over the classes joined."""
         return np.bincount(joined, class_sizes * values) / np.bincount(joined, class_sizes)
 
-    size = v = class_sizes = qc = bc = stiff = live = ends = lw = entries = None  # set by merge
-    start = cls
-    cls = np.arange(count)
+    # every component a class of its own, then the start classes
+    start, cls, size, class_sizes, qc, bc = cls, np.arange(c.size), c.size, sizes, quad, linear
+    kept, ends, lw = np.arange(w.size), triples, w  # the live terms
+    v = stiff = entries = None  # set by merge
     merge(start, np.bincount(start, sizes * c) / np.bincount(start, sizes))
     for _ in range(steps):
         x = _jumps(ends, v)
@@ -878,19 +907,17 @@ def _newton(quad, linear, triples, w, sizes, total, c, cls, steps):
             continue
         gs = np.einsum("ij,j->i", qc, v) - bc
         g = gs + _penalty_grad(ends, lw, x, norms, size)
-        # E_t^T M_t E_t with M_t = w_t / |x_t| (I - x_t x_t' / |x_t|^2),
-        # rows and columns in (own, right, lower) order
-        k = lw / norms**3
-        m11, m12, m22 = k * x[:, 1] ** 2, -k * x[:, 0] * x[:, 1], k * x[:, 0] ** 2
-        block = np.empty((lw.size, 9))
-        block[:, 0] = m11 + 2 * m12 + m22
-        block[:, 1] = block[:, 3] = -m11 - m12
-        block[:, 2] = block[:, 6] = -m12 - m22
-        block[:, 4], block[:, 5], block[:, 7], block[:, 8] = m11, m12, m12, m22
+        # E_t^T M_t E_t with M_t = w_t / |x_t| (I - x_t x_t' / |x_t|^2)
+        # = r r' for r = E_t^T x_t^perp sqrt(w_t) / |x_t|^1.5, rows and
+        # columns in (own, right, lower) order
+        r = (x * (np.sqrt(lw) / norms**1.5)[:, None]) @ _PERP
+        block = r[:, :, None] * r[:, None, :]
         # the outer product of the class sizes only stiffens the shift
         hess = qc + np.bincount(entries, block.ravel(), size * size).reshape(size, size) + stiff
         step = _solve(hess, -g)
         if math.sqrt(class_sizes @ step**2) <= _NEWTON_TOL * math.sqrt(class_sizes @ v**2):
+            live = np.zeros(w.size, dtype=bool)
+            live[kept] = True
             return _certify(quad, linear, triples, w, cls, live, (v + step)[cls], step[cls])
         d = _jumps(ends, step)
         dd = np.einsum("tk,tk->t", d, d)
@@ -903,8 +930,7 @@ def _newton(quad, linear, triples, w, sizes, total, c, cls, steps):
             gap = np.hypot(*(x + reach[:, None] * d).T)
             kinks = (reach > 0) & (reach < 1) & (gap <= 1e-2 * norms)
             if kinks.any():
-                t, tries = _kink_tries(reach, kinks)
-                for terms in tries:
+                for t, terms in _kink_tries(reach, kinks):
                     joined = _merge(np.arange(size), ends, np.flatnonzero(terms))
                     means = coarser(joined, v + t * step)
                     if change(x, norms, gs, means[joined] - v) < 0:
@@ -1025,13 +1051,10 @@ def reduced_solve(
     if count <= _NEWTON_FIRST:
         c = _newton(*problem, u_sums / sizes, np.arange(count), _NEWTON_STEPS)
     if c is None:
-        tried = None
         for cls, start in _merges(*problem, u_sums / sizes):
-            if tried is None or not np.array_equal(cls, tried):  # a new start
-                c = _newton(*problem, start, cls, _MERGED_STEPS)
-                if c is not None:
-                    break
-            tried = cls
+            c = _newton(*problem, start, cls, _MERGED_STEPS)
+            if c is not None:
+                break
     if c is None:
         return None
     u = c[label].reshape(shape)
