@@ -764,13 +764,15 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
     The least squares, sum_t ||y_t||^2 / a_t least with a_t = w_t^2 /
     scale_t, is solved through the C x C weighted Laplacian L = sum_t
     a_t E_t^T E_t of the merged terms, summed by bincount: y_t = a_t E_t z
-    with L z = -g in least squares. L vanishes exactly on the functions
-    constant on each class cls, so L plus the projection onto them is
-    invertible and gives the same y. L and the projection are zero and
-    the identity outside the classes the merged terms join, so the solve
-    runs on those components only. A dense least squares
-    of the (C, 2T) map stalled under BLAS threads on a 2-core host; the
-    C x C solve stays on one thread through _solve.
+    with L z = -g in least squares. L is zero outside the classes the
+    merged terms join, so the solve runs on their components only. There
+    L vanishes exactly on the functions constant on each class cls, so
+    the least squares solve L z = -g less its mean over each class, which
+    L reaches; a weight a.mean() on one component of each class (its
+    anchor) makes L invertible, and as the right side sums to zero over
+    each class, the anchors hold z = 0 and leave that y as it is. A
+    dense least squares of the (C, 2T) map stalled under BLAS threads on
+    a 2-core host; the solve stays on one thread through _solve.
     """
     moved = _jumps(triples[live], step)
     x = _jumps(triples, c)
@@ -790,14 +792,16 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
     local[inside] = np.arange(inside.size)
     ends, size = local[merged], inside.size
     entries = (ends[:, _BLOCK_ROWS] * size + ends[:, _BLOCK_COLS]).ravel()
-    same = cls[inside, None] == cls[inside]
-    projection = same / same.sum(axis=1)  # onto L's null space
+    _, first, group = np.unique(cls[inside], return_index=True, return_inverse=True)
+    rhs = -g[inside]
+    rhs -= (np.bincount(group, rhs) / np.bincount(group))[group]  # L's range
     scale, worst = np.ones(w_dead.size), math.inf
     for _ in range(_DUAL_ROUNDS):
         a = w_dead**2 / scale
         lap = np.bincount(entries, np.outer(a, _GRAM).ravel(), size * size)
+        lap[first * (size + 1)] += a.mean()  # one anchor per class
         try:
-            z = _solve(lap.reshape(size, size) + a.mean() * projection, -g[inside])
+            z = _solve(lap.reshape(size, size), rhs)
         except np.linalg.LinAlgError:  # reweighted past float64's range
             return None
         y = a[:, None] * _jumps(ends, z)
