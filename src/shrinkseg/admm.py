@@ -787,7 +787,7 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
         triples[live], w[live], x[live], norms[live], count
     )
     merged, w_dead = triples[dead], w[dead]
-    inside = np.unique(merged)
+    inside = np.flatnonzero(np.bincount(merged.ravel(), minlength=count))
     local = np.empty(count, dtype=np.intp)
     local[inside] = np.arange(inside.size)
     ends, size = local[merged], inside.size
@@ -914,7 +914,7 @@ def _newton(quad, linear, triples, w, sizes, total, c, cls, steps):
         # E_t^T M_t E_t with M_t = w_t / |x_t| (I - x_t x_t' / |x_t|^2)
         # = r r' for r = E_t^T x_t^perp sqrt(w_t) / |x_t|^1.5, rows and
         # columns in (own, right, lower) order
-        r = (x * (np.sqrt(lw) / norms**1.5)[:, None]) @ _PERP
+        r = np.einsum("tk,kj->tj", x * (np.sqrt(lw) / norms**1.5)[:, None], _PERP)
         block = r[:, :, None] * r[:, None, :]
         # the outer product of the class sizes only stiffens the shift
         hess = qc + np.bincount(entries, block.ravel(), size * size).reshape(size, size) + stiff
