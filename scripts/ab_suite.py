@@ -50,8 +50,9 @@ untimed run and their ratio, and the rounds this tree won, then the
 geometric mean of the time ratios. Then it names every target whose work
 differs between the trees (a pipeline's fixture_work.work row but its
 energy: sweeps, first-pass sweeps, outer passes, capped solves, reduced
-passes, energy rises, convergence, final support and the digests of
-labels, u and v; a sweep solve's sweeps and u and v
+passes, declined reduced attempts (not compared when the parent does
+not count them), energy rises, convergence, final support and the
+digests of labels, u and v; a sweep solve's sweeps and u and v
 bytes; the values stage two read, wrote or clustered; a command's exit
 code and the bytes of every file it wrote), with the largest relative
 difference of the pipelines' final energies.
@@ -295,7 +296,7 @@ def main(argv=None):
 
     differ = 0
     for name, (((old, _), _), ((new, _), _)) in zip(names, outputs):
-        # a count that the parent's package does not keep (None) is not compared
+        # a count the parent's package does not keep (None) is not compared
         keys = [key for key in old if old[key] is not None and old[key] != new[key]]
         if keys:
             differ += 1

@@ -969,7 +969,7 @@ def _merges(quad, linear, triples, w, sizes, total, c):
     Lipschitz constant that _POWER_STEPS power iterations estimate. A
     dual strictly inside its ball means a zero jump at the minimizer, so
     after each of _CHECKPOINTS iterations this yields the classes that
-    join the terms whose duals lie within (1 - _INTERIOR) of their
+    join the terms whose duals are below (1 - _INTERIOR) times their
     bound, with c(y). The choice needs no merge decisions, and _newton
     adds the zero jumps it missed. Q~ is inverted once, by _inverse.
     """
@@ -979,32 +979,32 @@ def _merges(quad, linear, triples, w, sizes, total, c):
     owns, ends = triples[:, 0], triples[:, 1:].T  # E_t c = c[ends] - c[owns]
     flat_ends, both = ends.ravel(), np.concatenate([owns, owns])
 
-    def primal(y):
-        """c(y) for the (2, T) duals y."""
-        spread = np.bincount(flat_ends, y.ravel(), count) - np.bincount(both, y.ravel(), count)
-        return np.einsum("ij,j->i", inverse, linear - spread)
+    def spread(y):
+        """sum_t E_t^T y_t for the (2, T) duals y."""
+        return np.bincount(flat_ends, y.ravel(), count) - np.bincount(both, y.ravel(), count)
 
     def jumps(c):
         return c[ends] - c[owns]
 
     x = jumps(c - c.mean())
+    if not x.any():  # a flat start: any other start will do
+        x = np.ones_like(x)
     for _ in range(_POWER_STEPS):
-        lipschitz = math.sqrt(np.vdot(x, x))
-        x = jumps(np.einsum("ij,j->i", inverse, np.bincount(flat_ends, x.ravel(), count)
-                            - np.bincount(both, x.ravel(), count)) / lipschitz)
+        x = jumps(np.einsum("ij,j->i", inverse, spread(x)) / math.sqrt(np.vdot(x, x)))
     step = 1.0 / (_POWER_MARGIN * math.sqrt(np.vdot(x, x)))
     x = jumps(c)
     y = x * (w / np.maximum(np.hypot(x[0], x[1]), _TINY))
     ahead, t = y, 1.0
     for k in range(1, _CHECKPOINTS[-1] + 1):
-        nxt = ahead + step * jumps(primal(ahead))
+        nxt = ahead + step * jumps(np.einsum("ij,j->i", inverse, linear - spread(ahead)))
         nxt *= w / np.maximum(np.hypot(nxt[0], nxt[1]), w)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         ahead = nxt + ((t - 1.0) / t_next) * (nxt - y)
         y, t = nxt, t_next
         if k in _CHECKPOINTS:
             inside = np.hypot(y[0], y[1]) < (1.0 - _INTERIOR) * w
-            yield _merge(np.arange(count), triples, np.flatnonzero(inside)), primal(y)
+            start = np.einsum("ij,j->i", inverse, linear - spread(y))
+            yield _merge(np.arange(count), triples, np.flatnonzero(inside)), start
 
 
 def reduced_solve(
