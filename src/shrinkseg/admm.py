@@ -886,9 +886,10 @@ def _newton(quad, linear, triples, w, sizes, total, c, cls, steps):
         stiff = np.outer(class_sizes, class_sizes) / n_pix
         entries = (ends[:, _BLOCK_ROWS] * size + ends[:, _BLOCK_COLS]).ravel()
 
-    def change(x, norms, gs, delta):
-        """phi(c + delta) - phi(c) without cancelling large terms."""
-        x_new = x + _jumps(ends, delta)
+    def change(x, norms, gs, delta, moved=None):
+        """phi(c + delta) - phi(c) without cancelling large terms; moved,
+        when given, is _jumps(ends, delta)."""
+        x_new = x + (_jumps(ends, delta) if moved is None else moved)
         penalty = lw @ (np.hypot(x_new[:, 0], x_new[:, 1]) - norms)
         return gs @ delta + 0.5 * delta @ np.einsum("ij,j->i", qc, delta) + penalty
 
@@ -914,7 +915,7 @@ def _newton(quad, linear, triples, w, sizes, total, c, cls, steps):
         # E_t^T M_t E_t with M_t = w_t / |x_t| (I - x_t x_t' / |x_t|^2)
         # = r r' for r = E_t^T x_t^perp sqrt(w_t) / |x_t|^1.5, rows and
         # columns in (own, right, lower) order
-        r = np.einsum("tk,kj->tj", x * (np.sqrt(lw) / norms**1.5)[:, None], _PERP)
+        r = np.einsum("tk,kj->tj", x * (np.sqrt(lw / norms) / norms)[:, None], _PERP)
         block = r[:, :, None] * r[:, None, :]
         # the outer product of the class sizes only stiffens the shift
         hess = qc + np.bincount(entries, block.ravel(), size * size).reshape(size, size) + stiff
@@ -946,7 +947,7 @@ def _newton(quad, linear, triples, w, sizes, total, c, cls, steps):
                     continue
         slope = g @ step
         for _ in range(_HALVINGS):
-            if change(x, norms, gs, t * step) <= 1e-4 * t * slope:
+            if change(x, norms, gs, t * step, t * d) <= 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
