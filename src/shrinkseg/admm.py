@@ -546,7 +546,9 @@ _MAX_PIECES = 128
 # Up to this many components, reduced_solve first runs _newton from
 # every component in a class of its own, as it certifies most such
 # attempts at once; above it, and after that first try declines, the
-# dual iteration of _merges hands _newton its start classes.
+# dual iteration of _merges hands _newton its start classes. On the 12
+# n=64 fixtures, every attempt through _merges took 1.16-1.18 times as
+# long in all, and a split at 32, 96 or 128 took 1.005-1.026 times.
 _NEWTON_FIRST = 64
 # Budget of one Newton run: Newton steps in all, for a first try
 # (_NEWTON_STEPS: the fixtures' certified first tries took at most 14
@@ -573,7 +575,7 @@ _BALANCE = 1e-8
 _BATCH = 8
 # OpenBLAS factors a matrix of this many rows or more on all its threads,
 # and on a 2-core host such a call stalled for about 100 ms in 9 of 400
-# solves at 100 rows; _solve and _inverse stay below it.
+# solves at 100 rows; _solve stays below it.
 _SOLVE_ROWS = 100
 # _merges runs FISTA on the dual and hands out its start classes after
 # each of these iteration counts; a term joins its components there
@@ -682,33 +684,20 @@ def _coarsen(matrix: Array, cls: Array, size: int) -> Array:
     return np.bincount(pairs, matrix.ravel(), size * size).reshape(size, size)
 
 
-def _inverse(matrix: Array) -> Array:
-    """The inverse of the symmetric positive definite matrix, from blocks
-    of at most _SOLVE_ROWS // 2 rows above that: its leading half's
-    inverse, and that of the half's Schur complement."""
-    n = matrix.shape[0]
-    if n <= _SOLVE_ROWS // 2:
-        return np.linalg.inv(matrix)
-    h = n // 2
-    lead = _inverse(matrix[:h, :h])
-    across = lead @ matrix[:h, h:]
-    tail = _inverse(matrix[h:, h:] - matrix[h:, :h] @ across)
-    corner = -(across @ tail)
-    return np.block([[lead - corner @ across.T, corner], [corner.T, tail]])
-
-
 def _solve(matrix: Array, b: Array) -> Array:
-    """matrix^-1 b for a symmetric positive definite matrix, on one BLAS
-    thread: at _SOLVE_ROWS rows or more, by block elimination of its
-    leading half, whose Schur complement is positive definite too."""
-    n = b.size
+    """matrix^-1 b for a symmetric positive definite matrix and a vector
+    or matrix b, on one BLAS thread: at _SOLVE_ROWS rows or more, by
+    block elimination of its leading half, whose Schur complement is
+    positive definite too."""
+    n = matrix.shape[0]
     if n < _SOLVE_ROWS:
         return np.linalg.solve(matrix, b)
     h = n // 2
-    lead = np.linalg.solve(matrix[:h, :h], np.column_stack([matrix[:h, h:], b[:h]]))
-    tail = _solve(matrix[h:, h:] - matrix[h:, :h] @ lead[:, :-1],
-                  b[h:] - matrix[h:, :h] @ lead[:, -1])
-    return np.concatenate([lead[:, -1] - lead[:, :-1] @ tail, tail])
+    width = matrix.shape[1] - h
+    lead = np.linalg.solve(matrix[:h, :h], np.hstack([matrix[:h, h:], b[:h].reshape(h, -1)]))
+    across, rest = lead[:, :width], lead[:, width:].reshape(b[:h].shape)
+    tail = _solve(matrix[h:, h:] - matrix[h:, :h] @ across, b[h:] - matrix[h:, :h] @ rest)
+    return np.concatenate([rest - across @ tail, tail])
 
 
 def _jumps(triples: Array, c: Array) -> Array:
@@ -758,8 +747,7 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
     diag(sizes), c is then within that residual over rho * sizes.min()
     of the exact minimizer. Among the duals, weighted least squares
     picks one; Lawson's reweighting (toward the least largest ratio
-    ||y_t|| / w_t) gets _DUAL_ROUNDS tries, and stops early once a round
-    does not lower the largest ratio.
+    ||y_t|| / w_t) gets _DUAL_ROUNDS tries.
 
     The least squares, sum_t ||y_t||^2 / a_t least with a_t = w_t^2 /
     scale_t, is solved through the C x C weighted Laplacian L = sum_t
@@ -795,7 +783,7 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
     _, first, group = np.unique(cls[inside], return_index=True, return_inverse=True)
     rhs = -g[inside]
     rhs -= (np.bincount(group, rhs) / np.bincount(group))[group]  # L's range
-    scale, worst = np.ones(w_dead.size), math.inf
+    scale = np.ones(w_dead.size)
     for _ in range(_DUAL_ROUNDS):
         a = w_dead**2 / scale
         lap = np.bincount(entries, np.outer(a, _GRAM).ravel(), size * size)
@@ -811,9 +799,6 @@ def _certify(quad, linear, triples, w, cls, live, c, step):
             residual = g + _penalty_grad(merged, ones, y, ones, count)
             balanced = np.linalg.norm(residual) <= _BALANCE * np.linalg.norm(linear)
             return c if balanced else None
-        if ratio.max() >= worst:  # the reweighting has stalled
-            return None
-        worst = ratio.max()
         scale *= np.maximum(ratio, 1e-12)
     return None
 
@@ -832,7 +817,8 @@ def _kink_tries(reach, kinks):
     one. The fallbacks are needed where merging every kink raises phi at
     each step: without them, such an attempt falls to the line search at
     every step and runs out of steps, and with the first kinks alone it
-    merges one kink per step.
+    merges one kink per step. Without the halved prefixes the n=64
+    fixtures took 1.02-1.04 times as long in all.
     """
     ordered = np.sort(reach[kinks])
     t = ordered[0]
@@ -972,10 +958,10 @@ def _merges(quad, linear, triples, w, sizes, total, c):
     after each of _CHECKPOINTS iterations this yields the classes that
     join the terms whose duals are below (1 - _INTERIOR) times their
     bound, with c(y). The choice needs no merge decisions, and _newton
-    adds the zero jumps it missed. Q~ is inverted once, by _inverse.
+    adds the zero jumps it missed. Q~ is inverted once, by _solve.
     """
     count, n_pix = sizes.size, sizes.sum()
-    inverse = _inverse(quad + np.outer(sizes, sizes) / n_pix)
+    inverse = _solve(quad + np.outer(sizes, sizes) / n_pix, np.eye(count))
     linear = linear + sizes * (total / n_pix)
     owns, ends = triples[:, 0], triples[:, 1:].T  # E_t c = c[ends] - c[owns]
     flat_ends, both = ends.ravel(), np.concatenate([owns, owns])

@@ -428,10 +428,11 @@ class TestRunState:
 
         monkeypatch.setattr(module.RunState, "__init__", counted)
         calls = _record_passes(monkeypatch)
-        result = decompose(small_phantom(sigma=0.1), ModelParams(alpha=0.05, beta=100.0), **FAST)
+        # noisy enough that three or more passes still run admm_solve
+        result = decompose(small_phantom(sigma=0.2), ModelParams(alpha=0.05, beta=100.0), **FAST)
         solves = [call for call in calls if call["name"] == "admm_solve"]
         tries = [call for call in calls if call["name"] == "reduced_solve"]
-        assert len(solves) >= 2 and result.reduced_solves > 0
+        assert len(solves) >= 3 and result.reduced_solves > 0
         assert len(built) == 1
         states = [call["kwargs"]["state"] for call in solves] + [call["args"][3] for call in tries]
         assert all(state is built[0] for state in states)

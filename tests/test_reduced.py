@@ -220,6 +220,30 @@ def _first_kinks_only(monkeypatch):
     monkeypatch.setattr(admm_module, "_kink_tries", first_only)
 
 
+def _kink_steps(monkeypatch):
+    """Wrap _kink_tries and _merge; returns, for each Newton step that
+    crosses kinks, the masks offered and the indices of those whose merge
+    was formed, in order. A merge is formed to be tested, and the tries
+    stop at the first that lowers phi."""
+    steps, tries, merge = [], admm_module._kink_tries, admm_module._merge
+
+    def counted_tries(reach, kinks):
+        offered = tries(reach, kinks)
+        steps.append(([mask for _, mask in offered], []))
+        return offered
+
+    def counted_merge(cls, triples, terms):
+        if steps:
+            masks, tried = steps[-1]
+            tried += [i for i, mask in enumerate(masks)
+                      if i not in tried and np.array_equal(terms, np.flatnonzero(mask))]
+        return merge(cls, triples, terms)
+
+    monkeypatch.setattr(admm_module, "_kink_tries", counted_tries)
+    monkeypatch.setattr(admm_module, "_merge", counted_merge)
+    return steps
+
+
 class TestKinkMerges:
     """A Newton step merges every kink it crosses, or else fewer of the
     first ones, down to the first."""
@@ -250,11 +274,28 @@ class TestKinkMerges:
         args = _fixture_attempt(acceptance_fixtures, "two_phase_s0.05_b0", 48)
         assert _check_against_admm(args) is not None
         _first_kinks_only(monkeypatch)
-        # the first try alone: no start classes from the dual
-        monkeypatch.setattr(admm_module, "_merges", lambda *args: iter(()))
-        certify = _count_calls(monkeypatch, admm_module, "_certify")
-        assert _reduced(args) is None
-        assert not certify  # the budget ran out before any certificate
+        runs = []  # each _newton call: from singleton classes, certificates, result
+        newton, certify = admm_module._newton, admm_module._certify
+
+        def counted_newton(*args):
+            cls = args[7]
+            runs.append({"singletons": cls.max() + 1 == cls.size, "certificates": 0})
+            runs[-1]["result"] = newton(*args)
+            return runs[-1]["result"]
+
+        def counted_certify(*args):
+            runs[-1]["certificates"] += 1
+            return certify(*args)
+
+        monkeypatch.setattr(admm_module, "_newton", counted_newton)
+        monkeypatch.setattr(admm_module, "_certify", counted_certify)
+        reduced = _check_against_admm(args)
+        # the first try, from singleton classes, runs out of steps before
+        # any certificate
+        first = runs[0]
+        assert first["singletons"] and first["result"] is None and not first["certificates"]
+        # the start classes of _merges then certify the pass
+        assert reduced is not None and runs[-1]["result"] is not None
 
     def test_rejected_every_kink_merge_falls_back_to_the_first(
         self, acceptance_fixtures, monkeypatch
@@ -262,25 +303,22 @@ class TestKinkMerges:
         # a 14-component attempt of two_phase_s0.02_b0 whose every-kink
         # merges all raise phi
         args = _fixture_attempt(acceptance_fixtures, "two_phase_s0.02_b0", 14)
-        offered, fallbacks = [], []  # each kink step's masks; first-kink merges tried
-        tries, merge = admm_module._kink_tries, admm_module._merge
-
-        def counted_tries(reach, kinks):
-            masks = [mask for _, mask in tries(reach, kinks)]
-            offered.append(masks)
-            return tries(reach, kinks)
-
-        def counted_merge(cls, triples, terms):
-            masks = offered[-1] if offered else ()
-            if any(np.array_equal(terms, np.flatnonzero(mask)) for mask in masks[1:]):
-                fallbacks.append(terms)
-            return merge(cls, triples, terms)
-
-        monkeypatch.setattr(admm_module, "_kink_tries", counted_tries)
-        monkeypatch.setattr(admm_module, "_merge", counted_merge)
+        steps = _kink_steps(monkeypatch)
         assert _check_against_admm(args) is not None
-        # fewer kinks are tried only after the every-kink merge was rejected
-        assert fallbacks
+        # the first kinks are tried only after the every-kink merge, and
+        # every halved prefix, was rejected
+        assert any(len(masks) > 1 and tried[-1:] == [len(masks) - 1] for masks, tried in steps)
+
+    def test_rejected_every_kink_merge_falls_back_to_a_halved_prefix(
+        self, acceptance_fixtures, monkeypatch
+    ):
+        # a 24-component attempt of two_phase_s0.02_b0.2 where a merge of
+        # the first half of the kinks lowers phi and every kink does not
+        args = _fixture_attempt(acceptance_fixtures, "two_phase_s0.02_b0.2", 24)
+        steps = _kink_steps(monkeypatch)
+        assert _check_against_admm(args) is not None
+        # a step stops at a halved prefix: that merge was accepted
+        assert any(0 < tried[-1] < len(masks) - 1 for masks, tried in steps if tried)
 
 
 class TestTieLabels:
