@@ -133,13 +133,11 @@ def main(argv=None):
             totals[key] += row[key]
         print(f"{entry['name']:<28} {row['sweeps']:>7} {row['first']:>5} {row['outer']:>5} "
               f"{row['capped']:>6} {row['reduced']:>7} {row['declined']:>8} {row['rises']:>5} "
-              f"{row['converged']:>9} "
-              f"{row['support']:>7}  {row['labels']:<12}  {row['u']:<12}  {row['v']:<12}  "
-              f"{row['energy']!r}")
+              f"{row['converged']:>9} {row['support']:>7}  {row['labels']:<12}  "
+              f"{row['u']:<12}  {row['v']:<12}  {row['energy']!r}")
     print(f"{'total':<28} {totals['sweeps']:>7} {totals['first']:>5} {totals['outer']:>5} "
           f"{totals['capped']:>6} {totals['reduced']:>7} {totals['declined']:>8} "
-          f"{totals['rises']:>5} "
-          f"{totals['converged']:>6}/{len(entries)}")
+          f"{totals['rises']:>5} {totals['converged']:>6}/{len(entries)}")
     return 0
 
 

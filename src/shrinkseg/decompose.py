@@ -155,10 +155,9 @@ def decompose(
     nor the projection, adds no sweeps to inner_iters and is counted in
     reduced_solves; an attempt within its cap that returns None is
     counted in reduced_declines. Any other pass goes to admm_solve as
-    above, starting
-    from the scaled dual that the run's last admm_solve ended with (zero
-    duals on the first pass): successive passes solve nearly the same
-    problem, so a warm dual saves sweeps.
+    above, starting from the scaled dual that the run's last admm_solve
+    ended with (zero duals on the first pass): successive passes solve
+    nearly the same problem, so a warm dual saves sweeps.
     """
     f = as_grid(f, "f")
     outer = outer or OuterParams()
