@@ -10,9 +10,11 @@ about log2(m) rounds per layer for m distinct values. Once every open
 endpoint against its subproblem's whole split range fits one block,
 one last round finishes the layer, so few-valued images take one
 round per layer. Only the last layer's final endpoint is ever read
-back, so that layer is one such round over every split. Thresholds sit
-midway between consecutive cluster means and each pixel's label is 1
-plus the number of thresholds below its value.
+back, so that layer is one such round, over the splits that a branch
+and bound keeps while filling the layer before it (see _fill_layer):
+the dropped ones cost more, so the means are those of a full scan, bit
+for bit. Thresholds sit midway between consecutive cluster means and
+each pixel's label is 1 plus the number of thresholds below its value.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class SegmentationResult:
 
 
 _BLOCK = 1 << 14  # most candidate splits per block, and open subproblems per round
+_SLACK = 1e-9  # rounding slack of the last full layer's bound, per unit of s2[-1]
 
 
 def _prefix_moments(vals: Array, weights: Array):
@@ -88,7 +91,7 @@ def _first_minima(cost_prev, w, s1, s2, mid, opt_lo, opt_hi):
     return best, arg
 
 
-def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg):
+def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg, tail=None):
     """Fill out_cost[lo:hi] given the split argmin lies in [opt_lo, opt_hi).
 
     Every layer but the last is filled this way. The optimal split index
@@ -103,13 +106,22 @@ def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg)
     subproblem's whole range in one round. The narrower ranges of the
     divide and conquer hold the same first minimum, since it is
     nondecreasing in the endpoint.
+
+    Given tail[b], the cost of the last run [b, m), this is the last full
+    layer, filled by branch and bound: out_cost[b] + tail[b] is at least
+    out_cost[lo - 1] + tail[hi - 1] (out_cost 0 at the layer's start) in
+    an open subproblem [lo, hi), as out_cost rises and tail falls in b.
+    Each round drops the subproblems whose bound exceeds the lowest full
+    cost so far by over the rounding slack _SLACK * s2[-1], leaving them
+    at inf: they cost more than the optimum, whose first minimum is kept.
     """
     lo, hi, opt_lo, opt_hi = np.atleast_1d(lo, hi, opt_lo, opt_hi)
+    best = np.inf
     while lo.size:
         if lo.size > _BLOCK:  # the subproblems are independent of each other
             h = lo.size // 2
             _fill_layer(cost_prev, w, s1, s2, lo[:h], hi[:h], opt_lo[:h], opt_hi[:h],
-                        out_cost, out_arg)
+                        out_cost, out_arg, tail)
             lo, hi, opt_lo, opt_hi = lo[h:], hi[h:], opt_lo[h:], opt_hi[h:]
         if (hi - lo) @ (opt_hi - opt_lo) <= _BLOCK:
             # every endpoint against its subproblem's whole split range fits
@@ -128,6 +140,11 @@ def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg)
         hi = np.concatenate([mid[left], hi[right]])
         opt_lo = np.concatenate([opt_lo[left], arg[right]])
         opt_hi = np.concatenate([arg[left] + 1, opt_hi[right]])
+        if tail is not None:
+            best = min(best, np.min(out_cost[mid] + tail[mid]))
+            bound = np.nan_to_num(out_cost[lo - 1], posinf=0.0) + tail[hi - 1]
+            keep = bound <= best + _SLACK * s2[-1]
+            lo, hi, opt_lo, opt_hi = lo[keep], hi[keep], opt_lo[keep], opt_hi[keep]
 
 
 def kmeans_1d(values, k: int) -> np.ndarray:
@@ -157,17 +174,25 @@ def kmeans_1d(values, k: int) -> np.ndarray:
     cost = s1**2
     cost[1:] /= w[1:]
     np.subtract(s2, cost, out=cost)
+    lo, hi = k - 1, m
     splits = []
     for j in range(1, k - 1):
         new_cost = np.full(m + 1, np.inf)
         new_arg = np.zeros(m + 1, dtype=np.intp)
         # runs must be nonempty: endpoint b >= j+1, split a >= j
-        _fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg)
+        if j < k - 2:
+            _fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg)
+        else:  # tail[b]: the cost of the last run [b, m), 0 if it is empty
+            tail = np.append(s2[-1] - s2[:-1] - (s1[-1] - s1[:-1]) ** 2 / (w[-1] - w[:-1]), 0.0)
+            _fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg, tail)
+            full = new_cost + tail
+            kept = np.flatnonzero(full <= np.min(full) + _SLACK * s2[-1])
+            lo, hi = kept[0], kept[-1] + 1
         cost = new_cost
         splits.append(new_arg)
 
-    # the last layer is read only at b = m: one round over splits a >= k-1
-    _, last = _first_minima(cost, w, s1, s2, np.array([m]), np.array([k - 1]), np.array([m]))
+    # the last layer is read only at b = m: one round over the kept splits
+    _, last = _first_minima(cost, w, s1, s2, np.array([m]), np.array([lo]), np.array([hi]))
     bounds = [m, int(last[0])]
     for arg in reversed(splits):
         bounds.append(int(arg[bounds[-1]]))

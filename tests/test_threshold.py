@@ -27,6 +27,45 @@ def _tied_values(seed, m, normal):
     return rng.permutation(values)
 
 
+def _noisy_phantom():
+    """About n^2 distinct values at n = 128, as the CLI sees a corrected
+    image."""
+    spec = PhantomSpec(
+        n=128,
+        phase_values=(0.3, 0.8),
+        shapes=(
+            Disk(row=64, col=43, radius=29, phase=2),
+            Rect(row0=20, col0=88, row1=70, col1=116, phase=2),
+        ),
+        noise_sigma=0.05,
+        seed=11,
+    )
+    return generate(spec).f
+
+
+def _bound_free_means(values, k):
+    """kmeans_1d's means with every layer but the last filled in full by
+    _fill_layer, with no bound, and the last one read by one round over
+    every split."""
+    w, s1, s2 = threshold._prefix_moments(*np.unique(values, return_counts=True))
+    m = w.size - 1
+    cost = s2 - np.divide(s1**2, w, out=np.zeros(m + 1), where=w > 0)
+    splits = []
+    for j in range(1, k - 1):
+        new_cost, new_arg = np.full(m + 1, np.inf), np.zeros(m + 1, np.intp)
+        threshold._fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg)
+        cost = new_cost
+        splits.append(new_arg)
+    _, last = threshold._first_minima(
+        cost, w, s1, s2, np.array([m]), np.array([k - 1]), np.array([m])
+    )
+    bounds = [m, int(last[0])]
+    for arg in reversed(splits):
+        bounds.append(int(arg[bounds[-1]]))
+    bounds = [0, *reversed(bounds)]
+    return np.array([(s1[b] - s1[a]) / (w[b] - w[a]) for a, b in zip(bounds[:-1], bounds[1:])])
+
+
 class TestKmeans1d:
     def test_two_values(self):
         np.testing.assert_allclose(kmeans_1d([0.05, 0.95], 2), [0.05, 0.95])
@@ -97,22 +136,73 @@ class TestBreadthFirstMatchesRecursion:
         assert kmeans_1d(values, k).tobytes() == want.tobytes()
 
     def test_bitwise_equal_on_noisy_phantom(self):
-        # about n^2 distinct values, as the CLI sees a corrected image
-        spec = PhantomSpec(
-            n=128,
-            phase_values=(0.3, 0.8),
-            shapes=(
-                Disk(row=64, col=43, radius=29, phase=2),
-                Rect(row0=20, col0=88, row1=70, col1=116, phase=2),
-            ),
-            noise_sigma=0.05,
-            seed=11,
-        )
-        f = generate(spec).f
+        f = _noisy_phantom()
         assert np.unique(f).size > 16000
         for k in (2, 3, 4, 5):
             want = oracles.recursive_kmeans_1d(f, k)
             assert kmeans_1d(f, k).tobytes() == want.tobytes()
+
+
+class TestLastLayerBound:
+    """The last layer filled in full drops every subproblem whose lower
+    bound exceeds the lowest full cost found by more than a rounding
+    slack, and the last round scans only the splits that remain. That
+    must skip most of that layer's candidate splits and change no bit of
+    the means."""
+
+    @staticmethod
+    def _candidates(monkeypatch, run, values, k):
+        """run(values, k) and, per layer, the candidate splits of each
+        _first_minima call: consecutive calls on one cost_prev array
+        make one layer, the last round included."""
+        calls = []
+        first_minima = threshold._first_minima
+
+        def spy(cost_prev, w, s1, s2, mid, opt_lo, opt_hi):
+            calls.append((cost_prev, int(np.sum(np.minimum(opt_hi, mid) - opt_lo))))
+            return first_minima(cost_prev, w, s1, s2, mid, opt_lo, opt_hi)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threshold, "_first_minima", spy)
+            means = run(values, k)
+        layers = []
+        for i, (cost_prev, count) in enumerate(calls):
+            if i and cost_prev is calls[i - 1][0]:
+                layers[-1].append(count)
+            else:
+                layers.append([count])
+        return means, layers
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_last_full_layer_skips_most_candidates(self, monkeypatch, k):
+        f = _noisy_phantom()
+        assert np.unique(f).size >= 4096
+        means, bounded = self._candidates(monkeypatch, kmeans_1d, f, k)
+        _, full = self._candidates(monkeypatch, _bound_free_means, f, k)
+        assert len(bounded) == len(full) == k - 1
+        # the earlier layers are filled as without the bound
+        assert bounded[:-2] == full[:-2]
+        assert sum(bounded[-2]) < sum(full[-2]) / 2
+        assert sum(bounded[-1]) < sum(full[-1])
+        assert means.tobytes() == oracles.recursive_kmeans_1d(f, k).tobytes()
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_offset_input_keeps_the_first_minimum(self, k):
+        # costs near 1e-14 of s2[-1] carry rounding errors of a few percent
+        # of themselves, so the bound holds only up to the slack. The
+        # depth-first oracle picks other first minima here than the
+        # breadth-first fill does, with or without the bound, so the fill
+        # without the bound is the reference.
+        rng = np.random.default_rng(0)
+        values = 1e4 + np.round(rng.normal(0.0, 1e-3, 2000), 6)
+        assert 1000 < np.unique(values).size < values.size
+        assert kmeans_1d(values, k).tobytes() == _bound_free_means(values, k).tobytes()
+
+    def test_two_clusters_take_one_round(self, monkeypatch):
+        f = _noisy_phantom()
+        means, layers = self._candidates(monkeypatch, kmeans_1d, f, 2)
+        assert layers == [[np.unique(f).size - 1]]
+        assert means.tobytes() == _bound_free_means(f, 2).tobytes()
 
 
 class TestBlockedLayers:
