@@ -94,8 +94,7 @@ def work(result, labels):
         "outer": result.outer_iters,
         "capped": result.capped_solves,
         "reduced": result.reduced_solves,
-        # None for a package that does not count them
-        "declined": getattr(result, "reduced_declines", None),
+        "declined": result.reduced_declines,
         "rises": result.energy_rises,
         "converged": int(result.converged),
         "support": result.trace[-1].support_size,

@@ -6,7 +6,7 @@ allowed to carry a nonzero gradient. Stage two clusters the corrected
 component's values and thresholds midway between cluster means.
 """
 
-from .admm import AdmmParams, InnerResult, admm_solve, reduced_solve, solve_uv
+from .admm import AdmmParams, InnerResult, admm_solve, solve_uv
 from .decompose import (
     DecompositionResult,
     IterationTrace,
@@ -18,6 +18,7 @@ from .energy import ModelParams, decomposition_energy
 from .grid import OperatorSymbols, compute_symbols, grad, grad_adjoint, grad_norms
 from .imgio import RunConfig
 from .metrics import cv, jaccard
+from .reduced import reduced_solve
 from .support import SupportSet, detect_support, initial_support, project_to_support
 from .synth import Disk, Phantom, PhantomSpec, Rect, gaussian_field, generate
 from .threshold import SegmentationResult, kmeans_1d, segment

@@ -153,6 +153,7 @@ def _base_report(config: imgio.RunConfig, result: DecompositionResult) -> dict:
         "outer_iters": result.outer_iters,
         "capped_solves": result.capped_solves,
         "reduced_solves": result.reduced_solves,
+        "reduced_declines": result.reduced_declines,
         "energy_increased": result.energy_increased,
         "energy_rises": result.energy_rises,
         "final_energy": result.trace[-1].energy,

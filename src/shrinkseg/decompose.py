@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmParams, RunState, admm_solve, reduced_solve
+from .admm import AdmmParams, RunState, admm_solve
 from .energy import ModelParams, decomposition_energy
 from .grid import Array, as_grid, grad, grad_norms
+from .reduced import ReducedCache, reduced_solve, within_cap
 from .support import detect_support, initial_support, project_to_support
 
 
@@ -148,13 +149,14 @@ def decompose(
     moves far ends coarse, while the small steps of late passes are
     still solved tightly.
 
-    Both solvers read one RunState, made once for the run. From the
-    second pass on, reduced_solve gets each pass first. When the support
-    leaves few enough tie components it may return the pass's exact
-    minimizer: that pass counts as solved at tol_in, needs neither H1
-    nor the projection, adds no sweeps to inner_iters and is counted in
-    reduced_solves; an attempt within its cap that returns None is
-    counted in reduced_declines. Any other pass goes to admm_solve as
+    Both solvers read one RunState, made once for the run, and
+    reduced_solve also one ReducedCache. From the second pass on,
+    reduced_solve gets each pass first. When the support leaves few
+    enough tie components it may return the pass's exact minimizer: that
+    pass counts as solved at tol_in, needs neither H1 nor the projection,
+    adds no sweeps to inner_iters and is counted in reduced_solves; an
+    attempt within its cap that returns None is counted in
+    reduced_declines. Any other pass goes to admm_solve as
     above, starting from the scaled dual that the run's last admm_solve
     ended with (zero duals on the first pass): successive passes solve
     nearly the same problem, so a warm dual saves sweeps.
@@ -180,6 +182,7 @@ def decompose(
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
     state = RunState(f, params, outer.rho, admm.r)  # shared by this run's solves only
+    cache = ReducedCache(state)
     lam = None  # the scaled dual of the last admm_solve, the next one's start
 
     def record(energy: float, increment: float, inner_iters: int) -> None:
@@ -217,9 +220,8 @@ def decompose(
         # expects an admm span from every op, noise-free ones included
         inner = None
         if rows:
-            inner = reduced_solve(u, weights, support, state)
-            # pieces_of is None only for a support over the cap
-            declines += inner is None and state.pieces_of(support) is not None
+            inner = reduced_solve(u, weights, support, state, cache)
+            declines += inner is None and within_cap(support)
         if inner is not None:  # the exact minimizer, feasible as it is
             reduced += 1
             tol = admm.tol_in

@@ -24,6 +24,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from shrinkseg import admm as admm_module
+from shrinkseg import reduced as reduced_module
 from shrinkseg.admm import _shrink_field, _shrink_thresholds
 from shrinkseg.decompose import IterationTrace, TraceRow
 from shrinkseg.energy import decomposition_energy
@@ -167,7 +168,6 @@ def spectral_system(f, u_k, v_k, params, rho, r):
         shape=f.shape,
         b=b,
         f_hat=f_hat,
-        smooth_f=np.fft.irfft2(f_hat * (1.0 - 1.0 / b), s=f.shape),
         u0_hat=u0_hat * scale,
         v0_hat=v0_hat,
         u_pull=(u_pull * scale).astype(np.complex128),
@@ -426,7 +426,7 @@ def csgraph_project_to_support(u, support):
 
 
 def smooth_per_component(label, shape, gamma, beta):
-    """admm._smooth's B^T S B with one transform per tie component, of
+    """reduced._smooth's B^T S B with one transform per tie component, of
     its indicator, single pixels included."""
     count = label.max() + 1
     ridge = gamma + beta * compute_symbols(shape).hth
@@ -698,13 +698,26 @@ def recursive_kmeans_1d(values, k):
 # Reduced-pass certificate by dense least squares
 
 
-def lstsq_certify(quad, linear, triples, w, live, c, step):
+def dense_adjoint(triples, count):
+    """The dense (C, 2T) matrix of y -> sum_t E_t^T y_t for count
+    components, y flattened term by term."""
+    matrix = np.zeros((count, 2 * triples.shape[0]))
+    cols = np.arange(matrix.shape[1])
+    matrix[triples[:, 1:].ravel(), cols] = 1.0
+    matrix[np.repeat(triples[:, 0], 2), cols] -= 1.0
+    return matrix
+
+
+def lstsq_certify(problem, cls, c, step):
     """Whether c certifies as the minimizer of the reduced pass problem,
-    decided as admm._certify decides it, but with each round's duals the
-    minimum-norm least squares of the dense (C, 2T) map y -> sum_t
+    decided as reduced._certify decides it, but with each round's duals
+    the minimum-norm least squares of the dense (C, 2T) map y -> sum_t
     E_t^T y_t over the merged terms (np.linalg.lstsq), and without the
-    balance check."""
-    jumps = admm_module._jumps
+    balance check. The merged terms are those whose three components
+    lie in one class of cls."""
+    triples, w = problem.triples, problem.w
+    live = np.array([len(set(cls[triple].tolist())) > 1 for triple in triples], dtype=bool)
+    jumps = reduced_module._jumps
     moved = jumps(triples[live], step)
     x = jumps(triples, c)
     norms = np.hypot(x[:, 0], x[:, 1])
@@ -713,16 +726,12 @@ def lstsq_certify(quad, linear, triples, w, live, c, step):
     dead = ~live
     if not dead.any():
         return True
-    g = quad @ c - linear + admm_module._penalty_grad(
-        triples[live], w[live], x[live], norms[live], c.size
+    g = problem.quad @ c - problem.linear + reduced_module._adjoint(
+        triples[live], x[live] * (w[live] / norms[live])[:, None], c.size
     )
-    merged = triples[dead]
-    matrix = np.zeros((c.size, 2 * merged.shape[0]))
-    cols = np.arange(matrix.shape[1])
-    matrix[merged[:, 1:].ravel(), cols] = 1.0
-    matrix[np.repeat(merged[:, 0], 2), cols] -= 1.0
-    scale = np.ones(merged.shape[0])
-    for _ in range(admm_module._DUAL_ROUNDS):
+    matrix = dense_adjoint(triples[dead], c.size)
+    scale = np.ones(np.count_nonzero(dead))
+    for _ in range(reduced_module._DUAL_ROUNDS):
         root = np.repeat(w[dead] / np.sqrt(scale), 2)  # y = root * z, least ||z||
         z = np.linalg.lstsq(matrix * root, -g, rcond=None)[0]
         ratio = np.hypot(z[0::2], z[1::2]) / np.sqrt(scale)

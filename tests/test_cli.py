@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from shrinkseg import cli, imgio
+from shrinkseg import cli, decompose, imgio, reduced
 from shrinkseg.cli import main
 
 SPEC = {
@@ -76,6 +76,21 @@ class TestPipeline:
         assert [p["phase"] for p in report["phases"]] == [1, 2]
         assert all(p["js"] >= 0.9 for p in report["phases"])
         assert all(0.0 <= p["cv"] <= 0.2 for p in report["phases"])
+
+    @pytest.mark.parametrize("steps", [None, 0])
+    def test_report_counts_reduced_passes_and_declines(self, workspace, monkeypatch, steps):
+        if steps == 0:  # no Newton steps to spend: every reduced attempt declines
+            monkeypatch.setattr(reduced, "_NEWTON_STEPS", 0)
+            monkeypatch.setattr(reduced, "_MERGED_STEPS", 0)
+        assert main(["decompose", str(workspace / "ph_f.csv"), str(workspace / f"steps{steps}"),
+                     "--config", str(workspace / "cfg.json")]) == 0
+        report = json.loads((workspace / f"steps{steps}_report.json").read_text())
+        config = imgio.config_from_dict(dict(CONFIG))
+        f = imgio.to_log_domain(imgio.read_float_grid(workspace / "ph_f.csv"))
+        result = decompose(f, config.model_params(), config.outer_params(), config.admm_params())
+        assert report["reduced_solves"] == result.reduced_solves
+        assert report["reduced_declines"] == result.reduced_declines
+        assert (result.reduced_solves if steps is None else result.reduced_declines) > 0
 
     def test_segment_subcommand_reproduces_run_labels(self, workspace):
         assert main(["segment", str(workspace / "out_u.csv"), "2",

@@ -1,5 +1,6 @@
 """The reduced pass solve against ADMM, and the tie labels it shares."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -23,7 +24,8 @@ from shrinkseg import (
     generate,
     reduced_solve,
 )
-from shrinkseg import admm as admm_module
+from shrinkseg import reduced as reduced_module
+from shrinkseg.admm import RunState
 from shrinkseg.support import SupportSet, tie_labels
 from shrinkseg.synth import Disk, PhantomSpec
 
@@ -42,13 +44,19 @@ def _instance(seed, shape, active_frac=0.5):
     return (f, f - v_k, v_k, weights, SupportSet(active=active), PARAMS, RHO, EXACT)
 
 
-def _reduced(args, state=None):
-    """reduced_solve on admm_solve's args, with a state of its own
-    unless one is given."""
+def _reduced(args, cache=None):
+    """reduced_solve on admm_solve's args, with a state and a cache of
+    its own unless a cache is given (with the state it was made for)."""
     f, u_k, _, weights, support, params, rho, admm = args
-    if state is None:
-        state = admm_module.RunState(f, params, rho, admm.r)
-    return reduced_solve(u_k, weights, support, state)
+    if cache is None:
+        return reduced_solve(u_k, weights, support, RunState(f, params, rho, admm.r))
+    return reduced_solve(u_k, weights, support, cache.state, cache)
+
+
+def _cache(args):
+    """A ReducedCache for a RunState of admm_solve's args."""
+    f, _, _, _, _, params, rho, admm = args
+    return reduced_module.ReducedCache(RunState(f, params, rho, admm.r))
 
 
 def _pass_energy(args, u, v):
@@ -116,28 +124,34 @@ class TestMatchesAdmm:
         first = _reduced(args)
         assert first is not None
         second = _reduced(args)
-        state = admm_module.RunState(args[0], PARAMS, RHO, EXACT.r)
-        third = _reduced(args, state)
-        fourth = _reduced(args, state)  # from the stored pieces and Q
+        cache = _cache(args)
+        third = _reduced(args, cache)
+        fourth = _reduced(args, cache)  # from the stored pieces and Q
         for other in (second, third, fourth):
             assert other.u.tobytes() == first.u.tobytes()
             assert other.v.tobytes() == first.v.tobytes()
 
     def test_shape_mismatch_raises(self):
         f, u_k, _, weights, support, params, rho, admm = _instance(0, (6, 6))
-        state = admm_module.RunState(f, params, rho, admm.r)
+        state = RunState(f, params, rho, admm.r)
         with pytest.raises(ValueError):
             reduced_solve(u_k, weights[:5], support, state)
         with pytest.raises(ValueError):  # a state for another grid
-            reduced_solve(u_k, weights, support, admm_module.RunState(f[:5], params, rho, admm.r))
+            reduced_solve(u_k, weights, support, RunState(f[:5], params, rho, admm.r))
+
+    def test_cache_of_another_state_raises(self):
+        f, u_k, _, weights, support, params, rho, admm = _instance(0, (6, 6))
+        cache = reduced_module.ReducedCache(RunState(f, params, rho, admm.r))
+        with pytest.raises(ValueError, match="cache"):
+            reduced_solve(u_k, weights, support, RunState(f, params, rho, admm.r), cache)
 
     def test_too_many_components_declines(self, monkeypatch):
         args = _instance(5, (8, 8))
         count = oracles.tie_components(~args[4].active).shape[1]
         assert count == 13
-        monkeypatch.setattr(admm_module, "_MAX_PIECES", count)
+        monkeypatch.setattr(reduced_module, "_MAX_PIECES", count)
         assert _reduced(args) is not None
-        monkeypatch.setattr(admm_module, "_MAX_PIECES", count - 1)
+        monkeypatch.setattr(reduced_module, "_MAX_PIECES", count - 1)
         assert _reduced(args) is None
 
 
@@ -171,8 +185,8 @@ class TestZeroJumps:
 
     def test_declined_pass_goes_to_admm(self, monkeypatch):
         # with no Newton steps to spend, from either start, no pass certifies
-        monkeypatch.setattr(admm_module, "_NEWTON_STEPS", 0)
-        monkeypatch.setattr(admm_module, "_MERGED_STEPS", 0)
+        monkeypatch.setattr(reduced_module, "_NEWTON_STEPS", 0)
+        monkeypatch.setattr(reduced_module, "_MERGED_STEPS", 0)
         calls = _count_calls(monkeypatch, importlib.import_module("shrinkseg.decompose"),
                              "admm_solve")
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
@@ -195,11 +209,11 @@ def _fixture_attempt(fixtures, name, count):
     module = importlib.import_module("shrinkseg.decompose")
     original, found = module.reduced_solve, []
 
-    def spy(u_k, weights, support, state):
-        pieces = state.pieces_of(support)
+    def spy(u_k, weights, support, state, cache):
+        pieces = cache.pieces_of(support)
         if not found and pieces is not None and pieces.sizes.size == count:
             found.append((f, u_k, f - u_k, weights, support, params, state.rho, EXACT))
-        return original(u_k, weights, support, state)
+        return original(u_k, weights, support, state, cache)
 
     module.reduced_solve = spy
     try:
@@ -212,12 +226,12 @@ def _fixture_attempt(fixtures, name, count):
 
 def _first_kinks_only(monkeypatch):
     """Make _newton merge only the first kinks a step crosses."""
-    original = admm_module._kink_tries
+    original = reduced_module._kink_tries
 
     def first_only(reach, kinks):
         return original(reach, kinks)[-1:]
 
-    monkeypatch.setattr(admm_module, "_kink_tries", first_only)
+    monkeypatch.setattr(reduced_module, "_kink_tries", first_only)
 
 
 def _kink_steps(monkeypatch):
@@ -225,7 +239,7 @@ def _kink_steps(monkeypatch):
     crosses kinks, the masks offered and the indices of those whose merge
     was formed, in order. A merge is formed to be tested, and the tries
     stop at the first that lowers phi."""
-    steps, tries, merge = [], admm_module._kink_tries, admm_module._merge
+    steps, tries, merge = [], reduced_module._kink_tries, reduced_module._merge
 
     def counted_tries(reach, kinks):
         offered = tries(reach, kinks)
@@ -239,8 +253,8 @@ def _kink_steps(monkeypatch):
                       if i not in tried and np.array_equal(terms, np.flatnonzero(mask))]
         return merge(cls, triples, terms)
 
-    monkeypatch.setattr(admm_module, "_kink_tries", counted_tries)
-    monkeypatch.setattr(admm_module, "_merge", counted_merge)
+    monkeypatch.setattr(reduced_module, "_kink_tries", counted_tries)
+    monkeypatch.setattr(reduced_module, "_merge", counted_merge)
     return steps
 
 
@@ -251,17 +265,17 @@ class TestKinkMerges:
     def test_tries_every_kink_then_the_first(self):
         reach = np.array([0.5, 0.2, 0.2 * (1 + 1e-12), 0.9, 1.5])
         kinks = np.array([True, True, True, False, True])
-        tries = admm_module._kink_tries(reach, kinks)
+        tries = reduced_module._kink_tries(reach, kinks)
         assert [(t, mask.tolist()) for t, mask in tries] == [
             (0.2, kinks.tolist()), (0.2, [False, True, True, False, False])
         ]
-        tries = admm_module._kink_tries(reach, kinks & (reach < 0.3))
+        tries = reduced_module._kink_tries(reach, kinks & (reach < 0.3))
         assert len(tries) == 1 and tries[0][0] == 0.2
 
     def test_tries_halve_the_kinks_in_step_order(self):
         reach = np.array([0.8, 0.1, 0.7, 0.2, 0.6, 0.3, 0.5, 0.4, 0.95])
         kinks = reach < 0.9
-        tries = admm_module._kink_tries(reach, kinks)
+        tries = reduced_module._kink_tries(reach, kinks)
         assert [t for t, _ in tries] == [0.1, 0.4, 0.2, 0.1]
         assert [np.flatnonzero(mask).tolist() for _, mask in tries] == [
             np.flatnonzero(kinks).tolist(), [1, 3, 5, 7], [1, 3], [1]
@@ -275,10 +289,10 @@ class TestKinkMerges:
         assert _check_against_admm(args) is not None
         _first_kinks_only(monkeypatch)
         runs = []  # each _newton call: from singleton classes, certificates, result
-        newton, certify = admm_module._newton, admm_module._certify
+        newton, certify = reduced_module._newton, reduced_module._certify
 
         def counted_newton(*args):
-            cls = args[7]
+            cls = args[2]
             runs.append({"singletons": cls.max() + 1 == cls.size, "certificates": 0})
             runs[-1]["result"] = newton(*args)
             return runs[-1]["result"]
@@ -287,8 +301,8 @@ class TestKinkMerges:
             runs[-1]["certificates"] += 1
             return certify(*args)
 
-        monkeypatch.setattr(admm_module, "_newton", counted_newton)
-        monkeypatch.setattr(admm_module, "_certify", counted_certify)
+        monkeypatch.setattr(reduced_module, "_newton", counted_newton)
+        monkeypatch.setattr(reduced_module, "_certify", counted_certify)
         reduced = _check_against_admm(args)
         # the first try, from singleton classes, runs out of steps before
         # any certificate
@@ -353,26 +367,26 @@ NESTED = [(seed, shape) for seed in range(3) for shape in ((8, 8), (6, 9), (2, 9
 class TestReducedState:
     @pytest.mark.parametrize("seed, shape", NESTED)
     def test_aggregated_q_matches_a_fresh_build(self, seed, shape, monkeypatch):
-        builds = _count_calls(monkeypatch, admm_module, "_smooth")
+        builds = _count_calls(monkeypatch, reduced_module, "_smooth")
         args = _instance(seed, shape, active_frac=0.6)
-        state = admm_module.RunState(args[0], PARAMS, RHO, EXACT.r)
+        cache = _cache(args)
         for step in range(3):  # each support nested in the last
-            _reduced(args, state)
-            pieces = state.quad_pieces
-            fresh = admm_module._smooth(pieces.label, shape, PARAMS.gamma, PARAMS.beta)
-            error = np.abs(state.quad_smooth - fresh).max()
+            _reduced(args, cache)
+            pieces = cache.quad_pieces
+            fresh = reduced_module._smooth(pieces.label, shape, PARAMS.gamma, PARAMS.beta)
+            error = np.abs(cache.quad_smooth - fresh).max()
             assert error <= 1e-12 * np.abs(fresh).max()
-            assert np.array_equal(state.quad_smooth, state.quad_smooth.T)
+            assert np.array_equal(cache.quad_smooth, cache.quad_smooth.T)
             args = _shrunk(args, 100 + 10 * seed + step)
-        assert len(builds) == 3 + 1  # the checks' three, and one by the state
+        assert len(builds) == 3 + 1  # the checks' three, and one by the cache
 
     @pytest.mark.parametrize("seed, shape", [(5, (8, 8)), (3, (6, 9))])
     def test_batched_build_matches_one_transform_per_component(self, seed, shape):
-        label = admm_module._pieces(_instance(seed, shape)[4]).label
+        label = reduced_module._pieces(_instance(seed, shape)[4]).label
         multi = np.flatnonzero(np.bincount(label) > 1)
-        assert multi.size % admm_module._BATCH != 0
+        assert multi.size % reduced_module._BATCH != 0
         one = oracles.smooth_per_component(label, shape, PARAMS.gamma, PARAMS.beta)
-        built = admm_module._smooth(label, shape, PARAMS.gamma, PARAMS.beta)
+        built = reduced_module._smooth(label, shape, PARAMS.gamma, PARAMS.beta)
         # single pixels' entries are kernel lookups, not transforms
         block = np.ix_(multi, multi)
         assert built[block].tobytes() == one[block].tobytes()
@@ -399,7 +413,7 @@ class TestReducedState:
             label[rest] = singles + owner
         label = rng.permutation(singles + multis)[label]
         one = oracles.smooth_per_component(label, shape, PARAMS.gamma, PARAMS.beta)
-        built = admm_module._smooth(label, shape, PARAMS.gamma, PARAMS.beta)
+        built = reduced_module._smooth(label, shape, PARAMS.gamma, PARAMS.beta)
         assert np.array_equal(built, built.T)
         assert np.abs(built - one).max() <= 1e-14 * np.abs(one).max()
         multi = np.flatnonzero(np.bincount(label) > 1)
@@ -408,27 +422,35 @@ class TestReducedState:
         assert built[block].tobytes() == one[block].tobytes()
 
     def test_partition_that_does_not_coarsen_is_built_afresh(self, monkeypatch):
-        builds = _count_calls(monkeypatch, admm_module, "_smooth")
+        builds = _count_calls(monkeypatch, reduced_module, "_smooth")
         first = _instance(1, (8, 8))
-        state = admm_module.RunState(first[0], PARAMS, RHO, EXACT.r)
+        cache = _cache(first)
         # the same image, with another support's frozen ties
         other = _instance(2, (8, 8))[4]
         other = (*first[:3], np.where(other.active, first[3], 0.0), other, *first[5:])
-        _reduced(first, state)
-        shared = _reduced(other, state)
+        _reduced(first, cache)
+        shared = _reduced(other, cache)
         alone = _reduced(other)
         assert len(builds) == 3
         assert shared is not None
         assert shared.u.tobytes() == alone.u.tobytes()
         assert shared.v.tobytes() == alone.v.tobytes()
 
+    @pytest.mark.parametrize("shape", [(6, 9), (8, 8)])
+    def test_smoothed_f_matches_a_fresh_build(self, shape):
+        f, u_k, v_k = np.random.default_rng(shape).standard_normal((3, *shape))
+        system = oracles.spectral_system(f, u_k, v_k, PARAMS, RHO, EXACT.r)
+        fresh = np.fft.irfft2(system["f_hat"] * (1.0 - 1.0 / system["b"]), s=shape)
+        cache = reduced_module.ReducedCache(RunState(f, PARAMS, RHO, EXACT.r))
+        assert cache.smooth_f.tobytes() == fresh.tobytes()
+
     def test_a_kept_mask_reuses_its_pieces_and_q(self, monkeypatch):
-        builds = _count_calls(monkeypatch, admm_module, "_smooth")
-        labels = _count_calls(monkeypatch, admm_module, "_pieces")
+        builds = _count_calls(monkeypatch, reduced_module, "_smooth")
+        labels = _count_calls(monkeypatch, reduced_module, "_pieces")
         args = _instance(3, (8, 8))
-        state = admm_module.RunState(args[0], PARAMS, RHO, EXACT.r)
+        cache = _cache(args)
         for _ in range(3):
-            _reduced(args, state)
+            _reduced(args, cache)
         assert len(builds) == len(labels) == 1
 
     def test_runs_do_not_share_state(self):
@@ -463,8 +485,73 @@ class TestMerge:
         cls = self._merge_by_isin(np.arange(count), triples, rng.choice(len(triples), 2))
         terms = rng.choice(len(triples), int(rng.integers(1, len(triples) + 1)))
         np.testing.assert_array_equal(
-            admm_module._merge(cls, triples, terms), self._merge_by_isin(cls, triples, terms)
+            reduced_module._merge(cls, triples, terms), self._merge_by_isin(cls, triples, terms)
         )
+
+
+def _random_problem(seed, count=12, terms=20, integral=False):
+    """A _Problem of random entries over count components; integral ones
+    sum exactly in any order."""
+    rng = np.random.default_rng(seed)
+    shape = (count + 1, count)  # Q from the first count rows, b from the last
+    draw = rng.integers(-9, 10, shape) if integral else rng.standard_normal(shape)
+    triples = rng.integers(0, count, (terms, 3))
+    triples[:, 1] = (triples[:, 0] + 1 + triples[:, 1] % (count - 1)) % count  # own != right
+    return reduced_module._Problem(draw[:-1] + draw[:-1].T, draw[-1], triples,
+                                   rng.uniform(0.1, 2.0, terms),
+                                   rng.integers(1, 9, count).astype(np.float64), 3.5)
+
+
+def _joined(problem, seed, terms=4):
+    """The classes _merge makes by joining terms random terms of problem."""
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(problem.w.size, terms, replace=False)
+    return reduced_module._merge(np.arange(problem.sizes.size), problem.triples, chosen)
+
+
+class TestProblem:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coarsening_sums_afresh(self, seed):
+        problem = _random_problem(seed)
+        joined = _joined(problem, seed)
+        size = joined.max() + 1
+        assert size < problem.sizes.size
+        coarse = problem.coarsen(joined)
+        assert coarse.quad.tobytes() == reduced_module._coarsen(problem.quad, joined, size).tobytes()
+        assert coarse.linear.tobytes() == np.bincount(joined, problem.linear, size).tobytes()
+        assert coarse.sizes.tobytes() == np.bincount(joined, problem.sizes, size).tobytes()
+        # the terms that still join two classes, in order, over the classes
+        kept = [t for t, triple in enumerate(problem.triples) if len(set(joined[triple])) > 1]
+        assert 0 < len(kept) < problem.w.size
+        assert coarse.triples.tobytes() == joined[problem.triples[kept]].tobytes()
+        assert coarse.w.tobytes() == problem.w[kept].tobytes()
+        assert coarse.total == problem.total
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coarsening_twice_sums_over_the_merged_partition(self, seed):
+        # _newton coarsens the last coarsening; with integral entries every
+        # sum is exact, so that equals one coarsening bit for bit
+        problem = _random_problem(seed, integral=True)
+        first = _joined(problem, seed, terms=2)
+        coarse = problem.coarsen(first)
+        second = _joined(coarse, seed + 100, terms=2)
+        twice, once = coarse.coarsen(second), problem.coarsen(second[first])
+        for name in ("quad", "linear", "triples", "w", "sizes"):
+            assert getattr(twice, name).tobytes() == getattr(once, name).tobytes()
+
+    def test_coarsening_over_the_identity_is_the_problem(self):
+        problem = _random_problem(0)
+        assert problem.coarsen(np.arange(problem.sizes.size)) is problem
+        assert problem.coarsen(_joined(problem, 0, terms=0)) is problem
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adjoint_matches_the_dense_map(self, seed):
+        problem = _random_problem(seed)
+        count = problem.sizes.size
+        y = np.random.default_rng(seed).standard_normal((problem.w.size, 2))
+        dense = oracles.dense_adjoint(problem.triples, count) @ y.ravel()
+        got = reduced_module._adjoint(problem.triples, y, count)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
 
 
 class TestDecomposeTries:
@@ -479,7 +566,7 @@ class TestDecomposeTries:
                 return result
 
             monkeypatch.setattr(module, name, wrapped)
-        attempts = _count_calls(monkeypatch, admm_module, "_newton")
+        attempts = _count_calls(monkeypatch, reduced_module, "_newton")
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
                            shapes=(Disk(row=8, col=8, radius=4, phase=2),),
                            noise_sigma=0.02, composition="additive", seed=11)
@@ -495,8 +582,8 @@ class TestDecomposeTries:
         within = 0
         for _, args, _, out in tries:
             count = oracles.tie_components(~args[2].active).shape[1]
-            within += count <= admm_module._MAX_PIECES
-            assert out is None or count <= admm_module._MAX_PIECES
+            within += count <= reduced_module._MAX_PIECES
+            assert out is None or count <= reduced_module._MAX_PIECES
         assert len(attempts) == within > 0
 
 
@@ -506,18 +593,19 @@ def _certify_calls(fixtures, name, defaults):
     defaults."""
     entry = next(e for e in fixtures["suite"] if e["name"] == name)
     problem = fixture_problem(shrinkseg, entry, None if defaults else fixtures["solver"], 0)
-    original, calls = admm_module._certify, []
+    original, calls = reduced_module._certify, []
 
     def spy(*args):
-        if not args[5].all():
+        problem, cls = args[:2]
+        if not problem.live(cls).all():
             calls.append(args)
         return original(*args)
 
-    admm_module._certify = spy
+    reduced_module._certify = spy
     try:
         decompose(*problem)
     finally:
-        admm_module._certify = original
+        reduced_module._certify = original
     return calls
 
 
@@ -533,9 +621,8 @@ class TestCertificate:
         decisions = []
         for defaults in (False, True):
             for args in _certify_calls(acceptance_fixtures, "two_phase_s0.05_b0", defaults):
-                quad, linear, triples, w, cls, live, c, step = args
-                mine = admm_module._certify(*args) is not None
-                assert mine == oracles.lstsq_certify(quad, linear, triples, w, live, c, step)
+                mine = reduced_module._certify(*args) is not None
+                assert mine == oracles.lstsq_certify(*args)
                 decisions.append(mine)
         assert len(decisions) == 7 and 0 < sum(decisions) < 7
 
@@ -543,16 +630,16 @@ class TestCertificate:
         # b shifted by delta on one merged class: a constant on the class
         # leaves every y_t as it was, but no dual can balance it
         args = _certify_calls(acceptance_fixtures, "two_phase_s0.05_b0", False)[0]
-        quad, linear, triples, w, cls, live, c, step = args
-        assert admm_module._certify(*args) is c
+        problem, cls, c, step = args
+        assert reduced_module._certify(*args) is c
         merged = np.bincount(cls)
         on = (cls == merged.argmax()).astype(float)
         assert merged.max() > 1
         for ratio, certified in ((1e-10, True), (1e-6, False)):
-            delta = ratio * np.linalg.norm(linear) / np.sqrt(merged.max())
-            shifted = (quad, linear + delta * on, triples, w, cls, live, c, step)
-            assert (admm_module._certify(*shifted) is c) == certified
-            assert oracles.lstsq_certify(*shifted[:4], *shifted[5:])
+            delta = ratio * np.linalg.norm(problem.linear) / np.sqrt(merged.max())
+            shifted = (dataclasses.replace(problem, linear=problem.linear + delta * on), cls, c, step)
+            assert (reduced_module._certify(*shifted) is c) == certified
+            assert oracles.lstsq_certify(*shifted)
 
 
 class TestDeclines:
@@ -571,8 +658,8 @@ class TestDeclines:
 
     def test_a_declined_attempt_is_counted(self, monkeypatch):
         # two passes: ADMM, then one reduced attempt, which no step certifies
-        monkeypatch.setattr(admm_module, "_NEWTON_STEPS", 0)
-        monkeypatch.setattr(admm_module, "_MERGED_STEPS", 0)
+        monkeypatch.setattr(reduced_module, "_NEWTON_STEPS", 0)
+        monkeypatch.setattr(reduced_module, "_MERGED_STEPS", 0)
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
                            shapes=(Disk(row=8, col=8, radius=4, phase=2),),
                            noise_sigma=0.02, composition="additive", seed=11)
@@ -586,7 +673,7 @@ class TestDeclines:
         assert result.reduced_declines == 1
 
     def test_over_the_cap_is_not_a_decline(self, monkeypatch):
-        monkeypatch.setattr(admm_module, "_MAX_PIECES", 0)
+        monkeypatch.setattr(reduced_module, "_MAX_PIECES", 0)
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
                            shapes=(Disk(row=8, col=8, radius=4, phase=2),),
                            noise_sigma=0.02, composition="additive", seed=11)
@@ -600,23 +687,23 @@ _THREADS_SCRIPT = """
 import hashlib, importlib, json, sys
 import shrinkseg
 from fixture_work import fixture_problem, load_fixture
-from shrinkseg import admm
+from shrinkseg import admm, reduced
 fixtures = load_fixture()
 entry = next(e for e in fixtures["suite"] if e["name"] == "two_phase_s0.05_b0.2")
 f, params, outer, inner = fixture_problem(shrinkseg, entry, fixtures["solver"], 0)
 module = importlib.import_module("shrinkseg.decompose")
 original, found = module.reduced_solve, []
 
-def spy(u_k, weights, support, state):
-    pieces = state.pieces_of(support)
+def spy(u_k, weights, support, state, cache):
+    pieces = cache.pieces_of(support)
     if not found and pieces is not None and pieces.sizes.size > 96:
         found.append((u_k, weights, support, pieces.sizes.size))
-    return original(u_k, weights, support, state)
+    return original(u_k, weights, support, state, cache)
 
 module.reduced_solve = spy
 shrinkseg.decompose(f, params, outer, inner)
 u_k, weights, support, count = found[0]
-result = admm.reduced_solve(u_k, weights, support, admm.RunState(f, params, outer.rho, inner.r))
+result = reduced.reduced_solve(u_k, weights, support, admm.RunState(f, params, outer.rho, inner.r))
 print(json.dumps([count, hashlib.sha256(result.u.tobytes()).hexdigest()]))
 """
 
@@ -635,5 +722,5 @@ def test_blas_threads_do_not_change_a_reduced_attempt():
                              capture_output=True, text=True)
         outputs.append(json.loads(run.stdout))
     (count, first), (_, second) = outputs
-    assert 96 < count <= admm_module._MAX_PIECES
+    assert 96 < count <= reduced_module._MAX_PIECES
     assert first == second
