@@ -45,6 +45,8 @@ ids.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -74,6 +76,24 @@ _RELATIVE_STOP = 3e-4
 # bound, times this factor, would pass the stopping test; the factor
 # covers the bound's rounding, so every stop is the exact test's.
 _BOUND_SLACK = 1.0 + 1e-9
+# numpy's bundled OpenBLAS; another BLAS build lacks these two symbols
+_BLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
+_SET_THREADS = getattr(_BLAS, "scipy_openblas_set_num_threads64_", None)
+_GET_THREADS = getattr(_BLAS, "scipy_openblas_get_num_threads64_", None)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, restoring the caller's count
+    on exit, also after an exception. Threaded dot products (from 16384
+    entries) change the last bits of a sum, and stalled single calls on a
+    2-core host. The count is process-wide: concurrent calls from several
+    Python threads can leave it at 1."""
+    with contextlib.ExitStack() as restore:
+        if _SET_THREADS is not None:
+            restore.callback(_SET_THREADS, _GET_THREADS())
+            _SET_THREADS(1)
+        yield
 
 
 @dataclass(frozen=True)
@@ -350,6 +370,7 @@ def solve_uv(
     return np.fft.irfft(spectrum, n=state.shape[1], axis=1, norm="forward", out=u), p_hat
 
 
+@one_blas_thread()
 def admm_solve(
     f: Array,
     u_k: Array,
@@ -388,7 +409,8 @@ def admm_solve(
     state, the RunState of f, params, rho and admm.r, is built here when
     None; decompose passes one for its whole run. Raises ValueError for
     a state of another f, model, rho or r, for weights that are not all
-    finite and nonnegative, and for a non-finite lam0.
+    finite and nonnegative, and for a non-finite lam0. Runs on one BLAS
+    thread (one_blas_thread): u and v do not depend on its thread count.
     """
     if state is None:
         state = RunState(f, params, rho, admm.r)

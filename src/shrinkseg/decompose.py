@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmParams, RunState, admm_solve
+from .admm import AdmmParams, RunState, admm_solve, one_blas_thread
 from .energy import ModelParams, decomposition_energy
 from .grid import Array, as_grid, grad, grad_norms
 from .reduced import ReducedCache, reduced_solve, within_cap
@@ -116,6 +116,7 @@ def resolve_tau_supp(f: Array, outer: OuterParams, admm: AdmmParams | None = Non
     return (admm or AdmmParams()).tol_in * float(grad_norms(grad(f)).max())
 
 
+@one_blas_thread()
 def decompose(
     f: Array,
     params: ModelParams,
@@ -159,7 +160,8 @@ def decompose(
     reduced_declines. Any other pass goes to admm_solve as
     above, starting from the scaled dual that the run's last admm_solve
     ended with (zero duals on the first pass): successive passes solve
-    nearly the same problem, so a warm dual saves sweeps.
+    nearly the same problem, so a warm dual saves sweeps. BLAS runs on one
+    thread (one_blas_thread): u and v do not depend on its thread count.
     """
     f = as_grid(f, "f")
     outer = outer or OuterParams()
@@ -193,7 +195,7 @@ def decompose(
                 f"energy increased at outer iteration {len(rows)}: "
                 f"{prev_energy:.6e} -> {energy:.6e}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         rows.append(
             TraceRow(
@@ -266,14 +268,14 @@ def decompose(
         warnings.warn(
             f"{capped} inner solves stopped at maxit_in={admm.maxit_in}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if not converged:
         warnings.warn(
             f"decompose stopped unconverged after {len(rows) - 1} outer iterations "
             f"(maxit_out={outer.maxit_out})",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return DecompositionResult(
         u=u,

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .admm import _TINY, InnerResult, RunState, _checked_weights
+from .admm import _TINY, InnerResult, RunState, _checked_weights, one_blas_thread
 from .grid import Array, as_grid, compute_symbols
 from .support import SupportSet, hook
 
@@ -61,10 +61,6 @@ _BALANCE = 1e-8
 # Components whose indicators _smooth transforms in one call: 8 cut a
 # first build's time by a quarter on the n=64 fixtures.
 _BATCH = 8
-# OpenBLAS factors a matrix of this many rows or more on all its threads,
-# and on a 2-core host such a call stalled for about 100 ms in 9 of 400
-# solves at 100 rows; _solve stays below it.
-_SOLVE_ROWS = 100
 # _merges runs FISTA on the dual and hands out its start classes after
 # each of these iteration counts; a term joins its components there
 # once its dual is below (1 - _INTERIOR) of its bound. Of 73 attempts
@@ -228,22 +224,6 @@ class ReducedCache:
         return smooth
 
 
-def _solve(matrix: Array, b: Array) -> Array:
-    """matrix^-1 b for a symmetric positive definite matrix and a vector
-    or matrix b, on one BLAS thread: at _SOLVE_ROWS rows or more, by
-    block elimination of its leading half, whose Schur complement is
-    positive definite too."""
-    n = matrix.shape[0]
-    if n < _SOLVE_ROWS:
-        return np.linalg.solve(matrix, b)
-    h = n // 2
-    width = matrix.shape[1] - h
-    lead = np.linalg.solve(matrix[:h, :h], np.hstack([matrix[:h, h:], b[:h].reshape(h, -1)]))
-    across, rest = lead[:, :width], lead[:, width:].reshape(b[:h].shape)
-    tail = _solve(matrix[h:, h:] - matrix[h:, :h] @ across, b[h:] - matrix[h:, :h] @ rest)
-    return np.concatenate([rest - across @ tail, tail])
-
-
 def _jumps(triples: Array, c: Array) -> Array:
     """(T, 2) jump pairs E_t c = (c[right] - c[own], c[lower] - c[own])."""
     return c[triples[:, 1:]] - c[triples[:, :1]]
@@ -348,7 +328,7 @@ class _Problem:
         is _jumps(triples, delta)."""
         x_new = x + (_jumps(self.triples, delta) if moved is None else moved)
         penalty = self.w @ (np.hypot(x_new[:, 0], x_new[:, 1]) - norms)
-        return gs @ delta + 0.5 * delta @ np.einsum("ij,j->i", self.quad, delta) + penalty
+        return gs @ delta + 0.5 * delta @ (self.quad @ delta) + penalty
 
 
 def _certify(problem: _Problem, cls: Array, c: Array, step: Array) -> Array | None:
@@ -373,9 +353,7 @@ def _certify(problem: _Problem, cls: Array, c: Array, step: Array) -> Array | No
     the least squares solve L z = -g less its mean over each class, which
     L reaches; a weight a.mean() on one component of each class (its
     anchor) makes L invertible, and as the right side sums to zero over
-    each class, the anchors hold z = 0 and leave that y as it is. A
-    dense least squares of the (C, 2T) map stalled under BLAS threads on
-    a 2-core host; the solve stays on one thread through _solve.
+    each class, the anchors hold z = 0 and leave that y as it is.
     """
     triples, w, live = problem.triples, problem.w, problem.live(cls)
     moved = _jumps(triples[live], step)
@@ -387,7 +365,7 @@ def _certify(problem: _Problem, cls: Array, c: Array, step: Array) -> Array | No
     if not dead.any():
         return c
     count = c.size
-    g = np.einsum("ij,j->i", problem.quad, c) - problem.linear + _adjoint(
+    g = problem.quad @ c - problem.linear + _adjoint(
         triples[live], x[live] * (w[live] / norms[live])[:, None], count
     )
     merged, w_dead = triples[dead], w[dead]
@@ -405,7 +383,7 @@ def _certify(problem: _Problem, cls: Array, c: Array, step: Array) -> Array | No
         lap = np.bincount(entries, np.outer(a, _GRAM).ravel(), size * size)
         lap[first * (size + 1)] += a.mean()  # one anchor per class
         try:
-            z = _solve(lap.reshape(size, size), rhs)
+            z = np.linalg.solve(lap.reshape(size, size), rhs)
         except np.linalg.LinAlgError:  # reweighted past float64's range
             return None
         y = a[:, None] * _jumps(ends, z)
@@ -479,7 +457,7 @@ def _newton(problem: _Problem, c: Array, cls: Array, steps: int) -> Array | None
             sub = sub.coarsen(joined)
             cls, v = joined[cls], sub.shift(means)
             continue
-        gs = np.einsum("ij,j->i", sub.quad, v) - sub.linear
+        gs = sub.quad @ v - sub.linear
         g = gs + _adjoint(sub.triples, x * (sub.w / norms)[:, None], size)
         # E_t^T M_t E_t with M_t = w_t / |x_t| (I - x_t x_t' / |x_t|^2)
         # = r r' for r = E_t^T x_t^perp sqrt(w_t) / |x_t|^1.5, rows and
@@ -487,7 +465,7 @@ def _newton(problem: _Problem, c: Array, cls: Array, steps: int) -> Array | None
         r = np.einsum("tk,kj->tj", x * (np.sqrt(sub.w / norms) / norms)[:, None], _PERP)
         block = (r[:, :, None] * r[:, None, :]).ravel()
         hess = sub.quad + np.bincount(sub.entries, block, size * size).reshape(size, size)
-        step = _solve(hess + sub.stiffening, -g)  # the stiffening holds the shift
+        step = np.linalg.solve(hess + sub.stiffening, -g)  # the stiffening holds the shift
         if math.sqrt(sub.sizes @ step**2) <= _NEWTON_TOL * math.sqrt(sub.sizes @ v**2):
             return _certify(problem, cls, (v + step)[cls], step[cls])
         d = _jumps(sub.triples, step)
@@ -538,11 +516,11 @@ def _merges(problem: _Problem, c: Array):
     after each of _CHECKPOINTS iterations this yields the classes that
     join the terms whose duals are below (1 - _INTERIOR) times their
     bound, with c(y). The choice needs no merge decisions, and _newton
-    adds the zero jumps it missed. Q~ is inverted once, by _solve.
+    adds the zero jumps it missed. Q~ is inverted once.
     """
     triples, w, sizes = problem.triples, problem.w, problem.sizes
     count = sizes.size
-    inverse = _solve(problem.quad + problem.stiffening, np.eye(count))
+    inverse = np.linalg.solve(problem.quad + problem.stiffening, np.eye(count))
     linear = problem.linear + sizes * (problem.total / sizes.sum())
     owns, ends = triples[:, 0], triples[:, 1:].T  # E_t c = c[ends] - c[owns]
     flat_ends, both = ends.ravel(), np.concatenate([owns, owns])
@@ -558,23 +536,24 @@ def _merges(problem: _Problem, c: Array):
     if not x.any():  # a flat start: any other start will do
         x = np.ones_like(x)
     for _ in range(_POWER_STEPS):
-        x = jumps(np.einsum("ij,j->i", inverse, spread(x)) / math.sqrt(np.vdot(x, x)))
+        x = jumps(inverse @ spread(x) / math.sqrt(np.vdot(x, x)))
     step = 1.0 / (_POWER_MARGIN * math.sqrt(np.vdot(x, x)))
     x = jumps(c)
     y = x * (w / np.maximum(np.hypot(x[0], x[1]), _TINY))
     ahead, t = y, 1.0
     for k in range(1, _CHECKPOINTS[-1] + 1):
-        nxt = ahead + step * jumps(np.einsum("ij,j->i", inverse, linear - spread(ahead)))
+        nxt = ahead + step * jumps(inverse @ (linear - spread(ahead)))
         nxt *= w / np.maximum(np.hypot(nxt[0], nxt[1]), w)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         ahead = nxt + ((t - 1.0) / t_next) * (nxt - y)
         y, t = nxt, t_next
         if k in _CHECKPOINTS:
             inside = np.hypot(y[0], y[1]) < (1.0 - _INTERIOR) * w
-            start = np.einsum("ij,j->i", inverse, linear - spread(y))
+            start = inverse @ (linear - spread(y))
             yield _merge(np.arange(count), triples, np.flatnonzero(inside)), start
 
 
+@one_blas_thread()
 def reduced_solve(
     u_k: Array,
     weights: Array,
@@ -603,7 +582,8 @@ def reduced_solve(
     constant on the components and needs no projection. Returns None
     when the support leaves more than _MAX_PIECES components or no
     start certifies within its budget; the pass is then for admm_solve.
-    Raises ValueError for a cache made for another state.
+    Raises ValueError for a cache made for another state. Runs on one
+    BLAS thread (one_blas_thread): its result does not depend on the count.
     """
     u_k = as_grid(u_k, "u_k")
     weights = _checked_weights(weights)

@@ -16,6 +16,7 @@ from shrinkseg import (
     decompose,
     decomposition_energy,
     generate,
+    segment,
 )
 from shrinkseg.decompose import resolve_tau_supp
 from shrinkseg.grid import grad, grad_norms
@@ -499,7 +500,7 @@ class TestRunWarnings:
         energies = list(result.trace.column("energy"))
         assert energies[:4] == script and len(energies) > 4
         assert result.energy_rises == 1 and result.energy_increased
-        assert sum("energy increased" in str(w.message) for w in caught) == 1
+        assert [w.filename for w in caught if "energy increased" in str(w.message)] == [__file__]
 
     def test_a_rounding_rise_from_zero_energy_does_not_count(self):
         # a flat image reaches energy 0, then a rise to about 1e-39: no
@@ -510,6 +511,49 @@ class TestRunWarnings:
         energies = result.trace.column("energy")
         assert 0.0 in energies[1:-1] and energies[-1] > 0.0
         assert result.energy_rises == 0 and not result.energy_increased
+
+
+admm_module = importlib.import_module("shrinkseg.admm")
+
+
+@pytest.mark.skipif(admm_module._SET_THREADS is None,
+                    reason="numpy's BLAS exports no thread-count setter")
+class TestOneBlasThread:
+    """decompose holds numpy's OpenBLAS at one thread, then gives the caller's count back."""
+
+    @pytest.fixture
+    def two_threads(self):
+        threads = admm_module._GET_THREADS()
+        admm_module._SET_THREADS(2)
+        yield
+        admm_module._SET_THREADS(threads)
+
+    def test_solves_run_on_one_thread_and_the_count_comes_back(self, two_threads, monkeypatch):
+        module = importlib.import_module("shrinkseg.decompose")
+        original, seen = module.admm_solve, []
+
+        def spy(*args, **kwargs):
+            seen.append(admm_module._GET_THREADS())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "admm_solve", spy)
+        decompose(small_phantom(), MODEL, **FAST)
+        assert seen and set(seen) == {1}
+        assert admm_module._GET_THREADS() == 2
+
+    def test_the_count_comes_back_after_an_error(self, two_threads):
+        f = small_phantom()
+        f[3, 4] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            decompose(f, MODEL, **FAST)
+        assert admm_module._GET_THREADS() == 2
+
+    def test_runs_the_same_without_the_setter(self, monkeypatch):
+        want = decompose(small_phantom(), MODEL, **FAST)
+        monkeypatch.setattr(admm_module, "_SET_THREADS", None)
+        got = decompose(small_phantom(), MODEL, **FAST)
+        assert np.array_equal(segment(got.u, 2).labels, segment(want.u, 2).labels)
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
 
 class TestCliDefaults:

@@ -689,6 +689,12 @@ import shrinkseg
 from fixture_work import fixture_problem, load_fixture
 from shrinkseg import admm, reduced
 fixtures = load_fixture()
+
+def digest(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+entry = next(e for e in fixtures["quality"] if e["name"] == "two_phase_n128")
+whole = shrinkseg.decompose(*fixture_problem(shrinkseg, entry, fixtures["solver"], 0))
 entry = next(e for e in fixtures["suite"] if e["name"] == "two_phase_s0.05_b0.2")
 f, params, outer, inner = fixture_problem(shrinkseg, entry, fixtures["solver"], 0)
 module = importlib.import_module("shrinkseg.decompose")
@@ -704,13 +710,15 @@ module.reduced_solve = spy
 shrinkseg.decompose(f, params, outer, inner)
 u_k, weights, support, count = found[0]
 result = reduced.reduced_solve(u_k, weights, support, admm.RunState(f, params, outer.rho, inner.r))
-print(json.dumps([count, hashlib.sha256(result.u.tobytes()).hexdigest()]))
+print(json.dumps([count, digest(result.u), digest(whole.u), digest(whole.v)]))
 """
 
 
 def test_blas_threads_do_not_change_a_reduced_attempt():
-    # the 114-component second pass of two_phase_s0.05_b0.2 (acceptance
-    # settings): every dense solve stays below OpenBLAS's threaded sizes
+    # the 114-component second pass of two_phase_s0.05_b0.2, and a whole
+    # run of two_phase_n128, whose dot products OpenBLAS would thread
+    # (acceptance settings): one_blas_thread holds every call of the
+    # solvers at one thread, whatever OPENBLAS_NUM_THREADS says
     scripts = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
     outputs = []
     for threads in ("1", None):
@@ -721,6 +729,6 @@ def test_blas_threads_do_not_change_a_reduced_attempt():
         run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
                              capture_output=True, text=True)
         outputs.append(json.loads(run.stdout))
-    (count, first), (_, second) = outputs
+    count = outputs[0][0]
     assert 96 < count <= reduced_module._MAX_PIECES
-    assert first == second
+    assert outputs[0] == outputs[1]
