@@ -31,11 +31,14 @@ Targets (--only names one or more; the default is the 12 suite64 ones):
                         first pass leaves at the acceptance settings, where
                         most pixels are frozen
   stage2_read_float, stage2_read_labels, stage2_write_labels,
-  stage2_kmeans_k2, stage2_kmeans_k3, stage2_kmeans_k5
+  stage2_kmeans_k2, stage2_kmeans_k3, stage2_kmeans_k4, stage2_kmeans_k5,
+  stage2_kmeans_k6
                         the stage-two layers of the segment and metrics
                         commands (read_float_grid, read_labels,
                         write_labels, kmeans_1d at K) on the n=256
-                        cli_stage2 phantom of perfbench/workloads.json
+                        cli_stage2 phantom of perfbench/workloads.json;
+                        K = 4 and 6 time the layer windows beyond the
+                        K = 5 that the benchmark runs
   stage2_segment_k2, stage2_segment_k3, stage2_segment_k5, stage2_metrics
                         the cli_stage2 operations themselves: cli.main
                         runs `segment` at K or `metrics` in-process on
@@ -94,7 +97,7 @@ ALIAS = "shrinkseg_parent"
 SIZES = (64, 128, 256, 512)
 SWEEPS = 200  # per sweep-target solve
 STAGE2_LAYERS = ("read_float", "read_labels", "write_labels",
-                 "kmeans_k2", "kmeans_k3", "kmeans_k5")
+                 "kmeans_k2", "kmeans_k3", "kmeans_k4", "kmeans_k5", "kmeans_k6")
 STAGE2_COMMANDS = ("segment_k2", "segment_k3", "segment_k5", "metrics")
 
 

@@ -13,8 +13,20 @@ round per layer. Only the last layer's final endpoint is ever read
 back, so that layer is one such round, over the splits that a branch
 and bound keeps while filling the layer before it (see _fill_layer):
 the dropped ones cost more, so the means are those of a full scan, bit
-for bit. Thresholds sit midway between consecutive cluster means and
-each pixel's label is 1 plus the number of thresholds below its value.
+for bit.
+
+At K >= 4 on many values, every full layer is filled only over a
+window of rows that may lie on an optimal path (see _windows). The
+same program on the moments at a coarse grid bounds each cell's cost
+from below, from the left and, on the reversed moments, from the
+right; Lloyd steps from the coarse optimum give a partition whose cost
+bounds the optimum from above. A cell whose two lower bounds add up to
+more than that, plus the rounding slack, holds no optimal row. Rows
+on an optimal path, and the splits they read, keep their costs, so
+the means are again those of a full scan, bit for bit.
+
+Thresholds sit midway between consecutive cluster means and each
+pixel's label is 1 plus the number of thresholds below its value.
 """
 
 from __future__ import annotations
@@ -41,7 +53,11 @@ class SegmentationResult:
 
 
 _BLOCK = 1 << 14  # most candidate splits per block, and open subproblems per round
-_SLACK = 1e-9  # rounding slack of the last full layer's bound, per unit of s2[-1]
+_SLACK = 1e-9  # rounding slack of the bounds, per unit of s2[-1]
+_CELL = 64  # rows per coarse cell of the windows' bounds, up to _GRID cells
+_GRID = 1024
+_WINDOWED = 128  # fewest coarse cells for which the windows pay
+_LLOYD = 20  # most Lloyd steps of the windows' upper bound
 
 
 def _prefix_moments(vals: Array, weights: Array):
@@ -107,6 +123,9 @@ def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg,
     divide and conquer hold the same first minimum, since it is
     nondecreasing in the endpoint.
 
+    lo, hi, opt_lo and opt_hi may also be arrays of several subproblems,
+    such as the row ranges of a window (broadcast against each other).
+
     Given tail[b], the cost of the last run [b, m), this is the last full
     layer, filled by branch and bound: out_cost[b] + tail[b] is at least
     out_cost[lo - 1] + tail[hi - 1] (out_cost 0 at the layer's start) in
@@ -115,7 +134,7 @@ def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg,
     cost so far by over the rounding slack _SLACK * s2[-1], leaving them
     at inf: they cost more than the optimum, whose first minimum is kept.
     """
-    lo, hi, opt_lo, opt_hi = np.atleast_1d(lo, hi, opt_lo, opt_hi)
+    lo, hi, opt_lo, opt_hi = np.atleast_1d(*np.broadcast_arrays(lo, hi, opt_lo, opt_hi))
     best = np.inf
     while lo.size:
         if lo.size > _BLOCK:  # the subproblems are independent of each other
@@ -147,6 +166,102 @@ def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg,
             lo, hi, opt_lo, opt_hi = lo[keep], hi[keep], opt_lo[keep], opt_hi[keep]
 
 
+def _cell_bounds(first, w, s1, s2, layers):
+    """Per layer j = 0..layers, a lower bound on the cost of every row of
+    each coarse cell, and each coarse layer's splits.
+
+    w, s1, s2 are the moments at the coarse points p, and first[i] is
+    the cost of one run up to p[i]. Cell i holds the rows [p[i], p[i+1]).
+    A row b of cell i whose last split a lies in cell c costs at least
+    the bound of cell c in the layer before plus the cost of [p[c+1],
+    p[i]), a run inside [a, b) (none for c = i - 1 or c = i). So each
+    coarse layer is one _fill_layer over the previous bounds shifted by
+    one point, and the two runs that are empty are added. Costs rise
+    with the row, so the bounds are made nondecreasing. Split x of cell
+    i means that the last split lies in cell x - 1.
+    """
+    size = w.size
+    bounds, splits = [first], []
+    for _ in range(layers):
+        shifted = np.append(np.inf, bounds[-1])
+        out, arg = np.full(size, np.inf), np.arange(size)
+        _fill_layer(shifted, w, s1, s2, 2, size - 1, 1, size - 2, out, arg)
+        out, arg = out[:-1], arg[:-1]
+        for prev, step in ((shifted[:-1], 0), (bounds[-1], 1)):
+            less = prev < out
+            out[less], arg[less] = prev[less], np.flatnonzero(less) + step
+        bounds.append(np.maximum.accumulate(out))
+        splits.append(arg)
+    return bounds, splits
+
+
+def _upper_bound(vals, w, s1, s2, starts):
+    """The lowest cost of the partitions that up to _LLOYD Lloyd steps
+    reach from the runs that begin at starts. Each step moves every
+    boundary to the midpoint of the means beside it. The loop ends early
+    once the boundaries stop moving or a run empties."""
+    best = np.inf
+    for _ in range(_LLOYD):
+        bounds = np.concatenate(([0], starts, [w.size - 1]))
+        if np.any(np.diff(bounds) <= 0):
+            break
+        run_w, run_s1 = np.diff(w[bounds]), np.diff(s1[bounds])
+        best = min(best, float(np.sum(np.diff(s2[bounds]) - run_s1**2 / run_w)))
+        means = run_s1 / run_w
+        moved = np.searchsorted(vals, (means[:-1] + means[1:]) / 2.0, side="right")
+        if np.array_equal(moved, starts):
+            break
+        starts = moved
+    return best
+
+
+def _bounds(cost, w, s1, s2, points, k):
+    """Per layer j = 0..k-2, lower bounds on every row of each cell
+    between the points: forward ones on the cost of its first j + 1
+    runs, and backward ones, from the reversed moments, on the cost of
+    the k - 1 - j runs after it. Also the forward splits."""
+    pw, ps1, ps2 = w[points], s1[points], s2[points]
+    forward, splits = _cell_bounds(cost[points[:-1]], pw, ps1, ps2, k - 2)
+    rw, rs1, rs2 = ((x[-1] - x)[::-1] for x in (pw, ps1, ps2))
+    first = (rs2 - np.divide(rs1**2, rw, out=np.zeros(points.size), where=rw > 0))[:-1]
+    backward, _ = _cell_bounds(first, rw, rs1, rs2, k - 2)
+    return forward, [b[::-1] for b in reversed(backward)], splits
+
+
+def _windows(vals, cost, w, s1, s2, k):
+    """Per layer j = 0..k-2, the row ranges (lo, hi) of its window.
+
+    The m rows are cut into m // _CELL cells (at most _GRID) with the
+    bounds of _bounds. A cell is in the window if its two bounds add up
+    to at most the upper bound plus _SLACK * s2[-1]. The upper bound
+    starts from the coarse optimum, with each run begun mid-cell. Every
+    row of an optimal path is in its window, and so is every split of
+    an optimal path. A window that ends at row m also holds row m, so a
+    window over every cell is the whole layer.
+    """
+    m = w.size - 1
+    points = np.linspace(0, m, min(_GRID, m // _CELL) + 1).round().astype(np.intp)
+    forward, backward, splits = _bounds(cost, w, s1, s2, points, k)
+    # the cell of the last split, then the cells of the splits before it
+    pw, ps1, ps2 = w[points[1:-1]], s1[points[1:-1]], s2[points[1:-1]]
+    last = np.append(s2[-1] - ps2 - (s1[-1] - ps1) ** 2 / (w[-1] - pw), 0.0)
+    cells = [int(np.argmin(forward[-1] + last))]
+    for arg in reversed(splits):
+        cells.append(arg[cells[-1]] - 1)
+    cells.reverse()
+    starts = (points[cells] + points[1:][cells]) // 2
+    # two runs begun in one cell are moved apart
+    starts = np.maximum.accumulate(starts - np.arange(k - 1)) + np.arange(k - 1)
+    upper = _upper_bound(vals, w, s1, s2, starts) + _SLACK * s2[-1]
+    rows = []
+    for f, b in zip(forward, backward):
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], f + b <= upper, [False]))))
+        lo, hi = points[edges[0::2]], points[edges[1::2]]
+        hi[-1] += hi[-1] == m
+        rows.append((lo, hi))
+    return rows
+
+
 def kmeans_1d(values, k: int) -> np.ndarray:
     """K ascending cluster means minimizing within-cluster sum of squares.
 
@@ -154,15 +269,19 @@ def kmeans_1d(values, k: int) -> np.ndarray:
     partition of the sorted distinct values is then optimized exactly,
     so the result is the deterministic global minimizer.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     vals = np.asarray(values, dtype=np.float64).ravel()
     if k < 2:
         raise ValueError(f"need at least 2 clusters, got k={k}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values contain NaN or infinite entries")
+    distinct, counts = np.unique(vals, return_counts=True)
     with np.errstate(over="ignore"):
-        w, s1, s2 = _prefix_moments(*np.unique(vals, return_counts=True))
+        w, s1, s2 = _prefix_moments(distinct, counts)
         # every squared run sum is at most w[-1] * s2[-1] (Cauchy-Schwarz)
         overflow = not np.isfinite(w[-1] * s2[-1])
+    del counts
     m = w.size - 1
     if m < k:
         raise ValueError(f"need at least {k} distinct values for k={k}, got {m}")
@@ -174,25 +293,38 @@ def kmeans_1d(values, k: int) -> np.ndarray:
     cost = s1**2
     cost[1:] /= w[1:]
     np.subtract(s2, cost, out=cost)
-    lo, hi = k - 1, m
+    windows = None
+    if k > 3 and m // _CELL >= _WINDOWED:
+        windows = _windows(distinct, cost, w, s1, s2, k)
+    del distinct
+    last_lo, last_hi = k - 1, m  # the last layer's candidate splits
     splits = []
     for j in range(1, k - 1):
         new_cost = np.full(m + 1, np.inf)
         new_arg = np.zeros(m + 1, dtype=np.intp)
         # runs must be nonempty: endpoint b >= j+1, split a >= j
+        lo, hi, opt_lo, opt_hi = j + 1, m + 1, j, m
+        if windows is not None:  # the window's rows, split in the one before
+            opt_lo, opt_hi = max(j, windows[j - 1][0][0]), min(m, windows[j - 1][1][-1])
+            lo, hi = np.maximum(windows[j][0], opt_lo + 1), windows[j][1]
+            lo, hi = lo[lo < hi], hi[lo < hi]
         if j < k - 2:
-            _fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg)
+            _fill_layer(cost, w, s1, s2, lo, hi, opt_lo, opt_hi, new_cost, new_arg)
         else:  # tail[b]: the cost of the last run [b, m), 0 if it is empty
             tail = np.append(s2[-1] - s2[:-1] - (s1[-1] - s1[:-1]) ** 2 / (w[-1] - w[:-1]), 0.0)
-            _fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg, tail)
+            # in a window, a row off the optimal paths may cost too much, so
+            # its cost bounds no row after it: no branch and bound there
+            _fill_layer(cost, w, s1, s2, lo, hi, opt_lo, opt_hi, new_cost, new_arg,
+                        tail if windows is None else None)
             full = new_cost + tail
             kept = np.flatnonzero(full <= np.min(full) + _SLACK * s2[-1])
-            lo, hi = kept[0], kept[-1] + 1
+            last_lo, last_hi = kept[0], kept[-1] + 1
         cost = new_cost
         splits.append(new_arg)
 
     # the last layer is read only at b = m: one round over the kept splits
-    _, last = _first_minima(cost, w, s1, s2, np.array([m]), np.array([lo]), np.array([hi]))
+    _, last = _first_minima(cost, w, s1, s2, np.array([m]), np.array([last_lo]),
+                            np.array([last_hi]))
     bounds = [m, int(last[0])]
     for arg in reversed(splits):
         bounds.append(int(arg[bounds[-1]]))

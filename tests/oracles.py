@@ -657,7 +657,14 @@ def recursive_kmeans_1d(values, k):
     every layer filled in full by a depth-first divide and conquer.
 
     It evaluates the same floating-point expressions in the same order
-    per candidate, so its means are bitwise those of kmeans_1d.
+    per candidate. Where the computed costs keep the first best split
+    nondecreasing in the endpoint, as on well-separated or exactly tied
+    values, its means are bitwise those of kmeans_1d. Where they do not,
+    as when costs cancel to near the rounding error of the square sums
+    (1e4 + N(0, 1e-3)), the depth-first and breadth-first fills can pick
+    other first minima; the bitwise reference there is
+    test_threshold._bound_free_means, the package's own fill with every
+    layer in full.
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
     distinct, weights = np.unique(vals, return_counts=True)

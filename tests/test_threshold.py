@@ -1,14 +1,22 @@
+import functools
+import json
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from fixture_work import make_phantom
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import shrinkseg
 from shrinkseg import threshold
 from shrinkseg.synth import Disk, PhantomSpec, Rect, generate
 from shrinkseg.threshold import SegmentationResult, kmeans_1d, segment
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
 
 def _tied_values(seed, m, normal):
@@ -43,21 +51,62 @@ def _noisy_phantom():
     return generate(spec).f
 
 
+@functools.cache
+def _cli_stage2_image():
+    """The n=256 image of the cli_stage2 benchmark workload (seed 0):
+    65536 distinct values."""
+    with open(WORKLOADS, encoding="utf-8") as handle:
+        spec = json.load(handle)["workloads"]["cli_stage2"]["spec"]
+    return make_phantom(shrinkseg, spec, 0).f
+
+
+def _gapped_phases():
+    """Two phases with a wide empty gap between them, where a boundary
+    falls in the gap."""
+    rng = np.random.default_rng(5)
+    return np.concatenate([rng.normal(0.0, 1.0, 6000), rng.normal(40.0, 1.0, 6000)])
+
+
+def _mirrored_clumps():
+    """Three equal clumps, each symmetric about its centre, the whole
+    set symmetric about 0: splitting the left or the right clump costs
+    the same, so two partitions share the optimum."""
+    offsets = np.random.default_rng(6).normal(0.0, 1.0, 1500)
+    clump = np.concatenate([offsets, -offsets])
+    return np.concatenate([clump - 50.0, clump, clump + 50.0])
+
+
+def _offset_values():
+    """1e4 + N(0, 1e-3) rounded to 1e-7, 15502 distinct values of 20000:
+    costs near 1e-14 of s2[-1], whose rounding errors are a few percent
+    of themselves."""
+    rng = np.random.default_rng(0)
+    return 1e4 + np.round(rng.normal(0.0, 1e-3, 20000), 7)
+
+
+def _full_fill(values, k):
+    """The prefix moments (w, s1, s2), and the costs of every layer j =
+    0..k-2 and the splits of layers 1..k-2, each layer filled in full by
+    _fill_layer, with no bound."""
+    w, s1, s2 = threshold._prefix_moments(*np.unique(values, return_counts=True))
+    m = w.size - 1
+    costs, splits = [s2 - np.divide(s1**2, w, out=np.zeros(m + 1), where=w > 0)], []
+    for j in range(1, k - 1):
+        new_cost, new_arg = np.full(m + 1, np.inf), np.zeros(m + 1, np.intp)
+        threshold._fill_layer(costs[-1], w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg)
+        costs.append(new_cost)
+        splits.append(new_arg)
+    return (w, s1, s2), costs, splits
+
+
 def _bound_free_means(values, k):
     """kmeans_1d's means with every layer but the last filled in full by
     _fill_layer, with no bound, and the last one read by one round over
     every split."""
-    w, s1, s2 = threshold._prefix_moments(*np.unique(values, return_counts=True))
+    (w, s1, s2), costs, splits = _full_fill(values, k)
     m = w.size - 1
-    cost = s2 - np.divide(s1**2, w, out=np.zeros(m + 1), where=w > 0)
-    splits = []
-    for j in range(1, k - 1):
-        new_cost, new_arg = np.full(m + 1, np.inf), np.zeros(m + 1, np.intp)
-        threshold._fill_layer(cost, w, s1, s2, j + 1, m + 1, j, m, new_cost, new_arg)
-        cost = new_cost
-        splits.append(new_arg)
     _, last = threshold._first_minima(
-        cost, w, s1, s2, np.array([m]), np.array([k - 1]), np.array([m])
+        costs[-1], w, s1, s2, np.array([m]), np.array([k - 1]), np.array([m])
     )
     bounds = [m, int(last[0])]
     for arg in reversed(splits):
@@ -88,6 +137,18 @@ class TestKmeans1d:
             kmeans_1d([1.0, 2.0], 1)
         with pytest.raises(ValueError):
             kmeans_1d([1.0, 1.0, 1.0], 2)  # fewer distinct values than k
+
+    @pytest.mark.parametrize("k", [3.0, np.float64(3), 2.5, True, np.bool_(True), "3"])
+    def test_k_must_be_an_integer(self, k):
+        # rejected before the values are read
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kmeans_1d(["not a number"], k)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            segment(np.array([[0.1, 0.5], [0.5, 0.9]]), k)
+
+    def test_numpy_integer_k(self):
+        means = kmeans_1d([2.0, 10.0, 12.0, 20.0, 22.0], np.int64(3))
+        np.testing.assert_allclose(means, [2.0, 11.0, 21.0])
 
     def test_duplicates_weighted_not_collapsed(self):
         # four copies of 0 pull the split differently than one copy would
@@ -154,17 +215,21 @@ class TestLastLayerBound:
     def _candidates(monkeypatch, run, values, k):
         """run(values, k) and, per layer, the candidate splits of each
         _first_minima call: consecutive calls on one cost_prev array
-        make one layer, the last round included."""
+        make one layer, the last round included. The coarse layers of
+        the windows' bounds, on fewer points, are left out."""
         calls = []
         first_minima = threshold._first_minima
 
         def spy(cost_prev, w, s1, s2, mid, opt_lo, opt_hi):
-            calls.append((cost_prev, int(np.sum(np.minimum(opt_hi, mid) - opt_lo))))
+            count = int(np.sum(np.minimum(opt_hi, mid) - opt_lo))
+            calls.append((cost_prev, w.size, count))
             return first_minima(cost_prev, w, s1, s2, mid, opt_lo, opt_hi)
 
         with monkeypatch.context() as patch:
             patch.setattr(threshold, "_first_minima", spy)
             means = run(values, k)
+        size = max(points for _, points, _ in calls)
+        calls = [(cost_prev, count) for cost_prev, points, count in calls if points == size]
         layers = []
         for i, (cost_prev, count) in enumerate(calls):
             if i and cost_prev is calls[i - 1][0]:
@@ -180,8 +245,9 @@ class TestLastLayerBound:
         means, bounded = self._candidates(monkeypatch, kmeans_1d, f, k)
         _, full = self._candidates(monkeypatch, _bound_free_means, f, k)
         assert len(bounded) == len(full) == k - 1
-        # the earlier layers are filled as without the bound
-        assert bounded[:-2] == full[:-2]
+        # the layers before it are filled over their windows (none at K=3)
+        for got, want in zip(bounded[:-2], full[:-2]):
+            assert sum(got) < sum(want) / 4
         assert sum(bounded[-2]) < sum(full[-2]) / 2
         assert sum(bounded[-1]) < sum(full[-1])
         assert means.tobytes() == oracles.recursive_kmeans_1d(f, k).tobytes()
@@ -203,6 +269,119 @@ class TestLastLayerBound:
         means, layers = self._candidates(monkeypatch, kmeans_1d, f, 2)
         assert layers == [[np.unique(f).size - 1]]
         assert means.tobytes() == _bound_free_means(f, 2).tobytes()
+
+
+class TestWindows:
+    """At K >= 4 on many values, every full layer is filled only over a
+    window of rows that coarse lower bounds and a Lloyd upper bound leave
+    open. The windows must hold every row of an optimal path, skip most
+    candidate splits, and change no bit of the means."""
+
+    INPUTS = {
+        "noisy_phantom": _noisy_phantom,
+        "cli_stage2": _cli_stage2_image,
+        "gapped_phases": _gapped_phases,
+        "mirrored_clumps": _mirrored_clumps,
+        "offset": _offset_values,
+    }
+
+    @staticmethod
+    def _windowed(monkeypatch, values, k):
+        """kmeans_1d's means and the windows it filled, in rows per layer."""
+        rows = []
+        windows = threshold._windows
+
+        def spy(*args):
+            rows.append(windows(*args))
+            return rows[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threshold, "_windows", spy)
+            means = kmeans_1d(values, k)
+        assert len(rows) == 1
+        return means, [int(np.sum(hi - lo)) for lo, hi in rows[0]]
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_bitwise_equal_to_the_full_fill(self, monkeypatch, name, k):
+        values = self.INPUTS[name]()
+        m = np.unique(values).size
+        means, rows = self._windowed(monkeypatch, values, k)
+        assert means.tobytes() == _bound_free_means(values, k).tobytes()
+        if name == "offset":
+            # costs far below the slack: every row passes, every layer is whole
+            assert rows == [m + 1] * (k - 1)
+        else:
+            assert sum(rows) < (k - 1) * m / 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(4, 7),
+        extra=st.integers(60, 300),
+        normal=st.booleans(),
+    )
+    def test_small_windows_keep_tied_optima(self, seed, k, extra, normal):
+        # cells of one or two rows on inputs with exactly equal costs
+        values = _tied_values(seed, k + extra, normal)
+        assume(values is not None)
+        with mock.patch.object(threshold, "_CELL", 1 + seed % 2), \
+                mock.patch.object(threshold, "_WINDOWED", 32):
+            got = kmeans_1d(values, k)
+        assert got.tobytes() == _bound_free_means(values, k).tobytes()
+        assert got.tobytes() == oracles.recursive_kmeans_1d(values, k).tobytes()
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    def test_windowed_layers_skip_most_candidates(self, monkeypatch, k):
+        f = _cli_stage2_image()
+        means, bounded = TestLastLayerBound._candidates(monkeypatch, kmeans_1d, f, k)
+        _, full = TestLastLayerBound._candidates(monkeypatch, _bound_free_means, f, k)
+        assert len(bounded) == len(full) == k - 1
+        for got, want in zip(bounded[:-1], full[:-1]):
+            assert sum(got) < sum(want) / 4
+        assert means.tobytes() == _bound_free_means(f, k).tobytes()
+
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("name", ["noisy_phantom", "gapped_phases", "mirrored_clumps"])
+    def test_coarse_bounds_hold(self, name, k):
+        # on random cells: forward bounds against the full fill's costs,
+        # backward ones against its costs on the reversed values
+        values = self.INPUTS[name]()
+        (w, s1, s2), costs, _ = _full_fill(values, k)
+        _, rev, _ = _full_fill(-values, k)
+        m = w.size - 1
+        rng = np.random.default_rng(k)
+        inner = np.sort(rng.choice(np.arange(1, m), 200, replace=False))
+        points = np.concatenate(([0], inner, [m]))
+        forward, backward, _ = threshold._bounds(costs[0], w, s1, s2, points, k)
+        tol = 1e-12 * s2[-1]
+        rows = np.arange(m + 1)
+        cell = np.searchsorted(points, rows, side="right") - 1
+        for j in range(k - 1):
+            # rows that j + 1 runs can end and k - 1 - j runs can follow
+            valid = (rows >= j + 1) & (rows <= m - (k - 1 - j))
+            after = rev[k - 2 - j][::-1]  # the best cost of [b, m) in k - 1 - j runs
+            for bound, exact in ((forward[j], costs[j]), (backward[j], after)):
+                low = np.full(points.size - 1, np.inf)
+                np.minimum.at(low, cell[valid], exact[valid])
+                assert np.all(bound <= low + tol)
+        # the coarse layers make nontrivial bounds
+        assert forward[-1][-1] > 0.5 * costs[-1][-1]
+
+    def test_upper_bound_is_a_near_optimal_cost(self, monkeypatch):
+        f = _cli_stage2_image()
+        seen = []
+        upper_bound = threshold._upper_bound
+
+        def spy(*args):
+            seen.append(upper_bound(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(threshold, "_upper_bound", spy)
+        for k in (4, 5, 6):
+            means = kmeans_1d(f, k)
+            optimum = oracles.wcss(f, means)
+            assert optimum * (1 - 1e-9) <= seen[-1] <= optimum * (1 + 1e-5)
 
 
 class TestBlockedLayers:
