@@ -38,7 +38,11 @@ Targets (--only names one or more; the default is the 12 suite64 ones):
                         write_labels, kmeans_1d at K) on the n=256
                         cli_stage2 phantom of perfbench/workloads.json;
                         K = 4 and 6 time the layer windows beyond the
-                        K = 5 that the benchmark runs
+                        K = 3 and 5 that the benchmark runs
+  stage2_kmeans_k3_n64, stage2_kmeans_k3_n128
+                        kmeans_1d at K = 3 on that spec at n = 64 or 128
+                        (4096 or 16384 distinct values): below and above
+                        the 8192 values from which the layer windows run
   stage2_segment_k2, stage2_segment_k3, stage2_segment_k5, stage2_metrics
                         the cli_stage2 operations themselves: cli.main
                         runs `segment` at K or `metrics` in-process on
@@ -219,6 +223,8 @@ def targets(fixture, seed):
         stage2_spec = json.load(handle)["workloads"]["cli_stage2"]["spec"]
     for layer in STAGE2_LAYERS:
         table[f"stage2_{layer}"] = stage2(layer, stage2_spec, seed)
+    for n in (64, 128):
+        table[f"stage2_kmeans_k3_n{n}"] = stage2("kmeans_k3", dict(stage2_spec, n=n), seed)
     for command in STAGE2_COMMANDS:
         table[f"stage2_{command}"] = stage2_command(command, stage2_spec, seed)
     return table

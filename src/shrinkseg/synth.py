@@ -89,8 +89,9 @@ class PhantomSpec:
             raise ValueError(f"unknown bias kind {self.bias_kind!r}")
         if self.composition not in COMPOSITIONS:
             raise ValueError(f"unknown composition {self.composition!r}")
-        if self.bias_amplitude < 0 or self.noise_sigma < 0:
-            raise ValueError("bias_amplitude and noise_sigma must be nonnegative")
+        for name in ("bias_amplitude", "noise_sigma"):
+            if not 0 <= (value := getattr(self, name)) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)

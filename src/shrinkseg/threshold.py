@@ -10,20 +10,19 @@ about log2(m) rounds per layer for m distinct values. Once every open
 endpoint against its subproblem's whole split range fits one block,
 one last round finishes the layer, so few-valued images take one
 round per layer. Only the last layer's final endpoint is ever read
-back, so that layer is one such round, over the splits that a branch
-and bound keeps while filling the layer before it (see _fill_layer):
-the dropped ones cost more, so the means are those of a full scan, bit
-for bit.
+back, so that layer is one such round.
 
-At K >= 4 on many values, every full layer is filled only over a
-window of rows that may lie on an optimal path (see _windows). The
-same program on the moments at a coarse grid bounds each cell's cost
-from below, from the left and, on the reversed moments, from the
-right; Lloyd steps from the coarse optimum give a partition whose cost
-bounds the optimum from above. A cell whose two lower bounds add up to
-more than that, plus the rounding slack, holds no optimal row. Rows
-on an optimal path, and the splits they read, keep their costs, so
-the means are again those of a full scan, bit for bit.
+At K >= 3 on many values, every full layer is filled only over a
+window of rows that may lie on an optimal path (see _windows), and
+each layer, the last round included, reads its splits only from the
+extent of the window before it. The same program on the moments at a
+coarse grid bounds each cell's cost from below, from the left and, on
+the reversed moments, from the right; Lloyd steps from the coarse
+optimum give a partition whose cost bounds the optimum from above. A
+cell whose two lower bounds add up to more than that, plus the
+rounding slack, holds no optimal row. Rows on an optimal path, and
+the splits they read, keep their costs, so the means are those of a
+full scan, bit for bit.
 
 Thresholds sit midway between consecutive cluster means and each
 pixel's label is 1 plus the number of thresholds below its value.
@@ -107,7 +106,7 @@ def _first_minima(cost_prev, w, s1, s2, mid, opt_lo, opt_hi):
     return best, arg
 
 
-def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg, tail=None):
+def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg):
     """Fill out_cost[lo:hi] given the split argmin lies in [opt_lo, opt_hi).
 
     Every layer but the last is filled this way. The optimal split index
@@ -125,22 +124,13 @@ def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg,
 
     lo, hi, opt_lo and opt_hi may also be arrays of several subproblems,
     such as the row ranges of a window (broadcast against each other).
-
-    Given tail[b], the cost of the last run [b, m), this is the last full
-    layer, filled by branch and bound: out_cost[b] + tail[b] is at least
-    out_cost[lo - 1] + tail[hi - 1] (out_cost 0 at the layer's start) in
-    an open subproblem [lo, hi), as out_cost rises and tail falls in b.
-    Each round drops the subproblems whose bound exceeds the lowest full
-    cost so far by over the rounding slack _SLACK * s2[-1], leaving them
-    at inf: they cost more than the optimum, whose first minimum is kept.
     """
     lo, hi, opt_lo, opt_hi = np.atleast_1d(*np.broadcast_arrays(lo, hi, opt_lo, opt_hi))
-    best = np.inf
     while lo.size:
         if lo.size > _BLOCK:  # the subproblems are independent of each other
             h = lo.size // 2
             _fill_layer(cost_prev, w, s1, s2, lo[:h], hi[:h], opt_lo[:h], opt_hi[:h],
-                        out_cost, out_arg, tail)
+                        out_cost, out_arg)
             lo, hi, opt_lo, opt_hi = lo[h:], hi[h:], opt_lo[h:], opt_hi[h:]
         if (hi - lo) @ (opt_hi - opt_lo) <= _BLOCK:
             # every endpoint against its subproblem's whole split range fits
@@ -159,11 +149,6 @@ def _fill_layer(cost_prev, w, s1, s2, lo, hi, opt_lo, opt_hi, out_cost, out_arg,
         hi = np.concatenate([mid[left], hi[right]])
         opt_lo = np.concatenate([opt_lo[left], arg[right]])
         opt_hi = np.concatenate([arg[left] + 1, opt_hi[right]])
-        if tail is not None:
-            best = min(best, np.min(out_cost[mid] + tail[mid]))
-            bound = np.nan_to_num(out_cost[lo - 1], posinf=0.0) + tail[hi - 1]
-            keep = bound <= best + _SLACK * s2[-1]
-            lo, hi, opt_lo, opt_hi = lo[keep], hi[keep], opt_lo[keep], opt_hi[keep]
 
 
 def _cell_bounds(first, w, s1, s2, layers):
@@ -294,37 +279,30 @@ def kmeans_1d(values, k: int) -> np.ndarray:
     cost[1:] /= w[1:]
     np.subtract(s2, cost, out=cost)
     windows = None
-    if k > 3 and m // _CELL >= _WINDOWED:
+    if k > 2 and m // _CELL >= _WINDOWED:
         windows = _windows(distinct, cost, w, s1, s2, k)
     del distinct
-    last_lo, last_hi = k - 1, m  # the last layer's candidate splits
     splits = []
-    for j in range(1, k - 1):
+    for j in range(1, k):
+        # runs must be nonempty: split a >= j, in the window before if any
+        opt_lo, opt_hi = j, m
+        if windows is not None:
+            opt_lo, opt_hi = max(j, windows[j - 1][0][0]), min(m, windows[j - 1][1][-1])
+        if j == k - 1:  # the last layer: only its splits are needed
+            break
         new_cost = np.full(m + 1, np.inf)
         new_arg = np.zeros(m + 1, dtype=np.intp)
-        # runs must be nonempty: endpoint b >= j+1, split a >= j
-        lo, hi, opt_lo, opt_hi = j + 1, m + 1, j, m
-        if windows is not None:  # the window's rows, split in the one before
-            opt_lo, opt_hi = max(j, windows[j - 1][0][0]), min(m, windows[j - 1][1][-1])
+        lo, hi = j + 1, m + 1  # endpoint b >= j+1, in the layer's window if any
+        if windows is not None:
             lo, hi = np.maximum(windows[j][0], opt_lo + 1), windows[j][1]
             lo, hi = lo[lo < hi], hi[lo < hi]
-        if j < k - 2:
-            _fill_layer(cost, w, s1, s2, lo, hi, opt_lo, opt_hi, new_cost, new_arg)
-        else:  # tail[b]: the cost of the last run [b, m), 0 if it is empty
-            tail = np.append(s2[-1] - s2[:-1] - (s1[-1] - s1[:-1]) ** 2 / (w[-1] - w[:-1]), 0.0)
-            # in a window, a row off the optimal paths may cost too much, so
-            # its cost bounds no row after it: no branch and bound there
-            _fill_layer(cost, w, s1, s2, lo, hi, opt_lo, opt_hi, new_cost, new_arg,
-                        tail if windows is None else None)
-            full = new_cost + tail
-            kept = np.flatnonzero(full <= np.min(full) + _SLACK * s2[-1])
-            last_lo, last_hi = kept[0], kept[-1] + 1
+        _fill_layer(cost, w, s1, s2, lo, hi, opt_lo, opt_hi, new_cost, new_arg)
         cost = new_cost
         splits.append(new_arg)
 
-    # the last layer is read only at b = m: one round over the kept splits
-    _, last = _first_minima(cost, w, s1, s2, np.array([m]), np.array([last_lo]),
-                            np.array([last_hi]))
+    # the last layer is read only at b = m: one round over its splits
+    _, last = _first_minima(cost, w, s1, s2, np.array([m]), np.array([opt_lo]),
+                            np.array([opt_hi]))
     bounds = [m, int(last[0])]
     for arg in reversed(splits):
         bounds.append(int(arg[bounds[-1]]))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -325,6 +326,18 @@ class TestExitCodes:
         spec.write_text(json.dumps({"n": 8, "phase_values": [0.5], **change}))
         assert main(["synth", str(spec), str(tmp_path / "p")]) == 1
         assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("p*"))
+
+    @pytest.mark.parametrize("key, literal", [("noise_sigma", "NaN"),
+                                              ("bias_amplitude", "Infinity")])
+    def test_non_finite_synth_spec_is_runtime_error(self, tmp_path, capsys, key, literal):
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"n": 8, "phase_values": [0.3, 0.8], "bias_kind": "linear_ramp", '
+                        f'"{key}": {literal}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["synth", str(spec), str(tmp_path / "p")]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("p*"))
 
 

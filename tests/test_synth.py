@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from shrinkseg.imgio import phantom_spec_from_dict
 from shrinkseg.synth import (
     BIAS_KINDS,
     EPS_POS,
@@ -171,6 +174,14 @@ class TestSpecValidation:
         args.update(kw)
         with pytest.raises(ValueError):
             PhantomSpec(**args)
+
+    @pytest.mark.parametrize("key", ["bias_amplitude", "noise_sigma"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_amplitudes_rejected(self, key, literal):
+        # json.loads reads these literals as floats
+        payload = json.loads(f'{{"n": 8, "phase_values": [0.3, 0.8], "{key}": {literal}}}')
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            phantom_spec_from_dict(payload)
 
     def test_amplitude_without_kind_is_inert(self):
         # amplitude with kind "none" is allowed and has no effect

@@ -115,6 +115,33 @@ def _bound_free_means(values, k):
     return np.array([(s1[b] - s1[a]) / (w[b] - w[a]) for a, b in zip(bounds[:-1], bounds[1:])])
 
 
+def _candidates(monkeypatch, run, values, k):
+    """run(values, k) and, per layer, the candidate splits of each
+    _first_minima call: consecutive calls on one cost_prev array make
+    one layer, the last round included. The coarse layers of the
+    windows' bounds, on fewer points, are left out."""
+    calls = []
+    first_minima = threshold._first_minima
+
+    def spy(cost_prev, w, s1, s2, mid, opt_lo, opt_hi):
+        count = int(np.sum(np.minimum(opt_hi, mid) - opt_lo))
+        calls.append((cost_prev, w.size, count))
+        return first_minima(cost_prev, w, s1, s2, mid, opt_lo, opt_hi)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(threshold, "_first_minima", spy)
+        means = run(values, k)
+    size = max(points for _, points, _ in calls)
+    calls = [(cost_prev, count) for cost_prev, points, count in calls if points == size]
+    layers = []
+    for i, (cost_prev, count) in enumerate(calls):
+        if i and cost_prev is calls[i - 1][0]:
+            layers[-1].append(count)
+        else:
+            layers.append([count])
+    return means, layers
+
+
 class TestKmeans1d:
     def test_two_values(self):
         np.testing.assert_allclose(kmeans_1d([0.05, 0.95], 2), [0.05, 0.95])
@@ -204,53 +231,96 @@ class TestBreadthFirstMatchesRecursion:
             assert kmeans_1d(f, k).tobytes() == want.tobytes()
 
 
-class TestLastLayerBound:
-    """The last layer filled in full drops every subproblem whose lower
-    bound exceeds the lowest full cost found by more than a rounding
-    slack, and the last round scans only the splits that remain. That
-    must skip most of that layer's candidate splits and change no bit of
-    the means."""
+class TestWindows:
+    """At K >= 3 on many values, every full layer is filled only over a
+    window of rows that coarse lower bounds and a Lloyd upper bound leave
+    open, and each layer, the last round included, reads its splits only
+    from the extent of the window before it. The windows must hold every
+    row of an optimal path, skip most candidate splits, and change no bit
+    of the means."""
+
+    INPUTS = {
+        "noisy_phantom": _noisy_phantom,
+        "cli_stage2": _cli_stage2_image,
+        "gapped_phases": _gapped_phases,
+        "mirrored_clumps": _mirrored_clumps,
+        "offset": _offset_values,
+    }
 
     @staticmethod
-    def _candidates(monkeypatch, run, values, k):
-        """run(values, k) and, per layer, the candidate splits of each
-        _first_minima call: consecutive calls on one cost_prev array
-        make one layer, the last round included. The coarse layers of
-        the windows' bounds, on fewer points, are left out."""
-        calls = []
-        first_minima = threshold._first_minima
+    def _windowed(monkeypatch, values, k):
+        """kmeans_1d's means and the windows it filled, as (lo, hi) row
+        ranges per layer."""
+        found = []
+        windows = threshold._windows
 
-        def spy(cost_prev, w, s1, s2, mid, opt_lo, opt_hi):
-            count = int(np.sum(np.minimum(opt_hi, mid) - opt_lo))
-            calls.append((cost_prev, w.size, count))
-            return first_minima(cost_prev, w, s1, s2, mid, opt_lo, opt_hi)
+        def spy(*args):
+            found.append(windows(*args))
+            return found[-1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(threshold, "_first_minima", spy)
-            means = run(values, k)
-        size = max(points for _, points, _ in calls)
-        calls = [(cost_prev, count) for cost_prev, points, count in calls if points == size]
-        layers = []
-        for i, (cost_prev, count) in enumerate(calls):
-            if i and cost_prev is calls[i - 1][0]:
-                layers[-1].append(count)
-            else:
-                layers.append([count])
-        return means, layers
+            patch.setattr(threshold, "_windows", spy)
+            means = kmeans_1d(values, k)
+        assert len(found) == 1
+        return means, found[0]
 
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_last_full_layer_skips_most_candidates(self, monkeypatch, k):
-        f = _noisy_phantom()
-        assert np.unique(f).size >= 4096
-        means, bounded = self._candidates(monkeypatch, kmeans_1d, f, k)
-        _, full = self._candidates(monkeypatch, _bound_free_means, f, k)
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_bitwise_equal_to_the_full_fill(self, monkeypatch, name, k):
+        values = self.INPUTS[name]()
+        m = np.unique(values).size
+        means, windows = self._windowed(monkeypatch, values, k)
+        rows = [int(np.sum(hi - lo)) for lo, hi in windows]
+        assert means.tobytes() == _bound_free_means(values, k).tobytes()
+        if name == "offset":
+            # costs far below the slack: every row passes, every layer is whole
+            assert rows == [m + 1] * (k - 1)
+        else:
+            assert sum(rows) < (k - 1) * m / 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(3, 7),
+        extra=st.integers(60, 300),
+        normal=st.booleans(),
+    )
+    def test_small_windows_keep_tied_optima(self, seed, k, extra, normal):
+        # cells of one or two rows on inputs with exactly equal costs
+        values = _tied_values(seed, k + extra, normal)
+        assume(values is not None)
+        with mock.patch.object(threshold, "_CELL", 1 + seed % 2), \
+                mock.patch.object(threshold, "_WINDOWED", 32):
+            got = kmeans_1d(values, k)
+        assert got.tobytes() == _bound_free_means(values, k).tobytes()
+        assert got.tobytes() == oracles.recursive_kmeans_1d(values, k).tobytes()
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_windowed_layers_skip_most_candidates(self, monkeypatch, k):
+        f = _cli_stage2_image()
+        means, bounded = _candidates(monkeypatch, kmeans_1d, f, k)
+        _, full = _candidates(monkeypatch, _bound_free_means, f, k)
         assert len(bounded) == len(full) == k - 1
-        # the layers before it are filled over their windows (none at K=3)
-        for got, want in zip(bounded[:-2], full[:-2]):
+        for got, want in zip(bounded[:-1], full[:-1]):
             assert sum(got) < sum(want) / 4
-        assert sum(bounded[-2]) < sum(full[-2]) / 2
         assert sum(bounded[-1]) < sum(full[-1])
-        assert means.tobytes() == oracles.recursive_kmeans_1d(f, k).tobytes()
+        assert means.tobytes() == _bound_free_means(f, k).tobytes()
+
+    def test_last_round_reads_the_last_window(self, monkeypatch):
+        # at K = 3 too, the last round reads only the splits in the extent
+        # of the one full layer's window
+        f = _cli_stage2_image()
+        found = []
+
+        def windowed(values, k):
+            means, windows = self._windowed(monkeypatch, values, k)
+            found.append(windows[-1])
+            return means
+
+        means, layers = _candidates(monkeypatch, windowed, f, 3)
+        (lo, hi), = found
+        assert sum(layers[-1]) <= hi[-1] - lo[0] < np.unique(f).size / 64
+        assert means.tobytes() == _bound_free_means(f, 3).tobytes()
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_offset_input_keeps_the_first_minimum(self, k):
@@ -266,82 +336,11 @@ class TestLastLayerBound:
 
     def test_two_clusters_take_one_round(self, monkeypatch):
         f = _noisy_phantom()
-        means, layers = self._candidates(monkeypatch, kmeans_1d, f, 2)
+        means, layers = _candidates(monkeypatch, kmeans_1d, f, 2)
         assert layers == [[np.unique(f).size - 1]]
         assert means.tobytes() == _bound_free_means(f, 2).tobytes()
 
-
-class TestWindows:
-    """At K >= 4 on many values, every full layer is filled only over a
-    window of rows that coarse lower bounds and a Lloyd upper bound leave
-    open. The windows must hold every row of an optimal path, skip most
-    candidate splits, and change no bit of the means."""
-
-    INPUTS = {
-        "noisy_phantom": _noisy_phantom,
-        "cli_stage2": _cli_stage2_image,
-        "gapped_phases": _gapped_phases,
-        "mirrored_clumps": _mirrored_clumps,
-        "offset": _offset_values,
-    }
-
-    @staticmethod
-    def _windowed(monkeypatch, values, k):
-        """kmeans_1d's means and the windows it filled, in rows per layer."""
-        rows = []
-        windows = threshold._windows
-
-        def spy(*args):
-            rows.append(windows(*args))
-            return rows[-1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(threshold, "_windows", spy)
-            means = kmeans_1d(values, k)
-        assert len(rows) == 1
-        return means, [int(np.sum(hi - lo)) for lo, hi in rows[0]]
-
-    @pytest.mark.parametrize("k", [4, 5, 6, 7])
-    @pytest.mark.parametrize("name", list(INPUTS))
-    def test_bitwise_equal_to_the_full_fill(self, monkeypatch, name, k):
-        values = self.INPUTS[name]()
-        m = np.unique(values).size
-        means, rows = self._windowed(monkeypatch, values, k)
-        assert means.tobytes() == _bound_free_means(values, k).tobytes()
-        if name == "offset":
-            # costs far below the slack: every row passes, every layer is whole
-            assert rows == [m + 1] * (k - 1)
-        else:
-            assert sum(rows) < (k - 1) * m / 2
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        k=st.integers(4, 7),
-        extra=st.integers(60, 300),
-        normal=st.booleans(),
-    )
-    def test_small_windows_keep_tied_optima(self, seed, k, extra, normal):
-        # cells of one or two rows on inputs with exactly equal costs
-        values = _tied_values(seed, k + extra, normal)
-        assume(values is not None)
-        with mock.patch.object(threshold, "_CELL", 1 + seed % 2), \
-                mock.patch.object(threshold, "_WINDOWED", 32):
-            got = kmeans_1d(values, k)
-        assert got.tobytes() == _bound_free_means(values, k).tobytes()
-        assert got.tobytes() == oracles.recursive_kmeans_1d(values, k).tobytes()
-
-    @pytest.mark.parametrize("k", [4, 5, 6, 7])
-    def test_windowed_layers_skip_most_candidates(self, monkeypatch, k):
-        f = _cli_stage2_image()
-        means, bounded = TestLastLayerBound._candidates(monkeypatch, kmeans_1d, f, k)
-        _, full = TestLastLayerBound._candidates(monkeypatch, _bound_free_means, f, k)
-        assert len(bounded) == len(full) == k - 1
-        for got, want in zip(bounded[:-1], full[:-1]):
-            assert sum(got) < sum(want) / 4
-        assert means.tobytes() == _bound_free_means(f, k).tobytes()
-
-    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("k", [3, 4, 6])
     @pytest.mark.parametrize("name", ["noisy_phantom", "gapped_phases", "mirrored_clumps"])
     def test_coarse_bounds_hold(self, name, k):
         # on random cells: forward bounds against the full fill's costs,
@@ -378,7 +377,7 @@ class TestWindows:
             return seen[-1]
 
         monkeypatch.setattr(threshold, "_upper_bound", spy)
-        for k in (4, 5, 6):
+        for k in (3, 4, 5, 6):
             means = kmeans_1d(f, k)
             optimum = oracles.wcss(f, means)
             assert optimum * (1 - 1e-9) <= seen[-1] <= optimum * (1 + 1e-5)
@@ -429,17 +428,18 @@ class TestBlockedLayers:
         assert sum(cut) > 0
 
     def test_traced_peak_bounded_per_distinct_value(self):
-        # 2^17 distinct values at K = 5: the prefix, cost and split arrays
-        # take 64 bytes per value, and np.unique and the round temporaries,
-        # bounded by the block, must fit in the rest
+        # 2^17 distinct values at K = 3 and 5: the prefix, cost and split
+        # arrays take 64 bytes per value at K = 5, and np.unique and the
+        # round temporaries, bounded by the block, must fit in the rest
         values = np.random.default_rng(0).permutation(2**17) / 7.0
-        tracemalloc.start()
-        try:
-            kmeans_1d(values, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 128 * values.size
+        for k in (3, 5):
+            tracemalloc.start()
+            try:
+                kmeans_1d(values, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 128 * values.size, k
 
 
 class TestOneRoundLayers:
