@@ -24,6 +24,13 @@ Targets (--only names one or more; the default is the 12 suite64 ones):
                         256 or 512
   phantom{n}_defaults   the same at the settings `shrinkseg run` uses
                         with no config
+  ramp128               the same at the acceptance settings on
+                        calibrate_fixtures.five_phase_spec(128, 0.05, 0.7,
+                        "linear_ramp", 7) at alpha 0.3, beta 1000, K = 5
+  noisy128              the same on the five_phase_n128 quality entry of
+                        the fixture with noise_sigma 0.05; the supports of
+                        both settle above the reduced solve's cap at
+                        these settings
   sweeps{n}_pass1       one admm_solve of exactly 200 sweeps (tol_in=0) on
                         decompose's first pass of phantom{n}, where nearly
                         every pixel is active
@@ -93,7 +100,7 @@ from pathlib import Path
 import numpy as np
 
 import shrinkseg
-from calibrate_fixtures import two_phase_spec
+from calibrate_fixtures import five_phase_spec, two_phase_spec
 from fixture_work import fixture_problem, load_fixture, make_phantom, pipeline, work
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -219,6 +226,12 @@ def targets(fixture, seed):
         table[f"phantom{n}_defaults"] = acceptance(entry, None, seed)
         table[f"sweeps{n}_pass1"] = sweep_solve(entry, solver, seed, second=False)
         table[f"sweeps{n}_pass2"] = sweep_solve(entry, solver, seed, second=True)
+    ramp = shrinkseg.imgio.phantom_spec_to_dict(five_phase_spec(128, 0.05, 0.7, "linear_ramp", 7))
+    entry = {"spec": ramp, "alpha": 0.3, "beta": 1000.0, "k": 5}
+    table["ramp128"] = acceptance(entry, solver, seed)
+    noisy = next(entry for entry in fixture["quality"] if entry["name"] == "five_phase_n128")
+    noisy = dict(noisy, spec=dict(noisy["spec"], noise_sigma=0.05))
+    table["noisy128"] = acceptance(noisy, solver, seed)
     with open(os.path.join(ROOT, "perfbench", "workloads.json"), encoding="utf-8") as handle:
         stage2_spec = json.load(handle)["workloads"]["cli_stage2"]["spec"]
     for layer in STAGE2_LAYERS:

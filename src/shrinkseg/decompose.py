@@ -21,7 +21,7 @@ import numpy as np
 from .admm import AdmmParams, RunState, admm_solve, one_blas_thread
 from .energy import ModelParams, decomposition_energy
 from .grid import Array, as_grid, grad, grad_norms
-from .reduced import ReducedCache, reduced_solve, within_cap
+from .reduced import ReducedCache, reduced_solve
 from .support import detect_support, initial_support, project_to_support
 
 
@@ -150,18 +150,19 @@ def decompose(
     moves far ends coarse, while the small steps of late passes are
     still solved tightly.
 
-    Both solvers read one RunState, made once for the run, and
-    reduced_solve also one ReducedCache. From the second pass on,
-    reduced_solve gets each pass first. When the support leaves few
-    enough tie components it may return the pass's exact minimizer: that
-    pass counts as solved at tol_in, needs neither H1 nor the projection,
-    adds no sweeps to inner_iters and is counted in reduced_solves; an
-    attempt within its cap that returns None is counted in
-    reduced_declines. Any other pass goes to admm_solve as
-    above, starting from the scaled dual that the run's last admm_solve
-    ended with (zero duals on the first pass): successive passes solve
-    nearly the same problem, so a warm dual saves sweeps. BLAS runs on one
-    thread (one_blas_thread): u and v do not depend on its thread count.
+    Both solvers read one RunState, made once for the run: admm_solve
+    as its state, reduced_solve through the run's one ReducedCache. From
+    the second pass on, reduced_solve gets each pass first. When the
+    support leaves few enough tie components it may return the pass's
+    exact minimizer: that pass counts as solved at tol_in, needs neither
+    H1 nor the projection, adds no sweeps to inner_iters and is counted
+    in reduced_solves; the attempts within its cap that return None are
+    the cache's declines, reported as reduced_declines. Any other pass
+    goes to admm_solve as above, starting from the scaled dual that the
+    run's last admm_solve ended with (zero duals on the first pass):
+    successive passes solve nearly the same problem, so a warm dual
+    saves sweeps. BLAS runs on one thread (one_blas_thread): u and v do
+    not depend on its thread count.
     """
     f = as_grid(f, "f")
     outer = outer or OuterParams()
@@ -180,7 +181,7 @@ def decompose(
     converged = False
     rises = 0
     capped = 0
-    reduced = declines = 0
+    reduced = 0
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
     state = RunState(f, params, outer.rho, admm.r)  # shared by this run's solves only
@@ -220,10 +221,7 @@ def decompose(
         inner_iters = 0
         # the first pass always runs admm_solve: perfbench's tracer test
         # expects an admm span from every op, noise-free ones included
-        inner = None
-        if rows:
-            inner = reduced_solve(u, weights, support, state, cache)
-            declines += inner is None and within_cap(support)
+        inner = reduced_solve(u, weights, support, cache) if rows else None
         if inner is not None:  # the exact minimizer, feasible as it is
             reduced += 1
             tol = admm.tol_in
@@ -286,5 +284,5 @@ def decompose(
         tau_supp=tau,
         capped_solves=capped,
         reduced_solves=reduced,
-        reduced_declines=declines,
+        reduced_declines=cache.declines,
     )

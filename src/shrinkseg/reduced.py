@@ -7,10 +7,10 @@ component values (a _Problem) is solved by damped Newton over classes of
 components. Newton starts from every component alone, or from the
 classes that FISTA on the problem's dual finds (_merges). Its result is
 used only with an optimality certificate; otherwise it returns None and
-the pass is left to admm_solve. It reads the run's RunState, and a
-ReducedCache keeps what the attempts of a run share, so that the reduced
-quadratic is built once per run and summed from it after that (see
-ReducedCache and _smooth).
+the pass is left to admm_solve. A run's attempts share one
+ReducedCache, which holds the run's RunState, builds the reduced
+quadratic once per run and sums each later one from it (see ReducedCache
+and _smooth), and counts the attempts that decline.
 """
 
 from __future__ import annotations
@@ -96,13 +96,6 @@ class _Pieces:
     term_of: Array
 
 
-def within_cap(support: SupportSet) -> bool:
-    """Whether support leaves at most _MAX_PIECES tie components, so
-    that reduced_solve attempts its pass."""
-    roots = support.labels
-    return bool(np.count_nonzero(roots == np.arange(roots.size)) <= _MAX_PIECES)
-
-
 def _pieces(support: SupportSet) -> _Pieces | None:
     """The _Pieces of support, or None when it leaves more than
     _MAX_PIECES components."""
@@ -178,16 +171,17 @@ def _coarsen(matrix: Array, cls: Array, size: int) -> Array:
 class ReducedCache:
     """What the reduced attempts of one decompose run share.
 
-    Made for one RunState, it holds the smoothed f = irfft2(f_hat (1 -
-    1 / b)), and keeps the last support with its _Pieces (None when it
-    left too many components), so a pass that keeps the support builds
-    no new _Pieces. B^T S B is built (_smooth: one transform per component of two or
-    more pixels, and the kernel of S for the single pixels) only at the
-    first attempt that gets that far: supports only shrink, so every
-    later partition coarsens the stored one (each old component lies in
-    one new one) and the new matrix is M^T (B^T S B) M for the 0/1 merge
-    matrix M, one bincount. A partition that does not coarsen it is
-    built afresh.
+    Made for one RunState, which reduced_solve reads from state, it
+    holds the smoothed f = irfft2(f_hat (1 - 1 / b)), and keeps the last
+    support with its _Pieces (None when it left too many components), so
+    a pass that keeps the support builds no new _Pieces. B^T S B is
+    built (_smooth: one transform per component of two or more pixels,
+    and the kernel of S for the single pixels) only at the first attempt
+    that gets that far: supports only shrink, so every later partition
+    coarsens the stored one (each old component lies in one new one) and
+    the new matrix is M^T (B^T S B) M for the 0/1 merge matrix M, one
+    bincount. A partition that does not coarsen it is built afresh.
+    declines counts the attempts within _MAX_PIECES that returned None.
 
     Two runs of one problem must not share a cache: an aggregated matrix
     can differ from a fresh build in the last bits, so a run's result
@@ -199,6 +193,7 @@ class ReducedCache:
         self.smooth_f = np.fft.irfft2(state.f_hat * (1.0 - 1.0 / state.b), s=state.shape)
         # the last support with its _Pieces, and the _Pieces that quad_smooth is for
         self.support = self.pieces = self.quad_pieces = self.quad_smooth = None
+        self.declines = 0
 
     def pieces_of(self, support: SupportSet) -> _Pieces | None:
         """The _Pieces of support, built again only for another support."""
@@ -555,20 +550,16 @@ def _merges(problem: _Problem, c: Array):
 
 @one_blas_thread()
 def reduced_solve(
-    u_k: Array,
-    weights: Array,
-    support: SupportSet,
-    state: RunState,
-    cache: ReducedCache | None = None,
+    u_k: Array, weights: Array, support: SupportSet, cache: ReducedCache
 ) -> InnerResult | None:
     """Solve admm_solve's problem exactly in the tie components' values.
 
-    state holds the run's f, model and rho (see RunState), and cache,
-    made for state, what the attempts of its run share (a fresh one when
-    None): pass the same two for every pass of a run. When the frozen
-    ties of support leave at most _MAX_PIECES components, every feasible
-    u is c[label] for C component values c, and v = K(f - u) with K = 1 /
-    (1 + gamma + beta hth) per frequency, so the pass problem becomes
+    cache.state holds the run's f, model and rho (see RunState), and
+    cache what the attempts of its run share: pass the same cache for
+    every pass of a run. When the frozen ties of support leave at most
+    _MAX_PIECES components, every feasible u is c[label] for C component
+    values c, and v = K(f - u) with K = 1 / (1 + gamma + beta hth) per
+    frequency, so the pass problem becomes
         phi(c) = 1/2 c'Qc - b'c + alpha sum_t W_t ||E_t c||,
     Q = B'SB + rho diag(sizes), S = 1 - K, b = B'Sf + rho B'u_k, where
     term t sums the weights W of the active pixels that share one (own,
@@ -581,19 +572,16 @@ def reduced_solve(
     optimality certificate, so it is the exact pass minimizer: u is
     constant on the components and needs no projection. Returns None
     when the support leaves more than _MAX_PIECES components or no
-    start certifies within its budget; the pass is then for admm_solve.
-    Raises ValueError for a cache made for another state. Runs on one
-    BLAS thread (one_blas_thread): its result does not depend on the count.
+    start certifies within its budget, and counts the latter in
+    cache.declines; the pass is then for admm_solve. Runs on one BLAS
+    thread (one_blas_thread): its result does not depend on the count.
     """
     u_k = as_grid(u_k, "u_k")
     weights = _checked_weights(weights)
+    state = cache.state
     shape, params, rho = state.shape, state.params, state.rho
     if not (u_k.shape == weights.shape == support.active.shape == shape):
         raise ValueError("reduced_solve inputs must share one grid shape")
-    if cache is None:
-        cache = ReducedCache(state)
-    elif cache.state is not state:
-        raise ValueError("cache was made for another state")
     pieces = cache.pieces_of(support)
     if pieces is None:
         return None
@@ -618,6 +606,7 @@ def reduced_solve(
             if c is not None:
                 break
     if c is None:
+        cache.declines += 1
         return None
     u = c[label].reshape(shape)
     v_hat = (state.f_hat - np.fft.rfft2(u)) / state.b

@@ -24,6 +24,13 @@ BIAS_KINDS = ("none", "linear_ramp", "gaussian_bump", "low_freq_sinusoid")
 COMPOSITIONS = ("additive", "multiplicative")
 
 
+def _check_finite(obj, names, nonnegative=False):
+    for name in names:
+        if not math.isfinite(value := getattr(obj, name)) or (nonnegative and value < 0):
+            rule = "finite and nonnegative" if nonnegative else "finite"
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Disk:
     """Filled disk; center and radius in pixel units, 1-based phase."""
@@ -32,6 +39,10 @@ class Disk:
     col: float
     radius: float
     phase: int
+
+    def __post_init__(self):
+        _check_finite(self, ("row", "col"))
+        _check_finite(self, ("radius",), nonnegative=True)
 
     def rasterize(self, rows: Array, cols: Array) -> Array:
         return (rows - self.row) ** 2 + (cols - self.col) ** 2 <= self.radius**2
@@ -46,6 +57,9 @@ class Rect:
     row1: float
     col1: float
     phase: int
+
+    def __post_init__(self):
+        _check_finite(self, ("row0", "col0", "row1", "col1"))
 
     def rasterize(self, rows: Array, cols: Array) -> Array:
         return (
@@ -89,9 +103,7 @@ class PhantomSpec:
             raise ValueError(f"unknown bias kind {self.bias_kind!r}")
         if self.composition not in COMPOSITIONS:
             raise ValueError(f"unknown composition {self.composition!r}")
-        for name in ("bias_amplitude", "noise_sigma"):
-            if not 0 <= (value := getattr(self, name)) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        _check_finite(self, ("bias_amplitude", "noise_sigma"), nonnegative=True)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from shrinkseg import (
 from shrinkseg import admm as admm_module
 from shrinkseg.admm import RunState, _Mixer, _shrink_field, _shrink_thresholds
 from shrinkseg.grid import grad, grad_norms
+from shrinkseg.reduced import ReducedCache
 from shrinkseg.support import SupportSet
 
 
@@ -322,7 +323,7 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="weights"):
             admm_solve(f, u_k, v_k, weights, support, params, rho, admm)
         with pytest.raises(ValueError, match="weights"):
-            reduced_solve(u_k, weights, support, RunState(f, params, rho, admm.r))
+            reduced_solve(u_k, weights, support, ReducedCache(RunState(f, params, rho, admm.r)))
 
 
 def _instance(seed, n=6, m=None):

@@ -340,6 +340,18 @@ class TestExitCodes:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("p*"))
 
+    @pytest.mark.parametrize("shape, key", [
+        ('"type": "disk", "row": NaN, "col": 4, "radius": 3', "row"),
+        ('"type": "disk", "row": 4, "col": 4, "radius": -Infinity', "radius"),
+        ('"type": "rect", "row0": 1, "col0": 1, "row1": Infinity, "col1": 5', "row1"),
+    ], ids=["disk_row_nan", "disk_radius_minus_inf", "rect_row1_inf"])
+    def test_non_finite_synth_shape_is_runtime_error(self, tmp_path, capsys, shape, key):
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"n": 8, "phase_values": [0.3, 0.8], "shapes": [{{{shape}, "phase": 2}}]}}')
+        assert main(["synth", str(spec), str(tmp_path / "p")]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("p*"))
+
 
 class TestPrintConfig:
     def test_echoes_resolved_config_without_writing(self, tmp_path, capsys):

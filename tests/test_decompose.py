@@ -435,7 +435,8 @@ class TestRunState:
         tries = [call for call in calls if call["name"] == "reduced_solve"]
         assert len(solves) >= 3 and result.reduced_solves > 0
         assert len(built) == 1
-        states = [call["kwargs"]["state"] for call in solves] + [call["args"][3] for call in tries]
+        states = [call["kwargs"]["state"] for call in solves]
+        states += [call["args"][3].state for call in tries]  # the cache's state
         assert all(state is built[0] for state in states)
 
     @pytest.mark.parametrize("name", ["two_phase_s0_b0", "two_phase_s0.05_b0.4"])

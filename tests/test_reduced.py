@@ -45,12 +45,10 @@ def _instance(seed, shape, active_frac=0.5):
 
 
 def _reduced(args, cache=None):
-    """reduced_solve on admm_solve's args, with a state and a cache of
-    its own unless a cache is given (with the state it was made for)."""
-    f, u_k, _, weights, support, params, rho, admm = args
-    if cache is None:
-        return reduced_solve(u_k, weights, support, RunState(f, params, rho, admm.r))
-    return reduced_solve(u_k, weights, support, cache.state, cache)
+    """reduced_solve on admm_solve's args, with a cache of its own
+    unless one is given."""
+    u_k, _, weights, support = args[1:5]
+    return reduced_solve(u_k, weights, support, cache or _cache(args))
 
 
 def _cache(args):
@@ -132,18 +130,12 @@ class TestMatchesAdmm:
             assert other.v.tobytes() == first.v.tobytes()
 
     def test_shape_mismatch_raises(self):
-        f, u_k, _, weights, support, params, rho, admm = _instance(0, (6, 6))
-        state = RunState(f, params, rho, admm.r)
+        args = _instance(0, (6, 6))
+        u_k, _, weights, support = args[1:5]
         with pytest.raises(ValueError):
-            reduced_solve(u_k, weights[:5], support, state)
-        with pytest.raises(ValueError):  # a state for another grid
-            reduced_solve(u_k, weights, support, RunState(f[:5], params, rho, admm.r))
-
-    def test_cache_of_another_state_raises(self):
-        f, u_k, _, weights, support, params, rho, admm = _instance(0, (6, 6))
-        cache = reduced_module.ReducedCache(RunState(f, params, rho, admm.r))
-        with pytest.raises(ValueError, match="cache"):
-            reduced_solve(u_k, weights, support, RunState(f, params, rho, admm.r), cache)
+            reduced_solve(u_k, weights[:5], support, _cache(args))
+        with pytest.raises(ValueError):  # a cache built on another grid's state
+            reduced_solve(u_k, weights, support, _cache((args[0][:5], *args[1:])))
 
     def test_too_many_components_declines(self, monkeypatch):
         args = _instance(5, (8, 8))
@@ -209,11 +201,11 @@ def _fixture_attempt(fixtures, name, count):
     module = importlib.import_module("shrinkseg.decompose")
     original, found = module.reduced_solve, []
 
-    def spy(u_k, weights, support, state, cache):
+    def spy(u_k, weights, support, cache):
         pieces = cache.pieces_of(support)
         if not found and pieces is not None and pieces.sizes.size == count:
-            found.append((f, u_k, f - u_k, weights, support, params, state.rho, EXACT))
-        return original(u_k, weights, support, state, cache)
+            found.append((f, u_k, f - u_k, weights, support, params, cache.state.rho, EXACT))
+        return original(u_k, weights, support, cache)
 
     module.reduced_solve = spy
     try:
@@ -574,7 +566,7 @@ class TestDecomposeTries:
                            OuterParams(tau_supp=1e-3), AdmmParams(tol_in=1e-8, maxit_in=500))
         assert result.reduced_solves > 0
         # the first pass runs ADMM; every later one is offered to
-        # reduced_solve first, with one state for the run
+        # reduced_solve first, with one cache for the run
         assert calls[0][0] == "admm_solve"
         tries = [call for call in calls if call[0] == "reduced_solve"]
         assert len(tries) == result.outer_iters - 1
@@ -672,6 +664,24 @@ class TestDeclines:
         assert result.reduced_solves == 0
         assert result.reduced_declines == 1
 
+    def test_the_cache_counts_the_declines_within_the_cap(self, monkeypatch):
+        # no attempt certifies, and the cap leaves some supports above it
+        monkeypatch.setattr(reduced_module, "_NEWTON_STEPS", 0)
+        monkeypatch.setattr(reduced_module, "_MERGED_STEPS", 0)
+        monkeypatch.setattr(reduced_module, "_MAX_PIECES", 5)
+        calls = _count_calls(monkeypatch, importlib.import_module("shrinkseg.decompose"),
+                             "reduced_solve")
+        spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
+                           shapes=(Disk(row=8, col=8, radius=4, phase=2),),
+                           noise_sigma=0.05, composition="additive", seed=11)
+        result = decompose(generate(spec).f, ModelParams(alpha=0.05, beta=100.0),
+                           OuterParams(tau_supp=1e-3), AdmmParams(tol_in=1e-8, maxit_in=500))
+        assert len({id(args[3]) for args in calls}) == 1
+        counts = [oracles.tie_components(~args[2].active).shape[1] for args in calls]
+        within = sum(count <= reduced_module._MAX_PIECES for count in counts)
+        assert 0 < within < len(counts)
+        assert calls[0][3].declines == result.reduced_declines == within
+
     def test_over_the_cap_is_not_a_decline(self, monkeypatch):
         monkeypatch.setattr(reduced_module, "_MAX_PIECES", 0)
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
@@ -700,16 +710,17 @@ f, params, outer, inner = fixture_problem(shrinkseg, entry, fixtures["solver"], 
 module = importlib.import_module("shrinkseg.decompose")
 original, found = module.reduced_solve, []
 
-def spy(u_k, weights, support, state, cache):
+def spy(u_k, weights, support, cache):
     pieces = cache.pieces_of(support)
     if not found and pieces is not None and pieces.sizes.size > 96:
         found.append((u_k, weights, support, pieces.sizes.size))
-    return original(u_k, weights, support, state, cache)
+    return original(u_k, weights, support, cache)
 
 module.reduced_solve = spy
 shrinkseg.decompose(f, params, outer, inner)
 u_k, weights, support, count = found[0]
-result = reduced.reduced_solve(u_k, weights, support, admm.RunState(f, params, outer.rho, inner.r))
+cache = reduced.ReducedCache(admm.RunState(f, params, outer.rho, inner.r))
+result = reduced.reduced_solve(u_k, weights, support, cache)
 print(json.dumps([count, digest(result.u), digest(whole.u), digest(whole.v)]))
 """
 

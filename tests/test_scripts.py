@@ -118,8 +118,8 @@ def test_ab_suite_rejects_an_unknown_target():
     )
     assert proc.returncode == 2
     assert "phantom65" in proc.stderr
-    for name in ("two_phase_s0_b0", "phantom512_defaults", "sweeps128_pass2",
-                 "stage2_write_labels", "stage2_kmeans_k4", "stage2_kmeans_k5",
+    for name in ("two_phase_s0_b0", "phantom512_defaults", "ramp128", "noisy128",
+                 "sweeps128_pass2", "stage2_write_labels", "stage2_kmeans_k4", "stage2_kmeans_k5",
                  "stage2_kmeans_k6", "stage2_kmeans_k3_n64", "stage2_kmeans_k3_n128",
                  "stage2_segment_k5", "stage2_metrics"):
         assert name in proc.stderr

@@ -183,6 +183,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             phantom_spec_from_dict(payload)
 
+    @pytest.mark.parametrize("kind, key", [
+        ("disk", "row"), ("disk", "col"), ("disk", "radius"),
+        ("rect", "row0"), ("rect", "col0"), ("rect", "row1"), ("rect", "col1"),
+    ])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_shape_fields_rejected(self, kind, key, literal):
+        # drawn, such a shape would cover no pixel and vanish unreported
+        coords = {"disk": {"row": 4, "col": 4, "radius": 3},
+                  "rect": {"row0": 1, "col0": 1, "row1": 5, "col1": 5}}[kind]
+        fields = "".join(f'"{name}": {literal if name == key else value}, '
+                         for name, value in coords.items())
+        payload = json.loads(f'{{"n": 8, "phase_values": [0.3, 0.8], '
+                             f'"shapes": [{{"type": "{kind}", {fields}"phase": 2}}]}}')
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            phantom_spec_from_dict(payload)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+            Disk(row=4, col=4, radius=-1, phase=2)
+        assert Disk(row=4, col=4, radius=0, phase=2).radius == 0
+
     def test_amplitude_without_kind_is_inert(self):
         # amplitude with kind "none" is allowed and has no effect
         phantom = generate(base_spec(bias_amplitude=0.3, bias_kind="none",
