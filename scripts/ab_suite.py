@@ -15,9 +15,9 @@ round to round.
 Targets (--only names one or more; the default is the 12 suite64 ones):
 
   two_phase_s0_b0, ...  a suite64 phantom of tests/fixtures/acceptance.json
-                        through fixture_work.pipeline (log-domain
-                        decompose, exponentiate and segment) at the
-                        fixture's solver settings (the acceptance
+                        through fixture_work.pipeline (the package's
+                        decompose_image in the log domain, then segment)
+                        at the fixture's solver settings (the acceptance
                         settings), as perfbench runs it
   phantom{n}            the same on the scripts/phantom_report.py phantom
                         (calibrate_fixtures.two_phase_spec), n = 64, 128,
@@ -75,9 +75,11 @@ largest relative difference of the pipelines' final energies.
 
 PATH is the root of a checkout of the parent commit (made with git
 clone or git archive); giving this repository's root times the tree
-against itself. To time solves with Anderson mixing against solves
-without it, give as PATH a copy of this tree whose admm._MIX_EVERY
-exceeds maxit_in, and run the phantom targets.
+against itself. The pipeline targets call the parent's decompose_image,
+so a parent without it runs only the others. To time solves with
+Anderson mixing against solves without it, give as PATH a copy of this
+tree whose admm._MIX_EVERY exceeds maxit_in, and run the phantom
+targets.
 """
 
 import argparse
@@ -130,14 +132,17 @@ def parent_package(parent_root, scratch):
 def pipeline_work(out):
     """What the trees must agree on, the row of fixture_work.work but
     its energy, and that final energy."""
-    row = work(*out)
+    result, _, labels = out
+    row = work(result, labels)
     energy = row.pop("energy")
     return row, energy
 
 
 def acceptance(entry, solver, seed):
     """A pipeline target: fixture_work.pipeline on a fixture entry."""
-    return lambda pkg, scratch: (pipeline(pkg, entry, solver, seed), pipeline_work)
+    def build(pkg, scratch):
+        return pipeline(pkg, entry, solver, make_phantom(pkg, entry["spec"], seed)), pipeline_work
+    return build
 
 
 def sweep_work(out):

@@ -141,9 +141,10 @@ def quality_runs():
 def pilot(entry):
     """Run one entry through the acceptance pipeline at SOLVER and
     summarize the trace."""
-    run = pipeline(shrinkseg, entry, SOLVER, 0)
+    phantom = make_phantom(shrinkseg, entry["spec"], 0)
+    run = pipeline(shrinkseg, entry, SOLVER, phantom)
     start = time.perf_counter()
-    result, labels = run()
+    result, _, labels = run()
     elapsed = time.perf_counter() - start
 
     energy = result.trace.column("energy")
@@ -151,7 +152,7 @@ def pilot(entry):
     mono = bool(np.all(np.diff(energy) <= 1e-8 * energy[0]))
     shrinking = bool(np.all(np.diff(support) <= 0))
 
-    truth = make_phantom(shrinkseg, entry["spec"], 0).truth_labels
+    truth = phantom.truth_labels
     js = min(jaccard(labels == phase, truth == phase) for phase in range(1, entry["k"] + 1))
     ratios = result.trace.column("min_nonzero_grad") / result.trace.column("max_grad")
     return {

@@ -1,8 +1,9 @@
 """Deterministic work counts of stage one on the pinned fixture phantoms.
 
 Runs every phantom of tests/fixtures/acceptance.json (the n=64 suite and
-the n=128 quality runs) through the acceptance pipeline: log of f / max f,
-decompose at the fixture's solver settings, then segment into K phases.
+the n=128 quality runs) through the acceptance pipeline: the package's
+decompose_image on f / max f in the log domain, at the fixture's solver
+settings, then segment into K phases.
 Prints one line per phantom (inner sweeps, those of the first outer
 pass, outer passes, capped inner solves, passes solved in reduced form,
 reduced attempts within the cap that declined, energy rises, whether the
@@ -14,8 +15,9 @@ which Python shows once per code location. Every number is a count or
 a float the solver computes, so two runs of one tree print the same
 table, and two trees can be compared line by line. pipeline and work
 are the one build of that pipeline and of its row: scripts/ab_suite.py
-times and compares them, and phantom_report.py and calibrate_fixtures.py
-run pipeline.
+times and compares them, phantom_report.py, calibrate_fixtures.py and
+the acceptance tests run pipeline, and tests/test_work_rows.py pins the
+rows of work.
 
     PYTHONPATH=src python scripts/fixture_work.py [--only NAME]
         [--seed-offset N] [--defaults]
@@ -56,12 +58,11 @@ def make_phantom(pkg, spec, seed_offset):
     return pkg.generate(pkg.imgio.phantom_spec_from_dict(spec))
 
 
-def fixture_problem(pkg, entry, solver, seed_offset):
-    """pkg's (g, ModelParams, OuterParams, AdmmParams) for a fixture
-    entry: g is the log of its phantom over the phantom's maximum, and
-    solver the fixture's settings, or None for the CLI defaults."""
-    phantom = make_phantom(pkg, entry["spec"], seed_offset)
-    g = pkg.imgio.to_log_domain(phantom.f / phantom.f.max())
+def fixture_input(pkg, entry, solver, phantom):
+    """pkg's (f, ModelParams, OuterParams, AdmmParams) for a fixture entry
+    and its phantom: f is the phantom's f over its maximum, in (0, 1] as
+    the log domain needs, and solver the fixture's settings, or None for
+    the CLI defaults."""
     if solver is None:
         outer, admm = pkg.OuterParams(), pkg.AdmmParams()
     else:
@@ -69,25 +70,32 @@ def fixture_problem(pkg, entry, solver, seed_offset):
                                 tau_supp=solver["tau_supp"])
         admm = pkg.AdmmParams(r=solver["r"], tol_in=solver["tol_in"],
                               maxit_in=solver["maxit_in"])
-    return g, pkg.ModelParams(alpha=entry["alpha"], beta=entry["beta"]), outer, admm
+    model = pkg.ModelParams(alpha=entry["alpha"], beta=entry["beta"])
+    return phantom.f / phantom.f.max(), model, outer, admm
 
 
-def pipeline(pkg, entry, solver, seed_offset):
-    """The acceptance pipeline of the package pkg on a fixture entry, as
-    a call: it decomposes the entry's g at solver (fixture_problem's,
-    built once, here), exponentiates u, segments it into the entry's K
-    phases and returns (result, labels)."""
-    g, model, outer, admm = fixture_problem(pkg, entry, solver, seed_offset)
+def fixture_problem(pkg, entry, solver, seed_offset):
+    """fixture_input with the log of its f: the problem decompose solves."""
+    f, *settings = fixture_input(pkg, entry, solver, make_phantom(pkg, entry["spec"], seed_offset))
+    return pkg.imgio.to_log_domain(f), *settings
+
+
+def pipeline(pkg, entry, solver, phantom):
+    """The acceptance pipeline of the package pkg on a fixture entry and
+    its phantom, as a call: decompose_image in the log domain on
+    fixture_input (built once, here), then segment u into the entry's K
+    phases; it returns (result, u, labels)."""
+    problem = fixture_input(pkg, entry, solver, phantom)
 
     def run():
-        result = pkg.decompose(g, model, outer, admm)
-        return result, pkg.segment(pkg.imgio.from_log_domain(result.u), entry["k"]).labels
+        result, u, _ = pkg.decompose_image(*problem, log_domain=True)
+        return result, u, pkg.segment(u, entry["k"]).labels
 
     return run
 
 
 def work(result, labels):
-    """One phantom's row, from the output of a pipeline call."""
+    """One phantom's row, from the result and labels of a pipeline call."""
     return {
         "sweeps": int(result.trace.column("inner_iters").sum()),
         "first": result.trace[0].inner_iters,
@@ -127,7 +135,9 @@ def main(argv=None):
                   converged=0)
     solver = None if args.defaults else fixture["solver"]
     for entry in entries:
-        row = work(*pipeline(shrinkseg, entry, solver, args.seed_offset)())
+        phantom = make_phantom(shrinkseg, entry["spec"], args.seed_offset)
+        result, _, labels = pipeline(shrinkseg, entry, solver, phantom)()
+        row = work(result, labels)
         for key in totals:
             totals[key] += row[key]
         print(f"{entry['name']:<28} {row['sweeps']:>7} {row['first']:>5} {row['outer']:>5} "

@@ -1,7 +1,8 @@
 """Desk-scale demo: synthesize a biased phantom, correct and segment it.
 
-Runs the acceptance pipeline of fixture_work.py, at the solver settings
-of tests/fixtures/acceptance.json, on the two-phase phantom of
+Runs fixture_work.pipeline (the package's decompose_image in the log
+domain, then segment), at the solver settings of
+tests/fixtures/acceptance.json, on the two-phase phantom of
 calibrate_fixtures.py. Prints the outer-iteration trace and a per-phase
 quality table (Jaccard overlap with the ground truth, coefficient of
 variation of the corrected image over each true region).
@@ -15,9 +16,9 @@ import numpy as np
 
 import shrinkseg
 from calibrate_fixtures import two_phase_spec
-from fixture_work import load_fixture, pipeline
-from shrinkseg import cv, generate, jaccard
-from shrinkseg.imgio import from_log_domain, phantom_spec_to_dict
+from fixture_work import load_fixture, make_phantom, pipeline
+from shrinkseg import cv, jaccard
+from shrinkseg.imgio import phantom_spec_to_dict
 
 
 def main(argv=None):
@@ -34,13 +35,12 @@ def main(argv=None):
     spec = two_phase_spec(args.n, args.sigma, args.bias, kind, args.seed)
     k = len(spec.phase_values)
     entry = {"spec": phantom_spec_to_dict(spec), "alpha": args.alpha, "beta": args.beta, "k": k}
-    run = pipeline(shrinkseg, entry, load_fixture()["solver"], 0)
+    phantom = make_phantom(shrinkseg, entry["spec"], 0)
+    run = pipeline(shrinkseg, entry, load_fixture()["solver"], phantom)
 
     start = time.perf_counter()
-    result, labels = run()
+    result, u, labels = run()
     elapsed = time.perf_counter() - start
-    u = from_log_domain(result.u)
-    truth = generate(spec).truth_labels
 
     print(f"n={args.n} sigma={args.sigma} bias={args.bias} "
           f"alpha={args.alpha} beta={args.beta}")
@@ -54,7 +54,7 @@ def main(argv=None):
 
     print("\nphase  value  jaccard  cv")
     for phase in range(1, k + 1):
-        region = truth == phase
+        region = phantom.truth_labels == phase
         js = jaccard(labels == phase, region)
         spread = cv(u, region)
         print(f"{phase:5d}  {spec.phase_values[phase - 1]:.2f}   {js:.4f}   {spread:.4f}")

@@ -13,6 +13,7 @@ from .decompose import (
     OuterParams,
     TraceRow,
     decompose,
+    decompose_image,
 )
 from .energy import ModelParams, decomposition_energy
 from .grid import OperatorSymbols, compute_symbols, grad, grad_adjoint, grad_norms
@@ -43,6 +44,7 @@ __all__ = [
     "compute_symbols",
     "cv",
     "decompose",
+    "decompose_image",
     "decomposition_energy",
     "detect_support",
     "gaussian_field",

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import imgio
-from .decompose import DecompositionResult, decompose
+from .decompose import DecompositionResult, decompose_image
 from .metrics import cv, jaccard
 from .synth import generate
 from .threshold import segment
@@ -74,7 +74,8 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_k: bool) -> None:
         dest="log_domain",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="decompose the log of the clamped input, exponentiate outputs",
+        help="decompose the log of the input, which must lie in (0, 1], "
+        "and exponentiate u and v",
     )
     parser.add_argument(
         "--print-config",
@@ -134,19 +135,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _decompose_pipeline(
-    f: np.ndarray, config: imgio.RunConfig
-) -> tuple[DecompositionResult, np.ndarray, np.ndarray]:
-    """Stage one, optionally through the log transform; returns intensities."""
-    work = imgio.to_log_domain(f) if config.log_domain else f
-    result = decompose(
-        work, config.model_params(), config.outer_params(), config.admm_params()
-    )
-    if config.log_domain:
-        return result, imgio.from_log_domain(result.u), imgio.from_log_domain(result.v)
-    return result, result.u, result.v
-
-
 def _base_report(config: imgio.RunConfig, result: DecompositionResult) -> dict:
     return {
         "converged": result.converged,
@@ -164,7 +152,9 @@ def _base_report(config: imgio.RunConfig, result: DecompositionResult) -> dict:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     config = args.resolved_config
     f = _read_grid_auto(args.input)
-    result, u, v = _decompose_pipeline(f, config)
+    result, u, v = decompose_image(
+        f, config.model_params(), config.outer_params(), config.admm_params(), config.log_domain
+    )
     prefix = _prepare_prefix(args.out_prefix)
     _write_decomposition(prefix, result, u, v)
     imgio.write_report(_base_report(config, result), prefix + "report.json")
@@ -186,7 +176,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     truth = imgio.read_labels(args.truth) if args.truth else None
     if truth is not None and truth.shape != f.shape:
         raise ValueError("label shapes disagree")
-    result, u, v = _decompose_pipeline(f, config)
+    result, u, v = decompose_image(
+        f, config.model_params(), config.outer_params(), config.admm_params(), config.log_domain
+    )
     seg = segment(u, config.k)
     report = _base_report(config, result)
     report["k"] = config.k

@@ -7,7 +7,8 @@ support threshold. Supports only ever shrink, which is what makes the
 loop terminate with a stable zero set. Early passes are solved
 inexactly, to a relative error against the step they take (H2 of
 Attouch, Bolte & Svaiter 2013), and solved again exactly when they do
-not descend (H1).
+not descend (H1). decompose_image runs stage one on an image, in its
+log domain for a multiplicative bias.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .energy import ModelParams, decomposition_energy
 from .grid import Array, as_grid, grad, grad_norms
 from .reduced import ReducedCache, reduced_solve
 from .support import detect_support, initial_support, project_to_support
+from .synth import EPS_POS
 
 
 @dataclass(frozen=True)
@@ -286,3 +288,36 @@ def decompose(
         reduced_solves=reduced,
         reduced_declines=cache.declines,
     )
+
+
+def to_log_domain(f: Array) -> Array:
+    """The natural log of f, which must lie in (0, 1]: values below
+    EPS_POS (a PGM's zeros) are raised to it, values above 1 rejected."""
+    f = as_grid(f, "f")
+    if (top := float(f.max())) > 1.0:
+        raise ValueError(f"log_domain (--log-domain) needs values in (0, 1], got a maximum "
+                         f"of {top!r}; scale the image into (0, 1] first")
+    return np.log(np.maximum(f, EPS_POS))
+
+
+def from_log_domain(g: Array) -> Array:
+    return np.exp(as_grid(g, "g"))
+
+
+def decompose_image(
+    f: Array,
+    params: ModelParams,
+    outer: OuterParams | None = None,
+    admm: AdmmParams | None = None,
+    log_domain: bool = False,
+) -> tuple[DecompositionResult, Array, Array]:
+    """Stage one on an image: (result, u, v) with u and v in f's units.
+
+    With log_domain, decompose runs on to_log_domain(f), so f must lie in
+    (0, 1], and u and v are its result exponentiated (f ~ u * v). Labels
+    are left to the caller's segment(u, k), which fails on a flat u.
+    """
+    result = decompose(to_log_domain(f) if log_domain else f, params, outer, admm)
+    if not log_domain:
+        return result, result.u, result.v
+    return result, from_log_domain(result.u), from_log_domain(result.v)

@@ -19,10 +19,11 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .admm import AdmmParams
-from .decompose import IterationTrace, OuterParams
+# the log-domain transform lives with decompose_image; imgio keeps its names
+from .decompose import IterationTrace, OuterParams, from_log_domain, to_log_domain
 from .energy import ModelParams
 from .grid import Array, as_grid
-from .synth import EPS_POS, Disk, PhantomSpec, Rect
+from .synth import Disk, PhantomSpec, Rect
 
 TRACE_HEADER = "k,F,increment,support_size,min_nonzero_grad,inner_iters"
 
@@ -247,20 +248,6 @@ def write_trace(trace: IterationTrace, path) -> None:
             f"{row.support_size},{row.min_nonzero_grad!r},{row.inner_iters}"
         )
     _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Log-domain transform
-
-
-def to_log_domain(f: Array) -> Array:
-    """Clamp to [EPS_POS, 1], then take the natural log."""
-    f = as_grid(f, "f")
-    return np.log(np.clip(f, EPS_POS, 1.0))
-
-
-def from_log_domain(g: Array) -> Array:
-    return np.exp(as_grid(g, "g"))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import shrinkseg
-from fixture_work import fixture_problem, load_fixture, make_phantom
-from shrinkseg.imgio import from_log_domain
+from fixture_work import load_fixture, make_phantom, pipeline
 
 SRC_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -23,18 +22,14 @@ def acceptance_fixtures():
 
 
 def _run_entry(entry, solver):
-    """decompose on fixture_work's problem for the entry, at solver."""
-    problem = fixture_problem(shrinkseg, entry, solver, 0)
+    """fixture_work's pipeline on the entry at solver, timed."""
+    phantom = make_phantom(shrinkseg, entry["spec"], 0)
+    run = pipeline(shrinkseg, entry, solver, phantom)
     start = time.perf_counter()
-    result = shrinkseg.decompose(*problem)
+    result, u, labels = run()
     elapsed = time.perf_counter() - start
-    return {
-        "entry": entry,
-        "phantom": make_phantom(shrinkseg, entry["spec"], 0),
-        "result": result,
-        "u": from_log_domain(result.u),
-        "elapsed": elapsed,
-    }
+    return {"entry": entry, "phantom": phantom, "result": result, "u": u, "labels": labels,
+            "elapsed": elapsed}
 
 
 @pytest.fixture(scope="session")

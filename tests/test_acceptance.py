@@ -26,7 +26,6 @@ from shrinkseg import (
     initial_support,
     jaccard,
     kmeans_1d,
-    segment,
     solve_uv,
 )
 from shrinkseg.admm import RunState
@@ -235,51 +234,35 @@ def test_criterion_06_support_monotone_and_stable(announce, suite_runs, quality_
     assert ok
 
 
-def _phase_quality(run):
+def _quality_criterion(number, run, announce):
+    """Criteria 7 and 8: the pipeline's labels and u on one quality run
+    against the entry's JS floor, CV ceiling and time limit."""
     entry = run["entry"]
-    phantom = run["phantom"]
-    labels = segment(run["u"], entry["k"]).labels
-    js = []
-    spread = []
+    js, spread = [], []
     for phase in range(1, entry["k"] + 1):
-        region = phantom.truth_labels == phase
-        js.append(jaccard(labels == phase, region))
+        region = run["phantom"].truth_labels == phase
+        js.append(jaccard(run["labels"] == phase, region))
         spread.append(abs(cv(run["u"], region)))
-    return min(js), max(spread)
+    js_min, cv_max = min(js), max(spread)
+    ok = (
+        js_min >= entry["js_min"]
+        and cv_max <= entry["cv_max"]
+        and run["elapsed"] <= entry["time_limit"]
+    )
+    announce(
+        number, ok,
+        f"JS min {js_min:.4f} (>= {entry['js_min']}), CV max {cv_max:.4f} "
+        f"(<= {entry['cv_max']}), {run['elapsed']:.1f}s",
+    )
+    assert ok
 
 
 def test_criterion_07_two_phase_quality(announce, quality_runs):
-    run = quality_runs["two_phase_n128"]
-    entry = run["entry"]
-    js_min, cv_max = _phase_quality(run)
-    ok = (
-        js_min >= entry["js_min"]
-        and cv_max <= entry["cv_max"]
-        and run["elapsed"] <= entry["time_limit"]
-    )
-    announce(
-        7, ok,
-        f"JS min {js_min:.4f} (>= {entry['js_min']}), CV max {cv_max:.4f} "
-        f"(<= {entry['cv_max']}), {run['elapsed']:.1f}s",
-    )
-    assert ok
+    _quality_criterion(7, quality_runs["two_phase_n128"], announce)
 
 
 def test_criterion_08_five_phase_quality(announce, quality_runs):
-    run = quality_runs["five_phase_n128"]
-    entry = run["entry"]
-    js_min, cv_max = _phase_quality(run)
-    ok = (
-        js_min >= entry["js_min"]
-        and cv_max <= entry["cv_max"]
-        and run["elapsed"] <= entry["time_limit"]
-    )
-    announce(
-        8, ok,
-        f"JS min {js_min:.4f} (>= {entry['js_min']}), CV max {cv_max:.4f} "
-        f"(<= {entry['cv_max']}), {run['elapsed']:.1f}s",
-    )
-    assert ok
+    _quality_criterion(8, quality_runs["five_phase_n128"], announce)
 
 
 def test_criterion_09_gradient_gap(announce, suite_runs, quality_runs):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from shrinkseg import cli, decompose, imgio, reduced
+from shrinkseg import cli, decompose_image, imgio, reduced
 from shrinkseg.cli import main
 
 SPEC = {
@@ -87,11 +87,14 @@ class TestPipeline:
                      "--config", str(workspace / "cfg.json")]) == 0
         report = json.loads((workspace / f"steps{steps}_report.json").read_text())
         config = imgio.config_from_dict(dict(CONFIG))
-        f = imgio.to_log_domain(imgio.read_float_grid(workspace / "ph_f.csv"))
-        result = decompose(f, config.model_params(), config.outer_params(), config.admm_params())
+        result, u, _ = decompose_image(imgio.read_float_grid(workspace / "ph_f.csv"),
+                                       config.model_params(), config.outer_params(),
+                                       config.admm_params(), config.log_domain)
         assert report["reduced_solves"] == result.reduced_solves
         assert report["reduced_declines"] == result.reduced_declines
         assert (result.reduced_solves if steps is None else result.reduced_declines) > 0
+        # the CLI runs the library's stage one: u reads back bit for bit
+        assert imgio.read_float_grid(workspace / f"steps{steps}_u.csv").tobytes() == u.tobytes()
 
     def test_segment_subcommand_reproduces_run_labels(self, workspace):
         assert main(["segment", str(workspace / "out_u.csv"), "2",
@@ -257,7 +260,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError(f"{command} ran a stage on a truth of another shape")
 
-        monkeypatch.setattr(cli, "decompose", never)
+        monkeypatch.setattr(cli, "decompose_image", never)
         monkeypatch.setattr(cli, "segment", never)
         f, truth = str(tmp_path / "f.csv"), str(tmp_path / "t.csv")
         imgio.write_float_grid(np.random.default_rng(0).random((32, 32)), f)
@@ -268,6 +271,19 @@ class TestExitCodes:
         assert main(argv[command]) == 1
         assert capsys.readouterr().err == "error: label shapes disagree\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["f.csv", "t.csv"]
+
+    @pytest.mark.parametrize("command", ["run", "decompose"])
+    def test_log_domain_rejects_values_above_one(self, tmp_path, capsys, command):
+        # two phases at 2 and 6: clamped to 1 before the log, they would
+        # be one flat phase
+        f = np.where(np.indices((32, 32)).sum(axis=0) < 32, 2.0, 6.0)
+        f += 0.05 * np.random.default_rng(0).standard_normal(f.shape)
+        imgio.write_float_grid(f, tmp_path / "f.csv")
+        assert main([command, str(tmp_path / "f.csv"), str(tmp_path / "out" / "x"),
+                     "--alpha", "0.5", "--beta", "1000", "--log-domain"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: log_domain (--log-domain)") and "(0, 1]" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["f.csv"]
 
     def test_metrics_null_js_for_phase_in_neither_label_map(self, tmp_path):
         imgio.write_labels(np.array([[1, 1], [2, 2]]), tmp_path / "a.csv")

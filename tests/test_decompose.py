@@ -556,19 +556,3 @@ class TestOneBlasThread:
         assert np.array_equal(segment(got.u, 2).labels, segment(want.u, 2).labels)
         assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
-
-class TestCliDefaults:
-    def test_fixture_phantoms_converge_without_rises(self, acceptance_fixtures):
-        # every fixture phantom at the settings `shrinkseg run` uses with
-        # no config (pinned noise seeds): a run that stops at maxit_out or
-        # raises the energy at these settings is a regression
-        entries = acceptance_fixtures["suite"] + acceptance_fixtures["quality"]
-        assert len(entries) == 14
-        failures = []
-        for entry in entries:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                result = decompose(*fixture_problem(shrinkseg, entry, None, 0))
-            if not result.converged or result.energy_rises:
-                failures.append((entry["name"], result.converged, result.energy_rises))
-        assert not failures

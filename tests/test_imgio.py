@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from shrinkseg import AdmmParams, ModelParams, OuterParams, imgio
 from shrinkseg.decompose import IterationTrace, TraceRow
-from shrinkseg.synth import Disk, PhantomSpec, Rect
+from shrinkseg.synth import EPS_POS, Disk, PhantomSpec, Rect
 
 
 class TestPGM:
@@ -386,15 +386,22 @@ class TestTrace:
 class TestLogDomain:
     def test_round_trip_within_range(self):
         rng = np.random.default_rng(0)
-        f = rng.uniform(imgio.EPS_POS, 1.0, (6, 6))
+        f = rng.uniform(EPS_POS, 1.0, (6, 6))
         np.testing.assert_allclose(imgio.from_log_domain(imgio.to_log_domain(f)), f, rtol=1e-14)
 
     def test_clamps_before_log(self):
-        f = np.array([[0.0, 2.0], [0.5, 1.0]])
+        f = np.array([[0.0, 1.0], [0.5, 1e-6]])
         g = imgio.to_log_domain(f)
-        assert g[0, 0] == pytest.approx(math.log(imgio.EPS_POS))
+        assert g[0, 0] == g[1, 1] == pytest.approx(math.log(EPS_POS))
         assert g[0, 1] == 0.0
         assert np.all(np.isfinite(g))
+
+    def test_rejects_values_above_one(self):
+        # no clamp from above: it would flatten every value over 1
+        f = np.array([[0.5, 1.0], [2.0, 6.0]])
+        with pytest.raises(ValueError, match=r"log_domain \(--log-domain\).*\(0, 1\]"):
+            imgio.to_log_domain(f)
+        assert imgio.to_log_domain(f / f.max())[1, 1] == 0.0
 
 
 class TestRunConfig:

@@ -53,21 +53,6 @@ def test_script_exits_zero(argv):
                              "largest relative energy difference 0.0e+00")
 
 
-def test_fixture_work_prints_first_pass_sweeps():
-    proc = subprocess.run(
-        [sys.executable, os.path.join(SCRIPTS, "fixture_work.py"), "--only", "two_phase_s0_b0"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, row, total = proc.stdout.splitlines()
-    assert header.split()[:3] == ["phantom", "sweeps", "first"]
-    assert row.split()[0] == "two_phase_s0_b0"
-    sweeps, first = map(int, row.split()[1:3])
-    # the first pass always runs admm_solve, and later passes may add sweeps
-    assert 0 < first <= sweeps
-    assert total.split()[1:3] == row.split()[1:3]
-
-
 def test_fixture_work_reruns_print_the_same_table():
     # every column is a count, a digest or a solver float, so a rerun of
     # one tree must match byte for byte
@@ -75,6 +60,13 @@ def test_fixture_work_reruns_print_the_same_table():
     first, second = (subprocess.run(argv, capture_output=True, text=True) for _ in range(2))
     assert first.returncode == second.returncode == 0, first.stderr + second.stderr
     assert first.stdout == second.stdout
+    header, row, total = first.stdout.splitlines()
+    assert header.split()[:3] == ["phantom", "sweeps", "first"]
+    assert row.split()[0] == "two_phase_s0_b0"
+    sweeps, first_pass = map(int, row.split()[1:3])
+    # the first pass always runs admm_solve, and later passes may add sweeps
+    assert 0 < first_pass <= sweeps
+    assert total.split()[1:3] == row.split()[1:3]
 
 
 def test_ab_suite_times_the_tree_against_itself():
@@ -159,7 +151,9 @@ def test_ab_suite_pipeline_targets_compare_the_fixture_work_row(tmp_path):
     entry = fixture["suite"][0]
     run, work = table[entry["name"]](shrinkseg, str(tmp_path))
     compared, energy = work(run())
-    row = fixture_work.work(*fixture_work.pipeline(shrinkseg, entry, fixture["solver"], 0)())
+    phantom = fixture_work.make_phantom(shrinkseg, entry["spec"], 0)
+    result, _, labels = fixture_work.pipeline(shrinkseg, entry, fixture["solver"], phantom)()
+    row = fixture_work.work(result, labels)
     assert energy == row.pop("energy")
     assert compared == row
     assert {"first", "capped", "rises", "converged", "u", "v"} <= set(compared)
