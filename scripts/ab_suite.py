@@ -20,8 +20,10 @@ Targets (--only names one or more; the default is the 12 suite64 ones):
                         at the fixture's solver settings (the acceptance
                         settings), as perfbench runs it
   phantom{n}            the same on the scripts/phantom_report.py phantom
-                        (calibrate_fixtures.two_phase_spec), n = 64, 128,
-                        256 or 512
+                        (calibrate_fixtures.two_phase_spec, which like
+                        five_phase_spec returns the spec as the JSON dict
+                        that acceptance.json stores), n = 64, 128, 256 or
+                        512
   phantom{n}_defaults   the same at the settings `shrinkseg run` uses
                         with no config
   ramp128               the same at the acceptance settings on
@@ -225,14 +227,14 @@ def targets(fixture, seed):
     solver = fixture["solver"]
     table = {entry["name"]: acceptance(entry, solver, seed) for entry in fixture["suite"]}
     for n in SIZES:
-        spec = shrinkseg.imgio.phantom_spec_to_dict(two_phase_spec(n, 0.05, 0.4, "linear_ramp", 7))
-        entry = {"spec": spec, "alpha": 0.5, "beta": 1000.0, "k": 2}
+        entry = {"spec": two_phase_spec(n, 0.05, 0.4, "linear_ramp", 7),
+                 "alpha": 0.5, "beta": 1000.0, "k": 2}
         table[f"phantom{n}"] = acceptance(entry, solver, seed)
         table[f"phantom{n}_defaults"] = acceptance(entry, None, seed)
         table[f"sweeps{n}_pass1"] = sweep_solve(entry, solver, seed, second=False)
         table[f"sweeps{n}_pass2"] = sweep_solve(entry, solver, seed, second=True)
-    ramp = shrinkseg.imgio.phantom_spec_to_dict(five_phase_spec(128, 0.05, 0.7, "linear_ramp", 7))
-    entry = {"spec": ramp, "alpha": 0.3, "beta": 1000.0, "k": 5}
+    entry = {"spec": five_phase_spec(128, 0.05, 0.7, "linear_ramp", 7),
+             "alpha": 0.3, "beta": 1000.0, "k": 5}
     table["ramp128"] = acceptance(entry, solver, seed)
     noisy = next(entry for entry in fixture["quality"] if entry["name"] == "five_phase_n128")
     noisy = dict(noisy, spec=dict(noisy["spec"], noise_sigma=0.05))

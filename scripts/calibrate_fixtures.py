@@ -26,8 +26,6 @@ import numpy as np
 import shrinkseg
 from fixture_work import make_phantom, pipeline
 from shrinkseg import jaccard
-from shrinkseg.imgio import phantom_spec_to_dict
-from shrinkseg.synth import Disk, PhantomSpec, Rect
 
 # Solver settings shared by every acceptance run. Tighter than the
 # library defaults: the energy and gap checks need the inner problem
@@ -44,61 +42,44 @@ SOLVER = {
 GAP_SAFETY = 0.5  # frozen floor = pilot gap times this
 
 
+def _spec(n, phase_values, shapes, sigma, bias_amp, bias_kind, seed):
+    """A phantom spec in its JSON form: what acceptance.json stores and
+    `shrinkseg synth` reads."""
+    return {"n": n, "phase_values": phase_values, "shapes": shapes,
+            "bias_amplitude": bias_amp, "bias_kind": bias_kind, "noise_sigma": sigma,
+            "composition": "multiplicative", "seed": seed}
+
+
+def _disk(row, col, radius, phase):
+    return {"type": "disk", "row": row, "col": col, "radius": radius, "phase": phase}
+
+
+def _rect(row0, col0, row1, col1, phase):
+    return {"type": "rect", "row0": row0, "col0": col0, "row1": row1, "col1": col1,
+            "phase": phase}
+
+
 def two_phase_spec(n, sigma, bias_amp, bias_kind, seed):
-    return PhantomSpec(
-        n=n,
-        phase_values=(0.3, 0.8),
-        shapes=(
-            Disk(row=n // 2, col=int(0.34 * n), radius=int(0.23 * n), phase=2),
-            Rect(
-                row0=int(0.16 * n),
-                col0=int(0.69 * n),
-                row1=int(0.55 * n),
-                col1=int(0.91 * n),
-                phase=2,
-            ),
-        ),
-        bias_amplitude=bias_amp,
-        bias_kind=bias_kind,
-        noise_sigma=sigma,
-        composition="multiplicative",
-        seed=seed,
-    )
+    shapes = [
+        _disk(n // 2, int(0.34 * n), int(0.23 * n), 2),
+        _rect(int(0.16 * n), int(0.69 * n), int(0.55 * n), int(0.91 * n), 2),
+    ]
+    return _spec(n, [0.3, 0.8], shapes, sigma, bias_amp, bias_kind, seed)
 
 
 def five_phase_spec(n, sigma, bias_amp, bias_kind, seed):
-    return PhantomSpec(
-        n=n,
-        phase_values=(0.2, 0.4, 0.6, 0.8, 1.0),
-        shapes=(
-            Disk(row=int(0.28 * n), col=int(0.28 * n), radius=int(0.17 * n), phase=2),
-            Disk(row=int(0.28 * n), col=int(0.72 * n), radius=int(0.17 * n), phase=3),
-            Rect(
-                row0=int(0.56 * n),
-                col0=int(0.125 * n),
-                row1=int(0.875 * n),
-                col1=int(0.44 * n),
-                phase=4,
-            ),
-            Rect(
-                row0=int(0.56 * n),
-                col0=int(0.59 * n),
-                row1=int(0.875 * n),
-                col1=int(0.875 * n),
-                phase=5,
-            ),
-        ),
-        bias_amplitude=bias_amp,
-        bias_kind=bias_kind,
-        noise_sigma=sigma,
-        composition="multiplicative",
-        seed=seed,
-    )
+    shapes = [
+        _disk(int(0.28 * n), int(0.28 * n), int(0.17 * n), 2),
+        _disk(int(0.28 * n), int(0.72 * n), int(0.17 * n), 3),
+        _rect(int(0.56 * n), int(0.125 * n), int(0.875 * n), int(0.44 * n), 4),
+        _rect(int(0.56 * n), int(0.59 * n), int(0.875 * n), int(0.875 * n), 5),
+    ]
+    return _spec(n, [0.2, 0.4, 0.6, 0.8, 1.0], shapes, sigma, bias_amp, bias_kind, seed)
 
 
 def fixture_entry(name, spec, alpha, beta, k):
     """A fixture entry, without its gap floor."""
-    return {"name": name, "spec": phantom_spec_to_dict(spec), "alpha": alpha, "beta": beta, "k": k}
+    return {"name": name, "spec": spec, "alpha": alpha, "beta": beta, "k": k}
 
 
 def suite_runs():

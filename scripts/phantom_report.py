@@ -18,7 +18,6 @@ import shrinkseg
 from calibrate_fixtures import two_phase_spec
 from fixture_work import load_fixture, make_phantom, pipeline
 from shrinkseg import cv, jaccard
-from shrinkseg.imgio import phantom_spec_to_dict
 
 
 def main(argv=None):
@@ -33,9 +32,9 @@ def main(argv=None):
 
     kind = "linear_ramp" if args.bias else "none"
     spec = two_phase_spec(args.n, args.sigma, args.bias, kind, args.seed)
-    k = len(spec.phase_values)
-    entry = {"spec": phantom_spec_to_dict(spec), "alpha": args.alpha, "beta": args.beta, "k": k}
-    phantom = make_phantom(shrinkseg, entry["spec"], 0)
+    k = len(spec["phase_values"])
+    entry = {"spec": spec, "alpha": args.alpha, "beta": args.beta, "k": k}
+    phantom = make_phantom(shrinkseg, spec, 0)
     run = pipeline(shrinkseg, entry, load_fixture()["solver"], phantom)
 
     start = time.perf_counter()
@@ -57,7 +56,7 @@ def main(argv=None):
         region = phantom.truth_labels == phase
         js = jaccard(labels == phase, region)
         spread = cv(u, region)
-        print(f"{phase:5d}  {spec.phase_values[phase - 1]:.2f}   {js:.4f}   {spread:.4f}")
+        print(f"{phase:5d}  {spec['phase_values'][phase - 1]:.2f}   {js:.4f}   {spread:.4f}")
     return 0
 
 

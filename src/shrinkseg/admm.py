@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import ModelParams
-from .grid import Array, as_grid, compute_symbols, grad, grad_adjoint
+from .grid import Array, as_grid, check_count, check_fields, compute_symbols, grad, grad_adjoint
 from .support import SupportSet
 
 _TINY = np.finfo(np.float64).tiny
@@ -113,14 +113,9 @@ class AdmmParams:
     maxit_in: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"r must be positive, got {self.r!r}")
-        if not (math.isfinite(self.tol_in) and self.tol_in >= 0):
-            raise ValueError(f"tol_in must be nonnegative, got {self.tol_in!r}")
-        if isinstance(self.maxit_in, bool) or not isinstance(self.maxit_in, (int, np.integer)):
-            raise ValueError(f"maxit_in must be an integer, got {self.maxit_in!r}")
-        if self.maxit_in < 1:
-            raise ValueError(f"maxit_in must be at least 1, got {self.maxit_in!r}")
+        check_fields(self, ("r",), "finite and positive")
+        check_fields(self, ("tol_in",), "finite and nonnegative")
+        check_count(self.maxit_in, "maxit_in", 1)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import imgio
 from .decompose import DecompositionResult, decompose_image
+from .grid import check_count
 from .metrics import cv, jaccard
 from .synth import generate
 from .threshold import segment
@@ -45,12 +46,11 @@ def _phase_count(text: str) -> int:
     try:
         k = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"K must be an integer, got {text!r}"
-        ) from None
-    if k < 2:
-        raise argparse.ArgumentTypeError(f"K must be at least 2, got {k}")
-    return k
+        k = text
+    try:
+        return check_count(k, "K", 2)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, with_k: bool) -> None:
@@ -101,6 +101,14 @@ def _write_decomposition(
     imgio.write_image(u, prefix + "u.pgm")
     imgio.write_image(v, prefix + "v.pgm")
     imgio.write_trace(result.trace, prefix + "trace.csv")
+
+
+def _check_labels(labels: np.ndarray, path: str, k: int | None) -> np.ndarray:
+    """labels, once none is below 1 or above k (if given); ValueError naming path otherwise."""
+    low, high = int(labels.min()), int(labels.max())
+    if low < 1 or (k is not None and high > k):
+        raise ValueError(f"{path} holds label {low if low < 1 else high}, outside 1..{k or 'K'}")
+    return labels
 
 
 def _phase_report(
@@ -174,12 +182,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = args.resolved_config
     f = _read_grid_auto(args.input)
     truth = imgio.read_labels(args.truth) if args.truth else None
-    if truth is not None and truth.shape != f.shape:
-        raise ValueError("label shapes disagree")
+    if truth is not None:
+        if truth.shape != f.shape:
+            raise ValueError("label shapes disagree")
+        _check_labels(truth, args.truth, config.k)
     result, u, v = decompose_image(
         f, config.model_params(), config.outer_params(), config.admm_params(), config.log_domain
     )
-    seg = segment(u, config.k)
+    try:
+        seg = segment(u, config.k)
+    except ValueError:
+        if (distinct := np.unique(u).size) >= config.k:
+            raise
+        raise ValueError(f"u came out flat: {distinct} distinct value(s), fewer than "
+                         f"K={config.k}; lower alpha (--alpha)") from None
     report = _base_report(config, result)
     report["k"] = config.k
     if truth is not None:
@@ -195,7 +211,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    truth = imgio.read_labels(args.truth_labels)
+    truth = _check_labels(imgio.read_labels(args.truth_labels), args.truth_labels, args.k)
     k = args.k if args.k is not None else int(truth.max())
     try:
         labels, u = imgio.read_labels(args.input), None
@@ -206,8 +222,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             return 2
     if (u if labels is None else labels).shape != truth.shape:
         raise ValueError("label shapes disagree")
-    if labels is None:
-        labels = segment(u, k).labels
+    labels = segment(u, k).labels if labels is None else _check_labels(labels, args.input, args.k)
 
     report = {"k": k, "phases": _phase_report(labels, k, truth, u)}
     imgio.write_report(report, args.report_path)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .admm import AdmmParams, RunState, admm_solve, one_blas_thread
 from .energy import ModelParams, decomposition_energy
-from .grid import Array, as_grid, grad, grad_norms
+from .grid import Array, as_grid, check_count, check_fields, grad, grad_norms
 from .reduced import ReducedCache, reduced_solve
 from .support import detect_support, initial_support, project_to_support
 from .synth import EPS_POS
@@ -42,18 +42,10 @@ class OuterParams:
     tau_supp: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be positive, got {self.rho!r}")
-        if not (math.isfinite(self.tol_out) and self.tol_out > 0):
-            raise ValueError(f"tol_out must be positive, got {self.tol_out!r}")
-        if isinstance(self.maxit_out, bool) or not isinstance(self.maxit_out, (int, np.integer)):
-            raise ValueError(f"maxit_out must be an integer, got {self.maxit_out!r}")
-        if self.maxit_out < 1:
-            raise ValueError(f"maxit_out must be at least 1, got {self.maxit_out!r}")
-        if self.tau_supp is not None and not (
-            math.isfinite(self.tau_supp) and self.tau_supp >= 0
-        ):
-            raise ValueError(f"tau_supp must be nonnegative, got {self.tau_supp!r}")
+        check_fields(self, ("rho", "tol_out"), "finite and positive")
+        check_count(self.maxit_out, "maxit_out", 1)
+        if self.tau_supp is not None:
+            check_fields(self, ("tau_supp",), "finite and nonnegative")
 
 
 @dataclass(frozen=True)

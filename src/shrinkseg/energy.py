@@ -12,12 +12,11 @@ inverts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Array, as_grid, compute_symbols, grad, grad_norms
+from .grid import Array, as_grid, check_fields, compute_symbols, grad, grad_norms
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,7 @@ class ModelParams:
     p: float = 0.5
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0):
-                raise ValueError(f"{name} must be positive, got {val!r}")
+        check_fields(self, ("alpha", "beta", "gamma"), "finite and positive")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"exponent must satisfy 0 < p < 1, got {self.p}")
 

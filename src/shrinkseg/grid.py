@@ -16,6 +16,7 @@ column weights.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,25 @@ def as_grid(a, name: str = "grid") -> Array:
     if not np.all(np.isfinite(g)):
         raise ValueError(f"{name} contains NaN or infinite entries")
     return g
+
+
+def check_fields(obj, names, rule: str = "finite") -> None:
+    """Raise ValueError naming the first of the fields names of obj that breaks rule."""
+    for name in names:
+        value = getattr(obj, name)
+        signed = {"finite": True, "finite and nonnegative": value >= 0,
+                  "finite and positive": value > 0}[rule]
+        if not (math.isfinite(value) and signed):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_count(value, name: str, least: int):
+    """value if an integer >= least (numpy ones count, bools do not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return value
 
 
 # per step along x: the columns written, the columns one step ahead of

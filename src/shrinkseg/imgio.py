@@ -22,7 +22,7 @@ from .admm import AdmmParams
 # the log-domain transform lives with decompose_image; imgio keeps its names
 from .decompose import IterationTrace, OuterParams, from_log_domain, to_log_domain
 from .energy import ModelParams
-from .grid import Array, as_grid
+from .grid import Array, as_grid, check_count
 from .synth import Disk, PhantomSpec, Rect
 
 TRACE_HEADER = "k,F,increment,support_size,min_nonzero_grad,inner_iters"
@@ -336,8 +336,7 @@ def config_from_dict(payload: dict) -> RunConfig:
     config.model_params()
     config.outer_params()
     config.admm_params()
-    if config.k < 2:
-        raise ValueError(f"K must be at least 2, got {config.k}")
+    check_count(config.k, "K", 2)
     return config
 
 
@@ -364,14 +363,6 @@ def read_json_object(path, what: str) -> dict:
 # Phantom specs
 
 
-def _shape_to_dict(shape) -> dict:
-    if isinstance(shape, Disk):
-        return {"type": "disk", **asdict(shape)}
-    if isinstance(shape, Rect):
-        return {"type": "rect", **asdict(shape)}
-    raise ValueError(f"unknown shape {shape!r}")
-
-
 def _checked(cls, payload: dict, what: str) -> dict:
     """payload, once its keys and value types match the fields of cls."""
     required = [f.name for f in fields(cls) if f.default is MISSING]
@@ -388,13 +379,6 @@ def _shape_from_dict(payload):
         raise ValueError(f"unknown shape type {kind!r}")
     rest = {key: value for key, value in payload.items() if key != "type"}
     return cls(**_checked(cls, rest, kind))
-
-
-def phantom_spec_to_dict(spec: PhantomSpec) -> dict:
-    payload = asdict(spec)
-    payload["shapes"] = [_shape_to_dict(s) for s in spec.shapes]
-    payload["phase_values"] = list(spec.phase_values)
-    return payload
 
 
 def phantom_spec_from_dict(payload: dict) -> PhantomSpec:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Array
+from .grid import Array, check_count, check_fields
 
 # strictly positive floor shared by multiplicative composition and the
 # log-domain transform
@@ -22,13 +22,6 @@ EPS_POS = 1e-4
 
 BIAS_KINDS = ("none", "linear_ramp", "gaussian_bump", "low_freq_sinusoid")
 COMPOSITIONS = ("additive", "multiplicative")
-
-
-def _check_finite(obj, names, nonnegative=False):
-    for name in names:
-        if not math.isfinite(value := getattr(obj, name)) or (nonnegative and value < 0):
-            rule = "finite and nonnegative" if nonnegative else "finite"
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +34,9 @@ class Disk:
     phase: int
 
     def __post_init__(self):
-        _check_finite(self, ("row", "col"))
-        _check_finite(self, ("radius",), nonnegative=True)
+        check_fields(self, ("row", "col"))
+        check_fields(self, ("radius",), "finite and nonnegative")
+        check_count(self.phase, "phase", 1)
 
     def rasterize(self, rows: Array, cols: Array) -> Array:
         return (rows - self.row) ** 2 + (cols - self.col) ** 2 <= self.radius**2
@@ -59,7 +53,8 @@ class Rect:
     phase: int
 
     def __post_init__(self):
-        _check_finite(self, ("row0", "col0", "row1", "col1"))
+        check_fields(self, ("row0", "col0", "row1", "col1"))
+        check_count(self.phase, "phase", 1)
 
     def rasterize(self, rows: Array, cols: Array) -> Array:
         return (
@@ -82,8 +77,8 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
+        check_count(self.n, "n", 2)
+        check_count(self.seed, "seed", 0)
         vals = tuple(float(v) for v in self.phase_values)
         if not vals:
             raise ValueError("need at least one phase value")
@@ -93,17 +88,14 @@ class PhantomSpec:
             raise ValueError(f"phase values must be strictly ascending, got {vals}")
         object.__setattr__(self, "phase_values", vals)
         object.__setattr__(self, "shapes", tuple(self.shapes))
-        k = len(vals)
-        for shape in self.shapes:
-            if not 1 <= shape.phase <= k:
-                raise ValueError(
-                    f"shape phase {shape.phase} outside 1..{k}"
-                )
+        top = max((shape.phase for shape in self.shapes), default=1)
+        if top > len(vals):
+            raise ValueError(f"shape phase {top} outside 1..{len(vals)}")
         if self.bias_kind not in BIAS_KINDS:
             raise ValueError(f"unknown bias kind {self.bias_kind!r}")
         if self.composition not in COMPOSITIONS:
             raise ValueError(f"unknown composition {self.composition!r}")
-        _check_finite(self, ("bias_amplitude", "noise_sigma"), nonnegative=True)
+        check_fields(self, ("bias_amplitude", "noise_sigma"), "finite and nonnegative")
 
 
 @dataclass(frozen=True)

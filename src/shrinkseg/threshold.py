@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Array, as_grid
+from .grid import Array, as_grid, check_count
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,8 @@ def _windows(vals, cost, w, s1, s2, k):
     m = w.size - 1
     points = np.linspace(0, m, min(_GRID, m // _CELL) + 1).round().astype(np.intp)
     forward, backward, splits = _bounds(cost, w, s1, s2, points, k)
-    # the cell of the last split, then the cells of the splits before it
-    pw, ps1, ps2 = w[points[1:-1]], s1[points[1:-1]], s2[points[1:-1]]
-    last = np.append(s2[-1] - ps2 - (s1[-1] - ps1) ** 2 / (w[-1] - pw), 0.0)
-    cells = [int(np.argmin(forward[-1] + last))]
+    # the cell of the last split (backward[-1]: the last run), then those before it
+    cells = [int(np.argmin(forward[-1] + backward[-1]))]
     for arg in reversed(splits):
         cells.append(arg[cells[-1]] - 1)
     cells.reverse()
@@ -254,11 +252,8 @@ def kmeans_1d(values, k: int) -> np.ndarray:
     partition of the sorted distinct values is then optimized exactly,
     so the result is the deterministic global minimizer.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    check_count(k, "k", 2)
     vals = np.asarray(values, dtype=np.float64).ravel()
-    if k < 2:
-        raise ValueError(f"need at least 2 clusters, got k={k}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values contain NaN or infinite entries")
     distinct, counts = np.unique(vals, return_counts=True)

@@ -1,8 +1,10 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -11,6 +13,8 @@ import pytest
 import oracles
 from shrinkseg import cli, decompose_image, imgio, reduced
 from shrinkseg.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SPEC = {
     "n": 16,
@@ -272,6 +276,46 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: label shapes disagree\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["f.csv", "t.csv"]
 
+    def test_flat_u_names_alpha_before_writing(self, workspace, tmp_path, capsys):
+        # outside the log domain, alpha 0.5 flattens this phantom's u to one value
+        assert main(["run", str(workspace / "ph_f.csv"), str(tmp_path / "out" / "x"),
+                     "--alpha", "0.5", "--beta", "1000", "--no-log-domain"]) == 1
+        assert capsys.readouterr().err == (
+            "error: u came out flat: 1 distinct value(s), fewer than K=2; "
+            "lower alpha (--alpha)\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("labels, truth, k, bad", [
+        ([[0, 1], [1, 0]], [[1, 2], [2, 1]], None, "l.csv holds label 0, outside 1..K"),
+        ([[1, 2], [2, 1]], [[0, 1], [1, 0]], None, "t.csv holds label 0, outside 1..K"),
+        ([[1, 2], [2, 1]], [[1, 2], [3, 1]], "2", "t.csv holds label 3, outside 1..2"),
+        ([[1, 2], [3, 1]], [[1, 2], [2, 1]], "2", "l.csv holds label 3, outside 1..2"),
+    ], ids=["label_zero", "truth_zero", "truth_above_k", "label_above_k"])
+    def test_metrics_rejects_labels_outside_one_to_k(self, tmp_path, capsys, labels, truth, k,
+                                                     bad):
+        imgio.write_labels(np.array(labels), tmp_path / "l.csv")
+        imgio.write_labels(np.array(truth), tmp_path / "t.csv")
+        code = main(["metrics", str(tmp_path / "l.csv"), str(tmp_path / "t.csv"),
+                     str(tmp_path / "r.json"), *(["-K", k] if k else [])])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / bad}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_run_rejects_a_truth_label_above_k_before_either_stage(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run ran a stage on a truth outside 1..K")
+
+        monkeypatch.setattr(cli, "decompose_image", never)
+        monkeypatch.setattr(cli, "segment", never)
+        f, truth = str(tmp_path / "f.csv"), str(tmp_path / "t.csv")
+        imgio.write_float_grid(np.random.default_rng(0).random((4, 4)), f)
+        imgio.write_labels(np.arange(16).reshape(4, 4) % 3 + 1, truth)
+        assert main(["run", f, str(tmp_path / "out" / "x"), "--alpha", "0.5", "--beta", "1000",
+                     "--truth", truth]) == 1
+        assert capsys.readouterr().err == f"error: {truth} holds label 3, outside 1..2\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["f.csv", "t.csv"]
+
     @pytest.mark.parametrize("command", ["run", "decompose"])
     def test_log_domain_rejects_values_above_one(self, tmp_path, capsys, command):
         # two phases at 2 and 6: clamped to 1 before the log, they would
@@ -368,6 +412,15 @@ class TestExitCodes:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("p*"))
 
+    def test_negative_synth_seed_is_runtime_error(self, tmp_path, capsys):
+        # numpy's own "expected non-negative integer" would name neither
+        # the key nor the file
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 8, "phase_values": [0.5], "seed": -1}))
+        assert main(["synth", str(spec), str(tmp_path / "p")]) == 1
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+        assert not list(tmp_path.glob("p*"))
+
 
 class TestPrintConfig:
     def test_echoes_resolved_config_without_writing(self, tmp_path, capsys):
@@ -412,6 +465,35 @@ class TestPrintConfig:
         code = main(["decompose", "x.csv", "y", "--config", str(cfg), "--print-config"])
         assert code == 2
         assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
+
+def _report_keys(payload) -> set:
+    """Every key of a report, the keys of its per-phase entries included."""
+    keys = set(payload)
+    for entry in payload.get("phases", []):
+        keys |= set(entry)
+    return keys
+
+
+def test_readme_names_every_flag_config_key_and_report_key(workspace, tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    options = {
+        option
+        for action in cli.build_parser()._subparsers._group_actions
+        for sub in action.choices.values()
+        for opt in sub._actions
+        for option in opt.option_strings
+    } - {"-h", "--help"}
+    assert {"--gamma", "--no-log-domain", "--phases", "--truth"} <= options
+    missing = [option for option in sorted(options)
+               if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)]
+    assert main(["metrics", str(workspace / "out_u.csv"), str(workspace / "ph_truth.csv"),
+                 str(tmp_path / "r.json"), "-K", "2"]) == 0
+    keys = set(imgio.CONFIG_KEYS) | _report_keys(
+        json.loads((workspace / "out_report.json").read_text())) | _report_keys(
+        json.loads((tmp_path / "r.json").read_text()))
+    missing += [key for key in sorted(keys) if f"`{key}`" not in readme]
+    assert not missing, f"README.md does not mention {missing}"
 
 
 def test_module_entrypoint_help_exits_zero():

@@ -1,10 +1,24 @@
+import dataclasses
+from types import SimpleNamespace
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shrinkseg.grid import as_grid, compute_symbols, grad, grad_adjoint, grad_norms
+from shrinkseg import AdmmParams, ModelParams, OuterParams
+from shrinkseg.grid import (
+    as_grid,
+    check_count,
+    check_fields,
+    compute_symbols,
+    grad,
+    grad_adjoint,
+    grad_norms,
+)
+from shrinkseg.synth import Disk, PhantomSpec, Rect
 
 
 def random_grid(rng, n):
@@ -17,6 +31,58 @@ NON_C_LAYOUTS = {
     "strided": lambda n: np.full((2, n, 2 * n), np.nan)[:, :, ::2],
     "transposed": lambda n: np.full((n, n, 2), np.nan).transpose(2, 0, 1),
 }
+
+
+# one valid construction of every settings class
+VALID = {
+    ModelParams: dict(alpha=0.5, beta=1000.0),
+    OuterParams: dict(tau_supp=1e-3),
+    AdmmParams: dict(),
+    PhantomSpec: dict(n=8, phase_values=(0.3, 0.8)),
+    Disk: dict(row=4, col=4, radius=2, phase=2),
+    Rect: dict(row0=1, col0=1, row1=5, col1=5, phase=2),
+}
+# (class, field, bad value) for every int or float field of the classes
+BAD_FIELDS = [
+    (cls, field.name, bad)
+    for cls in VALID
+    for field in dataclasses.fields(cls)
+    if (kind := get_type_hints(cls)[field.name]) in (int, float, float | None)
+    for bad in (np.nan, np.inf, -np.inf) + ((2.5, True) if kind is int else ())
+]
+
+
+class TestRuleSet:
+    @pytest.mark.parametrize("cls, name, bad", BAD_FIELDS,
+                             ids=[f"{c.__name__}.{n}={b!r}" for c, n, b in BAD_FIELDS])
+    def test_every_numeric_settings_field_is_checked(self, cls, name, bad):
+        cls(**VALID[cls])
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            cls(**{**VALID[cls], name: bad})
+
+    def test_every_settings_class_has_a_checked_field(self):
+        assert {cls for cls, _, _ in BAD_FIELDS} == set(VALID)
+
+    @pytest.mark.parametrize("rule, good, bad", [
+        ("finite", [-1.0, 0.0, 2], [np.nan, np.inf, -np.inf]),
+        ("finite and nonnegative", [0.0, 0, 3.5], [-1e-300, np.nan, np.inf]),
+        ("finite and positive", [1e-300, 1, 2.0], [0.0, -1.0, np.nan, np.inf]),
+    ])
+    def test_check_fields_rules(self, rule, good, bad):
+        for value in good:
+            check_fields(SimpleNamespace(x=value), ("x",), rule)
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^x must be {rule}, got "):
+                check_fields(SimpleNamespace(x=value), ("x",), rule)
+
+    def test_check_count(self):
+        assert check_count(3, "k", 2) == 3
+        assert check_count(np.int32(2), "k", 2) == 2
+        for bad in (2.0, 2.5, True, np.bool_(True), "2", None):
+            with pytest.raises(ValueError, match=f"^k must be an integer, got {bad!r}$"):
+                check_count(bad, "k", 2)
+        with pytest.raises(ValueError, match="^k must be at least 2, got 1$"):
+            check_count(1, "k", 2)
 
 
 class TestAsGrid:

@@ -487,15 +487,22 @@ class TestPhantomSpecIO:
             composition="multiplicative",
             seed=9,
         )
+        payload = {
+            "n": 16,
+            "phase_values": [0.2, 0.5, 0.9],
+            "shapes": [
+                {"type": "disk", "row": 4, "col": 4, "radius": 2, "phase": 2},
+                {"type": "rect", "row0": 8, "col0": 8, "row1": 12, "col1": 14, "phase": 3},
+            ],
+            "bias_amplitude": 0.3,
+            "bias_kind": "gaussian_bump",
+            "noise_sigma": 0.02,
+            "composition": "multiplicative",
+            "seed": 9,
+        }
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(imgio.phantom_spec_to_dict(spec)))
-        payload = imgio.read_json_object(path, "phantom spec")
-        assert imgio.phantom_spec_from_dict(payload) == spec
-
-    def test_dict_round_trip(self):
-        spec = PhantomSpec(n=8, phase_values=(0.3, 0.8),
-                           shapes=(Disk(row=4, col=4, radius=2, phase=2),))
-        assert imgio.phantom_spec_from_dict(imgio.phantom_spec_to_dict(spec)) == spec
+        path.write_text(json.dumps(payload))
+        assert imgio.phantom_spec_from_dict(imgio.read_json_object(path, "phantom spec")) == spec
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

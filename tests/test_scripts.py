@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 import ab_suite
+import calibrate_fixtures
 import fixture_work
 import shrinkseg
 
@@ -165,6 +166,18 @@ def test_ab_suite_pipeline_targets_compare_the_fixture_work_row(tmp_path):
     assert energy == row.pop("energy")
     assert compared == row
     assert {"first", "capped", "rises", "converged", "u", "v"} <= set(compared)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+@pytest.mark.parametrize("build, k", [(calibrate_fixtures.two_phase_spec, 2),
+                                      (calibrate_fixtures.five_phase_spec, 5)])
+def test_spec_builders_return_the_json_form(build, k, n):
+    # the JSON that acceptance.json stores and `shrinkseg synth` reads
+    payload = build(n, 0.05, 0.4, "linear_ramp", 7)
+    assert json.loads(json.dumps(payload)) == payload
+    spec = shrinkseg.imgio.phantom_spec_from_dict(payload)
+    assert (spec.n, len(spec.phase_values), spec.seed) == (n, k, 7)
+    assert {shape.phase for shape in spec.shapes} == set(range(2, k + 1))
 
 
 def test_calibration_reproduces_the_fixture_but_its_gap_floors(tmp_path):

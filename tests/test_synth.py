@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ class TestSpecValidation:
                              f'"shapes": [{{"type": "{kind}", {fields}"phase": 2}}]}}')
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             phantom_spec_from_dict(payload)
+
+    def test_fractional_size_and_phase_rejected(self):
+        # unchecked, n = 8.5 fails inside generate with a TypeError, and a
+        # shape of phase 1.5 is drawn as phase 1 and vanishes
+        with pytest.raises(ValueError, match="^n must be an integer, got 8.5$"):
+            PhantomSpec(n=8.5, phase_values=(0.3, 0.8))
+        with pytest.raises(ValueError, match="^phase must be an integer, got 1.5$"):
+            Disk(row=4, col=4, radius=2, phase=1.5)
+
+    @pytest.mark.parametrize("shape", [Disk(row=4, col=4, radius=2, phase=1),
+                                       Rect(row0=1, col0=1, row1=3, col1=3, phase=1)])
+    def test_phase_below_one_rejected(self, shape):
+        with pytest.raises(ValueError, match="^phase must be at least 1, got 0$"):
+            replace(shape, phase=0)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="radius must be finite and nonnegative"):

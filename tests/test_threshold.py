@@ -160,7 +160,7 @@ class TestKmeans1d:
         np.testing.assert_allclose(kmeans_1d(grid, 2), [0.1, 0.9])
 
     def test_k_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k must be at least 2, got 1$"):
             kmeans_1d([1.0, 2.0], 1)
         with pytest.raises(ValueError):
             kmeans_1d([1.0, 1.0, 1.0], 2)  # fewer distinct values than k
