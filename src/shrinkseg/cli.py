@@ -222,7 +222,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             return 2
     if (u if labels is None else labels).shape != truth.shape:
         raise ValueError("label shapes disagree")
-    labels = segment(u, k).labels if labels is None else _check_labels(labels, args.input, args.k)
+    labels = segment(u, k).labels if labels is None else _check_labels(labels, args.input, k)
 
     report = {"k": k, "phases": _phase_report(labels, k, truth, u)}
     imgio.write_report(report, args.report_path)

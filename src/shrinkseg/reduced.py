@@ -23,7 +23,7 @@ import numpy as np
 
 from .admm import _TINY, InnerResult, RunState, _checked_weights, one_blas_thread
 from .grid import Array, as_grid, compute_symbols
-from .support import SupportSet, hook
+from .support import SupportSet, join, neighbors
 
 # A pass whose support leaves at most this many tie components is
 # solved in the components' values by reduced_solve; larger ones go to
@@ -100,7 +100,6 @@ def _pieces(support: SupportSet) -> _Pieces | None:
     """The _Pieces of support, or None when it leaves more than
     _MAX_PIECES components."""
     active, roots = support.active, support.labels
-    m = active.shape[1]
     heads = roots == np.arange(roots.size)
     count = np.count_nonzero(heads)
     if count > _MAX_PIECES:
@@ -108,9 +107,7 @@ def _pieces(support: SupportSet) -> _Pieces | None:
     label = (np.cumsum(heads) - 1)[roots]  # the roots numbered 0, 1, ... in order
 
     pixels = np.flatnonzero(active)
-    row, col = np.divmod(pixels, m)
-    own, right = label[pixels], label[row * m + (col + 1) % m]
-    lower = label[(pixels + m) % label.size]
+    own, right, lower = label[np.stack([pixels, *neighbors(pixels, active.shape)])]
     jumps = (right != own) | (lower != own)
     keys = (own[jumps] * count + right[jumps]) * count + lower[jumps]
     keys, term_of = np.unique(keys, return_inverse=True)
@@ -245,12 +242,11 @@ def _merge(cls: Array, triples: Array, terms: Array) -> Array:
     """Classes of the components once each listed term's components are
     joined, numbered from 0 in the order of their smallest component.
 
-    hook joins each term's own class to its right and lower ones, and
+    join hooks each term's own class to its right and lower ones, and
     roots each set at its smallest class, so the order of the roots is
     that of the smallest components.
     """
-    ends = cls[triples[terms]]
-    roots = hook(np.arange(cls.max() + 1), np.repeat(ends[:, 0], 2), ends[:, 1:].ravel())
+    roots = join(np.arange(cls.max() + 1), *cls[triples[terms]].T)
     heads = roots == np.arange(roots.size)
     return (np.cumsum(heads) - 1)[roots][cls]
 

@@ -58,10 +58,10 @@ def detect_support(norms: Array, prev: SupportSet, tau_supp: float) -> SupportSe
     the inner solver leaves small nonzero gradients behind. Returns prev
     itself, with its cached labels, when no pixel leaves it. When prev's
     labels are computed, the new support's are grown from them: frozen
-    sets only grow, so hooking the newly frozen pixels' ties onto prev's
-    roots gives tie_labels of the new frozen set, bit for bit, since
-    both root each component at its smallest flat id. The new support
-    holds no reference to prev.
+    sets only grow, so joining the newly frozen pixels' ties onto prev's
+    labels is tie_labels' own join from further along, and gives its
+    labels of the new frozen set bit for bit. The new support holds no
+    reference to prev.
     """
     if norms.shape != prev.active.shape:
         raise ValueError("support and image shapes disagree")
@@ -70,12 +70,8 @@ def detect_support(norms: Array, prev: SupportSet, tau_supp: float) -> SupportSe
         return prev
     shrunk = SupportSet(active)
     if "labels" in vars(prev):  # computed by the cached property
-        m = active.shape[1]
-        pix = np.flatnonzero(prev.active & ~active)
-        right = pix - pix % m + (pix + 1) % m
-        label = np.array(prev.labels)
-        labels = hook(label, label[np.concatenate([pix, pix])],
-                      label[np.concatenate([right, (pix + m) % active.size])])
+        pixels = np.flatnonzero(prev.active & ~active)
+        labels = join(np.array(prev.labels), pixels, *neighbors(pixels, active.shape))
         labels.flags.writeable = False
         vars(shrunk)["labels"] = labels
     return shrunk
@@ -84,47 +80,37 @@ def detect_support(norms: Array, prev: SupportSet, tau_supp: float) -> SupportSe
 def tie_labels(frozen: Array) -> Array:
     """Flat component label of every pixel under the frozen ties.
 
-    A frozen pixel ties itself to its right and lower neighbors,
-    periodically. Returns a flat integer array over the pixels in row
-    order that holds, for each pixel, the smallest flat id in its
-    component, so a component's root is the one pixel labelled by
-    itself. Pixels touched by no tie are their own roots.
+    A frozen pixel ties itself to its neighbors (see neighbors). Returns
+    a flat integer array over the pixels in row order that holds, for
+    each pixel, the smallest flat id in its component, so a component's
+    root is the one pixel labelled by itself. Pixels touched by no tie
+    are their own roots.
     """
-    m = frozen.shape[1]  # the row stride of the flat ids
-    size = frozen.size
-    # A frozen pixel joins the run of frozen pixels to its left, so each
-    # row splits into runs; label every pixel by the flat id of its run's
-    # first pixel (column 0 always starts one), carried rightward by one
-    # maximum.accumulate.
-    label = np.arange(size).reshape(frozen.shape)
-    label[:, 1:][frozen[:, :-1]] = 0
-    label = np.maximum.accumulate(label.ravel())
-    # What is left are the wrap ties of column m-1 to column 0 and the
-    # lower ties, periodic. A lower tie is dropped when its left neighbor
-    # and the pixel below that are both frozen: the left neighbor's lower
-    # tie already joins the same two runs.
-    lower = frozen.copy()
-    below = np.concatenate([frozen[1:], frozen[:1]])
-    lower[:, 1:] &= ~(frozen[:, :-1] & below[:, :-1])
-    pix = np.flatnonzero(lower)
-    wrap = np.flatnonzero(frozen[:, -1]) * m
-    # each tie joins the roots of its ends' runs
-    a = label[np.concatenate([pix, wrap + m - 1])]
-    b = label[np.concatenate([(pix + m) % size, wrap])]
-    return hook(label, a, b)
+    pixels = np.flatnonzero(frozen)
+    return join(np.arange(frozen.size), pixels, *neighbors(pixels, frozen.shape))
 
 
-def hook(label: Array, a: Array, b: Array) -> Array:
-    """label once the sets of a[t] and b[t] are joined for every t.
+def neighbors(pixels: Array, shape: tuple[int, int]) -> tuple[Array, Array]:
+    """The flat ids of the right and lower neighbors of the flat ids
+    pixels on a grid of shape, periodic in both axes: the pixels a
+    frozen pixel ties itself to."""
+    m = shape[1]  # the row stride of the flat ids
+    return pixels - pixels % m + (pixels + 1) % m, (pixels + m) % (shape[0] * m)
 
-    label[x] is the root of x, the smallest id of its set, and a, b hold
-    roots. Hook and compress (Shiloach & Vishkin 1982): each round hooks
-    the larger root of every split pair onto the smaller one; a write
-    only ever lowers a root, so no cycle can form. Pointer jumping then
-    sends each id straight to its root, and the pairs whose ends now
-    share a root are dropped. The returned roots are again the smallest
-    ids of their sets.
+
+def join(label: Array, own: Array, right: Array, lower: Array) -> Array:
+    """label once the set of each own[t] is joined to those of right[t]
+    and lower[t].
+
+    label[x] is the root of x, the smallest id of its set; label is
+    written into. Hook and compress (Shiloach & Vishkin 1982): each round
+    hooks the larger root of every split pair onto the smaller one; a
+    write only ever lowers a root, so no cycle can form. Pointer jumping
+    then sends each id straight to its root, and the pairs whose ends
+    now share a root are dropped. The returned roots are again the
+    smallest ids of their sets.
     """
+    a, b = label[np.concatenate([own, own])], label[np.concatenate([right, lower])]
     while a.size:
         label[np.maximum(a, b)] = np.minimum(a, b)
         while True:
@@ -143,12 +129,10 @@ def project_to_support(u: Array, support: SupportSet) -> Array:
 
     The tie components of support.labels must be constant, and the
     euclidean projection replaces each component by its mean. Pixels
-    touched by no tie are returned unchanged.
+    touched by no tie are returned unchanged (a -0.0 as 0.0).
     """
     if u.shape != support.active.shape:
         raise ValueError("support and image shapes disagree")
-    if support.active.all():
-        return u.copy()
     label = support.labels
     # bincount adds each component in pixel order whatever its label, so
     # the means do not depend on how components are numbered; only roots

@@ -273,24 +273,22 @@ def kmeans_1d(values, k: int) -> np.ndarray:
     cost = s1**2
     cost[1:] /= w[1:]
     np.subtract(s2, cost, out=cost)
-    windows = None
     if k > 2 and m // _CELL >= _WINDOWED:
         windows = _windows(distinct, cost, w, s1, s2, k)
+    else:  # one window of every row
+        windows = [(np.array([0]), np.array([m + 1]))] * (k - 1)
     del distinct
     splits = []
     for j in range(1, k):
-        # runs must be nonempty: split a >= j, in the window before if any
-        opt_lo, opt_hi = j, m
-        if windows is not None:
-            opt_lo, opt_hi = max(j, windows[j - 1][0][0]), min(m, windows[j - 1][1][-1])
+        # runs must be nonempty: split a >= j, in the window before
+        opt_lo, opt_hi = max(j, windows[j - 1][0][0]), min(m, windows[j - 1][1][-1])
         if j == k - 1:  # the last layer: only its splits are needed
             break
         new_cost = np.full(m + 1, np.inf)
         new_arg = np.zeros(m + 1, dtype=np.intp)
-        lo, hi = j + 1, m + 1  # endpoint b >= j+1, in the layer's window if any
-        if windows is not None:
-            lo, hi = np.maximum(windows[j][0], opt_lo + 1), windows[j][1]
-            lo, hi = lo[lo < hi], hi[lo < hi]
+        # endpoint b >= j+1, in the layer's window
+        lo, hi = np.maximum(windows[j][0], opt_lo + 1), windows[j][1]
+        lo, hi = lo[lo < hi], hi[lo < hi]
         _fill_layer(cost, w, s1, s2, lo, hi, opt_lo, opt_hi, new_cost, new_arg)
         cost = new_cost
         splits.append(new_arg)

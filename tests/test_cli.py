@@ -41,6 +41,12 @@ CONFIG = {
 }
 
 
+def capped_solves():
+    """Expects the warning of the inner solves that CONFIG's maxit_in
+    caps: every run and decompose of these images caps one."""
+    return pytest.warns(RuntimeWarning, match="inner solves stopped at maxit_in=500")
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One synth + full run shared by the read-only assertions below."""
@@ -51,10 +57,11 @@ def workspace(tmp_path_factory):
     cfg_path.write_text(json.dumps(CONFIG))
 
     assert main(["synth", str(spec_path), str(root / "ph")]) == 0
-    assert main([
-        "run", str(root / "ph_f.csv"), str(root / "out"),
-        "--config", str(cfg_path), "--truth", str(root / "ph_truth.csv"),
-    ]) == 0
+    with capped_solves():
+        assert main([
+            "run", str(root / "ph_f.csv"), str(root / "out"),
+            "--config", str(cfg_path), "--truth", str(root / "ph_truth.csv"),
+        ]) == 0
     return root
 
 
@@ -87,13 +94,15 @@ class TestPipeline:
         if steps == 0:  # no Newton steps to spend: every reduced attempt declines
             monkeypatch.setattr(reduced, "_NEWTON_STEPS", 0)
             monkeypatch.setattr(reduced, "_MERGED_STEPS", 0)
-        assert main(["decompose", str(workspace / "ph_f.csv"), str(workspace / f"steps{steps}"),
-                     "--config", str(workspace / "cfg.json")]) == 0
+        with capped_solves():
+            assert main(["decompose", str(workspace / "ph_f.csv"), str(workspace / f"steps{steps}"),
+                         "--config", str(workspace / "cfg.json")]) == 0
         report = json.loads((workspace / f"steps{steps}_report.json").read_text())
         config = imgio.config_from_dict(dict(CONFIG))
-        result, u, _ = decompose_image(imgio.read_float_grid(workspace / "ph_f.csv"),
-                                       config.model_params(), config.outer_params(),
-                                       config.admm_params(), config.log_domain)
+        with capped_solves():
+            result, u, _ = decompose_image(imgio.read_float_grid(workspace / "ph_f.csv"),
+                                           config.model_params(), config.outer_params(),
+                                           config.admm_params(), config.log_domain)
         assert report["reduced_solves"] == result.reduced_solves
         assert report["reduced_declines"] == result.reduced_declines
         assert (result.reduced_solves if steps is None else result.reduced_declines) > 0
@@ -107,10 +116,11 @@ class TestPipeline:
         assert seg == (workspace / "out_labels.csv").read_bytes()
 
     def test_decompose_subcommand(self, workspace):
-        assert main([
-            "decompose", str(workspace / "ph_f.csv"), str(workspace / "dec"),
-            "--config", str(workspace / "cfg.json"),
-        ]) == 0
+        with capped_solves():
+            assert main([
+                "decompose", str(workspace / "ph_f.csv"), str(workspace / "dec"),
+                "--config", str(workspace / "cfg.json"),
+            ]) == 0
         for stem in ("u.csv", "v.csv", "u.pgm", "v.pgm", "trace.csv", "report.json"):
             assert (workspace / f"dec_{stem}").exists()
         assert not (workspace / "dec_labels.csv").exists()
@@ -179,9 +189,11 @@ class TestRectangularGrid:
         root = rect_workspace
         src = str(root / f"f.{ext}")
         cfg = ["--config", str(root / "cfg.json")]
-        assert main(["run", src, str(root / f"run_{ext}"), *cfg,
-                     "--truth", str(root / "truth.csv")]) == 0
-        assert main(["decompose", src, str(root / f"dec_{ext}"), *cfg]) == 0
+        with capped_solves():
+            assert main(["run", src, str(root / f"run_{ext}"), *cfg,
+                         "--truth", str(root / "truth.csv")]) == 0
+        with capped_solves():
+            assert main(["decompose", src, str(root / f"dec_{ext}"), *cfg]) == 0
         u_path = str(root / f"run_{ext}_u.csv")
         assert main(["segment", u_path, "2", str(root / f"seg_{ext}")]) == 0
         assert main(["metrics", u_path, str(root / "truth.csv"),
@@ -286,11 +298,15 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("labels, truth, k, bad", [
-        ([[0, 1], [1, 0]], [[1, 2], [2, 1]], None, "l.csv holds label 0, outside 1..K"),
+        ([[0, 1], [1, 0]], [[1, 2], [2, 1]], None, "l.csv holds label 0, outside 1..2"),
         ([[1, 2], [2, 1]], [[0, 1], [1, 0]], None, "t.csv holds label 0, outside 1..K"),
         ([[1, 2], [2, 1]], [[1, 2], [3, 1]], "2", "t.csv holds label 3, outside 1..2"),
         ([[1, 2], [3, 1]], [[1, 2], [2, 1]], "2", "l.csv holds label 3, outside 1..2"),
-    ], ids=["label_zero", "truth_zero", "truth_above_k", "label_above_k"])
+        # without -K, K is the largest truth label: a label above it is
+        # a phase the report would never name
+        ([[1, 2], [3, 1]], [[1, 2], [2, 1]], None, "l.csv holds label 3, outside 1..2"),
+    ], ids=["label_zero", "truth_zero", "truth_above_k", "label_above_k",
+            "label_above_truth_k"])
     def test_metrics_rejects_labels_outside_one_to_k(self, tmp_path, capsys, labels, truth, k,
                                                      bad):
         imgio.write_labels(np.array(labels), tmp_path / "l.csv")

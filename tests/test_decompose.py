@@ -159,7 +159,8 @@ class TestResult:
     def test_maxit_out_respected(self):
         f = small_phantom(seed=9, sigma=0.05)
         outer = OuterParams(tau_supp=1e-3, maxit_out=2)
-        result = decompose(f, ModelParams(alpha=0.05, beta=100.0), outer, FAST["admm"])
+        with pytest.warns(RuntimeWarning, match="unconverged after 2 outer iterations"):
+            result = decompose(f, ModelParams(alpha=0.05, beta=100.0), outer, FAST["admm"])
         assert result.outer_iters <= 2
         assert len(result.trace) <= 3
 
@@ -406,7 +407,8 @@ class TestInnerTolerance:
 class TestCappedSolves:
     def test_every_capped_solve_counts(self):
         admm = AdmmParams(r=10.0, tol_in=1e-8, maxit_in=3)
-        result = decompose(small_phantom(), MODEL, FAST["outer"], admm)
+        with pytest.warns(RuntimeWarning, match="inner solves stopped at maxit_in=3"):
+            result = decompose(small_phantom(), MODEL, FAST["outer"], admm)
         assert result.outer_iters > 0
         # every pass is an ADMM solve capped at 3 sweeps or a reduced one
         assert result.capped_solves == result.outer_iters - result.reduced_solves

@@ -12,6 +12,7 @@ from shrinkseg.support import (
     SupportSet,
     detect_support,
     initial_support,
+    neighbors,
     project_to_support,
     tie_labels,
 )
@@ -137,6 +138,48 @@ def _snake(n):
         active[i, i] = False
         active[i, (i + 1) % n] = False
     return active
+
+
+def _oracle_labels(frozen):
+    """The smallest flat id of each pixel's component among
+    oracles.tie_components, which are found by breadth-first search."""
+    basis = oracles.tie_components(frozen)
+    return basis.argmax(axis=0)[basis.argmax(axis=1)]  # each column's first pixel
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    m=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    frozen_frac=st.floats(0.0, 1.0),
+)
+def test_tie_labels_equal_the_bfs_oracle(n, m, seed, frozen_frac):
+    frozen = np.random.default_rng(seed).random((n, m)) < frozen_frac
+    assert np.array_equal(tie_labels(frozen), _oracle_labels(frozen))
+
+
+@pytest.mark.parametrize(
+    "frozen",
+    [
+        lambda n: np.ones((n, n), dtype=bool),
+        lambda n: np.zeros((n, n), dtype=bool),
+        lambda n: ~_snake(n),
+    ],
+    ids=["all_frozen", "none_frozen", "torus_snake"],
+)
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_tie_labels_equal_the_bfs_oracle_on_edge_masks(frozen, n):
+    assert np.array_equal(tie_labels(frozen(n)), _oracle_labels(frozen(n)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1)] + oracles.RECT_SHAPES)
+def test_neighbors_are_the_rolled_flat_ids(shape):
+    ids = np.arange(shape[0] * shape[1]).reshape(shape)
+    pixels = np.random.default_rng(ids.size).permutation(ids.size)  # in any order
+    right, lower = neighbors(pixels, shape)
+    assert np.array_equal(right, np.roll(ids, -1, axis=1).ravel()[pixels])
+    assert np.array_equal(lower, np.roll(ids, -1, axis=0).ravel()[pixels])
 
 
 class TestProjection:
