@@ -87,8 +87,12 @@ def one_blas_thread():
     """Hold numpy's OpenBLAS at one thread, restoring the caller's count
     on exit, also after an exception. Threaded dot products (from 16384
     entries) change the last bits of a sum, and stalled single calls on a
-    2-core host. The count is process-wide: concurrent calls from several
-    Python threads can leave it at 1."""
+    2-core host; held at one thread, stage one's u and v do not depend on
+    OPENBLAS_NUM_THREADS. The count is process-wide: while a solver runs,
+    BLAS calls from other Python threads run on one thread too, and
+    concurrent calls from several Python threads can leave it at 1. Where
+    numpy's BLAS exports no such setter (another BLAS build), it does
+    nothing."""
     with contextlib.ExitStack() as restore:
         if _SET_THREADS is not None:
             restore.callback(_SET_THREADS, _GET_THREADS())

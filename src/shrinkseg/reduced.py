@@ -6,9 +6,9 @@ v is eliminated per frequency, and a small convex problem in the
 component values (a _Problem) is solved by damped Newton over classes of
 components. Newton starts from every component alone, or from the
 classes that FISTA on the problem's dual finds (_merges). Its result is
-used only with an optimality certificate; otherwise it returns None and
-the pass is left to admm_solve. A run's attempts share one
-ReducedCache, which holds the run's RunState, builds the reduced
+used only with an optimality certificate (_certify); otherwise it
+returns None and the pass is left to admm_solve. A run's attempts share
+one ReducedCache, which holds the run's RunState, builds the reduced
 quadratic once per run and sums each later one from it (see ReducedCache
 and _smooth), and counts the attempts that decline.
 """
@@ -524,8 +524,8 @@ def _merges(problem: _Problem, c: Array):
         return c[ends] - c[owns]
 
     x = jumps(c - c.mean())
-    if not x.any():  # a flat start: any other start will do
-        x = np.ones_like(x)
+    if not x.any():  # a flat start: jumps of distinct values, which spread never zeroes
+        x = jumps(np.arange(count, dtype=np.float64))
     for _ in range(_POWER_STEPS):
         x = jumps(inverse @ spread(x) / math.sqrt(np.vdot(x, x)))
     step = 1.0 / (_POWER_MARGIN * math.sqrt(np.vdot(x, x)))

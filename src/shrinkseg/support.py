@@ -1,4 +1,12 @@
-"""Active-gradient support sets and their monotone shrinking."""
+"""Active-gradient support sets and their monotone shrinking.
+
+A frozen pixel ties itself to its right and lower neighbors,
+periodically (neighbors, the one tie rule), and u must be constant on
+each component those ties form. Each SupportSet labels its components
+once (labels, by the one hook-and-compress join), and both the reduced
+attempt of a pass and the projection after an ADMM pass read that
+labelling (see detect_support for how it is kept and grown).
+"""
 
 from __future__ import annotations
 

@@ -10,7 +10,9 @@ about log2(m) rounds per layer for m distinct values. Once every open
 endpoint against its subproblem's whole split range fits one block,
 one last round finishes the layer, so few-valued images take one
 round per layer. Only the last layer's final endpoint is ever read
-back, so that layer is one such round.
+back, so that layer is one such round. Outside the blocks, only arrays
+of m + 1 entries grow with m: the prefix moments, and a cost and a
+split array per layer.
 
 At K >= 3 on many values, every full layer is filled only over a
 window of rows that may lie on an optimal path (see _windows), and

@@ -648,6 +648,21 @@ class TestDeclines:
         ]
         assert declined == []
 
+    def test_constant_starts_certify(self, monkeypatch):
+        # u_k = 0.5: Newton's first try starts with every jump exactly 0
+        # and merges them all at that iterate, which certifies only where
+        # the minimizer is flat; otherwise _merges starts from the flat
+        # jumps, where an all-ones dual can lie in the kernel of E^T and
+        # its power iteration would divide 0 by 0
+        calls = _count_calls(monkeypatch, reduced_module, "_merges")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for seed in range(40):
+                for shape in ((6, 6), (8, 8), (2, 9)):
+                    f, _, *rest = _instance(seed, shape)
+                    assert _check_against_admm((f, np.full(shape, 0.5), *rest)) is not None
+        assert calls
+
     def test_a_declined_attempt_is_counted(self, monkeypatch):
         # two passes: ADMM, then one reduced attempt, which no step certifies
         monkeypatch.setattr(reduced_module, "_NEWTON_STEPS", 0)

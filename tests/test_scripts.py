@@ -3,6 +3,7 @@ ab_suite.py builds from fixture_work.py."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -166,6 +167,23 @@ def test_ab_suite_pipeline_targets_compare_the_fixture_work_row(tmp_path):
     assert energy == row.pop("energy")
     assert compared == row
     assert {"first", "capped", "rises", "converged", "u", "v"} <= set(compared)
+
+
+def test_ab_suite_docstring_names_every_target():
+    # the docstring is the one list of targets: the suite64 phantoms by
+    # their fixture, every other target by name or with its size as {n}
+    fixture = ab_suite.load_fixture()
+    doc = ab_suite.__doc__
+    assert "a suite64 phantom of tests/fixtures/acceptance.json" in " ".join(doc.split())
+    suite = {entry["name"] for entry in fixture["suite"]}
+    missing = []
+    for name in ab_suite.targets(fixture, seed=0):
+        forms = {name} | {name.replace(str(n), "{n}", 1) for n in ab_suite.SIZES}
+        if name not in suite and not any(
+            re.search(rf"(?<![\w{{}}]){re.escape(form)}(?![\w{{}}])", doc) for form in forms
+        ):
+            missing.append(name)
+    assert not missing, f"ab_suite.py's docstring does not name {missing}"
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 512])
