@@ -131,6 +131,12 @@ def parent_package(parent_root, scratch):
             del sys.modules[name]
 
 
+def submodule(pkg, name):
+    """The submodule called name of the package pkg, this tree's or the
+    parent's copy; the package root exports only the user API."""
+    return importlib.import_module(f"{pkg.__name__}.{name}")
+
+
 def pipeline_work(out):
     """What the trees must agree on, the row of fixture_work.work but
     its energy, and that final energy."""
@@ -155,19 +161,21 @@ def sweep_solve(entry, solver, seed, second):
     """One admm_solve of SWEEPS sweeps on decompose's first pass of a
     fixture entry, or on its second pass if second."""
     def build(pkg, scratch):
+        grid, supp = submodule(pkg, "grid"), submodule(pkg, "support")
         g, model, outer, admm = fixture_problem(pkg, entry, solver, seed)
         u, v = g, np.zeros_like(g)
-        norms = pkg.grad_norms(pkg.grad(g))
-        support = pkg.initial_support(norms, outer.tau_supp)
+        norms = grid.grad_norms(grid.grad(g))
+        support = supp.initial_support(norms, outer.tau_supp)
         if second:
             first = pkg.decompose(g, model, replace(outer, maxit_out=1), admm)
             u, v = first.u, first.v
-            norms = pkg.grad_norms(pkg.grad(u))
-            support = pkg.detect_support(norms, support, outer.tau_supp)
+            norms = grid.grad_norms(grid.grad(u))
+            support = supp.detect_support(norms, support, outer.tau_supp)
         weights = np.zeros_like(g)
         weights[support.active] = model.slope(norms[support.active])
         fixed = replace(admm, tol_in=0.0, maxit_in=SWEEPS)
-        return partial(pkg.admm_solve, g, u, v, weights, support, model, outer.rho, fixed), sweep_work
+        solve = submodule(pkg, "admm").admm_solve
+        return partial(solve, g, u, v, weights, support, model, outer.rho, fixed), sweep_work
     return build
 
 
@@ -215,7 +223,7 @@ def stage2_command(command, spec, seed):
         def written(code):
             return {"exit": code, **{name: (work / name).read_bytes() for name in outputs}}, None
 
-        return partial(importlib.import_module(pkg.__name__ + ".cli").main, argv), written
+        return partial(submodule(pkg, "cli").main, argv), written
     return build
 
 

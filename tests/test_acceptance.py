@@ -13,22 +13,10 @@ import numpy as np
 
 import oracles
 from oracles import linearized_energy, shrink_group
-from shrinkseg import (
-    AdmmParams,
-    ModelParams,
-    admm_solve,
-    compute_symbols,
-    cv,
-    decomposition_energy,
-    grad,
-    grad_adjoint,
-    grad_norms,
-    initial_support,
-    jaccard,
-    kmeans_1d,
-    solve_uv,
-)
-from shrinkseg.admm import RunState
+from shrinkseg import AdmmParams, ModelParams, cv, decomposition_energy, jaccard, kmeans_1d
+from shrinkseg.admm import RunState, admm_solve, solve_uv
+from shrinkseg.grid import compute_symbols, grad, grad_adjoint, grad_norms
+from shrinkseg.support import initial_support
 
 
 def test_criterion_01_operator_adjointness(announce):

@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import linearized_energy, shrink_group
-from shrinkseg import (
-    AdmmParams,
-    ModelParams,
+from shrinkseg import AdmmParams, ModelParams
+from shrinkseg import admm as admm_module
+from shrinkseg.admm import (
+    RunState,
+    _Mixer,
+    _shrink_field,
+    _shrink_thresholds,
     admm_solve,
-    compute_symbols,
-    initial_support,
-    reduced_solve,
     solve_uv,
 )
-from shrinkseg import admm as admm_module
-from shrinkseg.admm import RunState, _Mixer, _shrink_field, _shrink_thresholds
-from shrinkseg.grid import grad, grad_norms
-from shrinkseg.reduced import ReducedCache
-from shrinkseg.support import SupportSet
+from shrinkseg.grid import compute_symbols, grad, grad_norms
+from shrinkseg.reduced import ReducedCache, reduced_solve
+from shrinkseg.support import SupportSet, initial_support
 
 
 class TestShrinkGroup:

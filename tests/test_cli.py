@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+import shrinkseg
 from shrinkseg import cli, decompose_image, imgio, reduced
 from shrinkseg.cli import main
 
@@ -510,6 +512,32 @@ def test_readme_names_every_flag_config_key_and_report_key(workspace, tmp_path):
         json.loads((tmp_path / "r.json").read_text()))
     missing += [key for key in sorted(keys) if f"`{key}`" not in readme]
     assert not missing, f"README.md does not mention {missing}"
+
+
+ROOT_API = {
+    "AdmmParams", "DecompositionResult", "Disk", "IterationTrace", "ModelParams",
+    "OuterParams", "Phantom", "PhantomSpec", "Rect", "RunConfig", "SegmentationResult",
+    "TraceRow", "cv", "decompose", "decompose_image", "decomposition_energy", "generate",
+    "jaccard", "kmeans_1d", "segment",
+}
+SOLVER_LAYERS = {
+    "admm": ("InnerResult", "admm_solve", "solve_uv"),
+    "grid": ("OperatorSymbols", "compute_symbols", "grad", "grad_adjoint", "grad_norms"),
+    "reduced": ("reduced_solve",),
+    "support": ("SupportSet", "detect_support", "initial_support", "project_to_support"),
+    "synth": ("gaussian_field",),
+}
+
+
+def test_package_root_exports_the_readme_api_only():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API\n", 1)[1].split("\n## ", 1)[0]
+    assert sorted(shrinkseg.__all__) == sorted(ROOT_API)
+    assert ROOT_API <= set(re.findall(r"\w+", section))
+    for module, names in SOLVER_LAYERS.items():
+        imported = importlib.import_module(f"shrinkseg.{module}")
+        for name in names:
+            assert hasattr(imported, name) and not hasattr(shrinkseg, name), name
 
 
 def test_module_entrypoint_help_exits_zero():

@@ -12,12 +12,12 @@ from shrinkseg import (
     AdmmParams,
     ModelParams,
     OuterParams,
-    admm_solve,
     decompose,
     decomposition_energy,
     generate,
     segment,
 )
+from shrinkseg.admm import admm_solve
 from shrinkseg.decompose import resolve_tau_supp
 from shrinkseg.grid import grad, grad_norms
 from shrinkseg.synth import Disk, PhantomSpec

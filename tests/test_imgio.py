@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from shrinkseg import AdmmParams, ModelParams, OuterParams, imgio
 from shrinkseg.decompose import IterationTrace, TraceRow
+from shrinkseg.grid import as_grid
 from shrinkseg.synth import EPS_POS, Disk, PhantomSpec, Rect
 
 
@@ -341,7 +342,7 @@ class TestCsvReadersMatchPythonParser:
             ),
             (
                 imgio.read_float_grid,
-                lambda p: imgio.as_grid(
+                lambda p: as_grid(
                     np.array(imgio._read_csv_rows(p, imgio._parse_floats, "grid")), "grid"
                 ),
             ),

@@ -15,17 +15,10 @@ import oracles
 import shrinkseg
 from fixture_work import fixture_problem
 from oracles import linearized_energy
-from shrinkseg import (
-    AdmmParams,
-    ModelParams,
-    OuterParams,
-    admm_solve,
-    decompose,
-    generate,
-    reduced_solve,
-)
+from shrinkseg import AdmmParams, ModelParams, OuterParams, decompose, generate
 from shrinkseg import reduced as reduced_module
-from shrinkseg.admm import RunState
+from shrinkseg.admm import RunState, admm_solve
+from shrinkseg.reduced import reduced_solve
 from shrinkseg.support import SupportSet, tie_labels
 from shrinkseg.synth import Disk, PhantomSpec
 
@@ -632,6 +625,38 @@ class TestCertificate:
             shifted = (dataclasses.replace(problem, linear=problem.linear + delta * on), cls, c, step)
             assert (reduced_module._certify(*shifted) is c) == certified
             assert oracles.lstsq_certify(*shifted)
+
+    @staticmethod
+    def _one_term(weight):
+        """A _Problem of 3 components and one term over all three."""
+        return reduced_module._Problem(np.eye(3), np.ones(3), np.array([[0, 1, 2]]),
+                                       np.array([weight]), np.ones(3), 3.0)
+
+    def test_a_step_across_a_live_kink_declines(self):
+        # the last step moved the jumps (1, 2) at c by (-5, -5), farther
+        # than their norm, so it may have crossed the kink at zero jump
+        problem, cls = self._one_term(1.0), np.arange(3)
+        assert problem.live(cls).all()
+        c, step = np.array([0.0, 1.0, 2.0]), np.array([0.0, -5.0, -5.0])
+        assert reduced_module._certify(problem, cls, c, step) is None
+
+    def test_a_singular_laplacian_declines(self, monkeypatch):
+        # a merged term of weight 0 leaves the Laplacian all zero, its
+        # anchors too (a.mean() = 0), so the solve raises and c declines
+        problem, cls = self._one_term(0.0), np.zeros(3, dtype=np.intp)
+        assert not problem.live(cls).any()
+        raised, solve = [], np.linalg.solve
+
+        def spy(*args):
+            try:
+                return solve(*args)
+            except np.linalg.LinAlgError as error:
+                raised.append(str(error))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        assert reduced_module._certify(problem, cls, np.zeros(3), np.zeros(3)) is None
+        assert raised == ["Singular matrix"]
 
 
 class TestDeclines:

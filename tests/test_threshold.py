@@ -382,6 +382,18 @@ class TestWindows:
             optimum = oracles.wcss(f, means)
             assert optimum * (1 - 1e-9) <= seen[-1] <= optimum * (1 + 1e-5)
 
+    def test_upper_bound_stops_on_an_empty_run(self):
+        # runs [0], [1, 100], [101]: one Lloyd step moves both boundaries
+        # to 2, so the next run between them is empty, and its mean would
+        # be 0 / 0; the bound is the first partition's cost
+        values = np.array([0.0, 1.0, 100.0, 101.0])
+        w, s1, s2 = threshold._prefix_moments(values, np.ones(4))
+        assert threshold._LLOYD > 1
+        with np.errstate(all="raise"):
+            bound = threshold._upper_bound(values, w, s1, s2, np.array([1, 3]))
+        assert bound == 4900.5
+        assert bound >= oracles.wcss(values, kmeans_1d(values, 3))
+
 
 class TestBlockedLayers:
     """Each round runs over blocks of at most threshold._BLOCK candidate
