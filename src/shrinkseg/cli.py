@@ -194,6 +194,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError:
         if (distinct := np.unique(u).size) >= config.k:
             raise
+        if (held := np.unique(f).size) < config.k:  # f itself cannot hold K phases
+            raise ValueError(f"{args.input} holds {held} distinct value(s), fewer than "
+                             f"K={config.k}") from None
         raise ValueError(f"u came out flat: {distinct} distinct value(s), fewer than "
                          f"K={config.k}; lower alpha (--alpha)") from None
     report = _base_report(config, result)

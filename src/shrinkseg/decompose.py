@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmParams, RunState, admm_solve, one_blas_thread
+from .admm import AdmmParams, admm_solve, one_blas_thread
 from .energy import ModelParams, decomposition_energy
 from .grid import Array, as_grid, check_count, check_fields, grad, grad_norms
 from .reduced import ReducedCache, reduced_solve
@@ -103,13 +103,6 @@ def _stacked_norm(a: Array, b: Array) -> float:
     return math.sqrt(float(np.vdot(a, a).real) + float(np.vdot(b, b).real))
 
 
-def resolve_tau_supp(f: Array, outer: OuterParams, admm: AdmmParams | None = None) -> float:
-    """outer.tau_supp, or (admm or AdmmParams()).tol_in * max |grad f|."""
-    if outer.tau_supp is not None:
-        return outer.tau_supp
-    return (admm or AdmmParams()).tol_in * float(grad_norms(grad(f)).max())
-
-
 @one_blas_thread()
 def decompose(
     f: Array,
@@ -144,16 +137,16 @@ def decompose(
     moves far ends coarse, while the small steps of late passes are
     still solved tightly.
 
-    Both solvers read one RunState, made once for the run: admm_solve
-    as its state, reduced_solve through the run's one ReducedCache. From
-    the second pass on, reduced_solve gets each pass first. When the
-    support leaves few enough tie components it may return the pass's
-    exact minimizer: that pass counts as solved at tol_in, needs neither
-    H1 nor the projection, adds no sweeps to inner_iters and is counted
-    in reduced_solves; the attempts within its cap that return None are
-    the cache's declines, reported as reduced_declines. Any other pass
-    goes to admm_solve as above, starting from the scaled dual that the
-    run's last admm_solve ended with (zero duals on the first pass):
+    Both solvers read one ReducedCache, the run's RunState, made once
+    for the run: admm_solve as its state, reduced_solve as its cache.
+    From the second pass on, reduced_solve gets each pass first. When
+    the support leaves few enough tie components it may return the
+    pass's exact minimizer: that pass counts as solved at tol_in, needs
+    neither H1 nor the projection, adds no sweeps to inner_iters and is
+    counted in reduced_solves; the attempts within its cap that return
+    None are counted in reduced_declines. Any other pass goes to
+    admm_solve as above, starting from the scaled dual that the run's
+    last admm_solve ended with (zero duals on the first pass):
     successive passes solve nearly the same problem, so a warm dual
     saves sweeps. BLAS runs on one thread (one_blas_thread): u and v do
     not depend on its thread count.
@@ -161,11 +154,11 @@ def decompose(
     f = as_grid(f, "f")
     outer = outer or OuterParams()
     admm = admm or AdmmParams()
-    tau = resolve_tau_supp(f, outer, admm)
 
     u = f.copy()
     v = f.copy()
     norms = grad_norms(grad(u))  # of the current iterate: support, weights and trace
+    tau = admm.tol_in * float(norms.max()) if outer.tau_supp is None else outer.tau_supp
     support = initial_support(norms, tau)
     energy = decomposition_energy(f, u, v, params, norms)
     # a rise below eps * F(f, f) is rounding, even from an energy of 0
@@ -175,11 +168,9 @@ def decompose(
     converged = False
     rises = 0
     capped = 0
-    reduced = 0
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
-    state = RunState(f, params, outer.rho, admm.r)  # shared by this run's solves only
-    cache = ReducedCache(state)
+    state = ReducedCache(f, params, outer.rho, admm.r)  # this run's solves share it
     lam = None  # the scaled dual of the last admm_solve, the next one's start
 
     def record(energy: float, increment: float, inner_iters: int) -> None:
@@ -215,9 +206,8 @@ def decompose(
         inner_iters = 0
         # the first pass always runs admm_solve: perfbench's tracer test
         # expects an admm span from every op, noise-free ones included
-        inner = reduced_solve(u, weights, support, cache) if rows else None
+        inner = reduced_solve(u, weights, support, state) if rows else None
         if inner is not None:  # the exact minimizer, feasible as it is
-            reduced += 1
             tol = admm.tol_in
             u_next = inner.u
             next_norms = grad_norms(grad(u_next))
@@ -277,8 +267,8 @@ def decompose(
         energy_rises=rises,
         tau_supp=tau,
         capped_solves=capped,
-        reduced_solves=reduced,
-        reduced_declines=cache.declines,
+        reduced_solves=state.solves,
+        reduced_declines=state.declines,
     )
 
 

@@ -276,6 +276,10 @@ class RunConfig:
     k: int = 2
     log_domain: bool = False
 
+    def __post_init__(self):  # the classes configured check their own fields
+        self.model_params(), self.outer_params(), self.admm_params()
+        check_count(self.k, "K", 2)
+
     def model_params(self) -> ModelParams:
         return ModelParams(alpha=self.alpha, beta=self.beta, gamma=self.gamma, p=self.p)
 
@@ -332,12 +336,7 @@ def config_from_dict(payload: dict) -> RunConfig:
     for key, value in payload.items():
         name = CONFIG_KEYS[key]
         kwargs[name] = float(value) if _FIELD_TYPES[name] is float else value
-    config = RunConfig(**kwargs)
-    config.model_params()
-    config.outer_params()
-    config.admm_params()
-    check_count(config.k, "K", 2)
-    return config
+    return RunConfig(**kwargs)
 
 
 def config_to_dict(config: RunConfig) -> dict:

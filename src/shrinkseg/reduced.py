@@ -8,9 +8,9 @@ components. Newton starts from every component alone, or from the
 classes that FISTA on the problem's dual finds (_merges). Its result is
 used only with an optimality certificate (_certify); otherwise it
 returns None and the pass is left to admm_solve. A run's attempts share
-one ReducedCache, which holds the run's RunState, builds the reduced
-quadratic once per run and sums each later one from it (see ReducedCache
-and _smooth), and counts the attempts that decline.
+one ReducedCache, the run's RunState, which builds the reduced quadratic
+once per run and sums each later one from it (see ReducedCache and
+_smooth), and counts the attempts that certify and those that decline.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .admm import _TINY, InnerResult, RunState, _checked_weights, one_blas_thread
+from .energy import ModelParams
 from .grid import Array, as_grid, compute_symbols
 from .support import SupportSet, join, neighbors
 
@@ -165,32 +166,32 @@ def _coarsen(matrix: Array, cls: Array, size: int) -> Array:
     return np.bincount(pairs, matrix.ravel(), size * size).reshape(size, size)
 
 
-class ReducedCache:
-    """What the reduced attempts of one decompose run share.
+class ReducedCache(RunState):
+    """The RunState of one decompose run, with what its reduced attempts share.
 
-    Made for one RunState, which reduced_solve reads from state, it
-    holds the smoothed f = irfft2(f_hat (1 - 1 / b)), and keeps the last
-    support with its _Pieces (None when it left too many components), so
-    a pass that keeps the support builds no new _Pieces. B^T S B is
-    built (_smooth: one transform per component of two or more pixels,
-    and the kernel of S for the single pixels) only at the first attempt
-    that gets that far: supports only shrink, so every later partition
-    coarsens the stored one (each old component lies in one new one) and
-    the new matrix is M^T (B^T S B) M for the 0/1 merge matrix M, one
-    bincount. A partition that does not coarsen it is built afresh.
-    declines counts the attempts within _MAX_PIECES that returned None.
+    It holds the smoothed f = irfft2(f_hat (1 - 1 / b)), and keeps the
+    last support with its _Pieces (None when it left too many
+    components), so a pass that keeps the support builds no new _Pieces.
+    B^T S B is built (_smooth: one transform per component of two or
+    more pixels, and the kernel of S for the single pixels) only at the
+    first attempt that gets that far: supports only shrink, so every
+    later partition coarsens the stored one (each old component lies in
+    one new one) and the new matrix is M^T (B^T S B) M for the 0/1 merge
+    matrix M, one bincount. A partition that does not coarsen it is
+    built afresh. solves counts the attempts that certified, declines
+    those within _MAX_PIECES that returned None.
 
     Two runs of one problem must not share a cache: an aggregated matrix
     can differ from a fresh build in the last bits, so a run's result
     would depend on the runs before it.
     """
 
-    def __init__(self, state: RunState):
-        self.state = state
-        self.smooth_f = np.fft.irfft2(state.f_hat * (1.0 - 1.0 / state.b), s=state.shape)
+    def __init__(self, f: Array, params: ModelParams, rho: float, r: float):
+        super().__init__(f, params, rho, r)
+        self.smooth_f = np.fft.irfft2(self.f_hat * (1.0 - 1.0 / self.b), s=self.shape)
         # the last support with its _Pieces, and the _Pieces that quad_smooth is for
         self.support = self.pieces = self.quad_pieces = self.quad_smooth = None
-        self.declines = 0
+        self.solves = self.declines = 0
 
     def pieces_of(self, support: SupportSet) -> _Pieces | None:
         """The _Pieces of support, built again only for another support."""
@@ -207,8 +208,7 @@ class ReducedCache:
             merge = np.empty(old.sizes.size, dtype=np.intp)  # M as a map
             merge[old.label] = label
         if old is None or not np.array_equal(merge[old.label], label):
-            params = self.state.params
-            smooth = _smooth(label, self.state.shape, params.gamma, params.beta)
+            smooth = _smooth(label, self.shape, self.params.gamma, self.params.beta)
         else:
             smooth = _coarsen(self.quad_smooth, merge, pieces.sizes.size)
             smooth = 0.5 * (smooth + smooth.T)
@@ -550,12 +550,12 @@ def reduced_solve(
 ) -> InnerResult | None:
     """Solve admm_solve's problem exactly in the tie components' values.
 
-    cache.state holds the run's f, model and rho (see RunState), and
-    cache what the attempts of its run share: pass the same cache for
-    every pass of a run. When the frozen ties of support leave at most
-    _MAX_PIECES components, every feasible u is c[label] for C component
-    values c, and v = K(f - u) with K = 1 / (1 + gamma + beta hth) per
-    frequency, so the pass problem becomes
+    cache is the run's RunState with what the attempts of its run share
+    (see ReducedCache): pass the same cache for every pass of a run.
+    When the frozen ties of support leave at most _MAX_PIECES
+    components, every feasible u is c[label] for C component values c,
+    and v = K(f - u) with K = 1 / (1 + gamma + beta hth) per frequency,
+    so the pass problem becomes
         phi(c) = 1/2 c'Qc - b'c + alpha sum_t W_t ||E_t c||,
     Q = B'SB + rho diag(sizes), S = 1 - K, b = B'Sf + rho B'u_k, where
     term t sums the weights W of the active pixels that share one (own,
@@ -574,9 +574,7 @@ def reduced_solve(
     """
     u_k = as_grid(u_k, "u_k")
     weights = _checked_weights(weights)
-    state = cache.state
-    shape, params, rho = state.shape, state.params, state.rho
-    if not (u_k.shape == weights.shape == support.active.shape == shape):
+    if not (u_k.shape == weights.shape == support.active.shape == cache.shape):
         raise ValueError("reduced_solve inputs must share one grid shape")
     pieces = cache.pieces_of(support)
     if pieces is None:
@@ -584,14 +582,14 @@ def reduced_solve(
     label, sizes = pieces.label, pieces.sizes
     count = sizes.size
     u_sums = np.bincount(label, u_k.ravel(), count)
-    linear = np.bincount(label, cache.smooth_f.ravel(), count) + rho * u_sums
-    quad = cache.smooth(pieces) + rho * np.diag(sizes)
-    w = params.alpha * np.bincount(
+    linear = np.bincount(label, cache.smooth_f.ravel(), count) + cache.rho * u_sums
+    quad = cache.smooth(pieces) + cache.rho * np.diag(sizes)
+    w = cache.params.alpha * np.bincount(
         pieces.term_of, weights.ravel()[pieces.term_pixels], pieces.triples.shape[0]
     )
     # the sum of the minimizer's u, from the zero frequency alone
-    s0 = params.gamma / (1.0 + params.gamma)
-    total = (s0 * state.f.sum() + rho * u_k.sum()) / (s0 + rho)
+    s0 = cache.params.gamma / (1.0 + cache.params.gamma)
+    total = (s0 * cache.f.sum() + cache.rho * u_k.sum()) / (s0 + cache.rho)
     problem = _Problem(quad, linear, pieces.triples, w, sizes, total)
     c = None
     if count <= _NEWTON_FIRST:
@@ -604,6 +602,7 @@ def reduced_solve(
     if c is None:
         cache.declines += 1
         return None
-    u = c[label].reshape(shape)
-    v_hat = (state.f_hat - np.fft.rfft2(u)) / state.b
-    return InnerResult(u, np.fft.irfft2(v_hat, s=shape), 0, v_hat=v_hat)
+    cache.solves += 1
+    u = c[label].reshape(cache.shape)
+    v_hat = (cache.f_hat - np.fft.rfft2(u)) / cache.b
+    return InnerResult(u, np.fft.irfft2(v_hat, s=cache.shape), 0, v_hat=v_hat)

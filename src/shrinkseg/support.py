@@ -64,12 +64,12 @@ def detect_support(norms: Array, prev: SupportSet, tau_supp: float) -> SupportSe
 
     Intersecting with prev keeps the support sequence nested even when
     the inner solver leaves small nonzero gradients behind. Returns prev
-    itself, with its cached labels, when no pixel leaves it. When prev's
-    labels are computed, the new support's are grown from them: frozen
-    sets only grow, so joining the newly frozen pixels' ties onto prev's
-    labels is tie_labels' own join from further along, and gives its
-    labels of the new frozen set bit for bit. The new support holds no
-    reference to prev.
+    itself, with its cached labels, when no pixel leaves it. Otherwise
+    the new support's labels are grown from prev's (computed here if
+    they are not yet): frozen sets only grow, so joining the newly
+    frozen pixels' ties onto prev's labels is tie_labels' own join from
+    further along, and gives its labels of the new frozen set bit for
+    bit. The new support holds no reference to prev.
     """
     if norms.shape != prev.active.shape:
         raise ValueError("support and image shapes disagree")
@@ -77,11 +77,10 @@ def detect_support(norms: Array, prev: SupportSet, tau_supp: float) -> SupportSe
     if np.count_nonzero(active) == prev.size:
         return prev
     shrunk = SupportSet(active)
-    if "labels" in vars(prev):  # computed by the cached property
-        pixels = np.flatnonzero(prev.active & ~active)
-        labels = join(np.array(prev.labels), pixels, *neighbors(pixels, active.shape))
-        labels.flags.writeable = False
-        vars(shrunk)["labels"] = labels
+    pixels = np.flatnonzero(prev.active & ~active)
+    labels = join(np.array(prev.labels), pixels, *neighbors(pixels, active.shape))
+    labels.flags.writeable = False
+    vars(shrunk)["labels"] = labels  # what the cached property would compute
     return shrunk
 
 

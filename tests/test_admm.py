@@ -322,7 +322,7 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="weights"):
             admm_solve(f, u_k, v_k, weights, support, params, rho, admm)
         with pytest.raises(ValueError, match="weights"):
-            reduced_solve(u_k, weights, support, ReducedCache(RunState(f, params, rho, admm.r)))
+            reduced_solve(u_k, weights, support, ReducedCache(f, params, rho, admm.r))
 
 
 def _instance(seed, n=6, m=None):

@@ -299,6 +299,19 @@ class TestExitCodes:
             "lower alpha (--alpha)\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("values, k", [([0.5], "2"), ([0.2, 0.7], "3")],
+                             ids=["constant_k2", "two_valued_k3"])
+    def test_an_input_of_fewer_than_k_values_is_named(self, tmp_path, capsys, values, k):
+        # an input of fewer than K values cannot hold K phases, whatever alpha
+        f = np.resize(values, 64).reshape(8, 8)
+        path = str(tmp_path / "f.csv")
+        imgio.write_float_grid(f, path)
+        assert main(["run", path, str(tmp_path / "out" / "x"), "--alpha", "0.5",
+                     "--beta", "1000", "-K", k]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} holds {len(values)} distinct value(s), fewer than K={k}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
+
     @pytest.mark.parametrize("labels, truth, k, bad", [
         ([[0, 1], [1, 0]], [[1, 2], [2, 1]], None, "l.csv holds label 0, outside 1..2"),
         ([[1, 2], [2, 1]], [[0, 1], [1, 0]], None, "t.csv holds label 0, outside 1..K"),
@@ -512,6 +525,21 @@ def test_readme_names_every_flag_config_key_and_report_key(workspace, tmp_path):
         json.loads((tmp_path / "r.json").read_text()))
     missing += [key for key in sorted(keys) if f"`{key}`" not in readme]
     assert not missing, f"README.md does not mention {missing}"
+
+
+def test_readme_configuration_table_holds_every_key_with_its_default():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+            for line in readme.splitlines() if line.startswith("| `")]
+    defaults = imgio.config_to_dict(imgio.config_from_dict({"alpha": 1, "beta": 1}))
+    table = {key.strip("`"): default for key, _, default, *_ in rows}
+    assert sorted(table) == sorted(imgio.CONFIG_KEYS)
+    for key, default in table.items():
+        if key in ("alpha", "beta"):
+            assert default == "required"
+        else:  # the type too: 10.0 for a float, 100 for an int, false for a bool
+            value = json.loads(default.strip("`"))
+            assert (value, type(value)) == (defaults[key], type(defaults[key])), key
 
 
 ROOT_API = {

@@ -18,7 +18,6 @@ from shrinkseg import (
     segment,
 )
 from shrinkseg.admm import admm_solve
-from shrinkseg.decompose import resolve_tau_supp
 from shrinkseg.grid import grad, grad_norms
 from shrinkseg.synth import Disk, PhantomSpec
 
@@ -61,12 +60,17 @@ class TestOuterParams:
     def test_tau_resolution(self):
         f = np.zeros((4, 4))
         f[1, 1] = 1.0
-        assert resolve_tau_supp(f, OuterParams(tau_supp=0.25)) == 0.25
+
+        def tau(admm=None, **outer):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return decompose(f, MODEL, OuterParams(maxit_out=1, **outer), admm).tau_supp
+
+        assert tau(tau_supp=0.25) == 0.25
         # the default scales with the accuracy of the inner solves
         largest = float(grad_norms(grad(f)).max())
-        assert resolve_tau_supp(f, OuterParams()) == pytest.approx(AdmmParams().tol_in * largest)
-        admm = AdmmParams(tol_in=1e-7)
-        assert resolve_tau_supp(f, OuterParams(), admm) == pytest.approx(1e-7 * largest)
+        assert tau() == AdmmParams().tol_in * largest
+        assert tau(AdmmParams(tol_in=1e-7)) == 1e-7 * largest
 
 
 class TestConstantImage:
@@ -438,7 +442,7 @@ class TestRunState:
         assert len(solves) >= 3 and result.reduced_solves > 0
         assert len(built) == 1
         states = [call["kwargs"]["state"] for call in solves]
-        states += [call["args"][3].state for call in tries]  # the cache's state
+        states += [call["args"][3] for call in tries]  # the cache
         assert all(state is built[0] for state in states)
 
     @pytest.mark.parametrize("name", ["two_phase_s0_b0", "two_phase_s0.05_b0.4"])

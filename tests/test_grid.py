@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shrinkseg import AdmmParams, ModelParams, OuterParams
+from shrinkseg import AdmmParams, ModelParams, OuterParams, RunConfig
 from shrinkseg.grid import (
     as_grid,
     check_count,
@@ -41,6 +41,7 @@ VALID = {
     PhantomSpec: dict(n=8, phase_values=(0.3, 0.8)),
     Disk: dict(row=4, col=4, radius=2, phase=2),
     Rect: dict(row0=1, col0=1, row1=5, col1=5, phase=2),
+    RunConfig: dict(alpha=0.5, beta=1000.0),
 }
 # (class, field, bad value) for every int or float field of the classes
 BAD_FIELDS = [
@@ -57,7 +58,8 @@ class TestRuleSet:
                              ids=[f"{c.__name__}.{n}={b!r}" for c, n, b in BAD_FIELDS])
     def test_every_numeric_settings_field_is_checked(self, cls, name, bad):
         cls(**VALID[cls])
-        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        shown = "K" if name == "k" else name  # RunConfig.k is the CLI's and JSON's K
+        with pytest.raises(ValueError, match=rf"\b{shown}\b"):
             cls(**{**VALID[cls], name: bad})
 
     def test_every_settings_class_has_a_checked_field(self):

@@ -17,7 +17,7 @@ from fixture_work import fixture_problem
 from oracles import linearized_energy
 from shrinkseg import AdmmParams, ModelParams, OuterParams, decompose, generate
 from shrinkseg import reduced as reduced_module
-from shrinkseg.admm import RunState, admm_solve
+from shrinkseg.admm import admm_solve
 from shrinkseg.reduced import reduced_solve
 from shrinkseg.support import SupportSet, tie_labels
 from shrinkseg.synth import Disk, PhantomSpec
@@ -45,9 +45,9 @@ def _reduced(args, cache=None):
 
 
 def _cache(args):
-    """A ReducedCache for a RunState of admm_solve's args."""
+    """The ReducedCache, a RunState, of admm_solve's args."""
     f, _, _, _, _, params, rho, admm = args
-    return reduced_module.ReducedCache(RunState(f, params, rho, admm.r))
+    return reduced_module.ReducedCache(f, params, rho, admm.r)
 
 
 def _pass_energy(args, u, v):
@@ -197,7 +197,7 @@ def _fixture_attempt(fixtures, name, count):
     def spy(u_k, weights, support, cache):
         pieces = cache.pieces_of(support)
         if not found and pieces is not None and pieces.sizes.size == count:
-            found.append((f, u_k, f - u_k, weights, support, params, cache.state.rho, EXACT))
+            found.append((f, u_k, f - u_k, weights, support, params, cache.rho, EXACT))
         return original(u_k, weights, support, cache)
 
     module.reduced_solve = spy
@@ -426,7 +426,7 @@ class TestReducedState:
         f, u_k, v_k = np.random.default_rng(shape).standard_normal((3, *shape))
         system = oracles.spectral_system(f, u_k, v_k, PARAMS, RHO, EXACT.r)
         fresh = np.fft.irfft2(system["f_hat"] * (1.0 - 1.0 / system["b"]), s=shape)
-        cache = reduced_module.ReducedCache(RunState(f, PARAMS, RHO, EXACT.r))
+        cache = reduced_module.ReducedCache(f, PARAMS, RHO, EXACT.r)
         assert cache.smooth_f.tobytes() == fresh.tobytes()
 
     def test_a_kept_mask_reuses_its_pieces_and_q(self, monkeypatch):
@@ -737,7 +737,7 @@ _THREADS_SCRIPT = """
 import hashlib, importlib, json, sys
 import shrinkseg
 from fixture_work import fixture_problem, load_fixture
-from shrinkseg import admm, reduced
+from shrinkseg import reduced
 fixtures = load_fixture()
 
 def digest(array):
@@ -759,7 +759,7 @@ def spy(u_k, weights, support, cache):
 module.reduced_solve = spy
 shrinkseg.decompose(f, params, outer, inner)
 u_k, weights, support, count = found[0]
-cache = reduced.ReducedCache(admm.RunState(f, params, outer.rho, inner.r))
+cache = reduced.ReducedCache(f, params, outer.rho, inner.r)
 result = reduced.reduced_solve(u_k, weights, support, cache)
 print(json.dumps([count, digest(result.u), digest(whole.u), digest(whole.v)]))
 """

@@ -89,7 +89,6 @@ def test_grown_labels_equal_tie_labels_along_a_chain(shape, seed):
     active = rng.random(shape) < 0.9
     active[-1, :] = active[:, -1] = False  # the wrap ties of both axes join in
     support = SupportSet(active=active)
-    support.labels  # computed, so every later support grows its own
     for step in range(6):
         shrunk = detect_support(rng.random(shape), support, 0.25 + 0.1 * step)
         if shrunk is support:
@@ -101,12 +100,14 @@ def test_grown_labels_equal_tie_labels_along_a_chain(shape, seed):
         support = shrunk
 
 
-def test_labels_not_yet_computed_are_not_grown():
+def test_a_support_shrunk_from_an_unlabelled_parent_holds_its_labels():
     rng = np.random.default_rng(5)
     prev = SupportSet(active=rng.random((6, 6)) < 0.8)
     shrunk = detect_support(rng.random((6, 6)), prev, 0.5)
-    assert "labels" not in vars(shrunk)
-    assert shrunk.labels.tobytes() == tie_labels(~shrunk.active).tobytes()
+    assert shrunk is not prev
+    grown = vars(shrunk)["labels"]  # there before any use
+    fresh = tie_labels(~shrunk.active)
+    assert grown.dtype == fresh.dtype and grown.tobytes() == fresh.tobytes()
 
 
 def test_a_shrunk_support_keeps_no_reference_to_its_parent():
