@@ -160,7 +160,8 @@ def decompose(
     norms = grad_norms(grad(u))  # of the current iterate: support, weights and trace
     tau = admm.tol_in * float(norms.max()) if outer.tau_supp is None else outer.tau_supp
     support = initial_support(norms, tau)
-    energy = decomposition_energy(f, u, v, params, norms)
+    state = ReducedCache(f, params, outer.rho, admm.r)  # this run's solves share it
+    energy = decomposition_energy(f, u, v, params, norms, state.f_hat)  # v is f
     # a rise below eps * F(f, f) is rounding, even from an energy of 0
     noise = np.finfo(np.float64).eps * energy
 
@@ -170,7 +171,6 @@ def decompose(
     capped = 0
     exact = False  # set once a pass meets tol_out: later passes run at tol_in
     prev_energy = math.inf
-    state = ReducedCache(f, params, outer.rho, admm.r)  # this run's solves share it
     lam = None  # the scaled dual of the last admm_solve, the next one's start
 
     def record(energy: float, increment: float, inner_iters: int) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Array, as_grid, check_fields, compute_symbols, grad, grad_norms
+from .grid import Array, as_grid, check_fields, compute_symbols, grad, grad_norms, is_number
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class ModelParams:
 
     def __post_init__(self):
         check_fields(self, ("alpha", "beta", "gamma"), "finite and positive")
+        if not is_number(self.p):
+            raise ValueError(f"p must be a number, got {self.p!r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"exponent must satisfy 0 < p < 1, got {self.p}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +35,23 @@ def as_grid(a, name: str = "grid") -> Array:
     return g
 
 
+def is_number(value) -> bool:
+    """Whether value is an int or a float, numpy's included; a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def check_fields(obj, names, rule: str = "finite") -> None:
-    """Raise ValueError naming the first of the fields names of obj that breaks rule."""
+    """Raise ValueError naming the first of the fields names of obj that is
+    not a number or breaks rule; an int too large for a float is not finite."""
     for name in names:
         value = getattr(obj, name)
+        if not is_number(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
         signed = {"finite": True, "finite and nonnegative": value >= 0,
                   "finite and positive": value > 0}[rule]
-        if not (math.isfinite(value) and signed):
+        finite = (abs(value) <= sys.float_info.max if isinstance(value, int)
+                  else math.isfinite(value))
+        if not (finite and signed):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 

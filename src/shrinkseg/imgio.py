@@ -12,9 +12,9 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -279,6 +279,8 @@ class RunConfig:
     def __post_init__(self):  # the classes configured check their own fields
         self.model_params(), self.outer_params(), self.admm_params()
         check_count(self.k, "K", 2)
+        if not isinstance(self.log_domain, bool):
+            raise ValueError(f"log_domain must be boolean, got {self.log_domain!r}")
 
     def model_params(self) -> ModelParams:
         return ModelParams(alpha=self.alpha, beta=self.beta, gamma=self.gamma, p=self.p)
@@ -297,46 +299,24 @@ CONFIG_KEYS = {("K" if f.name == "k" else f.name): f.name for f in fields(RunCon
 _FIELD_TYPES = get_type_hints(RunConfig)
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value fits an annotated field type: an int fits a
-    float, a bool fits only a bool, a list fits a tuple (of the tuple's
-    item type, if it names one)."""
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
-    if kind is tuple or get_origin(kind) is tuple:
-        items = get_args(kind)[:1]
-        return isinstance(value, list) and all(_fits(v, t) for v in value for t in items)
-    return isinstance(value, kind)
-
-
-_KIND_NAMES = {bool: "boolean", int: "an integer", float: "a number", str: "a string",
-               tuple: "a list", tuple[float, ...]: "a list of numbers"}
-
-
-def _check_values(payload: dict, types: dict, required, what: str) -> None:
-    """Raise ValueError naming the key for a key outside types, a value
-    that does not fit its type, or a required key that is missing."""
-    unknown = sorted(set(payload) - set(types))
+def _checked(cls, payload: dict, what: str, keys=None) -> dict:
+    """payload, once it holds only keys (by default the fields of cls) and
+    every field of cls without a default; cls checks the values."""
+    unknown = sorted(set(payload) - set(keys or [f.name for f in fields(cls)]))
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
-    for key, value in payload.items():
-        if not _fits(value, types[key]):
-            raise ValueError(f"{key} must be {_KIND_NAMES[types[key]]}, got {value!r}")
-    missing = sorted(set(required) - set(payload))
+    missing = sorted({f.name for f in fields(cls) if f.default is MISSING} - set(payload))
     if missing:
         raise ValueError(f"missing required {what} keys: {missing}")
+    return payload
 
 
 def config_from_dict(payload: dict) -> RunConfig:
-    _check_values(payload, {key: _FIELD_TYPES[name] for key, name in CONFIG_KEYS.items()},
-                  ("alpha", "beta"), "config")
-    kwargs = {}
-    for key, value in payload.items():
-        name = CONFIG_KEYS[key]
-        kwargs[name] = float(value) if _FIELD_TYPES[name] is float else value
-    return RunConfig(**kwargs)
+    _checked(RunConfig, payload, "config", CONFIG_KEYS)
+    config = RunConfig(**{CONFIG_KEYS[key]: value for key, value in payload.items()})
+    # a JSON int in a float field reads as a float; the checks passed, so it fits one
+    return replace(config, **{name: float(value) for name, value in asdict(config).items()
+                              if type(value) is int and _FIELD_TYPES[name] is float})
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -362,13 +342,6 @@ def read_json_object(path, what: str) -> dict:
 # Phantom specs
 
 
-def _checked(cls, payload: dict, what: str) -> dict:
-    """payload, once its keys and value types match the fields of cls."""
-    required = [f.name for f in fields(cls) if f.default is MISSING]
-    _check_values(payload, get_type_hints(cls), required, what)
-    return payload
-
-
 def _shape_from_dict(payload):
     if not isinstance(payload, dict):
         raise ValueError(f"shapes must hold JSON objects, got {payload!r}")
@@ -381,7 +354,7 @@ def _shape_from_dict(payload):
 
 
 def phantom_spec_from_dict(payload: dict) -> PhantomSpec:
-    kwargs = dict(_checked(PhantomSpec, payload, "phantom spec"))
-    kwargs["phase_values"] = tuple(payload["phase_values"])
-    kwargs["shapes"] = tuple(_shape_from_dict(s) for s in payload.get("shapes", []))
-    return PhantomSpec(**kwargs)
+    shapes = _checked(PhantomSpec, payload, "phantom spec").get("shapes", [])
+    if not isinstance(shapes, list):
+        raise ValueError(f"shapes must be a list, got {shapes!r}")
+    return PhantomSpec(**{**payload, "shapes": [_shape_from_dict(s) for s in shapes]})

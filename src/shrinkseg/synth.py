@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Array, check_count, check_fields
+from .grid import Array, check_count, check_fields, is_number
 
 # strictly positive floor shared by multiplicative composition and the
 # log-domain transform
@@ -79,7 +79,11 @@ class PhantomSpec:
     def __post_init__(self):
         check_count(self.n, "n", 2)
         check_count(self.seed, "seed", 0)
-        vals = tuple(float(v) for v in self.phase_values)
+        vals = self.phase_values
+        listed = isinstance(vals, (list, tuple)) or isinstance(vals, np.ndarray) and vals.ndim == 1
+        if not (listed and all(map(is_number, vals))):
+            raise ValueError(f"phase_values must be a list of numbers, got {vals!r}")
+        vals = tuple(float(v) for v in vals)
         if not vals:
             raise ValueError("need at least one phase value")
         if any(not (0 < v <= 1) for v in vals):
@@ -87,6 +91,9 @@ class PhantomSpec:
         if any(a >= b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"phase values must be strictly ascending, got {vals}")
         object.__setattr__(self, "phase_values", vals)
+        listed = isinstance(self.shapes, (list, tuple))
+        if not (listed and all(isinstance(shape, (Disk, Rect)) for shape in self.shapes)):
+            raise ValueError(f"shapes must be a list of Disk and Rect, got {self.shapes!r}")
         object.__setattr__(self, "shapes", tuple(self.shapes))
         top = max((shape.phase for shape in self.shapes), default=1)
         if top > len(vals):

@@ -408,9 +408,13 @@ class TestExitCodes:
             ({"shapes": [{"type": "rect", "row0": 1, "col0": 1, "row1": 3, "phase": 1}]},
              "missing required rect keys: ['col1']"),
             ({"shapes": [{"type": ["disk"]}]}, "unknown shape type"),
+            ({"bias_kind": 5}, "unknown bias kind 5"),
+            ({"shapes": 5}, "shapes must be a list, got 5"),
+            ({"phase_values": ["0.3"]}, "phase_values must be a list of numbers, got ['0.3']"),
         ],
         ids=["shape_not_object", "disk_extra_key", "n_string", "n_float", "phase_values_scalar",
-             "rect_missing_key", "shape_type_not_string"],
+             "rect_missing_key", "shape_type_not_string", "bias_kind_int", "shapes_int",
+             "phase_values_strings"],
     )
     def test_malformed_synth_spec_is_runtime_error(self, tmp_path, capsys, change, key):
         spec = tmp_path / "spec.json"
@@ -443,6 +447,22 @@ class TestExitCodes:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("p*"))
 
+    @pytest.mark.parametrize("command, key, code", [
+        ("run", "alpha", 2), ("synth", "noise_sigma", 1),
+    ])
+    def test_an_int_too_large_for_a_float_is_named(self, tmp_path, capsys, command, key, code):
+        big = 10**400  # 401 digits: float() overflows
+        path = tmp_path / "in.json"
+        if command == "run":
+            path.write_text(json.dumps({"alpha": big, "beta": 1}))
+            argv = ["run", "x.csv", str(tmp_path / "p"), "--config", str(path)]
+        else:
+            path.write_text(json.dumps({"n": 8, "phase_values": [0.5], "noise_sigma": big}))
+            argv = ["synth", str(path), str(tmp_path / "p")]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(f"error: {key} must be finite")
+        assert not list(tmp_path.glob("p*"))
+
     def test_negative_synth_seed_is_runtime_error(self, tmp_path, capsys):
         # numpy's own "expected non-negative integer" would name neither
         # the key nor the file
@@ -465,6 +485,13 @@ class TestPrintConfig:
         assert payload["alpha"] == 0.7  # flag wins over the file
         assert payload["beta"] == 2.0
         assert not list(tmp_path.glob("never*"))
+
+    def test_json_ints_echo_as_floats_in_float_fields_only(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1, "beta": 2, "maxit_in": 7}))
+        assert main(["run", "x.csv", "y", "--config", str(cfg), "--print-config"]) == 0
+        out = capsys.readouterr().out
+        assert '"alpha": 1.0,' in out and '"beta": 2.0,' in out and '"maxit_in": 7,' in out
 
     def test_every_field_is_a_run_flag(self, capsys):
         """Each RunConfig field is set by its flag and echoed under its JSON key."""

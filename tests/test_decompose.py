@@ -445,6 +445,22 @@ class TestRunState:
         states += [call["args"][3] for call in tries]  # the cache
         assert all(state is built[0] for state in states)
 
+    def test_every_energy_reads_a_spectrum_the_run_has(self, monkeypatch):
+        # the first energy reads the state's rfft2(f) (v = f), the later
+        # ones each solve's v_hat, so no energy transforms v again
+        module = importlib.import_module("shrinkseg.decompose")
+        original, spectra = module.decomposition_energy, []
+
+        def spied(f, u, v, params, norms=None, v_hat=None):
+            spectra.append(v_hat)
+            return original(f, u, v, params, norms, v_hat)
+
+        monkeypatch.setattr(module, "decomposition_energy", spied)
+        f = small_phantom(sigma=0.2)
+        decompose(f, ModelParams(alpha=0.05, beta=100.0), **FAST)
+        assert len(spectra) >= 3 and all(s is not None for s in spectra)
+        assert np.array_equal(spectra[0], np.fft.rfft2(f))
+
     @pytest.mark.parametrize("name", ["two_phase_s0_b0", "two_phase_s0.05_b0.4"])
     def test_each_frozen_mask_is_labelled_once(self, name, monkeypatch, acceptance_fixtures):
         # the projection and the reduced attempts of a pass read one

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import sys
 from types import SimpleNamespace
 from typing import get_type_hints
 
@@ -49,7 +51,7 @@ BAD_FIELDS = [
     for cls in VALID
     for field in dataclasses.fields(cls)
     if (kind := get_type_hints(cls)[field.name]) in (int, float, float | None)
-    for bad in (np.nan, np.inf, -np.inf) + ((2.5, True) if kind is int else ())
+    for bad in (np.nan, np.inf, -np.inf) + ((2.5, True) if kind is int else ("1", True))
 ]
 
 
@@ -65,10 +67,36 @@ class TestRuleSet:
     def test_every_settings_class_has_a_checked_field(self):
         assert {cls for cls, _, _ in BAD_FIELDS} == set(VALID)
 
+    @pytest.mark.parametrize("cls, name, bad, message", [
+        (RunConfig, "log_domain", "yes", "log_domain must be boolean, got 'yes'"),
+        (RunConfig, "log_domain", 1, "log_domain must be boolean, got 1"),
+        (PhantomSpec, "phase_values", ("0.3", "0.8"),
+         "phase_values must be a list of numbers, got ('0.3', '0.8')"),
+        (PhantomSpec, "phase_values", (True,),
+         "phase_values must be a list of numbers, got (True,)"),
+        (PhantomSpec, "phase_values", np.array(0.5),
+         "phase_values must be a list of numbers, got array(0.5)"),
+        (PhantomSpec, "shapes", 5, "shapes must be a list of Disk and Rect, got 5"),
+        (PhantomSpec, "shapes", ({"row": 1},), "shapes must be a list of Disk and Rect, got"),
+        (ModelParams, "p", "0.5", "p must be a number, got '0.5'"),
+        (ModelParams, "alpha", 10**400, "alpha must be finite and positive, got 1000"),
+    ], ids=["log_domain_string", "log_domain_int", "phase_values_strings", "phase_values_bool",
+            "phase_values_0d_array", "shapes_int", "shapes_dicts", "p_string",
+            "alpha_int_beyond_float"])
+    def test_non_numeric_and_oversized_values_are_named(self, cls, name, bad, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            cls(**{**VALID[cls], name: bad})
+
+    def test_phase_values_take_lists_tuples_and_arrays(self):
+        for values in ([0.3, 0.8], (0.3, 1), np.array([0.3, 0.8])):
+            assert PhantomSpec(n=8, phase_values=values).phase_values == (0.3, float(values[1]))
+
     @pytest.mark.parametrize("rule, good, bad", [
-        ("finite", [-1.0, 0.0, 2], [np.nan, np.inf, -np.inf]),
-        ("finite and nonnegative", [0.0, 0, 3.5], [-1e-300, np.nan, np.inf]),
-        ("finite and positive", [1e-300, 1, 2.0], [0.0, -1.0, np.nan, np.inf]),
+        ("finite", [-1.0, 0.0, 2, -int(sys.float_info.max)], [np.nan, np.inf, -np.inf, -10**400]),
+        ("finite and nonnegative", [0.0, 0, 3.5, np.int8(1)],
+         [-1e-300, np.nan, np.inf, np.float32(np.inf)]),
+        ("finite and positive", [1e-300, 1, 2.0, np.float32(1)],
+         [0.0, -1.0, np.nan, np.inf, 10**400]),
     ])
     def test_check_fields_rules(self, rule, good, bad):
         for value in good:
@@ -76,6 +104,12 @@ class TestRuleSet:
         for value in bad:
             with pytest.raises(ValueError, match=f"^x must be {rule}, got "):
                 check_fields(SimpleNamespace(x=value), ("x",), rule)
+
+    def test_check_fields_takes_numbers_only(self):
+        for bad in ("1", True, np.bool_(False), None, [1.0], 1j):
+            message = f"^x must be a number, got {re.escape(repr(bad))}$"
+            with pytest.raises(ValueError, match=message):
+                check_fields(SimpleNamespace(x=bad), ("x",))
 
     def test_check_count(self):
         assert check_count(3, "k", 2) == 3

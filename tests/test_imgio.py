@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -436,6 +437,27 @@ class TestRunConfig:
     def test_rejects_bad_payload(self, payload, match):
         with pytest.raises(ValueError, match=match):
             imgio.config_from_dict(payload)
+
+    def test_json_and_constructor_apply_one_rule_set(self):
+        """Each RunConfig field, under its JSON key (K for k), is rejected
+        with the same message, or accepted alike, by both paths."""
+        base = {"alpha": 1.0, "beta": 1.0}
+        types = get_type_hints(imgio.RunConfig)
+
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return str(exc)
+
+        for f in fields(imgio.RunConfig):
+            key = "K" if f.name == "k" else f.name
+            extra = {int: (2.5,), bool: (1,), float: (10**400,)}[types[f.name]]
+            for bad in (np.nan, "1", True, None) + extra:
+                built = outcome(lambda: imgio.RunConfig(**{**base, f.name: bad}))
+                parsed = outcome(lambda: imgio.config_from_dict({**base, key: bad}))
+                assert parsed == built, (key, bad)
+        assert imgio.config_from_dict({**base, "K": 3}).k == 3
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
