@@ -114,9 +114,11 @@ def _check_labels(labels: np.ndarray, path: str, k: int | None) -> np.ndarray:
 def _phase_report(
     labels: np.ndarray, k: int, truth: np.ndarray, u: np.ndarray | None
 ) -> list[dict]:
-    """JS per phase, plus CV of u (null where the truth lacks the phase).
+    """JS per phase, plus CV of u over the phase's true region.
 
     JS is null for a phase that neither the labels nor the truth hold.
+    CV is null where cv rejects the region: the truth lacks the phase, or
+    u's mean over it lies within 1e-12 of zero.
     """
     phases = []
     for phase in range(1, k + 1):
@@ -124,7 +126,10 @@ def _phase_report(
         entry: dict = {"phase": phase}
         entry["js"] = jaccard(mask, truth_mask) if (mask | truth_mask).any() else None
         if u is not None:
-            entry["cv"] = cv(u, truth_mask) if truth_mask.any() else None
+            try:  # the callers have matched the shapes of u and the truth
+                entry["cv"] = cv(u, truth_mask)
+            except ValueError:
+                entry["cv"] = None
         phases.append(entry)
     return phases
 

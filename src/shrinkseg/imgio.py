@@ -129,63 +129,22 @@ def write_float_grid(grid: Array, path) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_csv_rows(path, parse_row, what: str) -> list[list]:
-    """parse_row(cells, lineno) of each nonblank line; one width, at least one row."""
-    rows = []
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line:
-                rows.append(parse_row(line.split(","), lineno))
-    if not rows:
-        raise ValueError(f"empty {what} file")
-    width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ValueError(f"ragged row {lineno}: {len(row)} cells, want {width}")
-    return rows
-
-
-def _parse_floats(cells: list[str], lineno: int) -> list[float]:
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        pass  # name the first bad cell
-    for colno, cell in enumerate(cells, start=1):
-        try:
-            float(cell)
-        except ValueError:
-            raise ValueError(
-                f"bad float at row {lineno}, column {colno}: {cell!r}"
-            ) from None
-
-
-def _parse_labels(cells: list[str], lineno: int) -> Array:
-    try:
-        return np.array(list(map(int, cells)), dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"bad label at row {lineno}: {exc}") from None
-
-
-def _read_csv(path, dtype, parse_row, what: str) -> Array:
-    """numpy's C reader, or the Python parser wherever loadtxt raises.
-
-    loadtxt rejects underscores, blank-only lines and, with warnings as
-    errors, empty files; the Python parser keeps that syntax and names
-    the bad cell or the missing file.
-    """
+def _read_csv(path, dtype, what: str) -> Array:
+    """numpy's reader on a comma-separated file; its errors name the file."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error", UserWarning)  # numpy's "input contained no data"
             return np.loadtxt(
                 path, delimiter=",", ndmin=2, dtype=dtype, comments=None, encoding="ascii"
             )
-    except (OSError, ValueError, Warning):
-        return np.array(_read_csv_rows(path, parse_row, what), dtype=dtype)
+    except UserWarning:
+        raise ValueError(f"empty {what} file") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_float_grid(path) -> Array:
-    return as_grid(_read_csv(path, np.float64, _parse_floats, "grid"), "grid")
+    return as_grid(_read_csv(path, np.float64, "grid"), "grid")
 
 
 def write_labels(labels: Array, path) -> None:
@@ -232,7 +191,7 @@ def write_labels(labels: Array, path) -> None:
 
 
 def read_labels(path) -> Array:
-    return _read_csv(path, np.int64, _parse_labels, "label")
+    return _read_csv(path, np.int64, "label")
 
 
 def label_image(labels: Array, k: int) -> Array:

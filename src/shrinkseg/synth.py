@@ -20,7 +20,14 @@ from .grid import Array, check_count, check_fields, is_number
 # log-domain transform
 EPS_POS = 1e-4
 
-BIAS_KINDS = ("none", "linear_ramp", "gaussian_bump", "low_freq_sinusoid")
+# each bias kind's smooth pattern of the coordinates y, x in [-1, 1]
+_BIAS_PATTERNS = {
+    "none": None,
+    "linear_ramp": lambda y, x: (x + y) / 2.0,
+    "gaussian_bump": lambda y, x: np.exp(-(x**2 + y**2) / (2.0 * 0.5**2)),
+    "low_freq_sinusoid": lambda y, x: np.sin(math.pi * x) * np.sin(math.pi * y / 2.0),
+}
+BIAS_KINDS = tuple(_BIAS_PATTERNS)
 COMPOSITIONS = ("additive", "multiplicative")
 
 
@@ -83,11 +90,12 @@ class PhantomSpec:
         listed = isinstance(vals, (list, tuple)) or isinstance(vals, np.ndarray) and vals.ndim == 1
         if not (listed and all(map(is_number, vals))):
             raise ValueError(f"phase_values must be a list of numbers, got {vals!r}")
-        vals = tuple(float(v) for v in vals)
-        if not vals:
+        if len(vals) == 0:
             raise ValueError("need at least one phase value")
+        # as given: an int too large for a float is not finite, and float() overflows
         if any(not (0 < v <= 1) for v in vals):
-            raise ValueError(f"phase values must lie in (0, 1], got {vals}")
+            raise ValueError(f"phase values must lie in (0, 1], got {vals!r}")
+        vals = tuple(float(v) for v in vals)
         if any(a >= b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"phase values must be strictly ascending, got {vals}")
         object.__setattr__(self, "phase_values", vals)
@@ -129,19 +137,12 @@ def gaussian_field(n: int, sigma: float, seed: int) -> Array:
 
 def _bias_pattern(n: int, kind: str) -> Array:
     """Smooth pattern with grid maximum absolute value exactly 1."""
-    if kind == "none":
+    pattern = _BIAS_PATTERNS[kind]
+    if pattern is None:
         return np.zeros((n, n))
-    # coordinates in [-1, 1] along both axes
     t = np.linspace(-1.0, 1.0, n)
     y, x = np.meshgrid(t, t, indexing="ij")
-    if kind == "linear_ramp":
-        raw = (x + y) / 2.0
-    elif kind == "gaussian_bump":
-        raw = np.exp(-(x**2 + y**2) / (2.0 * 0.5**2))
-    elif kind == "low_freq_sinusoid":
-        raw = np.sin(math.pi * x) * np.sin(math.pi * y / 2.0)
-    else:
-        raise ValueError(f"unknown bias kind {kind!r}")
+    raw = pattern(y, x)
     return raw / np.abs(raw).max()
 
 

@@ -369,6 +369,19 @@ class TestExitCodes:
         phases = json.loads((tmp_path / "r.json").read_text())["phases"]
         assert [p["js"] for p in phases] == [1 / 3, 1 / 3, None]
 
+    def test_metrics_null_cv_for_phase_of_mean_zero(self, tmp_path):
+        # u is 0 on the background: its cv is undefined, and the report
+        # still holds both Jaccard scores and the square's cv
+        truth = np.ones((16, 16), dtype=int)
+        truth[4:12, 4:12] = 2
+        imgio.write_float_grid(truth - 1.0, tmp_path / "f.csv")
+        imgio.write_labels(truth, tmp_path / "t.csv")
+        assert main(["metrics", str(tmp_path / "f.csv"), str(tmp_path / "t.csv"),
+                     str(tmp_path / "r.json")]) == 0
+        phases = json.loads((tmp_path / "r.json").read_text())["phases"]
+        assert phases == [{"phase": 1, "js": 1.0, "cv": None},
+                          {"phase": 2, "js": 1.0, "cv": 0.0}]
+
     def test_metrics_single_phase_truth_with_label_input_succeeds(self, tmp_path):
         imgio.write_labels(np.ones((2, 2), dtype=int), tmp_path / "t.csv")
         code = main(["metrics", str(tmp_path / "t.csv"), str(tmp_path / "t.csv"),
@@ -411,10 +424,11 @@ class TestExitCodes:
             ({"bias_kind": 5}, "unknown bias kind 5"),
             ({"shapes": 5}, "shapes must be a list, got 5"),
             ({"phase_values": ["0.3"]}, "phase_values must be a list of numbers, got ['0.3']"),
+            ({"phase_values": [0.3, 10**400]}, "phase values must lie in (0, 1], got [0.3, 1000"),
         ],
         ids=["shape_not_object", "disk_extra_key", "n_string", "n_float", "phase_values_scalar",
              "rect_missing_key", "shape_type_not_string", "bias_kind_int", "shapes_int",
-             "phase_values_strings"],
+             "phase_values_strings", "phase_values_int_beyond_float"],
     )
     def test_malformed_synth_spec_is_runtime_error(self, tmp_path, capsys, change, key):
         spec = tmp_path / "spec.json"

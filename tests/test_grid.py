@@ -80,9 +80,11 @@ class TestRuleSet:
         (PhantomSpec, "shapes", ({"row": 1},), "shapes must be a list of Disk and Rect, got"),
         (ModelParams, "p", "0.5", "p must be a number, got '0.5'"),
         (ModelParams, "alpha", 10**400, "alpha must be finite and positive, got 1000"),
+        (PhantomSpec, "phase_values", (0.3, 10**400),
+         "phase values must lie in (0, 1], got (0.3, 1000"),
     ], ids=["log_domain_string", "log_domain_int", "phase_values_strings", "phase_values_bool",
             "phase_values_0d_array", "shapes_int", "shapes_dicts", "p_string",
-            "alpha_int_beyond_float"])
+            "alpha_int_beyond_float", "phase_values_int_beyond_float"])
     def test_non_numeric_and_oversized_values_are_named(self, cls, name, bad, message):
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             cls(**{**VALID[cls], name: bad})
