@@ -6,6 +6,7 @@ allowed to carry a nonzero gradient. Stage two clusters the corrected
 component's values and thresholds midway between cluster means.
 """
 
+from . import imgio  # noqa: F401  (the README and scripts reach it as shrinkseg.imgio)
 from .admm import AdmmParams
 from .decompose import (
     DecompositionResult,
@@ -16,7 +17,6 @@ from .decompose import (
     decompose_image,
 )
 from .energy import ModelParams, decomposition_energy
-from .imgio import RunConfig
 from .metrics import cv, jaccard
 from .synth import Disk, Phantom, PhantomSpec, Rect, generate
 from .threshold import SegmentationResult, kmeans_1d, segment
@@ -43,3 +43,13 @@ __all__ = [
     "kmeans_1d",
     "segment",
 ]
+
+
+def __getattr__(name):
+    # the CLI module, which holds RunConfig, loads on first use: imported with
+    # the package, `python -m shrinkseg.cli` would find it already imported
+    if name != "RunConfig":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .cli import RunConfig
+
+    return RunConfig

@@ -12,16 +12,79 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import imgio
-from .decompose import DecompositionResult, decompose_image
-from .grid import check_count
+from .admm import AdmmParams
+from .decompose import DecompositionResult, OuterParams, decompose_image
+from .energy import ModelParams
+from .grid import check_count, check_keys
 from .metrics import cv, jaccard
 from .synth import generate
 from .threshold import segment
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Tunable weights plus solver and pipeline settings for one run.
+
+    alpha and beta have no defaults on purpose: they are per-image
+    tuning knobs. The solver settings default to those of the classes
+    they configure. JSON uses the key "K" for the phase count.
+    """
+
+    alpha: float
+    beta: float
+    gamma: float = ModelParams.gamma
+    rho: float = OuterParams.rho
+    p: float = ModelParams.p
+    r: float = AdmmParams.r
+    tol_in: float = AdmmParams.tol_in
+    tol_out: float = OuterParams.tol_out
+    maxit_in: int = AdmmParams.maxit_in
+    maxit_out: int = OuterParams.maxit_out
+    k: int = 2
+    log_domain: bool = False
+
+    def __post_init__(self):  # the classes configured check their own fields
+        self.model_params(), self.outer_params(), self.admm_params()
+        check_count(self.k, "K", 2)
+        if not isinstance(self.log_domain, bool):
+            raise ValueError(f"log_domain must be boolean, got {self.log_domain!r}")
+
+    def model_params(self) -> ModelParams:
+        return ModelParams(alpha=self.alpha, beta=self.beta, gamma=self.gamma, p=self.p)
+
+    def outer_params(self) -> OuterParams:
+        return OuterParams(rho=self.rho, tol_out=self.tol_out, maxit_out=self.maxit_out)
+
+    def admm_params(self) -> AdmmParams:
+        return AdmmParams(r=self.r, tol_in=self.tol_in, maxit_in=self.maxit_in)
+
+
+# JSON key -> RunConfig field; CLI flags store under the field names
+CONFIG_KEYS = {("K" if f.name == "k" else f.name): f.name for f in fields(RunConfig)}
+_FIELD_TYPES = get_type_hints(RunConfig)
+_FLAG_HELP = {"alpha": "gradient penalty weight", "beta": "smoothness weight",
+              "p": "penalty exponent in (0,1)", "r": "splitting penalty weight"}
+
+
+def config_from_dict(payload: dict) -> RunConfig:
+    check_keys(RunConfig, payload, "config", CONFIG_KEYS)
+    config = RunConfig(**{CONFIG_KEYS[key]: value for key, value in payload.items()})
+    # a JSON int in a float field reads as a float; the checks passed, so it fits one
+    return replace(config, **{name: float(value) for name, value in asdict(config).items()
+                              if type(value) is int and _FIELD_TYPES[name] is float})
+
+
+def config_to_dict(config: RunConfig) -> dict:
+    payload = asdict(config)
+    payload["K"] = payload.pop("k")
+    return payload
 
 
 def _read_grid_auto(path) -> np.ndarray:
@@ -55,16 +118,10 @@ def _phase_count(text: str) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser, with_k: bool) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--alpha", type=float, help="gradient penalty weight")
-    parser.add_argument("--beta", type=float, help="smoothness weight")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--p", type=float, help="penalty exponent in (0,1)")
-    parser.add_argument("--r", type=float, help="splitting penalty weight")
-    parser.add_argument("--tol-in", dest="tol_in", type=float)
-    parser.add_argument("--tol-out", dest="tol_out", type=float)
-    parser.add_argument("--maxit-in", dest="maxit_in", type=int)
-    parser.add_argument("--maxit-out", dest="maxit_out", type=int)
+    for name, kind in _FIELD_TYPES.items():
+        if kind in (float, int) and name != "k":  # K and the log domain have flags of their own
+            parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                                help=_FLAG_HELP.get(name))
     if with_k:
         parser.add_argument(
             "-K", "--phases", dest="k", type=_phase_count, help="phase count"
@@ -84,13 +141,13 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_k: bool) -> None:
     )
 
 
-def _resolve_config(args: argparse.Namespace) -> imgio.RunConfig:
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
     payload = imgio.read_json_object(args.config, "config") if args.config else {}
-    for key, name in imgio.CONFIG_KEYS.items():
+    for key, name in CONFIG_KEYS.items():
         value = getattr(args, name, None)
         if value is not None:
             payload[key] = value
-    return imgio.config_from_dict(payload)
+    return config_from_dict(payload)
 
 
 def _write_decomposition(
@@ -101,6 +158,12 @@ def _write_decomposition(
     imgio.write_image(u, prefix + "u.pgm")
     imgio.write_image(v, prefix + "v.pgm")
     imgio.write_trace(result.trace, prefix + "trace.csv")
+
+
+def _check_shapes(grid: np.ndarray, path: str, truth: np.ndarray, truth_path: str) -> None:
+    if grid.shape != truth.shape:
+        raise ValueError(f"label shapes disagree: {path} has shape {grid.shape}, "
+                         f"{truth_path} has shape {truth.shape}")
 
 
 def _check_labels(labels: np.ndarray, path: str, k: int | None) -> np.ndarray:
@@ -148,7 +211,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _base_report(config: imgio.RunConfig, result: DecompositionResult) -> dict:
+def _base_report(config: RunConfig, result: DecompositionResult) -> dict:
     return {
         "converged": result.converged,
         "outer_iters": result.outer_iters,
@@ -179,7 +242,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     seg = segment(u, args.k)
     prefix = _prepare_prefix(args.out_prefix)
     imgio.write_labels(seg.labels, prefix + "labels.csv")
-    imgio.write_image(imgio.label_image(seg.labels, seg.k), prefix + "labels.pgm")
+    imgio.write_image(seg.labels / seg.k, prefix + "labels.pgm")
     return 0
 
 
@@ -188,8 +251,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     f = _read_grid_auto(args.input)
     truth = imgio.read_labels(args.truth) if args.truth else None
     if truth is not None:
-        if truth.shape != f.shape:
-            raise ValueError("label shapes disagree")
+        _check_shapes(f, args.input, truth, args.truth)
         _check_labels(truth, args.truth, config.k)
     result, u, v = decompose_image(
         f, config.model_params(), config.outer_params(), config.admm_params(), config.log_domain
@@ -213,7 +275,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     imgio.write_image(f, prefix + "f.pgm")
     _write_decomposition(prefix, result, u, v)
     imgio.write_labels(seg.labels, prefix + "labels.csv")
-    imgio.write_image(imgio.label_image(seg.labels, seg.k), prefix + "labels.pgm")
+    imgio.write_image(seg.labels / seg.k, prefix + "labels.pgm")
     imgio.write_report(report, prefix + "report.json")
     return 0
 
@@ -228,8 +290,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         if k < 2:
             print(f"error: K={k} was taken from the truth file; pass -K >= 2", file=sys.stderr)
             return 2
-    if (u if labels is None else labels).shape != truth.shape:
-        raise ValueError("label shapes disagree")
+    _check_shapes(u if labels is None else labels, args.input, truth, args.truth_labels)
     labels = segment(u, k).labels if labels is None else _check_labels(labels, args.input, k)
 
     report = {"k": k, "phases": _phase_report(labels, k, truth, u)}
@@ -293,7 +354,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.print_config:
-            print(json.dumps(imgio.config_to_dict(args.resolved_config), indent=2))
+            print(json.dumps(config_to_dict(args.resolved_config), indent=2))
             return 0
 
     try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -62,6 +62,18 @@ def check_count(value, name: str, least: int):
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return value
+
+
+def check_keys(cls, payload: dict, what: str, keys=None) -> dict:
+    """payload, once it holds only keys (by default the fields of cls) and
+    every field of cls without a default; cls checks the values."""
+    unknown = sorted(set(payload) - set(keys or [f.name for f in fields(cls)]))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    missing = sorted({f.name for f in fields(cls) if f.default is MISSING} - set(payload))
+    if missing:
+        raise ValueError(f"missing required {what} keys: {missing}")
+    return payload
 
 
 # per step along x: the columns written, the columns one step ahead of

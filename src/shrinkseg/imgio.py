@@ -1,4 +1,5 @@
-"""Bit-exact interchange: PGM images, CSV grids and traces, JSON configs.
+"""Bit-exact interchange: PGM images, CSV grids and traces, JSON files
+and phantom specs.
 
 Float grids serialize through repr(), whose shortest round-trip form
 reads back bit-identically, so u and v survive disk without
@@ -10,19 +11,16 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
-from .admm import AdmmParams
 # the log-domain transform lives with decompose_image; imgio keeps its names
-from .decompose import IterationTrace, OuterParams, from_log_domain, to_log_domain
-from .energy import ModelParams
-from .grid import Array, as_grid, check_count
+from .decompose import IterationTrace, from_log_domain, to_log_domain
+from .grid import Array, as_grid, check_keys
 from .synth import Disk, PhantomSpec, Rect
 
 TRACE_HEADER = "k,F,increment,support_size,min_nonzero_grad,inner_iters"
@@ -41,45 +39,31 @@ def _atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-def _atomic_write_text(path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("ascii"))
-
-
 # ---------------------------------------------------------------------------
 # PGM
 
 
+# the header's four tokens, each after whitespace and '#' comments (which
+# run to their line's end); the tokens the data runs out before are empty
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)" * 4)
+
+
 def _read_pgm_header(data: bytes):
     """Magic, width, height, maxval; '#' comments allowed between tokens."""
-    pos = 0
-
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError("truncated PGM header")
-        return data[start:pos]
-
-    magic = token()
-    if magic not in (b"P2", b"P5"):
+    header = _PGM_HEADER.match(data)
+    magic, *rest = header.groups()
+    if magic and magic not in (b"P2", b"P5"):
         raise ValueError(f"unsupported magic {magic!r}, want P2 or P5")
-    width, height, maxval = int(token()), int(token()), int(token())
+    numbers = [int(token) for token in rest if token]  # a bad number before a missing one
+    if len(numbers) < 3:
+        raise ValueError("truncated PGM header")
+    width, height, maxval = numbers
     if width < 1 or height < 1:
         raise ValueError(f"PGM width and height must be at least 1, got {width}x{height}")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"PGM maxval must lie in 1..65535, got {maxval}")
-    pos += 1  # single whitespace byte separates header from raster
-    return magic, width, height, maxval, pos
+    # single whitespace byte separates header from raster
+    return magic, width, height, maxval, header.end() + 1
 
 
 def read_image(path) -> Array:
@@ -120,13 +104,13 @@ def write_image(grid: Array, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# CSV grids, labels, traces
+# CSV grids, labels, traces; JSON files
 
 
 def write_float_grid(grid: Array, path) -> None:
     grid = as_grid(grid, "grid")
     lines = [",".join(repr(x) for x in row) for row in grid.tolist()]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _read_csv(path, dtype, what: str) -> Array:
@@ -144,7 +128,7 @@ def _read_csv(path, dtype, what: str) -> Array:
 
 
 def read_float_grid(path) -> Array:
-    return as_grid(_read_csv(path, np.float64, "grid"), "grid")
+    return as_grid(_read_csv(path, np.float64, "grid"), str(path))
 
 
 def write_labels(labels: Array, path) -> None:
@@ -194,11 +178,6 @@ def read_labels(path) -> Array:
     return _read_csv(path, np.int64, "label")
 
 
-def label_image(labels: Array, k: int) -> Array:
-    """Render phase i at intensity i/k for PGM output."""
-    return np.asarray(labels, dtype=np.float64) / k
-
-
 def write_trace(trace: IterationTrace, path) -> None:
     lines = [TRACE_HEADER]
     for row in trace:
@@ -206,86 +185,11 @@ def write_trace(trace: IterationTrace, path) -> None:
             f"{row.k},{row.energy!r},{row.increment!r},"
             f"{row.support_size},{row.min_nonzero_grad!r},{row.inner_iters}"
         )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Run configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Tunable weights plus solver and pipeline settings for one run.
-
-    alpha and beta have no defaults on purpose: they are per-image
-    tuning knobs. The solver settings default to those of the classes
-    they configure. JSON uses the key "K" for the phase count.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float = ModelParams.gamma
-    rho: float = OuterParams.rho
-    p: float = ModelParams.p
-    r: float = AdmmParams.r
-    tol_in: float = AdmmParams.tol_in
-    tol_out: float = OuterParams.tol_out
-    maxit_in: int = AdmmParams.maxit_in
-    maxit_out: int = OuterParams.maxit_out
-    k: int = 2
-    log_domain: bool = False
-
-    def __post_init__(self):  # the classes configured check their own fields
-        self.model_params(), self.outer_params(), self.admm_params()
-        check_count(self.k, "K", 2)
-        if not isinstance(self.log_domain, bool):
-            raise ValueError(f"log_domain must be boolean, got {self.log_domain!r}")
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(alpha=self.alpha, beta=self.beta, gamma=self.gamma, p=self.p)
-
-    def outer_params(self) -> OuterParams:
-        return OuterParams(
-            rho=self.rho, tol_out=self.tol_out, maxit_out=self.maxit_out
-        )
-
-    def admm_params(self) -> AdmmParams:
-        return AdmmParams(r=self.r, tol_in=self.tol_in, maxit_in=self.maxit_in)
-
-
-# JSON key -> RunConfig field; CLI flags store under the field names
-CONFIG_KEYS = {("K" if f.name == "k" else f.name): f.name for f in fields(RunConfig)}
-_FIELD_TYPES = get_type_hints(RunConfig)
-
-
-def _checked(cls, payload: dict, what: str, keys=None) -> dict:
-    """payload, once it holds only keys (by default the fields of cls) and
-    every field of cls without a default; cls checks the values."""
-    unknown = sorted(set(payload) - set(keys or [f.name for f in fields(cls)]))
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {unknown}")
-    missing = sorted({f.name for f in fields(cls) if f.default is MISSING} - set(payload))
-    if missing:
-        raise ValueError(f"missing required {what} keys: {missing}")
-    return payload
-
-
-def config_from_dict(payload: dict) -> RunConfig:
-    _checked(RunConfig, payload, "config", CONFIG_KEYS)
-    config = RunConfig(**{CONFIG_KEYS[key]: value for key, value in payload.items()})
-    # a JSON int in a float field reads as a float; the checks passed, so it fits one
-    return replace(config, **{name: float(value) for name, value in asdict(config).items()
-                              if type(value) is int and _FIELD_TYPES[name] is float})
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    payload = asdict(config)
-    payload["K"] = payload.pop("k")
-    return payload
+    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def write_report(payload: dict, path) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    _atomic_write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode("ascii"))
 
 
 def read_json_object(path, what: str) -> dict:
@@ -309,11 +213,11 @@ def _shape_from_dict(payload):
     if cls is None:
         raise ValueError(f"unknown shape type {kind!r}")
     rest = {key: value for key, value in payload.items() if key != "type"}
-    return cls(**_checked(cls, rest, kind))
+    return cls(**check_keys(cls, rest, kind))
 
 
 def phantom_spec_from_dict(payload: dict) -> PhantomSpec:
-    shapes = _checked(PhantomSpec, payload, "phantom spec").get("shapes", [])
+    shapes = check_keys(PhantomSpec, payload, "phantom spec").get("shapes", [])
     if not isinstance(shapes, list):
         raise ValueError(f"shapes must be a list, got {shapes!r}")
     return PhantomSpec(**{**payload, "shapes": [_shape_from_dict(s) for s in shapes]})

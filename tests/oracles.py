@@ -10,7 +10,8 @@ and scipy's connected components for the tie graph
 that the package labels by hook and compress, a dense least squares for
 the reduced certificate's duals that the package solves through a
 Laplacian, and str() per distinct label for the label CSV that the
-package formats by digit arithmetic. Slow and simple on
+package formats by digit arithmetic, and a byte-at-a-time scan of the
+PGM header that the package reads by one regex. Slow and simple on
 purpose. It also holds what only the tests use: the scalar group
 shrink, the unscaled reference ADMM loop, the linearized inner
 objective and the trace CSV reader.
@@ -771,6 +772,45 @@ def digit_table_labels(labels):
     data[ends - 1] = ord(",")
     data[ends[labels.shape[1] - 1 :: labels.shape[1]] - 1] = ord("\n")
     return data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# PGM header, one byte at a time
+
+
+def scan_pgm_header(data):
+    """What imgio's PGM header reader returns or raises: magic, width,
+    height, maxval and the raster's start, with whitespace (bytes.isspace)
+    and '#' comments up to a '\\n' or '\\r' between the tokens."""
+    pos = 0
+
+    def token():
+        nonlocal pos
+        while pos < len(data):
+            if data[pos : pos + 1].isspace():
+                pos += 1
+            elif data[pos : pos + 1] == b"#":
+                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+                    pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ValueError("truncated PGM header")
+        return data[start:pos]
+
+    magic = token()
+    if magic not in (b"P2", b"P5"):
+        raise ValueError(f"unsupported magic {magic!r}, want P2 or P5")
+    width, height, maxval = int(token()), int(token()), int(token())
+    if width < 1 or height < 1:
+        raise ValueError(f"PGM width and height must be at least 1, got {width}x{height}")
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"PGM maxval must lie in 1..65535, got {maxval}")
+    pos += 1  # single whitespace byte separates header from raster
+    return magic, width, height, maxval, pos
 
 
 # ---------------------------------------------------------------------------

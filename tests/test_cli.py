@@ -100,7 +100,7 @@ class TestPipeline:
             assert main(["decompose", str(workspace / "ph_f.csv"), str(workspace / f"steps{steps}"),
                          "--config", str(workspace / "cfg.json")]) == 0
         report = json.loads((workspace / f"steps{steps}_report.json").read_text())
-        config = imgio.config_from_dict(dict(CONFIG))
+        config = cli.config_from_dict(dict(CONFIG))
         with capped_solves():
             result, u, _ = decompose_image(imgio.read_float_grid(workspace / "ph_f.csv"),
                                            config.model_params(), config.outer_params(),
@@ -116,6 +116,14 @@ class TestPipeline:
                      str(workspace / "seg")]) == 0
         seg = (workspace / "seg_labels.csv").read_bytes()
         assert seg == (workspace / "out_labels.csv").read_bytes()
+
+    def test_segment_label_pgm_spreads_levels(self, tmp_path):
+        # phase i of K is drawn at i/K of full scale, rounded half up
+        imgio.write_float_grid(np.array([[0.1, 0.5], [0.9, 0.9]]), tmp_path / "u.csv")
+        assert main(["segment", str(tmp_path / "u.csv"), "3", str(tmp_path / "s")]) == 0
+        assert (tmp_path / "s_labels.csv").read_bytes() == b"1,2\n3,3\n"
+        assert (tmp_path / "s_labels.pgm").read_bytes() == (
+            b"P5\n2 2\n255\n" + bytes([85, 170, 255, 255]))
 
     def test_decompose_subcommand(self, workspace):
         with capped_solves():
@@ -287,7 +295,8 @@ class TestExitCodes:
                         "--beta", "1000", "--truth", truth],
                 "metrics": ["metrics", f, truth, str(tmp_path / "out" / "r.json"), "-K", "2"]}
         assert main(argv[command]) == 1
-        assert capsys.readouterr().err == "error: label shapes disagree\n"
+        assert capsys.readouterr().err == (
+            f"error: label shapes disagree: {f} has shape (32, 32), {truth} has shape (16, 16)\n")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["f.csv", "t.csv"]
 
     def test_flat_u_names_alpha_before_writing(self, workspace, tmp_path, capsys):
@@ -510,10 +519,10 @@ class TestPrintConfig:
     def test_every_field_is_a_run_flag(self, capsys):
         """Each RunConfig field is set by its flag and echoed under its JSON key."""
         argv = ["run", "x.csv", "y", "--print-config"]
-        keys = {name: key for key, name in imgio.CONFIG_KEYS.items()}
-        types = get_type_hints(imgio.RunConfig)
+        keys = {name: key for key, name in cli.CONFIG_KEYS.items()}
+        types = get_type_hints(cli.RunConfig)
         want = {}
-        for i, f in enumerate(fields(imgio.RunConfig)):
+        for i, f in enumerate(fields(cli.RunConfig)):
             key = keys[f.name]
             flag = "-K" if key == "K" else "--" + f.name.replace("_", "-")
             if types[f.name] is bool:
@@ -527,7 +536,7 @@ class TestPrintConfig:
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == want
-        defaults = imgio.config_to_dict(imgio.RunConfig(alpha=1.0, beta=1.0))
+        defaults = cli.config_to_dict(cli.RunConfig(alpha=1.0, beta=1.0))
         assert all(payload[key] != defaults[key] for key in want
                    if key not in ("alpha", "beta"))
 
@@ -561,7 +570,7 @@ def test_readme_names_every_flag_config_key_and_report_key(workspace, tmp_path):
                if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)]
     assert main(["metrics", str(workspace / "out_u.csv"), str(workspace / "ph_truth.csv"),
                  str(tmp_path / "r.json"), "-K", "2"]) == 0
-    keys = set(imgio.CONFIG_KEYS) | _report_keys(
+    keys = set(cli.CONFIG_KEYS) | _report_keys(
         json.loads((workspace / "out_report.json").read_text())) | _report_keys(
         json.loads((tmp_path / "r.json").read_text()))
     missing += [key for key in sorted(keys) if f"`{key}`" not in readme]
@@ -572,9 +581,9 @@ def test_readme_configuration_table_holds_every_key_with_its_default():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     rows = [[cell.strip() for cell in line.split("|")[1:-1]]
             for line in readme.splitlines() if line.startswith("| `")]
-    defaults = imgio.config_to_dict(imgio.config_from_dict({"alpha": 1, "beta": 1}))
+    defaults = cli.config_to_dict(cli.config_from_dict({"alpha": 1, "beta": 1}))
     table = {key.strip("`"): default for key, _, default, *_ in rows}
-    assert sorted(table) == sorted(imgio.CONFIG_KEYS)
+    assert sorted(table) == sorted(cli.CONFIG_KEYS)
     for key, default in table.items():
         if key in ("alpha", "beta"):
             assert default == "required"
@@ -616,6 +625,7 @@ def test_module_entrypoint_help_exits_zero():
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout and "metrics" in proc.stdout
+    assert proc.stderr == ""  # the package does not import shrinkseg.cli ahead of runpy
 
 
 def test_import_leaves_scipy_unloaded():

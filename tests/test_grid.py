@@ -15,6 +15,7 @@ from shrinkseg.grid import (
     as_grid,
     check_count,
     check_fields,
+    check_keys,
     compute_symbols,
     grad,
     grad_adjoint,
@@ -121,6 +122,14 @@ class TestRuleSet:
                 check_count(bad, "k", 2)
         with pytest.raises(ValueError, match="^k must be at least 2, got 1$"):
             check_count(1, "k", 2)
+
+    def test_check_keys(self):
+        payload = {"row": 1, "col": 1, "radius": 2, "phase": 2}
+        assert check_keys(Disk, payload, "disk") is payload
+        with pytest.raises(ValueError, match=r"^unknown disk keys: \['blur'\]$"):
+            check_keys(Disk, {**payload, "blur": 0}, "disk")
+        with pytest.raises(ValueError, match=r"^missing required disk keys: \['radius'\]$"):
+            check_keys(Disk, {"row": 1, "col": 1, "phase": 2}, "disk")
 
 
 class TestAsGrid:

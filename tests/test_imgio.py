@@ -11,9 +11,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shrinkseg import AdmmParams, ModelParams, OuterParams, imgio
+from shrinkseg import AdmmParams, ModelParams, OuterParams, cli, imgio
 from shrinkseg.decompose import IterationTrace, TraceRow
 from shrinkseg.synth import EPS_POS, Disk, PhantomSpec, Rect
+
+
+# PGM header bytes: both magics, every byte bytes.isspace accepts, '#'
+# comments ending in a newline or carriage return, signed digits and junk
+# (a bare '#' and non-ASCII spaces among it). The first two branches are
+# headers, whole or cut short, so that numbers and raster starts are
+# compared as well as errors, and errors in their order.
+MAGIC = st.sampled_from([b"P2", b"P5"])
+SPACE = st.one_of(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+    st.builds(lambda text, end: b"#" + text + end, st.binary(max_size=4),
+              st.sampled_from([b"\n", b"\r"])),
+)
+NUMBER = st.builds(lambda sign, n: sign + str(n).encode(), st.sampled_from([b"", b"0", b"+", b"-"]),
+                   st.integers(0, 70000))
+JUNK = st.sampled_from([b"#", b"\x85", b"\xa0", b"\x1c"]) | st.binary(min_size=1, max_size=2)
+FIELD = st.tuples(st.lists(SPACE, min_size=1, max_size=3).map(b"".join), NUMBER).map(b"".join)
+PGM_HEADER = st.one_of(
+    st.tuples(MAGIC, FIELD, FIELD, FIELD, st.lists(SPACE, max_size=1).map(b"".join)).map(b"".join),
+    st.tuples(MAGIC, st.lists(FIELD, max_size=3).map(b"".join), JUNK).map(b"".join),
+    st.lists(MAGIC | SPACE | NUMBER | JUNK, max_size=12).map(b"".join),
+)
 
 
 class TestPGM:
@@ -118,6 +140,19 @@ class TestPGM:
         path = tmp_path / "b.pgm"
         imgio.write_image(np.zeros((4, 4)), path)
         assert path.read_bytes().startswith(b"P5")
+
+    @settings(max_examples=500, deadline=None)
+    @given(PGM_HEADER)
+    def test_header_regex_matches_byte_scan(self, data):
+        """The regex reads the magic, numbers and raster start, or raises
+        the error, of oracles.scan_pgm_header."""
+        def outcome(read):
+            try:
+                return read(data)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(imgio._read_pgm_header) == outcome(oracles.scan_pgm_header)
 
 
 class TestFloatGrid:
@@ -282,11 +317,6 @@ class TestLabels:
         path.write_text("-9223372036854775808, 9223372036854775807\n")
         assert imgio.read_labels(path).tolist() == [[-(2**63), 2**63 - 1]]
 
-    def test_label_image_spreads_levels(self):
-        labels = np.array([[1, 2], [3, 3]], dtype=np.int64)
-        img = imgio.label_image(labels, 3)
-        np.testing.assert_allclose(img, [[1 / 3, 2 / 3], [1.0, 1.0]])
-
 
 # the one cell of a 2x2 CSV that is not 1: what read_float_grid and
 # read_labels read there, or a regex their ValueError matches ({path}
@@ -299,8 +329,8 @@ CSV_CELLS = {
     "exponent": ("1e3", 1000.0, "^{path}: .*'1e3'"),
     "trailing_point": ("1.", 1.0, r"^{path}: .*'1\.'"),
     "underscore": ("1_0", "^{path}: .*'1_0'", "^{path}: .*'1_0'"),
-    "nan": ("nan", "NaN or infinite", "^{path}: .*'nan'"),
-    "inf": ("inf", "NaN or infinite", "^{path}: .*'inf'"),
+    "nan": ("nan", "^{path} contains NaN or infinite", "^{path}: .*'nan'"),
+    "inf": ("inf", "^{path} contains NaN or infinite", "^{path}: .*'inf'"),
     "twenty_digits": ("12345678901234567890", 1.2345678901234567e19,
                       "^{path}: .*'12345678901234567890'"),
 }
@@ -386,7 +416,7 @@ class TestLogDomain:
 
 class TestRunConfig:
     def test_defaults_match_published_values(self):
-        config = imgio.RunConfig(alpha=1.0, beta=100.0)
+        config = cli.RunConfig(alpha=1.0, beta=100.0)
         assert config.gamma == 1e-8
         assert config.rho == 1e-8
         assert config.p == 0.5
@@ -396,10 +426,10 @@ class TestRunConfig:
         assert config.k == 2 and config.log_domain is False
 
     def test_dict_round_trip_uses_capital_k(self):
-        config = imgio.RunConfig(alpha=0.5, beta=2.0, k=4, log_domain=True)
-        payload = imgio.config_to_dict(config)
+        config = cli.RunConfig(alpha=0.5, beta=2.0, k=4, log_domain=True)
+        payload = cli.config_to_dict(config)
         assert payload["K"] == 4 and "k" not in payload
-        assert imgio.config_from_dict(payload) == config
+        assert cli.config_from_dict(payload) == config
 
     @pytest.mark.parametrize(
         "payload,match",
@@ -414,13 +444,13 @@ class TestRunConfig:
     )
     def test_rejects_bad_payload(self, payload, match):
         with pytest.raises(ValueError, match=match):
-            imgio.config_from_dict(payload)
+            cli.config_from_dict(payload)
 
     def test_json_and_constructor_apply_one_rule_set(self):
         """Each RunConfig field, under its JSON key (K for k), is rejected
         with the same message, or accepted alike, by both paths."""
         base = {"alpha": 1.0, "beta": 1.0}
-        types = get_type_hints(imgio.RunConfig)
+        types = get_type_hints(cli.RunConfig)
 
         def outcome(build):
             try:
@@ -428,27 +458,27 @@ class TestRunConfig:
             except ValueError as exc:
                 return str(exc)
 
-        for f in fields(imgio.RunConfig):
+        for f in fields(cli.RunConfig):
             key = "K" if f.name == "k" else f.name
             extra = {int: (2.5,), bool: (1,), float: (10**400,)}[types[f.name]]
             for bad in (np.nan, "1", True, None) + extra:
-                built = outcome(lambda: imgio.RunConfig(**{**base, f.name: bad}))
-                parsed = outcome(lambda: imgio.config_from_dict({**base, key: bad}))
+                built = outcome(lambda: cli.RunConfig(**{**base, f.name: bad}))
+                parsed = outcome(lambda: cli.config_from_dict({**base, key: bad}))
                 assert parsed == built, (key, bad)
-        assert imgio.config_from_dict({**base, "K": 3}).k == 3
+        assert cli.config_from_dict({**base, "K": 3}).k == 3
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
-        config = imgio.RunConfig(alpha=0.5, beta=1000.0, tol_in=1e-8, maxit_in=500)
-        path.write_text(json.dumps(imgio.config_to_dict(config)))
-        assert imgio.config_from_dict(imgio.read_json_object(path, "config")) == config
+        config = cli.RunConfig(alpha=0.5, beta=1000.0, tol_in=1e-8, maxit_in=500)
+        path.write_text(json.dumps(cli.config_to_dict(config)))
+        assert cli.config_from_dict(imgio.read_json_object(path, "config")) == config
 
     def test_defaults_agree_with_solver_classes(self):
-        config = imgio.RunConfig(alpha=0.5, beta=2.0)
+        config = cli.RunConfig(alpha=0.5, beta=2.0)
         shared = set()
         for params in (AdmmParams(), OuterParams(), ModelParams(alpha=0.5, beta=2.0)):
             for f in fields(params):
-                if f.name in imgio.CONFIG_KEYS.values():
+                if f.name in cli.CONFIG_KEYS.values():
                     shared.add(f.name)
                     assert getattr(config, f.name) == getattr(params, f.name), f.name
         assert shared == {"alpha", "beta", "gamma", "p", "rho", "r",
@@ -461,9 +491,9 @@ class TestRunConfig:
             imgio.read_json_object(path, "config")
 
     def test_param_factories_consistent(self):
-        config = imgio.RunConfig(alpha=0.5, beta=2.0, gamma=0.1, p=0.4,
-                                 rho=0.2, r=7.0, tol_in=1e-6, maxit_in=50,
-                                 tol_out=1e-5, maxit_out=20)
+        config = cli.RunConfig(alpha=0.5, beta=2.0, gamma=0.1, p=0.4,
+                               rho=0.2, r=7.0, tol_in=1e-6, maxit_in=50,
+                               tol_out=1e-5, maxit_out=20)
         model = config.model_params()
         assert model.alpha == 0.5 and model.beta == 2.0 and model.gamma == 0.1
         assert model.p == 0.4
