@@ -87,13 +87,6 @@ def config_to_dict(config: RunConfig) -> dict:
     return payload
 
 
-def _read_grid_auto(path) -> np.ndarray:
-    """Dispatch on extension: .pgm through the image reader, else CSV."""
-    if str(path).lower().endswith((".pgm", ".pnm")):
-        return imgio.read_image(path)
-    return imgio.read_float_grid(path)
-
-
 def _prepare_prefix(prefix: str) -> str:
     # "out/run" names files out/run_f.csv etc.; a trailing separator
     # (slash, underscore, dash, dot) is kept as given
@@ -211,23 +204,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+# the counts report.json takes from a DecompositionResult, in the report's order
+_RESULT_KEYS = ("converged", "outer_iters", "capped_solves", "reduced_solves",
+                "reduced_declines", "energy_increased", "energy_rises")
+
+
 def _base_report(config: RunConfig, result: DecompositionResult) -> dict:
-    return {
-        "converged": result.converged,
-        "outer_iters": result.outer_iters,
-        "capped_solves": result.capped_solves,
-        "reduced_solves": result.reduced_solves,
-        "reduced_declines": result.reduced_declines,
-        "energy_increased": result.energy_increased,
-        "energy_rises": result.energy_rises,
-        "final_energy": result.trace[-1].energy,
-        "log_domain": config.log_domain,
-    }
+    report = {key: getattr(result, key) for key in _RESULT_KEYS}
+    return {**report, "final_energy": result.trace[-1].energy, "log_domain": config.log_domain}
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     config = args.resolved_config
-    f = _read_grid_auto(args.input)
+    f = imgio.read_grid(args.input)
     result, u, v = decompose_image(
         f, config.model_params(), config.outer_params(), config.admm_params(), config.log_domain
     )
@@ -238,7 +227,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
-    u = _read_grid_auto(args.input_u)
+    u = imgio.read_grid(args.input_u)
     seg = segment(u, args.k)
     prefix = _prepare_prefix(args.out_prefix)
     imgio.write_labels(seg.labels, prefix + "labels.csv")
@@ -248,7 +237,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = args.resolved_config
-    f = _read_grid_auto(args.input)
+    f = imgio.read_grid(args.input)
     truth = imgio.read_labels(args.truth) if args.truth else None
     if truth is not None:
         _check_shapes(f, args.input, truth, args.truth)
@@ -286,7 +275,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     try:
         labels, u = imgio.read_labels(args.input), None
     except ValueError:
-        labels, u = None, _read_grid_auto(args.input)
+        labels, u = None, imgio.read_grid(args.input)
         if k < 2:
             print(f"error: K={k} was taken from the truth file; pass -K >= 2", file=sys.stderr)
             return 2

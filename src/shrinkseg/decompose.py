@@ -205,33 +205,28 @@ def decompose(
 
         inner_iters = 0
         # the first pass always runs admm_solve: perfbench's tracer test
-        # expects an admm span from every op, noise-free ones included
-        inner = reduced_solve(u, weights, support, state) if rows else None
-        if inner is not None:  # the exact minimizer, feasible as it is
+        # expects an admm span from every op, noise-free ones included;
+        # rebinding inner lets the last pass's arrays go before the attempt
+        inner = reduced = reduced_solve(u, weights, support, state) if rows else None
+        if reduced is not None:  # the exact minimizer: the loop below ends at once
             tol = admm.tol_in
-            u_next = inner.u
+        while True:  # an H1 re-solve starts from the same dual
+            inner = reduced or admm_solve(
+                f, u, v, weights, support, params, outer.rho, admm,
+                tol=tol, lam0=lam, state=state,
+            )
+            inner_iters += inner.iters
+            capped += int(inner.iters >= admm.maxit_in)
+            # restore exact feasibility (reduced_solve's u has it): the
+            # square-root penalty has unbounded slope at zero, so even tiny
+            # leftover gradients on the frozen set would leak into the energy
+            u_next = inner.u if reduced else project_to_support(inner.u, support)
             next_norms = grad_norms(grad(u_next))
             next_energy = decomposition_energy(f, u_next, inner.v, params, next_norms, inner.v_hat)
-        else:
-            while True:  # an H1 re-solve starts from the same dual
-                inner = admm_solve(
-                    f, u, v, weights, support, params, outer.rho, admm,
-                    tol=tol, lam0=lam, state=state,
-                )
-                inner_iters += inner.iters
-                capped += int(inner.iters >= admm.maxit_in)
-                # restore exact feasibility: the square-root penalty has
-                # unbounded slope at zero, so even tiny leftover gradients
-                # on the frozen set would otherwise leak into the energy
-                u_next = project_to_support(inner.u, support)
-                next_norms = grad_norms(grad(u_next))
-                next_energy = decomposition_energy(
-                    f, u_next, inner.v, params, next_norms, inner.v_hat
-                )
-                if tol <= admm.tol_in or next_energy <= energy:
-                    break
-                tol = admm.tol_in  # H1 failed: solve the pass again, exactly
-            lam = inner.lam
+            if tol <= admm.tol_in or next_energy <= energy:
+                break
+            tol = admm.tol_in  # H1 failed: solve the pass again, exactly
+        lam = lam if reduced else inner.lam
         increment = _stacked_norm(u_next - u, inner.v - v)
         record(energy, increment, inner_iters)
 

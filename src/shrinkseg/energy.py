@@ -59,12 +59,6 @@ class ModelParams:
         return out if out.ndim else float(out)
 
 
-def _check_shapes(*arrays: Array) -> None:
-    shapes = {a.shape for a in arrays}
-    if len(shapes) > 1:
-        raise ValueError(f"grid shapes disagree: {sorted(shapes)}")
-
-
 def decomposition_energy(
     f: Array, u: Array, v: Array, params: ModelParams, norms: Array | None = None,
     v_hat: Array | None = None,
@@ -82,7 +76,8 @@ def decomposition_energy(
     f = as_grid(f, "f")
     u = as_grid(u, "u")
     v = as_grid(v, "v")
-    _check_shapes(f, u, v)
+    if len(shapes := {f.shape, u.shape, v.shape}) > 1:
+        raise ValueError(f"grid shapes disagree: {sorted(shapes)}")
     if norms is None:
         norms = grad_norms(grad(u))
     elif np.shape(norms) != u.shape:

@@ -9,6 +9,7 @@ crashed run never leaves a truncated artifact behind.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -88,7 +89,7 @@ def read_image(path) -> Array:
         samples = np.array(tokens, dtype=np.float64)
     if samples.max() > maxval:
         raise ValueError(f"sample above maxval {maxval}")
-    return (samples / maxval).reshape(height, width)
+    return as_grid((samples / maxval).reshape(height, width), str(path))
 
 
 def write_image(grid: Array, path) -> None:
@@ -113,8 +114,15 @@ def write_float_grid(grid: Array, path) -> None:
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
+# numpy's row R, the last "at row R" of its message (a quoted cell may hold the
+# words too), counts nonblank lines from 0 in a conversion error and from 1 in a
+# column-count error, whose advice names an option (usecols) that no command has
+_AT_ROW = re.compile(r"(.*)at row (\d+)(?:; use `usecols`.*)?", re.S)
+
+
 def _read_csv(path, dtype, what: str) -> Array:
-    """numpy's reader on a comma-separated file; its errors name the file."""
+    """numpy's reader on a comma-separated file; its errors name the file
+    and give the 1-based line of the file where numpy gives a row."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # numpy's "input contained no data"
@@ -124,11 +132,26 @@ def _read_csv(path, dtype, what: str) -> Array:
     except UserWarning:
         raise ValueError(f"empty {what} file") from None
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        message = str(exc)
+        if match := _AT_ROW.match(message):
+            row = int(match[2]) - message.startswith("the number of columns")
+            # read only as far as that row: metrics tries each float CSV as labels first
+            with open(path, encoding="ascii", errors="replace") as handle:
+                lines = (number for number, text in enumerate(handle, 1) if text != "\n")
+                line = next(itertools.islice(lines, row, None))
+            message = f"{match[1]}at line {line}{message[match.end():]}"
+        raise ValueError(f"{path}: {message}") from None
 
 
 def read_float_grid(path) -> Array:
     return as_grid(_read_csv(path, np.float64, "grid"), str(path))
+
+
+def read_grid(path) -> Array:
+    """A .pgm or .pnm file (any case) through read_image, any other through read_float_grid."""
+    if str(path).lower().endswith((".pgm", ".pnm")):
+        return read_image(path)
+    return read_float_grid(path)
 
 
 def write_labels(labels: Array, path) -> None:

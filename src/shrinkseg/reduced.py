@@ -360,10 +360,8 @@ def _certify(problem: _Problem, cls: Array, c: Array, step: Array) -> Array | No
         triples[live], x[live] * (w[live] / norms[live])[:, None], count
     )
     merged, w_dead = triples[dead], w[dead]
-    inside = np.flatnonzero(np.bincount(merged.ravel(), minlength=count))
-    local = np.empty(count, dtype=np.intp)
-    local[inside] = np.arange(inside.size)
-    ends, size = local[merged], inside.size
+    inside, ends = np.unique(merged, return_inverse=True)  # ends: merged's local indices
+    size = inside.size
     entries = (ends[:, _BLOCK_ROWS] * size + ends[:, _BLOCK_COLS]).ravel()
     _, first, group = np.unique(cls[inside], return_index=True, return_inverse=True)
     rhs = -g[inside]

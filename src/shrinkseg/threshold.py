@@ -303,11 +303,7 @@ def kmeans_1d(values, k: int) -> np.ndarray:
         bounds.append(int(arg[bounds[-1]]))
     bounds.append(0)
     bounds.reverse()
-
-    means = np.empty(k)
-    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        means[i] = (s1[b] - s1[a]) / (w[b] - w[a])
-    return means
+    return np.diff(s1[bounds]) / np.diff(w[bounds])
 
 
 def segment(u: Array, k: int) -> SegmentationResult:

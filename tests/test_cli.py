@@ -308,6 +308,26 @@ class TestExitCodes:
             "lower alpha (--alpha)\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("ext", ["pgm", "csv"])
+    @pytest.mark.parametrize("command", ["segment", "run", "decompose", "metrics"])
+    def test_a_grid_one_pixel_high_is_named(self, tmp_path, capsys, command, ext):
+        # the same 1x2 grid as a P2 PGM and as a CSV: either way the file is named
+        path, truth = str(tmp_path / f"thin.{ext}"), str(tmp_path / "t.csv")
+        if ext == "pgm":
+            (tmp_path / "thin.pgm").write_bytes(b"P2\n2 1\n255\n0 255\n")
+        else:
+            (tmp_path / "thin.csv").write_text("0.0,1.0\n")
+        imgio.write_labels(np.array([[1, 2]]), truth)
+        out = str(tmp_path / "out" / "x")
+        argv = {"segment": ["segment", path, "2", out],
+                "run": ["run", path, out, "--alpha", "0.5", "--beta", "1000"],
+                "decompose": ["decompose", path, out, "--alpha", "0.5", "--beta", "1000"],
+                "metrics": ["metrics", path, truth, out, "-K", "2"]}
+        assert main(argv[command]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} must be a 2D array with sides >= 2, got shape (1, 2)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", f"thin.{ext}"]
+
     @pytest.mark.parametrize("values, k", [([0.5], "2"), ([0.2, 0.7], "3")],
                              ids=["constant_k2", "two_valued_k3"])
     def test_an_input_of_fewer_than_k_values_is_named(self, tmp_path, capsys, values, k):
@@ -575,6 +595,21 @@ def test_readme_names_every_flag_config_key_and_report_key(workspace, tmp_path):
         json.loads((tmp_path / "r.json").read_text()))
     missing += [key for key in sorted(keys) if f"`{key}`" not in readme]
     assert not missing, f"README.md does not mention {missing}"
+
+
+def test_report_keys_come_in_the_readme_order(workspace, tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("`report.json` holds ", 1)[1].split("\n\n", 1)[0]
+    paragraph = re.sub(r"\([^)]*\)", "", paragraph)  # asides name settings, not keys
+    base, added = (re.findall(r"`(\w+)`", part) for part in paragraph.split("`run` adds", 1))
+    assert added[:5] == ["k", "phases", "phase", "js", "cv"]
+    with capped_solves():
+        assert main(["decompose", str(workspace / "ph_f.csv"), str(tmp_path / "dec"),
+                     "--config", str(workspace / "cfg.json")]) == 0
+    assert list(json.loads((tmp_path / "dec_report.json").read_text())) == base
+    run = json.loads((workspace / "out_report.json").read_text())  # run --truth
+    assert list(run) == base + added[:2]
+    assert all(list(entry) == added[2:5] for entry in run["phases"])
 
 
 def test_readme_configuration_table_holds_every_key_with_its_default():

@@ -373,6 +373,27 @@ class TestInnerTolerance:
             if call is not redo:
                 assert call["kwargs"]["lam0"] is before["result"].lam
 
+    def test_a_reduced_pass_leaves_the_dual_to_the_next_admm_solve(self, monkeypatch):
+        # the first certified reduced pass is kept and every later attempt
+        # declines, so admm_solve runs after a reduced pass and starts from
+        # the dual of the admm_solve before that pass
+        module = importlib.import_module("shrinkseg.decompose")
+        original, kept = module.reduced_solve, []
+
+        def once(*args):
+            result = None if kept else original(*args)
+            if result is not None:
+                kept.append(len(calls))  # the admm_solve calls before it
+            return result
+
+        monkeypatch.setattr(module, "reduced_solve", once)
+        calls = _record_solves(monkeypatch)
+        result = decompose(small_phantom(), MODEL)
+        assert result.converged and result.reduced_solves == 1
+        assert 0 < kept[0] < len(calls)
+        for before, call in zip(calls, calls[1:]):
+            assert call["kwargs"]["lam0"] is before["result"].lam
+
     def test_no_layer_call_runs_inside_the_inner_solve(self, monkeypatch):
         # perfbench sums the admm, support.project and energy spans as
         # disjoint parts of one operation

@@ -49,7 +49,7 @@ class TestDecompositionEnergy:
         assert decomposition_energy(f, u, v, params) == 0.0
 
     def test_shape_mismatch_raises(self, params):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^grid shapes disagree: \[\(4, 4\), \(5, 5\)\]$"):
             decomposition_energy(np.zeros((4, 4)), np.zeros((5, 5)), np.zeros((4, 4)), params)
         with pytest.raises(ValueError, match="norms"):
             decomposition_energy(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), params,

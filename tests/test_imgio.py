@@ -349,6 +349,18 @@ CSV_CASES = {
     "blank_line": ("1,2\n\n3,4\n", [[1, 2], [3, 4]], [[1, 2], [3, 4]]),
     "empty": ("", "^empty grid file$", "^empty label file$"),
     "whitespace_only": ("\n \n\t\n", "^{path}: .*' '", "^{path}: .*' '"),
+    # numpy's row, counted from 0 or 1 over nonblank lines, is given as the file's line
+    "bad_cell": ("1,2\n3,x\n", r"^{path}: could not convert string 'x' to float64 at line 2, "
+                 r"column 2\.$", r"^{path}: could not convert string 'x' to int64 at line 2, "
+                 r"column 2\.$"),
+    "bad_cell_after_blank": ("1,2\n\n3,x\n", r"^{path}: .*'x' .* at line 3, column 2\.$",
+                             r"^{path}: .*'x' .* at line 3, column 2\.$"),
+    "bad_first_cell": ("a,2\n", r"^{path}: .*'a' .* at line 1, column 1\.$",
+                       r"^{path}: .*'a' .* at line 1, column 1\.$"),
+    "short_row": ("1,2\n3\n", "^{path}: the number of columns changed from 2 to 1 at line 2$",
+                  "^{path}: the number of columns changed from 2 to 1 at line 2$"),
+    "cell_naming_a_row": ("1,2\nat row 9,1\n", r"^{path}: .*'at row 9' .* at line 2, column 1\.$",
+                          r"^{path}: .*'at row 9' .* at line 2, column 1\.$"),
 }
 
 
@@ -366,6 +378,18 @@ def test_csv_syntax(tmp_path, case, reader, dtype, column):
     else:
         out = reader(path)
         assert out.dtype == dtype and out.tobytes() == np.array(want, dtype=dtype).tobytes()
+
+
+@pytest.mark.parametrize("name", ["g.pgm", "g.PGM", "g.pnm", "g.csv", "g.txt"])
+def test_read_grid_picks_the_reader_by_suffix(tmp_path, name):
+    # each file holds its format only: the other reader would fail on it
+    path = tmp_path / name
+    grid = np.array([[0.0, 1.0], [0.2, 0.6]])
+    if name.lower().endswith(("pgm", "pnm")):
+        path.write_bytes(b"P2\n2 2\n5\n0 5\n1 3\n")
+    else:
+        imgio.write_float_grid(grid, path)
+    assert imgio.read_grid(path).tobytes() == grid.tobytes()
 
 
 class TestTrace:
