@@ -25,6 +25,8 @@ from .grid import Array, as_grid, check_keys
 from .synth import Disk, PhantomSpec, Rect
 
 TRACE_HEADER = "k,F,increment,support_size,min_nonzero_grad,inner_iters"
+# the TraceRow field of each TRACE_HEADER column
+TRACE_FIELDS = ("k", "energy", "increment", "support_size", "min_nonzero_grad", "inner_iters")
 
 
 def _atomic_write_bytes(path, data: bytes) -> None:
@@ -202,13 +204,8 @@ def read_labels(path) -> Array:
 
 
 def write_trace(trace: IterationTrace, path) -> None:
-    lines = [TRACE_HEADER]
-    for row in trace:
-        lines.append(
-            f"{row.k},{row.energy!r},{row.increment!r},"
-            f"{row.support_size},{row.min_nonzero_grad!r},{row.inner_iters}"
-        )
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    rows = (",".join(str(getattr(row, name)) for name in TRACE_FIELDS) for row in trace)
+    _atomic_write_bytes(path, ("\n".join([TRACE_HEADER, *rows]) + "\n").encode("ascii"))
 
 
 def write_report(payload: dict, path) -> None:

@@ -59,9 +59,6 @@ _NEWTON_TOL = 1e-10
 # fraction of ||b||: the certified attempts of the 56 fixture runs and
 # of suite64 seeds 1-12 leave at most 2.9e-11.
 _BALANCE = 1e-8
-# Components whose indicators _smooth transforms in one call: 8 cut a
-# first build's time by a quarter on the n=64 fixtures.
-_BATCH = 8
 # _merges runs FISTA on the dual and hands out its start classes after
 # each of these iteration counts; a term joins its components there
 # once its dual is below (1 - _INTERIOR) of its bound. Of 73 attempts
@@ -127,13 +124,11 @@ def _smooth(label: Array, shape: tuple[int, int], gamma: float, beta: float) -> 
     (gamma + beta hth) / (1 + gamma + beta hth).
 
     The row of a component of two or more pixels sums S applied to its
-    indicator. Those indicators are transformed _BATCH at a time (each
-    gets the same bits as in a call of its own): one stack of all of
-    them and their spectra would raise the peak memory by more than it
-    saves. A single pixel needs no transform of its own. S is symmetric,
-    so its entries against the larger components are theirs against it,
-    and its entry against a single pixel is the kernel
-    s = irfft2(symbol) at the periodic offset of the two pixels.
+    indicator, one rfft2 and one irfft2 per component. A single pixel
+    needs no transform of its own. S is symmetric, so its entries against
+    the larger components are theirs against it, and its entry against a
+    single pixel is the kernel s = irfft2(symbol) at the periodic offset
+    of the two pixels.
     """
     count = label.max() + 1
     ridge = gamma + beta * compute_symbols(shape).hth
@@ -142,11 +137,9 @@ def _smooth(label: Array, shape: tuple[int, int], gamma: float, beta: float) -> 
     sizes = np.bincount(label, minlength=count)
     multi, single = np.flatnonzero(sizes > 1), np.flatnonzero(sizes == 1)
     smooth = np.empty((count, count))
-    for start in range(0, multi.size, _BATCH):
-        pieces = multi[start : start + _BATCH]
-        spread = np.fft.irfft2(np.fft.rfft2(grid == pieces[:, None, None]) * symbol, s=shape)
-        for piece, row in zip(pieces, spread):
-            smooth[piece] = np.bincount(label, row.ravel(), count)
+    for piece in multi:
+        spread = np.fft.irfft2(np.fft.rfft2(grid == piece) * symbol, s=shape)
+        smooth[piece] = np.bincount(label, spread.ravel(), count)
     if single.size:
         smooth[np.ix_(single, multi)] = smooth[np.ix_(multi, single)].T
         pixel = np.empty(count, dtype=np.intp)
@@ -238,17 +231,16 @@ _GRAM = np.array([2.0, -1.0, -1.0, -1.0, 1.0, 0.0, -1.0, 0.0, 1.0])
 _PERP = np.array([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 
-def _merge(cls: Array, triples: Array, terms: Array) -> Array:
-    """Classes of the components once each listed term's components are
+def _merge(size: int, triples: Array, terms: Array) -> Array:
+    """Classes of size components once each masked term's components are
     joined, numbered from 0 in the order of their smallest component.
 
-    join hooks each term's own class to its right and lower ones, and
-    roots each set at its smallest class, so the order of the roots is
-    that of the smallest components.
+    join hooks each term's own component to its right and lower ones, and
+    roots each set at its smallest, so the roots come in that order.
     """
-    roots = join(np.arange(cls.max() + 1), *cls[triples[terms]].T)
-    heads = roots == np.arange(roots.size)
-    return (np.cumsum(heads) - 1)[roots][cls]
+    roots = join(np.arange(size), *triples[terms].T)
+    heads = roots == np.arange(size)
+    return (np.cumsum(heads) - 1)[roots]
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +418,8 @@ def _newton(problem: _Problem, c: Array, cls: Array, steps: int) -> Array | None
     zero has its classes merged, and Newton continues over the coarser
     classes: at an iterate, or at the kinks a Newton step crosses. There,
     merging every kink the full step crosses is tried first, and fewer of
-    the first kinks when that does not lower phi (see _kink_tries).
+    the first kinks when that does not lower phi (see _kink_tries); when
+    no merge lowers phi, the line search starts at the first kink.
     Returns the minimizer when _certify accepts it, or None once the
     budget of steps Newton steps runs out. Q and b are summed over the
     classes at each merge, from their last sums, and the Hessian's
@@ -441,7 +434,7 @@ def _newton(problem: _Problem, c: Array, cls: Array, steps: int) -> Array | None
         norms = np.hypot(x[:, 0], x[:, 1])
         flat = norms == 0
         if flat.any():
-            joined = _merge(np.arange(size), sub.triples, np.flatnonzero(flat))
+            joined = _merge(size, sub.triples, flat)
             means = sub.means(joined, v)
             sub = sub.coarsen(joined)
             cls, v = joined[cls], sub.shift(means)
@@ -468,9 +461,10 @@ def _newton(problem: _Problem, c: Array, cls: Array, steps: int) -> Array | None
             gap = np.hypot(*(x + reach[:, None] * d).T)
             kinks = (reach > 0) & (reach < 1) & (gap <= 1e-2 * norms)
             if kinks.any():
-                for t, terms in _kink_tries(reach, kinks):
-                    joined = _merge(np.arange(size), sub.triples, np.flatnonzero(terms))
-                    means = sub.means(joined, v + t * step)
+                t = reach[kinks].min()
+                for at, terms in _kink_tries(reach, kinks):
+                    joined = _merge(size, sub.triples, terms)
+                    means = sub.means(joined, v + at * step)
                     if sub.change(x, norms, gs, means[joined] - v) < 0:
                         sub = sub.coarsen(joined)
                         cls, v = joined[cls], sub.shift(means)
@@ -539,7 +533,7 @@ def _merges(problem: _Problem, c: Array):
         if k in _CHECKPOINTS:
             inside = np.hypot(y[0], y[1]) < (1.0 - _INTERIOR) * w
             start = inverse @ (linear - spread(y))
-            yield _merge(np.arange(count), triples, np.flatnonzero(inside)), start
+            yield _merge(count, triples, inside), start
 
 
 @one_blas_thread()

@@ -231,12 +231,12 @@ def _kink_steps(monkeypatch):
         steps.append(([mask for _, mask in offered], []))
         return offered
 
-    def counted_merge(cls, triples, terms):
+    def counted_merge(size, triples, terms):
         if steps:
             masks, tried = steps[-1]
             tried += [i for i, mask in enumerate(masks)
-                      if i not in tried and np.array_equal(terms, np.flatnonzero(mask))]
-        return merge(cls, triples, terms)
+                      if i not in tried and np.array_equal(terms, mask)]
+        return merge(size, triples, terms)
 
     monkeypatch.setattr(reduced_module, "_kink_tries", counted_tries)
     monkeypatch.setattr(reduced_module, "_merge", counted_merge)
@@ -319,6 +319,35 @@ class TestKinkMerges:
         # a step stops at a halved prefix: that merge was accepted
         assert any(0 < tried[-1] < len(masks) - 1 for masks, tried in steps if tried)
 
+    @pytest.mark.parametrize("seed, shape", [(2, (8, 8)), (3, (6, 9)), (2, (12, 12))])
+    def test_refused_merges_start_the_search_at_the_first_kink(
+        self, seed, shape, monkeypatch
+    ):
+        # every kink merge raises phi: each such step must try the step
+        # fraction of the first kink it crosses, not the full step
+        crossed, starts = [], []
+        tries, change = reduced_module._kink_tries, reduced_module._Problem.change
+
+        def recorded_tries(reach, kinks):
+            crossed.append(np.flatnonzero(kinks)[np.argmin(reach[kinks])])
+            return tries(reach, kinks)
+
+        def refused_merges(problem, x, norms, gs, delta, moved=None):
+            if moved is None:
+                return np.inf
+            if len(starts) < len(crossed):  # the step's first trial
+                first = crossed[-1]
+                # x + s * moved is nearest zero at s = 1 when the trial
+                # moves by the first kink's fraction of the step
+                starts.append(-(x[first] @ moved[first]) / (moved[first] @ moved[first]))
+            return change(problem, x, norms, gs, delta, moved)
+
+        monkeypatch.setattr(reduced_module, "_kink_tries", recorded_tries)
+        monkeypatch.setattr(reduced_module._Problem, "change", refused_merges)
+        _reduced(_instance(seed, shape))
+        assert starts and len(starts) == len(crossed)
+        np.testing.assert_allclose(starts, 1.0, rtol=1e-9)
+
 
 class TestTieLabels:
     @pytest.mark.parametrize("seed", range(8))
@@ -366,10 +395,9 @@ class TestReducedState:
         assert len(builds) == 3 + 1  # the checks' three, and one by the cache
 
     @pytest.mark.parametrize("seed, shape", [(5, (8, 8)), (3, (6, 9))])
-    def test_batched_build_matches_one_transform_per_component(self, seed, shape):
+    def test_multi_pixel_rows_match_one_transform_each(self, seed, shape):
         label = reduced_module._pieces(_instance(seed, shape)[4]).label
         multi = np.flatnonzero(np.bincount(label) > 1)
-        assert multi.size % reduced_module._BATCH != 0
         one = oracles.smooth_per_component(label, shape, PARAMS.gamma, PARAMS.beta)
         built = reduced_module._smooth(label, shape, PARAMS.gamma, PARAMS.beta)
         # single pixels' entries are kernel lookups, not transforms
@@ -379,7 +407,7 @@ class TestReducedState:
     @pytest.mark.parametrize(
         "shape, singles, multis",
         [((8, 8), 5, 6), ((6, 9), 13, 4), ((5, 7), 35, 0), ((6, 9), 0, 11), ((7, 7), 3, 9),
-         ((2, 9), 7, 3)],
+         ((2, 9), 7, 3), ((32, 32), 20, 40)],
     )
     def test_single_pixel_lookups_match_one_transform_per_component(
         self, shape, singles, multis
@@ -455,9 +483,9 @@ class TestReducedState:
 
 class TestMerge:
     @staticmethod
-    def _merge_by_isin(cls, triples, terms):
-        cls = cls.copy()
-        for term in terms:
+    def _merge_by_isin(size, triples, terms):
+        cls = np.arange(size)
+        for term in np.flatnonzero(terms):
             ids = cls[triples[term]]
             cls[np.isin(cls, ids)] = ids.min()
         return np.unique(cls, return_inverse=True)[1]
@@ -467,10 +495,10 @@ class TestMerge:
         rng = np.random.default_rng(seed)
         count = int(rng.integers(2, 40))
         triples = rng.integers(0, count, size=(int(rng.integers(1, 30)), 3))
-        cls = self._merge_by_isin(np.arange(count), triples, rng.choice(len(triples), 2))
-        terms = rng.choice(len(triples), int(rng.integers(1, len(triples) + 1)))
+        terms = rng.random(len(triples)) < rng.random()  # masks from none to every term
         np.testing.assert_array_equal(
-            reduced_module._merge(cls, triples, terms), self._merge_by_isin(cls, triples, terms)
+            reduced_module._merge(count, triples, terms),
+            self._merge_by_isin(count, triples, terms),
         )
 
 
@@ -490,8 +518,9 @@ def _random_problem(seed, count=12, terms=20, integral=False):
 def _joined(problem, seed, terms=4):
     """The classes _merge makes by joining terms random terms of problem."""
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(problem.w.size, terms, replace=False)
-    return reduced_module._merge(np.arange(problem.sizes.size), problem.triples, chosen)
+    chosen = np.zeros(problem.w.size, dtype=bool)
+    chosen[rng.choice(problem.w.size, terms, replace=False)] = True
+    return reduced_module._merge(problem.sizes.size, problem.triples, chosen)
 
 
 class TestProblem:

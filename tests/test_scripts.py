@@ -96,8 +96,10 @@ def test_ab_suite_times_the_tree_against_itself():
 
 
 @pytest.mark.parametrize("names", [
-    ["two_phase_s0_b0", "two_phase_s0_b0.2", "stage2_kmeans_k3"],
-    ["stage2_kmeans_k3", "two_phase_s0_b0", "two_phase_s0_b0.2"],
+    ["two_phase_s0_b0", "two_phase_s0_b0.2", "stage2_kmeans_k3", "stage2_segment_k2",
+     "stage2_metrics"],
+    ["stage2_metrics", "stage2_segment_k2", "stage2_kmeans_k3", "two_phase_s0_b0",
+     "two_phase_s0_b0.2"],
 ])
 def test_ab_suite_peaks_of_the_tree_against_itself_agree(names):
     # the process's one-time allocations land in no target's trace, be
@@ -108,8 +110,13 @@ def test_ab_suite_peaks_of_the_tree_against_itself_agree(names):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    mems = [float(line.split()[6]) for line in proc.stdout.splitlines()[1:len(names) + 1]]
-    assert len(mems) == len(names) and all(0.99 <= mem <= 1.01 for mem in mems), proc.stdout
+    rows = [line.split() for line in proc.stdout.splitlines()[1:len(names) + 1]]
+    mems = {row[0]: float(row[6]) for row in rows}
+    assert sorted(mems) == sorted(names), proc.stdout
+    assert all(0.99 <= mem <= 1.01 for mem in mems.values()), proc.stdout
+    # without a collected heap the tree traced second read these 0.2-0.4%
+    # high, whichever tree it was
+    assert mems["stage2_segment_k2"] == mems["stage2_metrics"] == 1.0, proc.stdout
 
 
 def test_ab_suite_rejects_an_unknown_target():
