@@ -47,8 +47,9 @@ Targets (--only names one or more; the default is the 12 suite64 ones):
                         commands (read_float_grid, read_labels,
                         write_labels, kmeans_1d at K) on the n=256
                         cli_stage2 phantom of perfbench/workloads.json;
-                        K = 4 and 6 time the layer windows beyond the
-                        K = 3 and 5 that the benchmark runs
+                        the layer windows run at every K, and K = 4 and 6
+                        time them beyond the K = 2, 3 and 5 that the
+                        benchmark runs
   stage2_kmeans_k3_n64, stage2_kmeans_k3_n128
                         kmeans_1d at K = 3 on that spec at n = 64 or 128
                         (4096 or 16384 distinct values): below and above

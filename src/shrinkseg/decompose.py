@@ -268,12 +268,15 @@ def decompose(
 
 
 def to_log_domain(f: Array) -> Array:
-    """The natural log of f, which must lie in (0, 1]: values below
-    EPS_POS (a PGM's zeros) are raised to it, values above 1 rejected."""
+    """The natural log of f, which must lie in (0, 1]: values in [0,
+    EPS_POS), such as a PGM's zeros, are raised to EPS_POS, and values
+    below 0 or above 1 rejected."""
     f = as_grid(f, "f")
-    if (top := float(f.max())) > 1.0:
-        raise ValueError(f"log_domain (--log-domain) needs values in (0, 1], got a maximum "
-                         f"of {top!r}; scale the image into (0, 1] first")
+    low, top = float(f.min()), float(f.max())
+    if low < 0.0 or top > 1.0:
+        end, value = ("minimum", low) if low < 0.0 else ("maximum", top)
+        raise ValueError(f"log_domain (--log-domain) needs values in (0, 1], got a {end} "
+                         f"of {value!r}; scale the image into (0, 1] first")
     return np.log(np.maximum(f, EPS_POS))
 
 

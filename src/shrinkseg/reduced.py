@@ -39,11 +39,9 @@ _MAX_PIECES = 128
 # n=64 fixtures, every attempt through _merges took 1.16-1.18 times as
 # long in all, and a split at 32, 96 or 128 took 1.005-1.026 times.
 _NEWTON_FIRST = 64
-# Budget of one Newton run: Newton steps in all, for a first try
-# (_NEWTON_STEPS: the fixtures' certified first tries took at most 14
-# at the acceptance settings and 29 at the CLI defaults) and for a run
-# from the start classes of _merges (_MERGED_STEPS: one merge or step
-# each, and a failed run costs them all); step halvings in one line
+# Budget of one Newton run, from either start: Newton steps in all (the
+# fixtures' certified first tries took at most 14 at the acceptance
+# settings and 29 at the CLI defaults); step halvings in one line
 # search; and dual reweightings in the certificate. A Newton step that
 # moves u by at most _NEWTON_TOL * ||u|| ends the iteration. Merging
 # every crossed kink leaves certificates just above their bound at 4
@@ -51,7 +49,6 @@ _NEWTON_FIRST = 64
 # at largest dual ratios of 1.004 and 1.03, and at 8 the first of them
 # certifies.
 _NEWTON_STEPS = 30
-_MERGED_STEPS = 12
 _HALVINGS = 8
 _DUAL_ROUNDS = 8
 _NEWTON_TOL = 1e-10
@@ -407,7 +404,7 @@ def _kink_tries(reach, kinks):
     return tries
 
 
-def _newton(problem: _Problem, c: Array, cls: Array, steps: int) -> Array | None:
+def _newton(problem: _Problem, c: Array, cls: Array) -> Array | None:
     """Damped Newton on problem's phi.
 
     The iterate is one value per class of the components, from the
@@ -420,15 +417,15 @@ def _newton(problem: _Problem, c: Array, cls: Array, steps: int) -> Array | None
     merging every kink the full step crosses is tried first, and fewer of
     the first kinks when that does not lower phi (see _kink_tries); when
     no merge lowers phi, the line search starts at the first kink.
-    Returns the minimizer when _certify accepts it, or None once the
-    budget of steps Newton steps runs out. Q and b are summed over the
+    Returns the minimizer when _certify accepts it, or None once its
+    _NEWTON_STEPS Newton steps run out. Q and b are summed over the
     classes at each merge, from their last sums, and the Hessian's
     penalty part at each step, by bincount from each live term's 3 x 3
     block over its classes.
     """
     sub = problem.coarsen(cls)
     v = sub.shift(problem.means(cls, c))
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         size = v.size
         x = _jumps(sub.triples, v)
         norms = np.hypot(x[:, 0], x[:, 1])
@@ -560,7 +557,7 @@ def reduced_solve(
     optimality certificate, so it is the exact pass minimizer: u is
     constant on the components and needs no projection. Returns None
     when the support leaves more than _MAX_PIECES components or no
-    start certifies within its budget, and counts the latter in
+    start certifies within _NEWTON_STEPS steps, and counts the latter in
     cache.declines; the pass is then for admm_solve. Runs on one BLAS
     thread (one_blas_thread): its result does not depend on the count.
     """
@@ -585,10 +582,10 @@ def reduced_solve(
     problem = _Problem(quad, linear, pieces.triples, w, sizes, total)
     c = None
     if count <= _NEWTON_FIRST:
-        c = _newton(problem, u_sums / sizes, np.arange(count), _NEWTON_STEPS)
+        c = _newton(problem, u_sums / sizes, np.arange(count))
     if c is None:
         for cls, start in _merges(problem, u_sums / sizes):
-            c = _newton(problem, start, cls, _MERGED_STEPS)
+            c = _newton(problem, start, cls)
             if c is not None:
                 break
     if c is None:

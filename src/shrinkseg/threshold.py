@@ -14,17 +14,17 @@ back, so that layer is one such round. Outside the blocks, only arrays
 of m + 1 entries grow with m: the prefix moments, and a cost and a
 split array per layer.
 
-At K >= 3 on many values, every full layer is filled only over a
-window of rows that may lie on an optimal path (see _windows), and
-each layer, the last round included, reads its splits only from the
-extent of the window before it. The same program on the moments at a
-coarse grid bounds each cell's cost from below, from the left and, on
-the reversed moments, from the right; Lloyd steps from the coarse
-optimum give a partition whose cost bounds the optimum from above. A
-cell whose two lower bounds add up to more than that, plus the
-rounding slack, holds no optimal row. Rows on an optimal path, and
-the splits they read, keep their costs, so the means are those of a
-full scan, bit for bit.
+On many values, every full layer is filled only over a window of
+rows that may lie on an optimal path (see _windows), and each layer,
+the last round included, reads its splits only from the extent of the
+window before it; at K = 2 the one round reads layer 0's window. The
+same program on the moments at a coarse grid bounds each cell's cost
+from below, from the left and, on the reversed moments, from the
+right; Lloyd steps from the coarse optimum give a partition whose cost
+bounds the optimum from above. A cell whose two lower bounds add up to
+more than that, plus the rounding slack, holds no optimal row. Rows
+on an optimal path, and the splits they read, keep their costs, so
+the means are those of a full scan, bit for bit.
 
 Thresholds sit midway between consecutive cluster means and each
 pixel's label is 1 plus the number of thresholds below its value.
@@ -55,8 +55,7 @@ class SegmentationResult:
 
 _BLOCK = 1 << 14  # most candidate splits per block, and open subproblems per round
 _SLACK = 1e-9  # rounding slack of the bounds, per unit of s2[-1]
-_CELL = 64  # rows per coarse cell of the windows' bounds, up to _GRID cells
-_GRID = 1024
+_CELL = 64  # rows per coarse cell of the windows' bounds
 _WINDOWED = 128  # fewest coarse cells for which the windows pay
 _LLOYD = 20  # most Lloyd steps of the windows' upper bound
 
@@ -218,16 +217,16 @@ def _bounds(cost, w, s1, s2, points, k):
 def _windows(vals, cost, w, s1, s2, k):
     """Per layer j = 0..k-2, the row ranges (lo, hi) of its window.
 
-    The m rows are cut into m // _CELL cells (at most _GRID) with the
-    bounds of _bounds. A cell is in the window if its two bounds add up
-    to at most the upper bound plus _SLACK * s2[-1]. The upper bound
-    starts from the coarse optimum, with each run begun mid-cell. Every
-    row of an optimal path is in its window, and so is every split of
-    an optimal path. A window that ends at row m also holds row m, so a
-    window over every cell is the whole layer.
+    The m rows are cut into m // _CELL cells with the bounds of
+    _bounds. A cell is in the window if its two bounds add up to at most
+    the upper bound plus _SLACK * s2[-1]. The upper bound starts from
+    the coarse optimum, with each run begun mid-cell. Every row of an
+    optimal path is in its window, and so is every split of an optimal
+    path. A window that ends at row m also holds row m, so a window
+    over every cell is the whole layer.
     """
     m = w.size - 1
-    points = np.linspace(0, m, min(_GRID, m // _CELL) + 1).round().astype(np.intp)
+    points = np.linspace(0, m, m // _CELL + 1).round().astype(np.intp)
     forward, backward, splits = _bounds(cost, w, s1, s2, points, k)
     # the cell of the last split (backward[-1]: the last run), then those before it
     cells = [int(np.argmin(forward[-1] + backward[-1]))]
@@ -275,7 +274,7 @@ def kmeans_1d(values, k: int) -> np.ndarray:
     cost = s1**2
     cost[1:] /= w[1:]
     np.subtract(s2, cost, out=cost)
-    if k > 2 and m // _CELL >= _WINDOWED:
+    if m // _CELL >= _WINDOWED:
         windows = _windows(distinct, cost, w, s1, s2, k)
     else:  # one window of every row
         windows = [(np.array([0]), np.array([m + 1]))] * (k - 1)

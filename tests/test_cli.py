@@ -95,7 +95,6 @@ class TestPipeline:
     def test_report_counts_reduced_passes_and_declines(self, workspace, monkeypatch, steps):
         if steps == 0:  # no Newton steps to spend: every reduced attempt declines
             monkeypatch.setattr(reduced, "_NEWTON_STEPS", 0)
-            monkeypatch.setattr(reduced, "_MERGED_STEPS", 0)
         with capped_solves():
             assert main(["decompose", str(workspace / "ph_f.csv"), str(workspace / f"steps{steps}"),
                          "--config", str(workspace / "cfg.json")]) == 0
@@ -387,6 +386,19 @@ class TestExitCodes:
                      "--alpha", "0.5", "--beta", "1000", "--log-domain"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: log_domain (--log-domain)") and "(0, 1]" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["f.csv"]
+
+    @pytest.mark.parametrize("command", ["run", "decompose"])
+    def test_log_domain_rejects_negative_values(self, tmp_path, capsys, command):
+        # an image already in the log domain: raised to 1e-4 before the
+        # log, every pixel would be one flat phase
+        f = np.where(np.indices((32, 32)).sum(axis=0) < 32, np.log(0.3), np.log(0.8))
+        imgio.write_float_grid(f, tmp_path / "f.csv")
+        assert main([command, str(tmp_path / "f.csv"), str(tmp_path / "out" / "x"),
+                     "--alpha", "0.5", "--beta", "1000", "--log-domain"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: log_domain (--log-domain)") and "(0, 1]" in err
+        assert "minimum" in err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["f.csv"]
 
     def test_metrics_null_js_for_phase_in_neither_label_map(self, tmp_path):

@@ -437,6 +437,14 @@ class TestLogDomain:
             imgio.to_log_domain(f)
         assert imgio.to_log_domain(f / f.max())[1, 1] == 0.0
 
+    def test_rejects_negative_values(self):
+        # no clamp from below 0: an image already in the log domain would
+        # come out flat at log(EPS_POS)
+        f = np.array([[0.5, 1.0], [0.0, -0.5]])
+        with pytest.raises(ValueError, match=r"log_domain \(--log-domain\).*\(0, 1\], "
+                                             r"got a minimum of -0\.5"):
+            imgio.to_log_domain(f)
+
 
 class TestRunConfig:
     def test_defaults_match_published_values(self):

@@ -171,7 +171,6 @@ class TestZeroJumps:
     def test_declined_pass_goes_to_admm(self, monkeypatch):
         # with no Newton steps to spend, from either start, no pass certifies
         monkeypatch.setattr(reduced_module, "_NEWTON_STEPS", 0)
-        monkeypatch.setattr(reduced_module, "_MERGED_STEPS", 0)
         calls = _count_calls(monkeypatch, importlib.import_module("shrinkseg.decompose"),
                              "admm_solve")
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
@@ -720,7 +719,6 @@ class TestDeclines:
     def test_a_declined_attempt_is_counted(self, monkeypatch):
         # two passes: ADMM, then one reduced attempt, which no step certifies
         monkeypatch.setattr(reduced_module, "_NEWTON_STEPS", 0)
-        monkeypatch.setattr(reduced_module, "_MERGED_STEPS", 0)
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
                            shapes=(Disk(row=8, col=8, radius=4, phase=2),),
                            noise_sigma=0.02, composition="additive", seed=11)
@@ -736,7 +734,6 @@ class TestDeclines:
     def test_the_cache_counts_the_declines_within_the_cap(self, monkeypatch):
         # no attempt certifies, and the cap leaves some supports above it
         monkeypatch.setattr(reduced_module, "_NEWTON_STEPS", 0)
-        monkeypatch.setattr(reduced_module, "_MERGED_STEPS", 0)
         monkeypatch.setattr(reduced_module, "_MAX_PIECES", 5)
         calls = _count_calls(monkeypatch, importlib.import_module("shrinkseg.decompose"),
                              "reduced_solve")

@@ -232,12 +232,12 @@ class TestBreadthFirstMatchesRecursion:
 
 
 class TestWindows:
-    """At K >= 3 on many values, every full layer is filled only over a
-    window of rows that coarse lower bounds and a Lloyd upper bound leave
-    open, and each layer, the last round included, reads its splits only
-    from the extent of the window before it. The windows must hold every
-    row of an optimal path, skip most candidate splits, and change no bit
-    of the means."""
+    """On many values, at every K, every full layer is filled only over
+    a window of rows that coarse lower bounds and a Lloyd upper bound
+    leave open, and each layer, the last round included, reads its
+    splits only from the extent of the window before it. The windows
+    must hold every row of an optimal path, skip most candidate splits,
+    and change no bit of the means."""
 
     INPUTS = {
         "noisy_phantom": _noisy_phantom,
@@ -264,7 +264,7 @@ class TestWindows:
         assert len(found) == 1
         return means, found[0]
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("name", list(INPUTS))
     def test_bitwise_equal_to_the_full_fill(self, monkeypatch, name, k):
         values = self.INPUTS[name]()
@@ -281,7 +281,7 @@ class TestWindows:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        k=st.integers(3, 7),
+        k=st.integers(2, 7),
         extra=st.integers(60, 300),
         normal=st.booleans(),
     )
@@ -295,7 +295,7 @@ class TestWindows:
         assert got.tobytes() == _bound_free_means(values, k).tobytes()
         assert got.tobytes() == oracles.recursive_kmeans_1d(values, k).tobytes()
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     def test_windowed_layers_skip_most_candidates(self, monkeypatch, k):
         f = _cli_stage2_image()
         means, bounded = _candidates(monkeypatch, kmeans_1d, f, k)
@@ -322,6 +322,25 @@ class TestWindows:
         assert sum(layers[-1]) <= hi[-1] - lo[0] < np.unique(f).size / 64
         assert means.tobytes() == _bound_free_means(f, 3).tobytes()
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_every_cell_of_many_values_is_cut(self, monkeypatch, k):
+        # 8 rows a cell on the noisy phantom: more than 1024 cells, all
+        # of them bounded, and the means unchanged
+        f = _noisy_phantom()
+        m = np.unique(f).size
+        cells = []
+        bounds = threshold._bounds
+
+        def spy(cost, w, s1, s2, points, layers):
+            cells.append(points.size - 1)
+            return bounds(cost, w, s1, s2, points, layers)
+
+        monkeypatch.setattr(threshold, "_CELL", 8)
+        monkeypatch.setattr(threshold, "_bounds", spy)
+        means = kmeans_1d(f, k)
+        assert cells == [m // 8] and m // 8 > 1024
+        assert means.tobytes() == _bound_free_means(f, k).tobytes()
+
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_offset_input_keeps_the_first_minimum(self, k):
         # costs near 1e-14 of s2[-1] carry rounding errors of a few percent
@@ -335,9 +354,20 @@ class TestWindows:
         assert kmeans_1d(values, k).tobytes() == _bound_free_means(values, k).tobytes()
 
     def test_two_clusters_take_one_round(self, monkeypatch):
+        # one window, layer 0's, then one round over the splits in its
+        # extent: fewer than all m - 1
         f = _noisy_phantom()
-        means, layers = _candidates(monkeypatch, kmeans_1d, f, 2)
-        assert layers == [[np.unique(f).size - 1]]
+        found = []
+
+        def windowed(values, k):
+            means, windows = self._windowed(monkeypatch, values, k)
+            found.extend(windows)
+            return means
+
+        means, layers = _candidates(monkeypatch, windowed, f, 2)
+        (count,), = layers
+        (lo, hi), = found
+        assert count <= hi[-1] - lo[0] < np.unique(f).size - 1
         assert means.tobytes() == _bound_free_means(f, 2).tobytes()
 
     @pytest.mark.parametrize("k", [3, 4, 6])
