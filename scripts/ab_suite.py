@@ -170,7 +170,7 @@ def sweep_solve(entry, solver, seed, second):
         norms = grid.grad_norms(grid.grad(g))
         support = supp.initial_support(norms, outer.tau_supp)
         if second:
-            first = pkg.decompose(g, model, replace(outer, maxit_out=1), admm)
+            first = submodule(pkg, "decompose").decompose(g, model, replace(outer, maxit_out=1), admm)
             u, v = first.u, first.v
             norms = grid.grad_norms(grid.grad(u))
             support = supp.detect_support(norms, support, outer.tau_supp)

@@ -13,7 +13,6 @@ from .decompose import (
     IterationTrace,
     OuterParams,
     TraceRow,
-    decompose,
     decompose_image,
 )
 from .energy import ModelParams, decomposition_energy
@@ -31,11 +30,9 @@ __all__ = [
     "Phantom",
     "PhantomSpec",
     "Rect",
-    "RunConfig",
     "SegmentationResult",
     "TraceRow",
     "cv",
-    "decompose",
     "decompose_image",
     "decomposition_energy",
     "generate",
@@ -44,12 +41,3 @@ __all__ = [
     "segment",
 ]
 
-
-def __getattr__(name):
-    # the CLI module, which holds RunConfig, loads on first use: imported with
-    # the package, `python -m shrinkseg.cli` would find it already imported
-    if name != "RunConfig":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .cli import RunConfig
-
-    return RunConfig

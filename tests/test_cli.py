@@ -1,6 +1,7 @@
 import importlib
 import json
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -641,12 +642,13 @@ def test_readme_configuration_table_holds_every_key_with_its_default():
 
 ROOT_API = {
     "AdmmParams", "DecompositionResult", "Disk", "IterationTrace", "ModelParams",
-    "OuterParams", "Phantom", "PhantomSpec", "Rect", "RunConfig", "SegmentationResult",
-    "TraceRow", "cv", "decompose", "decompose_image", "decomposition_energy", "generate",
-    "jaccard", "kmeans_1d", "segment",
+    "OuterParams", "Phantom", "PhantomSpec", "Rect", "SegmentationResult", "TraceRow",
+    "cv", "decompose_image", "decomposition_energy", "generate", "jaccard", "kmeans_1d",
+    "segment",
 }
 SOLVER_LAYERS = {
     "admm": ("InnerResult", "admm_solve", "solve_uv"),
+    "decompose": ("decompose",),
     "grid": ("OperatorSymbols", "compute_symbols", "grad", "grad_adjoint", "grad_norms"),
     "reduced": ("reduced_solve",),
     "support": ("SupportSet", "detect_support", "initial_support", "project_to_support"),
@@ -654,15 +656,81 @@ SOLVER_LAYERS = {
 }
 
 
-def test_package_root_exports_the_readme_api_only():
+def _readme_section(heading):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Python API\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_package_root_exports_the_readme_api_only():
+    words = set(re.findall(r"\w+", _readme_section("Python API")))
     assert sorted(shrinkseg.__all__) == sorted(ROOT_API)
-    assert ROOT_API <= set(re.findall(r"\w+", section))
+    assert ROOT_API <= words
     for module, names in SOLVER_LAYERS.items():
         imported = importlib.import_module(f"shrinkseg.{module}")
         for name in names:
-            assert hasattr(imported, name) and not hasattr(shrinkseg, name), name
+            # no solver layer at the root, where shrinkseg.decompose is the module itself
+            assert hasattr(imported, name) and name in words, name
+            assert getattr(shrinkseg, name, imported) is imported, name
+
+
+def test_the_decompose_module_is_not_shadowed(monkeypatch):
+    import shrinkseg.decompose as stage_one
+
+    assert stage_one is sys.modules["shrinkseg.decompose"]
+    assert stage_one.__doc__.startswith("Outer support-shrinking loop")
+    original, calls = stage_one.admm_solve, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stage_one, "admm_solve", counted)
+    f = np.add.outer(np.arange(8.0), np.arange(8.0)) / 16
+    decompose_image(f, shrinkseg.ModelParams(alpha=0.1, beta=10.0))
+    assert calls and np.array_equal(calls[0][0], f)
+
+
+def test_run_config_lives_in_the_cli_module_only():
+    from shrinkseg.cli import RunConfig
+
+    assert RunConfig is cli.RunConfig
+    assert "__getattr__" not in vars(shrinkseg)
+    assert not hasattr(shrinkseg, "RunConfig")
+
+
+def _quick_start_files(block):
+    """The heredoc bodies of the README's quick start, by file name."""
+    return dict(re.findall(r"cat > (\S+) <<'EOF'\n(.*?\n)EOF\n", block, re.S))
+
+
+def test_readme_quick_start_runs_and_segments_its_phantom(tmp_path):
+    block = _readme_section("Quick start").split("```\n", 2)[1]
+    files = _quick_start_files(block)
+    assert sorted(files) == ["config.json", "spec.json"]
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("shrinkseg ")]
+    assert [command[1] for command in commands] == ["synth", "run"]
+    for command in commands:
+        proc = subprocess.run([sys.executable, "-m", "shrinkseg.cli", *command[1:]],
+                              capture_output=True, text=True, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "work" / "result_report.json").read_text())
+    assert min(phase["js"] for phase in report["phases"]) >= 0.99
+
+
+def test_readme_python_example_segments_the_quick_start_phantom(capsys):
+    spec = json.loads(_quick_start_files(_readme_section("Quick start"))["spec.json"])
+    phantom = shrinkseg.generate(imgio.phantom_spec_from_dict(spec))
+    block = _readme_section("Python API").split("```python\n", 1)[1].split("```\n", 1)[0]
+    source, placeholders = re.subn(r"^f = \.\.\..*\n", "", block, flags=re.M)
+    assert placeholders == 1
+    namespace = {"f": phantom.f / phantom.f.max()}
+    exec(source, namespace)
+    labels = namespace["labels"]
+    assert min(shrinkseg.jaccard(labels == k, phantom.truth_labels == k) for k in (1, 2)) >= 0.99
+    assert capsys.readouterr().out.count("\n") == len(namespace["result"].trace)
 
 
 def test_module_entrypoint_help_exits_zero():

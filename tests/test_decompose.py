@@ -1,4 +1,3 @@
-import importlib
 import math
 import sys
 import warnings
@@ -12,13 +11,16 @@ from shrinkseg import (
     AdmmParams,
     ModelParams,
     OuterParams,
-    decompose,
     decomposition_energy,
     generate,
     segment,
 )
+from shrinkseg import admm as admm_module
+from shrinkseg import decompose as decompose_module
 from shrinkseg.admm import admm_solve
+from shrinkseg.decompose import decompose
 from shrinkseg.grid import grad, grad_norms
+from shrinkseg.support import tie_labels
 from shrinkseg.synth import Disk, PhantomSpec
 
 FAST = dict(outer=OuterParams(tau_supp=1e-3), admm=AdmmParams(r=10.0, tol_in=1e-8, maxit_in=500))
@@ -176,8 +178,7 @@ class TestResult:
             energies.append(decomposition_energy(*args))
             return energies[-1]
 
-        monkeypatch.setattr(importlib.import_module("shrinkseg.decompose"),
-                            "decomposition_energy", counted)
+        monkeypatch.setattr(decompose_module, "decomposition_energy", counted)
         result = decompose(small_phantom(), ModelParams(alpha=0.1, beta=100.0), **FAST)
         assert energies == list(result.trace.column("energy"))
 
@@ -192,8 +193,7 @@ def _record_solves(monkeypatch):
 
     Each call is a dict of args, kwargs and result.
     """
-    module = importlib.import_module("shrinkseg.decompose")
-    original = module.admm_solve
+    original = decompose_module.admm_solve
     calls = []
 
     def wrapped(*args, **kwargs):
@@ -201,7 +201,7 @@ def _record_solves(monkeypatch):
         calls.append({"args": args, "kwargs": dict(kwargs), "result": result})
         return result
 
-    monkeypatch.setattr(module, "admm_solve", wrapped)
+    monkeypatch.setattr(decompose_module, "admm_solve", wrapped)
     return calls
 
 
@@ -211,16 +211,15 @@ def _record_passes(monkeypatch):
 
     Each call is a dict of the solver's name, args, kwargs and result.
     """
-    module = importlib.import_module("shrinkseg.decompose")
     calls = []
     for name in ("admm_solve", "reduced_solve"):
 
-        def wrapped(*args, _original=getattr(module, name), _name=name, **kwargs):
+        def wrapped(*args, _original=getattr(decompose_module, name), _name=name, **kwargs):
             result = _original(*args, **kwargs)
             calls.append({"name": _name, "args": args, "kwargs": dict(kwargs), "result": result})
             return result
 
-        monkeypatch.setattr(module, name, wrapped)
+        monkeypatch.setattr(decompose_module, name, wrapped)
     return calls
 
 
@@ -284,9 +283,8 @@ class TestInnerTolerance:
         f = small_phantom(seed=3)
         admm = FAST["admm"]
         traced = decompose(f, MODEL, admm=admm)
-        module = importlib.import_module("shrinkseg.decompose")
-        original = module.admm_solve
-        monkeypatch.setattr(module, "admm_solve", lambda *args, **kwargs: original(*args))
+        original = decompose_module.admm_solve
+        monkeypatch.setattr(decompose_module, "admm_solve", lambda *args, **kwargs: original(*args))
         plain = decompose(f, MODEL, admm=admm)
         assert traced.u.tobytes() == plain.u.tobytes()
         assert traced.v.tobytes() == plain.v.tobytes()
@@ -299,7 +297,7 @@ class TestInnerTolerance:
         f = small_phantom(seed=3)
         admm = FAST["admm"]
         want, loose = decompose(f, MODEL, admm=admm), decompose(f, MODEL, **FAST)
-        monkeypatch.setattr(importlib.import_module("shrinkseg.admm"), "_RELATIVE_STOP", 1.0)
+        monkeypatch.setattr(admm_module, "_RELATIVE_STOP", 1.0)
         got = decompose(f, MODEL, admm=admm)
         assert got.u.tobytes() == want.u.tobytes()
         assert got.v.tobytes() == want.v.tobytes()
@@ -320,8 +318,7 @@ class TestInnerTolerance:
                 return math.inf
             return decomposition_energy(*args)
 
-        monkeypatch.setattr(importlib.import_module("shrinkseg.decompose"),
-                            "decomposition_energy", energy)
+        monkeypatch.setattr(decompose_module, "decomposition_energy", energy)
         result = decompose(small_phantom(), MODEL, **FAST)
         assert failed
         k = failed[0]  # earlier passes were solved once each
@@ -345,8 +342,7 @@ class TestInnerTolerance:
     def test_each_solve_starts_from_the_last_dual(self, monkeypatch):
         # with every reduced attempt declined, all passes run admm_solve;
         # the second loose pass, the first with a warm dual, fails H1
-        module = importlib.import_module("shrinkseg.decompose")
-        monkeypatch.setattr(module, "reduced_solve", lambda *args: None)
+        monkeypatch.setattr(decompose_module, "reduced_solve", lambda *args: None)
         calls = _record_solves(monkeypatch)
         admm = FAST["admm"]
         failed = []
@@ -358,7 +354,7 @@ class TestInnerTolerance:
                 return math.inf
             return decomposition_energy(*args)
 
-        monkeypatch.setattr(module, "decomposition_energy", energy)
+        monkeypatch.setattr(decompose_module, "decomposition_energy", energy)
         result = decompose(small_phantom(), MODEL, **FAST)
         assert result.converged and failed
         k = failed[0]
@@ -377,8 +373,7 @@ class TestInnerTolerance:
         # the first certified reduced pass is kept and every later attempt
         # declines, so admm_solve runs after a reduced pass and starts from
         # the dual of the admm_solve before that pass
-        module = importlib.import_module("shrinkseg.decompose")
-        original, kept = module.reduced_solve, []
+        original, kept = decompose_module.reduced_solve, []
 
         def once(*args):
             result = None if kept else original(*args)
@@ -386,7 +381,7 @@ class TestInnerTolerance:
                 kept.append(len(calls))  # the admm_solve calls before it
             return result
 
-        monkeypatch.setattr(module, "reduced_solve", once)
+        monkeypatch.setattr(decompose_module, "reduced_solve", once)
         calls = _record_solves(monkeypatch)
         result = decompose(small_phantom(), MODEL)
         assert result.converged and result.reduced_solves == 1
@@ -397,8 +392,7 @@ class TestInnerTolerance:
     def test_no_layer_call_runs_inside_the_inner_solve(self, monkeypatch):
         # perfbench sums the admm, support.project and energy spans as
         # disjoint parts of one operation
-        module = importlib.import_module("shrinkseg.decompose")
-        original = module.admm_solve
+        original = decompose_module.admm_solve
         running = []  # admm_solve calls in progress
         tols = []
         nested = []
@@ -412,7 +406,7 @@ class TestInnerTolerance:
                 running.pop()
 
         def watch(name):
-            fn = getattr(module, name)
+            fn = getattr(decompose_module, name)
 
             def watched(*args):
                 if running:
@@ -421,9 +415,9 @@ class TestInnerTolerance:
 
             return watched
 
-        monkeypatch.setattr(module, "admm_solve", solve)
+        monkeypatch.setattr(decompose_module, "admm_solve", solve)
         for name in ("project_to_support", "decomposition_energy"):
-            monkeypatch.setattr(module, name, watch(name))
+            monkeypatch.setattr(decompose_module, name, watch(name))
         decompose(small_phantom(), MODEL, **FAST)
         assert max(tols) > FAST["admm"].tol_in  # some pass was checked against H1
         assert nested == []
@@ -447,14 +441,13 @@ class TestCappedSolves:
 
 class TestRunState:
     def test_a_run_builds_one_state_for_both_solvers(self, monkeypatch):
-        module = importlib.import_module("shrinkseg.admm")
-        built, init = [], module.RunState.__init__
+        built, init = [], admm_module.RunState.__init__
 
         def counted(self, *args):
             built.append(self)
             init(self, *args)
 
-        monkeypatch.setattr(module.RunState, "__init__", counted)
+        monkeypatch.setattr(admm_module.RunState, "__init__", counted)
         calls = _record_passes(monkeypatch)
         # noisy enough that three or more passes still run admm_solve
         result = decompose(small_phantom(sigma=0.2), ModelParams(alpha=0.05, beta=100.0), **FAST)
@@ -469,14 +462,13 @@ class TestRunState:
     def test_every_energy_reads_a_spectrum_the_run_has(self, monkeypatch):
         # the first energy reads the state's rfft2(f) (v = f), the later
         # ones each solve's v_hat, so no energy transforms v again
-        module = importlib.import_module("shrinkseg.decompose")
-        original, spectra = module.decomposition_energy, []
+        original, spectra = decompose_module.decomposition_energy, []
 
         def spied(f, u, v, params, norms=None, v_hat=None):
             spectra.append(v_hat)
             return original(f, u, v, params, norms, v_hat)
 
-        monkeypatch.setattr(module, "decomposition_energy", spied)
+        monkeypatch.setattr(decompose_module, "decomposition_energy", spied)
         f = small_phantom(sigma=0.2)
         decompose(f, ModelParams(alpha=0.05, beta=100.0), **FAST)
         assert len(spectra) >= 3 and all(s is not None for s in spectra)
@@ -486,7 +478,7 @@ class TestRunState:
     def test_each_frozen_mask_is_labelled_once(self, name, monkeypatch, acceptance_fixtures):
         # the projection and the reduced attempts of a pass read one
         # labelling, and a support no pixel leaves keeps its labels
-        original, masks = importlib.import_module("shrinkseg.support").tie_labels, []
+        original, masks = tie_labels, []
 
         def counted(frozen):
             masks.append(frozen.tobytes())
@@ -529,7 +521,6 @@ class TestRunWarnings:
         # the rise to 1 + 5e-8 is far below 1e-8 E(f, f, f) = 1e-6, the
         # tolerance of old, but 5e-8 of the energy it leaves, so it counts;
         # the next rise, 5e-9 of it, does not
-        module = importlib.import_module("shrinkseg.decompose")
         script = [100.0, 1.0, 1.0 + 5e-8, 1.0 + 5.5e-8]
         calls = []
 
@@ -537,7 +528,7 @@ class TestRunWarnings:
             calls.append(None)
             return script[min(len(calls), len(script)) - 1]
 
-        monkeypatch.setattr(module, "decomposition_energy", energy)
+        monkeypatch.setattr(decompose_module, "decomposition_energy", energy)
         admm = AdmmParams(r=10.0, tol_in=1e-8, maxit_in=500)
         with pytest.warns(RuntimeWarning, match="energy increased") as caught:
             result = decompose(small_phantom(), MODEL, OuterParams(), admm)
@@ -557,9 +548,6 @@ class TestRunWarnings:
         assert result.energy_rises == 0 and not result.energy_increased
 
 
-admm_module = importlib.import_module("shrinkseg.admm")
-
-
 @pytest.mark.skipif(admm_module._SET_THREADS is None,
                     reason="numpy's BLAS exports no thread-count setter")
 class TestOneBlasThread:
@@ -573,14 +561,13 @@ class TestOneBlasThread:
         admm_module._SET_THREADS(threads)
 
     def test_solves_run_on_one_thread_and_the_count_comes_back(self, two_threads, monkeypatch):
-        module = importlib.import_module("shrinkseg.decompose")
-        original, seen = module.admm_solve, []
+        original, seen = decompose_module.admm_solve, []
 
         def spy(*args, **kwargs):
             seen.append(admm_module._GET_THREADS())
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "admm_solve", spy)
+        monkeypatch.setattr(decompose_module, "admm_solve", spy)
         decompose(small_phantom(), MODEL, **FAST)
         assert seen and set(seen) == {1}
         assert admm_module._GET_THREADS() == 2

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shrinkseg import AdmmParams, ModelParams, OuterParams, RunConfig
+from shrinkseg import AdmmParams, ModelParams, OuterParams
+from shrinkseg.cli import RunConfig
 from shrinkseg.grid import (
     as_grid,
     check_count,

@@ -1,7 +1,6 @@
 """The reduced pass solve against ADMM, and the tie labels it shares."""
 
 import dataclasses
-import importlib
 import json
 import os
 import subprocess
@@ -15,9 +14,11 @@ import oracles
 import shrinkseg
 from fixture_work import fixture_problem
 from oracles import linearized_energy
-from shrinkseg import AdmmParams, ModelParams, OuterParams, decompose, generate
+from shrinkseg import AdmmParams, ModelParams, OuterParams, generate
+from shrinkseg import decompose as decompose_module
 from shrinkseg import reduced as reduced_module
 from shrinkseg.admm import admm_solve
+from shrinkseg.decompose import decompose
 from shrinkseg.reduced import reduced_solve
 from shrinkseg.support import SupportSet, tie_labels
 from shrinkseg.synth import Disk, PhantomSpec
@@ -171,8 +172,7 @@ class TestZeroJumps:
     def test_declined_pass_goes_to_admm(self, monkeypatch):
         # with no Newton steps to spend, from either start, no pass certifies
         monkeypatch.setattr(reduced_module, "_NEWTON_STEPS", 0)
-        calls = _count_calls(monkeypatch, importlib.import_module("shrinkseg.decompose"),
-                             "admm_solve")
+        calls = _count_calls(monkeypatch, decompose_module, "admm_solve")
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
                            shapes=(Disk(row=8, col=8, radius=4, phase=2),),
                            noise_sigma=0.02, composition="additive", seed=11)
@@ -190,8 +190,7 @@ def _fixture_attempt(fixtures, name, count):
     fixture phantom name."""
     entry = next(e for e in fixtures["suite"] if e["name"] == name)
     f, params, outer, inner = fixture_problem(shrinkseg, entry, fixtures["solver"], 0)
-    module = importlib.import_module("shrinkseg.decompose")
-    original, found = module.reduced_solve, []
+    original, found = decompose_module.reduced_solve, []
 
     def spy(u_k, weights, support, cache):
         pieces = cache.pieces_of(support)
@@ -199,11 +198,11 @@ def _fixture_attempt(fixtures, name, count):
             found.append((f, u_k, f - u_k, weights, support, params, cache.rho, EXACT))
         return original(u_k, weights, support, cache)
 
-    module.reduced_solve = spy
+    decompose_module.reduced_solve = spy
     try:
         decompose(f, params, outer, inner)
     finally:
-        module.reduced_solve = original
+        decompose_module.reduced_solve = original
     assert found, f"no attempt at {count} components"
     return found[0]
 
@@ -569,16 +568,15 @@ class TestProblem:
 
 class TestDecomposeTries:
     def test_every_later_pass_within_the_cap_is_tried(self, monkeypatch):
-        module = importlib.import_module("shrinkseg.decompose")
         calls = []
         for name in ("admm_solve", "reduced_solve"):
 
-            def wrapped(*args, _original=getattr(module, name), _name=name, **kwargs):
+            def wrapped(*args, _original=getattr(decompose_module, name), _name=name, **kwargs):
                 result = _original(*args, **kwargs)
                 calls.append((_name, args, kwargs, result))
                 return result
 
-            monkeypatch.setattr(module, name, wrapped)
+            monkeypatch.setattr(decompose_module, name, wrapped)
         attempts = _count_calls(monkeypatch, reduced_module, "_newton")
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
                            shapes=(Disk(row=8, col=8, radius=4, phase=2),),
@@ -735,8 +733,7 @@ class TestDeclines:
         # no attempt certifies, and the cap leaves some supports above it
         monkeypatch.setattr(reduced_module, "_NEWTON_STEPS", 0)
         monkeypatch.setattr(reduced_module, "_MAX_PIECES", 5)
-        calls = _count_calls(monkeypatch, importlib.import_module("shrinkseg.decompose"),
-                             "reduced_solve")
+        calls = _count_calls(monkeypatch, decompose_module, "reduced_solve")
         spec = PhantomSpec(n=16, phase_values=(0.3, 0.8),
                            shapes=(Disk(row=8, col=8, radius=4, phase=2),),
                            noise_sigma=0.05, composition="additive", seed=11)
@@ -760,8 +757,9 @@ class TestDeclines:
 
 
 _THREADS_SCRIPT = """
-import hashlib, importlib, json, sys
+import hashlib, json, sys
 import shrinkseg
+import shrinkseg.decompose as module
 from fixture_work import fixture_problem, load_fixture
 from shrinkseg import reduced
 fixtures = load_fixture()
@@ -770,10 +768,9 @@ def digest(array):
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 entry = next(e for e in fixtures["quality"] if e["name"] == "two_phase_n128")
-whole = shrinkseg.decompose(*fixture_problem(shrinkseg, entry, fixtures["solver"], 0))
+whole = module.decompose(*fixture_problem(shrinkseg, entry, fixtures["solver"], 0))
 entry = next(e for e in fixtures["suite"] if e["name"] == "two_phase_s0.05_b0.2")
 f, params, outer, inner = fixture_problem(shrinkseg, entry, fixtures["solver"], 0)
-module = importlib.import_module("shrinkseg.decompose")
 original, found = module.reduced_solve, []
 
 def spy(u_k, weights, support, cache):
@@ -783,7 +780,7 @@ def spy(u_k, weights, support, cache):
     return original(u_k, weights, support, cache)
 
 module.reduced_solve = spy
-shrinkseg.decompose(f, params, outer, inner)
+module.decompose(f, params, outer, inner)
 u_k, weights, support, count = found[0]
 cache = reduced.ReducedCache(f, params, outer.rho, inner.r)
 result = reduced.reduced_solve(u_k, weights, support, cache)
